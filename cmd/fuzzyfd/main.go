@@ -10,7 +10,7 @@
 //	fuzzyfd -session t1.csv t2.csv t3.csv ...    # incremental integration
 //	fuzzyfd -stream t1.csv t2.csv                # stream JSONL rows per component
 //	fuzzyfd -progress ...                        # live phase/component progress
-//	fuzzyfd -stats ...                           # pivot columns and skip counts
+//	fuzzyfd -stats ...                           # pivot columns, skip counts, assignment shape
 //	fuzzyfd -pivot=false ...                     # unbucketed closure ablation
 //	fuzzyfd -cpuprofile cpu.pb.gz ...            # write a CPU profile
 //	fuzzyfd -memprofile mem.pb.gz ...            # write a heap profile at exit
@@ -71,7 +71,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "signature shards of the concurrent FD closure (0 = autotune from -workers)")
 		budget   = flag.Int("budget", 0, "abort if the FD closure exceeds this many tuples (0 = unlimited)")
 		pivot    = flag.Bool("pivot", true, "bucket FD posting lists by each component's most selective column")
-		statsF   = flag.Bool("stats", false, "report per-component pivot columns and skipped candidates on stderr")
+		statsF   = flag.Bool("stats", false, "report per-component pivot columns, skipped candidates and value-assignment shape on stderr")
 		session  = flag.Bool("session", false, "integrate incrementally: add one file at a time to a persistent session")
 		stream   = flag.Bool("stream", false, "stream the result to stdout as JSON Lines, one component at a time")
 		progress = flag.Bool("progress", false, "report pipeline phases and per-component closure progress on stderr")
@@ -182,6 +182,14 @@ func main() {
 
 	if *statsF {
 		tracker.reportPivot(res)
+		if ms := res.MatchStats; ms.CandidatePairs > 0 {
+			fmt.Fprintf(os.Stderr, "assignment: %d candidate pairs scored, %d edges under θ", ms.CandidatePairs, ms.Edges)
+			if ms.AssignComponents > 0 {
+				fmt.Fprintf(os.Stderr, ", %d sparse components (largest %d×%d)", ms.AssignComponents,
+					ms.LargestAssignComponent[0], ms.LargestAssignComponent[1])
+			}
+			fmt.Fprintln(os.Stderr)
+		}
 		if res.FDStats.PendingWaits > 0 {
 			fmt.Fprintf(os.Stderr, "concurrency: %d waits on components claimed by concurrent updates\n",
 				res.FDStats.PendingWaits)

@@ -7,9 +7,11 @@
 //
 //   - Solve: exact O(n²·m) dense solver (Jonker–Volgenant style potentials
 //     with shortest augmenting paths), for complete cost matrices.
-//   - MatchSparse: exact solver for sparse candidate graphs; solves each
-//     connected component independently, which is equivalent to a dense
-//     solve where absent edges carry a prohibitive cost.
+//   - MatchSparse: exact solver for sparse candidate graphs; the same
+//     shortest augmenting paths, found by Dijkstra over adjacency lists, so
+//     its cost follows the number of candidate edges and no matrix is
+//     built. Its optimum equals a dense solve where absent edges carry a
+//     prohibitive cost.
 //   - Greedy: the classic lowest-edge-first heuristic, used as an ablation
 //     baseline.
 package assign
@@ -136,13 +138,14 @@ func solveRect(cost [][]float64, n, m int) []int {
 	v := make([]float64, m+1)
 	p := make([]int, m+1)   // p[j]: row matched to column j (1-based; 0 = free)
 	way := make([]int, m+1) // back-pointers along the augmenting path
+	minv := make([]float64, m+1)
+	used := make([]bool, m+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, m+1)
-		used := make([]bool, m+1)
 		for j := range minv {
 			minv[j] = inf
+			used[j] = false
 		}
 		for {
 			used[j0] = true

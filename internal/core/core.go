@@ -288,6 +288,12 @@ func combineStats(stats []match.Stats) match.Stats {
 		}
 		distSum += s.MeanDistance * float64(s.DistanceCount)
 		out.DistanceCount += s.DistanceCount
+		out.CandidatePairs += s.CandidatePairs
+		out.Edges += s.Edges
+		out.AssignComponents += s.AssignComponents
+		if c, big := s.LargestAssignComponent, out.LargestAssignComponent; c[0]*c[1] > big[0]*big[1] {
+			out.LargestAssignComponent = c
+		}
 	}
 	if out.DistanceCount > 0 {
 		out.MeanDistance = distSum / float64(out.DistanceCount)

@@ -212,8 +212,10 @@ func TestDownstreamEMImproves(t *testing.T) {
 // members, not average the per-set means.
 func TestCombineStatsMemberWeighted(t *testing.T) {
 	combined := combineStats([]match.Stats{
-		{Clusters: 1, Members: 3, MeanDistance: 0.1, DistanceCount: 9},
-		{Clusters: 2, Members: 2, MeanDistance: 0.7, DistanceCount: 1},
+		{Clusters: 1, Members: 3, MeanDistance: 0.1, DistanceCount: 9,
+			CandidatePairs: 40, Edges: 7, AssignComponents: 2, LargestAssignComponent: [2]int{3, 4}},
+		{Clusters: 2, Members: 2, MeanDistance: 0.7, DistanceCount: 1,
+			CandidatePairs: 2, Edges: 1, AssignComponents: 1, LargestAssignComponent: [2]int{1, 13}},
 	})
 	want := (0.1*9 + 0.7*1) / 10
 	if diff := combined.MeanDistance - want; diff > 1e-12 || diff < -1e-12 {
@@ -222,8 +224,12 @@ func TestCombineStatsMemberWeighted(t *testing.T) {
 	if combined.DistanceCount != 10 {
 		t.Errorf("DistanceCount=%d want 10", combined.DistanceCount)
 	}
-	if combined.Clusters != 3 || combined.Members != 5 {
+	if combined.Clusters != 3 || combined.Members != 5 ||
+		combined.CandidatePairs != 42 || combined.Edges != 8 || combined.AssignComponents != 3 {
 		t.Errorf("counts not summed: %+v", combined)
+	}
+	if combined.LargestAssignComponent != [2]int{1, 13} {
+		t.Errorf("largest component %v, want the one with most cells", combined.LargestAssignComponent)
 	}
 	// Sets that matched nothing contribute nothing.
 	empty := combineStats([]match.Stats{{Clusters: 4}, {Clusters: 1}})

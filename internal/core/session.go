@@ -366,16 +366,20 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 	for _, cs := range sets {
 		key := clusterKey(cs.cols)
 		clusters, ok := s.clusters[key]
-		if !ok {
+		var stats match.Stats
+		if ok {
+			// No assignment ran: the assignment counters stay zero.
+			stats = match.Summarize(clusters)
+		} else {
 			var err error
-			clusters, err = matcher.MatchContext(ctx, cs.cols)
+			clusters, stats, err = matcher.MatchWithStats(ctx, cs.cols)
 			if err != nil {
 				return nil, phaseErr(PhaseMatch, fmt.Errorf("output column %q: %w", schema.Columns[cs.out], err))
 			}
 		}
 		newClusters[key] = clusters
 		res.ColumnClusters[cs.out] = clusters
-		allStats = append(allStats, match.Summarize(clusters))
+		allStats = append(allStats, stats)
 
 		maps := match.RewriteMaps(clusters, len(cs.refs))
 		for k, rf := range cs.refs {

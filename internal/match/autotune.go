@@ -129,7 +129,8 @@ func (m *Matcher) MatchAutoTuned(cols []Column, tuner *AutoTuner) ([]Cluster, er
 	if tuner.Scorer == nil {
 		return nil, ErrNoEmbedder
 	}
-	return m.match(context.Background(), cols, func(_ int, reps, values []string) float64 {
+	clusters, _, err := m.match(context.Background(), cols, func(_ int, reps, values []string) float64 {
 		return tuner.Tune(reps, values)
 	})
+	return clusters, err
 }

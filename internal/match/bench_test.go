@@ -1,16 +1,18 @@
-package match
+package match_test
 
 import (
 	"fmt"
 	"testing"
 
+	"fuzzyfd/internal/datagen"
 	"fuzzyfd/internal/embed"
+	"fuzzyfd/internal/match"
 )
 
 // syntheticColumns builds n columns of size values each, with overlapping
 // content so matching does real work.
-func syntheticColumns(nCols, size int) []Column {
-	cols := make([]Column, nCols)
+func syntheticColumns(nCols, size int) []match.Column {
+	cols := make([]match.Column, nCols)
 	for c := 0; c < nCols; c++ {
 		vals := make([]string, size)
 		for i := range vals {
@@ -24,7 +26,22 @@ func syntheticColumns(nCols, size int) []Column {
 				vals[i] = fmt.Sprintf("Enttity %04d", i)
 			}
 		}
-		cols[c] = NewColumn(fmt.Sprintf("c%d", c), vals)
+		cols[c] = match.NewColumn(fmt.Sprintf("c%d", c), vals)
+	}
+	return cols
+}
+
+// imdbIDColumns returns the aligning title-id columns of the generated IMDB
+// benchmark: random fixed-width identifiers that share hashed trigrams but
+// almost never a token, so blocking links them into one giant candidate
+// component with well under 1 % of its cells filled — the shape
+// syntheticColumns, whose components stay tiny, never produces.
+func imdbIDColumns(totalTuples int) []match.Column {
+	var cols []match.Column
+	for _, t := range datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: totalTuples}) {
+		if ci := t.ColumnIndex("tconst"); ci >= 0 {
+			cols = append(cols, match.NewColumn(t.Name+".tconst", t.ColumnValues(ci)))
+		}
 	}
 	return cols
 }
@@ -33,7 +50,7 @@ func BenchmarkMatchDense(b *testing.B) {
 	for _, size := range []int{100, 300} {
 		cols := syntheticColumns(3, size)
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			m := &Matcher{Emb: embed.NewMistral(), Opts: Options{Mode: ModeDense}}
+			m := &match.Matcher{Emb: embed.NewMistral(), Opts: match.Options{Mode: match.ModeDense}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Match(cols); err != nil {
@@ -45,10 +62,18 @@ func BenchmarkMatchDense(b *testing.B) {
 }
 
 func BenchmarkMatchSparse(b *testing.B) {
-	for _, size := range []int{300, 1000} {
-		cols := syntheticColumns(3, size)
-		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			m := &Matcher{Emb: embed.NewMistral(), Opts: Options{Mode: ModeSparse}}
+	for _, c := range []struct {
+		name string
+		cols []match.Column
+	}{
+		{"n=300", syntheticColumns(3, 300)},
+		{"n=1000", syntheticColumns(3, 1000)},
+		{"imdb-ids", imdbIDColumns(8000)},
+	} {
+		cols := c.cols
+		b.Run(c.name, func(b *testing.B) {
+			m := &match.Matcher{Emb: embed.NewMistral(), Opts: match.Options{Mode: match.ModeSparse}}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Match(cols); err != nil {
@@ -56,12 +81,5 @@ func BenchmarkMatchSparse(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkBlockingKeys(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		blockingKeys("University of Springfield at Riverton", nil)
 	}
 }

@@ -6,14 +6,17 @@ import (
 	"sort"
 
 	"fuzzyfd/internal/assign"
+	"fuzzyfd/internal/embed"
 	"fuzzyfd/internal/lexicon"
 	"fuzzyfd/internal/strutil"
 )
 
-// maxBucket caps the size of a single blocking bucket on either side.
-// Buckets larger than this (stopword-like tokens shared by half the column)
-// generate quadratically many candidates while carrying almost no signal,
-// so they are skipped; the remaining key families still cover such pairs.
+// maxBucket caps the size of a single blocking bucket of the indexed side
+// (B, the next column's values); how many representatives on side A share
+// the key is not checked. Buckets larger than this (stopword-like tokens
+// shared by half the column) generate quadratically many candidates while
+// carrying almost no signal, so they are skipped; the remaining key
+// families still cover such pairs.
 const maxBucket = 64
 
 // blockingKeys returns the candidate-generation keys for a value. Two
@@ -95,40 +98,111 @@ func minTrigrams(s string, k int) []string {
 	return out
 }
 
+// blocker is the blocked path's memo for one match call. A value's blocking
+// keys and vector depend on the value alone, and representatives are values
+// of earlier columns, so each distinct value is resolved once however many
+// rounds and candidate pairs it takes part in. Keys are interned to dense
+// ids by their full text, so two values share an id exactly when they share
+// a key.
+type blocker struct {
+	keyIDs map[string]int32
+	values map[string]*blockedValue
+}
+
+// blockedValue is what candidate generation needs to know about a value.
+type blockedValue struct {
+	keys []int32      // interned blockingKeys, duplicates kept
+	vec  embed.Vector // nil unless the scorer is a vectorScorer
+}
+
+func (b *blocker) resolve(v string, lex *lexicon.Lexicon, vectors vectorScorer) *blockedValue {
+	if bv, ok := b.values[v]; ok {
+		return bv
+	}
+	if b.values == nil {
+		b.keyIDs = make(map[string]int32)
+		b.values = make(map[string]*blockedValue)
+	}
+	keys := blockingKeys(v, lex)
+	bv := &blockedValue{keys: make([]int32, len(keys))}
+	for i, k := range keys {
+		id, ok := b.keyIDs[k]
+		if !ok {
+			id = int32(len(b.keyIDs))
+			b.keyIDs[k] = id
+		}
+		bv.keys[i] = id
+	}
+	if vectors != nil {
+		bv.vec = vectors.vector(v)
+	}
+	b.values[v] = bv
+	return bv
+}
+
 // blockedEdges generates candidate (cluster, value) pairs via the blocking
 // index and scores them, keeping edges under θ.
-func (m *Matcher) blockedEdges(clusters []*working, values []string, theta float64) []assign.Edge {
-	scorer := m.scorer()
+func (r *run) blockedEdges(clusters []*working, values []string, theta float64) []assign.Edge {
 	lex := lexicon.Full()
+	vectors, _ := r.scorer.(vectorScorer)
 
-	// Index side B by blocking key.
-	byKey := make(map[string][]int)
+	// Index side B by blocking key: key k's bucket is
+	// items[start[k]:start[k+1]], ascending. Keys first interned by side A
+	// below lie beyond start and have no bucket.
+	side := make([]*blockedValue, len(values))
 	for j, v := range values {
-		for _, k := range blockingKeys(v, lex) {
-			byKey[k] = append(byKey[k], j)
+		side[j] = r.blocker.resolve(v, lex, vectors)
+	}
+	start := make([]int32, len(r.blocker.keyIDs)+1)
+	for _, bv := range side {
+		for _, k := range bv.keys {
+			start[k+1]++
+		}
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	items := make([]int32, start[len(start)-1])
+	next := append([]int32(nil), start...)
+	for j, bv := range side {
+		for _, k := range bv.keys {
+			items[next[k]] = int32(j)
+			next[k]++
 		}
 	}
 
 	var edges []assign.Edge
-	seen := make(map[[2]int]bool)
+	seenBy := make([]int32, len(values)) // 1 + the last cluster that scored the value
 	for i, c := range clusters {
-		for _, k := range blockingKeys(c.rep, lex) {
-			bucket := byKey[k]
+		rep := r.blocker.resolve(c.rep, lex, vectors)
+		for _, k := range rep.keys {
+			if int(k)+1 >= len(start) {
+				continue
+			}
+			bucket := items[start[k]:start[k+1]]
 			if len(bucket) > maxBucket {
 				continue
 			}
 			for _, j := range bucket {
-				key := [2]int{i, j}
-				if seen[key] {
+				if seenBy[j] == int32(i)+1 {
 					continue
 				}
-				seen[key] = true
-				if d := scorer.Distance(c.rep, values[j]); d < theta {
-					edges = append(edges, assign.Edge{A: i, B: j, Cost: d})
+				seenBy[j] = int32(i) + 1
+				r.stats.CandidatePairs++
+				var d float64
+				switch {
+				case vectors == nil:
+					d = r.scorer.Distance(c.rep, values[j])
+				case c.rep != values[j]: // embed.Distance: equal values are 0 even with zero vectors
+					d = embed.CosineDistance(rep.vec, side[j].vec)
+				}
+				if d < theta {
+					edges = append(edges, assign.Edge{A: i, B: int(j), Cost: d})
 				}
 			}
 		}
 	}
+	r.stats.Edges += len(edges)
 	return edges
 }
 

@@ -11,11 +11,13 @@
 // earlier table); the combined column is then matched against the next
 // column, and so on until every column is consumed.
 //
-// Two assignment paths produce identical matchings: a dense solver for
-// small column pairs (the paper's scipy linear_sum_assignment) and a
-// blocked sparse solver for data-lake-scale columns, which restricts the
-// assignment to candidate pairs sharing a blocking key (sound for hashed
-// feature embeddings: cosine similarity requires a shared feature).
+// Two assignment paths produce matchings of equal cardinality and cost: a
+// dense solver for small column pairs (the paper's scipy
+// linear_sum_assignment) and a blocked sparse solver for data-lake-scale
+// columns, which restricts the assignment to candidate pairs sharing a
+// blocking key (sound for hashed feature embeddings: cosine similarity
+// requires a shared feature) and whose cost follows the number of
+// candidates, not the product of the column sizes.
 package match
 
 import (
@@ -163,6 +165,14 @@ func (s embedScorer) Name() string { return s.e.Name() }
 func (s embedScorer) Distance(a, b string) float64 {
 	return embed.Distance(s.e, a, b)
 }
+func (s embedScorer) vector(v string) embed.Vector { return s.e.Embed(v) }
+
+// vectorScorer is a Scorer whose Distance is embed.Distance over per-value
+// vectors. The blocked path resolves each value's vector once per call and
+// scores candidates from the vectors; other scorers keep calling Distance.
+type vectorScorer interface {
+	vector(v string) embed.Vector
+}
 
 // EmbedderScorer wraps an embedding model as a Scorer.
 func EmbedderScorer(e embed.Embedder) Scorer { return embedScorer{e: e} }
@@ -204,6 +214,14 @@ func (m *Matcher) Match(cols []Column) ([]Cluster, error) {
 // the context error unwrapped — callers layer their own cancellation
 // marker on top.
 func (m *Matcher) MatchContext(ctx context.Context, cols []Column) ([]Cluster, error) {
+	clusters, _, err := m.MatchWithStats(ctx, cols)
+	return clusters, err
+}
+
+// MatchWithStats is MatchContext that also returns the clustering's Stats:
+// Summarize of the clusters plus the assignment counters, which describe
+// the run and cannot be recovered from the clusters afterwards.
+func (m *Matcher) MatchWithStats(ctx context.Context, cols []Column) ([]Cluster, Stats, error) {
 	theta := m.Opts.theta()
 	return m.match(ctx, cols, func(int, []string, []string) float64 { return theta })
 }
@@ -213,17 +231,20 @@ func (m *Matcher) MatchContext(ctx context.Context, cols []Column) ([]Cluster, e
 // values. Match uses a constant; MatchAutoTuned plugs in the tuner.
 type thetaFunc func(round int, reps, values []string) float64
 
-func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) ([]Cluster, error) {
-	if m.scorer() == nil {
-		return nil, ErrNoEmbedder
+func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) ([]Cluster, Stats, error) {
+	// Everything a call accumulates lives in r, never on the Matcher, which
+	// is shared across calls and goroutines.
+	r := &run{opts: m.Opts, scorer: m.scorer()}
+	if r.scorer == nil {
+		return nil, Stats{}, ErrNoEmbedder
 	}
 	for i, c := range cols {
 		if len(c.Values) != len(c.Counts) {
-			return nil, fmt.Errorf("match: column %d (%s): %d values but %d counts", i, c.Name, len(c.Values), len(c.Counts))
+			return nil, Stats{}, fmt.Errorf("match: column %d (%s): %d values but %d counts", i, c.Name, len(c.Values), len(c.Counts))
 		}
 	}
 	if len(cols) == 0 {
-		return nil, nil
+		return nil, Stats{}, nil
 	}
 
 	// Global frequency of each surface form across all aligning columns —
@@ -247,16 +268,16 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 
 	for k := 1; k < len(cols); k++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, Stats{}, err
 		}
 		reps := make([]string, len(clusters))
 		for i, c := range clusters {
 			reps[i] = c.rep
 		}
 		theta := thetaFor(k, reps, cols[k].Values)
-		pairs, err := m.assignRound(clusters, cols[k].Values, theta)
+		pairs, err := r.assignRound(clusters, cols[k].Values, theta)
 		if err != nil {
-			return nil, fmt.Errorf("match: column %d (%s): %w", k, cols[k].Name, err)
+			return nil, Stats{}, fmt.Errorf("match: column %d (%s): %w", k, cols[k].Name, err)
 		}
 		matched := make(map[int]bool, len(pairs)) // col-k value index -> merged
 		for _, p := range pairs {
@@ -282,7 +303,10 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 	for i, c := range clusters {
 		out[i] = Cluster{Rep: c.rep, Members: c.members}
 	}
-	return out, nil
+	stats := Summarize(out)
+	stats.CandidatePairs, stats.Edges = r.stats.CandidatePairs, r.stats.Edges
+	stats.AssignComponents, stats.LargestAssignComponent = r.stats.AssignComponents, r.stats.LargestAssignComponent
+	return out, stats, nil
 }
 
 // elect picks the cluster representative: highest global frequency, ties
@@ -310,12 +334,21 @@ func (m *Matcher) elect(c *working, freq map[string]int) {
 	c.rep = c.members[best].Value
 }
 
+// run is the state of one match call: its scorer and options, the blocked
+// path's per-value memo, and the assignment counters of Stats.
+type run struct {
+	opts    Options
+	scorer  Scorer
+	blocker blocker
+	stats   Stats
+}
+
 // assignRound matches current clusters (side A, by representative) against
 // the next column's values (side B), returning assignment pairs under θ.
-func (m *Matcher) assignRound(clusters []*working, values []string, theta float64) ([]assign.Pair, error) {
-	mode := m.Opts.Mode
+func (r *run) assignRound(clusters []*working, values []string, theta float64) ([]assign.Pair, error) {
+	mode := r.opts.Mode
 	if mode == ModeAuto {
-		if len(clusters)*len(values) <= m.Opts.denseLimit() {
+		if len(clusters)*len(values) <= r.opts.denseLimit() {
 			mode = ModeDense
 		} else {
 			mode = ModeSparse
@@ -323,33 +356,40 @@ func (m *Matcher) assignRound(clusters []*working, values []string, theta float6
 	}
 	switch mode {
 	case ModeDense:
-		return m.assignDense(clusters, values, theta)
+		return r.assignDense(clusters, values, theta)
 	case ModeSparse:
-		return assign.MatchSparse(len(clusters), len(values), m.blockedEdges(clusters, values, theta)), nil
+		pairs, shape := assign.MatchSparse(len(clusters), len(values), r.blockedEdges(clusters, values, theta))
+		r.stats.AssignComponents += shape.Components
+		if big := r.stats.LargestAssignComponent; shape.LargestLeft*shape.LargestRight > big[0]*big[1] {
+			r.stats.LargestAssignComponent = [2]int{shape.LargestLeft, shape.LargestRight}
+		}
+		return pairs, nil
 	case ModeGreedy:
-		return assign.Greedy(m.blockedEdges(clusters, values, theta)), nil
+		return assign.Greedy(r.blockedEdges(clusters, values, theta)), nil
 	default:
 		return nil, fmt.Errorf("unknown mode %d", mode)
 	}
 }
 
-func (m *Matcher) assignDense(clusters []*working, values []string, theta float64) ([]assign.Pair, error) {
+func (r *run) assignDense(clusters []*working, values []string, theta float64) ([]assign.Pair, error) {
 	if len(clusters) == 0 || len(values) == 0 {
 		return nil, nil
 	}
-	scorer := m.scorer()
 	cost := make([][]float64, len(clusters))
 	for i, c := range clusters {
 		row := make([]float64, len(values))
 		for j := range values {
-			d := scorer.Distance(c.rep, values[j])
+			d := r.scorer.Distance(c.rep, values[j])
 			if d >= theta {
 				d = assign.Forbidden
+			} else {
+				r.stats.Edges++
 			}
 			row[j] = d
 		}
 		cost[i] = row
 	}
+	r.stats.CandidatePairs += len(clusters) * len(values)
 	rowToCol, _, err := assign.Solve(cost)
 	if err != nil {
 		return nil, err

@@ -398,3 +398,10 @@ func TestGreedyModeRuns(t *testing.T) {
 		t.Errorf("greedy clusters=%+v", clusters)
 	}
 }
+
+func BenchmarkBlockingKeys(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		blockingKeys("University of Springfield at Riverton", nil)
+	}
+}

@@ -35,6 +35,17 @@ type Stats struct {
 	LargestSize   int
 	MeanDistance  float64 // mean match-time distance over non-seed members
 	DistanceCount int     // members contributing to MeanDistance — its weight when combining Stats
+
+	// Assignment counters, summed over the sequential rounds. They describe
+	// the run, not the clusters, so only MatchWithStats fills them;
+	// Summarize leaves them zero.
+	CandidatePairs   int // (cluster, value) pairs scored: every cell when dense, blocked candidates when sparse
+	Edges            int // scored pairs under θ, the edges assignment chose from
+	AssignComponents int // connected components of the sparse candidate graphs
+	// LargestAssignComponent is the left × right size of the biggest such
+	// component by cell count. Edges over the cells of all components is
+	// the density a matrix-based solver would have paid for.
+	LargestAssignComponent [2]int
 }
 
 // Summarize computes Stats for a clustering.

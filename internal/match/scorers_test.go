@@ -67,28 +67,32 @@ func TestMinScorer(t *testing.T) {
 	}
 }
 
+// A scorer without vectors runs through both assignment paths: the blocked
+// path must fall back to Distance per candidate.
 func TestMatcherWithQGramScorer(t *testing.T) {
-	m := &Matcher{Scorer: QGramScorer(3)}
-	clusters, err := m.Match([]Column{
-		NewColumn("a", []string{"Berlinn", "Toronto"}),
-		NewColumn("b", []string{"Berlin", "Boston"}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byRep := clusterByRep(clusters)
-	// Typo matched, unrelated city not.
-	found := false
-	for rep, c := range byRep {
-		if len(c.Members) == 2 {
-			found = true
-			if rep != "Berlinn" && rep != "Berlin" {
-				t.Errorf("unexpected merged cluster %q", rep)
+	for _, mode := range []Mode{ModeDense, ModeSparse} {
+		m := &Matcher{Scorer: QGramScorer(3), Opts: Options{Mode: mode}}
+		clusters, err := m.Match([]Column{
+			NewColumn("a", []string{"Berlinn", "Toronto"}),
+			NewColumn("b", []string{"Berlin", "Boston"}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRep := clusterByRep(clusters)
+		// Typo matched, unrelated city not.
+		found := false
+		for rep, c := range byRep {
+			if len(c.Members) == 2 {
+				found = true
+				if rep != "Berlinn" && rep != "Berlin" {
+					t.Errorf("mode %d: unexpected merged cluster %q", mode, rep)
+				}
 			}
 		}
-	}
-	if !found {
-		t.Errorf("typo pair not merged: %+v", clusters)
+		if !found || len(clusters) != 3 {
+			t.Errorf("mode %d: typo pair not merged: %+v", mode, clusters)
+		}
 	}
 }
 
