@@ -246,11 +246,12 @@ func WithContentAlignment(useHeaders bool) Option {
 // components use a pivot-partitioned engine: disjoint per-pivot-value
 // groups close independently with group-local indexes and no shared
 // mutable state, so it beats the sequential engine even on one core
-// (strictly fewer merge attempts) and scales across cores. Incremental
-// re-closure inside a Session uses a work-stealing concurrent engine
-// (sharded signature index, per-worker deques, lock-free candidate
-// generation). Results are byte-identical to the sequential engine for
-// any worker count.
+// (no cross-group pairs, no shared indexes) and scales across cores.
+// Incremental re-closure of a hub inside a Session extends the cached
+// closure in place sequentially when the delta is small, and uses a
+// work-stealing concurrent engine (sharded signature index, per-worker
+// deques, lock-free candidate generation) when it is large. Results are
+// byte-identical to the sequential engine for any worker count.
 func WithParallelFD(workers int) Option {
 	return func(o *options) error {
 		if workers < 1 {
@@ -635,6 +636,13 @@ func (s *Session) Stats() FDStats {
 // Integrate computes the integration of every table added so far, reusing
 // the session's cached state for everything the newly added tables do not
 // touch.
+//
+// The rows of the returned table (and its provenance lists) are shared with
+// the session's cached output and with the results of later calls: rows of
+// components an update did not touch are not decoded again. Treat a session
+// Result as read-only — editing a cell in place corrupts every later
+// integration — and copy rows you need to change. One-shot Integrate
+// results are the caller's own.
 func (s *Session) Integrate() (*Result, error) { return s.s.Integrate() }
 
 // IntegrateContext is Integrate under a context, with the cancellation
@@ -642,7 +650,7 @@ func (s *Session) Integrate() (*Result, error) { return s.s.Integrate() }
 // leaves the session consistent — cached state the run did not reach is
 // kept, the FD index discards its partial delta — so a later call with a
 // live context completes normally and stays byte-identical to a one-shot
-// run.
+// run. The Result is read-only, as for Integrate.
 func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	return s.s.IntegrateContext(ctx)
 }

@@ -154,7 +154,8 @@ func (s *Session) emit(ev ProgressEvent) {
 
 // Integrate computes the configured pipeline over every table added so
 // far, reusing the session's cached state wherever the input still
-// matches it.
+// matches it. The result's rows and provenance lists are shared with the FD
+// index's cached output and with later results (fd.Index.Update): read-only.
 func (s *Session) Integrate() (*Result, error) { return s.IntegrateContext(context.Background()) }
 
 // IntegrateContext is Integrate under a context: cancellation and

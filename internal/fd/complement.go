@@ -59,6 +59,11 @@ type postingIndex struct {
 	// byCol[c][sym] whose pivot cell is p, in the same ascending order.
 	pivot   int
 	byPivot []map[uint64][]int
+	// pivotAt is the store size the pivot was chosen at. A cached index
+	// outlives the seed it was bucketed for — a component first indexed
+	// below pivotMinTuples would stay unbucketed for life — so once the
+	// store has doubled the pivot is chosen again (see rechoosePivot).
+	pivotAt int
 	// sealed marks the end of seeding; buckets minted past this point were
 	// created by merged tuples carrying (list, pivot) pairs no seed tuple
 	// had. buckets counts all buckets, minted only the post-seal ones.
@@ -113,6 +118,63 @@ func (idx *postingIndex) add(tupleID int, cells []uint32) {
 	}
 }
 
+// widen gives the index empty posting maps for output columns appended by
+// a schema widening; existing lists are untouched.
+func (idx *postingIndex) widen(nCols int) {
+	for len(idx.byCol) < nCols {
+		idx.byCol = append(idx.byCol, make(map[uint32][]int))
+		if idx.pivot >= 0 {
+			idx.byPivot = append(idx.byPivot, make(map[uint64][]int))
+		}
+	}
+}
+
+// setPivot re-buckets the index by the given column (-1 strips the
+// buckets) from the flat lists, which stay valid as they are. Buckets keep
+// the lists' ascending order.
+func (idx *postingIndex) setPivot(tuples []Tuple, pivot int) {
+	idx.pivot, idx.byPivot, idx.buckets = pivot, nil, 0
+	if pivot < 0 {
+		return
+	}
+	idx.byPivot = make([]map[uint64][]int, len(idx.byCol))
+	for c, col := range idx.byCol {
+		m := make(map[uint64][]int, len(col))
+		for sym, list := range col {
+			for _, id := range list {
+				key := pivotKey(sym, tuples[id].Cells[pivot])
+				m[key] = append(m[key], id)
+			}
+		}
+		idx.byPivot[c] = m
+		idx.buckets += len(m)
+	}
+}
+
+// rechoosePivot applies the re-pivot rule to a cached index about to be
+// extended over tuples: once the store has at least doubled since the pivot
+// was chosen (including "no pivot", chosen at whatever size the index was
+// built), choose again over the current store and re-bucket if the choice
+// moved. One rebuild per doubling, so the cost amortizes to O(1) per stored
+// tuple. NoPivot strips the buckets and forgets the size, so a later
+// pivoted run chooses afresh.
+func (idx *postingIndex) rechoosePivot(opts Options, tuples []Tuple, nCols int) {
+	if opts.NoPivot {
+		if idx.pivot >= 0 {
+			idx.setPivot(tuples, -1)
+		}
+		idx.pivotAt = 0
+		return
+	}
+	if len(tuples) < 2*idx.pivotAt || len(tuples) < pivotMinTuples {
+		return
+	}
+	idx.pivotAt = len(tuples)
+	if pivot := choosePivot(tuples, nCols); pivot != idx.pivot {
+		idx.setPivot(tuples, pivot)
+	}
+}
+
 // stampSet deduplicates candidate IDs in O(1) per probe using epoch
 // stamping: marks[j] == epoch means j was already seen this round. Growing
 // and re-zeroing a map per tuple dominated Full Disjunction runtime on
@@ -144,41 +206,43 @@ func (s *stampSet) seen(j int) bool {
 	return false
 }
 
+// probe calls visit with every posting list a probe for cells has to scan:
+// the lists of its non-null values, or on a pivoted index, when cells holds
+// a pivot value, only those lists' matching-pivot and null-pivot buckets —
+// a tuple in any other bucket conflicts with cells on the pivot column. The
+// return value is how many list entries that pruning left out (always 0 on
+// an unbucketed index or a null-pivot probe).
+func (idx *postingIndex) probe(cells []uint32, visit func(list []int)) (skipped int) {
+	pivoted := idx.pivot >= 0 && cells[idx.pivot] != intern.Null
+	for c, sym := range cells {
+		switch {
+		case sym == intern.Null:
+		case pivoted:
+			same := idx.byPivot[c][pivotKey(sym, cells[idx.pivot])]
+			null := idx.byPivot[c][pivotKey(sym, intern.Null)]
+			skipped += len(idx.byCol[c][sym]) - len(same) - len(null)
+			visit(same)
+			visit(null)
+		default:
+			visit(idx.byCol[c][sym])
+		}
+	}
+	return skipped
+}
+
 // candidates calls fn for every tuple sharing an equal non-null value with
-// cells, deduplicated, excluding self. On a pivoted index a probe with a
-// non-null pivot cell iterates only the matching-pivot and null-pivot
-// buckets; the return value is how many candidate iterations that pruning
-// skipped (always 0 on an unbucketed index or a null-pivot probe).
+// cells that could be consistent with it (see probe), deduplicated,
+// excluding self, and returns the candidate iterations pivot bucketing
+// skipped.
 func (idx *postingIndex) candidates(self int, cells []uint32, seen *stampSet, fn func(j int)) (skipped int) {
-	visit := func(list []int) {
+	return idx.probe(cells, func(list []int) {
 		for _, j := range list {
 			if j == self || seen.seen(j) {
 				continue
 			}
 			fn(j)
 		}
-	}
-	if idx.pivot >= 0 && cells[idx.pivot] != intern.Null {
-		p := cells[idx.pivot]
-		for c, sym := range cells {
-			if sym == intern.Null {
-				continue
-			}
-			same := idx.byPivot[c][pivotKey(sym, p)]
-			null := idx.byPivot[c][pivotKey(sym, intern.Null)]
-			skipped += len(idx.byCol[c][sym]) - len(same) - len(null)
-			visit(same)
-			visit(null)
-		}
-		return skipped
-	}
-	for c, sym := range cells {
-		if sym == intern.Null {
-			continue
-		}
-		visit(idx.byCol[c][sym])
-	}
-	return 0
+	})
 }
 
 // pivotMinTuples is the smallest seed store a pivoted index is built for;
@@ -249,6 +313,47 @@ type closure struct {
 	sigs   *sigIndex
 	idx    *postingIndex
 	bud    *budget
+	scr    *closeScratch // nil allocates one on first run
+}
+
+// closeScratch is the worklist state of the sequential closure. The
+// incremental index caches it with a component's indexes, so extending a
+// large cached closure by a few tuples allocates and clears nothing
+// proportional to the store.
+type closeScratch struct {
+	seen  stampSet
+	queue []int
+	once  pairOnce
+}
+
+// pairOnce lets a worklist closure attempt each unordered pair once instead
+// of from both ends. at[j] - base is the store length at the start of j's
+// expansion in the current run (not expanded if that is not positive):
+// every tuple below it was indexed then and has been tried against j, so a
+// later expansion of such a tuple skips j. Ending a run raises base past
+// every entry it wrote, which retires them without a pass over the store.
+type pairOnce struct {
+	at   []uint32
+	base uint32
+}
+
+// expand notes that tuple i is being expanded against a store of n tuples.
+func (p *pairOnce) expand(i, n int) {
+	for len(p.at) < n {
+		p.at = append(p.at, 0)
+	}
+	p.at[i] = p.base + uint32(n)
+}
+
+// tried reports whether j's expansion already attempted the pair (i, j).
+func (p *pairOnce) tried(i, j int) bool { return p.at[j] > p.base+uint32(i) }
+
+// end closes a run over a store that grew to n tuples.
+func (p *pairOnce) end(n int) {
+	if p.base += uint32(n); p.base > 1<<31 {
+		clear(p.at)
+		p.base = 0
+	}
 }
 
 // newClosure wraps an existing store whose signature index is already
@@ -259,6 +364,7 @@ func newClosure(eng *engine, tuples []Tuple, sigs *sigIndex, bud *budget, pivot 
 		idx.add(i, tuples[i].Cells)
 	}
 	idx.sealed = true
+	idx.pivotAt = len(tuples)
 	return &closure{eng: eng, tuples: tuples, sigs: sigs, idx: idx, bud: bud}
 }
 
@@ -293,29 +399,33 @@ func (c *closure) runFrom(ctx context.Context, work []int, stats *Stats) error {
 			return err
 		}
 	}
-	var queue []int
+	if c.scr == nil {
+		c.scr = &closeScratch{}
+	}
+	scr := c.scr
+	queue := scr.queue[:0]
 	if work == nil {
-		queue = make([]int, len(c.tuples))
-		for i := range queue {
-			queue[i] = i
+		for i := range c.tuples {
+			queue = append(queue, i)
 		}
 	} else {
-		queue = append(make([]int, 0, len(work)), work...)
+		queue = append(queue, work...)
 	}
-	var scratch stampSet
 	var stopErr error
 	chk := cancelCheck{ctx: ctx}
 	mbuf := make([]uint32, 0, c.eng.nCols)
 	skipped, minted0 := 0, c.idx.minted
+	var newIDs []int
 
 	for len(queue) > 0 && stopErr == nil {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 
-		scratch.next(len(c.tuples))
-		var newIDs []int
-		skipped += c.idx.candidates(i, c.tuples[i].Cells, &scratch, func(j int) {
-			if stopErr != nil {
+		scr.seen.next(len(c.tuples))
+		scr.once.expand(i, len(c.tuples))
+		newIDs = newIDs[:0]
+		skipped += c.idx.candidates(i, c.tuples[i].Cells, &scr.seen, func(j int) {
+			if stopErr != nil || scr.once.tried(i, j) {
 				return
 			}
 			if stopErr = chk.poll(); stopErr != nil {
@@ -346,6 +456,8 @@ func (c *closure) runFrom(ctx context.Context, work []int, stats *Stats) error {
 			queue = append(queue, id)
 		}
 	}
+	scr.queue = queue[:0]
+	scr.once.end(len(c.tuples))
 	stats.PivotSkipped += skipped
 	stats.PivotMinted += c.idx.minted - minted0
 	return stopErr

@@ -602,7 +602,8 @@ func resolveShards(opts Options) int {
 
 // closeConcurrent closes a seeded store under pairwise complementation with
 // the work-stealing engine. seed is the initial store (deduplicated; base
-// tuples first, then any closure tuples reused from a previous run); work
+// tuples and any closure tuples reused from a previous run, which keep
+// their positions in the returned store); work
 // lists the store IDs whose pairs have not been examined yet (nil expands
 // everything — a from-scratch closure); pivot is the bucketing column for
 // the posting lists (-1 = unbucketed). Returns the closed store, whose

@@ -51,8 +51,8 @@ func TestConcurrentClosureMatchesSequentialRandom(t *testing.T) {
 
 // The incremental index over the concurrent engine: updates stay
 // byte-identical to one-shot runs when hub components are re-closed by the
-// work-stealing engine (which invalidates the cached closure indexes, so
-// this also exercises the slow re-seeding path).
+// work-stealing engine (which returns a store without indexes, so this
+// also exercises rebuilding them when the store is next extended).
 func TestIndexIncrementalConcurrentRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

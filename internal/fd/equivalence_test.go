@@ -1,6 +1,8 @@
 package fd_test
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -195,4 +197,64 @@ func schemaColumn(s fd.Schema, name string) int {
 		}
 	}
 	return -1
+}
+
+// writeJSONL renders a result table the way the daemon streams it.
+func writeJSONL(t *testing.T, tb *table.Table) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := table.WriteJSONL(&buf, tb); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// Byte identity on the benchmark's own shapes: the serve-durable ingestion
+// pattern (IMDB 3 000 tuples as 20 row chunks x 6 tables, one Update per
+// chunk, each chunk a table of its own) and the session pattern (six whole
+// tables of a 5 000-tuple set, one Update per table, the schema widening
+// with every one). After every Update the JSONL rendering of the table and
+// the provenance equal one-shot FullDisjunction over the accumulated input.
+func TestIndexByteIdenticalOnBenchmarkShapes(t *testing.T) {
+	var chunks []*table.Table
+	const nChunks = 20
+	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 3000})
+	for b := 0; b < nChunks; b++ {
+		for _, tb := range tables {
+			lo, hi := b*len(tb.Rows)/nChunks, (b+1)*len(tb.Rows)/nChunks
+			if lo == hi {
+				continue
+			}
+			chunk := table.New(fmt.Sprintf("%s-%d", tb.Name, b), tb.Columns...)
+			chunk.Rows = tb.Rows[lo:hi]
+			chunks = append(chunks, chunk)
+		}
+	}
+	for name, script := range map[string][]*table.Table{
+		"chunks": chunks,
+		"whole":  datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 5000}),
+	} {
+		x := fd.NewIndex()
+		for k := 1; k <= len(script); k++ {
+			view := script[:k]
+			schema := fd.IdentitySchema(view)
+			got, err := x.Update(view, schema, fd.Options{})
+			if err != nil {
+				t.Fatalf("%s update %d: %v", name, k, err)
+			}
+			want, err := fd.FullDisjunction(view, schema, fd.Options{})
+			if err != nil {
+				t.Fatalf("%s update %d oneshot: %v", name, k, err)
+			}
+			if writeJSONL(t, got.Table) != writeJSONL(t, want.Table) {
+				t.Fatalf("%s update %d: JSONL output differs from one-shot", name, k)
+			}
+			if !reflect.DeepEqual(got.Prov, want.Prov) {
+				t.Fatalf("%s update %d: provenance differs from one-shot", name, k)
+			}
+		}
+		if x.Rebuilds() != 0 {
+			t.Errorf("%s: %d rebuilds on an append-only script", name, x.Rebuilds())
+		}
+	}
 }

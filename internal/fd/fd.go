@@ -25,9 +25,25 @@
 //     Options.Workers > 1, components are scheduled by size: tiny ones
 //     close inline, mid-sized ones are scheduled whole across workers, and
 //     a hub component dominating the input (or a single-component input)
-//     is closed with every worker inside it by the work-stealing concurrent
-//     engine (concurrent.go); Options.RoundParallel swaps in the
+//     is closed with every worker inside it — by the pivot-partitioned
+//     engine (pivotpar.go) when the whole component closes from scratch and
+//     has a pivot column, otherwise (a large partial worklist, no pivot) by
+//     the work-stealing concurrent engine (concurrent.go); a cached hub with
+//     fewer than hubMinTuples tuples to expand is extended in place by the
+//     sequential engine instead — the parallel engines would copy and
+//     re-index its whole store. Options.RoundParallel swaps in the
 //     round-based closure (Paganelli et al. 2019 style) as an ablation.
+//   - A session (Index) keeps every component's closure between updates
+//     and makes an update cost what its delta costs. A dirty component is
+//     re-closed through one seeding path (Index.seed): the cached closure
+//     with the largest store is the host and is extended in place — store,
+//     signature index, posting index, subsumption cache, worklist scratch —
+//     the stores of smaller closures a merge brought in are appended behind
+//     it, and only the new or changed tuples are expanded. Two rules keep
+//     the in-place path honest: signatures ignore trailing null cells, so
+//     schema widening invalidates nothing; and a cached posting index
+//     re-chooses its pivot column whenever its store has doubled, so a
+//     component first indexed small does not probe unbucketed for life.
 //
 // Tuples carry provenance (the set of input tuple IDs they integrate), so
 // downstream tasks such as entity matching can trace every output row back
@@ -89,6 +105,19 @@ func (e *engine) lessCells(a, b []uint32) bool {
 		}
 	}
 	return false
+}
+
+// cmpCells is lessCells as a three-way comparison, for slices.SortFunc.
+func (e *engine) cmpCells(a, b []uint32) int {
+	for i := range a {
+		if a[i] != b[i] {
+			if e.dict.Less(a[i], b[i]) {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // decodeRow materializes interned cells as table cells.
@@ -182,8 +211,10 @@ type Options struct {
 	// below a size threshold run inline, mid-sized ones are scheduled
 	// whole across workers, and a hub component that dominates the input
 	// (or a single-component input) is closed with all workers inside it
-	// by the work-stealing engine (concurrent.go). 0 or 1 runs
-	// sequentially.
+	// by the pivot-partitioned engine (pivotpar.go) or, for a partial
+	// worklist or a component without a pivot, the work-stealing engine
+	// (concurrent.go) — except that a small delta into a cached hub is
+	// extended in place sequentially. 0 or 1 runs sequentially.
 	Workers int
 	// Shards sets the signature-index shard count of the work-stealing
 	// closure (rounded up to a power of two). 0 autotunes from Workers.
@@ -277,32 +308,33 @@ func Canceled(err error) error {
 // actually performed — the gap between ReclosedTuples and Closure is the
 // work the session amortized away.
 type Stats struct {
-	InputTuples      int
-	OuterUnion       int   // tuples after outer union + dedup
-	Values           int   // distinct non-null cell values in the dictionary
-	ReusedValues     int   // distinct new-row values already interned by earlier runs (0 for one-shot)
-	Components       int   // connected components of the outer union (0 with NoPartition)
-	DirtyComponents  int   // components (re)closed this run (= Components for one-shot partitioned runs)
-	LargestComp      int   // outer-union tuples in the largest component
-	LargestClose     int   // closure tuples of the largest component (0 with NoPartition)
-	Merges           int   // successful complementation merges this run
-	MergeAttempts    int   // candidate pairs tested this run (schedule-dependent under Workers > 1)
-	Closure          int   // tuples after complementation closure
-	ReclosedTuples   int   // closure tuples of the components (re)closed this run (= Closure for one-shot partitioned runs)
-	SeedReusedTuples int   // closure tuples seeded from previous runs instead of re-derived (incremental re-closure)
-	StolenBatches    int   // work-stealing engine: deque batches stolen by idle workers
-	Shards           int   // signature shards of the work-stealing engine (0 when it did not run)
-	PivotColumn      int   // pivot column of the largest component (re)closed this run; -1 when it ran unbucketed
-	PivotGroups      int   // disjoint pivot-value groups closed by the pivot-partitioned hub engine (0 when it did not run)
-	PivotSkipped     int   // candidate iterations skipped by pivot bucketing this run
-	PivotBuckets     int   // (list, pivot-value) buckets across the posting indexes built or extended this run
-	PivotMinted      int   // buckets minted mid-closure by merged tuples carrying (list, pivot) pairs absent at seeding
-	MemoryBytes      int64 // estimated peak resident bytes under the budget's linear model (0 when no budget was set)
-	Subsumed         int   // tuples removed by subsumption
-	PendingWaits     int   // times an incremental Update waited on components claimed by concurrent Updates (0 for one-shot runs and disjoint concurrent Updates)
-	RestoredComps    int   // components adopted from a staged snapshot export instead of (re)closed (durable-session recovery)
-	Output           int
-	Elapsed          time.Duration
+	InputTuples       int
+	OuterUnion        int   // tuples after outer union + dedup
+	Values            int   // distinct non-null cell values in the dictionary
+	ReusedValues      int   // distinct new-row values already interned by earlier runs (0 for one-shot)
+	Components        int   // connected components of the outer union (0 with NoPartition)
+	DirtyComponents   int   // components (re)closed this run (= Components for one-shot partitioned runs)
+	LargestComp       int   // outer-union tuples in the largest component
+	LargestClose      int   // closure tuples of the largest component (0 with NoPartition)
+	Merges            int   // successful complementation merges this run
+	MergeAttempts     int   // candidate pairs tested this run: unordered pairs in the sequential engine, which tries each once; schedule-dependent under Workers > 1
+	Closure           int   // tuples after complementation closure
+	ReclosedTuples    int   // closure tuples of the components (re)closed this run (= Closure for one-shot partitioned runs)
+	SeedReusedTuples  int   // closure tuples seeded from previous runs instead of re-derived (incremental re-closure)
+	SeedIndexedTuples int   // tuples hashed or posted while seeding re-closures: the delta and absorbed smaller closures, not the stores extended in place
+	StolenBatches     int   // work-stealing engine: deque batches stolen by idle workers
+	Shards            int   // signature shards of the work-stealing engine (0 when it did not run)
+	PivotColumn       int   // pivot column of the largest component (re)closed this run; -1 when it ran unbucketed
+	PivotGroups       int   // disjoint pivot-value groups closed by the pivot-partitioned hub engine (0 when it did not run)
+	PivotSkipped      int   // candidate iterations skipped by pivot bucketing this run
+	PivotBuckets      int   // (list, pivot-value) buckets across the posting indexes built or extended this run
+	PivotMinted       int   // buckets minted mid-closure by merged tuples carrying (list, pivot) pairs absent at seeding
+	MemoryBytes       int64 // estimated peak resident bytes under the budget's linear model (0 when no budget was set)
+	Subsumed          int   // tuples removed by subsumption
+	PendingWaits      int   // times an incremental Update waited on components claimed by concurrent Updates (0 for one-shot runs and disjoint concurrent Updates)
+	RestoredComps     int   // components adopted from a staged snapshot export instead of (re)closed (durable-session recovery)
+	Output            int
+	Elapsed           time.Duration
 }
 
 // mergeWork folds another run's work counters into s — the per-component
@@ -396,7 +428,7 @@ func FullDisjunctionContext(ctx context.Context, tables []*table.Table, schema S
 		if subWorkers < 1 || opts.RoundParallel {
 			subWorkers = 1
 		}
-		kept, _ = eng.subsumeIncremental(closed, closedIdx, nil, 0, subWorkers)
+		kept, _ = eng.subsumeIncremental(closed, closedIdx, subCache{}, subWorkers)
 		if opts.Progress != nil {
 			opts.Progress(ComponentProgress{
 				Done: 1, Total: 1, Members: stats.OuterUnion, Closure: stats.Closure,

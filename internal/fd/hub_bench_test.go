@@ -19,7 +19,8 @@ import (
 // leaves workers idle exactly when it matters; this fixture extracts that
 // hub as a standalone single-component integration set and races the three
 // closure engines inside it (sequential worklist, round-based parallel,
-// work-stealing concurrent).
+// pivot-partitioned parallel — what Workers > 1 runs for a full closure
+// with a pivot, which this fixture has).
 
 // hubTables extracts the largest connected component of an IMDB-shaped
 // workload with total input tuples, materialized as a one-table
@@ -32,7 +33,7 @@ func hubTables(total int) []*table.Table {
 // hubEngines are the engine variants the hub benchmark and BENCH_fd.json
 // sweep: the sequential baseline, its unbucketed ablation (the pivot
 // attempt-reduction gate compares the two), the round-based ablation, and
-// the work-stealing engine across worker counts.
+// the pivot-partitioned engine across worker counts.
 var hubEngines = []struct {
 	name string
 	opts fd.Options
@@ -40,9 +41,9 @@ var hubEngines = []struct {
 	{"seq", fd.Options{}},
 	{"seq-nopivot", fd.Options{NoPivot: true}},
 	{"round-par8", fd.Options{Workers: 8, RoundParallel: true}},
-	{"steal-par2", fd.Options{Workers: 2}},
-	{"steal-par4", fd.Options{Workers: 4}},
-	{"steal-par8", fd.Options{Workers: 8}},
+	{"pivot-par2", fd.Options{Workers: 2}},
+	{"pivot-par4", fd.Options{Workers: 4}},
+	{"pivot-par8", fd.Options{Workers: 8}},
 }
 
 func BenchmarkClosureHub(b *testing.B) {
@@ -98,7 +99,7 @@ type hubBenchEngine struct {
 }
 
 // hubBenchReport is the BENCH_fd.json schema. The CI regression gates
-// compare Steal8VsRound and PivotAttemptReduction against the checked-in
+// compare Pivot8VsRound and PivotAttemptReduction against the checked-in
 // baseline — ratios, so the gates transfer across machines of different
 // absolute speed.
 type hubBenchReport struct {
@@ -109,12 +110,12 @@ type hubBenchReport struct {
 	HubClosure  int              `json:"hub_closure"`
 	PivotColumn string           `json:"pivot_column"`
 	Engines     []hubBenchEngine `json:"engines"`
-	Steal8VsSeq float64          `json:"steal8_vs_seq_speedup"`
-	// Steal8VsRound is the work-stealing engine's speedup over the
+	Pivot8VsSeq float64          `json:"pivot8_vs_seq_speedup"`
+	// Pivot8VsRound is the pivot-partitioned engine's speedup over the
 	// round-based ablation at 8 workers; PivotAttemptReduction is the
 	// factor by which the pivot index cuts the sequential engine's merge
 	// attempts on the hub.
-	Steal8VsRound         float64 `json:"steal8_vs_round8_speedup"`
+	Pivot8VsRound         float64 `json:"pivot8_vs_round8_speedup"`
 	PivotAttemptReduction float64 `json:"pivot_attempt_reduction"`
 }
 
@@ -174,9 +175,9 @@ func writeHubBenchJSON(path string, tables []*table.Table, schema fd.Schema) err
 			e.Workers = 1
 		}
 	}
-	if t := times["steal-par8"]; t > 0 {
-		report.Steal8VsSeq = times["seq"] / t
-		report.Steal8VsRound = times["round-par8"] / t
+	if t := times["pivot-par8"]; t > 0 {
+		report.Pivot8VsSeq = times["seq"] / t
+		report.Pivot8VsRound = times["round-par8"] / t
 	}
 	if a := attempts["seq"]; a > 0 {
 		report.PivotAttemptReduction = float64(attempts["seq-nopivot"]) / float64(a)

@@ -3,7 +3,6 @@ package fd
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,28 +12,34 @@ import (
 
 // Index is the persistent Full Disjunction state of an integration
 // session: the append-only value dictionary, the outer-union tuple store
-// with its signature and posting indexes, the union-find component forest,
-// and the kept (closed + subsumption-reduced) tuples of every component
-// from the last Update. Repeated Updates over a growing integration set
-// close only the *delta*: new tuples probe the existing component
-// structure through the posting lists, merge or extend the components they
-// touch, and only those dirty components are re-closed and re-subsumed —
-// the kept tuples of untouched components are reused as is.
+// with its signature and posting indexes, the live connected components of
+// that store, and each component's cached closure from the last Update.
+// Repeated Updates over a growing integration set close only the *delta*,
+// at a cost proportional to the rows they add: new tuples probe the
+// existing component structure through the posting lists and join or merge
+// the components they touch (membership is maintained right there, smaller
+// component into larger), and each touched component extends its cached
+// closure in place — see seed. Untouched components are not visited at all:
+// their kept tuples already sit, in value order and decoded, in the
+// assembled output the previous Update left behind.
 //
 // Correctness rests on the component confinement argument documented in
 // partition.go: the mergeable-pair graph only ever gains vertices and
-// edges as tuples arrive, so components can merge but never split, and a
+// edges as tuples arrive, so components can merge but never split, a
 // component whose member set and provenance are unchanged has an unchanged
-// closure. Every Update therefore produces output byte-identical — tables
-// and provenance — to a one-shot FullDisjunction over the accumulated
-// input.
+// closure, and no pair of tuples from the closures of two previously
+// separate components can merge. Every Update therefore produces output
+// byte-identical — tables and provenance — to a one-shot FullDisjunction
+// over the accumulated input.
 //
 // Update verifies, cheaply, that previously ingested rows still project to
 // their recorded tuples under the current schema and dictionary. When they
 // do not (a value-matching round elected different representatives, or
 // content alignment re-mapped columns), the tuple store is rebuilt from
 // scratch; the dictionary survives rebuilds, so interned symbols and the
-// embedding work keyed on them stay amortized.
+// embedding work keyed on them stay amortized. A schema that only appends
+// output columns widens the store instead: tuple signatures ignore trailing
+// null cells (hashCells), so every cached closure keeps its indexes.
 //
 // An Index is safe for concurrent use. Updates serialize their ingest and
 // bookkeeping under a store lock, but each Update claims the dirty
@@ -53,7 +58,20 @@ type Index struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	dict    *intern.Dict
+	dict     *intern.Dict
+	rebuilds int // verification failures that forced a full rebuild
+	claims   int // closures in flight across all Updates
+	// resetWanted gates new claims while an Update waits to rebuild the
+	// store: claim-holding Updates finish and publish, new claims hold off,
+	// and the drain terminates.
+	resetWanted bool
+
+	indexStore
+}
+
+// indexStore is everything a rebuild drops: the tuple store, its
+// components and their cached closures. The dictionary survives.
+type indexStore struct {
 	nCols   int
 	schema  Schema
 	started bool
@@ -64,27 +82,37 @@ type Index struct {
 	base []Tuple       // outer-union tuples, in ingest (outer-union) order
 	sigs *sigIndex     // signature dedup over base
 	post *postingIndex // posting lists over base, used to partition the delta
-	uf   *unionFind    // component forest over base
 
-	// dirty marks base tuples that are new or whose provenance grew since
-	// their component was last closed. Claiming a component for closure
-	// clears its members' marks; a failed closure (budget, cancellation)
-	// restores them, so the next Update re-closes from the base tuples.
-	dirty []bool
-	// claimed marks base tuples whose component a concurrent Update is
-	// closing right now (lock released); other Updates needing the
-	// component wait for its publication.
-	claimed []bool
-	claims  int // claimed component groups outstanding across all Updates
-	// resetWanted gates new claims while an Update waits to rebuild the
-	// store: claim-holding Updates finish and publish, new claims hold off,
-	// and the drain terminates.
-	resetWanted bool
+	// Per base tuple: its live component; the cached closure whose store
+	// holds it (current only while that closure has a store) and its
+	// position there; and the dirty mark — set on tuples that are new or
+	// whose provenance grew since their component was last closed. Claiming
+	// a component for closure clears its members' marks; a failed closure
+	// (budget, cancellation) marks every member, so the next Update
+	// re-closes the component from its base tuples.
+	compOf []*comp
+	cover  []*cachedComp
+	pos    []int32
+	dirty  []bool
+
+	order []*comp // live components by smallest member; nil where one was absorbed
+	live  int     // non-nil entries of order
+	queue []*comp // components holding dirty members, awaiting a claim
+
+	// Running totals over the cached closures of live components (closures
+	// in flight excluded): closure tuples, the members they cover, and the
+	// largest component and closure seen — components and closures only
+	// grow, so the maxima never need recomputing.
+	closure, covered          int
+	largestComp, largestClose int
+
+	// out is the assembled output of the last batch Update — every cached
+	// closure's kept tuples in global value order — and published lists the
+	// closures cached since, which the next assembly merges in (assemble.go).
+	out       []outRow
+	published []publication
 
 	lastTables []*table.Table // per table, the object seen last Update
-
-	comps    map[int]*cachedComp // by smallest member base id at last close
-	rebuilds int                 // verification failures that forced a full rebuild
 
 	// restored stages snapshot-exported component closures for adoption by
 	// the next Update, keyed by smallest member id (see persist.go). Entries
@@ -92,47 +120,67 @@ type Index struct {
 	restored map[int]*CompExport
 }
 
-// cachedComp is one component's state at the end of the last Update.
+// comp is one live connected component of the base tuples. Components are
+// created by ingest for tuples that join nothing, grow as tuples join them,
+// and merge — the smaller member list into the larger — when a new tuple
+// bridges two; they never split.
+type comp struct {
+	members []int // base tuple ids, in joining order
+	first   int   // smallest member: the component's stable identity across merges
+	slot    int   // position in Index.order
+	// dirty lists the members carrying a dirty mark. A component with none
+	// and no closure in flight is clean: caches holds exactly one closure,
+	// covering every member.
+	dirty []int
+	// caches are the cached closures of member subsets: one after a close,
+	// several after merges — the next closure's seed (see Index.seed).
+	caches []*cachedComp
+	// inflight counts closures a claiming Update is running right now (lock
+	// released) over members of this component; other Updates needing the
+	// component wait for their publication. Merging sums the counts.
+	inflight int
+	queued   bool // on Index.queue
+	dead     bool // absorbed by a merge
+}
+
+// cachedComp is the closure of a set of base tuples as of its last close.
 type cachedComp struct {
-	members []int   // base tuple ids, ascending
-	kept    []Tuple // closure + subsumption result
-	closure int     // closure size, for stats and budget accounting
-	// store holds the component's full closure store from the last run,
-	// provenance enriched by every fold the closure performed (including
-	// folds into base tuples whose cells subsume each other). When the
-	// component goes dirty, the store seeds the re-closure so only pairs
-	// involving a new or changed tuple are expanded, instead of re-deriving
-	// the whole closure from base tuples. (Provenance may carry subsumption
-	// folds from the previous run; that is harmless — a fold only ever adds
-	// provenance of tuples the carrier subsumes, which the re-closure's
-	// provenance fixpoint contains anyway.)
+	members []int       // the base tuples closed; their store positions are Index.pos
+	kept    []Tuple     // closure + subsumption result, in value order
+	rows    []table.Row // kept, decoded (nil until needed after a widening or adoption)
+	closure int         // closure size, for stats and budget accounting
+	// store holds the full closure store, provenance enriched by every fold
+	// the closure performed (including folds into base tuples whose cells
+	// subsume each other). When the component goes dirty the store is
+	// extended in place and only pairs involving a new or changed tuple are
+	// expanded, instead of re-deriving the closure from base tuples.
+	// (Provenance may carry subsumption folds from the previous run; that is
+	// harmless — a fold only ever adds provenance of tuples the carrier
+	// subsumes, which the re-closure's provenance fixpoint contains anyway.)
+	// A closure adopted from a snapshot has no store (persist.go), nor has
+	// one whose re-closure is in flight or failed.
 	store []Tuple
-	// basePos maps members[k] to its position in store (new base tuples
-	// append behind the previous store, and a new base whose cells
-	// duplicate a derived tuple folds into it, so positions are not a
-	// prefix in general).
-	basePos []int
 	// sigs and post are the signature and posting indexes covering store,
-	// kept from the sequential closure that produced it. A dirty re-closure
-	// extends them in place — appending only the delta — instead of
-	// re-indexing the whole store. They are nil (forcing an index rebuild
-	// on the next re-closure) after schema widening, a closure by the
-	// work-stealing engine, or a component merge.
+	// sub the subsumption state of every store entry, scr the closure's
+	// worklist scratch — all kept from the run that produced the store and
+	// extended, never rebuilt, by the next. sigs, post and scr are nil after
+	// a singleton close or a closure by a parallel engine; they are built
+	// when the store is first extended. post re-chooses its pivot column
+	// when the store has doubled (postingIndex.rechoosePivot).
 	sigs *sigIndex
 	post *postingIndex
-	// sub caches each store entry's canonical subsumer position (-1 =
-	// kept); re-subsumption then scans only the store's growth.
-	sub []int32
+	sub  subCache
+	scr  *closeScratch
+	// gen counts the times the closure was consumed by a claim; assembled
+	// rows (outRow) of an older generation are stale.
+	gen uint32
 }
 
 // NewIndex returns an empty index. The schema is fixed by the first
 // Update and may only be extended (new output columns appended) by later
 // ones; any other schema change triggers a rebuild.
 func NewIndex() *Index {
-	x := &Index{
-		dict:  intern.NewDict(),
-		comps: make(map[int]*cachedComp),
-	}
+	x := &Index{dict: intern.NewDict()}
 	x.cond = sync.NewCond(&x.mu)
 	return x
 }
@@ -172,7 +220,9 @@ func (x *Index) Snapshot() intern.Snapshot {
 // session, in a stable order; previously seen tables must come first and
 // may only have grown) and returns the Full Disjunction of the whole set.
 // Only components touched by new or re-deduplicated tuples are re-closed;
-// see the Stats work counters for what was actually done.
+// see the Stats work counters for what was actually done. Rows of the
+// result table are shared with the index's assembled output and with later
+// results: treat them as read-only.
 func (x *Index) Update(tables []*table.Table, schema Schema, opts Options) (*Result, error) {
 	return x.UpdateContext(context.Background(), tables, schema, opts)
 }
@@ -205,43 +255,30 @@ func (x *Index) UpdateContext(ctx context.Context, tables []*table.Table, schema
 		stats.InputTuples += len(t.Rows)
 	}
 
-	groups, eng, outSchema, err := x.update(ctx, tables, schema, opts, &stats, nil)
+	asm, err := x.update(ctx, tables, schema, opts, &stats, nil)
 	if err != nil {
 		return nil, err
 	}
-	var kept []Tuple
-	for _, g := range groups {
-		kept = append(kept, g.kept...)
-	}
-	kept = eng.foldAllNull(kept)
-	stats.Subsumed = stats.Closure - len(kept)
+	out := table.New("FD", asm.schema.Columns...)
+	out.Rows = asm.rows
+	stats.Subsumed = stats.Closure - len(asm.rows)
+	stats.Output = len(asm.rows)
 	stats.Elapsed = time.Since(start)
-	return eng.materialize(kept, outSchema, stats), nil
+	return &Result{Table: out, Prov: asm.prov, Stats: stats}, nil
 }
 
-// groupKept is one component's contribution to an Update's assembly: its
-// member base ids and a snapshot of its kept (closed + subsumption-reduced)
-// tuples, taken under the index lock so later widenings cannot race with
-// readers. streamed marks groups a streaming Update already emitted while
-// they closed (see Index.StreamContext).
-type groupKept struct {
-	members  []int
-	kept     []Tuple
-	streamed bool
-}
-
-// dirtyEmit observes one dirty component group the moment its (re)closure
+// dirtyEmit observes one dirty component the moment its (re)closure
 // finishes, on the updating goroutine with the index lock released. eng is
-// the round's engine (dictionary snapshot), groups the number of component
-// groups in the round that closed it.
-type dirtyEmit func(eng *engine, members []int, groups int, r compResult) error
+// the round's engine (dictionary snapshot), groups the number of components
+// in the round that closed it; kept is in value order, rows its decoding.
+type dirtyEmit func(eng *engine, groups int, kept []Tuple, rows []table.Row) error
 
 // StreamContext ingests the accumulated integration set exactly like
 // UpdateContext but emits the result rows instead of materializing a
 // table: every component this call (re)closes streams as soon as its
 // closure finishes — the delta flows first, while other dirty components
 // are still closing — and once the index is fully clean the untouched
-// components replay from their cached kept tuples, paying only decode cost.
+// components replay from their cached kept tuples and decoded rows.
 // Rows within a component are emitted in value order; components arrive in
 // completion order for the re-closed delta and then in ingest order for the
 // clean replay, so the emitted row multiset equals UpdateContext's output
@@ -279,37 +316,36 @@ func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema
 
 	emitted := 0 // rows handed to emit
 	kept := 0    // tuples surviving subsumption in emitted + replayed groups
-	emitComp := func(eng *engine, tuples []Tuple, groups int) error {
+	emitComp := func(eng *engine, groups int, tuples []Tuple, rows []table.Row) error {
+		kept += len(tuples)
 		if len(tuples) == 1 && allNull(tuples[0].Cells) && groups > 1 {
 			// Dropped all-null singleton: counts as subsumed, exactly as the
-			// batch engine's foldAllNull and fd.Stream do.
+			// batch engine's all-null fold and fd.Stream do.
 			kept--
 			return nil
 		}
-		sort.Slice(tuples, func(a, b int) bool {
-			return eng.lessCells(tuples[a].Cells, tuples[b].Cells)
-		})
-		for _, tp := range tuples {
-			if err := emit(eng.decodeRow(tp.Cells), tp.Prov); err != nil {
+		for k, tp := range tuples {
+			var row table.Row
+			if rows != nil {
+				row = rows[k]
+			} else {
+				row = eng.decodeRow(tp.Cells)
+			}
+			if err := emit(row, tp.Prov); err != nil {
 				return err
 			}
 			emitted++
 		}
 		return nil
 	}
-	onDirty := func(eng *engine, members []int, groups int, r compResult) error {
-		kept += len(r.kept)
-		return emitComp(eng, r.kept, groups)
-	}
 
-	groups, eng, _, err := x.update(ctx, tables, schema, opts, &stats, onDirty)
+	asm, err := x.update(ctx, tables, schema, opts, &stats, emitComp)
 	if err == nil {
-		for _, g := range groups {
+		for _, g := range asm.groups {
 			if g.streamed {
 				continue // emitted while it closed; kept already counted
 			}
-			kept += len(g.kept)
-			if err = emitComp(eng, g.kept, len(groups)); err != nil {
+			if err = emitComp(asm.eng, len(asm.groups), g.kept, g.rows); err != nil {
 				break
 			}
 		}
@@ -320,14 +356,13 @@ func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema
 	return stats, err
 }
 
-// update runs the locked stages of an Update — reconcile, ingest, and the
-// claim/close/publish fixpoint — and returns the assembled component
-// groups (kept tuples snapshotted under the lock) with the engine and
-// schema to materialize or decode them under. The lock is held throughout
-// except while closing this Update's claimed components; a non-nil onDirty
-// observes each dirty component in those unlocked windows. The batch path
-// passes nil and concatenates the groups.
-func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema, opts Options, stats *Stats, onDirty dirtyEmit) ([]groupKept, *engine, Schema, error) {
+// update runs the locked stages of an Update — reconcile, ingest, the
+// claim/close/publish fixpoint, and the assembly — and returns the result
+// rows (batch) or the components' kept tuples (onDirty non-nil: a
+// streaming Update, whose dirty components onDirty already observed),
+// snapshotted under the lock. The lock is held throughout except while
+// closing this Update's claimed components.
+func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema, opts Options, stats *Stats, onDirty dirtyEmit) (assembly, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 
@@ -356,7 +391,7 @@ func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema
 	for {
 		if err := ctx.Err(); err != nil {
 			x.clearResetWanted()
-			return nil, nil, Schema{}, Canceled(err)
+			return assembly{}, Canceled(err)
 		}
 		x.adoptStale(&tables, &schema)
 		if !x.started || x.schemaExtends(tables, schema) {
@@ -380,24 +415,32 @@ func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema
 
 	// Stage 2: ingest the delta. New tuples dedup against the signature
 	// index (re-deduplication dirties the owning component) or join the
-	// forest by probing the posting lists for mergeable neighbors. Dirty
-	// marks persist on the store until a closure claims them.
+	// components their posting-list neighbors belong to. Dirty marks persist
+	// on the store until a closure claims them.
 	x.ingest(tables, schema, stats)
 	x.lastTables = append([]*table.Table(nil), tables...)
 
 	// Stage 3: claim and close dirty components until every component is
-	// clean and cached, then assemble.
-	groups, err := x.closeLocked(ctx, opts, stats, onDirty)
+	// clean and cached.
+	streamed, err := x.closeLocked(ctx, opts, stats, onDirty)
 	if err != nil {
-		return nil, nil, Schema{}, err
+		return assembly{}, err
 	}
 
-	// Materialization runs after the lock is released; snapshot everything
-	// it needs while the state is still consistent.
-	eng := &engine{dict: x.dict.Snapshot(), nCols: x.nCols}
+	// Stage 4: assemble, still under the lock — what the caller reads after
+	// it is released must not alias state a later Update mutates.
+	asm := assembly{eng: &engine{dict: x.dict.Snapshot(), nCols: x.nCols}, schema: x.schema}
 	stats.OuterUnion = len(x.base)
 	stats.Values = x.dict.Len()
-	return groups, eng, x.schema, nil
+	stats.Components = x.live
+	stats.Closure = x.closure
+	stats.LargestComp, stats.LargestClose = x.largestComp, x.largestClose
+	if onDirty != nil {
+		asm.groups = x.assembleGroups(streamed)
+	} else {
+		asm.rows, asm.prov = x.assembleRows(asm.eng)
+	}
+	return asm, nil
 }
 
 // clearResetWanted lifts the claim gate and wakes Updates held at it.
@@ -436,23 +479,12 @@ func (x *Index) adoptStale(tables *[]*table.Table, schema *Schema) {
 	}
 }
 
-// reset drops the tuple store, indexes, and cached components, keeping the
+// reset drops the tuple store, indexes, components and staged exports (base
+// ids shift under a rebuild, so they can never match), keeping the
 // dictionary (append-only by contract; stale symbols are harmless).
 // Callers hold x.mu and have drained outstanding claims.
 func (x *Index) reset() {
-	x.base = nil
-	x.sigs = nil
-	x.post = nil
-	x.uf = nil
-	x.comps = make(map[int]*cachedComp)
-	x.rowsSeen = nil
-	x.rowBase = nil
-	x.lastTables = nil
-	x.dirty = nil
-	x.claimed = nil
-	x.restored = nil // base ids shift under a rebuild; staged exports can never match
-	x.nCols = 0
-	x.started = false
+	x.indexStore = indexStore{}
 	x.rebuilds++
 }
 
@@ -477,60 +509,52 @@ func (x *Index) schemaExtends(tables []*table.Table, schema Schema) bool {
 	return true
 }
 
-// widenComp brings one cached component to nCols output columns. Cell
-// hashes cover the full width and the next slow-path seeding relays the
-// store, so the cached closure indexes go stale. Widening replaces cell
-// slices rather than mutating them, so tuple headers snapshotted by
-// concurrent Updates keep their (narrower) cells untouched.
-func widenComp(c *cachedComp, nCols int) {
-	widenCells := func(cells []uint32) []uint32 {
+// widenCells returns cells extended to nCols with trailing nulls, in a
+// fresh slice: tuple headers snapshotted by concurrent Updates keep their
+// (narrower) cells untouched.
+func widenCells(tuples []Tuple, nCols int) {
+	for k := range tuples {
 		nc := make([]uint32, nCols)
-		copy(nc, cells)
-		return nc
+		copy(nc, tuples[k].Cells)
+		tuples[k].Cells = nc
 	}
-	for k := range c.kept {
-		c.kept[k].Cells = widenCells(c.kept[k].Cells)
+}
+
+// widenComp brings one cached closure to nCols output columns: its tuples
+// gain trailing null cells and its posting index empty columns. Signatures
+// ignore trailing nulls, so the signature index — and with it the whole
+// cache — stays valid.
+func widenComp(c *cachedComp, nCols int) {
+	widenCells(c.kept, nCols)
+	widenCells(c.store, nCols)
+	c.rows = nil // decoded at the old width
+	if c.post != nil {
+		c.post.widen(nCols)
 	}
-	for k := range c.store {
-		c.store[k].Cells = widenCells(c.store[k].Cells)
-	}
-	c.sigs, c.post = nil, nil
 }
 
 // widen brings the store to nCols output columns: tuples gain trailing
-// null cells, the posting index gains empty columns, and the signature
-// index is rebuilt (cell hashes cover the full width). Initializes the
-// store on first use or after a reset. Callers hold x.mu; components
-// claimed by in-flight closures have nil stores here and are width-fixed
+// null cells and the posting indexes empty columns. Initializes the store
+// on first use or after a reset. Callers hold x.mu; closures in flight are width-fixed
 // at publication instead.
 func (x *Index) widen(nCols int) {
 	if x.post == nil {
 		x.nCols = nCols
 		x.sigs = newSigIndex()
 		x.post = newPostingIndex(nCols)
-		x.uf = newUnionFind(0)
 		return
 	}
 	if nCols == x.nCols {
 		return
 	}
-	widenCells := func(cells []uint32) []uint32 {
-		nc := make([]uint32, nCols)
-		copy(nc, cells)
-		return nc
-	}
-	for i := range x.base {
-		x.base[i].Cells = widenCells(x.base[i].Cells)
-	}
-	for _, c := range x.comps {
-		widenComp(c, nCols)
-	}
-	for len(x.post.byCol) < nCols {
-		x.post.byCol = append(x.post.byCol, make(map[uint32][]int))
-	}
-	x.sigs = newSigIndex()
-	for i := range x.base {
-		x.sigs.add(x.base[i].Cells, i)
+	widenCells(x.base, nCols)
+	x.post.widen(nCols)
+	for _, c := range x.order {
+		if c != nil {
+			for _, r := range c.caches {
+				widenComp(r, nCols)
+			}
+		}
 	}
 	x.nCols = nCols
 }
@@ -588,8 +612,9 @@ func (x *Index) verify(tables []*table.Table, schema Schema) bool {
 }
 
 // ingest projects and interns every not-yet-seen row, deduplicating
-// against the signature index and unioning genuinely new tuples into the
-// component forest via posting-list probes. Base tuples that are new or
+// against the signature index and joining genuinely new tuples to the
+// components of their mergeable posting-list neighbors — merging those
+// components when a tuple bridges several. Base tuples that are new or
 // whose provenance grew get persistent dirty marks — the seeds of dirty
 // components. Callers hold x.mu.
 func (x *Index) ingest(tables []*table.Table, schema Schema, stats *Stats) {
@@ -620,22 +645,40 @@ func (x *Index) ingest(tables []*table.Table, schema Schema, stats *Stats) {
 			at, hash, ok := x.sigs.find(cells, x.base)
 			if ok {
 				x.base[at].Prov = mergeProv(x.base[at].Prov, []TID{tid})
-				x.dirty[at] = true
+				x.markDirty(at)
 				x.rowBase[ti] = append(x.rowBase[ti], at)
 				continue
 			}
 			id := len(x.base)
 			x.sigs.addHashed(hash, id)
 			x.base = append(x.base, Tuple{Cells: cells, Prov: []TID{tid}})
-			x.dirty = append(x.dirty, true)
-			x.claimed = append(x.claimed, false)
-			x.uf.grow(id + 1)
 			scratch.next(id + 1)
+			var c *comp
 			x.post.candidates(id, cells, &scratch, func(j int) {
-				if x.uf.find(j) != x.uf.find(id) && consistentCells(x.base[j].Cells, cells) {
-					x.uf.union(id, j)
+				cj := x.compOf[j]
+				if cj == c || !consistentCells(x.base[j].Cells, cells) {
+					return
+				}
+				if c == nil {
+					c = cj
+				} else {
+					c = x.mergeComps(c, cj)
 				}
 			})
+			if c == nil {
+				c = &comp{first: id, slot: len(x.order)}
+				x.order = append(x.order, c)
+				x.live++
+			}
+			c.members = append(c.members, id)
+			if len(c.members) > x.largestComp {
+				x.largestComp = len(c.members)
+			}
+			x.compOf = append(x.compOf, c)
+			x.cover = append(x.cover, nil)
+			x.pos = append(x.pos, 0)
+			x.dirty = append(x.dirty, false)
+			x.markDirty(id)
 			x.post.add(id, cells)
 			x.rowBase[ti] = append(x.rowBase[ti], id)
 		}
@@ -643,185 +686,202 @@ func (x *Index) ingest(tables []*table.Table, schema Schema, stats *Stats) {
 	}
 }
 
-// seedDirty builds the re-closure job for one dirty component group: the
-// seed store holding every tuple already known for the group (current base
-// tuples plus the cached closures of the previous components it absorbed)
-// and the worklist of seeds whose pairs are unexamined — the touched ones.
-// When the group extends exactly one cached component whose closure
-// indexes survived, the fast path reuses store, signature index, and
-// posting index in place, appending only the delta; otherwise the slow
-// path relays the store (bases first) and rebuilds the signature index.
-// Returns the job and the store position of each member.
-func (x *Index) seedDirty(members []int, ownerOf []*cachedComp, touched []bool) (closeJob, []int) {
-	var owner *cachedComp
-	single := true
-	for _, id := range members {
-		if c := ownerOf[id]; c != nil && c.store != nil {
-			if owner == nil {
-				owner = c
-			} else if owner != c {
-				single = false
-				break
-			}
-		}
+// markDirty sets a base tuple's dirty mark and queues its component.
+func (x *Index) markDirty(id int) {
+	c := x.compOf[id]
+	if !x.dirty[id] {
+		x.dirty[id] = true
+		c.dirty = append(c.dirty, id)
 	}
-	if single && owner != nil && owner.sigs != nil && owner.post != nil {
-		return x.seedFast(members, owner, touched)
+	if !c.queued {
+		c.queued = true
+		x.queue = append(x.queue, c)
 	}
-	return x.seedSlow(members, ownerOf, touched)
 }
 
-// seedFast extends one cached component in place: new base tuples append
-// behind the previous store (or fold into a derived tuple with identical
-// cells), dedup-grown provenance folds into the existing entries, and the
-// cached signature and posting indexes are extended rather than rebuilt.
-func (x *Index) seedFast(members []int, owner *cachedComp, touched []bool) (closeJob, []int) {
-	tuples := owner.store
-	sigs, post := owner.sigs, owner.post
-	subSeed, subN := owner.sub, 0
-	if subSeed != nil {
-		subN = len(tuples) // everything appended from here on rescans fully
+// mergeComps merges two live components and returns the survivor: the one
+// with more members absorbs the other, so relabeling costs each base tuple
+// O(log n) moves over the index's life. The survivor takes over the
+// absorbed component's caches, dirty members and in-flight closures, and
+// the earlier of the two slots in x.order.
+func (x *Index) mergeComps(a, b *comp) *comp {
+	if len(a.members) < len(b.members) {
+		a, b = b, a
 	}
-	oldPos := make(map[int]int, len(owner.members))
-	for k, id := range owner.members {
-		oldPos[id] = owner.basePos[k]
+	for _, id := range b.members {
+		x.compOf[id] = a
 	}
-	basePos := make([]int, len(members))
-	var work []int
-	for k, id := range members {
-		if p, ok := oldPos[id]; ok {
-			basePos[k] = p
-			if touched[id] {
-				if !provContains(tuples[p].Prov, x.base[id].Prov) {
-					tuples[p].Prov = mergeProv(tuples[p].Prov, x.base[id].Prov)
+	a.members = append(a.members, b.members...)
+	a.dirty = append(a.dirty, b.dirty...)
+	a.caches = append(a.caches, b.caches...)
+	a.inflight += b.inflight
+	if b.slot < a.slot {
+		a.slot, b.slot = b.slot, a.slot
+		a.first = b.first
+		x.order[a.slot] = a
+	}
+	x.order[b.slot] = nil
+	x.live--
+	if len(x.order) > 2*x.live+32 {
+		x.compactOrder()
+	}
+	b.dead = true
+	if b.queued && !a.queued {
+		a.queued = true
+		x.queue = append(x.queue, a)
+	}
+	return a
+}
+
+// compactOrder squeezes the absorbed components' slots out of x.order.
+func (x *Index) compactOrder() {
+	live := x.order[:0]
+	for _, c := range x.order {
+		if c != nil {
+			c.slot = len(live)
+			live = append(live, c)
+		}
+	}
+	clear(x.order[len(live):])
+	x.order = live
+}
+
+// seed builds the re-closure job for one dirty component and claims it:
+// the seed store holding every tuple already known for it and the worklist
+// of store positions whose pairs are unexamined — the dirty members'. There
+// is one path. The cached closure with the largest store is the host: its
+// store, signature index, posting index, subsumption cache and scratch are
+// kept and extended in place. The stores of the other (smaller) closures
+// the component absorbed are appended behind it, deduplicated through the
+// host's signatures — a new base tuple can equal a tuple one of them
+// derived, and the store must stay a set for budget accounting to be exact
+// — and are not put on the worklist: no pair across two previously separate
+// components can merge (partition.go), so only the dirty members, appended
+// last or refreshed where they already sit, need expanding. Members whose
+// closure was lost (a failed claim) or never stored (a snapshot adoption)
+// come back from their base tuples the same way. With no host at all the
+// job is the degenerate case: the base tuples, everything to expand.
+//
+// The returned closure record — the host, or a fresh one — is emptied
+// until publish refills it; it already lists every member, and x.pos holds
+// each member's position in the seed store (every engine keeps seeds in
+// place).
+func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
+	var host *cachedComp
+	fresh := c.dirty
+	for _, r := range c.caches {
+		x.uncache(r)
+		switch {
+		case r.store == nil:
+			for _, id := range r.members {
+				if !x.dirty[id] {
+					fresh = append(fresh, id)
 				}
-				work = append(work, p)
 			}
+		case host == nil || len(r.store) > len(host.store):
+			host = r
+		}
+	}
+	caches := c.caches
+	c.caches, c.dirty, c.queued = nil, nil, false
+	c.inflight++
+
+	if host == nil {
+		rec := &cachedComp{members: fresh}
+		tuples := make([]Tuple, len(fresh))
+		for k, id := range fresh {
+			tuples[k] = x.base[id]
+			x.cover[id], x.pos[id], x.dirty[id] = rec, int32(k), false
+		}
+		return closeJob{tuples: tuples, base: len(tuples), owned: true}, rec
+	}
+
+	tuples, sigs, post := host.store, host.sigs, host.post
+	indexed := 0
+	if sigs == nil {
+		sigs = newSigIndex()
+		for i := range tuples {
+			sigs.add(tuples[i].Cells, i)
+		}
+		indexed += len(tuples)
+	}
+	// add puts one tuple into the store, folding it into the entry with
+	// identical cells if there is one, and reports where it sits.
+	add := func(t Tuple) int32 {
+		at, hash, ok := sigs.find(t.Cells, tuples)
+		if ok {
+			if !provContains(tuples[at].Prov, t.Prov) {
+				tuples[at].Prov = mergeProv(tuples[at].Prov, t.Prov)
+			}
+			return int32(at)
+		}
+		at = len(tuples)
+		tuples = append(tuples, t)
+		sigs.addHashed(hash, at)
+		if post != nil {
+			post.add(at, t.Cells)
+		}
+		indexed++
+		return int32(at)
+	}
+	members := host.members
+	for _, r := range caches {
+		if r == host || r.store == nil {
 			continue
 		}
-		bt := x.base[id]
-		if at, hash, ok := sigs.find(bt.Cells, tuples); ok {
-			// The new base duplicates a previously derived tuple; fold and
-			// re-expand it so the merged provenance propagates.
-			if !provContains(tuples[at].Prov, bt.Prov) {
-				tuples[at].Prov = mergeProv(tuples[at].Prov, bt.Prov)
-			}
-			basePos[k] = at
-			work = append(work, at)
-		} else {
-			p := len(tuples)
-			tuples = append(tuples, bt)
-			sigs.addHashed(hash, p)
-			post.add(p, bt.Cells)
-			basePos[k] = p
-			work = append(work, p)
+		to := make([]int32, len(r.store))
+		for p := range r.store {
+			to[p] = add(r.store[p])
 		}
+		for _, id := range r.members {
+			x.cover[id], x.pos[id] = host, to[x.pos[id]]
+		}
+		members = append(members, r.members...)
+		r.store, r.sigs, r.post, r.sub, r.scr = nil, nil, nil, subCache{}, nil
 	}
-	owner.store, owner.sigs, owner.post, owner.sub = nil, nil, nil, nil // consumed
-	return closeJob{
+	work := make([]int, 0, len(fresh))
+	for _, id := range fresh {
+		x.dirty[id] = false
+		if x.cover[id] != host {
+			x.cover[id], x.pos[id] = host, add(x.base[id])
+			members = append(members, id)
+		} else if p := x.pos[id]; !provContains(tuples[p].Prov, x.base[id].Prov) {
+			tuples[p].Prov = mergeProv(tuples[p].Prov, x.base[id].Prov)
+		}
+		work = append(work, int(x.pos[id]))
+	}
+	if post == nil {
+		indexed += len(tuples) // the closure indexes the whole store
+	}
+	stats.SeedIndexedTuples += indexed
+	job := closeJob{
 		tuples: tuples, base: len(members), work: work, owned: true,
-		sigs: sigs, post: post, subSeed: subSeed, subN: subN,
-	}, basePos
+		sigs: sigs, post: post, sub: host.sub, scr: host.scr,
+	}
+	host.members = members
+	host.store, host.sigs, host.post, host.sub, host.scr = nil, nil, nil, subCache{}, nil
+	return job, host
 }
 
-// seedSlow relays a dirty group's seed store from scratch — current base
-// tuples first, then the cached derived tuples of every previous component
-// the group absorbed — rebuilding the signature index over the new layout.
-// This is the path for merged components and for caches whose indexes were
-// invalidated (schema widening, work-stealing closure).
-func (x *Index) seedSlow(members []int, ownerOf []*cachedComp, touched []bool) (closeJob, []int) {
-	seed := make([]Tuple, len(members))
-	pos := make(map[int]int, len(members))
-	basePos := make([]int, len(members))
-	var work []int
-	for k, id := range members {
-		seed[k] = x.base[id]
-		pos[id] = k
-		basePos[k] = k
-		if touched[id] {
-			work = append(work, k)
-		}
-	}
-	sigs := newSigIndex()
-	for i := range seed {
-		sigs.add(seed[i].Cells, i)
-	}
-	for _, id := range members {
-		c := ownerOf[id]
-		if c == nil || c.store == nil {
-			continue
-		}
-		// Fold the cached store: base entries enrich their current seeds
-		// (they carry the folds of every pair the previous closure already
-		// examined), derived entries append, deduplicating against the
-		// seed — a new base tuple can duplicate a previously derived one,
-		// and the store must stay a set for budget accounting to be exact.
-		isBase := make([]bool, len(c.store))
-		for k, oid := range c.members {
-			p := c.basePos[k]
-			isBase[p] = true
-			at := pos[oid]
-			if !provContains(seed[at].Prov, c.store[p].Prov) {
-				seed[at].Prov = mergeProv(seed[at].Prov, c.store[p].Prov)
-			}
-		}
-		for p := range c.store {
-			if isBase[p] {
-				continue
-			}
-			d := c.store[p]
-			if at, hash, ok := sigs.find(d.Cells, seed); ok {
-				if !provContains(seed[at].Prov, d.Prov) {
-					seed[at].Prov = mergeProv(seed[at].Prov, d.Prov)
-				}
-			} else {
-				sigs.addHashed(hash, len(seed))
-				seed = append(seed, d)
-			}
-		}
-		c.store, c.sigs, c.post, c.sub = nil, nil, nil, nil // consumed
-	}
-	return closeJob{tuples: seed, base: len(members), work: work, owned: true, sigs: sigs}, basePos
-}
-
-// regroup derives the current component groups from the forest, ordered
-// by smallest member — exactly as the one-shot partitioner. Callers hold
-// x.mu.
-func (x *Index) regroup() [][]int {
-	roots := make(map[int]int, len(x.comps)+1)
-	var groups [][]int
-	for i := range x.base {
-		r := x.uf.find(i)
-		gi, ok := roots[r]
-		if !ok {
-			gi = len(groups)
-			roots[r] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	return groups
-}
-
-// closeLocked drives the claim/close/publish fixpoint: regroup the forest,
-// claim every dirty component no concurrent Update holds, close the claims
-// with the lock released, publish, and repeat until all components are
-// clean and cached — waiting (never while holding claims, so never in a
-// cycle) whenever the only remaining dirty components are claimed by
-// concurrent Updates. Returns the assembled component groups, kept tuples
-// snapshotted under the lock. A non-nil onDirty observes every dirty
-// component this call closes, from the unlocked closure window, and the
-// matching assembled groups come back marked streamed. Callers hold x.mu;
-// it is released and reacquired around closures.
-func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onDirty dirtyEmit) ([]groupKept, error) {
+// closeLocked drives the claim/close/publish fixpoint: claim every queued
+// dirty component no concurrent Update holds, close the claims with the
+// lock released, publish, and repeat until every component is clean and
+// cached — waiting (never while holding claims, so never in a cycle)
+// whenever the only remaining dirty components are claimed by concurrent
+// Updates. A round costs what its dirty components cost; clean components
+// are not visited. A non-nil onDirty observes every dirty component this
+// call closes, from the unlocked closure window; the closures it saw are
+// returned with the generation it saw them at. Callers hold x.mu; it is
+// released and reacquired around closures.
+func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onDirty dirtyEmit) (map[*cachedComp]uint32, error) {
 	largestDirty := 0
-	// streamed records the groups onDirty has emitted this call, keyed by
-	// smallest member with the full membership kept: a group re-dirtied and
-	// merged after its emission (a concurrent-Update race) no longer
-	// matches and is replayed by the assembly instead of silently skipped.
-	var streamed map[int][]int
+	// streamed records the closures onDirty has emitted this call. A
+	// component re-dirtied and re-closed after its emission (a
+	// concurrent-Update race) carries a later generation or another record,
+	// and is replayed by the assembly instead of silently skipped.
+	var streamed map[*cachedComp]uint32
 	if onDirty != nil {
-		streamed = make(map[int][]int)
+		streamed = make(map[*cachedComp]uint32)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -835,163 +895,104 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 			continue
 		}
 
-		groups := x.regroup()
-
-		// ownerOf maps each base tuple to the cached component that held it
-		// at its last close, to locate reusable closures for merged groups.
-		ownerOf := make([]*cachedComp, len(x.base))
-		for _, c := range x.comps {
-			for _, id := range c.members {
-				ownerOf[id] = c
-			}
-		}
-
-		// Sort the groups: clean cached ones are done, groups with a member
-		// claimed by a concurrent Update block assembly, everything else is
-		// ours to claim. A group with no dirty member but no usable cache
-		// (its closure was consumed by a failed concurrent Update) re-closes
-		// in full.
-		var dirtyGroups [][]int
-		blocked := false
-		cleanExtra := 0 // closure tuples beyond base ones in clean comps, for budget parity
-		for _, members := range groups {
-			held := false
-			for _, id := range members {
-				if x.claimed[id] {
-					held = true
-					break
-				}
-			}
-			if held {
-				blocked = true
-				continue
-			}
-			dirtyMember := false
-			for _, id := range members {
-				if x.dirty[id] {
-					dirtyMember = true
-					break
-				}
-			}
-			if dirtyMember && x.restored != nil && x.adoptRestored(members) {
-				dirtyMember = false
+		// Sort the queue: components absorbed since they were queued are
+		// gone, components with a closure in flight (a concurrent Update's —
+		// this one holds none here) stay queued, a staged snapshot export
+		// may satisfy a component without closing it, everything else is
+		// ours to claim.
+		var mine []*comp
+		held := x.queue[:0]
+		for _, c := range x.queue {
+			switch {
+			case c.dead:
+			case c.inflight > 0:
+				held = append(held, c)
+			case x.restored != nil && x.adoptRestored(c):
 				stats.RestoredComps++
+			default:
+				mine = append(mine, c)
 			}
-			if !dirtyMember {
-				if c, ok := x.comps[members[0]]; ok && slices.Equal(c.members, members) {
-					cleanExtra += c.closure - len(c.members)
-					continue
-				}
-			}
-			dirtyGroups = append(dirtyGroups, members)
 		}
+		clear(x.queue[len(held):])
+		x.queue = held
 
-		if len(dirtyGroups) == 0 {
-			if blocked {
+		if len(mine) == 0 {
+			if x.claims > 0 {
 				stats.PendingWaits++
 				x.cond.Wait()
 				continue
 			}
-			// Every component is clean and cached: assemble. Kept slices are
-			// snapshotted (headers cloned) under the lock — a later Update's
-			// widening replaces cached cell slices in place, and the caller
-			// reads these after releasing the lock.
-			stats.Components = len(groups)
-			out := make([]groupKept, 0, len(groups))
-			for _, members := range groups {
-				if len(members) > stats.LargestComp {
-					stats.LargestComp = len(members)
-				}
-				c := x.comps[members[0]]
-				stats.Closure += c.closure
-				if c.closure > stats.LargestClose {
-					stats.LargestClose = c.closure
-				}
-				prev, emitted := streamed[members[0]]
-				out = append(out, groupKept{
-					members:  members,
-					kept:     slices.Clone(c.kept),
-					streamed: emitted && slices.Equal(prev, members),
-				})
-			}
-			return out, nil
+			return streamed, nil // every component is clean and cached
 		}
+		slices.SortFunc(mine, func(a, b *comp) int { return a.first - b.first })
 
 		// Claim: consume the caches into jobs and clear the dirty marks, all
 		// before releasing the lock, so concurrent Updates see a consistent
 		// claim set. The engine snapshot is per round — concurrent ingests
 		// may have grown the dictionary since our own ingest.
-		roundCols := x.nCols
+		roundCols, roundGroups := x.nCols, x.live
 		eng := &engine{dict: x.dict.Snapshot(), nCols: roundCols}
-		jobs := make([]closeJob, 0, len(dirtyGroups))
-		jobPos := make([][]int, 0, len(dirtyGroups))
+		jobs := make([]closeJob, len(mine))
+		recs := make([]*cachedComp, len(mine))
 		seedExtra := 0 // reused closure tuples seeded into dirty comps, for budget parity
-		for _, members := range dirtyGroups {
-			job, basePos := x.seedDirty(members, ownerOf, x.dirty)
-			if len(job.work) == 0 {
-				// No dirty member located the delta (cache lost to a failed
-				// concurrent Update): re-close the whole seed store.
-				job.work = nil
-			}
-			stats.SeedReusedTuples += len(job.tuples) - len(members)
-			seedExtra += len(job.tuples) - len(members)
-			jobs = append(jobs, job)
-			jobPos = append(jobPos, basePos)
-			for _, id := range members {
-				x.claimed[id] = true
-				x.dirty[id] = false
-			}
+		for k, c := range mine {
+			jobs[k], recs[k] = x.seed(c, stats)
+			seedExtra += len(jobs[k].tuples) - jobs[k].base
 		}
+		stats.SeedReusedTuples += seedExtra
 		x.claims += len(jobs)
 		stats.DirtyComponents += len(jobs)
 
 		// The budget seeds with every tuple known to be live — base, the
-		// clean closures' surplus, and the reused dirty seeds — so
+		// cached closures' surplus, and the reused dirty seeds — so
 		// Options.MaxTuples keeps its "total closure size" meaning across
 		// incremental runs. (Components claimed by concurrent Updates are
 		// mid-flight; their eventual surplus is not counted.)
-		bud := newBudget(opts, len(x.base)+cleanExtra+seedExtra, eng)
+		bud := newBudget(opts, len(x.base)+x.closure-x.covered+seedExtra, eng)
 
-		// A streaming caller sees each dirty component the moment it closes,
-		// from the unlocked window below — the closeEach assembler delivers
-		// on this goroutine, so emission needs no extra synchronization.
-		var hook func(ci int, r compResult) error
-		if onDirty != nil {
-			roundGroups := len(groups)
-			hook = func(ci int, r compResult) error {
-				members := dirtyGroups[ci]
-				if err := onDirty(eng, members, roundGroups, r); err != nil {
-					return err
-				}
-				streamed[members[0]] = members
+		// Each closed component's kept tuples are put in value order and
+		// decoded here, once, in the unlocked window — rows the closure's
+		// previous generation already decoded carry over — and a streaming
+		// caller then sees the component. The closeEach assembler delivers on
+		// this goroutine, so none of it needs extra synchronization.
+		decoded := make([][]table.Row, len(jobs))
+		hook := func(ci int, r compResult) error {
+			slices.SortFunc(r.kept, func(a, b Tuple) int { return eng.cmpCells(a.Cells, b.Cells) })
+			rec := recs[ci]
+			decoded[ci] = eng.decodeKept(r.kept, rec.kept, rec.rows)
+			if onDirty == nil {
 				return nil
 			}
+			if err := onDirty(eng, roundGroups, r.kept, decoded[ci]); err != nil {
+				return err
+			}
+			streamed[rec] = rec.gen
+			return nil
 		}
 		x.mu.Unlock()
 		results, err := eng.closeSetHook(ctx, jobs, opts, bud, stats, hook)
 		x.mu.Lock()
 		x.claims -= len(jobs)
 		if err != nil {
-			// The consumed caches are gone; restore dirty marks on every
-			// claimed member so the next Update (or round) re-closes those
-			// components from their base tuples.
-			for _, members := range dirtyGroups {
-				for _, id := range members {
-					x.claimed[id] = false
-					x.dirty[id] = true
+			// The consumed caches are gone; mark every claimed member dirty
+			// so the next Update (or round) re-closes those components from
+			// their base tuples.
+			for _, rec := range recs {
+				x.compOf[rec.members[0]].inflight--
+				for _, id := range rec.members {
+					x.markDirty(id)
 				}
 			}
 			x.cond.Broadcast()
 			return nil, err
 		}
 
-		// Publish: key each component by its smallest member (stable under
-		// merges, unlike union-find roots), dropping the entries of any
-		// previous components the group absorbed. A concurrent widen during
-		// the closure is fixed up here — the results were produced at this
-		// round's width.
+		// Publish: hand each closure to the live component its members
+		// belong to now — the one claimed, or one that absorbed it while the
+		// lock was released. A concurrent widen during the closure is fixed
+		// up here — the results were produced at this round's width.
 		for di := range results {
-			r := &results[di]
+			r, rec := &results[di], recs[di]
 			stats.ReclosedTuples += r.closure
 			// Stats.PivotColumn describes the work this run performed, so it
 			// is the pivot of the largest component actually (re)closed —
@@ -1000,19 +1001,14 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 				largestDirty = r.closure
 				stats.PivotColumn = r.stats.PivotColumn
 			}
-			members := dirtyGroups[di]
-			c := &cachedComp{
-				members: members, kept: r.kept, closure: r.closure,
-				store: r.store, basePos: jobPos[di], sigs: r.sigs, post: r.post, sub: r.sub,
-			}
+			rec.kept, rec.rows, rec.closure, rec.store = r.kept, decoded[di], r.closure, r.store
+			rec.sigs, rec.post, rec.sub, rec.scr = r.sigs, r.post, r.sub, r.scr
 			if x.nCols > roundCols {
-				widenComp(c, x.nCols)
+				widenComp(rec, x.nCols)
 			}
-			for _, id := range members {
-				delete(x.comps, id)
-				x.claimed[id] = false
-			}
-			x.comps[members[0]] = c
+			c := x.compOf[rec.members[0]]
+			c.inflight--
+			x.cache(c, rec)
 		}
 		x.cond.Broadcast()
 	}

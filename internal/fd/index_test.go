@@ -64,7 +64,10 @@ func TestIndexIncrementalMatchesBatchRandom(t *testing.T) {
 }
 
 // New tables appearing in later updates may append output columns; the
-// index must widen its store rather than rebuild, and stay equivalent.
+// index must widen its store rather than rebuild, stay equivalent, and keep
+// the cached closures it widened: the component the widening table touches
+// is extended in place (its derived tuple reused, only the new row hashed
+// and posted), not relayed.
 func TestIndexSchemaWidening(t *testing.T) {
 	t1 := table.New("t1", "k", "a")
 	t1.MustAppendRow(table.S("k1"), table.S("x"))
@@ -72,7 +75,7 @@ func TestIndexSchemaWidening(t *testing.T) {
 	t2 := table.New("t2", "k", "b")
 	t2.MustAppendRow(table.S("k1"), table.S("p"))
 	t3 := table.New("t3", "k", "c", "d")
-	t3.MustAppendRow(table.S("k2"), table.S("q"), table.S("r"))
+	t3.MustAppendRow(table.S("k1"), table.S("q"), table.S("r"))
 	t3.MustAppendRow(table.S("k3"), table.Null(), table.S("s"))
 
 	x := NewIndex()
@@ -89,6 +92,17 @@ func TestIndexSchemaWidening(t *testing.T) {
 		}
 		if !resultsIdentical(got, want) {
 			t.Fatalf("step %d: got\n%v %v\nwant\n%v %v", k, got.Table, got.Prov, want.Table, want.Prov)
+		}
+		if k == 3 {
+			// t3 widens the schema by two columns and its first row joins the
+			// k1 component, whose closure (two base tuples, one derived) was
+			// cached with its indexes at width 3.
+			if got.Stats.SeedReusedTuples != 1 {
+				t.Errorf("widened component reused %d derived tuples, want 1", got.Stats.SeedReusedTuples)
+			}
+			if got.Stats.SeedIndexedTuples != 1 {
+				t.Errorf("seeding hashed or posted %d tuples, want only the new row: the widened cache was relayed", got.Stats.SeedIndexedTuples)
+			}
 		}
 	}
 	if x.Rebuilds() != 0 {

@@ -59,16 +59,6 @@ func newUnionFind(n int) *unionFind {
 	return uf
 }
 
-// grow extends the forest to n elements, each new element a fresh
-// singleton. Existing sets are untouched, so the incremental index can
-// union new tuples into a forest built by earlier runs.
-func (u *unionFind) grow(n int) {
-	for len(u.parent) < n {
-		u.parent = append(u.parent, len(u.parent))
-		u.size = append(u.size, 1)
-	}
-}
-
 func (u *unionFind) find(x int) int {
 	for u.parent[x] != x {
 		u.parent[x] = u.parent[u.parent[x]]
@@ -144,18 +134,20 @@ func (e *engine) partition(tuples []Tuple) [][]Tuple {
 	return comps
 }
 
-// closeJob describes one component closure: the seed store (base tuples
-// first, then any closure tuples reused from a previous run of the same
-// component) and the worklist of store IDs whose candidate pairs have not
-// been examined yet. A one-shot closure is the trivial job — seed = the
-// component's base tuples, nil worklist (expand everything).
+// closeJob describes one component closure: the seed store and the worklist
+// of store IDs whose candidate pairs have not been examined yet. A one-shot
+// closure is the trivial job — seed = the component's base tuples, nil
+// worklist (expand everything). The incremental index's jobs seed with a
+// cached closure extended in place (Index.seed) and list only the new or
+// changed tuples. Every engine leaves seed tuples at their seed positions
+// in the store it returns.
 type closeJob struct {
 	tuples []Tuple
 	base   int   // count of outer-union (base) tuples in the seed
 	work   []int // store IDs to expand; nil closes from scratch
-	// owned marks seed slices built for this job alone (the incremental
-	// index constructs them fresh): the closure may grow and mutate them in
-	// place. Unowned seeds (partitioner output) are copied first.
+	// owned marks seed slices that are this job's alone (the incremental
+	// index hands over a cached store): the closure may grow and mutate them
+	// in place. Unowned seeds (partitioner output) are copied first.
 	owned bool
 	// sigs, when non-nil, is a signature index already built over tuples;
 	// the sequential closure consumes it in place instead of re-hashing the
@@ -167,11 +159,11 @@ type closeJob struct {
 	// closure appends produced tuples to it instead of re-indexing the
 	// whole store.
 	post *postingIndex
-	// subSeed/subN, when set, carry the previous run's canonical-subsumer
-	// cache for the first subN seed entries, so re-subsumption scans only
-	// the store's growth (see subsumeIncremental).
-	subSeed []int32
-	subN    int
+	// sub, when set, carries the previous run's subsumption cache for a
+	// prefix of the seed, so re-subsumption searches only the store's growth
+	// (see subsumeIncremental); scr is the previous run's worklist scratch.
+	sub subCache
+	scr *closeScratch
 }
 
 // jobsOf wraps freshly partitioned components as from-scratch close jobs.
@@ -194,18 +186,20 @@ type compResult struct {
 	store   []Tuple
 	sigs    *sigIndex
 	post    *postingIndex
-	sub     []int32 // canonical subsumer per store entry (-1 = kept)
+	sub     subCache      // subsumption state per store entry
+	scr     *closeScratch // the sequential closure's worklist scratch
 	stats   Stats
 	closure int
 	err     error
 }
 
-// newJobClosure copies a job's seed store into a fresh sequential closure
-// (the store grows and its provenance is folded in place, so the caller's
-// slices must stay untouched). A fresh posting index is bucketed by the
-// pivot column chosen over the seed; a cached index (job.post) keeps the
-// pivot it was built with, except that NoPivot strips its buckets — the
-// flat lists stay valid either way.
+// newJobClosure wraps a job's seed store in a sequential closure, copying it
+// first unless the job owns it (the store grows and its provenance is folded
+// in place, so an unowned caller's slices must stay untouched). A fresh
+// posting index is bucketed by the pivot column chosen over the seed; a
+// cached index (job.post) keeps its pivot until the store has doubled since
+// it was chosen (postingIndex.rechoosePivot), and NoPivot strips its buckets
+// — the flat lists stay valid either way.
 func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) *closure {
 	tuples := job.tuples
 	if !job.owned {
@@ -219,13 +213,13 @@ func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) *closure 
 			sigs.add(tuples[i].Cells, i)
 		}
 	}
-	if job.post != nil {
-		if opts.NoPivot && job.post.pivot >= 0 {
-			job.post.pivot, job.post.byPivot, job.post.buckets = -1, nil, 0
-		}
-		return &closure{eng: e, tuples: tuples, sigs: sigs, idx: job.post, bud: bud}
+	if job.post == nil {
+		cl := newClosure(e, tuples, sigs, bud, pivotFor(opts, tuples, e.nCols))
+		cl.scr = job.scr
+		return cl
 	}
-	return newClosure(e, tuples, sigs, bud, pivotFor(opts, tuples, e.nCols))
+	job.post.rechoosePivot(opts, tuples, e.nCols)
+	return &closure{eng: e, tuples: tuples, sigs: sigs, idx: job.post, bud: bud, scr: job.scr}
 }
 
 // closeOne closes one component job (complementation closure followed by
@@ -239,7 +233,8 @@ func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *
 		if err := bud.check(); err != nil {
 			return compResult{err: err}
 		}
-		return compResult{kept: job.tuples, store: job.tuples, sub: []int32{-1}, stats: Stats{PivotColumn: -1}, closure: 1}
+		_, sub := e.subsumeIncremental(job.tuples, nil, subCache{}, 1)
+		return compResult{kept: job.tuples, store: job.tuples, sub: sub, stats: Stats{PivotColumn: -1}, closure: 1}
 	}
 	cl := newJobClosure(e, job, opts, bud)
 	st := Stats{PivotColumn: cl.idx.pivot}
@@ -247,8 +242,8 @@ func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *
 		return compResult{err: err}
 	}
 	st.PivotBuckets = cl.idx.buckets
-	kept, sub := e.subsumeIncremental(cl.tuples, cl.idx, job.subSeed, job.subN, 1)
-	return compResult{kept: kept, store: cl.tuples, sigs: cl.sigs, post: cl.idx, sub: sub, stats: st, closure: len(cl.tuples)}
+	kept, sub := e.subsumeIncremental(cl.tuples, cl.idx, job.sub, 1)
+	return compResult{kept: kept, store: cl.tuples, sigs: cl.sigs, post: cl.idx, sub: sub, scr: cl.scr, stats: st, closure: len(cl.tuples)}
 }
 
 // closeOnePar closes one component job with every worker inside it — the
@@ -273,10 +268,10 @@ func (e *engine) closeOnePar(ctx context.Context, job closeJob, opts Options, bu
 		if pivot >= 0 && job.work == nil {
 			// Full closure with a pivot: the pivot-partitioned engine closes
 			// disjoint pivot groups with no shared mutable state. Incremental
-			// re-closure (a partial worklist) needs every pair involving the
-			// delta attempted across the whole cached store, which the group
-			// decomposition does not cover — that stays on the work-stealing
-			// engine.
+			// re-closure (a partial worklist — closeEach sends only large ones
+			// here) needs every pair involving the delta attempted across the
+			// whole cached store, which the group decomposition does not
+			// cover — that stays on the work-stealing engine.
 			closed, err = closePivotPar(ctx, e, job.tuples, pivot, opts.Workers, bud, &st)
 		} else {
 			closed, err = closeConcurrent(ctx, e, job.tuples, job.work, opts.Workers, resolveShards(opts), pivot, bud, &st)
@@ -285,7 +280,7 @@ func (e *engine) closeOnePar(ctx context.Context, job closeJob, opts Options, bu
 			return compResult{err: err}
 		}
 	}
-	kept, sub := e.subsumeIncremental(closed, nil, nil, 0, opts.Workers)
+	kept, sub := e.subsumeIncremental(closed, nil, subCache{}, opts.Workers)
 	return compResult{kept: kept, store: closed, sub: sub, stats: st, closure: len(closed)}
 }
 
@@ -308,7 +303,9 @@ const (
 // backs streaming output and per-component progress. With workers > 1 the
 // jobs are split three ways: a hub component holding at least half of the
 // seed tuples (or a lone component) is closed first with every worker
-// inside it; components up to smallCompMax tuples run inline on the
+// inside it — unless it is a cached closure with fewer than hubMinTuples
+// tuples to expand, which is extended in place like any other component;
+// components up to smallCompMax tuples run inline on the
 // assembler (no goroutine spawn — WithParallelFD must never pessimize a
 // tiny-component workload); the rest are scheduled whole across a worker
 // pool, largest first, flowing back to the assembler through a channel.
@@ -347,8 +344,16 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 	var hubs, pool, small []int
 	for ci := range jobs {
 		n := len(jobs[ci].tuples)
+		hub := len(jobs) == 1 || (n >= hubMinTuples && 2*n >= total)
+		if w := jobs[ci].work; w != nil && len(w) < hubMinTuples {
+			// A small delta into a cached closure: what there is to
+			// parallelise is the worklist, not the store. The sequential
+			// engine extends the store and its indexes in place; the parallel
+			// engines would copy and re-index all of it.
+			hub = false
+		}
 		switch {
-		case len(jobs) == 1 || (n >= hubMinTuples && 2*n >= total):
+		case hub:
 			hubs = append(hubs, ci)
 		case n > smallCompMax:
 			pool = append(pool, ci)

@@ -25,8 +25,9 @@ import (
 // digest check and simply re-closes — adoption can stale-read nothing.
 //
 // An adopted component carries no closure store, so its first re-closure
-// after going dirty seeds from base tuples rather than incrementally; the
-// store is rebuilt then and incrementality resumes.
+// after going dirty brings its members back from their base tuples rather
+// than extending a store; the store is rebuilt then and incrementality
+// resumes.
 
 // CompExport is one component's closure result in portable form: member
 // base ids, a digest binding the export to the exact base-tuple content it
@@ -58,32 +59,23 @@ func (x *Index) ExportComponents() []CompExport {
 	snap := x.dict.Snapshot()
 	eng := &engine{dict: snap, nCols: x.nCols}
 	var out []CompExport
-	for _, members := range x.regroup() {
-		c, ok := x.comps[members[0]]
-		if !ok || !slices.Equal(c.members, members) {
+	for _, c := range x.order {
+		if c == nil || c.inflight > 0 || len(c.dirty) > 0 {
 			continue
 		}
-		usable := true
-		for _, id := range members {
-			if x.dirty[id] || x.claimed[id] {
-				usable = false
-				break
-			}
-		}
-		if !usable {
-			continue
-		}
-		kept := make([]PortableTuple, len(c.kept))
-		for i, tp := range c.kept {
+		rec := c.caches[0]
+		members := slices.Sorted(slices.Values(c.members))
+		kept := make([]PortableTuple, len(rec.kept))
+		for i, tp := range rec.kept {
 			kept[i] = PortableTuple{
 				Row:  eng.decodeRow(tp.Cells),
 				Prov: slices.Clone(tp.Prov),
 			}
 		}
 		out = append(out, CompExport{
-			Members: slices.Clone(members),
+			Members: members,
 			Digest:  x.compDigest(members, snap),
-			Closure: c.closure,
+			Closure: rec.closure,
 			Kept:    kept,
 		})
 	}
@@ -117,26 +109,28 @@ func (x *Index) RestoredStaged() int {
 	return len(x.restored)
 }
 
-// adoptRestored tries to satisfy one dirty component group from the staged
+// adoptRestored tries to satisfy one dirty component from the staged
 // exports: exact membership match, exact base-content digest match, and
 // every kept cell re-encodable under the live dictionary. On success the
-// group's cache entry is installed (with no closure store — the next dirty
-// re-closure seeds from base) and its dirty marks clear. The staged entry
-// is consumed either way: a mismatch can never match later, since
-// membership and content only drift further. Callers hold x.mu.
-func (x *Index) adoptRestored(members []int) bool {
-	rc, ok := x.restored[members[0]]
+// exported closure replaces the component's caches (with no closure store —
+// the next dirty re-closure seeds from base) and its dirty marks clear. The
+// staged entry is consumed either way: a mismatch can never match later,
+// since membership and content only drift further. Callers hold x.mu.
+func (x *Index) adoptRestored(c *comp) bool {
+	rc, ok := x.restored[c.first]
 	if !ok {
 		return false
 	}
-	delete(x.restored, members[0])
+	delete(x.restored, c.first)
 	if len(x.restored) == 0 {
 		x.restored = nil
 	}
+	members := slices.Sorted(slices.Values(c.members))
 	if !slices.Equal(rc.Members, members) {
 		return false
 	}
-	if x.compDigest(members, x.dict.Snapshot()) != rc.Digest {
+	snap := x.dict.Snapshot()
+	if x.compDigest(members, snap) != rc.Digest {
 		return false
 	}
 	kept := make([]Tuple, len(rc.Kept))
@@ -157,15 +151,22 @@ func (x *Index) adoptRestored(members []int) bool {
 		}
 		kept[i] = Tuple{Cells: cells, Prov: slices.Clone(pt.Prov)}
 	}
-	for _, id := range members {
-		delete(x.comps, id)
+	// Cached kept tuples are in value order; exports written before that was
+	// so need not be.
+	eng := &engine{dict: snap, nCols: x.nCols}
+	slices.SortFunc(kept, func(a, b Tuple) int { return eng.cmpCells(a.Cells, b.Cells) })
+	for _, r := range c.caches {
+		x.uncache(r)
+	}
+	for _, id := range c.dirty {
 		x.dirty[id] = false
 	}
-	x.comps[members[0]] = &cachedComp{
-		members: slices.Clone(members),
-		kept:    kept,
-		closure: rc.Closure,
+	rec := &cachedComp{members: members, kept: kept, closure: rc.Closure}
+	for _, id := range members {
+		x.cover[id] = rec
 	}
+	c.caches, c.dirty, c.queued = nil, nil, false
+	x.cache(c, rec)
 	return true
 }
 

@@ -74,6 +74,7 @@ func pivotGroups(seed []Tuple, pivot int) (nulls []int, groups [][]int) {
 type pgScratch struct {
 	seen       stampSet // dedup over the group-local store
 	sharedSeen stampSet // dedup over the shared N* store
+	once       pairOnce // group-local pairs, each attempted once
 	chk        cancelCheck
 	mbuf       []uint32
 	queue      []int
@@ -138,7 +139,12 @@ func closeGroup(eng *engine, seed []Tuple, g []int, nstar []Tuple, master *posti
 
 		newIDs = newIDs[:0]
 		w.seen.next(len(tuples))
-		idx.candidates(i, cells, &w.seen, func(j int) { attempt(&tuples[j]) })
+		w.once.expand(i, len(tuples))
+		idx.candidates(i, cells, &w.seen, func(j int) {
+			if !w.once.tried(i, j) {
+				attempt(&tuples[j])
+			}
+		})
 		if len(nstar) > 0 {
 			w.sharedSeen.next(len(nstar))
 			master.candidates(-1, cells, &w.sharedSeen, func(j int) { attempt(&nstar[j]) })
@@ -149,14 +155,16 @@ func closeGroup(eng *engine, seed []Tuple, g []int, nstar []Tuple, master *posti
 		}
 	}
 	w.queue = queue[:0]
+	w.once.end(len(tuples))
 	return tuples, stopErr
 }
 
 // closePivotPar closes a whole component from scratch by pivot
 // partitioning: the null-pivot seeds close sequentially into N*, then each
 // pivot-value group closes independently across workers. The returned
-// store is N* followed by the groups in first-seen pivot order —
-// deterministic for any worker count.
+// store is the seeds at their seed positions, then N*'s derived tuples and
+// each group's in first-seen pivot order — deterministic for any worker
+// count.
 func closePivotPar(ctx context.Context, eng *engine, seed []Tuple, pivot, workers int, bud *budget, stats *Stats) ([]Tuple, error) {
 	stats.PivotColumn = pivot
 	nulls, groups := pivotGroups(seed, pivot)
@@ -230,9 +238,19 @@ func closePivotPar(ctx context.Context, eng *engine, seed []Tuple, pivot, worker
 		return nil, Canceled(err)
 	}
 
-	closed := nstar
-	for _, out := range results {
-		closed = append(closed, out...)
+	// Seeds keep their seed positions (the incremental index locates base
+	// tuples in a cached store by position); derived tuples follow, N*'s
+	// first, then each group's.
+	closed := make([]Tuple, len(seed), len(seed)+len(nstar)-len(nulls))
+	for k, si := range nulls {
+		closed[si] = nstar[k]
+	}
+	closed = append(closed, nstar[len(nulls):]...)
+	for gi, out := range results {
+		for k, si := range groups[gi] {
+			closed[si] = out[k]
+		}
+		closed = append(closed, out[len(groups[gi]):]...)
 	}
 	return closed, nil
 }

@@ -3,6 +3,8 @@ package fd
 import (
 	"slices"
 	"sync/atomic"
+
+	"fuzzyfd/internal/intern"
 )
 
 // Tuple signatures. The pre-interned engine keyed deduplication maps on a
@@ -16,16 +18,38 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+// trimCells drops trailing null cells: the width-independent form of a
+// tuple, over which signatures are defined.
+func trimCells(cells []uint32) []uint32 {
+	n := len(cells)
+	for n > 0 && cells[n-1] == intern.Null {
+		n--
+	}
+	return cells[:n]
+}
+
 // hashCells computes FNV-1a over the symbol slice, one 32-bit word per
 // round (the word-at-a-time variant: symbols are already avalanche-mixed by
-// the prime multiplications, so byte-at-a-time buys nothing here).
+// the prime multiplications, so byte-at-a-time buys nothing here). Trailing
+// null cells are not hashed, so a signature is width-stable: widening the
+// integrated schema appends null cells to every stored tuple and leaves
+// every signature index valid.
 func hashCells(cells []uint32) uint64 {
 	h := uint64(fnvOffset64)
-	for _, sym := range cells {
+	for _, sym := range trimCells(cells) {
 		h ^= uint64(sym)
 		h *= fnvPrime64
 	}
 	return h
+}
+
+// equalCells is tuple identity under the same convention: equal cell for
+// cell, a missing trailing cell reading as null.
+func equalCells(a, b []uint32) bool {
+	if len(a) != len(b) {
+		a, b = trimCells(a), trimCells(b)
+	}
+	return slices.Equal(a, b)
 }
 
 // sigIndex maps tuple cell signatures to tuple IDs within one tuple store,
@@ -44,7 +68,7 @@ func newSigIndex() *sigIndex {
 func (s *sigIndex) find(cells []uint32, store []Tuple) (id int, hash uint64, ok bool) {
 	hash = hashCells(cells)
 	for _, id := range s.buckets[hash] {
-		if slices.Equal(store[id].Cells, cells) {
+		if equalCells(store[id].Cells, cells) {
 			return id, hash, true
 		}
 	}

@@ -1,7 +1,6 @@
 package fd
 
 import (
-	"sort"
 	"sync"
 
 	"fuzzyfd/internal/intern"
@@ -31,25 +30,34 @@ func (e *engine) subsume(tuples []Tuple) []Tuple {
 // subsumeIndexed is subsume with an optional posting index already covering
 // tuples (the closure that just produced the store has one); nil builds it.
 func (e *engine) subsumeIndexed(tuples []Tuple, idx *postingIndex) []Tuple {
-	kept, _ := e.subsumeIncremental(tuples, idx, nil, 0, 1)
+	kept, _ := e.subsumeIncremental(tuples, idx, subCache{}, 1)
 	return kept
+}
+
+// subCache is the subsumption state of a closure store prefix, cached by
+// the session index with a component's store: sub[i] is entry i's canonical
+// subsumer position (-1 = kept) and nonNulls[i] its informative-cell count,
+// for the first len(sub) entries.
+type subCache struct {
+	sub      []int32
+	nonNulls []int32
 }
 
 // subsumeIncremental is the full computation behind subsume, extended for
 // incremental re-closure: it returns, alongside the kept tuples, each store
-// entry's canonical subsumer position (-1 when kept) so the session index
-// can cache it. When oldSub covers the first n0 entries — the previous
-// run's store, whose entries and subsumption relations only ever grow —
-// those entries seed their search with the cached subsumer and scan only
-// the ascending posting lists' suffixes of entries ≥ n0, so re-subsumption
-// costs work proportional to the delta, not the store. Pass nil/0 to
-// compute from scratch.
+// entry's canonical subsumer position and non-null count so the session
+// index can cache them. When old covers a prefix of the store — the
+// previous run's store, whose entries and subsumption relations only ever
+// grow — those entries keep their cached subsumer unless an entry past the
+// prefix beats it, found from the appended side, so re-subsumption searches
+// in proportion to the delta, not the store. The cache's slices are
+// extended in place. Pass the zero subCache to compute from scratch.
 //
-// The provenance fold pass always covers the whole store: folds are
-// set unions guarded by provContains, so re-folding a chain the previous
-// run already folded is an allocation-free no-op, and chains through new
-// subsumers pick up exactly the provenance a from-scratch subsume would
-// propagate.
+// The provenance fold pass always covers the whole store, in counting-sort
+// order of informativeness: folds are set unions guarded by provContains,
+// so re-folding a chain the previous run already folded is an
+// allocation-free no-op, and chains through new subsumers pick up exactly
+// the provenance a from-scratch subsume would propagate.
 //
 // The subsumer search is a pure function of the (now frozen) store: each
 // sub[i] reads only tuples, the index, and nonNulls. With workers > 1 the
@@ -58,13 +66,16 @@ func (e *engine) subsumeIndexed(tuples []Tuple, idx *postingIndex) []Tuple {
 // (posting lists stay ascending because each column worker walks tuple ids
 // in order). The fold and kept passes stay sequential; they are linear in
 // the store and order-sensitive.
-func (e *engine) subsumeIncremental(tuples []Tuple, idx *postingIndex, oldSub []int32, n0, workers int) ([]Tuple, []int32) {
+func (e *engine) subsumeIncremental(tuples []Tuple, idx *postingIndex, old subCache, workers int) ([]Tuple, subCache) {
+	n0 := len(old.sub)
+	sub, nonNulls := old.sub, old.nonNulls
+	for i := n0; i < len(tuples); i++ {
+		sub = append(sub, -1)
+		nonNulls = append(nonNulls, int32(nonNullCount(tuples[i].Cells)))
+	}
+	cache := subCache{sub: sub, nonNulls: nonNulls}
 	if len(tuples) <= 1 {
-		sub := make([]int32, len(tuples))
-		for i := range sub {
-			sub[i] = -1
-		}
-		return tuples, sub
+		return tuples, cache
 	}
 	if workers > len(tuples)/subsumeParMin {
 		workers = len(tuples) / subsumeParMin
@@ -96,11 +107,6 @@ func (e *engine) subsumeIncremental(tuples []Tuple, idx *postingIndex, oldSub []
 		}
 	}
 
-	nonNulls := make([]int, len(tuples))
-	for i := range tuples {
-		nonNulls[i] = nonNullCount(tuples[i].Cells)
-	}
-
 	// better reports whether candidate j beats the current subsumer of i
 	// under the canonical rule.
 	better := func(j, cur int) bool {
@@ -113,38 +119,43 @@ func (e *engine) subsumeIncremental(tuples []Tuple, idx *postingIndex, oldSub []
 		return e.lessCells(tuples[j].Cells, tuples[cur].Cells)
 	}
 
-	// sub[i] is the chosen subsumer of dropped tuple i, or -1.
-	sub := make([]int32, len(tuples))
+	// Cached entries: only an entry appended since can beat the cached
+	// subsumer, so the search runs from the appended side — each new entry
+	// visits the cached entries on its posting lists (ascending, so they form
+	// a prefix; on a pivoted index only the buckets whose pivot cell a
+	// subsumed tuple could hold) and takes over those it subsumes better.
+	// The cost follows the growth, not the store. (All-null tuples are
+	// singleton components, never extended: no cached entry needs the
+	// whole-store rule below.)
+	for j := n0; n0 > 0 && j < len(tuples); j++ {
+		cj := tuples[j].Cells
+		idx.probe(cj, func(list []int) {
+			for _, i := range list {
+				if i >= n0 {
+					break
+				}
+				if subsumes(cj, tuples[i].Cells) && better(j, int(sub[i])) {
+					sub[i] = int32(j)
+				}
+			}
+		})
+	}
+
+	// Appended entries search in full: sub[i] is the chosen subsumer of
+	// dropped tuple i, or -1.
 	search := func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			cur := -1
-			from := 0
-			if i < n0 {
-				// Cached: the best subsumer among the previous store; only
-				// entries appended since can beat it.
-				cur = int(oldSub[i])
-				from = n0
-			}
 			cells := tuples[i].Cells
 
-			// Scan the posting list with the fewest candidates at or past
-			// `from` among i's non-null values. Posting lists are ascending
-			// (stores and their indexes grow append-only), so the candidates
-			// ≥ from form a suffix located by binary search.
-			best := -1
-			bestLen := 0
-			bestFrom := 0
+			// Scan the shortest posting list among i's non-null values.
+			best, bestLen := -1, 0
 			for c, sym := range cells {
 				if sym == intern.Null {
 					continue
 				}
-				l := idx.byCol[c][sym]
-				lo := 0
-				if from > 0 {
-					lo = sort.SearchInts(l, from)
-				}
-				if n := len(l) - lo; best < 0 || n < bestLen {
-					best, bestLen, bestFrom = c, n, lo
+				if n := len(idx.byCol[c][sym]); best < 0 || n < bestLen {
+					best, bestLen = c, n
 				}
 			}
 			if best < 0 {
@@ -159,7 +170,7 @@ func (e *engine) subsumeIncremental(tuples []Tuple, idx *postingIndex, oldSub []
 				sub[i] = int32(cur)
 				continue
 			}
-			for _, j := range idx.byCol[best][cells[best]][bestFrom:] {
+			for _, j := range idx.byCol[best][cells[best]] {
 				if j == i || !subsumes(tuples[j].Cells, cells) {
 					continue
 				}
@@ -172,8 +183,8 @@ func (e *engine) subsumeIncremental(tuples []Tuple, idx *postingIndex, oldSub []
 	}
 	if workers > 1 {
 		var wg sync.WaitGroup
-		chunk := (len(tuples) + workers - 1) / workers
-		for i0 := 0; i0 < len(tuples); i0 += chunk {
+		chunk := (len(tuples) - n0 + workers - 1) / workers
+		for i0 := n0; i0 < len(tuples); i0 += chunk {
 			i1 := i0 + chunk
 			if i1 > len(tuples) {
 				i1 = len(tuples)
@@ -186,32 +197,45 @@ func (e *engine) subsumeIncremental(tuples []Tuple, idx *postingIndex, oldSub []
 		}
 		wg.Wait()
 	} else {
-		search(0, len(tuples))
+		search(n0, len(tuples))
 	}
 
 	// Fold provenance along subsumption chains, processing least-informative
 	// tuples first so provenance propagates to the surviving maximal tuples
-	// (chains strictly increase in informativeness, so ties need no order).
-	order := make([]int, len(tuples))
-	for i := range order {
-		order[i] = i
+	// (chains strictly increase in informativeness, so ties need no order):
+	// a counting sort on the non-null count, which is at most the width.
+	start := make([]int32, e.nCols+2)
+	kept := 0
+	for i, n := range nonNulls {
+		if sub[i] >= 0 {
+			start[n+1]++
+		} else {
+			kept++
+		}
 	}
-	sort.Slice(order, func(a, b int) bool { return nonNulls[order[a]] < nonNulls[order[b]] })
+	for n := 1; n < len(start); n++ {
+		start[n] += start[n-1]
+	}
+	order := make([]int32, len(tuples)-kept)
+	for i, n := range nonNulls {
+		if sub[i] >= 0 {
+			order[start[n]] = int32(i)
+			start[n]++
+		}
+	}
 	for _, i := range order {
-		if s := sub[i]; s >= 0 {
-			if !provContains(tuples[s].Prov, tuples[i].Prov) {
-				tuples[s].Prov = mergeProv(tuples[s].Prov, tuples[i].Prov)
-			}
+		if s := sub[i]; !provContains(tuples[s].Prov, tuples[i].Prov) {
+			tuples[s].Prov = mergeProv(tuples[s].Prov, tuples[i].Prov)
 		}
 	}
 
-	kept := make([]Tuple, 0, len(tuples))
+	out := make([]Tuple, 0, kept)
 	for i := range tuples {
 		if sub[i] < 0 {
-			kept = append(kept, tuples[i])
+			out = append(out, tuples[i])
 		}
 	}
-	return kept, sub
+	return out, cache
 }
 
 // subsumesRows is the decoded counterpart of subsumes, over materialized

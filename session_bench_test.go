@@ -11,7 +11,8 @@ package fuzzyfd
 // shape is written to BENCH_session.json (per-step wall clock plus
 // DirtyComponents / ReclosedTuples / ReusedValues), so the perf trajectory
 // tracks how much closure work the session amortizes away, not just total
-// time.
+// time. The top-level total_tuples and batches describe the extend and
+// arrive shapes; chunks is 3 000 tuples in 20 row chunks per table.
 
 import (
 	"encoding/json"
@@ -26,9 +27,19 @@ const (
 	sessionBenchSeed    = 42
 	sessionBenchTuples  = 6000
 	sessionBenchBatches = 5
+
+	// The chunks shape is the benchmark's serve-durable ingestion pattern.
+	sessionChunkTuples = 3000
+	sessionChunkCount  = 20
+
+	// sessionBenchMaxSteps caps the per-step records kept per shape.
+	sessionBenchMaxSteps = 12
 )
 
-// sessionBenchSets builds the two batch shapes of the serving scenario:
+// sessionBenchShapes orders the shapes in the report.
+var sessionBenchShapes = []string{"extend", "arrive", "chunks"}
+
+// sessionBenchSets builds the batch shapes of the serving scenario:
 //
 //   - "extend": the same six tables split into row-chunks — every batch
 //     adds rows about the existing entities, so hub components keep going
@@ -36,7 +47,12 @@ const (
 //   - "arrive": independently drawn IMDB-shaped batches — mostly new
 //     entities per batch over a shared vocabulary (the Gen-T/EcoTable
 //     repeated-query regime), where old components stay clean and the
-//     delta path pays for one batch regardless of history.
+//     delta path pays for one batch regardless of history;
+//   - "chunks": the six tables of a 3 000-tuple set arriving as 20 row
+//     chunks each, every chunk a table of its own and an integration of its
+//     own — what a daemon session sees when clients post rows as they come
+//     (the benchmark's serve-durable workload). 120 small deltas: the shape
+//     on which per-update cost must follow the delta, not the history.
 func sessionBenchSets() map[string][][]*Table {
 	extend := sessionRowBatches(sessionBenchSeed, sessionBenchTuples, sessionBenchBatches)
 	arrive := make([][]*Table, sessionBenchBatches)
@@ -46,13 +62,21 @@ func sessionBenchSets() map[string][][]*Table {
 			TotalTuples: sessionBenchTuples / sessionBenchBatches,
 		})
 	}
-	return map[string][][]*Table{"extend": extend, "arrive": arrive}
+	var chunks [][]*Table
+	for _, batch := range sessionRowBatches(sessionBenchSeed, sessionChunkTuples, sessionChunkCount) {
+		for _, t := range batch {
+			if len(t.Rows) > 0 {
+				chunks = append(chunks, []*Table{t})
+			}
+		}
+	}
+	return map[string][][]*Table{"extend": extend, "arrive": arrive, "chunks": chunks}
 }
 
 func BenchmarkSessionAmortized(b *testing.B) {
 	sets := sessionBenchSets()
 	opts := []Option{WithEquiJoin()}
-	for _, shape := range []string{"extend", "arrive"} {
+	for _, shape := range sessionBenchShapes {
 		batches := sets[shape]
 		b.Run(shape+"/session", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -101,12 +125,23 @@ type sessionBenchStep struct {
 	ReusedValues    int     `json:"reused_values"`
 }
 
+// sessionBenchShape is one shape's instrumented pass. SessionOverFinal is
+// the whole session — every step's integration — measured in final
+// one-shot integrations: what it cost to have had the result after every
+// batch, relative to computing it once at the end. CI gates it for the
+// chunks shape; a within-run ratio, so it transfers across machines.
+//
+// Totals cover every update; Steps lists at most sessionBenchMaxSteps of
+// them, evenly spaced and ending with the last, so the 120-update chunks
+// shape does not check in 120 records.
 type sessionBenchShape struct {
-	Shape         string             `json:"shape"`
-	Steps         []sessionBenchStep `json:"steps"`
-	SessionMS     float64            `json:"session_total_ms"`
-	IndependentMS float64            `json:"independent_total_ms"`
-	Speedup       float64            `json:"speedup"`
+	Shape            string             `json:"shape"`
+	Updates          int                `json:"updates"`
+	Steps            []sessionBenchStep `json:"steps"`
+	SessionMS        float64            `json:"session_total_ms"`
+	IndependentMS    float64            `json:"independent_total_ms"`
+	Speedup          float64            `json:"speedup"`
+	SessionOverFinal float64            `json:"session_over_final_oneshot_x"`
 }
 
 type sessionBenchReport struct {
@@ -128,8 +163,10 @@ func writeSessionBenchJSON(path string, sets map[string][][]*Table, opts []Optio
 		TotalTuples: sessionBenchTuples,
 		Batches:     sessionBenchBatches,
 	}
-	for _, shape := range []string{"extend", "arrive"} {
-		sr := sessionBenchShape{Shape: shape}
+	for _, shape := range sessionBenchShapes {
+		sr := sessionBenchShape{Shape: shape, Updates: len(sets[shape])}
+		stride := (sr.Updates + sessionBenchMaxSteps - 1) / sessionBenchMaxSteps
+		finalMS := 0.0
 		s, err := NewSession(opts...)
 		if err != nil {
 			return err
@@ -151,6 +188,12 @@ func writeSessionBenchJSON(path string, sets map[string][][]*Table, opts []Optio
 			}
 			independentMS := float64(time.Since(start).Microseconds()) / 1000
 
+			sr.SessionMS += sessionMS
+			sr.IndependentMS += independentMS
+			finalMS = independentMS
+			if (k+1)%stride != 0 && k+1 != sr.Updates {
+				continue
+			}
 			f := res.FDStats
 			sr.Steps = append(sr.Steps, sessionBenchStep{
 				Batch:           k + 1,
@@ -165,11 +208,10 @@ func writeSessionBenchJSON(path string, sets map[string][][]*Table, opts []Optio
 				SeedReused:      f.SeedReusedTuples,
 				ReusedValues:    f.ReusedValues,
 			})
-			sr.SessionMS += sessionMS
-			sr.IndependentMS += independentMS
 		}
 		if sr.SessionMS > 0 {
 			sr.Speedup = sr.IndependentMS / sr.SessionMS
+			sr.SessionOverFinal = sr.SessionMS / finalMS
 		}
 		report.Shapes = append(report.Shapes, sr)
 	}
