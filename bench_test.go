@@ -104,9 +104,8 @@ func BenchmarkAblationAssignment(b *testing.B) {
 }
 
 // BenchmarkAblationParallelFD compares sequential and parallel Full
-// Disjunction (ablation A2). With partitioning (the default) parallel
-// workers close whole connected components concurrently; the flat variant
-// falls back to round-based parallelism (Paganelli et al. style).
+// Disjunction (ablation A2): parallel workers close whole connected
+// components concurrently and a hub component by pivot-value groups.
 func BenchmarkAblationParallelFD(b *testing.B) {
 	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 8000})
 	schema := fd.IdentitySchema(tables)
@@ -114,29 +113,6 @@ func BenchmarkAblationParallelFD(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := fd.FullDisjunction(tables, schema, fd.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPartitionedFD compares the component-partitioned engine
-// against the flat global closure end to end (ablation A4): same interned
-// substrate, with and without the union-find component split.
-func BenchmarkAblationPartitionedFD(b *testing.B) {
-	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 8000})
-	schema := fd.IdentitySchema(tables)
-	for _, cfg := range []struct {
-		name string
-		opts fd.Options
-	}{
-		{"flat", fd.Options{NoPartition: true}},
-		{"partitioned", fd.Options{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := fd.FullDisjunction(tables, schema, cfg.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

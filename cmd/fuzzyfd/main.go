@@ -11,7 +11,6 @@
 //	fuzzyfd -stream t1.csv t2.csv                # stream JSONL rows per component
 //	fuzzyfd -progress ...                        # live phase/component progress
 //	fuzzyfd -stats ...                           # pivot columns, skip counts, assignment shape
-//	fuzzyfd -pivot=false ...                     # unbucketed closure ablation
 //	fuzzyfd -cpuprofile cpu.pb.gz ...            # write a CPU profile
 //	fuzzyfd -memprofile mem.pb.gz ...            # write a heap profile at exit
 //	fuzzyfd -pprof localhost:6060 ...            # serve net/http/pprof live
@@ -68,9 +67,7 @@ func main() {
 		alignC   = flag.Bool("align", false, "align columns by content instead of by name")
 		headers  = flag.Bool("headers", false, "with -align, also use header text")
 		workers  = flag.Int("workers", 1, "parallel FD workers")
-		shards   = flag.Int("shards", 0, "signature shards of the concurrent FD closure (0 = autotune from -workers)")
 		budget   = flag.Int("budget", 0, "abort if the FD closure exceeds this many tuples (0 = unlimited)")
-		pivot    = flag.Bool("pivot", true, "bucket FD posting lists by each component's most selective column")
 		statsF   = flag.Bool("stats", false, "report per-component pivot columns, skipped candidates and value-assignment shape on stderr")
 		session  = flag.Bool("session", false, "integrate incrementally: add one file at a time to a persistent session")
 		stream   = flag.Bool("stream", false, "stream the result to stdout as JSON Lines, one component at a time")
@@ -129,14 +126,8 @@ func main() {
 	if *workers > 1 {
 		opts = append(opts, fuzzyfd.WithParallelFD(*workers))
 	}
-	if *shards > 0 {
-		opts = append(opts, fuzzyfd.WithFDShards(*shards))
-	}
 	if *budget > 0 {
 		opts = append(opts, fuzzyfd.WithTupleBudget(*budget))
-	}
-	if !*pivot {
-		opts = append(opts, fuzzyfd.WithPivotIndex(false))
 	}
 	// Always observe progress: -progress prints it live, and a canceled
 	// run reports how far it got either way.
@@ -345,8 +336,8 @@ func (p *progressTracker) reportPivot(res *fuzzyfd.Result) {
 		fmt.Fprintf(os.Stderr, "pivot: %d component(s) bucketed by column %q\n",
 			p.pivoted[c], res.Schema.Columns[c])
 	}
-	fmt.Fprintf(os.Stderr, "pivot: skipped %d candidate probes (%d buckets, %d minted during closure, %d components unbucketed)\n",
-		p.pivotSkipped, res.FDStats.PivotBuckets, res.FDStats.PivotMinted, p.unbucketed)
+	fmt.Fprintf(os.Stderr, "pivot: skipped %d candidate probes (%d buckets, %d components unbucketed)\n",
+		p.pivotSkipped, res.FDStats.PivotBuckets, p.unbucketed)
 }
 
 // reportCanceled prints how far the integration got before cancellation.

@@ -45,7 +45,6 @@ func integrationVariants() map[string][]Option {
 	return map[string][]Option{
 		"fuzzy":            nil,
 		"equi":             {WithEquiJoin()},
-		"fuzzy-flat":       {WithPartitioning(false)},
 		"equi-par4":        {WithEquiJoin(), WithParallelFD(4)},
 		"fuzzy-par4":       {WithParallelFD(4)},
 		"greedy-alignment": {WithGreedyAssignment()},

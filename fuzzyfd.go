@@ -76,7 +76,11 @@ type (
 	TID = fd.TID
 	// Result is an integration result: the integrated table, per-row
 	// provenance, value clusters, statistics, and per-phase timings.
-	// Result.Rows iterates rows with provenance as an iter.Seq2.
+	// Result.Rows iterates rows with provenance as an iter.Seq2. A Result
+	// returned by a Session is read-only: its rows and provenance lists are
+	// shared with the session's cached output and with later Results, so
+	// editing a cell in place corrupts every later integration — copy rows
+	// you need to change. A one-shot Integrate Result is the caller's own.
 	Result = core.Result
 	// ValueCluster is one set of matched values with its representative.
 	ValueCluster = match.Cluster
@@ -239,73 +243,22 @@ func WithContentAlignment(useHeaders bool) Option {
 
 // WithParallelFD computes the Full Disjunction with the given number of
 // workers. Components of the integration graph small enough that closure
-// is cheaper than scheduling run inline, mid-sized components are closed
-// whole across workers, and a hub component dominating the input — common
-// on data-lake workloads, where one component can hold most of the closure
-// work — is closed with every worker inside it. Full closures of pivoted
-// components use a pivot-partitioned engine: disjoint per-pivot-value
-// groups close independently with group-local indexes and no shared
-// mutable state, so it beats the sequential engine even on one core
-// (no cross-group pairs, no shared indexes) and scales across cores.
-// Incremental re-closure of a hub inside a Session extends the cached
-// closure in place sequentially when the delta is small, and uses a
-// work-stealing concurrent engine (sharded signature index, per-worker
-// deques, lock-free candidate generation) when it is large. Results are
-// byte-identical to the sequential engine for any worker count.
+// is cheaper than scheduling run inline and the rest are closed whole across
+// workers. One case puts every worker inside a single component: a hub —
+// common on data-lake workloads, where one component can hold most of the
+// closure work — that closes from scratch, has at least 512 tuples, holds
+// at least half of the tuples being closed, and has a selective (key-like)
+// column. It is split by that column's values into groups that close
+// independently, with group-local indexes and no shared mutable state.
+// Everything else is closed exactly as without this option; in particular a
+// Session extends a cached closure in place, sequentially, whatever the
+// size of the delta. Results are byte-identical for any worker count.
 func WithParallelFD(workers int) Option {
 	return func(o *options) error {
 		if workers < 1 {
 			return fmt.Errorf("fuzzyfd: workers %d < 1", workers)
 		}
 		o.cfg.FD.Workers = workers
-		return nil
-	}
-}
-
-// WithFDShards sets the shard count of the work-stealing closure's
-// signature index — the structure workers probe to deduplicate produced
-// tuples during incremental re-closure (full closures use the
-// pivot-partitioned engine, which has no shared index to shard). More
-// shards mean less lock contention and more (small) maps; the default,
-// autotuned from the worker count (8 shards per worker, bounded), is right
-// unless profiling shows shard-lock contention on very wide machines.
-// Rounded up to a power of two. Only takes effect with WithParallelFD.
-func WithFDShards(n int) Option {
-	return func(o *options) error {
-		if n < 1 {
-			return fmt.Errorf("fuzzyfd: shards %d < 1", n)
-		}
-		o.cfg.FD.Shards = n
-		return nil
-	}
-}
-
-// WithPartitioning toggles connected-component partitioning of the Full
-// Disjunction (on by default): the outer union splits into independent
-// components that are closed and subsumption-reduced separately — and, with
-// WithParallelFD, scheduled whole across workers. Disabling it forces the
-// flat global closure; results are identical either way, so the switch
-// exists for ablation and benchmarking.
-func WithPartitioning(on bool) Option {
-	return func(o *options) error {
-		o.cfg.FD.NoPartition = !on
-		return nil
-	}
-}
-
-// WithPivotIndex toggles pivot-bucketed posting lists in the Full
-// Disjunction closure (on by default): each connected component's posting
-// lists are sub-bucketed by the component's most selective column — its
-// pivot, chosen from per-column distinct-value statistics at seeding — so
-// complementation candidates that conflict on that column are skipped
-// without being iterated. On key-shaped components this cuts merge
-// attempts by an order of magnitude; results are byte-identical either
-// way. Disable it for ablation, or on uniformly unselective schemas (no
-// key-like column anywhere) where the bucket bookkeeping cannot pay for
-// itself.
-func WithPivotIndex(on bool) Option {
-	return func(o *options) error {
-		o.cfg.FD.NoPivot = !on
 		return nil
 	}
 }

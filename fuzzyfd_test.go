@@ -86,9 +86,6 @@ func TestOptionErrors(t *testing.T) {
 	if _, err := Integrate(covidTables(), WithParallelFD(0)); err == nil {
 		t.Error("zero workers accepted")
 	}
-	if _, err := Integrate(covidTables(), WithFDShards(0)); err == nil {
-		t.Error("zero shards accepted")
-	}
 	if _, err := Integrate(nil); err == nil {
 		t.Error("empty integration set accepted")
 	}
@@ -214,26 +211,6 @@ func TestModels(t *testing.T) {
 	ms := Models()
 	if len(ms) != 5 || ms[0] != ModelFastText || ms[4] != ModelMistral {
 		t.Errorf("Models()=%v", ms)
-	}
-}
-
-func TestWithPartitioningEquivalence(t *testing.T) {
-	part, err := Integrate(covidTables(), WithPartitioning(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Integrate(covidTables(), WithPartitioning(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !part.Table.Equal(flat.Table) {
-		t.Error("partitioned and flat engines disagree")
-	}
-	if part.FDStats.Components == 0 {
-		t.Errorf("partitioned run reported no components: %+v", part.FDStats)
-	}
-	if flat.FDStats.Components != 0 {
-		t.Errorf("flat run reported components: %+v", flat.FDStats)
 	}
 }
 

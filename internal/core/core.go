@@ -156,7 +156,9 @@ type Timings struct {
 	Total time.Duration
 }
 
-// Result is the integrated table with provenance and diagnostics.
+// Result is the integrated table with provenance and diagnostics. The rows
+// and provenance lists of a Session's Result are shared with the session's
+// cached output and with later Results: treat them as read-only.
 type Result struct {
 	Table  *table.Table
 	Prov   [][]fd.TID

@@ -26,61 +26,6 @@ func BenchmarkFullDisjunctionIMDB(b *testing.B) {
 	}
 }
 
-// BenchmarkClosureEngines compares the component-partitioned closure
-// against the flat global closure (NoPartition), sequentially and with
-// component-level parallelism — the ablation of the engine's partitioning
-// layer. Both paths run on interned symbols; the partitioned path
-// additionally pays the union-find prepass and wins it back by skipping
-// cross-component candidate probing and shrinking subsumption to
-// per-component scope.
-func BenchmarkClosureEngines(b *testing.B) {
-	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 3000})
-	schema := fd.IdentitySchema(tables)
-	for _, cfg := range []struct {
-		name string
-		opts fd.Options
-	}{
-		{"flat", fd.Options{NoPartition: true}},
-		{"flat-par4", fd.Options{NoPartition: true, Workers: 4}},
-		{"partitioned", fd.Options{}},
-		{"partitioned-par4", fd.Options{Workers: 4}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := fd.FullDisjunction(tables, schema, cfg.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkIteratorVsBatch(b *testing.B) {
-	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 2000})
-	schema := fd.IdentitySchema(tables)
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fd.FullDisjunction(tables, schema, fd.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("iterator-first-100", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			it, err := fd.NewIterator(tables, schema, fd.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for n := 0; n < 100; n++ {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-			}
-		}
-	})
-}
-
 func BenchmarkOperators(b *testing.B) {
 	bench := datagen.EMBench(datagen.EMConfig{Seed: 42, Entities: 100})
 	schema := fd.IdentitySchema(bench.Tables)

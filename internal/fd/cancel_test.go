@@ -55,15 +55,10 @@ var cancelVariants = []struct {
 	{"partitioned", Options{}},
 	{"partitioned-nopivot", Options{NoPivot: true}},
 	{"partitioned-steal4", Options{Workers: 4}},
-	{"partitioned-round4", Options{Workers: 4, RoundParallel: true}},
-	{"flat", Options{NoPartition: true}},
-	{"flat-steal4", Options{NoPartition: true, Workers: 4}},
-	{"flat-steal4-nopivot", Options{NoPartition: true, Workers: 4, NoPivot: true}},
-	{"flat-round4", Options{NoPartition: true, Workers: 4, RoundParallel: true}},
 }
 
 // TestFullDisjunctionContextPreCanceled: a context dead on arrival fails
-// fast with ErrCanceled, before any closure work, for every engine.
+// fast with ErrCanceled, before any closure work, at every setting.
 func TestFullDisjunctionContextPreCanceled(t *testing.T) {
 	tables := fig1Tables()
 	schema := IdentitySchema(tables)
@@ -75,6 +70,18 @@ func TestFullDisjunctionContextPreCanceled(t *testing.T) {
 		} else if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancellation does not unwrap to context.Canceled: %v", v.name, err)
 		}
+	}
+}
+
+// A context canceled before a Workers > 1 closure of a single large
+// component starts surfaces as ErrCanceled, without deadlock.
+func TestConcurrentClosureCancel(t *testing.T) {
+	tables := chainTables(60)
+	schema := IdentitySchema(tables)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := FullDisjunctionContext(ctx, tables, schema, Options{Workers: 4}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
 
@@ -104,7 +111,7 @@ func TestCancellationInsideComponent(t *testing.T) {
 	for _, v := range cancelVariants {
 		t.Run(v.name, func(t *testing.T) {
 			// Let the entry and component-boundary checks pass (at most 3
-			// polls across the engines), then flip. Detection must then
+			// polls), then flip. Detection must then
 			// happen inside the component closure.
 			ctx := newFlipCtx(3)
 			_, err := FullDisjunctionContext(ctx, tables, schema, v.opts)
@@ -114,8 +121,7 @@ func TestCancellationInsideComponent(t *testing.T) {
 			// Bounded: after the flip every poll reports dead and each
 			// poller stops at its next poll, i.e. within cancelEvery
 			// expansions per worker. A run to fixpoint would need
-			// MergeAttempts/cancelEvery ≥ 10 further polls even in the
-			// sequential engine.
+			// MergeAttempts/cancelEvery ≥ 10 further polls.
 			calls := ctx.calls.Load()
 			limit := ctx.after + 3 + 2*int64(v.opts.Workers) // workers poll once each before stopping
 			if calls > limit {
@@ -130,7 +136,7 @@ func TestCancellationInsideComponent(t *testing.T) {
 
 // TestFullDisjunctionContextBackgroundIdentical: with a background context
 // the ctx path is byte-identical — tables and provenance — to the original
-// entry point, for every engine variant.
+// entry point, at every setting.
 func TestFullDisjunctionContextBackgroundIdentical(t *testing.T) {
 	for _, tables := range [][]*table.Table{fig1Tables(), chainTables(12)} {
 		schema := IdentitySchema(tables)
@@ -155,9 +161,7 @@ func TestFullDisjunctionContextBackgroundIdentical(t *testing.T) {
 // batch result — cancellation must not leave stale component caches
 // behind. The ingested delta survives: its dirty marks persist, so
 // recovery re-closes the affected components in place instead of dropping
-// the tuple store and rebuilding. Exercised for every closure engine: the
-// sequential worklist, the work-stealing engine, and the round-based
-// ablation all interrupt mid-closure and must leave the Index recoverable.
+// the tuple store and rebuilding — sequentially and under Workers > 1.
 func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 	tables := chainTables(40)
 	schema := IdentitySchema(tables)
@@ -168,7 +172,6 @@ func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 	}{
 		{"seq", Options{}},
 		{"steal4", Options{Workers: 4}},
-		{"round4", Options{Workers: 4, RoundParallel: true}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()
@@ -203,9 +206,8 @@ func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 // TestBudgetDeterministicAcrossWorkers: whether ErrTupleBudget fires
 // depends only on the closure's final size, never on the schedule — a
 // budget exactly at the closure size passes and one below it aborts, for
-// every engine and worker count. (Only distinct produced tuples reserve
-// budget; duplicate productions race-free dedup at the signature index, so
-// the reserved total is schedule-independent.)
+// every worker count. (Only distinct produced tuples reserve budget;
+// duplicate productions dedup at the signature index.)
 func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 	tables := chainTables(30)
 	schema := IdentitySchema(tables)
@@ -215,17 +217,15 @@ func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 	}
 	limit := ref.Stats.Closure
 	for _, workers := range []int{1, 2, 8} {
-		for _, round := range []bool{false, true} {
-			opts := Options{Workers: workers, RoundParallel: round}
-			for trial := 0; trial < 2; trial++ {
-				opts.MaxTuples = limit
-				if _, err := FullDisjunction(tables, schema, opts); err != nil {
-					t.Fatalf("workers=%d round=%v: budget at the limit failed: %v", workers, round, err)
-				}
-				opts.MaxTuples = limit - 1
-				if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
-					t.Fatalf("workers=%d round=%v: budget below the limit returned %v", workers, round, err)
-				}
+		opts := Options{Workers: workers}
+		for trial := 0; trial < 2; trial++ {
+			opts.MaxTuples = limit
+			if _, err := FullDisjunction(tables, schema, opts); err != nil {
+				t.Fatalf("workers=%d: budget at the limit failed: %v", workers, err)
+			}
+			opts.MaxTuples = limit - 1
+			if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+				t.Fatalf("workers=%d: budget below the limit returned %v", workers, err)
 			}
 		}
 	}
@@ -233,7 +233,7 @@ func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 
 // TestIndexBudgetAbortRecoversAcrossWorkers: a budget-aborted concurrent
 // Update must leave the Index recoverable — the retry without a budget is
-// byte-identical to the batch result for every engine.
+// byte-identical to the batch result at every worker count.
 func TestIndexBudgetAbortRecoversAcrossWorkers(t *testing.T) {
 	tables := chainTables(40)
 	schema := IdentitySchema(tables)
@@ -247,7 +247,6 @@ func TestIndexBudgetAbortRecoversAcrossWorkers(t *testing.T) {
 	}{
 		{"steal4", Options{Workers: 4}},
 		{"steal8", Options{Workers: 8}},
-		{"round4", Options{Workers: 4, RoundParallel: true}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()

@@ -2,8 +2,6 @@ package fd
 
 import (
 	"context"
-	"sort"
-	"sync"
 
 	"fuzzyfd/internal/intern"
 )
@@ -64,12 +62,7 @@ type postingIndex struct {
 	// below pivotMinTuples would stay unbucketed for life — so once the
 	// store has doubled the pivot is chosen again (see rechoosePivot).
 	pivotAt int
-	// sealed marks the end of seeding; buckets minted past this point were
-	// created by merged tuples carrying (list, pivot) pairs no seed tuple
-	// had. buckets counts all buckets, minted only the post-seal ones.
-	sealed  bool
-	buckets int
-	minted  int
+	buckets int // (list, pivot-value) buckets in byPivot
 }
 
 func newPostingIndex(nCols int) *postingIndex {
@@ -109,9 +102,6 @@ func (idx *postingIndex) add(tupleID int, cells []uint32) {
 			l, ok := idx.byPivot[c][key]
 			if !ok {
 				idx.buckets++
-				if idx.sealed {
-					idx.minted++
-				}
 			}
 			idx.byPivot[c][key] = append(l, tupleID)
 		}
@@ -255,7 +245,7 @@ const pivotMinTuples = 32
 // bucket (the column's null count) — or -1 when no column's estimated
 // cost beats half of scanning the store, i.e. the schema is uniformly
 // unselective and bucketing would only add overhead. Deterministic:
-// depends only on the seed tuples' cells, so every engine variant picks
+// depends only on the seed tuples' cells, so every run picks
 // the same pivot for the same component.
 func choosePivot(tuples []Tuple, nCols int) int {
 	n := len(tuples)
@@ -305,8 +295,8 @@ func pivotFor(opts Options, tuples []Tuple, nCols int) int {
 
 // closure is the mutable state of one complementation run: the growing
 // tuple store with its signature and posting indexes, plus the (possibly
-// shared) tuple budget. A closure covers either the whole outer union
-// (Options.NoPartition) or a single connected component.
+// shared) tuple budget. A closure covers a single connected component (or,
+// inside the pivot-partitioned hub closure, its null-pivot tuples).
 type closure struct {
 	eng    *engine
 	tuples []Tuple
@@ -363,21 +353,8 @@ func newClosure(eng *engine, tuples []Tuple, sigs *sigIndex, bud *budget, pivot 
 	for i := range tuples {
 		idx.add(i, tuples[i].Cells)
 	}
-	idx.sealed = true
 	idx.pivotAt = len(tuples)
 	return &closure{eng: eng, tuples: tuples, sigs: sigs, idx: idx, bud: bud}
-}
-
-// newComponentClosure copies one component into a fresh store with local
-// tuple IDs and a local signature index.
-func newComponentClosure(eng *engine, comp []Tuple, bud *budget, pivot int) *closure {
-	tuples := make([]Tuple, len(comp))
-	copy(tuples, comp)
-	sigs := newSigIndex()
-	for i := range tuples {
-		sigs.add(tuples[i].Cells, i)
-	}
-	return newClosure(eng, tuples, sigs, bud, pivot)
 }
 
 // run closes the store under pairwise complementation using a worklist. New
@@ -414,7 +391,7 @@ func (c *closure) runFrom(ctx context.Context, work []int, stats *Stats) error {
 	var stopErr error
 	chk := cancelCheck{ctx: ctx}
 	mbuf := make([]uint32, 0, c.eng.nCols)
-	skipped, minted0 := 0, c.idx.minted
+	skipped := 0
 	var newIDs []int
 
 	for len(queue) > 0 && stopErr == nil {
@@ -459,121 +436,5 @@ func (c *closure) runFrom(ctx context.Context, work []int, stats *Stats) error {
 	scr.queue = queue[:0]
 	scr.once.end(len(c.tuples))
 	stats.PivotSkipped += skipped
-	stats.PivotMinted += c.idx.minted - minted0
 	return stopErr
-}
-
-// runParallel is the round-based parallel closure (after Paganelli et al.),
-// kept as the Options.RoundParallel ablation of the work-stealing engine
-// in concurrent.go: each round, a frontier of unprocessed tuples is
-// partitioned across workers that read a shared snapshot of the store and
-// emit merge proposals; the coordinator then applies proposals in
-// deterministic (value) order and builds the next frontier. The final
-// closure is identical to run's. A non-nil work slice seeds the first
-// frontier (the incremental re-closure path); nil starts from the whole
-// store. Each worker polls the context every cancelEvery expansions and
-// the coordinator checks it per round; on cancellation the partial round
-// is discarded and an ErrCanceled-marked error returned.
-func (c *closure) runParallel(ctx context.Context, workers int, work []int, stats *Stats) error {
-	if len(c.tuples) > 0 {
-		if err := c.bud.check(); err != nil {
-			return err
-		}
-	}
-	var frontier []int
-	if work == nil {
-		frontier = make([]int, len(c.tuples))
-		for i := range frontier {
-			frontier[i] = i
-		}
-	} else {
-		frontier = append(make([]int, 0, len(work)), work...)
-	}
-
-	type proposal struct {
-		cells []uint32
-		prov  []TID
-	}
-	minted0 := c.idx.minted
-
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			return Canceled(err)
-		}
-		w := workers
-		if w > len(frontier) {
-			w = len(frontier)
-		}
-		results := make([][]proposal, w)
-		attempts := make([]int, w)
-		skips := make([]int, w)
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				var scratch stampSet
-				var out []proposal
-				chk := cancelCheck{ctx: ctx, left: cancelEvery}
-				canceled := false
-				mbuf := make([]uint32, 0, c.eng.nCols)
-				for fi := wi; fi < len(frontier) && !canceled; fi += w {
-					i := frontier[fi]
-					scratch.next(len(c.tuples))
-					skips[wi] += c.idx.candidates(i, c.tuples[i].Cells, &scratch, func(j int) {
-						if canceled || chk.poll() != nil {
-							canceled = true
-							return
-						}
-						attempts[wi]++
-						merged, ok := tryMergeInto(mbuf, c.tuples[i].Cells, c.tuples[j].Cells)
-						if !ok {
-							return
-						}
-						mbuf = merged
-						out = append(out, proposal{
-							cells: cloneCells(merged),
-							prov:  mergeProv(c.tuples[i].Prov, c.tuples[j].Prov),
-						})
-					})
-				}
-				results[wi] = out
-			}(wi)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return Canceled(err)
-		}
-
-		var all []proposal
-		for wi, r := range results {
-			stats.MergeAttempts += attempts[wi]
-			stats.PivotSkipped += skips[wi]
-			all = append(all, r...)
-		}
-		// Deterministic apply order regardless of worker scheduling.
-		sort.Slice(all, func(a, b int) bool { return c.eng.lessCells(all[a].cells, all[b].cells) })
-
-		frontier = frontier[:0]
-		for _, p := range all {
-			at, hash, exists := c.sigs.find(p.cells, c.tuples)
-			if exists {
-				if !provContains(c.tuples[at].Prov, p.prov) {
-					c.tuples[at].Prov = mergeProv(c.tuples[at].Prov, p.prov)
-				}
-				continue
-			}
-			stats.Merges++
-			id := len(c.tuples)
-			c.sigs.addHashed(hash, id)
-			c.tuples = append(c.tuples, Tuple{Cells: p.cells, Prov: p.prov})
-			c.idx.add(id, p.cells)
-			frontier = append(frontier, id)
-			if err := c.bud.add(1); err != nil {
-				return err
-			}
-		}
-	}
-	stats.PivotMinted += c.idx.minted - minted0
-	return nil
 }

@@ -13,8 +13,8 @@ import (
 
 // Engine-equivalence coverage on realistic integration sets: the interned,
 // partitioned engine (sequential and component-parallel) must be
-// byte-identical — tables and provenance — to the flat global closure on
-// the datagen workloads, across seeds. The definitional-oracle comparison
+// byte-identical — tables and provenance — to the flat reference closure
+// (fd.FlatReference) on the datagen workloads, across seeds. The definitional-oracle comparison
 // lives in partition_test.go (the oracle caps at 16 outer-union tuples, so
 // it runs on small random sets); these tests cover the scale the oracle
 // cannot.
@@ -39,7 +39,7 @@ func truncated(tables []*table.Table, nBatches, k int) []*table.Table {
 func TestIndexIncrementalMatchesBatch(t *testing.T) {
 	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 1200})
 	const nBatches = 4
-	for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}, {Workers: 4, RoundParallel: true}} {
+	for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}} {
 		x := fd.NewIndex()
 		for k := 1; k <= nBatches; k++ {
 			view := truncated(tables, nBatches, k)
@@ -94,11 +94,11 @@ func TestEnginesAgreeOnDatagenSets(t *testing.T) {
 		for _, seed := range []int64{1, 7, 42} {
 			tables := g.tables(seed)
 			schema := fd.IdentitySchema(tables)
-			ref, err := fd.FullDisjunction(tables, schema, fd.Options{NoPartition: true})
+			ref, err := fd.FlatReference(tables, schema)
 			if err != nil {
 				t.Fatalf("%s seed %d flat: %v", g.name, seed, err)
 			}
-			for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}, {Workers: 4, NoPivot: true}, {Workers: 8, Shards: 8}, {Workers: 4, RoundParallel: true}} {
+			for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}, {Workers: 4, NoPivot: true}, {Workers: 8}} {
 				got, err := fd.FullDisjunction(tables, schema, opts)
 				if err != nil {
 					t.Fatalf("%s seed %d opts %+v: %v", g.name, seed, opts, err)
@@ -120,8 +120,8 @@ func TestEnginesAgreeOnDatagenSets(t *testing.T) {
 // TestPivotMatchesUnbucketedOnSkewed pins the pivot index's byte-identity
 // on the workload built to stress it: the skewed catalog's dominant
 // category chains most rows into one hub whose pivot is the itemID
-// column, and category rows (no itemID) force live bucket minting in
-// every engine. All engine variants must match the unbucketed closure
+// column, and category rows (no itemID) carry (list, pivot) pairs no seed
+// tuple had. Every Workers setting must match the unbucketed closure
 // exactly — tables and provenance.
 func TestPivotMatchesUnbucketedOnSkewed(t *testing.T) {
 	for _, seed := range []int64{3, 21} {
@@ -131,7 +131,7 @@ func TestPivotMatchesUnbucketedOnSkewed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d flat: %v", seed, err)
 		}
-		for _, opts := range []fd.Options{{}, {Workers: 4}, {Workers: 8}, {Workers: 4, RoundParallel: true}} {
+		for _, opts := range []fd.Options{{}, {Workers: 4}, {Workers: 8}} {
 			got, err := fd.FullDisjunction(tables, schema, opts)
 			if err != nil {
 				t.Fatalf("seed %d opts %+v: %v", seed, opts, err)
@@ -146,9 +146,8 @@ func TestPivotMatchesUnbucketedOnSkewed(t *testing.T) {
 			if st.PivotColumn != schemaColumn(schema, "itemID") {
 				t.Errorf("seed %d opts %+v: pivot column %d, want itemID", seed, opts, st.PivotColumn)
 			}
-			if st.PivotSkipped == 0 || st.PivotMinted == 0 {
-				t.Errorf("seed %d opts %+v: pivot did no work (skipped=%d minted=%d)",
-					seed, opts, st.PivotSkipped, st.PivotMinted)
+			if st.PivotSkipped == 0 {
+				t.Errorf("seed %d opts %+v: pivot skipped no candidates", seed, opts)
 			}
 		}
 	}

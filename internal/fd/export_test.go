@@ -1,6 +1,10 @@
 package fd
 
-import "fuzzyfd/internal/table"
+import (
+	"context"
+
+	"fuzzyfd/internal/table"
+)
 
 // Test-only exports. datagen imports fd, so benchmarks that combine the
 // two live in package fd_test and reach the engine internals they need
@@ -14,7 +18,7 @@ const HubMinTuples = hubMinTuples
 // the integration set as a standalone table — the hub-closure benchmark
 // fixture.
 func ExtractLargestComponent(tables []*table.Table, schema Schema) *table.Table {
-	eng, base, _ := outerUnion(tables, schema)
+	eng, base := outerUnion(tables, schema)
 	comps := eng.partition(base)
 	var hub []Tuple
 	for _, c := range comps {
@@ -27,4 +31,25 @@ func ExtractLargestComponent(tables []*table.Table, schema Schema) *table.Table 
 		out.Rows = append(out.Rows, eng.decodeRow(tp.Cells))
 	}
 	return out
+}
+
+// FlatReference computes the Full Disjunction without the partitioner: one
+// sequential, unbucketed worklist closure over the whole outer union, then
+// global subsumption. It is the independent reference for the partitioner's
+// confinement argument on inputs too large for NaiveFD.
+func FlatReference(tables []*table.Table, schema Schema) (*Result, error) {
+	if err := schema.Validate(tables); err != nil {
+		return nil, err
+	}
+	eng, tuples := outerUnion(tables, schema)
+	sigs := newSigIndex()
+	for i := range tuples {
+		sigs.add(tuples[i].Cells, i)
+	}
+	cl := newClosure(eng, tuples, sigs, nil, -1)
+	var stats Stats
+	if err := cl.run(context.Background(), &stats); err != nil {
+		return nil, err
+	}
+	return eng.materialize(eng.subsume(cl.tuples), schema, stats), nil
 }

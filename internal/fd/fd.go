@@ -18,21 +18,23 @@
 //     — runs on integer compares and FNV-1a hashes over symbol slices.
 //     Strings are decoded back only when the result table is materialized.
 //   - The outer union is split into connected components of the
-//     shares-an-equal-non-null-value graph (union-find over the posting
-//     lists). No complementation merge and no subsumption (bar the all-null
-//     tuple, handled globally) crosses a component boundary, so each
-//     component is closed and subsumption-reduced independently. With
-//     Options.Workers > 1, components are scheduled by size: tiny ones
-//     close inline, mid-sized ones are scheduled whole across workers, and
-//     a hub component dominating the input (or a single-component input)
-//     is closed with every worker inside it — by the pivot-partitioned
-//     engine (pivotpar.go) when the whole component closes from scratch and
-//     has a pivot column, otherwise (a large partial worklist, no pivot) by
-//     the work-stealing concurrent engine (concurrent.go); a cached hub with
-//     fewer than hubMinTuples tuples to expand is extended in place by the
-//     sequential engine instead — the parallel engines would copy and
-//     re-index its whole store. Options.RoundParallel swaps in the
-//     round-based closure (Paganelli et al. 2019 style) as an ablation.
+//     mergeable-pair graph (partition.go). No complementation merge and no
+//     subsumption (bar the all-null tuple, handled globally) crosses a
+//     component boundary, so each component is closed and
+//     subsumption-reduced independently.
+//   - There is one closure: the sequential worklist (closure.runFrom),
+//     which tries each unordered candidate pair once over pivot-bucketed
+//     posting lists. With Options.Workers > 1 components are scheduled by
+//     size — tiny ones close inline, the rest are scheduled whole across
+//     workers — and one rule decides the only other way a component is
+//     closed: a component closing from scratch (no cached closure to
+//     extend) with at least hubMinTuples tuples, holding at least half of
+//     the round's tuples (or alone in it), for which choosePivot finds a
+//     pivot column, is closed with every worker inside it by
+//     closePivotPar (pivotpar.go) — the same worklist loop, run once per
+//     disjoint pivot-value group. Everything else, at any Workers setting
+//     — every cached closure being extended, every component without a
+//     pivot — is closed by that one loop, in place.
 //   - A session (Index) keeps every component's closure between updates
 //     and makes an update cost what its delta costs. A dirty component is
 //     re-closed through one seeding path (Index.seed): the cached closure
@@ -74,8 +76,7 @@ func (t TID) String() string { return fmt.Sprintf("t%d.%d", t.Table, t.Row) }
 
 // Tuple is one (possibly merged) tuple over the integrated schema. Cells
 // are interned symbols from the computation's dictionary; intern.Null marks
-// a null cell. Decode symbols with the owning engine (Iterator.Decode for
-// streamed tuples).
+// a null cell; the engine that produced a tuple decodes it.
 type Tuple struct {
 	Cells []uint32
 	Prov  []TID // sorted, unique
@@ -96,8 +97,8 @@ type engine struct {
 
 // lessCells orders tuples by cell values — null before any value, values by
 // string order, cell by cell. This is the canonical output order: it is
-// independent of symbol assignment, so every engine variant sorts results
-// identically.
+// independent of symbol assignment, so one-shot and incremental runs sort
+// results identically.
 func (e *engine) lessCells(a, b []uint32) bool {
 	for i := range a {
 		if a[i] != b[i] {
@@ -208,21 +209,15 @@ func (s Schema) Validate(tables []*table.Table) error {
 // Options tunes the Full Disjunction computation.
 type Options struct {
 	// Workers > 1 closes connected components concurrently: components
-	// below a size threshold run inline, mid-sized ones are scheduled
-	// whole across workers, and a hub component that dominates the input
-	// (or a single-component input) is closed with all workers inside it
-	// by the pivot-partitioned engine (pivotpar.go) or, for a partial
-	// worklist or a component without a pivot, the work-stealing engine
-	// (concurrent.go) — except that a small delta into a cached hub is
-	// extended in place sequentially. 0 or 1 runs sequentially.
+	// below a size threshold run inline, the rest are scheduled whole across
+	// workers, and a hub — a component closing from scratch with at least
+	// hubMinTuples tuples that holds at least half of the round's tuples
+	// (or is alone) and has a pivot column — is closed with all workers
+	// inside it, one pivot-value group at a time (pivotpar.go). A cached
+	// closure being extended and a component without a pivot are closed
+	// sequentially, in place, exactly as with Workers <= 1. 0 or 1 runs
+	// sequentially. Output is byte-identical at every setting.
 	Workers int
-	// Shards sets the signature-index shard count of the work-stealing
-	// closure (rounded up to a power of two). 0 autotunes from Workers.
-	Shards int
-	// RoundParallel replaces the work-stealing intra-component engine with
-	// the round-based parallel closure (Paganelli et al. 2019 style) — the
-	// ablation baseline. Results are identical; only the schedule differs.
-	RoundParallel bool
 	// MaxTuples aborts the computation if the closure exceeds this many
 	// tuples (a safety valve against pathological join blowup). 0 means
 	// unlimited.
@@ -234,21 +229,16 @@ type Options struct {
 	// linear model (dictionary bytes plus a per-tuple constant scaled by
 	// schema width), cheap enough for the same shared atomic counter the
 	// tuple budget uses; treat it as a resource ceiling, not allocator
-	// accounting. 0 means unlimited. The flat NoPartition ablation engines
-	// enforce only MaxTuples.
+	// accounting. 0 means unlimited.
 	MaxBytes int64
-	// NoPartition disables connected-component partitioning and closes the
-	// outer union globally — the pre-partitioned engine, kept as an
-	// equivalence baseline and ablation. Partitioning is on by default.
-	NoPartition bool
 	// NoPivot disables pivot-bucketed posting lists and scans flat posting
 	// lists during the closure — the unbucketed path, kept as an ablation.
 	// The pivot index is on by default: each component's posting lists are
 	// sub-bucketed by its most selective column (see choosePivot), so
 	// candidates that conflict on that column are skipped without being
-	// iterated. Output is byte-identical either way; disable it on
-	// uniformly unselective schemas where no column qualifies as a pivot
-	// and the bucket bookkeeping is pure overhead.
+	// iterated. Output is byte-identical either way; choosePivot already
+	// declines to bucket a uniformly unselective component, so this switch
+	// exists for measuring what the index saves, not for tuning.
 	NoPivot bool
 	// Progress, when non-nil, is called once per closed component, always
 	// from the assembling goroutine (never concurrently), in completion
@@ -312,23 +302,20 @@ type Stats struct {
 	OuterUnion        int   // tuples after outer union + dedup
 	Values            int   // distinct non-null cell values in the dictionary
 	ReusedValues      int   // distinct new-row values already interned by earlier runs (0 for one-shot)
-	Components        int   // connected components of the outer union (0 with NoPartition)
-	DirtyComponents   int   // components (re)closed this run (= Components for one-shot partitioned runs)
+	Components        int   // connected components of the outer union
+	DirtyComponents   int   // components (re)closed this run (= Components for one-shot runs)
 	LargestComp       int   // outer-union tuples in the largest component
-	LargestClose      int   // closure tuples of the largest component (0 with NoPartition)
+	LargestClose      int   // closure tuples of the largest component
 	Merges            int   // successful complementation merges this run
-	MergeAttempts     int   // candidate pairs tested this run: unordered pairs in the sequential engine, which tries each once; schedule-dependent under Workers > 1
+	MergeAttempts     int   // candidate pairs tested this run; each unordered pair is tried once, at any Workers setting
 	Closure           int   // tuples after complementation closure
-	ReclosedTuples    int   // closure tuples of the components (re)closed this run (= Closure for one-shot partitioned runs)
+	ReclosedTuples    int   // closure tuples of the components (re)closed this run (= Closure for one-shot runs)
 	SeedReusedTuples  int   // closure tuples seeded from previous runs instead of re-derived (incremental re-closure)
 	SeedIndexedTuples int   // tuples hashed or posted while seeding re-closures: the delta and absorbed smaller closures, not the stores extended in place
-	StolenBatches     int   // work-stealing engine: deque batches stolen by idle workers
-	Shards            int   // signature shards of the work-stealing engine (0 when it did not run)
 	PivotColumn       int   // pivot column of the largest component (re)closed this run; -1 when it ran unbucketed
-	PivotGroups       int   // disjoint pivot-value groups closed by the pivot-partitioned hub engine (0 when it did not run)
+	PivotGroups       int   // disjoint pivot-value groups hubs were closed by (closePivotPar; 0 when no component was)
 	PivotSkipped      int   // candidate iterations skipped by pivot bucketing this run
 	PivotBuckets      int   // (list, pivot-value) buckets across the posting indexes built or extended this run
-	PivotMinted       int   // buckets minted mid-closure by merged tuples carrying (list, pivot) pairs absent at seeding
 	MemoryBytes       int64 // estimated peak resident bytes under the budget's linear model (0 when no budget was set)
 	Subsumed          int   // tuples removed by subsumption
 	PendingWaits      int   // times an incremental Update waited on components claimed by concurrent Updates (0 for one-shot runs and disjoint concurrent Updates)
@@ -338,18 +325,13 @@ type Stats struct {
 }
 
 // mergeWork folds another run's work counters into s — the per-component
-// counters the closure engines report back through the assembler.
+// counters the closures report back through the assembler.
 func (s *Stats) mergeWork(r Stats) {
 	s.Merges += r.Merges
 	s.MergeAttempts += r.MergeAttempts
-	s.StolenBatches += r.StolenBatches
 	s.PivotGroups += r.PivotGroups
 	s.PivotSkipped += r.PivotSkipped
 	s.PivotBuckets += r.PivotBuckets
-	s.PivotMinted += r.PivotMinted
-	if r.Shards > s.Shards {
-		s.Shards = r.Shards
-	}
 }
 
 // Result is an integrated table plus per-row provenance and statistics.
@@ -385,66 +367,18 @@ func FullDisjunctionContext(ctx context.Context, tables []*table.Table, schema S
 		stats.InputTuples += len(t.Rows)
 	}
 
-	eng, tuples, sigs := outerUnion(tables, schema)
+	eng, tuples := outerUnion(tables, schema)
 	stats.OuterUnion = len(tuples)
 	stats.Values = eng.dict.Len()
 	bud := newBudget(opts, len(tuples), eng)
 
-	var kept []Tuple
-	if opts.NoPartition {
-		pivot := pivotFor(opts, tuples, eng.nCols)
-		var closed []Tuple
-		var closedIdx *postingIndex
-		switch {
-		case opts.Workers > 1 && !opts.RoundParallel && pivot >= 0:
-			var err error
-			closed, err = closePivotPar(ctx, eng, tuples, pivot, opts.Workers, bud, &stats)
-			if err != nil {
-				return nil, err
-			}
-		case opts.Workers > 1 && !opts.RoundParallel:
-			var err error
-			closed, err = closeConcurrent(ctx, eng, tuples, nil, opts.Workers, resolveShards(opts), pivot, bud, &stats)
-			if err != nil {
-				return nil, err
-			}
-		case opts.Workers > 1:
-			cl := newClosure(eng, tuples, sigs, bud, pivot)
-			if err := cl.runParallel(ctx, opts.Workers, nil, &stats); err != nil {
-				return nil, err
-			}
-			closed, closedIdx = cl.tuples, cl.idx
-			stats.PivotColumn, stats.PivotBuckets = cl.idx.pivot, cl.idx.buckets
-		default:
-			cl := newClosure(eng, tuples, sigs, bud, pivot)
-			if err := cl.run(ctx, &stats); err != nil {
-				return nil, err
-			}
-			closed, closedIdx = cl.tuples, cl.idx
-			stats.PivotColumn, stats.PivotBuckets = cl.idx.pivot, cl.idx.buckets
-		}
-		stats.Closure = len(closed)
-		subWorkers := opts.Workers
-		if subWorkers < 1 || opts.RoundParallel {
-			subWorkers = 1
-		}
-		kept, _ = eng.subsumeIncremental(closed, closedIdx, subCache{}, subWorkers)
-		if opts.Progress != nil {
-			opts.Progress(ComponentProgress{
-				Done: 1, Total: 1, Members: stats.OuterUnion, Closure: stats.Closure,
-				PivotColumn: stats.PivotColumn, PivotSkipped: stats.PivotSkipped,
-			})
-		}
-	} else {
-		comps := eng.partition(tuples)
-		stats.Components = len(comps)
-		var err error
-		kept, err = eng.closeComponents(ctx, comps, opts, bud, &stats)
-		if err != nil {
-			return nil, err
-		}
-		kept = eng.foldAllNull(kept)
+	comps := eng.partition(tuples)
+	stats.Components = len(comps)
+	kept, err := eng.closeComponents(ctx, comps, opts, bud, &stats)
+	if err != nil {
+		return nil, err
 	}
+	kept = eng.foldAllNull(kept)
 	stats.Subsumed = stats.Closure - len(kept)
 	stats.MemoryBytes = bud.bytes()
 
@@ -455,7 +389,7 @@ func FullDisjunctionContext(ctx context.Context, tables []*table.Table, schema S
 // outerUnion projects every input row onto the integrated schema, interning
 // each distinct cell value into a fresh dictionary, and deduplicates by
 // cell signature, unioning provenance.
-func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple, *sigIndex) {
+func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
 	dict := intern.NewDict()
 	eng := &engine{nCols: len(schema.Columns)}
 	var tuples []Tuple
@@ -481,7 +415,7 @@ func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple, *sigInd
 	// Interning is complete: closures never mint symbols (merged cells reuse
 	// existing ones), so the engine freezes the dictionary here.
 	eng.dict = dict.Snapshot()
-	return eng, tuples, sigs
+	return eng, tuples
 }
 
 // mergeProv unions two sorted TID slices.
@@ -545,8 +479,8 @@ func tryMerge(a, b []uint32) ([]uint32, bool) {
 	return tryMergeInto(nil, a, b)
 }
 
-// tryMergeInto is tryMerge writing into buf (grown as needed): the closure
-// engines reuse one buffer per worker, so the dominant duplicate
+// tryMergeInto is tryMerge writing into buf (grown as needed): closures
+// reuse one buffer per worker, so the dominant duplicate
 // productions — merges whose result already exists in the store — allocate
 // nothing. The result aliases buf; clone it before storing.
 func tryMergeInto(buf, a, b []uint32) ([]uint32, bool) {

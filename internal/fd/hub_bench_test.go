@@ -17,10 +17,10 @@ import (
 // the single dominant connected component. IMDB-shaped inputs put ~70% of
 // closure work into one hub component, so component-granularity scheduling
 // leaves workers idle exactly when it matters; this fixture extracts that
-// hub as a standalone single-component integration set and races the three
-// closure engines inside it (sequential worklist, round-based parallel,
-// pivot-partitioned parallel — what Workers > 1 runs for a full closure
-// with a pivot, which this fixture has).
+// hub as a standalone single-component integration set and races the
+// sequential worklist closure against its decomposition into pivot-value
+// groups — what Workers > 1 runs for a closure from scratch with a pivot,
+// which this fixture has.
 
 // hubTables extracts the largest connected component of an IMDB-shaped
 // workload with total input tuples, materialized as a one-table
@@ -32,15 +32,14 @@ func hubTables(total int) []*table.Table {
 
 // hubEngines are the engine variants the hub benchmark and BENCH_fd.json
 // sweep: the sequential baseline, its unbucketed ablation (the pivot
-// attempt-reduction gate compares the two), the round-based ablation, and
-// the pivot-partitioned engine across worker counts.
+// attempt-reduction gate compares the two), and the pivot-group closure
+// across worker counts.
 var hubEngines = []struct {
 	name string
 	opts fd.Options
 }{
 	{"seq", fd.Options{}},
 	{"seq-nopivot", fd.Options{NoPivot: true}},
-	{"round-par8", fd.Options{Workers: 8, RoundParallel: true}},
 	{"pivot-par2", fd.Options{Workers: 2}},
 	{"pivot-par4", fd.Options{Workers: 4}},
 	{"pivot-par8", fd.Options{Workers: 8}},
@@ -63,31 +62,27 @@ func BenchmarkClosureHub(b *testing.B) {
 			}
 		})
 	}
-	// A missing trajectory file would make CI's regression gate compare the
-	// checked-in baseline against itself, so failing to write is an error,
-	// not a log line. HUB_BENCH_OUT redirects the report (CI's GOMAXPROCS
-	// sweep keeps the checked-in baseline at its canonical proc count).
-	path := os.Getenv("HUB_BENCH_OUT")
-	if path == "" {
-		path = "../../BENCH_fd.json"
-	}
-	if err := writeHubBenchJSON(path, tables, schema); err != nil {
-		b.Errorf("%s not written: %v", path, err)
+	// The CI gates read the file this run writes, so failing to write it is
+	// an error, not a log line.
+	if err := writeHubBenchJSON("../../BENCH_fd.json", tables, schema); err != nil {
+		b.Errorf("BENCH_fd.json not written: %v", err)
 	}
 }
 
-// hubBenchReps is how many instrumented passes each engine gets; MS keeps
-// the best one, so a GC pause or scheduler hiccup in one pass cannot fake
-// a regression (or an inversion in the worker-count scaling curve).
-const hubBenchReps = 3
+// hubBenchReps is how many instrumented passes each measurement gets; MS
+// keeps the best one, so a GC pause or scheduler hiccup in one pass cannot
+// fake a regression (or an inversion in the worker-count scaling curve).
+const hubBenchReps = 5
+
+// hubDeltaRows is the size of the second Update in the hub_delta
+// measurement: a delta well past hubMinTuples into a cached hub.
+const hubDeltaRows = 1184
 
 // hubBenchEngine is one engine's instrumented measurement. MergeAttempts
 // and PivotSkipped version the attempt-reduction claim alongside the
-// timing baseline: skipped candidates are exactly the iterations the
-// unbucketed engine would have spent failing the consistency check.
-// Allocs/AllocBytes are the heap traffic of a single pass — the shared-
-// state overhead the pivot-partitioned engine exists to avoid shows up
-// here before it shows up in wall clock.
+// timing: skipped candidates are exactly the iterations the unbucketed
+// closure would have spent failing the consistency check. Allocs/AllocBytes
+// are the heap traffic of a single pass.
 type hubBenchEngine struct {
 	Name          string  `json:"name"`
 	Workers       int     `json:"workers"`
@@ -98,89 +93,80 @@ type hubBenchEngine struct {
 	PivotSkipped  int     `json:"pivot_skipped"`
 }
 
-// hubBenchReport is the BENCH_fd.json schema. The CI regression gates
-// compare Pivot8VsRound and PivotAttemptReduction against the checked-in
-// baseline — ratios, so the gates transfer across machines of different
-// absolute speed.
-type hubBenchReport struct {
-	Benchmark   string           `json:"benchmark"`
+// hubBenchProcs is the engine sweep at one GOMAXPROCS setting.
+// Pivot8VsSeq is seq's time over pivot-par8's.
+type hubBenchProcs struct {
 	GoMaxProcs  int              `json:"gomaxprocs"`
-	TotalTuples int              `json:"total_tuples"`
-	HubMembers  int              `json:"hub_members"`
-	HubClosure  int              `json:"hub_closure"`
-	PivotColumn string           `json:"pivot_column"`
 	Engines     []hubBenchEngine `json:"engines"`
 	Pivot8VsSeq float64          `json:"pivot8_vs_seq_speedup"`
-	// Pivot8VsRound is the pivot-partitioned engine's speedup over the
-	// round-based ablation at 8 workers; PivotAttemptReduction is the
-	// factor by which the pivot index cuts the sequential engine's merge
-	// attempts on the hub.
-	Pivot8VsRound         float64 `json:"pivot8_vs_round8_speedup"`
-	PivotAttemptReduction float64 `json:"pivot_attempt_reduction"`
 }
 
-// writeHubBenchJSON runs hubBenchReps instrumented passes per engine over
-// the hub fixture and records best-of wall clock, per-pass heap traffic,
-// merge-attempt counters, and the derived ratios.
+// hubBenchDelta times the second Update of a session over the hub: the
+// last DeltaRows rows arriving after the rest has been closed and cached.
+// A cached closure is extended in place at any Workers setting, so
+// Par8VsSeq (sequential time over Workers 8 time) gates that Workers never
+// pessimizes that path.
+type hubBenchDelta struct {
+	GoMaxProcs int     `json:"gomaxprocs"`
+	DeltaRows  int     `json:"delta_rows"`
+	SeqMS      float64 `json:"seq_ms"`
+	Par8MS     float64 `json:"par8_ms"`
+	Par8VsSeq  float64 `json:"par8_vs_seq_speedup"`
+}
+
+// hubBenchReport is the BENCH_fd.json schema. Every CI gate on it is a
+// ratio measured within one run, so the gates transfer across machines of
+// different absolute speed. Parallel-beats-sequential is gated where
+// parallelism exists — MultiProc, GOMAXPROCS = min(NumCPU, 8), absent on a
+// one-CPU machine — and OneProc is the no-worse-than-sequential sanity row.
+// PivotAttemptReduction is the factor by which the pivot index cuts the
+// sequential closure's merge attempts on the hub.
+type hubBenchReport struct {
+	Benchmark             string         `json:"benchmark"`
+	NumCPU                int            `json:"num_cpu"`
+	TotalTuples           int            `json:"total_tuples"`
+	HubMembers            int            `json:"hub_members"`
+	HubClosure            int            `json:"hub_closure"`
+	PivotColumn           string         `json:"pivot_column"`
+	OneProc               hubBenchProcs  `json:"one_proc"`
+	MultiProc             *hubBenchProcs `json:"multi_proc,omitempty"`
+	HubDelta              hubBenchDelta  `json:"hub_delta"`
+	PivotAttemptReduction float64        `json:"pivot_attempt_reduction"`
+}
+
+// writeHubBenchJSON measures the hub fixture at GOMAXPROCS 1 and at
+// min(NumCPU, 8) — setting GOMAXPROCS itself and restoring it — and records
+// best-of wall clock, per-pass heap traffic, merge-attempt counters, and
+// the derived ratios.
 func writeHubBenchJSON(path string, tables []*table.Table, schema fd.Schema) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	report := hubBenchReport{
 		Benchmark:   "closure_hub",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
 		TotalTuples: 8000,
 		HubMembers:  len(tables[0].Rows),
 	}
-	times := make(map[string]float64, len(hubEngines))
-	attempts := make(map[string]int, len(hubEngines))
-	for _, eng := range hubEngines {
-		var best float64
-		var allocs, allocBytes uint64
-		for rep := 0; rep < hubBenchReps; rep++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			res, err := fd.FullDisjunction(tables, schema, eng.opts)
-			if err != nil {
-				return err
-			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			runtime.ReadMemStats(&after)
-			if rep == 0 {
-				// Mallocs/TotalAlloc are monotone process counters; the
-				// first pass's delta is the engine's heap traffic (the
-				// driver runs nothing else concurrently).
-				allocs = after.Mallocs - before.Mallocs
-				allocBytes = after.TotalAlloc - before.TotalAlloc
-				attempts[eng.name] = res.Stats.MergeAttempts
-				report.HubClosure = res.Stats.Closure
-				if p := res.Stats.PivotColumn; p >= 0 {
-					report.PivotColumn = schema.Columns[p]
-				}
-				report.Engines = append(report.Engines, hubBenchEngine{
-					Name:          eng.name,
-					MergeAttempts: res.Stats.MergeAttempts,
-					PivotSkipped:  res.Stats.PivotSkipped,
-				})
-			}
-			if rep == 0 || ms < best {
-				best = ms
-			}
-		}
-		times[eng.name] = best
-		e := &report.Engines[len(report.Engines)-1]
-		e.MS = best
-		e.Allocs = allocs
-		e.AllocBytes = allocBytes
-		e.Workers = eng.opts.Workers
-		if e.Workers < 1 {
-			e.Workers = 1
-		}
+	multi := min(runtime.NumCPU(), 8)
+
+	runtime.GOMAXPROCS(1)
+	one, seq, err := hubBenchSweep(tables, schema)
+	if err != nil {
+		return err
 	}
-	if t := times["pivot-par8"]; t > 0 {
-		report.Pivot8VsSeq = times["seq"] / t
-		report.Pivot8VsRound = times["round-par8"] / t
+	report.OneProc = one
+	report.HubClosure = seq.Closure
+	report.PivotColumn = schema.Columns[seq.PivotColumn]
+	report.PivotAttemptReduction = float64(one.engine("seq-nopivot").MergeAttempts) / float64(seq.MergeAttempts)
+	if multi > 1 {
+		runtime.GOMAXPROCS(multi)
+		m, _, err := hubBenchSweep(tables, schema)
+		if err != nil {
+			return err
+		}
+		report.MultiProc = &m
 	}
-	if a := attempts["seq"]; a > 0 {
-		report.PivotAttemptReduction = float64(attempts["seq-nopivot"]) / float64(a)
+	if report.HubDelta, err = hubBenchDeltaRun(tables, schema); err != nil {
+		return err
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -189,10 +175,110 @@ func writeHubBenchJSON(path string, tables []*table.Table, schema fd.Schema) err
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// hubBenchSweep runs hubBenchReps instrumented passes per engine at the
+// current GOMAXPROCS — the engines alternating within each round of passes,
+// so that machine drift lands on all of them — and returns the rows plus
+// the seq engine's Stats. The unbucketed ablation runs once: only its
+// attempt count is compared, and that is deterministic.
+func hubBenchSweep(tables []*table.Table, schema fd.Schema) (hubBenchProcs, fd.Stats, error) {
+	out := hubBenchProcs{GoMaxProcs: runtime.GOMAXPROCS(0), Engines: make([]hubBenchEngine, len(hubEngines))}
+	var seq fd.Stats
+	for rep := 0; rep < hubBenchReps; rep++ {
+		for ei, eng := range hubEngines {
+			if rep > 0 && eng.opts.NoPivot {
+				continue
+			}
+			row := &out.Engines[ei]
+			var before, after runtime.MemStats
+			runtime.GC() // every pass starts from the same heap
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			res, err := fd.FullDisjunction(tables, schema, eng.opts)
+			if err != nil {
+				return out, seq, err
+			}
+			ms := float64(time.Since(start).Microseconds()) / 1000
+			runtime.ReadMemStats(&after)
+			if rep == 0 {
+				// Mallocs/TotalAlloc are monotone process counters; the
+				// first pass's delta is the engine's heap traffic (the
+				// driver runs nothing else concurrently).
+				*row = hubBenchEngine{
+					Name:          eng.name,
+					Workers:       max(eng.opts.Workers, 1),
+					Allocs:        after.Mallocs - before.Mallocs,
+					AllocBytes:    after.TotalAlloc - before.TotalAlloc,
+					MergeAttempts: res.Stats.MergeAttempts,
+					PivotSkipped:  res.Stats.PivotSkipped,
+				}
+				if eng.name == "seq" {
+					seq = res.Stats
+				}
+			}
+			if rep == 0 || ms < row.MS {
+				row.MS = ms
+			}
+		}
+	}
+	out.Pivot8VsSeq = out.engine("seq").MS / out.engine("pivot-par8").MS
+	return out, seq, nil
+}
+
+// engine returns the sweep's row for the named engine.
+func (p hubBenchProcs) engine(name string) hubBenchEngine {
+	for _, e := range p.Engines {
+		if e.Name == name {
+			return e
+		}
+	}
+	panic("no hub engine " + name)
+}
+
+// hubBenchDeltaRun times, at the current GOMAXPROCS, the second Update of
+// a two-Update session over the hub — best of hubBenchReps fresh sessions
+// per Workers setting, the two settings alternating, and alternating which
+// goes first, so that machine drift lands on both.
+func hubBenchDeltaRun(tables []*table.Table, schema fd.Schema) (hubBenchDelta, error) {
+	out := hubBenchDelta{GoMaxProcs: runtime.GOMAXPROCS(0), DeltaRows: hubDeltaRows}
+	hub := tables[0]
+	head := table.New(hub.Name, hub.Columns...)
+	head.Rows = hub.Rows[:len(hub.Rows)-hubDeltaRows]
+	second := func(workers int, best *float64) error {
+		x := fd.NewIndex()
+		opts := fd.Options{Workers: workers}
+		if _, err := x.Update([]*table.Table{head}, schema, opts); err != nil {
+			return err
+		}
+		runtime.GC() // the first Update's garbage is not the second's to collect
+		start := time.Now()
+		if _, err := x.Update(tables, schema, opts); err != nil {
+			return err
+		}
+		if ms := float64(time.Since(start).Microseconds()) / 1000; *best == 0 || ms < *best {
+			*best = ms
+		}
+		return nil
+	}
+	sides := []struct {
+		workers int
+		best    *float64
+	}{{1, &out.SeqMS}, {8, &out.Par8MS}}
+	for rep := 0; rep < hubBenchReps; rep++ {
+		for _, s := range sides {
+			if err := second(s.workers, s.best); err != nil {
+				return out, err
+			}
+		}
+		sides[0], sides[1] = sides[1], sides[0] // the other side goes first next time
+	}
+	out.Par8VsSeq = out.SeqMS / out.Par8MS
+	return out, nil
+}
+
 // TestHubFixtureSingleComponent pins the benchmark's premise: the
 // extracted hub really is one connected component, large enough that
 // intra-component parallelism (not component scheduling) is what's being
-// measured, and every engine closes it byte-identically.
+// measured, and every setting closes it byte-identically.
 func TestHubFixtureSingleComponent(t *testing.T) {
 	tables := hubTables(3000)
 	schema := fd.IdentitySchema(tables)
@@ -231,8 +317,8 @@ func TestHubFixtureSingleComponent(t *testing.T) {
 		if !par.Table.Equal(res.Table) || !reflect.DeepEqual(par.Prov, res.Prov) {
 			t.Fatalf("%s: hub closure differs from sequential", eng.name)
 		}
-		if !eng.opts.RoundParallel && par.Stats.PivotGroups == 0 {
-			t.Errorf("%s: pivot-partitioned engine did not engage on the hub", eng.name)
+		if par.Stats.PivotGroups == 0 {
+			t.Errorf("%s: the hub was not closed by pivot groups", eng.name)
 		}
 	}
 }

@@ -164,8 +164,8 @@ type cachedComp struct {
 	// sub the subsumption state of every store entry, scr the closure's
 	// worklist scratch — all kept from the run that produced the store and
 	// extended, never rebuilt, by the next. sigs, post and scr are nil after
-	// a singleton close or a closure by a parallel engine; they are built
-	// when the store is first extended. post re-chooses its pivot column
+	// a singleton close or a hub closed by pivot groups (closeOnePar); they
+	// are built when the store is first extended. post re-chooses its pivot column
 	// when the store has doubled (postingIndex.rechoosePivot).
 	sigs *sigIndex
 	post *postingIndex
@@ -242,12 +242,6 @@ func (x *Index) UpdateContext(ctx context.Context, tables []*table.Table, schema
 	if err := ctx.Err(); err != nil {
 		return nil, Canceled(err)
 	}
-	if opts.NoPartition {
-		// The flat global closure has no component structure to reuse;
-		// delegate to the one-shot engine. Later partitioned Updates pick
-		// the delta tracking back up.
-		return FullDisjunctionContext(ctx, tables, schema, opts)
-	}
 
 	var stats Stats
 	stats.PivotColumn = -1
@@ -303,12 +297,6 @@ func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema
 	}
 	if err := ctx.Err(); err != nil {
 		return stats, Canceled(err)
-	}
-	if opts.NoPartition {
-		// The flat global closure has no component structure to stream or
-		// reuse; delegate to the one-shot streaming engine, as UpdateContext
-		// delegates to the one-shot batch engine.
-		return Stream(ctx, tables, schema, opts, emit)
 	}
 	for _, t := range tables {
 		stats.InputTuples += len(t.Rows)
@@ -764,8 +752,7 @@ func (x *Index) compactOrder() {
 //
 // The returned closure record — the host, or a fresh one — is emptied
 // until publish refills it; it already lists every member, and x.pos holds
-// each member's position in the seed store (every engine keeps seeds in
-// place).
+// each member's position in the seed store (closures keep seeds in place).
 func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 	var host *cachedComp
 	fresh := c.dirty

@@ -173,13 +173,14 @@ func grow(view []*table.Table, ti int, cells ...table.Cell) []*table.Table {
 
 // TestIndexUpdateProportionalToDelta guards the point of the single seeding
 // path: extending a large cached closure costs what the delta costs. One
-// row into a ~2 000-tuple hub, and a 3-tuple component bridged into it,
-// must hash or post only a handful of tuples while seeding, and the
+// row into a ~2 000-tuple hub, a 3-tuple component bridged into it, and
+// hubMinTuples rows at once must hash or post only a small multiple of the
+// delta while seeding, and the
 // one-row update's allocation count must not grow with the hub — at every
-// Workers setting: a small delta into a hub is extended in place, not
-// handed to a parallel engine that copies the store. (A hub first closed by
-// a parallel engine comes back without indexes and gets them at its first
-// extension, so Workers 2 takes one warm-up row before it is measured.)
+// Workers setting: a cached closure is always extended in place. (A hub
+// first closed by pivot groups comes back without indexes and gets them at
+// its first extension, so Workers 2 takes one warm-up row before it is
+// measured.)
 func TestIndexUpdateProportionalToDelta(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -202,7 +203,7 @@ func proportionalToDelta(t *testing.T, opts Options) {
 	}
 	if opts.Workers > 1 {
 		if first.Stats.PivotGroups == 0 {
-			t.Fatal("fixture: the hub was not closed by the pivot-partitioned engine")
+			t.Fatal("fixture: the hub was not closed by pivot groups")
 		}
 		view = grow(view, 0, table.S("k1"), table.S("v-warm"))
 		if _, err := x.Update(view, schema, opts); err != nil {
@@ -239,6 +240,11 @@ func proportionalToDelta(t *testing.T, opts Options) {
 	// component: the 3-tuple closure is appended behind the hub's.
 	view = grow(view, 4, table.S("k1"), table.S("v0007"), table.S("m1"))
 	check("3-tuple component bridged into the hub", 8, 256)
+	// A delta past hubMinTuples is still extended in place, at any Workers.
+	for k := 0; k < hubMinTuples; k++ {
+		view = grow(view, 0, table.S("k1"), table.S(fmt.Sprintf("v-bulk%d", k)))
+	}
+	check("hubMinTuples rows into the hub", 2*hubMinTuples, 16*hubMinTuples)
 
 	// Allocation count of a one-row update, at two hub sizes.
 	allocs := func(n int) float64 {
@@ -360,13 +366,14 @@ func TestIndexRepivotsGrownComponent(t *testing.T) {
 	}
 }
 
-// Every engine keeps seed tuples at their seed positions, which is how the
-// index finds a base tuple in a cached store: a hub closed by the
-// pivot-partitioned engine, then touched by a duplicate row (provenance
-// folds into a cached base entry by position) and extended in place by the
-// sequential engine (small deltas, at any Workers) and by the work-stealing
-// engine (a delta of hubMinTuples rows under Workers 4), stays identical to
-// one-shot.
+// A closure keeps seed tuples at their seed positions, which is how the index
+// finds a base tuple in a cached store: a hub closed by pivot groups, then
+// touched by a duplicate row (provenance folds into a cached base entry by
+// position) and extended — by one row or by hubMinTuples rows, at any
+// Workers — stays identical to one-shot, and every extension is in place:
+// the cached closure is reused, and past the first extension (which builds
+// the indexes the group closure does not return) seeding indexes only the
+// delta.
 func TestIndexExtendsParallelClosedHub(t *testing.T) {
 	view := spokeHub(600)
 	dup := table.New("spokes2", "k", "v")
@@ -378,7 +385,7 @@ func TestIndexExtendsParallelClosedHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	if first.Stats.PivotGroups == 0 {
-		t.Fatal("fixture: the hub was not closed by the pivot-partitioned engine")
+		t.Fatal("fixture: the hub was not closed by pivot groups")
 	}
 	for step, s := range []struct{ workers, rows int }{{4, 1}, {1, 1}, {4, hubMinTuples}, {4, 1}, {1, 1}} {
 		view = grow(view, len(view)-1, table.S("k1"), table.S(fmt.Sprintf("v%04d", 3+step))) // duplicates a spoke
@@ -396,8 +403,14 @@ func TestIndexExtendsParallelClosedHub(t *testing.T) {
 		if !resultsIdentical(got, want) {
 			t.Fatalf("step %d (workers %d, %d rows): incremental differs from one-shot", step, s.workers, s.rows)
 		}
-		if stealing := got.Stats.Shards > 0; stealing != (s.rows >= hubMinTuples) {
-			t.Errorf("step %d (workers %d, %d rows): work-stealing engine ran = %v", step, s.workers, s.rows, stealing)
+		st := got.Stats
+		if st.PivotGroups != 0 || st.SeedReusedTuples == 0 {
+			t.Errorf("step %d (workers %d, %d rows): cached hub not extended in place: %d pivot groups, %d seed tuples reused",
+				step, s.workers, s.rows, st.PivotGroups, st.SeedReusedTuples)
+		}
+		if step > 0 && st.SeedIndexedTuples > 2*(s.rows+1) {
+			t.Errorf("step %d (workers %d, %d rows): seeding hashed or posted %d tuples for a delta of %d rows",
+				step, s.workers, s.rows, st.SeedIndexedTuples, s.rows+1)
 		}
 	}
 }

@@ -222,21 +222,3 @@ func TestIndexStreamAllNullRow(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestIndexStreamNoPartition: the NoPartition path delegates to the
-// one-shot stream and matches the batch multiset.
-func TestIndexStreamNoPartition(t *testing.T) {
-	tables := fig1Tables()
-	schema := IdentitySchema(tables)
-	rows, provs, _, err := indexStreamAll(NewIndex(), tables, schema, Options{NoPartition: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := FullDisjunction(tables, schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lineSet(rows, provs), lineSet(want.Table.Rows, want.Prov)) {
-		t.Fatal("NoPartition stream multiset differs from batch")
-	}
-}

@@ -260,3 +260,34 @@ func TestIndexBudget(t *testing.T) {
 		t.Fatal("budget below the limit must abort")
 	}
 }
+
+// The incremental index under Workers > 1: updates stay byte-identical to
+// one-shot runs on random sets with fully-null rows.
+func TestIndexIncrementalConcurrentRandom(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tables := randomTablesWithEmptyRows(r)
+		nBatches := 1 + r.Intn(3)
+		x := NewIndex()
+		for k := 1; k <= nBatches; k++ {
+			view := accumulate(tables, nBatches, k)
+			schema := IdentitySchema(view)
+			got, err := x.Update(view, schema, Options{Workers: 4})
+			if err != nil {
+				return false
+			}
+			want, err := FullDisjunction(view, schema, Options{})
+			if err != nil {
+				return false
+			}
+			if !resultsIdentical(got, want) {
+				t.Logf("seed %d batch %d/%d: incremental concurrent differs", seed, k, nBatches)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+}

@@ -25,7 +25,7 @@ func NaiveFD(tables []*table.Table, schema Schema) (*Result, error) {
 	if err := schema.Validate(tables); err != nil {
 		return nil, err
 	}
-	eng, base, _ := outerUnion(tables, schema)
+	eng, base := outerUnion(tables, schema)
 	n := len(base)
 	if n > 16 {
 		return nil, ErrOracleTooLarge

@@ -28,7 +28,7 @@ func InnerJoin(tables []*table.Table, schema Schema, opts Options) (*Result, err
 	for _, t := range tables {
 		stats.InputTuples += len(t.Rows)
 	}
-	eng, base, _ := outerUnion(tables, schema)
+	eng, base := outerUnion(tables, schema)
 	stats.OuterUnion = len(base)
 
 	perTable := make([][]Tuple, len(tables))
@@ -82,7 +82,7 @@ func OuterUnionOnly(tables []*table.Table, schema Schema) (*Result, error) {
 	for _, t := range tables {
 		stats.InputTuples += len(t.Rows)
 	}
-	eng, base, _ := outerUnion(tables, schema)
+	eng, base := outerUnion(tables, schema)
 	stats.OuterUnion = len(base)
 	return eng.materialize(base, schema, stats), nil
 }
@@ -108,7 +108,7 @@ func OuterJoinChain(tables []*table.Table, schema Schema, order []int, opts Opti
 	for _, t := range tables {
 		stats.InputTuples += len(t.Rows)
 	}
-	eng, base, _ := outerUnion(tables, schema)
+	eng, base := outerUnion(tables, schema)
 	stats.OuterUnion = len(base)
 
 	perTable := make([][]Tuple, len(tables))

@@ -40,7 +40,7 @@ func OuterJoinFD(tables []*table.Table, schema Schema, opts Options) (*Result, e
 		stats.InputTuples += len(t.Rows)
 	}
 
-	eng, base, _ := outerUnion(tables, schema)
+	eng, base := outerUnion(tables, schema)
 	stats.OuterUnion = len(base)
 
 	// Group padded tuples by source table.

@@ -139,8 +139,8 @@ func (e *engine) partition(tuples []Tuple) [][]Tuple {
 // closure is the trivial job — seed = the component's base tuples, nil
 // worklist (expand everything). The incremental index's jobs seed with a
 // cached closure extended in place (Index.seed) and list only the new or
-// changed tuples. Every engine leaves seed tuples at their seed positions
-// in the store it returns.
+// changed tuples. Seed tuples stay at their seed positions in the store a
+// closure returns.
 type closeJob struct {
 	tuples []Tuple
 	base   int   // count of outer-union (base) tuples in the seed
@@ -150,14 +150,11 @@ type closeJob struct {
 	// in place. Unowned seeds (partitioner output) are copied first.
 	owned bool
 	// sigs, when non-nil, is a signature index already built over tuples;
-	// the sequential closure consumes it in place instead of re-hashing the
-	// store. The work-stealing engine builds its own sharded index either
-	// way.
+	// the closure consumes it in place instead of re-hashing the store.
 	sigs *sigIndex
 	// post, when non-nil, is a posting index already covering tuples
-	// (cached from the component's previous closure); the sequential
-	// closure appends produced tuples to it instead of re-indexing the
-	// whole store.
+	// (cached from the component's previous closure); the closure appends
+	// produced tuples to it instead of re-indexing the whole store.
 	post *postingIndex
 	// sub, when set, carries the previous run's subsumption cache for a
 	// prefix of the seed, so re-subsumption searches only the store's growth
@@ -180,20 +177,19 @@ type compResult struct {
 	kept []Tuple
 	// store is the full closure store, provenance enriched by every fold
 	// the closure performed. The incremental index caches it — together
-	// with the signature and posting indexes that cover it, when the
-	// sequential engine produced them — to seed future re-closures of the
-	// component.
+	// with the signature and posting indexes that cover it, when closeOne
+	// produced them — to seed future re-closures of the component.
 	store   []Tuple
 	sigs    *sigIndex
 	post    *postingIndex
 	sub     subCache      // subsumption state per store entry
-	scr     *closeScratch // the sequential closure's worklist scratch
+	scr     *closeScratch // the closure's worklist scratch
 	stats   Stats
 	closure int
 	err     error
 }
 
-// newJobClosure wraps a job's seed store in a sequential closure, copying it
+// newJobClosure wraps a job's seed store in a closure, copying it
 // first unless the job owns it (the store grows and its provenance is folded
 // in place, so an unowned caller's slices must stay untouched). A fresh
 // posting index is bucketed by the pivot column chosen over the seed; a
@@ -246,48 +242,24 @@ func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *
 	return compResult{kept: kept, store: cl.tuples, sigs: cl.sigs, post: cl.idx, sub: sub, scr: cl.scr, stats: st, closure: len(cl.tuples)}
 }
 
-// closeOnePar closes one component job with every worker inside it — the
-// work-stealing engine by default, the round-based ablation with
-// Options.RoundParallel. Used for a hub component that dominates the input
-// (or a single-component input), where scheduling whole components across
-// workers would leave all but one of them idle.
-func (e *engine) closeOnePar(ctx context.Context, job closeJob, opts Options, bud *budget) compResult {
+// closeOnePar closes one from-scratch component job with every worker
+// inside it: closePivotPar over the groups of the given pivot column, then
+// subsumption with the subsumer search fanned out. closeEach decides which
+// jobs come here.
+func (e *engine) closeOnePar(ctx context.Context, job closeJob, pivot, workers int, bud *budget) compResult {
 	var st Stats
-	var closed []Tuple
-	if opts.RoundParallel {
-		cl := newJobClosure(e, job, opts, bud)
-		st.PivotColumn = cl.idx.pivot
-		if err := cl.runParallel(ctx, opts.Workers, job.work, &st); err != nil {
-			return compResult{err: err}
-		}
-		st.PivotBuckets = cl.idx.buckets
-		closed = cl.tuples
-	} else {
-		var err error
-		pivot := pivotFor(opts, job.tuples, e.nCols)
-		if pivot >= 0 && job.work == nil {
-			// Full closure with a pivot: the pivot-partitioned engine closes
-			// disjoint pivot groups with no shared mutable state. Incremental
-			// re-closure (a partial worklist — closeEach sends only large ones
-			// here) needs every pair involving the delta attempted across the
-			// whole cached store, which the group decomposition does not
-			// cover — that stays on the work-stealing engine.
-			closed, err = closePivotPar(ctx, e, job.tuples, pivot, opts.Workers, bud, &st)
-		} else {
-			closed, err = closeConcurrent(ctx, e, job.tuples, job.work, opts.Workers, resolveShards(opts), pivot, bud, &st)
-		}
-		if err != nil {
-			return compResult{err: err}
-		}
+	closed, err := closePivotPar(ctx, e, job.tuples, pivot, workers, bud, &st)
+	if err != nil {
+		return compResult{err: err}
 	}
-	kept, sub := e.subsumeIncremental(closed, nil, subCache{}, opts.Workers)
+	kept, sub := e.subsumeIncremental(closed, nil, subCache{}, workers)
 	return compResult{kept: kept, store: closed, sub: sub, stats: st, closure: len(closed)}
 }
 
 // Component scheduling thresholds for Workers > 1.
 const (
-	// hubMinTuples is the least seed-store size at which a dominant
-	// component is closed with intra-component parallelism; below it the
+	// hubMinTuples is the least size at which a dominant component closing
+	// from scratch is closed with intra-component parallelism; below it the
 	// per-worker setup outweighs the closure.
 	hubMinTuples = 512
 	// smallCompMax is the largest component closed inline on the assembler
@@ -301,16 +273,19 @@ const (
 // deliver on the calling goroutine as soon as its component finishes
 // (completion order, tagged with the component index) — which is what
 // backs streaming output and per-component progress. With workers > 1 the
-// jobs are split three ways: a hub component holding at least half of the
-// seed tuples (or a lone component) is closed first with every worker
-// inside it — unless it is a cached closure with fewer than hubMinTuples
-// tuples to expand, which is extended in place like any other component;
-// components up to smallCompMax tuples run inline on the
-// assembler (no goroutine spawn — WithParallelFD must never pessimize a
-// tiny-component workload); the rest are scheduled whole across a worker
-// pool, largest first, flowing back to the assembler through a channel.
+// jobs are split three ways. A hub is closed first, with every worker
+// inside it (closeOnePar), and a job is a hub iff it closes from scratch
+// (nil worklist), has at least hubMinTuples tuples, holds at least half of
+// the round's tuples, and has a pivot column to decompose by. Components up
+// to smallCompMax tuples run inline on the assembler (no goroutine spawn —
+// Workers must never pessimize a tiny-component workload). The rest —
+// including every cached closure being extended, whatever its size, and
+// every component without a pivot — are closed by closeOne, scheduled whole
+// across a worker pool, largest first, flowing back to the assembler
+// through a channel; a cached closure is thereby extended in place exactly
+// as with workers <= 1.
 // The context is checked at every component boundary (and inside
-// components by the closure engines). Returns the first component error,
+// components by the closures). Returns the first component error,
 // context cancellation, or deliver error; later deliveries are suppressed
 // after a failure, but in-flight components drain before returning.
 func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, bud *budget, deliver func(ci int, r compResult) error) error {
@@ -341,39 +316,29 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 	for i := range jobs {
 		total += len(jobs[i].tuples)
 	}
-	var hubs, pool, small []int
+	var pool, small []int
 	for ci := range jobs {
-		n := len(jobs[ci].tuples)
-		hub := len(jobs) == 1 || (n >= hubMinTuples && 2*n >= total)
-		if w := jobs[ci].work; w != nil && len(w) < hubMinTuples {
-			// A small delta into a cached closure: what there is to
-			// parallelise is the worklist, not the store. The sequential
-			// engine extends the store and its indexes in place; the parallel
-			// engines would copy and re-index all of it.
-			hub = false
+		job := jobs[ci]
+		n := len(job.tuples)
+		if job.work == nil && n >= hubMinTuples && 2*n >= total {
+			if pivot := pivotFor(opts, job.tuples, e.nCols); pivot >= 0 {
+				if err := ctx.Err(); err != nil {
+					return Canceled(err)
+				}
+				r := e.closeOnePar(ctx, job, pivot, opts.Workers, bud)
+				if r.err != nil {
+					return r.err
+				}
+				if err := deliver(ci, r); err != nil {
+					return err
+				}
+				continue
+			}
 		}
-		switch {
-		case hub:
-			hubs = append(hubs, ci)
-		case n > smallCompMax:
+		if n > smallCompMax {
 			pool = append(pool, ci)
-		default:
+		} else {
 			small = append(small, ci)
-		}
-	}
-	sort.SliceStable(hubs, func(a, b int) bool {
-		return len(jobs[hubs[a]].tuples) > len(jobs[hubs[b]].tuples)
-	})
-	for _, ci := range hubs {
-		if err := ctx.Err(); err != nil {
-			return Canceled(err)
-		}
-		r := e.closeOnePar(ctx, jobs[ci], opts, bud)
-		if r.err != nil {
-			return r.err
-		}
-		if err := deliver(ci, r); err != nil {
-			return err
 		}
 	}
 	workers := opts.Workers

@@ -59,7 +59,7 @@ func TestUnionFindAllPairsChain(t *testing.T) {
 func partitionOf(t *testing.T, tables []*table.Table) (*engine, [][]Tuple) {
 	t.Helper()
 	schema := IdentitySchema(tables)
-	eng, base, _ := outerUnion(tables, schema)
+	eng, base := outerUnion(tables, schema)
 	return eng, eng.partition(base)
 }
 
@@ -159,7 +159,7 @@ func resultsIdentical(a, b *Result) bool {
 
 // The central refactor property: the interned, partitioned engine produces
 // byte-identical tables AND provenance to the definitional oracle, and the
-// flat (NoPartition) and parallel variants agree too.
+// flat reference and the parallel variants agree too.
 func TestPartitionedMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -172,14 +172,12 @@ func TestPartitionedMatchesNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, opts := range []Options{
-			{},                                // partitioned, sequential
-			{Workers: 4},                      // partitioned, work-stealing inside hubs
-			{Workers: 4, RoundParallel: true}, // partitioned, round-based ablation
-			{NoPartition: true},               // flat, sequential
-			{NoPartition: true, Workers: 4},   // flat, work-stealing
-			{NoPartition: true, Workers: 4, RoundParallel: true}, // flat, round-based ablation
-		} {
+		flat, err := FlatReference(tables, schema)
+		if err != nil || !resultsIdentical(flat, want) {
+			t.Logf("seed %d: flat reference differs from the oracle (err %v)", seed, err)
+			return false
+		}
+		for _, opts := range []Options{{}, {Workers: 4}} {
 			got, err := FullDisjunction(tables, schema, opts)
 			if err != nil {
 				t.Logf("seed %d opts %+v: %v", seed, opts, err)
@@ -215,12 +213,43 @@ func randomTablesWithEmptyRows(r *rand.Rand) []*table.Table {
 	return tables
 }
 
+// Workers > 1 equals the sequential run on random integration sets with
+// fully-null rows, across worker counts. Runs under -race in CI.
+func TestConcurrentClosureMatchesSequentialRandom(t *testing.T) {
+	variants := []Options{{Workers: 2}, {Workers: 4}, {Workers: 8}}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tables := randomTablesWithEmptyRows(r)
+		schema := IdentitySchema(tables)
+		want, err := FullDisjunction(tables, schema, Options{})
+		if err != nil {
+			return false
+		}
+		for _, opts := range variants {
+			got, err := FullDisjunction(tables, schema, opts)
+			if err != nil {
+				t.Logf("seed %d opts %+v: %v", seed, opts, err)
+				return false
+			}
+			if !resultsIdentical(got, want) {
+				t.Logf("seed %d opts %+v:\ninput:\n%v\ngot:\n%v %v\nwant:\n%v %v",
+					seed, opts, tables, got.Table, got.Prov, want.Table, want.Prov)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPartitionedMatchesFlatWithEmptyRows(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tables := randomTablesWithEmptyRows(r)
 		schema := IdentitySchema(tables)
-		flat, err := FullDisjunction(tables, schema, Options{NoPartition: true})
+		flat, err := FlatReference(tables, schema)
 		if err != nil {
 			return false
 		}
@@ -261,20 +290,18 @@ func TestPartitionStats(t *testing.T) {
 	if s.Values == 0 {
 		t.Error("Values not populated")
 	}
-	flat, err := FullDisjunction(tables, IdentitySchema(tables), Options{NoPartition: true})
+	flat, err := FlatReference(tables, IdentitySchema(tables))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Stats.Components != 0 {
-		t.Errorf("flat engine reported Components=%d", flat.Stats.Components)
-	}
 	if !resultsIdentical(res, flat) {
-		t.Error("flat and partitioned engines disagree on Fig. 1")
+		t.Error("flat reference and partitioned engine disagree on Fig. 1")
 	}
 }
 
-// The budget must abort the partitioned engine exactly when it aborts the
-// flat one: whenever the total closure exceeds MaxTuples.
+// The budget aborts exactly when the total closure, summed over components,
+// exceeds MaxTuples — what a closure of the unpartitioned outer union would
+// count.
 func TestPartitionedBudgetMatchesFlat(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

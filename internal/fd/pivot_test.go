@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"fuzzyfd/internal/intern"
@@ -18,9 +16,9 @@ import (
 // (id, price), and the single category row (cat, tax) chain into one
 // component — with id fully selective inside it. The shape engages the
 // pivot index (unlike chainTables, whose columns are all single-valued)
-// and forces live bucket minting: merging the category row into an item
-// publishes tax-column postings under a pivot value no seed tuple of that
-// list had.
+// and creates buckets mid-closure: merging the category row into an item
+// posts tax-column entries under a pivot value no seed tuple of that list
+// had.
 // The category row comes second: the partitioner connects only
 // consistent sharing pairs, and items conflict pairwise on id, so the
 // cats row is what chains them — a two-table prefix must include it for
@@ -81,7 +79,7 @@ func TestChoosePivot(t *testing.T) {
 // on the pivot column — i.e. could never have merged anyway.
 func TestPivotedCandidatesSoundAndComplete(t *testing.T) {
 	tables := catTables(40)
-	eng, base, _ := outerUnion(tables, IdentitySchema(tables))
+	eng, base := outerUnion(tables, IdentitySchema(tables))
 	pivot := choosePivot(base, eng.nCols)
 	if pivot < 0 {
 		t.Fatal("pivot did not engage on the fixture")
@@ -121,53 +119,12 @@ func TestPivotedCandidatesSoundAndComplete(t *testing.T) {
 	}
 }
 
-// TestConcPivotListConcurrentMint hammers the copy-on-write bucket map
-// from many goroutines (run under -race in CI): every append must land,
-// every bucket must be visible to its own appender, and each pivot value
-// must mint exactly one bucket.
-func TestConcPivotListConcurrentMint(t *testing.T) {
-	var pl concPivotList
-	const workers, perWorker, pivots = 8, 400, 13
-	var minted atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				p := uint32(1 + (w+i)%pivots)
-				if pl.append(p, w*perWorker+i) {
-					minted.Add(1)
-				}
-				if pl.bucket(p) == nil {
-					t.Errorf("bucket %d missing right after appending to it", p)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := pl.n.Load(); got != workers*perWorker {
-		t.Fatalf("published %d ids, want %d", got, workers*perWorker)
-	}
-	if minted.Load() != pivots {
-		t.Errorf("minted %d buckets, want %d", minted.Load(), pivots)
-	}
-	total, ids := 0, map[int]bool{}
-	for _, b := range *pl.buckets.Load() {
-		b.each(func(id int) bool { total++; ids[id] = true; return true })
-	}
-	if total != workers*perWorker || len(ids) != total {
-		t.Fatalf("buckets hold %d ids (%d distinct), want %d", total, len(ids), workers*perWorker)
-	}
-}
-
-// TestPivotEnginesByteIdentical: with the pivot engaged, every engine
-// variant is byte-identical — tables and provenance — to the unbucketed
-// sequential closure, and each reports pivot work: candidates skipped and
-// buckets minted live during the closure (the merged category row mints
-// tax-column buckets in all four closure paths, covering the concurrent
-// engine's locked slow path under a component large enough to engage
-// intra-component work stealing).
+// TestPivotEnginesByteIdentical: with the pivot engaged, the sequential
+// closure and the pivot-group hub closure are byte-identical — tables and
+// provenance — to the unbucketed sequential closure, and each reports its
+// pivot work: candidates skipped (the merged category row carries
+// tax-column postings under pivot values no seed tuple of that list had),
+// or groups closed.
 func TestPivotEnginesByteIdentical(t *testing.T) {
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
@@ -195,11 +152,8 @@ func TestPivotEnginesByteIdentical(t *testing.T) {
 		opts Options
 	}{
 		{"seq", Options{}},
-		{"round4", Options{Workers: 4, RoundParallel: true}},
 		{"steal4", Options{Workers: 4}},
-		{"steal8", Options{Workers: 8, Shards: 8}},
-		{"flat-seq", Options{NoPartition: true}},
-		{"flat-steal4", Options{NoPartition: true, Workers: 4}},
+		{"steal8", Options{Workers: 8}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			got, err := FullDisjunction(tables, schema, v.opts)
@@ -213,12 +167,12 @@ func TestPivotEnginesByteIdentical(t *testing.T) {
 			if st.PivotColumn != idCol {
 				t.Errorf("pivot column %d, want the id column", st.PivotColumn)
 			}
-			if v.opts.Workers > 1 && !v.opts.RoundParallel {
-				// The pivot-partitioned engine replaces bucketed candidate
-				// pruning with disjoint per-pivot groups: nothing is skipped
-				// or minted because cross-group pairs are never enumerated.
+			if v.opts.Workers > 1 {
+				// The hub closure replaces bucketed candidate pruning with
+				// disjoint per-pivot groups: nothing is skipped because
+				// cross-group pairs are never enumerated.
 				if st.PivotGroups == 0 {
-					t.Error("pivot-partitioned engine reported no groups")
+					t.Error("hub closure reported no pivot groups")
 				}
 				return
 			}
@@ -228,18 +182,17 @@ func TestPivotEnginesByteIdentical(t *testing.T) {
 			if st.PivotBuckets == 0 {
 				t.Error("no buckets reported")
 			}
-			if st.PivotMinted == 0 {
-				t.Error("closure minted no live buckets — the unseen (list,pivot) path was not exercised")
-			}
 		})
 	}
 }
 
 // TestPivotBudgetDeterministic: with the pivot engaged, whether
 // ErrTupleBudget fires still depends only on the closure's final size,
-// never on the schedule or on the pruned candidate order.
+// never on the schedule or on the pruned candidate order — in the
+// sequential closure and across the pivot groups of a hub (the fixture is
+// large enough for Workers 4 to close it by groups).
 func TestPivotBudgetDeterministic(t *testing.T) {
-	tables := catTables(60)
+	tables := catTables(300)
 	schema := IdentitySchema(tables)
 	ref, err := FullDisjunction(tables, schema, Options{})
 	if err != nil {
@@ -250,23 +203,51 @@ func TestPivotBudgetDeterministic(t *testing.T) {
 	}
 	limit := ref.Stats.Closure
 	for _, workers := range []int{1, 4} {
-		for _, round := range []bool{false, true} {
-			opts := Options{Workers: workers, RoundParallel: round, MaxTuples: limit}
-			if _, err := FullDisjunction(tables, schema, opts); err != nil {
-				t.Fatalf("workers=%d round=%v: budget at the limit failed: %v", workers, round, err)
-			}
-			opts.MaxTuples = limit - 1
-			if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
-				t.Fatalf("workers=%d round=%v: budget below the limit returned %v", workers, round, err)
-			}
+		opts := Options{Workers: workers, MaxTuples: limit}
+		got, err := FullDisjunction(tables, schema, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: budget at the limit failed: %v", workers, err)
 		}
+		if grouped := got.Stats.PivotGroups > 0; grouped != (workers > 1) {
+			t.Fatalf("workers=%d: closed by pivot groups = %v", workers, grouped)
+		}
+		opts.MaxTuples = limit - 1
+		if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+			t.Fatalf("workers=%d: budget below the limit returned %v", workers, err)
+		}
+	}
+}
+
+// TestCancellationInsidePivotGroups: a context that dies once the hub's
+// pivot groups are being closed stops every worker at its next poll and
+// surfaces as ErrCanceled.
+func TestCancellationInsidePivotGroups(t *testing.T) {
+	tables := catTables(300)
+	schema := IdentitySchema(tables)
+	opts := Options{Workers: 4}
+	ref, err := FullDisjunction(tables, schema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Stats.PivotGroups == 0 {
+		t.Fatal("fixture: the hub was not closed by pivot groups")
+	}
+	// The entry check and the hub's component-boundary check pass; the one
+	// null-pivot tuple has nothing to expand, so the next poll is a group
+	// worker's.
+	ctx := newFlipCtx(2)
+	if _, err := FullDisjunctionContext(ctx, tables, schema, opts); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if calls, limit := ctx.calls.Load(), ctx.after+2*int64(opts.Workers); calls <= ctx.after || calls > limit {
+		t.Errorf("context polled %d times, want within (%d, %d]", calls, ctx.after, limit)
 	}
 }
 
 // TestPivotIndexCancelAndBudgetRecover: an incremental session whose
 // cached components carry pivoted posting indexes must survive both a
 // cancellation and a budget abort mid-re-closure, and the retry must be
-// byte-identical to the batch result — for every closure engine.
+// byte-identical to the batch result — sequentially and under Workers > 1.
 func TestPivotIndexCancelAndBudgetRecover(t *testing.T) {
 	// Large enough that even the *pruned* re-closure of the delta (the
 	// details table) performs several thousand candidate visits, so the
@@ -283,7 +264,6 @@ func TestPivotIndexCancelAndBudgetRecover(t *testing.T) {
 	}{
 		{"seq", Options{}},
 		{"steal4", Options{Workers: 4}},
-		{"round4", Options{Workers: 4, RoundParallel: true}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()

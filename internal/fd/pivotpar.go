@@ -8,20 +8,13 @@ import (
 	"fuzzyfd/internal/intern"
 )
 
-// Pivot-partitioned hub closure.
+// Pivot-partitioned hub closure: the one parallel decomposition of the
+// worklist closure (closure.runFrom), the same loop run once per
+// pivot-value group.
 //
-// The work-stealing engine (concurrent.go) parallelizes a hub component by
-// sharing one growing store across workers: every probe takes an atomic
-// pointer load on the copy-on-write pivot buckets, every production a
-// sharded test-and-insert, every provenance fold a striped lock. After the
-// pivot index cut the candidate lists ~29x, that per-visit overhead came to
-// dominate — the parallel engines lost to the sequential one outright.
-//
-// This engine removes the shared mutable state instead of cheapening it,
-// using the same observation the pivot index is built on, taken one step
-// further: a merge's output inherits any non-null pivot of its inputs, and
-// two tuples with different non-null pivot values never merge. The closure
-// of a component with pivot column P therefore decomposes exactly:
+// A merge's output inherits any non-null pivot of its inputs, and two
+// tuples with different non-null pivot values never merge. The closure of a
+// component with pivot column P therefore decomposes exactly:
 //
 //   - N*, the closure of the null-pivot seeds among themselves: every
 //     null-pivot closure tuple derives from null-pivot tuples only (a merge
@@ -39,14 +32,14 @@ import (
 // group-counter increment per group and the shared tuple budget), no
 // cross-worker duplicate probes, and caches that fit a few hundred tuples
 // instead of the whole closure. Workers pick groups off an atomic counter;
-// the result is deterministic regardless of worker count or schedule, so
-// merge-attempt counts are schedule-independent (unlike the work-stealing
-// engine's).
+// the result, and the merge-attempt count, are the same for any worker
+// count or schedule.
 //
-// The decomposition needs every seed expanded, so it serves full closures
-// only (work == whole seed store). Incremental re-closure of a dirty hub —
-// where unexpanded cached tuples would miss their pairs with new null-pivot
-// tuples — stays on the work-stealing engine (closeConcurrent).
+// The decomposition needs every seed expanded, so it serves closures from
+// scratch only (nil worklist), and it needs a pivot. Extending a cached
+// closure — where unexpanded cached tuples would miss their pairs with new
+// null-pivot tuples — and closing a pivotless component are closeOne's, at
+// any Workers setting (see closeEach).
 
 // pivotGroups partitions seed indices by their pivot-column symbol:
 // null-pivot seeds first, then one group per distinct pivot value in

@@ -15,8 +15,8 @@ import (
 // emitted in a deterministic order — components ordered by their smallest
 // base tuple, rows within a component in value order — so repeated runs
 // over the same input produce the same byte stream. The emitted row set
-// equals FullDisjunction's output up to row order, with the Iterator's one
-// caveat: an all-null row (possible only from fully-empty input rows) is
+// equals FullDisjunction's output up to row order, with one caveat: an
+// all-null row (possible only from fully-empty input rows) is
 // dropped rather than provenance-folded when other components exist,
 // because its subsumer may already be emitted.
 //
@@ -37,13 +37,13 @@ func Stream(ctx context.Context, tables []*table.Table, schema Schema, opts Opti
 		stats.InputTuples += len(t.Rows)
 	}
 
-	eng, base, _ := outerUnion(tables, schema)
+	eng, base := outerUnion(tables, schema)
 	stats.OuterUnion = len(base)
 	stats.Values = eng.dict.Len()
 
 	comps := eng.partition(base)
 	// Emission order: smallest base tuple first, within and across
-	// components (the Iterator's order).
+	// components.
 	for _, comp := range comps {
 		sort.Slice(comp, func(a, b int) bool {
 			return eng.lessCells(comp[a].Cells, comp[b].Cells)
@@ -116,10 +116,9 @@ func Stream(ctx context.Context, tables []*table.Table, schema Schema, opts Opti
 		}
 		return nil
 	}
-	// Workers produce closure tuples in schedule order — out-of-order both
-	// across components and, with the work-stealing engine, inside one —
-	// but deliveries arrive per closed component and the pending buffer
-	// plus the per-component sort restore the deterministic emission order.
+	// Components complete in schedule order, but deliveries arrive per
+	// closed component and the pending buffer plus the per-component sort
+	// restore the deterministic emission order.
 	err := eng.closeEach(ctx, jobsOf(comps), opts, bud, func(ci int, r compResult) error {
 		stats.mergeWork(r.stats)
 		return deliver(ci, r)

@@ -16,7 +16,7 @@ const subsumeParMin = 256
 // semantics), folding the provenance of each removed tuple into one of its
 // subsumers so every input TID stays represented in the output. The choice
 // of subsumer is canonical — the most informative one, ties by value order
-// — so every engine variant (global, per-component, naive) folds
+// — so per-component closures, the operators and the naive oracle fold
 // identically.
 //
 // A subsumer must agree on every non-null cell of the subsumed tuple, so it
@@ -24,13 +24,7 @@ const subsumeParMin = 256
 // values; scanning the tuple's rarest posting list therefore finds all
 // potential subsumers without a quadratic pass.
 func (e *engine) subsume(tuples []Tuple) []Tuple {
-	return e.subsumeIndexed(tuples, nil)
-}
-
-// subsumeIndexed is subsume with an optional posting index already covering
-// tuples (the closure that just produced the store has one); nil builds it.
-func (e *engine) subsumeIndexed(tuples []Tuple, idx *postingIndex) []Tuple {
-	kept, _ := e.subsumeIncremental(tuples, idx, subCache{}, 1)
+	kept, _ := e.subsumeIncremental(tuples, nil, subCache{}, 1)
 	return kept
 }
 

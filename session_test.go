@@ -66,8 +66,7 @@ func TestSessionAnyBatchOrderMatchesIntegrate(t *testing.T) {
 	}{
 		{"default", nil},
 		{"parallel", []Option{WithParallelFD(4)}},
-		{"parallel-sharded", []Option{WithParallelFD(8), WithFDShards(8)}},
-		{"flat", []Option{WithPartitioning(false)}},
+		{"parallel8", []Option{WithParallelFD(8)}},
 		{"equi", []Option{WithEquiJoin()}},
 	}
 	r := rand.New(rand.NewSource(99))
