@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"bytes"
 	"context"
 
 	"fuzzyfd/internal/intern"
@@ -48,13 +49,12 @@ func (c *cancelCheck) poll() error {
 // only iterates the p-bucket and the null bucket of each of its posting
 // lists — candidates that conflict on the pivot are skipped without being
 // iterated. The flat lists are kept alongside the buckets: null-pivot
-// probes, subsumption's ascending suffix scans (subsumeIncremental), and
-// the partitioner read them unchanged.
+// probes and the partitioner read them unchanged.
 type postingIndex struct {
 	byCol []map[uint32][]int
 	// pivot is the output column the lists are sub-bucketed by, or -1 for
 	// an unbucketed index. byPivot[c][pivotKey(sym, p)] holds the tuples of
-	// byCol[c][sym] whose pivot cell is p, in the same ascending order.
+	// byCol[c][sym] whose pivot cell is p.
 	pivot   int
 	byPivot []map[uint64][]int
 	// pivotAt is the store size the pivot was chosen at. A cached index
@@ -63,14 +63,16 @@ type postingIndex struct {
 	// store has doubled the pivot is chosen again (see rechoosePivot).
 	pivotAt int
 	buckets int // (list, pivot-value) buckets in byPivot
+	// upTo is the store length the index is up to date for: entries below it
+	// have been posted if they qualified then (see postFrom).
+	upTo int
 }
 
+// newPostingIndex returns an empty unbucketed index. A column's map is made
+// when its first value is posted: most components touch a few columns of a
+// wide schema, and a cached one carries two indexes.
 func newPostingIndex(nCols int) *postingIndex {
-	idx := &postingIndex{byCol: make([]map[uint32][]int, nCols), pivot: -1}
-	for i := range idx.byCol {
-		idx.byCol[i] = make(map[uint32][]int)
-	}
-	return idx
+	return &postingIndex{byCol: make([]map[uint32][]int, nCols), pivot: -1}
 }
 
 // newPivotIndex returns a posting index bucketed by the given pivot column
@@ -80,9 +82,6 @@ func newPivotIndex(nCols, pivot int) *postingIndex {
 	if pivot >= 0 {
 		idx.pivot = pivot
 		idx.byPivot = make([]map[uint64][]int, nCols)
-		for i := range idx.byPivot {
-			idx.byPivot[i] = make(map[uint64][]int)
-		}
 	}
 	return idx
 }
@@ -96,8 +95,14 @@ func (idx *postingIndex) add(tupleID int, cells []uint32) {
 		if sym == intern.Null {
 			continue
 		}
+		if idx.byCol[c] == nil {
+			idx.byCol[c] = make(map[uint32][]int)
+		}
 		idx.byCol[c][sym] = append(idx.byCol[c][sym], tupleID)
 		if idx.pivot >= 0 {
+			if idx.byPivot[c] == nil {
+				idx.byPivot[c] = make(map[uint64][]int)
+			}
 			key := pivotKey(sym, cells[idx.pivot])
 			l, ok := idx.byPivot[c][key]
 			if !ok {
@@ -108,20 +113,19 @@ func (idx *postingIndex) add(tupleID int, cells []uint32) {
 	}
 }
 
-// widen gives the index empty posting maps for output columns appended by
-// a schema widening; existing lists are untouched.
+// widen gives the index room for output columns appended by a schema
+// widening; existing lists are untouched.
 func (idx *postingIndex) widen(nCols int) {
 	for len(idx.byCol) < nCols {
-		idx.byCol = append(idx.byCol, make(map[uint32][]int))
+		idx.byCol = append(idx.byCol, nil)
 		if idx.pivot >= 0 {
-			idx.byPivot = append(idx.byPivot, make(map[uint64][]int))
+			idx.byPivot = append(idx.byPivot, nil)
 		}
 	}
 }
 
 // setPivot re-buckets the index by the given column (-1 strips the
-// buckets) from the flat lists, which stay valid as they are. Buckets keep
-// the lists' ascending order.
+// buckets) from the flat lists, which stay valid as they are.
 func (idx *postingIndex) setPivot(tuples []Tuple, pivot int) {
 	idx.pivot, idx.byPivot, idx.buckets = pivot, nil, 0
 	if pivot < 0 {
@@ -129,6 +133,9 @@ func (idx *postingIndex) setPivot(tuples []Tuple, pivot int) {
 	}
 	idx.byPivot = make([]map[uint64][]int, len(idx.byCol))
 	for c, col := range idx.byCol {
+		if len(col) == 0 {
+			continue
+		}
 		m := make(map[uint64][]int, len(col))
 		for sym, list := range col {
 			for _, id := range list {
@@ -293,17 +300,70 @@ func pivotFor(opts Options, tuples []Tuple, nCols int) int {
 	return choosePivot(tuples, nCols)
 }
 
+// The complementation closure rests on three facts, which make its cost
+// follow its output instead of every pair of intermediate tuples.
+//
+// Fact 1 — a tuple meets base tuples only. The closure of a component is
+// exactly {merge(S) : S a connected, pairwise-consistent set of base
+// (outer-union) tuples}, and a connected set has an ordering whose prefixes
+// are all connected, so every closure tuple is reached by adding one base
+// tuple at a time: an expansion probes the base postings, and a derived x
+// derived pair, which could only re-derive an existing signature, is never
+// attempted. The same holds when a cached closure is extended (non-nil
+// worklist) although the old tuples are not expanded again. Let T be new;
+// some new base n ⊑ T lies below no old closure tuple u ⊑ T — if each did,
+// the old bases below T would cover T's cells and stay connected through
+// those u, making T old. Order the bases below T from n with connected
+// prefixes: every prefix merge lies between n and T, so it is new, so it is
+// queued and expanded. Provenance is untouched: prov(t) is the fixpoint
+// {b base : b ⊑ t}, and every pair (t, b) with b ⊑ t is attempted — from t's
+// expansion when t is new, from b's when b is (unless t is past mattering,
+// fact 3).
+//
+// Fact 2 — maximality is read off the expansion (entryExtended; the proof is
+// in subsume.go), so no subsumer search follows the closure.
+//
+// Fact 3 — derived tuples need no postings in a closure from scratch: by
+// fact 1 nothing probes for them, by fact 2 nothing scans them afterwards.
+// Only a later extension has a use for them, and only for the ones still
+// unextended: a new base tuple must meet those, to extend them or to lend
+// them its provenance; an extended derived tuple is never again output,
+// expanded or probed for, so it may go stale. So the base postings
+// (pivot-bucketed) always exist, and the derived postings are a second index
+// a store gets at its first extension, holding the derived tuples each run
+// left unextended. An expanded base tuple probes both, an expanded derived
+// tuple the base postings only. One-shot integrations never pay for the
+// second index.
+
+// Per-entry flags of a closure store, cached with it (cachedComp.flags).
+const (
+	// entryBase marks an outer-union tuple; unmarked entries were derived.
+	entryBase uint8 = 1 << iota
+	// entryExtended marks a tuple some successful attempt strictly extended:
+	// it is not maximal. Monotone — a store only grows — so it survives
+	// extension and absorption (OR-ed where stores are deduplicated).
+	entryExtended
+)
+
 // closure is the mutable state of one complementation run: the growing
-// tuple store with its signature and posting indexes, plus the (possibly
-// shared) tuple budget. A closure covers a single connected component (or,
-// inside the pivot-partitioned hub closure, its null-pivot tuples).
+// tuple store with its flags, signature index and postings, plus the
+// (possibly shared) tuple budget. A closure covers a single connected
+// component (or, inside the pivot-partitioned hub closure, its null-pivot
+// tuples).
 type closure struct {
 	eng    *engine
 	tuples []Tuple
+	flags  []uint8 // entryBase, entryExtended per store entry
 	sigs   *sigIndex
-	idx    *postingIndex
+	idx    *postingIndex // postings of the base tuples
+	der    *postingIndex // postings of unextended derived tuples; nil on a store never extended
 	bud    *budget
 	scr    *closeScratch // nil allocates one on first run
+	// ns, set on a pivot group's closure (pivotpar.go), is the closed
+	// null-pivot closure the group's tuples also meet, read-only; nsExt[j]
+	// records that this worker extended ns.tuples[j].
+	ns    *closure
+	nsExt []bool
 }
 
 // closeScratch is the worklist state of the sequential closure. The
@@ -319,9 +379,10 @@ type closeScratch struct {
 // pairOnce lets a worklist closure attempt each unordered pair once instead
 // of from both ends. at[j] - base is the store length at the start of j's
 // expansion in the current run (not expanded if that is not positive):
-// every tuple below it was indexed then and has been tried against j, so a
-// later expansion of such a tuple skips j. Ending a run raises base past
-// every entry it wrote, which retires them without a pass over the store.
+// every posted tuple below it that j's expansion probes for has been tried
+// against j, so a later expansion of such a tuple skips j. Ending a run
+// raises base past every entry it wrote, which retires them without a pass
+// over the store.
 type pairOnce struct {
 	at   []uint32
 	base uint32
@@ -346,30 +407,45 @@ func (p *pairOnce) end(n int) {
 	}
 }
 
-// newClosure wraps an existing store whose signature index is already
-// populated, building a posting index bucketed by pivot (-1 = unbucketed).
-func newClosure(eng *engine, tuples []Tuple, sigs *sigIndex, bud *budget, pivot int) *closure {
-	idx := newPivotIndex(eng.nCols, pivot)
-	for i := range tuples {
-		idx.add(i, tuples[i].Cells)
+// postFrom brings the index up to date with the store: of the entries from
+// upTo on it posts the base tuples (base) or the derived tuples nothing has
+// extended (!base), and reports how many.
+func (idx *postingIndex) postFrom(tuples []Tuple, flags []uint8, base bool) (posted int) {
+	for i := idx.upTo; i < len(tuples); i++ {
+		if f := flags[i]; base && f&entryBase != 0 || !base && f == 0 {
+			idx.add(i, tuples[i].Cells)
+			posted++
+		}
 	}
+	idx.upTo = len(tuples)
+	return posted
+}
+
+// newClosure wraps a store of distinct base tuples, hashing them and posting
+// them bucketed by pivot (-1 = unbucketed).
+func newClosure(eng *engine, tuples []Tuple, bud *budget, pivot int) *closure {
+	flags := bytes.Repeat([]byte{entryBase}, len(tuples))
+	sigs := newSigIndex()
+	for i := range tuples {
+		sigs.add(tuples[i].Cells, i)
+	}
+	idx := newPivotIndex(eng.nCols, pivot)
+	idx.postFrom(tuples, flags, true)
 	idx.pivotAt = len(tuples)
-	return &closure{eng: eng, tuples: tuples, sigs: sigs, idx: idx, bud: bud}
+	return &closure{eng: eng, tuples: tuples, flags: flags, sigs: sigs, idx: idx, bud: bud}
 }
 
-// run closes the store under pairwise complementation using a worklist. New
-// merged tuples are appended and indexed, so merges compose transitively
-// until fixpoint. The context is polled every cancelEvery candidate
-// expansions, so cancellation interrupts even one giant component.
-func (c *closure) run(ctx context.Context, stats *Stats) error {
-	return c.runFrom(ctx, nil, stats)
-}
-
-// runFrom is run with a seeded worklist: only the listed store IDs (and
-// tuples produced from them, transitively) are expanded. Pairs among the
-// unlisted tuples are assumed already closed — the incremental index seeds
-// a dirty component's store with its previous closure and lists only the
-// tuples that arrived or changed since. A nil worklist expands everything.
+// runFrom closes the store under complementation using a worklist. New
+// merged tuples are appended and expanded in turn, so merges compose
+// transitively until fixpoint. Only the listed store IDs (and tuples
+// produced from them, transitively) are expanded; a nil worklist expands
+// everything. Pairs among the unlisted tuples are assumed already closed —
+// the incremental index seeds a dirty component's store with its previous
+// closure and lists only the tuples that arrived or changed since. Which
+// postings an expansion probes is fact 1's rule (see above); both sides of
+// a successful attempt that is not their own cells are marked entryExtended
+// (fact 2). The context is polled every cancelEvery candidate expansions,
+// so cancellation interrupts even one giant component.
 func (c *closure) runFrom(ctx context.Context, work []int, stats *Stats) error {
 	if len(c.tuples) > 0 {
 		if err := c.bud.check(); err != nil {
@@ -392,46 +468,85 @@ func (c *closure) runFrom(ctx context.Context, work []int, stats *Stats) error {
 	chk := cancelCheck{ctx: ctx}
 	mbuf := make([]uint32, 0, c.eng.nCols)
 	skipped := 0
-	var newIDs []int
+
+	// i is the tuple being expanded, base whether it is a base tuple: only
+	// then can a partner's earlier expansion have attempted the pair already
+	// (a derived tuple is not posted while the run lasts). shared is set
+	// while the candidates are c.ns's: nothing expands those, and every
+	// success extends them (the result carries the group's pivot value).
+	var i int
+	var base, shared bool
+	attempt := func(j int) {
+		if stopErr != nil {
+			return
+		}
+		var partner *Tuple
+		switch {
+		case shared:
+			partner = &c.ns.tuples[j]
+		case base && scr.once.tried(i, j):
+			return
+		default:
+			partner = &c.tuples[j]
+		}
+		if stopErr = chk.poll(); stopErr != nil {
+			return
+		}
+		stats.MergeAttempts++
+		merged, ok := tryMergeInto(mbuf, c.tuples[i].Cells, partner.Cells)
+		if !ok {
+			return
+		}
+		mbuf = merged
+		at, hash, exists := c.sigs.find(merged, c.tuples)
+		if exists {
+			if p := c.tuples[at].Prov; !provContains(p, c.tuples[i].Prov) || !provContains(p, partner.Prov) {
+				c.tuples[at].Prov = mergeProv(p, mergeProv(c.tuples[i].Prov, partner.Prov))
+			}
+		} else {
+			stats.Merges++
+			at = len(c.tuples)
+			c.sigs.addHashed(hash, at)
+			c.tuples = append(c.tuples, Tuple{Cells: cloneCells(merged), Prov: mergeProv(c.tuples[i].Prov, partner.Prov)})
+			c.flags = append(c.flags, 0)
+			queue = append(queue, at)
+			stopErr = c.bud.add(1)
+		}
+		if at != i {
+			c.flags[i] |= entryExtended
+		}
+		if shared {
+			c.nsExt[j] = true
+		} else if at != j {
+			c.flags[j] |= entryExtended
+		}
+	}
 
 	for len(queue) > 0 && stopErr == nil {
-		i := queue[len(queue)-1]
+		i = queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
+		base = c.flags[i]&entryBase != 0
 
 		scr.seen.next(len(c.tuples))
 		scr.once.expand(i, len(c.tuples))
-		newIDs = newIDs[:0]
-		skipped += c.idx.candidates(i, c.tuples[i].Cells, &scr.seen, func(j int) {
-			if stopErr != nil || scr.once.tried(i, j) {
-				return
-			}
-			if stopErr = chk.poll(); stopErr != nil {
-				return
-			}
-			stats.MergeAttempts++
-			merged, ok := tryMergeInto(mbuf, c.tuples[i].Cells, c.tuples[j].Cells)
-			if !ok {
-				return
-			}
-			mbuf = merged
-			at, hash, exists := c.sigs.find(merged, c.tuples)
-			if exists {
-				if p := c.tuples[at].Prov; !provContains(p, c.tuples[i].Prov) || !provContains(p, c.tuples[j].Prov) {
-					c.tuples[at].Prov = mergeProv(p, mergeProv(c.tuples[i].Prov, c.tuples[j].Prov))
-				}
-				return
-			}
-			stats.Merges++
-			id := len(c.tuples)
-			c.sigs.addHashed(hash, id)
-			c.tuples = append(c.tuples, Tuple{Cells: cloneCells(merged), Prov: mergeProv(c.tuples[i].Prov, c.tuples[j].Prov)})
-			newIDs = append(newIDs, id)
-			stopErr = c.bud.add(1)
-		})
-		for _, id := range newIDs {
-			c.idx.add(id, c.tuples[id].Cells)
-			queue = append(queue, id)
+		cells := c.tuples[i].Cells
+		skipped += c.idx.candidates(i, cells, &scr.seen, attempt)
+		if base && c.der != nil {
+			skipped += c.der.candidates(i, cells, &scr.seen, attempt)
 		}
+		if c.ns != nil {
+			shared = true
+			scr.seen.next(len(c.ns.tuples)) // a new round, over N*'s IDs
+			c.ns.idx.candidates(-1, cells, &scr.seen, attempt)
+			if base {
+				c.ns.der.candidates(-1, cells, &scr.seen, attempt)
+			}
+			shared = false
+		}
+	}
+	c.idx.upTo = len(c.tuples) // a run adds no base tuple
+	if c.der != nil && stopErr == nil {
+		c.der.postFrom(c.tuples, c.flags, false) // what this run left unextended
 	}
 	scr.queue = queue[:0]
 	scr.once.end(len(c.tuples))

@@ -42,13 +42,9 @@ func FlatReference(tables []*table.Table, schema Schema) (*Result, error) {
 		return nil, err
 	}
 	eng, tuples := outerUnion(tables, schema)
-	sigs := newSigIndex()
-	for i := range tuples {
-		sigs.add(tuples[i].Cells, i)
-	}
-	cl := newClosure(eng, tuples, sigs, nil, -1)
+	cl := newClosure(eng, tuples, nil, -1)
 	var stats Stats
-	if err := cl.run(context.Background(), &stats); err != nil {
+	if err := cl.runFrom(context.Background(), nil, &stats); err != nil {
 		return nil, err
 	}
 	return eng.materialize(eng.subsume(cl.tuples), schema, stats), nil

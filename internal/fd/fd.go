@@ -22,36 +22,44 @@
 //     subsumption (bar the all-null tuple, handled globally) crosses a
 //     component boundary, so each component is closed and
 //     subsumption-reduced independently.
-//   - There is one closure: the sequential worklist (closure.runFrom),
-//     which tries each unordered candidate pair once over pivot-bucketed
-//     posting lists. With Options.Workers > 1 components are scheduled by
-//     size — tiny ones close inline, the rest are scheduled whole across
-//     workers — and one rule decides the only other way a component is
-//     closed: a component closing from scratch (no cached closure to
-//     extend) with at least hubMinTuples tuples, holding at least half of
-//     the round's tuples (or alone in it), for which choosePivot finds a
-//     pivot column, is closed with every worker inside it by
-//     closePivotPar (pivotpar.go) — the same worklist loop, run once per
-//     disjoint pivot-value group. Everything else, at any Workers setting
-//     — every cached closure being extended, every component without a
-//     pivot — is closed by that one loop, in place.
+//   - There is one closure: the sequential worklist (closure.runFrom) over
+//     pivot-bucketed posting lists, and its cost follows its output. Three
+//     facts make it so (proofs in complement.go and subsume.go). One: every
+//     closure tuple is reached by adding one base (outer-union) tuple at a
+//     time — a connected set has an ordering with connected prefixes — so a
+//     pair is attempted, once, iff one side is base. Two: a tuple is maximal
+//     iff no attempt strictly extended it, so the result is read off the
+//     expansion and no subsumer search follows. Three: nothing then probes
+//     or scans for derived tuples, so a closure from scratch posts its base
+//     tuples only; when a cached store is extended, the derived tuples still
+//     unextended are posted, for the new base tuples to find.
+//   - With Options.Workers > 1 components are scheduled by size — tiny ones
+//     close inline, the rest are scheduled whole across workers — and one
+//     rule decides the only other way a component is closed: a component
+//     closing from scratch (no cached closure to extend) with at least
+//     hubMinTuples tuples, holding at least half of the round's tuples (or
+//     alone in it), for which choosePivot finds a pivot column, is closed
+//     with every worker inside it by closePivotPar (pivotpar.go) — the same
+//     worklist loop, run once per disjoint pivot-value group. Everything
+//     else, at any Workers setting — every cached closure being extended,
+//     every component without a pivot — is closed by that one loop, in place.
 //   - A session (Index) keeps every component's closure between updates
 //     and makes an update cost what its delta costs. A dirty component is
 //     re-closed through one seeding path (Index.seed): the cached closure
 //     with the largest store is the host and is extended in place — store,
-//     signature index, posting index, subsumption cache, worklist scratch —
-//     the stores of smaller closures a merge brought in are appended behind
-//     it, and only the new or changed tuples are expanded. Two rules keep
-//     the in-place path honest: signatures ignore trailing null cells, so
-//     schema widening invalidates nothing; and a cached posting index
-//     re-chooses its pivot column whenever its store has doubled, so a
-//     component first indexed small does not probe unbucketed for life.
+//     entry flags, signature index, postings, worklist scratch — the stores
+//     of smaller closures a merge brought in are appended behind it, and
+//     only the new or changed tuples are expanded. Two rules keep the
+//     in-place path honest: signatures ignore trailing null cells, so
+//     schema widening invalidates nothing; and cached postings re-choose
+//     their pivot column whenever the store has doubled, so a component
+//     first indexed small does not probe unbucketed for life.
 //
 // Tuples carry provenance (the set of input tuple IDs they integrate), so
 // downstream tasks such as entity matching can trace every output row back
-// to its sources. When a subsumed tuple is removed its provenance is folded
-// into a subsuming tuple, preserving FD's guarantee that every input tuple
-// is represented in the output.
+// to its sources. A closure tuple's provenance is every input tuple it
+// subsumes, so the maximal tuples that remain represent every input tuple:
+// FD's guarantee holds with nothing to fold when subsumed tuples go.
 package fd
 
 import (
@@ -311,7 +319,7 @@ type Stats struct {
 	Closure           int   // tuples after complementation closure
 	ReclosedTuples    int   // closure tuples of the components (re)closed this run (= Closure for one-shot runs)
 	SeedReusedTuples  int   // closure tuples seeded from previous runs instead of re-derived (incremental re-closure)
-	SeedIndexedTuples int   // tuples hashed or posted while seeding re-closures: the delta and absorbed smaller closures, not the stores extended in place
+	SeedIndexedTuples int   // tuples posted to bring cached stores' postings up to date for re-closure: the delta, absorbed smaller closures, and at a store's first extension its unextended derived tuples — not the stores extended in place
 	PivotColumn       int   // pivot column of the largest component (re)closed this run; -1 when it ran unbucketed
 	PivotGroups       int   // disjoint pivot-value groups hubs were closed by (closePivotPar; 0 when no component was)
 	PivotSkipped      int   // candidate iterations skipped by pivot bucketing this run
@@ -329,6 +337,7 @@ type Stats struct {
 func (s *Stats) mergeWork(r Stats) {
 	s.Merges += r.Merges
 	s.MergeAttempts += r.MergeAttempts
+	s.SeedIndexedTuples += r.SeedIndexedTuples
 	s.PivotGroups += r.PivotGroups
 	s.PivotSkipped += r.PivotSkipped
 	s.PivotBuckets += r.PivotBuckets

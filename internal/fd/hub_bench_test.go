@@ -120,7 +120,10 @@ type hubBenchDelta struct {
 // parallelism exists — MultiProc, GOMAXPROCS = min(NumCPU, 8), absent on a
 // one-CPU machine — and OneProc is the no-worse-than-sequential sanity row.
 // PivotAttemptReduction is the factor by which the pivot index cuts the
-// sequential closure's merge attempts on the hub.
+// sequential closure's merge attempts on the hub, and
+// AttemptsPerClosureTuple what the sequential closure spends per tuple it
+// stores: a closure tuple meets base tuples only, so this follows the
+// component's base fan-out, not the closure's size.
 type hubBenchReport struct {
 	Benchmark             string         `json:"benchmark"`
 	NumCPU                int            `json:"num_cpu"`
@@ -132,6 +135,8 @@ type hubBenchReport struct {
 	MultiProc             *hubBenchProcs `json:"multi_proc,omitempty"`
 	HubDelta              hubBenchDelta  `json:"hub_delta"`
 	PivotAttemptReduction float64        `json:"pivot_attempt_reduction"`
+
+	AttemptsPerClosureTuple float64 `json:"attempts_per_closure_tuple"`
 }
 
 // writeHubBenchJSON measures the hub fixture at GOMAXPROCS 1 and at
@@ -157,6 +162,7 @@ func writeHubBenchJSON(path string, tables []*table.Table, schema fd.Schema) err
 	report.HubClosure = seq.Closure
 	report.PivotColumn = schema.Columns[seq.PivotColumn]
 	report.PivotAttemptReduction = float64(one.engine("seq-nopivot").MergeAttempts) / float64(seq.MergeAttempts)
+	report.AttemptsPerClosureTuple = float64(seq.MergeAttempts) / float64(seq.Closure)
 	if multi > 1 {
 		runtime.GOMAXPROCS(multi)
 		m, _, err := hubBenchSweep(tables, schema)

@@ -149,28 +149,36 @@ type cachedComp struct {
 	kept    []Tuple     // closure + subsumption result, in value order
 	rows    []table.Row // kept, decoded (nil until needed after a widening or adoption)
 	closure int         // closure size, for stats and budget accounting
-	// store holds the full closure store, provenance enriched by every fold
-	// the closure performed (including folds into base tuples whose cells
-	// subsume each other). When the component goes dirty the store is
-	// extended in place and only pairs involving a new or changed tuple are
-	// expanded, instead of re-deriving the closure from base tuples.
-	// (Provenance may carry subsumption folds from the previous run; that is
-	// harmless — a fold only ever adds provenance of tuples the carrier
-	// subsumes, which the re-closure's provenance fixpoint contains anyway.)
-	// A closure adopted from a snapshot has no store (persist.go), nor has
-	// one whose re-closure is in flight or failed.
+	// store holds the full closure store. When the component goes dirty the
+	// store is extended in place and only the new or changed base tuples (and
+	// what they produce) are expanded, instead of re-deriving the closure
+	// from base tuples: by fact 1 of complement.go every tuple the delta adds
+	// is reached from a new base tuple through new tuples. A live entry's
+	// provenance is the fixpoint {b base : b ⊑ entry}, which only grows; a
+	// derived entry that has been extended is dead weight kept for signature
+	// dedup and may lag. A closure adopted from a snapshot has no store
+	// (persist.go), nor has one whose re-closure is in flight or failed.
 	store []Tuple
-	// sigs and post are the signature and posting indexes covering store,
-	// sub the subsumption state of every store entry, scr the closure's
-	// worklist scratch — all kept from the run that produced the store and
-	// extended, never rebuilt, by the next. sigs, post and scr are nil after
-	// a singleton close or a hub closed by pivot groups (closeOnePar); they
-	// are built when the store is first extended. post re-chooses its pivot column
-	// when the store has doubled (postingIndex.rechoosePivot).
-	sigs *sigIndex
-	post *postingIndex
-	sub  subCache
-	scr  *closeScratch
+	// flags holds one byte per store entry, kept from the run that produced
+	// the store and carried through every seeding rather than rebuilt from
+	// Index.pos: entryBase (an outer-union tuple — what an expansion probes
+	// for, fact 1) and entryExtended (some attempt strictly extended the
+	// entry, so it is not maximal, fact 2; kept is the rest). Both only ever
+	// get set: a derived entry turns base when an identical row arrives, and
+	// a store only grows, so an extended entry stays extended.
+	flags []uint8
+	// sigs is the signature index covering store, post the postings of its
+	// base entries, der the postings of the derived entries each run left
+	// unextended, scr the closure's worklist scratch — kept from the run that
+	// produced the store and extended, never rebuilt, by the next. der is nil
+	// until the store is first extended (fact 3: a closure from scratch posts
+	// no derived tuple); sigs, post and scr are nil after a singleton close
+	// or a hub closed by pivot groups (closePivotPar). What is missing is
+	// built when the store is next extended. post re-chooses its pivot column
+	// when the store has doubled (postingIndex.rechoosePivot); der follows.
+	sigs      *sigIndex
+	post, der *postingIndex
+	scr       *closeScratch
 	// gen counts the times the closure was consumed by a claim; assembled
 	// rows (outRow) of an older generation are stale.
 	gen uint32
@@ -516,8 +524,10 @@ func widenComp(c *cachedComp, nCols int) {
 	widenCells(c.kept, nCols)
 	widenCells(c.store, nCols)
 	c.rows = nil // decoded at the old width
-	if c.post != nil {
-		c.post.widen(nCols)
+	for _, idx := range []*postingIndex{c.post, c.der} {
+		if idx != nil {
+			idx.widen(nCols)
+		}
 	}
 }
 
@@ -738,7 +748,7 @@ func (x *Index) compactOrder() {
 // the seed store holding every tuple already known for it and the worklist
 // of store positions whose pairs are unexamined — the dirty members'. There
 // is one path. The cached closure with the largest store is the host: its
-// store, signature index, posting index, subsumption cache and scratch are
+// store, entry flags, signature index, postings and scratch are
 // kept and extended in place. The stores of the other (smaller) closures
 // the component absorbed are appended behind it, deduplicated through the
 // host's signatures — a new base tuple can equal a tuple one of them
@@ -783,32 +793,36 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 		return closeJob{tuples: tuples, base: len(tuples), owned: true}, rec
 	}
 
-	tuples, sigs, post := host.store, host.sigs, host.post
-	indexed := 0
+	tuples, flags, sigs, post := host.store, host.flags, host.sigs, host.post
 	if sigs == nil {
 		sigs = newSigIndex()
 		for i := range tuples {
 			sigs.add(tuples[i].Cells, i)
 		}
-		indexed += len(tuples)
 	}
-	// add puts one tuple into the store, folding it into the entry with
-	// identical cells if there is one, and reports where it sits.
-	add := func(t Tuple) int32 {
+	// add puts one tuple with its flags into the store, folding it into the
+	// entry with identical cells if there is one, and reports where it sits.
+	// Appended entries are posted when the closure brings the postings up to
+	// date (newJobClosure). A base tuple can also land on an entry that was
+	// derived until now: the entry turns base and enters the base postings
+	// here, or no derived tuple would ever probe for it. (It may sit in the
+	// derived postings too; a probe of both deduplicates.)
+	add := func(t Tuple, f uint8) int32 {
 		at, hash, ok := sigs.find(t.Cells, tuples)
 		if ok {
 			if !provContains(tuples[at].Prov, t.Prov) {
 				tuples[at].Prov = mergeProv(tuples[at].Prov, t.Prov)
 			}
+			if post != nil && f&entryBase != 0 && flags[at]&entryBase == 0 {
+				post.add(at, tuples[at].Cells)
+				stats.SeedIndexedTuples++
+			}
+			flags[at] |= f
 			return int32(at)
 		}
 		at = len(tuples)
-		tuples = append(tuples, t)
+		tuples, flags = append(tuples, t), append(flags, f)
 		sigs.addHashed(hash, at)
-		if post != nil {
-			post.add(at, t.Cells)
-		}
-		indexed++
 		return int32(at)
 	}
 	members := host.members
@@ -818,35 +832,31 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 		}
 		to := make([]int32, len(r.store))
 		for p := range r.store {
-			to[p] = add(r.store[p])
+			to[p] = add(r.store[p], r.flags[p])
 		}
 		for _, id := range r.members {
 			x.cover[id], x.pos[id] = host, to[x.pos[id]]
 		}
 		members = append(members, r.members...)
-		r.store, r.sigs, r.post, r.sub, r.scr = nil, nil, nil, subCache{}, nil
+		r.store, r.flags, r.sigs, r.post, r.der, r.scr = nil, nil, nil, nil, nil, nil
 	}
 	work := make([]int, 0, len(fresh))
 	for _, id := range fresh {
 		x.dirty[id] = false
 		if x.cover[id] != host {
-			x.cover[id], x.pos[id] = host, add(x.base[id])
+			x.cover[id], x.pos[id] = host, add(x.base[id], entryBase)
 			members = append(members, id)
 		} else if p := x.pos[id]; !provContains(tuples[p].Prov, x.base[id].Prov) {
 			tuples[p].Prov = mergeProv(tuples[p].Prov, x.base[id].Prov)
 		}
 		work = append(work, int(x.pos[id]))
 	}
-	if post == nil {
-		indexed += len(tuples) // the closure indexes the whole store
-	}
-	stats.SeedIndexedTuples += indexed
 	job := closeJob{
-		tuples: tuples, base: len(members), work: work, owned: true,
-		sigs: sigs, post: post, sub: host.sub, scr: host.scr,
+		tuples: tuples, flags: flags, base: len(members), work: work, owned: true,
+		sigs: sigs, post: post, der: host.der, scr: host.scr,
 	}
 	host.members = members
-	host.store, host.sigs, host.post, host.sub, host.scr = nil, nil, nil, subCache{}, nil
+	host.store, host.flags, host.sigs, host.post, host.der, host.scr = nil, nil, nil, nil, nil, nil
 	return job, host
 }
 
@@ -988,8 +998,8 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 				largestDirty = r.closure
 				stats.PivotColumn = r.stats.PivotColumn
 			}
-			rec.kept, rec.rows, rec.closure, rec.store = r.kept, decoded[di], r.closure, r.store
-			rec.sigs, rec.post, rec.sub, rec.scr = r.sigs, r.post, r.sub, r.scr
+			rec.kept, rec.rows, rec.closure = r.kept, decoded[di], r.closure
+			rec.store, rec.flags, rec.sigs, rec.post, rec.der, rec.scr = r.store, r.flags, r.sigs, r.post, r.der, r.scr
 			if x.nCols > roundCols {
 				widenComp(rec, x.nCols)
 			}

@@ -177,10 +177,11 @@ func grow(view []*table.Table, ti int, cells ...table.Cell) []*table.Table {
 // hubMinTuples rows at once must hash or post only a small multiple of the
 // delta while seeding, and the
 // one-row update's allocation count must not grow with the hub — at every
-// Workers setting: a cached closure is always extended in place. (A hub
-// first closed by pivot groups comes back without indexes and gets them at
-// its first extension, so Workers 2 takes one warm-up row before it is
-// measured.)
+// Workers setting: a cached closure is always extended in place. The first
+// extension of a closure from scratch is the one that indexes in proportion
+// to the store, once: it posts the derived tuples the closure left
+// unextended (and, after a hub closed by pivot groups, the base tuples too),
+// so one warm-up row goes in before the measurement.
 func TestIndexUpdateProportionalToDelta(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -201,14 +202,16 @@ func proportionalToDelta(t *testing.T, opts Options) {
 	if first.Stats.LargestClose < 2*n {
 		t.Fatalf("fixture hub closes to %d tuples, want >= %d", first.Stats.LargestClose, 2*n)
 	}
-	if opts.Workers > 1 {
-		if first.Stats.PivotGroups == 0 {
-			t.Fatal("fixture: the hub was not closed by pivot groups")
-		}
-		view = grow(view, 0, table.S("k1"), table.S("v-warm"))
-		if _, err := x.Update(view, schema, opts); err != nil {
-			t.Fatal(err)
-		}
+	if opts.Workers > 1 && first.Stats.PivotGroups == 0 {
+		t.Fatal("fixture: the hub was not closed by pivot groups")
+	}
+	view = grow(view, 0, table.S("k1"), table.S("v-warm"))
+	warm, err := x.Update(view, schema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, store := warm.Stats.SeedIndexedTuples, warm.Stats.SeedReusedTuples+len(view[0].Rows)+1; got > store {
+		t.Errorf("first extension: seeding posted %d tuples, more than the %d-tuple store", got, store)
 	}
 
 	check := func(label string, maxIndexed, maxAttempts int) {

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -145,22 +146,29 @@ type closeJob struct {
 	tuples []Tuple
 	base   int   // count of outer-union (base) tuples in the seed
 	work   []int // store IDs to expand; nil closes from scratch
+	// flags are the seed's entry flags (entryBase, entryExtended), or nil on
+	// a seed of base tuples to close from scratch. A job with flags extends a
+	// cached store: it owns it and brings its signature index.
+	flags []uint8
 	// owned marks seed slices that are this job's alone (the incremental
 	// index hands over a cached store): the closure may grow and mutate them
 	// in place. Unowned seeds (partitioner output) are copied first.
 	owned bool
-	// sigs, when non-nil, is a signature index already built over tuples;
-	// the closure consumes it in place instead of re-hashing the store.
-	sigs *sigIndex
-	// post, when non-nil, is a posting index already covering tuples
-	// (cached from the component's previous closure); the closure appends
-	// produced tuples to it instead of re-indexing the whole store.
-	post *postingIndex
-	// sub, when set, carries the previous run's subsumption cache for a
-	// prefix of the seed, so re-subsumption searches only the store's growth
-	// (see subsumeIncremental); scr is the previous run's worklist scratch.
-	sub subCache
-	scr *closeScratch
+	// sigs is the signature index over a cached store's tuples. post and
+	// der, when non-nil, are the postings of its base tuples and of its
+	// unextended derived tuples, and scr the worklist scratch, all from the
+	// component's previous closure: the closure brings them up to date
+	// instead of re-indexing the store.
+	sigs      *sigIndex
+	post, der *postingIndex
+	scr       *closeScratch
+	// pivoted says closeEach already chose the pivot column while applying
+	// its hub rule to this from-scratch job: a column makes the job a hub,
+	// closed by that column's groups with every worker inside it
+	// (closePivotPar); -1 leaves it to the sequential closure, unbucketed,
+	// which does not choose again.
+	pivoted bool
+	pivot   int
 }
 
 // jobsOf wraps freshly partitioned components as from-scratch close jobs.
@@ -175,53 +183,73 @@ func jobsOf(comps [][]Tuple) []closeJob {
 // compResult is the outcome of closing one component.
 type compResult struct {
 	kept []Tuple
-	// store is the full closure store, provenance enriched by every fold
-	// the closure performed. The incremental index caches it — together
-	// with the signature and posting indexes that cover it, when closeOne
-	// produced them — to seed future re-closures of the component.
-	store   []Tuple
-	sigs    *sigIndex
-	post    *postingIndex
-	sub     subCache      // subsumption state per store entry
-	scr     *closeScratch // the closure's worklist scratch
-	stats   Stats
-	closure int
-	err     error
+	// store is the full closure store with its entry flags. The incremental
+	// index caches it — together with the signature and posting indexes that
+	// cover it, when closeOne produced them — to seed future re-closures of
+	// the component.
+	store     []Tuple
+	flags     []uint8
+	sigs      *sigIndex
+	post, der *postingIndex
+	scr       *closeScratch // the closure's worklist scratch
+	stats     Stats
+	closure   int
+	err       error
 }
 
-// newJobClosure wraps a job's seed store in a closure, copying it
-// first unless the job owns it (the store grows and its provenance is folded
-// in place, so an unowned caller's slices must stay untouched). A fresh
-// posting index is bucketed by the pivot column chosen over the seed; a
-// cached index (job.post) keeps its pivot until the store has doubled since
-// it was chosen (postingIndex.rechoosePivot), and NoPivot strips its buckets
-// — the flat lists stay valid either way.
-func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) *closure {
+// newJobClosure wraps a job's seed store in a closure and reports how many
+// tuples it posted to bring a cached store's postings up to date. A seed of
+// base tuples (from scratch: no flags) is copied first unless the job owns
+// it — the store grows and its provenance is folded in place, so an unowned
+// caller's slices must stay untouched — and posted bucketed by the pivot
+// column chosen over it. A cached store being extended keeps its base
+// postings' pivot until the store has doubled since it was chosen
+// (postingIndex.rechoosePivot), and NoPivot strips the buckets — the flat
+// lists stay valid either way; the derived postings, made at the store's
+// first extension (fact 3 of complement.go), follow that pivot. Both then
+// take in what the seeding appended: the delta's base tuples, and the
+// unextended derived tuples of absorbed stores.
+func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) (cl *closure, posted int) {
 	tuples := job.tuples
-	if !job.owned {
-		tuples = make([]Tuple, len(job.tuples))
-		copy(tuples, job.tuples)
-	}
-	sigs := job.sigs
-	if sigs == nil {
-		sigs = newSigIndex()
-		for i := range tuples {
-			sigs.add(tuples[i].Cells, i)
+	if job.flags == nil {
+		if !job.owned {
+			tuples = slices.Clone(tuples)
 		}
+		pivot := job.pivot
+		if !job.pivoted {
+			pivot = pivotFor(opts, tuples, e.nCols)
+		}
+		return newClosure(e, tuples, bud, pivot), 0
 	}
-	if job.post == nil {
-		cl := newClosure(e, tuples, sigs, bud, pivotFor(opts, tuples, e.nCols))
-		cl.scr = job.scr
-		return cl
+	cl = &closure{eng: e, tuples: tuples, flags: job.flags, sigs: job.sigs, idx: job.post, der: job.der, bud: bud, scr: job.scr}
+	if cl.idx == nil {
+		cl.idx = newPivotIndex(e.nCols, pivotFor(opts, tuples, e.nCols))
+		cl.idx.pivotAt = len(tuples)
+	} else {
+		cl.idx.rechoosePivot(opts, tuples, e.nCols)
 	}
-	job.post.rechoosePivot(opts, tuples, e.nCols)
-	return &closure{eng: e, tuples: tuples, sigs: sigs, idx: job.post, bud: bud, scr: job.scr}
+	if cl.der == nil {
+		cl.der = newPivotIndex(e.nCols, cl.idx.pivot)
+	} else if cl.der.pivot != cl.idx.pivot {
+		cl.der.setPivot(tuples, cl.idx.pivot)
+	}
+	return cl, cl.idx.postFrom(tuples, cl.flags, true) + cl.der.postFrom(tuples, cl.flags, false)
 }
 
-// closeOne closes one component job (complementation closure followed by
-// subsumption removal) against the shared budget, polling ctx inside the
-// closure.
+// closeOne closes one component job — the complementation closure, whose
+// unextended entries are the maximal tuples — against the shared budget,
+// polling ctx inside the closure. A job closeEach found to be a hub is
+// closed by closePivotPar with every worker inside it; its store comes back
+// without indexes or scratch, and its first extension builds them.
 func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *budget) compResult {
+	if job.pivoted && job.pivot >= 0 {
+		var st Stats
+		closed, flags, err := closePivotPar(ctx, e, job.tuples, job.pivot, opts.Workers, bud, &st)
+		if err != nil {
+			return compResult{err: err}
+		}
+		return compResult{kept: keptOf(closed, flags), store: closed, flags: flags, stats: st, closure: len(closed)}
+	}
 	if len(job.tuples) == 1 {
 		// A singleton component is its own closure and its own maximal
 		// tuple; skip the index setup entirely (data-lake inputs produce
@@ -229,31 +257,21 @@ func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *
 		if err := bud.check(); err != nil {
 			return compResult{err: err}
 		}
-		_, sub := e.subsumeIncremental(job.tuples, nil, subCache{}, 1)
-		return compResult{kept: job.tuples, store: job.tuples, sub: sub, stats: Stats{PivotColumn: -1}, closure: 1}
+		return compResult{kept: job.tuples, store: job.tuples, flags: []uint8{entryBase}, stats: Stats{PivotColumn: -1}, closure: 1}
 	}
-	cl := newJobClosure(e, job, opts, bud)
-	st := Stats{PivotColumn: cl.idx.pivot}
+	cl, posted := newJobClosure(e, job, opts, bud)
+	st := Stats{PivotColumn: cl.idx.pivot, SeedIndexedTuples: posted}
 	if err := cl.runFrom(ctx, job.work, &st); err != nil {
 		return compResult{err: err}
 	}
 	st.PivotBuckets = cl.idx.buckets
-	kept, sub := e.subsumeIncremental(cl.tuples, cl.idx, job.sub, 1)
-	return compResult{kept: kept, store: cl.tuples, sigs: cl.sigs, post: cl.idx, sub: sub, scr: cl.scr, stats: st, closure: len(cl.tuples)}
-}
-
-// closeOnePar closes one from-scratch component job with every worker
-// inside it: closePivotPar over the groups of the given pivot column, then
-// subsumption with the subsumer search fanned out. closeEach decides which
-// jobs come here.
-func (e *engine) closeOnePar(ctx context.Context, job closeJob, pivot, workers int, bud *budget) compResult {
-	var st Stats
-	closed, err := closePivotPar(ctx, e, job.tuples, pivot, workers, bud, &st)
-	if err != nil {
-		return compResult{err: err}
+	if cl.der != nil {
+		st.PivotBuckets += cl.der.buckets
 	}
-	kept, sub := e.subsumeIncremental(closed, nil, subCache{}, workers)
-	return compResult{kept: kept, store: closed, sub: sub, stats: st, closure: len(closed)}
+	return compResult{
+		kept: keptOf(cl.tuples, cl.flags), store: cl.tuples, flags: cl.flags,
+		sigs: cl.sigs, post: cl.idx, der: cl.der, scr: cl.scr, stats: st, closure: len(cl.tuples),
+	}
 }
 
 // Component scheduling thresholds for Workers > 1.
@@ -274,16 +292,17 @@ const (
 // (completion order, tagged with the component index) — which is what
 // backs streaming output and per-component progress. With workers > 1 the
 // jobs are split three ways. A hub is closed first, with every worker
-// inside it (closeOnePar), and a job is a hub iff it closes from scratch
+// inside it (closePivotPar), and a job is a hub iff it closes from scratch
 // (nil worklist), has at least hubMinTuples tuples, holds at least half of
-// the round's tuples, and has a pivot column to decompose by. Components up
+// the round's tuples, and has a pivot column to decompose by — the column
+// is chosen here, once, and travels on the job. Components up
 // to smallCompMax tuples run inline on the assembler (no goroutine spawn —
 // Workers must never pessimize a tiny-component workload). The rest —
 // including every cached closure being extended, whatever its size, and
-// every component without a pivot — are closed by closeOne, scheduled whole
-// across a worker pool, largest first, flowing back to the assembler
-// through a channel; a cached closure is thereby extended in place exactly
-// as with workers <= 1.
+// every component without a pivot — are closed by the sequential closure,
+// scheduled whole across a worker pool, largest first, flowing back to the
+// assembler through a channel; a cached closure is thereby extended in place
+// exactly as with workers <= 1.
 // The context is checked at every component boundary (and inside
 // components by the closures). Returns the first component error,
 // context cancellation, or deliver error; later deliveries are suppressed
@@ -316,30 +335,24 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 	for i := range jobs {
 		total += len(jobs[i].tuples)
 	}
-	var pool, small []int
+	var hubs, pool, small []int
 	for ci := range jobs {
-		job := jobs[ci]
+		job := &jobs[ci]
 		n := len(job.tuples)
 		if job.work == nil && n >= hubMinTuples && 2*n >= total {
-			if pivot := pivotFor(opts, job.tuples, e.nCols); pivot >= 0 {
-				if err := ctx.Err(); err != nil {
-					return Canceled(err)
-				}
-				r := e.closeOnePar(ctx, job, pivot, opts.Workers, bud)
-				if r.err != nil {
-					return r.err
-				}
-				if err := deliver(ci, r); err != nil {
-					return err
-				}
-				continue
-			}
+			job.pivoted, job.pivot = true, pivotFor(opts, job.tuples, e.nCols)
 		}
-		if n > smallCompMax {
+		switch {
+		case job.pivoted && job.pivot >= 0:
+			hubs = append(hubs, ci)
+		case n > smallCompMax:
 			pool = append(pool, ci)
-		} else {
+		default:
 			small = append(small, ci)
 		}
+	}
+	if err := inline(hubs); err != nil {
+		return err
 	}
 	workers := opts.Workers
 	if workers > len(pool) {

@@ -28,12 +28,24 @@ import (
 //     inconsistent on P and are never enumerated at all.
 //
 // Each group is closed by plain sequential code over group-local maps plus
-// read-only probes of one shared N* index — no locks, no atomics (bar one
-// group-counter increment per group and the shared tuple budget), no
+// read-only probes of N*'s two posting indexes — no locks, no atomics (bar
+// one group-counter increment per group and the shared tuple budget), no
 // cross-worker duplicate probes, and caches that fit a few hundred tuples
 // instead of the whole closure. Workers pick groups off an atomic counter;
 // the result, and the merge-attempt count, are the same for any worker
 // count or schedule.
+//
+// The three facts of the closure (complement.go) hold per group. A pair is
+// attempted iff one side is base: an expanded group seed probes the group's
+// seeds, N*'s base tuples and the derived tuples N*'s own closure left
+// unextended; an expanded derived tuple the group's seeds and N*'s base
+// tuples; a group's derived tuples are never posted. N*'s unextended derived
+// tuples are — once, when N* has closed — because nothing expands N* against
+// the groups: the pair (group seed, N* derived tuple) is attempted from the
+// seed's side only, and that attempt is what tells whether the N* tuple is
+// maximal. Every success against an N* tuple extends it (the result carries
+// a pivot value, the N* tuple none); N* being shared, each worker marks it
+// in a bitmap of its own, OR-ed into N*'s flags when the workers are done.
 //
 // The decomposition needs every seed expanded, so it serves closures from
 // scratch only (nil worklist), and it needs a pivot. Extending a cached
@@ -63,93 +75,21 @@ func pivotGroups(seed []Tuple, pivot int) (nulls []int, groups [][]int) {
 	return nulls, groups
 }
 
-// pgScratch is one worker's reusable scratch state across groups.
-type pgScratch struct {
-	seen       stampSet // dedup over the group-local store
-	sharedSeen stampSet // dedup over the shared N* store
-	once       pairOnce // group-local pairs, each attempted once
-	chk        cancelCheck
-	mbuf       []uint32
-	queue      []int
-	stats      Stats
-}
-
 // closeGroup closes one pivot group: the listed seeds expanded against the
-// group-local store and the shared (read-only) null-pivot closure. Returns
-// the group's full local store — seeds first, productions appended.
-func closeGroup(eng *engine, seed []Tuple, g []int, nstar []Tuple, master *postingIndex, bud *budget, w *pgScratch) ([]Tuple, error) {
+// group-local store and the shared (read-only) null-pivot closure ns, whose
+// tuples it extends it notes in ext. Productions always carry the group's
+// pivot value, so they join the group store and never collide with N* or
+// other groups. Returns the group's full local store — seeds first,
+// productions appended — and its entry flags.
+func closeGroup(ctx context.Context, eng *engine, seed []Tuple, g []int, ns *closure, ext []bool, bud *budget, scr *closeScratch, stats *Stats) ([]Tuple, []uint8, error) {
 	tuples := make([]Tuple, len(g))
 	for k, si := range g {
 		tuples[k] = seed[si]
 	}
-	sigs := newSigIndex()
-	idx := newPostingIndex(eng.nCols)
-	for i := range tuples {
-		sigs.add(tuples[i].Cells, i)
-		idx.add(i, tuples[i].Cells)
-	}
-	queue := w.queue[:0]
-	for i := range tuples {
-		queue = append(queue, i)
-	}
-	var stopErr error
-	var newIDs []int
-	for len(queue) > 0 && stopErr == nil {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		cells := tuples[i].Cells
-
-		// attempt merges tuple i with one candidate partner (group-local or
-		// from N*); productions always carry pivot p, so they join the group
-		// store and never collide with N* or other groups.
-		attempt := func(partner *Tuple) {
-			if stopErr != nil {
-				return
-			}
-			if stopErr = w.chk.poll(); stopErr != nil {
-				return
-			}
-			w.stats.MergeAttempts++
-			merged, ok := tryMergeInto(w.mbuf, cells, partner.Cells)
-			if !ok {
-				return
-			}
-			w.mbuf = merged
-			at, hash, exists := sigs.find(merged, tuples)
-			if exists {
-				if p := tuples[at].Prov; !provContains(p, tuples[i].Prov) || !provContains(p, partner.Prov) {
-					tuples[at].Prov = mergeProv(p, mergeProv(tuples[i].Prov, partner.Prov))
-				}
-				return
-			}
-			w.stats.Merges++
-			id := len(tuples)
-			sigs.addHashed(hash, id)
-			tuples = append(tuples, Tuple{Cells: cloneCells(merged), Prov: mergeProv(tuples[i].Prov, partner.Prov)})
-			newIDs = append(newIDs, id)
-			stopErr = bud.add(1)
-		}
-
-		newIDs = newIDs[:0]
-		w.seen.next(len(tuples))
-		w.once.expand(i, len(tuples))
-		idx.candidates(i, cells, &w.seen, func(j int) {
-			if !w.once.tried(i, j) {
-				attempt(&tuples[j])
-			}
-		})
-		if len(nstar) > 0 {
-			w.sharedSeen.next(len(nstar))
-			master.candidates(-1, cells, &w.sharedSeen, func(j int) { attempt(&nstar[j]) })
-		}
-		for _, id := range newIDs {
-			idx.add(id, tuples[id].Cells)
-			queue = append(queue, id)
-		}
-	}
-	w.queue = queue[:0]
-	w.once.end(len(tuples))
-	return tuples, stopErr
+	cl := newClosure(eng, tuples, bud, -1)
+	cl.scr, cl.ns, cl.nsExt = scr, ns, ext
+	err := cl.runFrom(ctx, nil, stats)
+	return cl.tuples, cl.flags, err
 }
 
 // closePivotPar closes a whole component from scratch by pivot
@@ -157,42 +97,36 @@ func closeGroup(eng *engine, seed []Tuple, g []int, nstar []Tuple, master *posti
 // pivot-value group closes independently across workers. The returned
 // store is the seeds at their seed positions, then N*'s derived tuples and
 // each group's in first-seen pivot order — deterministic for any worker
-// count.
-func closePivotPar(ctx context.Context, eng *engine, seed []Tuple, pivot, workers int, bud *budget, stats *Stats) ([]Tuple, error) {
+// count — with the entry flags in the same order.
+func closePivotPar(ctx context.Context, eng *engine, seed []Tuple, pivot, workers int, bud *budget, stats *Stats) ([]Tuple, []uint8, error) {
 	stats.PivotColumn = pivot
 	nulls, groups := pivotGroups(seed, pivot)
 	stats.PivotGroups = len(groups)
 
-	// Phase A: close the null-pivot seeds among themselves. The resulting
-	// store and its flat posting index are immutable from here on and shared
-	// read-only by every group.
+	// Phase A: close the null-pivot seeds among themselves, then post the
+	// derived tuples. The resulting store and its flat posting indexes are
+	// immutable from here on and shared read-only by every group.
 	nstar := make([]Tuple, len(nulls))
 	for k, si := range nulls {
 		nstar[k] = seed[si]
 	}
-	nsigs := newSigIndex()
-	for i := range nstar {
-		nsigs.add(nstar[i].Cells, i)
+	ns := newClosure(eng, nstar, bud, -1)
+	if err := ns.runFrom(ctx, nil, stats); err != nil {
+		return nil, nil, err
 	}
-	ncl := newClosure(eng, nstar, nsigs, bud, -1)
-	if err := ncl.run(ctx, stats); err != nil {
-		return nil, err
-	}
-	nstar, master := ncl.tuples, ncl.idx
+	nstar, nflags := ns.tuples, ns.flags
+	ns.der = newPostingIndex(eng.nCols)
+	ns.der.postFrom(nstar, nflags, false)
 
 	// Phase B: close each pivot group independently. Workers draw group
 	// indices from an atomic counter; each group's result lands in its own
 	// slot, so assembly order is schedule-independent.
-	w := workers
-	if w > len(groups) {
-		w = len(groups)
-	}
-	if w < 1 {
-		w = 1
-	}
-	results := make([][]Tuple, len(groups))
+	w := max(1, min(workers, len(groups)))
+	stores := make([][]Tuple, len(groups))
+	sflags := make([][]uint8, len(groups))
 	errs := make([]error, w)
-	scratches := make([]pgScratch, w)
+	worked := make([]Stats, w) // per worker: merge work counters
+	exts := make([][]bool, w)  // per worker: N* tuples its groups extended
 	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -200,50 +134,57 @@ func closePivotPar(ctx context.Context, eng *engine, seed []Tuple, pivot, worker
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			sc := &scratches[wi]
-			sc.chk = cancelCheck{ctx: ctx}
-			sc.mbuf = make([]uint32, 0, eng.nCols)
+			scr := &closeScratch{}
+			exts[wi] = make([]bool, len(nstar))
 			for !stop.Load() {
 				gi := int(next.Add(1)) - 1
 				if gi >= len(groups) {
 					return
 				}
-				out, err := closeGroup(eng, seed, groups[gi], nstar, master, bud, sc)
+				var err error
+				stores[gi], sflags[gi], err = closeGroup(ctx, eng, seed, groups[gi], ns, exts[wi], bud, scr, &worked[wi])
 				if err != nil {
 					errs[wi] = err
 					stop.Store(true)
 					return
 				}
-				results[gi] = out
 			}
 		}(wi)
 	}
 	wg.Wait()
-	for wi := range scratches {
-		stats.mergeWork(scratches[wi].stats)
+	for wi := range worked {
+		stats.mergeWork(worked[wi])
+		for j, ext := range exts[wi] {
+			if ext {
+				nflags[j] |= entryExtended
+			}
+		}
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
+		return nil, nil, Canceled(err)
 	}
 
 	// Seeds keep their seed positions (the incremental index locates base
 	// tuples in a cached store by position); derived tuples follow, N*'s
 	// first, then each group's.
 	closed := make([]Tuple, len(seed), len(seed)+len(nstar)-len(nulls))
+	flags := make([]uint8, len(seed), cap(closed))
 	for k, si := range nulls {
-		closed[si] = nstar[k]
+		closed[si], flags[si] = nstar[k], nflags[k]
 	}
 	closed = append(closed, nstar[len(nulls):]...)
-	for gi, out := range results {
-		for k, si := range groups[gi] {
-			closed[si] = out[k]
+	flags = append(flags, nflags[len(nulls):]...)
+	for gi, g := range groups {
+		for k, si := range g {
+			closed[si], flags[si] = stores[gi][k], sflags[gi][k]
 		}
-		closed = append(closed, out[len(groups[gi]):]...)
+		closed = append(closed, stores[gi][len(g):]...)
+		flags = append(flags, sflags[gi][len(g):]...)
 	}
-	return closed, nil
+	return closed, flags, nil
 }
