@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fuzzyfd/internal/strutil"
 )
 
 func TestVectorBasics(t *testing.T) {
@@ -22,7 +24,10 @@ func TestVectorBasics(t *testing.T) {
 }
 
 func TestHashIntoNormalizes(t *testing.T) {
-	v := hashInto([]feature{{"a", 2}, {"b", 3}}, 16)
+	v := make(Vector, 16)
+	hashInto(v, strutil.FNV1a("", "a"), 2)
+	hashInto(v, strutil.FNV1a("", "b"), 3)
+	normalize(v)
 	var norm float64
 	for _, x := range v {
 		norm += float64(x) * float64(x)
@@ -30,8 +35,10 @@ func TestHashIntoNormalizes(t *testing.T) {
 	if math.Abs(norm-1) > 1e-6 {
 		t.Errorf("norm=%v want 1", norm)
 	}
-	if zero := hashInto(nil, 16); len(zero) != 16 {
-		t.Errorf("empty feature vector length=%d", len(zero))
+	for _, x := range normalize(make(Vector, 16)) {
+		if x != 0 {
+			t.Fatalf("a vector without features normalized to nonzero %v", x)
+		}
 	}
 }
 

@@ -64,23 +64,29 @@ func (m *Model) Embed(value string) Vector {
 	if v, ok := m.cache.get(value); ok {
 		return v
 	}
-	v := hashInto(m.features(value), m.cfg.Dim)
+	v := m.vector(value)
 	m.cache.put(value, v)
 	return v
 }
 
-// features extracts the weighted feature list for value.
-func (m *Model) features(value string) []feature {
+// vector extracts value's weighted features and hashes each into the
+// vector as it is found: the surface features, then the structural ones,
+// whose weights scale with the surface mass. A feature's family prefix is
+// streamed into the hash ahead of its key, so no feature string is built
+// and no feature list is kept.
+func (m *Model) vector(value string) Vector {
 	cfg := &m.cfg
 	s := value
 	if cfg.Fold {
 		s = strutil.Fold(s)
 	}
 
-	var surface []feature
+	v := make(Vector, cfg.Dim)
+	var mass float64 // Σ w² over the surface features, in order
 	add := func(prefix, key string, w float64) {
 		if key != "" && w > 0 {
-			surface = append(surface, feature{key: prefix + key, weight: w})
+			hashInto(v, strutil.FNV1a(prefix, key), w)
+			mass += w * w
 		}
 	}
 
@@ -111,19 +117,13 @@ func (m *Model) features(value string) []feature {
 	}
 
 	// Surface mass determines structural feature weights.
-	var mass float64
-	for _, f := range surface {
-		mass += f.weight * f.weight
-	}
 	base := math.Sqrt(mass)
 	if base == 0 {
 		base = 1
 	}
-
-	out := surface
 	addStruct := func(prefix, key string, share float64) {
 		if key != "" && share > 0 {
-			out = append(out, feature{key: prefix + key, weight: share * base})
+			hashInto(v, strutil.FNV1a(prefix, key), share*base)
 		}
 	}
 	addStruct("K:", strutil.ConsonantSkeleton(s), cfg.SkeletonShare)
@@ -135,5 +135,5 @@ func (m *Model) features(value string) []feature {
 			addStruct("L:", id, cfg.LexiconShare)
 		}
 	}
-	return out
+	return normalize(v)
 }

@@ -69,11 +69,23 @@ func (a *AutoTuner) Tune(colA, colB []string) float64 {
 	type sep struct {
 		best, second float64
 	}
+	// A vector scorer's points are resolved once per value, not per pair.
+	vectors, _ := a.Scorer.(vectorScorer)
+	var pa, pb []point
+	if vectors != nil {
+		resolve := func(v string) point { return pointOf(vectors, v) }
+		pa, pb = points(colA, resolve), points(colB, resolve)
+	}
 	seps := make([]sep, 0, len(colA))
-	for _, va := range colA {
+	for i, va := range colA {
 		s := sep{best: 2, second: 2}
-		for _, vb := range colB {
-			d := a.Scorer.Distance(va, vb)
+		for j, vb := range colB {
+			var d float64
+			if vectors != nil {
+				d = pointDistance(va, vb, pa[i], pb[j])
+			} else {
+				d = a.Scorer.Distance(va, vb)
+			}
 			if d > maxT {
 				continue
 			}

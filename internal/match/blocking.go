@@ -1,12 +1,12 @@
 package match
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 
 	"fuzzyfd/internal/assign"
-	"fuzzyfd/internal/embed"
 	"fuzzyfd/internal/lexicon"
 	"fuzzyfd/internal/strutil"
 )
@@ -71,23 +71,18 @@ func minTrigrams(s string, k int) []string {
 		h uint32
 		g string
 	}
-	hs := make([]hg, 0, len(grams))
-	seen := make(map[string]bool, len(grams))
-	for _, g := range grams {
-		if seen[g] {
-			continue
-		}
-		seen[g] = true
-		f := fnv.New32a()
-		f.Write([]byte(g))
-		hs = append(hs, hg{h: f.Sum32(), g: g})
+	hs := make([]hg, len(grams))
+	for i, g := range grams {
+		hs[i] = hg{h: strutil.FNV1a("", g), g: g}
 	}
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].h != hs[j].h {
-			return hs[i].h < hs[j].h
+	slices.SortFunc(hs, func(a, b hg) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
 		}
-		return hs[i].g < hs[j].g
+		return strings.Compare(a.g, b.g)
 	})
+	// A repeated gram repeats its hash too, so its copies are adjacent.
+	hs = slices.CompactFunc(hs, func(a, b hg) bool { return a.g == b.g })
 	if len(hs) > k {
 		hs = hs[:k]
 	}
@@ -99,7 +94,7 @@ func minTrigrams(s string, k int) []string {
 }
 
 // blocker is the blocked path's memo for one match call. A value's blocking
-// keys and vector depend on the value alone, and representatives are values
+// keys and point depend on the value alone, and representatives are values
 // of earlier columns, so each distinct value is resolved once however many
 // rounds and candidate pairs it takes part in. Keys are interned to dense
 // ids by their full text, so two values share an id exactly when they share
@@ -111,11 +106,12 @@ type blocker struct {
 
 // blockedValue is what candidate generation needs to know about a value.
 type blockedValue struct {
-	keys []int32      // interned blockingKeys, duplicates kept
-	vec  embed.Vector // nil unless the scorer is a vectorScorer
+	keys  []int32 // interned blockingKeys, duplicates kept
+	point         // zero unless the scorer is a vectorScorer
 }
 
-func (b *blocker) resolve(v string, lex *lexicon.Lexicon, vectors vectorScorer) *blockedValue {
+func (r *run) resolve(v string, lex *lexicon.Lexicon) *blockedValue {
+	b := &r.blocker
 	if bv, ok := b.values[v]; ok {
 		return bv
 	}
@@ -133,8 +129,8 @@ func (b *blocker) resolve(v string, lex *lexicon.Lexicon, vectors vectorScorer) 
 		}
 		bv.keys[i] = id
 	}
-	if vectors != nil {
-		bv.vec = vectors.vector(v)
+	if r.vectors != nil {
+		bv.point = r.point(v)
 	}
 	b.values[v] = bv
 	return bv
@@ -142,16 +138,15 @@ func (b *blocker) resolve(v string, lex *lexicon.Lexicon, vectors vectorScorer) 
 
 // blockedEdges generates candidate (cluster, value) pairs via the blocking
 // index and scores them, keeping edges under θ.
-func (r *run) blockedEdges(clusters []*working, values []string, theta float64) []assign.Edge {
+func (r *run) blockedEdges(reps, values []string, theta float64) []assign.Edge {
 	lex := lexicon.Full()
-	vectors, _ := r.scorer.(vectorScorer)
 
 	// Index side B by blocking key: key k's bucket is
 	// items[start[k]:start[k+1]], ascending. Keys first interned by side A
 	// below lie beyond start and have no bucket.
 	side := make([]*blockedValue, len(values))
 	for j, v := range values {
-		side[j] = r.blocker.resolve(v, lex, vectors)
+		side[j] = r.resolve(v, lex)
 	}
 	start := make([]int32, len(r.blocker.keyIDs)+1)
 	for _, bv := range side {
@@ -173,8 +168,8 @@ func (r *run) blockedEdges(clusters []*working, values []string, theta float64) 
 
 	var edges []assign.Edge
 	seenBy := make([]int32, len(values)) // 1 + the last cluster that scored the value
-	for i, c := range clusters {
-		rep := r.blocker.resolve(c.rep, lex, vectors)
+	for i, v := range reps {
+		rep := r.resolve(v, lex)
 		for _, k := range rep.keys {
 			if int(k)+1 >= len(start) {
 				continue
@@ -190,11 +185,10 @@ func (r *run) blockedEdges(clusters []*working, values []string, theta float64) 
 				seenBy[j] = int32(i) + 1
 				r.stats.CandidatePairs++
 				var d float64
-				switch {
-				case vectors == nil:
-					d = r.scorer.Distance(c.rep, values[j])
-				case c.rep != values[j]: // embed.Distance: equal values are 0 even with zero vectors
-					d = embed.CosineDistance(rep.vec, side[j].vec)
+				if r.vectors != nil {
+					d = pointDistance(v, values[j], rep.point, side[j].point)
+				} else {
+					d = r.scorer.Distance(v, values[j])
 				}
 				if d < theta {
 					edges = append(edges, assign.Edge{A: i, B: int(j), Cost: d})

@@ -168,10 +168,41 @@ func (s embedScorer) Distance(a, b string) float64 {
 func (s embedScorer) vector(v string) embed.Vector { return s.e.Embed(v) }
 
 // vectorScorer is a Scorer whose Distance is embed.Distance over per-value
-// vectors. The blocked path resolves each value's vector once per call and
-// scores candidates from the vectors; other scorers keep calling Distance.
+// vectors. The match paths resolve each value's vector and support once per
+// call and score pairs with the support kernel (pointDistance); other
+// scorers keep calling Distance per pair.
 type vectorScorer interface {
 	vector(v string) embed.Vector
+}
+
+// point is a value's vector with its support (embed.Support).
+type point struct {
+	vec embed.Vector
+	sup []uint64
+}
+
+func pointOf(vs vectorScorer, v string) point {
+	vec := vs.vector(v)
+	return point{vec: vec, sup: embed.Support(vec)}
+}
+
+// points resolves each value to its point.
+func points(values []string, resolve func(string) point) []point {
+	out := make([]point, len(values))
+	for i, v := range values {
+		out[i] = resolve(v)
+	}
+	return out
+}
+
+// pointDistance is embed.Distance for values a and b at points pa and pb,
+// bit for bit: equal values are 0 even with zero vectors, and
+// SupportDistance equals CosineDistance.
+func pointDistance(a, b string, pa, pb point) float64 {
+	if a == b {
+		return 0
+	}
+	return embed.SupportDistance(pa.vec, pb.vec, pa.sup, pb.sup)
 }
 
 // EmbedderScorer wraps an embedding model as a Scorer.
@@ -238,6 +269,7 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 	if r.scorer == nil {
 		return nil, Stats{}, ErrNoEmbedder
 	}
+	r.vectors, _ = r.scorer.(vectorScorer)
 	for i, c := range cols {
 		if len(c.Values) != len(c.Counts) {
 			return nil, Stats{}, fmt.Errorf("match: column %d (%s): %d values but %d counts", i, c.Name, len(c.Values), len(c.Counts))
@@ -275,7 +307,7 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 			reps[i] = c.rep
 		}
 		theta := thetaFor(k, reps, cols[k].Values)
-		pairs, err := r.assignRound(clusters, cols[k].Values, theta)
+		pairs, err := r.assignRound(reps, cols[k].Values, theta)
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("match: column %d (%s): %w", k, cols[k].Name, err)
 		}
@@ -334,21 +366,38 @@ func (m *Matcher) elect(c *working, freq map[string]int) {
 	c.rep = c.members[best].Value
 }
 
-// run is the state of one match call: its scorer and options, the blocked
-// path's per-value memo, and the assignment counters of Stats.
+// run is the state of one match call: its scorer and options, the per-value
+// memos, and the assignment counters of Stats.
 type run struct {
 	opts    Options
 	scorer  Scorer
+	vectors vectorScorer // scorer, when it scores from vectors; else nil
+	points  map[string]point
 	blocker blocker
 	stats   Stats
 }
 
-// assignRound matches current clusters (side A, by representative) against
-// the next column's values (side B), returning assignment pairs under θ.
-func (r *run) assignRound(clusters []*working, values []string, theta float64) ([]assign.Pair, error) {
+// point resolves v's vector and support once per call: representatives are
+// values of earlier columns, so a value takes part in many rounds.
+func (r *run) point(v string) point {
+	p, ok := r.points[v]
+	if !ok {
+		if r.points == nil {
+			r.points = make(map[string]point)
+		}
+		p = pointOf(r.vectors, v)
+		r.points[v] = p
+	}
+	return p
+}
+
+// assignRound matches the current clusters' representatives (side A)
+// against the next column's values (side B), returning assignment pairs
+// under θ.
+func (r *run) assignRound(reps, values []string, theta float64) ([]assign.Pair, error) {
 	mode := r.opts.Mode
 	if mode == ModeAuto {
-		if len(clusters)*len(values) <= r.opts.denseLimit() {
+		if len(reps)*len(values) <= r.opts.denseLimit() {
 			mode = ModeDense
 		} else {
 			mode = ModeSparse
@@ -356,30 +405,40 @@ func (r *run) assignRound(clusters []*working, values []string, theta float64) (
 	}
 	switch mode {
 	case ModeDense:
-		return r.assignDense(clusters, values, theta)
+		return r.assignDense(reps, values, theta)
 	case ModeSparse:
-		pairs, shape := assign.MatchSparse(len(clusters), len(values), r.blockedEdges(clusters, values, theta))
+		pairs, shape := assign.MatchSparse(len(reps), len(values), r.blockedEdges(reps, values, theta))
 		r.stats.AssignComponents += shape.Components
 		if big := r.stats.LargestAssignComponent; shape.LargestLeft*shape.LargestRight > big[0]*big[1] {
 			r.stats.LargestAssignComponent = [2]int{shape.LargestLeft, shape.LargestRight}
 		}
 		return pairs, nil
 	case ModeGreedy:
-		return assign.Greedy(r.blockedEdges(clusters, values, theta)), nil
+		return assign.Greedy(r.blockedEdges(reps, values, theta)), nil
 	default:
 		return nil, fmt.Errorf("unknown mode %d", mode)
 	}
 }
 
-func (r *run) assignDense(clusters []*working, values []string, theta float64) ([]assign.Pair, error) {
-	if len(clusters) == 0 || len(values) == 0 {
+func (r *run) assignDense(reps, values []string, theta float64) ([]assign.Pair, error) {
+	if len(reps) == 0 || len(values) == 0 {
 		return nil, nil
 	}
-	cost := make([][]float64, len(clusters))
-	for i, c := range clusters {
+	// A vector scorer's points are resolved once per value, not per pair.
+	var pa, pb []point
+	if r.vectors != nil {
+		pa, pb = points(reps, r.point), points(values, r.point)
+	}
+	cost := make([][]float64, len(reps))
+	for i, rep := range reps {
 		row := make([]float64, len(values))
-		for j := range values {
-			d := r.scorer.Distance(c.rep, values[j])
+		for j, v := range values {
+			var d float64
+			if r.vectors != nil {
+				d = pointDistance(rep, v, pa[i], pb[j])
+			} else {
+				d = r.scorer.Distance(rep, v)
+			}
 			if d >= theta {
 				d = assign.Forbidden
 			} else {
@@ -389,7 +448,7 @@ func (r *run) assignDense(clusters []*working, values []string, theta float64) (
 		}
 		cost[i] = row
 	}
-	r.stats.CandidatePairs += len(clusters) * len(values)
+	r.stats.CandidatePairs += len(reps) * len(values)
 	rowToCol, _, err := assign.Solve(cost)
 	if err != nil {
 		return nil, err
