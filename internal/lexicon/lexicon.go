@@ -7,7 +7,6 @@
 package lexicon
 
 import (
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -156,11 +155,9 @@ func (l *Lexicon) Thin(dropOneIn int) *Lexicon {
 	}
 	kept := make([]Entry, 0, len(l.entries))
 	for _, e := range l.entries {
-		h := fnv.New32a()
 		// Fixed salt so the dropped subset is stable and independent of any
 		// other FNV use of the IDs.
-		h.Write([]byte("drop:" + e.ID))
-		if h.Sum32()%uint32(dropOneIn) == 0 {
+		if strutil.FNV1a("drop:", e.ID)%uint32(dropOneIn) == 0 {
 			continue
 		}
 		kept = append(kept, e)

@@ -1,43 +1,17 @@
 package strutil
 
-import (
-	"strings"
-	"unicode/utf8"
-)
+import "strings"
 
 // CharNGrams returns the character n-grams of s (as runes). If pad is true
 // the string is framed with '#' markers first, so boundary grams are
 // distinguished ("#be", "in#"). A string shorter than n yields the padded
-// string itself when padding, or nothing otherwise. The grams of valid
-// UTF-8 are substrings of the (padded) input, not copies.
+// string itself when padding, or nothing otherwise.
 func CharNGrams(s string, n int, pad bool) []string {
 	if n <= 0 {
 		return nil
 	}
 	if pad {
 		s = "#" + s + "#"
-	}
-	if utf8.ValidString(s) {
-		// A run of runes of valid UTF-8 re-encodes to the bytes it was
-		// decoded from, so slicing s at rune starts gives what the rune
-		// path below builds.
-		starts := make([]int, 0, len(s)+1)
-		for i := range s {
-			starts = append(starts, i)
-		}
-		starts = append(starts, len(s))
-		runes := len(starts) - 1
-		if runes < n {
-			if pad {
-				return []string{s}
-			}
-			return nil
-		}
-		out := make([]string, 0, runes-n+1)
-		for i := 0; i+n <= runes; i++ {
-			out = append(out, s[starts[i]:starts[i+n]])
-		}
-		return out
 	}
 	r := []rune(s)
 	if len(r) < n {
@@ -115,25 +89,8 @@ func TokenJaccard(a, b string) float64 {
 // Prefixes returns the rune prefixes of s with lengths in [min, max],
 // clipped to the string length. Used as embedder features so that
 // truncation-style abbreviations ("Univ" for "University") share features
-// with their expansions. The prefixes of valid UTF-8 are substrings of s.
+// with their expansions.
 func Prefixes(s string, min, max int) []string {
-	if utf8.ValidString(s) {
-		var out []string
-		l := 0 // runes before byte offset i
-		for i := range s {
-			if l > max {
-				return out
-			}
-			if l >= min {
-				out = append(out, s[:i])
-			}
-			l++
-		}
-		if l >= min && l <= max {
-			out = append(out, s)
-		}
-		return out
-	}
 	r := []rune(s)
 	var out []string
 	for l := min; l <= max && l <= len(r); l++ {

@@ -87,64 +87,6 @@ func TestCharNGrams(t *testing.T) {
 	}
 }
 
-// runeNGrams and runePrefixes are CharNGrams and Prefixes by rune slices,
-// the reference the substring forms must equal.
-func runeNGrams(s string, n int, pad bool) []string {
-	if pad {
-		s = "#" + s + "#"
-	}
-	r := []rune(s)
-	if len(r) < n {
-		if pad {
-			return []string{string(r)}
-		}
-		return nil
-	}
-	var out []string
-	for i := 0; i+n <= len(r); i++ {
-		out = append(out, string(r[i:i+n]))
-	}
-	return out
-}
-
-func runePrefixes(s string, min, max int) []string {
-	r := []rune(s)
-	var out []string
-	for l := min; l <= max && l <= len(r); l++ {
-		out = append(out, string(r[:l]))
-	}
-	return out
-}
-
-func TestSubstringGramsMatchRunes(t *testing.T) {
-	alphabet := []string{"a", "b", "é", "日", "#", " ", "\xff", "\xe6\x97"}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var s string
-		for range r.Intn(9) {
-			s += alphabet[r.Intn(len(alphabet))]
-		}
-		for n := 1; n <= 5; n++ {
-			for _, pad := range []bool{false, true} {
-				if got, want := CharNGrams(s, n, pad), runeNGrams(s, n, pad); !reflect.DeepEqual(got, want) {
-					t.Logf("CharNGrams(%q, %d, %v) = %q, want %q", s, n, pad, got, want)
-					return false
-				}
-			}
-		}
-		for lo := 0; lo <= 4; lo++ {
-			if got, want := Prefixes(s, lo, lo+2), runePrefixes(s, lo, lo+2); !reflect.DeepEqual(got, want) {
-				t.Logf("Prefixes(%q, %d, %d) = %q, want %q", s, lo, lo+2, got, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFNV1aIsTheConcatenationHash(t *testing.T) {
 	f := func(prefix, s string) bool {
 		h := fnv.New32a()
