@@ -141,8 +141,10 @@ func (s *Session) Last() *Result {
 }
 
 // EmbeddingCache exposes the session's value-embedding cache, for
-// diagnostics (hit/miss counts across repeated integrations). The cache is
-// itself safe for concurrent use.
+// diagnostics (hit/miss counts across repeated integrations). The matcher
+// looks each distinct value up once per column set and scores pairs from
+// the vectors it got, so on dense-mode sets the lookups count values, not
+// value pairs. The cache is itself safe for concurrent use.
 func (s *Session) EmbeddingCache() *embed.ValueCache { return s.cache }
 
 // emit delivers a progress event, if a callback is configured.

@@ -55,8 +55,12 @@ func TestVectorPathsEqualPerPairDistance(t *testing.T) {
 			if fx.name == "imdb-ids" && name != embed.Mistral {
 				continue
 			}
-			for mode, modeName := range map[match.Mode]string{match.ModeDense: "dense", match.ModeSparse: "sparse", match.ModeGreedy: "greedy"} {
-				t.Run(name+"/"+fx.name+"/"+modeName, func(t *testing.T) {
+			for _, m := range []struct {
+				name string
+				mode match.Mode
+			}{{"dense", match.ModeDense}, {"sparse", match.ModeSparse}, {"greedy", match.ModeGreedy}} {
+				mode := m.mode
+				t.Run(name+"/"+fx.name+"/"+m.name, func(t *testing.T) {
 					emb, err := embed.New(name)
 					if err != nil {
 						t.Fatal(err)
