@@ -120,6 +120,42 @@ func TestGoldenBaselines(t *testing.T) {
 	}
 }
 
+// TestGoldenOperators pins the operator comparison: the four baselines run
+// the fd operators, the two Full Disjunctions the whole pipeline.
+func TestGoldenOperators(t *testing.T) {
+	want := []struct {
+		op       string
+		rows     int
+		nullFrac float64
+		coverage float64
+		em       prf
+	}{
+		{"inner join", 0, 0, 0, prf{1, 0, 0}},
+		{"outer union", 204, 0.4207516339869281, 1, prf{0.8416289592760181, 0.8532110091743119, 0.847380410022779}},
+		{"outer join (one order)", 178, 0.3913857677902622, 1, prf{0.8888888888888888, 0.8440366972477065, 0.8658823529411764}},
+		{"full disjunction (ALITE)", 178, 0.38764044943820225, 1, prf{0.8899521531100478, 0.8532110091743119, 0.8711943793911007}},
+		{"fuzzy full disjunction", 88, 0.1856060606060606, 1, prf{0.9819819819819819, 1, 0.9909090909090909}},
+	}
+	rows, err := Operators(goldenCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Operator != w.op {
+			t.Fatalf("row %d is %q, want %q", i, r.Operator, w.op)
+		}
+		if r.Rows != w.rows || math.Abs(r.NullFrac-w.nullFrac) > goldenTol || math.Abs(r.Coverage-w.coverage) > goldenTol {
+			t.Errorf("%s: rows %d, null fraction %v, coverage %v; want %d, %v, %v",
+				w.op, r.Rows, r.NullFrac, r.Coverage, w.rows, w.nullFrac, w.coverage)
+		}
+		checkPRF(t, w.op, r.EM, w.em)
+	}
+}
+
 func TestGoldenThetaSweep(t *testing.T) {
 	want := []struct {
 		theta float64
