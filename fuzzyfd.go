@@ -390,11 +390,10 @@ func IntegrateContext(ctx context.Context, tables []*Table, opts ...Option) (*Re
 // connected component producing it closes instead of materializing the
 // whole result first — results begin to flow after the first component,
 // and a canceled context keeps the rows already written as a usable
-// partial prefix. Row order is deterministic across runs but differs from
-// Integrate's globally sorted order (rows are grouped by component); the
-// row multiset is Integrate's, except that a fully-empty input row's
-// all-null output is dropped rather than folded when other rows exist.
-// The returned Result carries schema, statistics, and timings, but no
+// partial prefix. It is a one-shot Session.StreamContext, whose order
+// contract the rows follow: grouped by component rather than globally
+// sorted, and byte-identical across runs unless WithParallelFD is set. The
+// returned Result carries schema, statistics, and timings, but no
 // materialized Table or Prov.
 func StreamJSONL(ctx context.Context, w io.Writer, tables []*Table, opts ...Option) (*Result, error) {
 	cfg, err := buildOptions(opts)
@@ -615,12 +614,23 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 // is still closing, and components untouched since the last integration
 // replay from the session's cached closure results, paying only decode
 // cost. emit runs on the calling goroutine and receives the integrated
-// schema with each row and its provenance. The emitted row multiset equals
-// IntegrateContext's result up to row order (components stream in
-// completion-then-ingest order rather than global value order), with
-// StreamJSONL's all-null caveat. The returned Result carries schema,
-// statistics, and timings, but no materialized Table or Prov, and does not
-// update Last.
+// schema with each row and its provenance. The returned Result carries
+// schema, statistics, and timings, but no materialized Table or Prov, and
+// does not update Last.
+//
+// The order contract of every streaming path (this method, StreamJSONL,
+// the daemon's streamed result):
+//
+//   - rows within a component come in value order;
+//   - components come in the order they close — those this call re-closes
+//     first, then the untouched ones in ingest order;
+//   - with sequential FD (the default) components close by smallest base
+//     tuple in ingest order, so the same inputs and session history give
+//     the same byte stream on every run; under WithParallelFD they come in
+//     completion order;
+//   - the row multiset is IntegrateContext's, except that a fully-empty
+//     input row's all-null output is dropped rather than provenance-folded
+//     when other rows exist (its subsumer may already be out).
 //
 // An emit error or cancellation aborts the stream; rows already emitted
 // stay emitted — the partial prefix is the point — and the session stays

@@ -45,6 +45,41 @@ func TestIntegrateEquiJoinBaseline(t *testing.T) {
 	}
 }
 
+// TestMemoryBytesReported: with a memory budget set, FDStats.MemoryBytes
+// carries the budget model's estimate — one-shot, and on a session's second
+// Integrate, which closes nothing.
+func TestMemoryBytesReported(t *testing.T) {
+	const budget = 1 << 30
+	res, err := Integrate(covidTables(), WithEquiJoin(), WithMemoryBudget(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.FDStats.MemoryBytes; m <= 0 || m > budget {
+		t.Errorf("one-shot MemoryBytes = %d, want in (0, %d]", m, budget)
+	}
+	s, err := NewSession(WithEquiJoin(), WithMemoryBudget(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Add(covidTables()...)
+	if _, err := s.Integrate(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Integrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.FDStats.DirtyComponents != 0 {
+		t.Fatalf("second Integrate re-closed %d components, want 0", again.FDStats.DirtyComponents)
+	}
+	if again.FDStats.MemoryBytes != res.FDStats.MemoryBytes {
+		t.Errorf("second Integrate MemoryBytes = %d, one-shot %d", again.FDStats.MemoryBytes, res.FDStats.MemoryBytes)
+	}
+	if plain, err := Integrate(covidTables(), WithEquiJoin()); err != nil || plain.FDStats.MemoryBytes != 0 {
+		t.Errorf("without a budget MemoryBytes = %d (err %v), want 0", plain.FDStats.MemoryBytes, err)
+	}
+}
+
 func TestOptionCombinations(t *testing.T) {
 	res, err := Integrate(covidTables(),
 		WithModel(ModelMistral),

@@ -212,12 +212,10 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 // flows while the rest is still closing — and components untouched since
 // the last integration replay from the session's cached kept tuples. emit
 // receives the integrated schema (identical on every call) with each row
-// and its provenance, on the calling goroutine. The emitted row multiset
-// equals IntegrateContext's result up to row order (components stream in
-// completion-then-ingest order, not global value order), with Stream's
-// all-null caveat. The returned Result carries schema, match diagnostics,
-// FD statistics, and timings, but no materialized Table or Prov, and does
-// not become Last.
+// and its provenance, on the calling goroutine, in the order contract
+// fuzzyfd.Session.StreamContext states. The returned Result carries
+// schema, match diagnostics, FD statistics, and timings, but no
+// materialized Table or Prov, and does not become Last.
 //
 // Cancellation or an emit error aborts the stream: rows already emitted
 // stay emitted and the session stays consistent — affected components are

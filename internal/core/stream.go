@@ -2,50 +2,17 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"fuzzyfd/internal/fd"
 	"fuzzyfd/internal/table"
 )
 
-// Stream runs the configured pipeline over the integration set, emitting
-// each integrated row (with its provenance) as soon as the connected
-// component producing it closes, instead of materializing the whole
-// result. The alignment and matching phases are inherently whole-set and
-// run first; the FD phase then streams component by component — with
-// cfg.FD.Workers components close concurrently and flow to the emitting
-// goroutine through a channel, emitted in deterministic order (see
-// fd.Stream for the order and the all-null caveat).
-//
-// emit receives the integrated schema (identical on every call — callers
-// that need the output column names read it from the first row) along with
-// each row and its provenance. The returned Result carries the schema,
-// match diagnostics, FD statistics and timings of the run, but no
-// materialized Table or Prov — the rows went to emit. Cancellation
-// mid-stream returns an error matching fd.ErrCanceled wrapped in a
-// *PhaseError; rows already emitted stay emitted.
+// Stream is the one-shot form of Session.StreamContext: a throwaway
+// Session — one Add, one StreamContext — so rows arrive in the order
+// contract stated there (fuzzyfd.Session.StreamContext). The Result carries
+// no materialized Table or Prov; the rows went to emit.
 func Stream(ctx context.Context, tables []*table.Table, cfg Config, emit func(schema fd.Schema, row table.Row, prov []fd.TID) error) (*Result, error) {
 	s := NewSession(cfg)
 	s.Add(tables...)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := time.Now()
-	work, schema, res, err := s.prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-
-	fdStart := time.Now()
-	s.emit(ProgressEvent{Phase: PhaseFD})
-	stats, err := fd.Stream(ctx, work, schema, cfg.fdOptions(), func(row table.Row, prov []fd.TID) error {
-		return emit(schema, row, prov)
-	})
-	res.FDStats = stats
-	res.Timings.FD = time.Since(fdStart)
-	res.Timings.Total = time.Since(start)
-	if err != nil {
-		return res, phaseErr(PhaseFD, err)
-	}
-	s.emit(ProgressEvent{Phase: PhaseFD, Done: true, Elapsed: res.Timings.FD})
-	return res, nil
+	return s.StreamContext(ctx, emit)
 }

@@ -118,8 +118,9 @@ func (x *Index) assembleGroups(streamed map[*cachedComp]uint32) []groupKept {
 // closures consumed since the last assembly drop out, and the kept tuples
 // of the closures published since are sorted among themselves and merged
 // in. An all-null tuple (a fully-empty input row; always first in value
-// order) is folded into the canonical global subsumer when any informative
-// tuple exists, as engine.foldAllNull does for the one-shot engine.
+// order) is a singleton component whose subsumers all lie outside it: it is
+// folded into the canonical global subsumer — the most informative row,
+// ties by value order — when any informative tuple exists.
 func (x *Index) assembleRows(eng *engine) ([]table.Row, [][]TID) {
 	x.out = slices.DeleteFunc(x.out, func(o outRow) bool { return o.of.gen != o.gen })
 	var add []outRow

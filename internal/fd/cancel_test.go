@@ -110,10 +110,10 @@ func TestCancellationInsideComponent(t *testing.T) {
 
 	for _, v := range cancelVariants {
 		t.Run(v.name, func(t *testing.T) {
-			// Let the entry and component-boundary checks pass (at most 3
-			// polls), then flip. Detection must then
-			// happen inside the component closure.
-			ctx := newFlipCtx(3)
+			// Let the entry, reconcile, claim-round and component-boundary
+			// checks pass (4 polls), then flip. Detection must then happen
+			// inside the component closure.
+			ctx := newFlipCtx(4)
 			_, err := FullDisjunctionContext(ctx, tables, schema, v.opts)
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("want ErrCanceled, got %v", err)

@@ -21,11 +21,6 @@ import (
 // factVariants are the closure variants every check runs under.
 var factVariants = []fd.Options{{}, {NoPivot: true}, {Workers: 4}}
 
-// sameResult requires byte-identical output: rows, row order, provenance.
-func sameResult(a, b *fd.Result) bool {
-	return a.Table.Equal(b.Table) && reflect.DeepEqual(a.Prov, b.Prov)
-}
-
 // provFixpoint returns, for every row of out, the TIDs of the input rows it
 // subsumes or equals — computed from the input tables alone. Fully-null input
 // rows are below every row and are folded by a rule of their own; the shapes
@@ -143,14 +138,14 @@ func TestClosureInvariantsOnDatagenSets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameResult(got, ref) {
+				if !fd.ResultsIdentical(got, ref) {
 					t.Errorf("%s: incremental result differs from the flat reference", label)
 				}
 				once, err := fd.FullDisjunction(view, schema, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameResult(once, ref) {
+				if !fd.ResultsIdentical(once, ref) {
 					t.Errorf("%s: one-shot result differs from the flat reference", label)
 				}
 			}
@@ -187,14 +182,14 @@ func TestHubAttemptsBelowPairwiseClosure(t *testing.T) {
 	if par.Stats.MergeAttempts != seq.Stats.MergeAttempts {
 		t.Errorf("%d merge attempts by pivot groups, %d sequentially", par.Stats.MergeAttempts, seq.Stats.MergeAttempts)
 	}
-	if !sameResult(par, seq) {
+	if !fd.ResultsIdentical(par, seq) {
 		t.Error("pivot groups differ from the sequential closure")
 	}
 	ref, err := fd.FlatReference(tables, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameResult(seq, ref) {
+	if !fd.ResultsIdentical(seq, ref) {
 		t.Error("hub closure differs from the flat reference")
 	}
 }
@@ -236,7 +231,7 @@ func TestSubsumedTupleStillMerges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameResult(got, want) {
+			if !fd.ResultsIdentical(got, want) {
 				t.Errorf("order %v opts %+v: one-shot\n%v %v\nwant\n%v %v", order, opts, got.Table, got.Prov, want.Table, want.Prov)
 			}
 			x := fd.NewIndex()
@@ -245,7 +240,7 @@ func TestSubsumedTupleStillMerges(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !sameResult(got, want) {
+			if !fd.ResultsIdentical(got, want) {
 				t.Errorf("order %v opts %+v: incremental\n%v %v\nwant\n%v %v", order, opts, got.Table, got.Prov, want.Table, want.Prov)
 			}
 		}
@@ -298,7 +293,7 @@ func TestIndexBaseRowEqualsDerivedTuple(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sameResult(got, want) {
+				if !fd.ResultsIdentical(got, want) {
 					t.Errorf("%s, workers %d, after %s: incremental\n%v %v\nwant\n%v %v",
 						tc.name, workers, view[k-1].Name, got.Table, got.Prov, want.Table, want.Prov)
 				}

@@ -49,7 +49,7 @@ func (c *cancelCheck) poll() error {
 // only iterates the p-bucket and the null bucket of each of its posting
 // lists — candidates that conflict on the pivot are skipped without being
 // iterated. The flat lists are kept alongside the buckets: null-pivot
-// probes and the partitioner read them unchanged.
+// probes and ingest read them unchanged.
 type postingIndex struct {
 	byCol []map[uint32][]int
 	// pivot is the output column the lists are sub-bucketed by, or -1 for

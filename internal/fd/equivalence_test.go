@@ -12,7 +12,7 @@ import (
 )
 
 // Engine-equivalence coverage on realistic integration sets: the interned,
-// partitioned engine (sequential and component-parallel) must be
+// component-partitioned engine (sequential and component-parallel) must be
 // byte-identical — tables and provenance — to the flat reference closure
 // (fd.FlatReference) on the datagen workloads, across seeds. The definitional-oracle comparison
 // lives in partition_test.go (the oracle caps at 16 outer-union tuples, so
@@ -110,7 +110,7 @@ func TestEnginesAgreeOnDatagenSets(t *testing.T) {
 					t.Errorf("%s seed %d opts %+v: provenance differs", g.name, seed, opts)
 				}
 				if opts.Workers == 0 && got.Stats.Components == 0 && got.Stats.OuterUnion > 0 {
-					t.Errorf("%s seed %d: partitioned engine reported no components", g.name, seed)
+					t.Errorf("%s seed %d: engine reported no components", g.name, seed)
 				}
 			}
 		}

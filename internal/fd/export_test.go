@@ -2,6 +2,8 @@ package fd
 
 import (
 	"context"
+	"reflect"
+	"slices"
 
 	"fuzzyfd/internal/table"
 )
@@ -14,12 +16,41 @@ import (
 // fixture-size assertions.
 const HubMinTuples = hubMinTuples
 
+// ResultsIdentical re-exports resultsIdentical for package fd_test.
+var ResultsIdentical = resultsIdentical
+
+// resultsIdentical requires byte-identical output: same row order, same
+// cells, same provenance.
+func resultsIdentical(a, b *Result) bool {
+	return a.Table.Equal(b.Table) && reflect.DeepEqual(a.Prov, b.Prov)
+}
+
+// components returns the connected components a fresh Index's ingest
+// builds over the tables — in order of their smallest member, each with its
+// members in ingest order — and the engine to decode them under.
+func components(tables []*table.Table, schema Schema) (*engine, [][]Tuple) {
+	x := NewIndex()
+	x.widen(len(schema.Columns))
+	x.ingest(tables, schema, &Stats{})
+	var comps [][]Tuple
+	for _, c := range x.order {
+		if c == nil {
+			continue
+		}
+		comp := make([]Tuple, 0, len(c.members))
+		for _, id := range slices.Sorted(slices.Values(c.members)) {
+			comp = append(comp, x.base[id])
+		}
+		comps = append(comps, comp)
+	}
+	return &engine{dict: x.dict.Snapshot(), nCols: x.nCols}, comps
+}
+
 // ExtractLargestComponent materializes the largest connected component of
 // the integration set as a standalone table — the hub-closure benchmark
 // fixture.
 func ExtractLargestComponent(tables []*table.Table, schema Schema) *table.Table {
-	eng, base := outerUnion(tables, schema)
-	comps := eng.partition(base)
+	eng, comps := components(tables, schema)
 	var hub []Tuple
 	for _, c := range comps {
 		if len(c) > len(hub) {
@@ -33,9 +64,9 @@ func ExtractLargestComponent(tables []*table.Table, schema Schema) *table.Table 
 	return out
 }
 
-// FlatReference computes the Full Disjunction without the partitioner: one
+// FlatReference computes the Full Disjunction without components: one
 // sequential, unbucketed worklist closure over the whole outer union, then
-// global subsumption. It is the independent reference for the partitioner's
+// global subsumption. It is the independent reference for the component
 // confinement argument on inputs too large for NaiveFD.
 func FlatReference(tables []*table.Table, schema Schema) (*Result, error) {
 	if err := schema.Validate(tables); err != nil {

@@ -9,19 +9,22 @@
 //
 // # Engine architecture
 //
-// The engine is dictionary-encoded and component-partitioned:
+// There is one Full Disjunction path, the incremental Index: a one-shot
+// FullDisjunction is a fresh Index's single Update, and a session keeps
+// the Index between Updates. The engine is dictionary-encoded and
+// component-partitioned:
 //
-//   - At outer-union time every distinct cell value is interned into a
-//     dense uint32 symbol (intern.Null = 0 is the null cell), so a Tuple's
-//     cells are a []uint32 and every hot-path operation — signature
-//     hashing, posting-index probes, merge/consistency checks, subsumption
-//     — runs on integer compares and FNV-1a hashes over symbol slices.
-//     Strings are decoded back only when the result table is materialized.
-//   - The outer union is split into connected components of the
-//     mergeable-pair graph (partition.go). No complementation merge and no
-//     subsumption (bar the all-null tuple, handled globally) crosses a
-//     component boundary, so each component is closed and
-//     subsumption-reduced independently.
+//   - At ingest every distinct cell value is interned into a dense uint32
+//     symbol (intern.Null = 0 is the null cell), so a Tuple's cells are a
+//     []uint32 and every hot-path operation — signature hashing,
+//     posting-index probes, merge/consistency checks — runs on integer
+//     compares and FNV-1a hashes over symbol slices. Strings are decoded
+//     back only when a component's kept tuples are assembled.
+//   - Ingest maintains the connected components of the mergeable-pair graph
+//     (partition.go) as tuples arrive. No complementation merge and no
+//     subsumption (bar the all-null tuple, folded globally by the assembly)
+//     crosses a component boundary, so each component is closed
+//     independently and the output is the components' kept tuples.
 //   - There is one closure: the sequential worklist (closure.runFrom) over
 //     pivot-bucketed posting lists, and its cost follows its output. Three
 //     facts make it so (proofs in complement.go and subsume.go). One: every
@@ -43,17 +46,17 @@
 //     worklist loop, run once per disjoint pivot-value group. Everything
 //     else, at any Workers setting — every cached closure being extended,
 //     every component without a pivot — is closed by that one loop, in place.
-//   - A session (Index) keeps every component's closure between updates
-//     and makes an update cost what its delta costs. A dirty component is
-//     re-closed through one seeding path (Index.seed): the cached closure
-//     with the largest store is the host and is extended in place — store,
-//     entry flags, signature index, postings, worklist scratch — the stores
-//     of smaller closures a merge brought in are appended behind it, and
-//     only the new or changed tuples are expanded. Two rules keep the
-//     in-place path honest: signatures ignore trailing null cells, so
-//     schema widening invalidates nothing; and cached postings re-choose
-//     their pivot column whenever the store has doubled, so a component
-//     first indexed small does not probe unbucketed for life.
+//   - The Index keeps every component's closure between Updates and makes
+//     an update cost what its delta costs. A dirty component is re-closed
+//     through one seeding path (Index.seed): the cached closure with the
+//     largest store is the host and is extended in place — store, entry
+//     flags, signature index, postings, worklist scratch — the stores of
+//     smaller closures a merge brought in are appended behind it, and only
+//     the new or changed tuples are expanded. Two rules keep the in-place
+//     path honest: signatures ignore trailing null cells, so schema widening
+//     invalidates nothing; and cached postings re-choose their pivot column
+//     whenever the store has doubled, so a component first indexed small
+//     does not probe unbucketed for life.
 //
 // Tuples carry provenance (the set of input tuple IDs they integrate), so
 // downstream tasks such as entity matching can trace every output row back
@@ -66,7 +69,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"fuzzyfd/internal/intern"
@@ -90,12 +93,11 @@ type Tuple struct {
 	Prov  []TID // sorted, unique
 }
 
-// engine is the shared immutable state of one Full Disjunction
-// computation: a frozen snapshot of the value dictionary and the
-// integrated schema width. All symbol decoding and value-order comparisons
-// go through it. Holding an intern.Snapshot rather than the live Dict is
-// load-bearing for concurrency: closures, subsumption, and materialization
-// read the engine outside any lock, while the owning Index may keep
+// engine is the shared immutable state of one Full Disjunction round: a
+// frozen snapshot of the value dictionary and the integrated schema width.
+// All symbol decoding and value-order comparisons go through it. Holding an
+// intern.Snapshot rather than the live Dict is load-bearing for
+// concurrency: closures and decoding read the engine outside any lock, while the owning Index may keep
 // interning new values for concurrent Updates — snapshot reads never race
 // with those appends.
 type engine struct {
@@ -103,20 +105,10 @@ type engine struct {
 	nCols int
 }
 
-// lessCells orders tuples by cell values — null before any value, values by
+// cmpCells orders tuples by cell values — null before any value, values by
 // string order, cell by cell. This is the canonical output order: it is
-// independent of symbol assignment, so one-shot and incremental runs sort
-// results identically.
-func (e *engine) lessCells(a, b []uint32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return e.dict.Less(a[i], b[i])
-		}
-	}
-	return false
-}
-
-// cmpCells is lessCells as a three-way comparison, for slices.SortFunc.
+// independent of symbol assignment, so results sort identically however
+// the dictionary grew.
 func (e *engine) cmpCells(a, b []uint32) int {
 	for i := range a {
 		if a[i] != b[i] {
@@ -142,12 +134,10 @@ func (e *engine) decodeRow(cells []uint32) table.Row {
 	return row
 }
 
-// materialize sorts tuples into canonical value order and decodes them into
-// a Result.
+// materialize sorts tuples with distinct cells into canonical value order
+// and decodes them into a Result — the operators' output path.
 func (e *engine) materialize(kept []Tuple, schema Schema, stats Stats) *Result {
-	sort.Slice(kept, func(i, j int) bool {
-		return e.lessCells(kept[i].Cells, kept[j].Cells)
-	})
+	slices.SortFunc(kept, func(a, b Tuple) int { return e.cmpCells(a.Cells, b.Cells) })
 	out := table.New("FD", schema.Columns...)
 	prov := make([][]TID, len(kept))
 	for i, tp := range kept {
@@ -250,8 +240,9 @@ type Options struct {
 	NoPivot bool
 	// Progress, when non-nil, is called once per closed component, always
 	// from the assembling goroutine (never concurrently), in completion
-	// order. It must not block for long: with Workers > 1 it is on the
-	// path that drains worker results.
+	// order — on a stream after the component's rows are emitted, so a
+	// consumer may flush on it. It must not block for long: with Workers > 1
+	// it is on the path that drains worker results.
 	Progress func(ComponentProgress)
 }
 
@@ -361,43 +352,15 @@ func FullDisjunction(tables []*table.Table, schema Schema, opts Options) (*Resul
 // and deadlines are observed at component boundaries and, inside a
 // component, every cancelEvery candidate expansions — so even a single hub
 // component that dominates the closure is interrupted promptly. A dead
-// context yields an error matching ErrCanceled.
+// context yields an error matching ErrCanceled. It runs as a fresh Index's
+// one Update, so one-shot and incremental results are the same code.
 func FullDisjunctionContext(ctx context.Context, tables []*table.Table, schema Schema, opts Options) (*Result, error) {
-	start := time.Now()
-	if err := schema.Validate(tables); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
-	}
-	var stats Stats
-	stats.PivotColumn = -1
-	for _, t := range tables {
-		stats.InputTuples += len(t.Rows)
-	}
-
-	eng, tuples := outerUnion(tables, schema)
-	stats.OuterUnion = len(tuples)
-	stats.Values = eng.dict.Len()
-	bud := newBudget(opts, len(tuples), eng)
-
-	comps := eng.partition(tuples)
-	stats.Components = len(comps)
-	kept, err := eng.closeComponents(ctx, comps, opts, bud, &stats)
-	if err != nil {
-		return nil, err
-	}
-	kept = eng.foldAllNull(kept)
-	stats.Subsumed = stats.Closure - len(kept)
-	stats.MemoryBytes = bud.bytes()
-
-	stats.Elapsed = time.Since(start)
-	return eng.materialize(kept, schema, stats), nil
+	return NewIndex().UpdateContext(ctx, tables, schema, opts)
 }
 
 // outerUnion projects every input row onto the integrated schema, interning
 // each distinct cell value into a fresh dictionary, and deduplicates by
-// cell signature, unioning provenance.
+// cell signature, unioning provenance — the operators' input.
 func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
 	dict := intern.NewDict()
 	eng := &engine{nCols: len(schema.Columns)}

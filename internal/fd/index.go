@@ -29,8 +29,8 @@ import (
 // component whose member set and provenance are unchanged has an unchanged
 // closure, and no pair of tuples from the closures of two previously
 // separate components can merge. Every Update therefore produces output
-// byte-identical — tables and provenance — to a one-shot FullDisjunction
-// over the accumulated input.
+// byte-identical — tables and provenance — to a fresh Index's single Update
+// over the accumulated input, which is what FullDisjunction runs.
 //
 // Update verifies, cheaply, that previously ingested rows still project to
 // their recorded tuples under the current schema and dictionary. When they
@@ -280,13 +280,14 @@ type dirtyEmit func(eng *engine, groups int, kept []Tuple, rows []table.Row) err
 // table: every component this call (re)closes streams as soon as its
 // closure finishes — the delta flows first, while other dirty components
 // are still closing — and once the index is fully clean the untouched
-// components replay from their cached kept tuples and decoded rows.
-// Rows within a component are emitted in value order; components arrive in
-// completion order for the re-closed delta and then in ingest order for the
-// clean replay, so the emitted row multiset equals UpdateContext's output
-// up to row order — with fd.Stream's all-null caveat: a fully-empty input
-// row's all-null output is dropped rather than provenance-folded when other
-// components exist, because its subsumer may already be out.
+// components replay from their cached kept tuples and decoded rows. Rows
+// within a component come in value order. Components come in the order they
+// close — with Workers <= 1 by smallest base tuple in ingest order, under
+// Workers > 1 in completion order — and the clean replay follows in ingest
+// order. The emitted row multiset equals UpdateContext's output, except
+// that a fully-empty input row's all-null output is dropped rather than
+// provenance-folded when other components exist, because its subsumer may
+// already be out. opts.Progress fires after a component's rows are emitted.
 //
 // emit runs on the calling goroutine. An emit error (or cancellation)
 // aborts the stream; rows already emitted stay emitted, the consumed
@@ -316,7 +317,7 @@ func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema
 		kept += len(tuples)
 		if len(tuples) == 1 && allNull(tuples[0].Cells) && groups > 1 {
 			// Dropped all-null singleton: counts as subsumed, exactly as the
-			// batch engine's all-null fold and fd.Stream do.
+			// assembly's all-null fold does.
 			kept--
 			return nil
 		}
@@ -431,6 +432,9 @@ func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema
 	stats.Components = x.live
 	stats.Closure = x.closure
 	stats.LargestComp, stats.LargestClose = x.largestComp, x.largestClose
+	// The budget's estimate for everything live, reported whenever a budget
+	// is set — also when this Update closed nothing.
+	stats.MemoryBytes = newBudget(opts, len(x.base)+x.closure-x.covered, asm.eng).bytes()
 	if onDirty != nil {
 		asm.groups = x.assembleGroups(streamed)
 	} else {
@@ -790,7 +794,7 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 			tuples[k] = x.base[id]
 			x.cover[id], x.pos[id], x.dirty[id] = rec, int32(k), false
 		}
-		return closeJob{tuples: tuples, base: len(tuples), owned: true}, rec
+		return closeJob{tuples: tuples, base: len(tuples)}, rec
 	}
 
 	tuples, flags, sigs, post := host.store, host.flags, host.sigs, host.post
@@ -852,7 +856,7 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 		work = append(work, int(x.pos[id]))
 	}
 	job := closeJob{
-		tuples: tuples, flags: flags, base: len(members), work: work, owned: true,
+		tuples: tuples, flags: flags, base: len(members), work: work,
 		sigs: sigs, post: post, der: host.der, scr: host.scr,
 	}
 	host.members = members
@@ -967,7 +971,7 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 			return nil
 		}
 		x.mu.Unlock()
-		results, err := eng.closeSetHook(ctx, jobs, opts, bud, stats, hook)
+		results, err := eng.closeSet(ctx, jobs, opts, bud, stats, hook)
 		x.mu.Lock()
 		x.claims -= len(jobs)
 		if err != nil {

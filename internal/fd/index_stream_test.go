@@ -25,6 +25,19 @@ func indexStreamAll(x *Index, tables []*table.Table, schema Schema, opts Options
 	return rows, provs, stats, err
 }
 
+// rowKey renders a row for order-insensitive comparison.
+func rowKey(row table.Row) string {
+	s := ""
+	for _, c := range row {
+		if c.IsNull {
+			s += "\x00⊥"
+		} else {
+			s += "\x00" + c.Val
+		}
+	}
+	return s
+}
+
 // lineSet renders rows with provenance as a sorted multiset of lines for
 // order-insensitive comparison.
 func lineSet(rows []table.Row, provs [][]TID) []string {
@@ -220,5 +233,162 @@ func TestIndexStreamAllNullRow(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStreamMatchesBatch: a fresh index streams FullDisjunction's rows and
+// provenance, up to row order, sequentially and with workers. Sequentially
+// the order itself is fixed — components by smallest base tuple, rows in
+// value order — so two runs emit the same sequence.
+func TestStreamMatchesBatch(t *testing.T) {
+	for _, tables := range [][]*table.Table{fig1Tables(), fig1Fuzzy(), chainTables(12)} {
+		schema := IdentitySchema(tables)
+		want, err := FullDisjunction(tables, schema, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqRows, seqProvs, stats, err := indexStreamAll(NewIndex(), tables, schema, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lineSet(seqRows, seqProvs), lineSet(want.Table.Rows, want.Prov)) {
+			t.Fatalf("stream differs from batch:\ngot %v\nwant %v", lineSet(seqRows, seqProvs), lineSet(want.Table.Rows, want.Prov))
+		}
+		if stats.Output != len(seqRows) || stats.Closure == 0 || stats.Subsumed != want.Stats.Subsumed {
+			t.Errorf("stream stats %+v, batch Subsumed=%d", stats, want.Stats.Subsumed)
+		}
+		againRows, againProvs, _, err := indexStreamAll(NewIndex(), tables, schema, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(againRows, seqRows) || !reflect.DeepEqual(againProvs, seqProvs) {
+			t.Error("two sequential streams emitted different orders")
+		}
+		parRows, parProvs, _, err := indexStreamAll(NewIndex(), tables, schema, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lineSet(parRows, parProvs), lineSet(seqRows, seqProvs)) {
+			t.Error("parallel stream multiset differs from sequential")
+		}
+	}
+}
+
+// TestStreamAllNullRow: a fully-empty input row's all-null tuple is
+// dropped from the stream when other rows exist — the documented
+// divergence from the batch fold — but the row count and the Subsumed
+// count still match the batch result.
+func TestStreamAllNullRow(t *testing.T) {
+	tables := fig1Tables()
+	tables[0].MustAppendRow(table.Null(), table.Null())
+	schema := IdentitySchema(tables)
+	want, err := FullDisjunction(tables, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, stats, err := indexStreamAll(NewIndex(), tables, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != want.Table.NumRows() {
+		t.Fatalf("stream emitted %d rows, batch has %d", len(rows), want.Table.NumRows())
+	}
+	for _, row := range rows {
+		hasValue := false
+		for _, c := range row {
+			hasValue = hasValue || !c.IsNull
+		}
+		if !hasValue {
+			t.Fatal("all-null row leaked into the stream")
+		}
+	}
+	if stats.Subsumed != want.Stats.Subsumed {
+		t.Errorf("stream Subsumed=%d, batch %d", stats.Subsumed, want.Stats.Subsumed)
+	}
+}
+
+// TestStreamEmitsBeforeCompletion: rows of already-closed components are
+// delivered while later components remain unclosed — cancel from inside
+// emit and keep the prefix — and a later Update recovers the full result.
+func TestStreamEmitsBeforeCompletion(t *testing.T) {
+	// Several independent two-tuple components, plus distinct singleton
+	// values per table so identity alignment yields separate components.
+	var tables []*table.Table
+	for i := 0; i < 6; i++ {
+		a := table.New(fmt.Sprintf("A%d", i), "k", fmt.Sprintf("x%d", i))
+		a.MustAppendRow(table.S(fmt.Sprintf("k%d", i)), table.S("l"))
+		b := table.New(fmt.Sprintf("B%d", i), "k", fmt.Sprintf("y%d", i))
+		b.MustAppendRow(table.S(fmt.Sprintf("k%d", i)), table.S("r"))
+		tables = append(tables, a, b)
+	}
+	schema := IdentitySchema(tables)
+
+	x := NewIndex()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var got int
+	_, err := x.StreamContext(ctx, tables, schema, Options{}, func(row table.Row, prov []TID) error {
+		got++
+		if got == 2 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled after mid-stream cancel, got %v", err)
+	}
+	if got < 2 {
+		t.Fatalf("expected at least 2 rows before cancellation, got %d", got)
+	}
+	full, err := FullDisjunction(tables, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got >= full.Table.NumRows() {
+		t.Fatalf("cancellation emitted all %d rows; wanted a partial prefix", got)
+	}
+	again, err := x.Update(tables, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsIdentical(again, full) {
+		t.Fatal("Update after a canceled stream differs from the batch result")
+	}
+}
+
+// TestStreamProgress: per-component progress events arrive in completion
+// order with a stable total, and each fires after its component's rows are
+// emitted — a consumer may flush on it: at the last event every row is out.
+func TestStreamProgress(t *testing.T) {
+	for _, tables := range [][]*table.Table{fig1Tables(), chainTables(12)} {
+		for _, workers := range []int{0, 4} {
+			var events []ComponentProgress
+			emitted, atLast := 0, -1
+			opts := Options{Workers: workers, Progress: func(p ComponentProgress) {
+				events = append(events, p)
+				if p.Done == p.Total {
+					atLast = emitted
+				}
+			}}
+			if _, err := NewIndex().StreamContext(context.Background(), tables, IdentitySchema(tables), opts, func(table.Row, []TID) error {
+				emitted++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(events) == 0 {
+				t.Fatal("no progress events")
+			}
+			if !sort.SliceIsSorted(events, func(a, b int) bool { return events[a].Done < events[b].Done }) {
+				t.Errorf("progress Done counts not monotonic: %+v", events)
+			}
+			last := events[len(events)-1]
+			if last.Done != last.Total || last.Total != len(events) {
+				t.Errorf("progress did not cover all components: %+v", events)
+			}
+			if atLast != emitted {
+				t.Errorf("workers=%d: %d of %d rows emitted at the last progress event", workers, atLast, emitted)
+			}
+		}
 	}
 }

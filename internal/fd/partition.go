@@ -2,18 +2,17 @@ package fd
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"sync"
 
 	"fuzzyfd/internal/intern"
 )
 
-// Connected-component partitioning of the outer union, over the MERGEABLE
-// pair graph: tuples a and b are adjacent iff they are consistent (no
-// column holds two different non-null values) and connected (they share an
-// equal non-null value) — exactly the pairs complementation can merge.
-// This graph confines every interaction of the closure:
+// Connected components of the outer union, over the MERGEABLE pair graph:
+// tuples a and b are adjacent iff they are consistent (no column holds two
+// different non-null values) and connected (they share an equal non-null
+// value) — exactly the pairs complementation can merge. This graph confines
+// every interaction of the closure:
 //
 //   - Merges never leave a component. If a closure tuple c (c = join of
 //     base tuples of component D) merges with m (join of base tuples of
@@ -24,7 +23,7 @@ import (
 //   - Subsumption never leaves a component: a subsumer agrees on every
 //     non-null cell of the subsumed tuple and the subsumed tuple has at
 //     least one (all-null tuples are singleton components, folded globally
-//     by engine.foldAllNull), so the two are a mergeable pair.
+//     by the assembly, Index.assembleRows), so the two are a mergeable pair.
 //   - Signature dedup never needs to look across components: if closures
 //     of two components could produce identical cells X, then each
 //     non-null column of X would be witnessed by a base tuple on both
@@ -38,47 +37,10 @@ import (
 // can actually merge. The mergeable relation keeps components aligned with
 // the real join structure.
 //
-// Candidate pairs are enumerated from the posting lists (adjacent tuples
-// share a value, so every edge appears in some list) with two prunes:
-// pairs already in one component skip the consistency check, and each
-// pair is checked at most once per list.
-
-// unionFind is a disjoint-set forest with path halving and union by size.
-// (internal/assign carries its own copy for its purposes; this one stays
-// here to keep the packages independent.)
-type unionFind struct {
-	parent []int
-	size   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if u.size[ra] < u.size[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
-}
+// Index.ingest maintains the components as tuples arrive: adjacent tuples
+// share a value, so a new tuple finds every neighbor in its posting lists,
+// joins the component of a consistent one and merges the components of
+// several. Edges only ever appear, so components merge but never split.
 
 // consistentCells reports whether two tuples agree on every column where
 // both are non-null. Tuples drawn from the same posting list already share
@@ -93,67 +55,22 @@ func consistentCells(a, b []uint32) bool {
 	return true
 }
 
-// partition groups outer-union tuples into connected components of the
-// mergeable-pair relation. Components are ordered by their smallest member
-// (outer-union order) and keep their members in that order, so the result
-// is deterministic. All-null tuples (possible only from fully-empty input
-// rows) form singleton components.
-func (e *engine) partition(tuples []Tuple) [][]Tuple {
-	if len(tuples) == 0 {
-		return nil
-	}
-	uf := newUnionFind(len(tuples))
-	idx := newPostingIndex(e.nCols)
-	for i := range tuples {
-		idx.add(i, tuples[i].Cells)
-	}
-	for _, col := range idx.byCol {
-		for _, posting := range col {
-			for pi, i := range posting {
-				for _, j := range posting[pi+1:] {
-					if uf.find(i) != uf.find(j) && consistentCells(tuples[i].Cells, tuples[j].Cells) {
-						uf.union(i, j)
-					}
-				}
-			}
-		}
-	}
-	// Number components by first-seen root so the grouping is independent
-	// of map iteration order.
-	compOf := make(map[int]int)
-	var comps [][]Tuple
-	for i := range tuples {
-		r := uf.find(i)
-		ci, ok := compOf[r]
-		if !ok {
-			ci = len(comps)
-			compOf[r] = ci
-			comps = append(comps, nil)
-		}
-		comps[ci] = append(comps[ci], tuples[i])
-	}
-	return comps
-}
-
-// closeJob describes one component closure: the seed store and the worklist
-// of store IDs whose candidate pairs have not been examined yet. A one-shot
-// closure is the trivial job — seed = the component's base tuples, nil
-// worklist (expand everything). The incremental index's jobs seed with a
-// cached closure extended in place (Index.seed) and list only the new or
-// changed tuples. Seed tuples stay at their seed positions in the store a
-// closure returns.
+// closeJob describes one component closure, built by Index.seed: the seed
+// store and the worklist of store IDs whose candidate pairs have not been
+// examined yet. A component without a cached closure is the trivial job —
+// seed = its base tuples, nil worklist (expand everything); otherwise the
+// seed is a cached closure extended in place and the worklist lists only
+// the new or changed tuples. The seed slices are the job's own: the closure
+// grows and mutates them in place. Seed tuples stay at their seed positions
+// in the store a closure returns.
 type closeJob struct {
 	tuples []Tuple
 	base   int   // count of outer-union (base) tuples in the seed
 	work   []int // store IDs to expand; nil closes from scratch
 	// flags are the seed's entry flags (entryBase, entryExtended), or nil on
 	// a seed of base tuples to close from scratch. A job with flags extends a
-	// cached store: it owns it and brings its signature index.
+	// cached store and brings its signature index.
 	flags []uint8
-	// owned marks seed slices that are this job's alone (the incremental
-	// index hands over a cached store): the closure may grow and mutate them
-	// in place. Unowned seeds (partitioner output) are copied first.
-	owned bool
 	// sigs is the signature index over a cached store's tuples. post and
 	// der, when non-nil, are the postings of its base tuples and of its
 	// unextended derived tuples, and scr the worklist scratch, all from the
@@ -169,15 +86,6 @@ type closeJob struct {
 	// which does not choose again.
 	pivoted bool
 	pivot   int
-}
-
-// jobsOf wraps freshly partitioned components as from-scratch close jobs.
-func jobsOf(comps [][]Tuple) []closeJob {
-	jobs := make([]closeJob, len(comps))
-	for ci, comp := range comps {
-		jobs[ci] = closeJob{tuples: comp, base: len(comp)}
-	}
-	return jobs
 }
 
 // compResult is the outcome of closing one component.
@@ -199,9 +107,7 @@ type compResult struct {
 
 // newJobClosure wraps a job's seed store in a closure and reports how many
 // tuples it posted to bring a cached store's postings up to date. A seed of
-// base tuples (from scratch: no flags) is copied first unless the job owns
-// it — the store grows and its provenance is folded in place, so an unowned
-// caller's slices must stay untouched — and posted bucketed by the pivot
+// base tuples (from scratch: no flags) is posted bucketed by the pivot
 // column chosen over it. A cached store being extended keeps its base
 // postings' pivot until the store has doubled since it was chosen
 // (postingIndex.rechoosePivot), and NoPivot strips the buckets — the flat
@@ -212,9 +118,6 @@ type compResult struct {
 func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) (cl *closure, posted int) {
 	tuples := job.tuples
 	if job.flags == nil {
-		if !job.owned {
-			tuples = slices.Clone(tuples)
-		}
 		pivot := job.pivot
 		if !job.pivoted {
 			pivot = pivotFor(opts, tuples, e.nCols)
@@ -444,27 +347,22 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 }
 
 // closeSet closes the listed component jobs through closeEach and returns
-// one compResult per job, in order. Merge work counters land in stats and
-// opts.Progress observes every completion. This is the single
-// implementation both the one-shot engine (over all components) and the
-// incremental index (over the dirty ones) close through, so the two paths
-// cannot diverge.
-func (e *engine) closeSet(ctx context.Context, jobs []closeJob, opts Options, bud *budget, stats *Stats) ([]compResult, error) {
-	return e.closeSetHook(ctx, jobs, opts, bud, stats, nil)
-}
-
-// closeSetHook is closeSet with an optional per-completion hook, called on
-// the assembling goroutine right after each component's bookkeeping and
-// progress report — the extension point the incremental index's streaming
-// path uses to emit a re-closed component's rows the moment it finishes. A
-// hook error aborts the set exactly like a closure error (in-flight
-// components drain, the error propagates).
-func (e *engine) closeSetHook(ctx context.Context, jobs []closeJob, opts Options, bud *budget, stats *Stats, hook func(ci int, r compResult) error) ([]compResult, error) {
+// one compResult per job, in order; merge work counters land in stats. Each
+// completion reaches hook first, on the assembling goroutine — the index
+// puts the component's kept tuples in value order and decodes them there,
+// and a streaming Update emits them — and then opts.Progress, so a progress
+// event is a flush point: the component's rows are already out. A hook
+// error aborts the set exactly like a closure error (in-flight components
+// drain, the error propagates).
+func (e *engine) closeSet(ctx context.Context, jobs []closeJob, opts Options, bud *budget, stats *Stats, hook func(ci int, r compResult) error) ([]compResult, error) {
 	results := make([]compResult, len(jobs))
 	done := 0
 	err := e.closeEach(ctx, jobs, opts, bud, func(ci int, r compResult) error {
 		results[ci] = r
 		stats.mergeWork(r.stats)
+		if err := hook(ci, r); err != nil {
+			return err
+		}
 		done++
 		if opts.Progress != nil {
 			opts.Progress(ComponentProgress{
@@ -472,75 +370,10 @@ func (e *engine) closeSetHook(ctx context.Context, jobs []closeJob, opts Options
 				PivotColumn: r.stats.PivotColumn, PivotSkipped: r.stats.PivotSkipped,
 			})
 		}
-		if hook != nil {
-			return hook(ci, r)
-		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
-}
-
-// closeComponents runs complementation closure and subsumption removal on
-// every component and concatenates the surviving tuples in component
-// order. The shared budget bounds the total tuple count across all
-// components, matching the global engine's Options.MaxTuples semantics.
-func (e *engine) closeComponents(ctx context.Context, comps [][]Tuple, opts Options, bud *budget, stats *Stats) ([]Tuple, error) {
-	for _, comp := range comps {
-		if len(comp) > stats.LargestComp {
-			stats.LargestComp = len(comp)
-		}
-	}
-	stats.DirtyComponents = len(comps)
-
-	results, err := e.closeSet(ctx, jobsOf(comps), opts, bud, stats)
-	if err != nil {
-		return nil, err
-	}
-	var kept []Tuple
-	for ci := range results {
-		r := &results[ci]
-		stats.Closure += r.closure
-		if r.closure > stats.LargestClose {
-			stats.LargestClose = r.closure
-			stats.PivotColumn = r.stats.PivotColumn
-		}
-		kept = append(kept, r.kept...)
-	}
-	stats.ReclosedTuples = stats.Closure
-	return kept, nil
-}
-
-// foldAllNull removes a surviving all-null tuple when any informative tuple
-// exists, folding its provenance into the canonical global subsumer — the
-// most informative kept tuple, ties by value order. This mirrors
-// engine.subsume's all-null rule at global scope: the all-null tuple is the
-// one tuple whose subsumers live outside its own (singleton) component.
-func (e *engine) foldAllNull(kept []Tuple) []Tuple {
-	at := -1
-	for i := range kept {
-		if allNull(kept[i].Cells) {
-			at = i
-			break
-		}
-	}
-	if at < 0 || len(kept) == 1 {
-		return kept
-	}
-	best := -1
-	bestN := 0
-	for i := range kept {
-		if i == at {
-			continue
-		}
-		if n := nonNullCount(kept[i].Cells); best < 0 || n > bestN ||
-			(n == bestN && e.lessCells(kept[i].Cells, kept[best].Cells)) {
-			best = i
-			bestN = n
-		}
-	}
-	kept[best].Prov = mergeProv(kept[best].Prov, kept[at].Prov)
-	return append(kept[:at], kept[at+1:]...)
 }

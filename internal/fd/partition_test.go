@@ -3,64 +3,19 @@ package fd
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
 	"fuzzyfd/internal/table"
 )
 
-// --- union-find -------------------------------------------------------------
+// --- components -------------------------------------------------------------
 
-func TestUnionFindBasics(t *testing.T) {
-	uf := newUnionFind(5)
-	for i := 0; i < 5; i++ {
-		if uf.find(i) != i {
-			t.Fatalf("fresh element %d not its own root", i)
-		}
-	}
-	uf.union(0, 1)
-	uf.union(3, 4)
-	if uf.find(0) != uf.find(1) || uf.find(3) != uf.find(4) {
-		t.Error("union did not join")
-	}
-	if uf.find(0) == uf.find(3) || uf.find(2) != 2 {
-		t.Error("disjoint sets joined spuriously")
-	}
-	uf.union(1, 3) // transitive: {0,1,3,4}
-	for _, x := range []int{1, 3, 4} {
-		if uf.find(x) != uf.find(0) {
-			t.Errorf("element %d not in merged set", x)
-		}
-	}
-	uf.union(0, 4) // already joined: must be a no-op
-	if uf.find(2) != 2 {
-		t.Error("singleton lost")
-	}
-}
-
-func TestUnionFindAllPairsChain(t *testing.T) {
-	const n = 100
-	uf := newUnionFind(n)
-	for i := 1; i < n; i++ {
-		uf.union(i-1, i)
-	}
-	root := uf.find(0)
-	for i := 1; i < n; i++ {
-		if uf.find(i) != root {
-			t.Fatalf("chain element %d split from root", i)
-		}
-	}
-}
-
-// --- partitioner ------------------------------------------------------------
-
-// partitionOf builds the engine over the tables and returns its components.
+// partitionOf returns the components the index's ingest builds over the
+// tables.
 func partitionOf(t *testing.T, tables []*table.Table) (*engine, [][]Tuple) {
 	t.Helper()
-	schema := IdentitySchema(tables)
-	eng, base := outerUnion(tables, schema)
-	return eng, eng.partition(base)
+	return components(tables, IdentitySchema(tables))
 }
 
 func TestPartitionDisconnected(t *testing.T) {
@@ -111,7 +66,7 @@ func TestPartitionFullyConnected(t *testing.T) {
 	}
 }
 
-// The partitioner follows the mergeable relation, not shares-a-value: rows
+// Components follow the mergeable relation, not shares-a-value: rows
 // sharing a low-selectivity value but conflicting elsewhere must not be
 // chained into one component.
 func TestPartitionSharedValueButInconsistent(t *testing.T) {
@@ -151,15 +106,9 @@ func TestPartitionAllNullSingleton(t *testing.T) {
 
 // --- engine equivalence -----------------------------------------------------
 
-// resultsIdentical requires byte-identical output: same row order, same
-// cells, same provenance.
-func resultsIdentical(a, b *Result) bool {
-	return a.Table.Equal(b.Table) && reflect.DeepEqual(a.Prov, b.Prov)
-}
-
-// The central refactor property: the interned, partitioned engine produces
-// byte-identical tables AND provenance to the definitional oracle, and the
-// flat reference and the parallel variants agree too.
+// The central refactor property: the interned, component-partitioned
+// engine produces byte-identical tables AND provenance to the definitional
+// oracle, and the flat reference and the parallel variants agree too.
 func TestPartitionedMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -295,7 +244,7 @@ func TestPartitionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !resultsIdentical(res, flat) {
-		t.Error("flat reference and partitioned engine disagree on Fig. 1")
+		t.Error("flat reference and component-partitioned engine disagree on Fig. 1")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // and creates buckets mid-closure: merging the category row into an item
 // posts tax-column entries under a pivot value no seed tuple of that list
 // had.
-// The category row comes second: the partitioner connects only
+// The category row comes second: ingest connects only
 // consistent sharing pairs, and items conflict pairwise on id, so the
 // cats row is what chains them — a two-table prefix must include it for
 // incremental tests to seed the hub as one cached component.

@@ -73,7 +73,7 @@ func (e *engine) subsume(tuples []Tuple) []Tuple {
 		if filled[j] != filled[cur] {
 			return filled[j] > filled[cur]
 		}
-		return e.lessCells(tuples[j].Cells, tuples[cur].Cells)
+		return e.cmpCells(tuples[j].Cells, tuples[cur].Cells) < 0
 	}
 
 	// sub[i] is the chosen subsumer of dropped tuple i, or -1.
@@ -95,8 +95,8 @@ func (e *engine) subsume(tuples []Tuple) []Tuple {
 		}
 		if best < 0 {
 			// All-null tuple (only from fully-empty input rows): subsumed by
-			// any informative tuple; pick the canonical one. The partitioned
-			// engine applies the same rule across components in foldAllNull.
+			// any informative tuple; pick the canonical one. The index's
+			// assembly applies the same rule across components (assembleRows).
 			for j := range tuples {
 				if j != i && filled[j] > 0 && better(j, cur) {
 					cur = j
