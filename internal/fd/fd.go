@@ -487,26 +487,6 @@ func cloneCells(cells []uint32) []uint32 {
 	return out
 }
 
-// subsumes reports whether u strictly subsumes t: every non-null cell of t
-// appears identically in u, and u carries strictly more information (more
-// non-null cells; equal-information duplicates are already removed by
-// signature dedup).
-func subsumes(u, t []uint32) bool {
-	extra := false
-	for i := range t {
-		if t[i] == intern.Null {
-			if u[i] != intern.Null {
-				extra = true
-			}
-			continue
-		}
-		if u[i] != t[i] {
-			return false
-		}
-	}
-	return extra
-}
-
 // nonNullCount reports the number of informative cells of a tuple.
 func nonNullCount(cells []uint32) int {
 	n := 0

@@ -178,3 +178,53 @@ func NullFraction(res *Result) float64 {
 	}
 	return float64(res.Table.NullCount()) / float64(cells)
 }
+
+// provHasTable reports whether any TID of prov comes from table ti.
+func provHasTable(prov []TID, ti int) bool {
+	for _, t := range prov {
+		if t.Table == ti {
+			return true
+		}
+	}
+	return false
+}
+
+// fullOuterJoin evaluates the natural full outer join of two padded tuple
+// sets over the integrated schema: matched pairs (consistent and sharing
+// an equal non-null value) merge; dangling tuples from both sides survive
+// unchanged.
+func fullOuterJoin(left, right []Tuple, nCols int, stats *Stats) []Tuple {
+	idx := newPostingIndex(nCols)
+	for j := range right {
+		idx.add(j, right[j].Cells)
+	}
+
+	var out []Tuple
+	matchedRight := make([]bool, len(right))
+	var scratch stampSet
+	for i := range left {
+		scratch.next(len(right))
+		matched := false
+		idx.candidates(-1, left[i].Cells, &scratch, func(j int) {
+			stats.MergeAttempts++
+			merged, ok := tryMerge(left[i].Cells, right[j].Cells)
+			if !ok {
+				return
+			}
+			stats.Merges++
+			matched = true
+			matchedRight[j] = true
+			out = append(out, Tuple{Cells: merged, Prov: mergeProv(left[i].Prov, right[j].Prov)})
+		})
+		if !matched {
+			out = append(out, left[i])
+		}
+	}
+	for j := range right {
+		if !matchedRight[j] {
+			out = append(out, right[j])
+		}
+	}
+	// Deduplicate within the join result.
+	return dedupeTuples(out)
+}
