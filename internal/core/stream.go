@@ -9,8 +9,8 @@ import (
 
 // Stream is the one-shot form of Session.StreamContext: a throwaway
 // Session — one Add, one StreamContext — so rows arrive in the order
-// contract stated there (fuzzyfd.Session.StreamContext). The Result carries
-// no materialized Table or Prov; the rows went to emit.
+// contract fuzzyfd.Session.StreamContext states. The Result carries no
+// materialized Table or Prov; the rows went to emit.
 func Stream(ctx context.Context, tables []*table.Table, cfg Config, emit func(schema fd.Schema, row table.Row, prov []fd.TID) error) (*Result, error) {
 	s := NewSession(cfg)
 	s.Add(tables...)

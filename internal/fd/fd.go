@@ -97,9 +97,9 @@ type Tuple struct {
 // frozen snapshot of the value dictionary and the integrated schema width.
 // All symbol decoding and value-order comparisons go through it. Holding an
 // intern.Snapshot rather than the live Dict is load-bearing for
-// concurrency: closures and decoding read the engine outside any lock, while the owning Index may keep
-// interning new values for concurrent Updates — snapshot reads never race
-// with those appends.
+// concurrency: closures and decoding read the engine outside any lock,
+// while the owning Index may keep interning new values for concurrent
+// Updates — snapshot reads never race with those appends.
 type engine struct {
 	dict  intern.Snapshot
 	nCols int

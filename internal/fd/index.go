@@ -280,14 +280,12 @@ type dirtyEmit func(eng *engine, groups int, kept []Tuple, rows []table.Row) err
 // table: every component this call (re)closes streams as soon as its
 // closure finishes — the delta flows first, while other dirty components
 // are still closing — and once the index is fully clean the untouched
-// components replay from their cached kept tuples and decoded rows. Rows
-// within a component come in value order. Components come in the order they
-// close — with Workers <= 1 by smallest base tuple in ingest order, under
-// Workers > 1 in completion order — and the clean replay follows in ingest
-// order. The emitted row multiset equals UpdateContext's output, except
-// that a fully-empty input row's all-null output is dropped rather than
-// provenance-folded when other components exist, because its subsumer may
-// already be out. opts.Progress fires after a component's rows are emitted.
+// components replay from their cached kept tuples and decoded rows, in the
+// order contract fuzzyfd.Session.StreamContext states. The all-null caveat
+// stated there is made here: a fully-empty input row's all-null output is
+// dropped rather than provenance-folded when other components exist,
+// because its subsumer may already be out. opts.Progress fires after a
+// component's rows are emitted.
 //
 // emit runs on the calling goroutine. An emit error (or cancellation)
 // aborts the stream; rows already emitted stay emitted, the consumed

@@ -23,7 +23,8 @@ func accumulate(tables []*table.Table, nBatches, k int) []*table.Table {
 	return out
 }
 
-// Randomized equivalence against the one-shot engine, including fully-null
+// Randomized equivalence against a fresh index (FullDisjunction, itself
+// checked against FlatReference and NaiveFD), including fully-null
 // rows, random batch splits, and re-deduplicated rows (duplicates arriving
 // in later batches must dirty — and fold into — the owning component).
 func TestIndexIncrementalMatchesBatchRandom(t *testing.T) {
