@@ -24,6 +24,10 @@ const frameHeader = 8
 // is treated as corruption rather than attempted as an allocation.
 const maxFramePayload = 1 << 30
 
+// eagerPayload is the largest payload read into a buffer allocated up front
+// from the header's length.
+const eagerPayload = 1 << 20
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Log record types.
@@ -64,8 +68,16 @@ func (fr *frameReader) next() (payload []byte, ok bool, err error) {
 	if n > maxFramePayload {
 		return nil, false, nil // absurd length: corrupt header
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	// Past eagerPayload the length is not trusted with an allocation: the
+	// payload grows as its bytes arrive, so a corrupt header costs at most
+	// twice what the stream holds.
+	if n <= eagerPayload {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(fr.r, payload)
+	} else if payload, err = io.ReadAll(io.LimitReader(fr.r, int64(n))); err == nil && len(payload) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, false, nil
 		}

@@ -3,6 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,6 +279,49 @@ func TestStoreSnapshotCompsRoundtrip(t *testing.T) {
 	got := rec.Comps[0]
 	if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", comp) {
 		t.Fatalf("comp roundtrip differs:\ngot  %v\nwant %v", got, comp)
+	}
+}
+
+// testdata/component-segment-layout was written when a snapshot also held
+// one comp-N.seg per Full Disjunction component: three such segments beside
+// the tables of the first batch, and the second batch in the log tail. It
+// opens with its tables intact, and its next snapshot holds only the
+// dictionary, the tables and the manifest.
+func TestStoreOpensComponentSegmentLayout(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sess")
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "component-segment-layout"))); err != nil {
+		t.Fatal(err)
+	}
+	people := table.New("people", "name", "city")
+	people.MustAppendRow(table.S("alice"), table.S("Berlin"))
+	people.MustAppendRow(table.S("bob"), table.S("Paris"))
+	jobs := table.New("jobs", "name", "job")
+	jobs.MustAppendRow(table.S("alice"), table.S("eng"))
+	jobs.MustAppendRow(table.S("carol"), table.Null())
+	ages := table.New("ages", "name", "age")
+	ages.MustAppendRow(table.S("bob"), table.S("41"))
+	want := []*table.Table{people, jobs, ages}
+
+	w, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer w.Close()
+	if !tablesEqual(rec.Tables, want) {
+		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
+	}
+	if err := w.Snapshot(rec.Tables, nil); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	names, err := OSFS{}.ReadDir(filepath.Join(dir, snapDirName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"dict.seg", "manifest.json", "tables.seg"}; !slices.Equal(names, want) {
+		t.Errorf("next snapshot holds %v, want %v", names, want)
+	}
+	if exists(OSFS{}, filepath.Join(dir, snapDirName(1))) {
+		t.Error("the snapshot with component segments survived rotation")
 	}
 }
 
