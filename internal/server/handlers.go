@@ -488,13 +488,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
+	// Subscribe before the headers go out: a client whose request has
+	// returned must see every event published after that.
+	ch, cancel := c.hub.subscribe()
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, ": fuzzyfdd session %s\n\n", name)
 	fl.Flush()
-	ch, cancel := c.hub.subscribe()
-	defer cancel()
 	for {
 		select {
 		case ev := <-ch:
