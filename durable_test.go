@@ -9,8 +9,8 @@ import (
 )
 
 // End-to-end durability on a real filesystem: a session opened on disk,
-// closed, and reopened serves the identical integration result, restores
-// snapshotted component closures, and keeps accepting new tables.
+// closed, and reopened serves the identical integration result and keeps
+// accepting new tables.
 func TestOpenSessionReopenOnDisk(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sess")
 
@@ -56,9 +56,6 @@ func TestOpenSessionReopenOnDisk(t *testing.T) {
 	if !got.Table.Equal(want.Table) || !reflect.DeepEqual(got.Prov, want.Prov) {
 		t.Fatalf("reopened result diverges:\ngot\n%v %v\nwant\n%v %v",
 			got.Table, got.Prov, want.Table, want.Prov)
-	}
-	if got.FDStats.RestoredComps == 0 {
-		t.Error("reopen re-closed every component instead of restoring from the snapshot")
 	}
 
 	// The reopened session keeps integrating new tables incrementally.

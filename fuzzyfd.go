@@ -470,9 +470,9 @@ func NewSession(opts ...Option) (*Session, error) {
 // Durability tunes a durable session opened with OpenSession.
 type Durability struct {
 	// SnapshotEvery is the number of logged adds between automatic
-	// compactions of the log into a snapshot (taken after an Integrate). 0
-	// means a sensible default; negative disables automatic snapshots —
-	// Flush and Close still take them.
+	// compactions of the log into a snapshot (taken after an Integrate, so
+	// that no Append waits for one). 0 means a sensible default; negative
+	// disables automatic snapshots — Flush and Close still take them.
 	SnapshotEvery int
 	// NoSync skips fsyncs. A crash may then lose acknowledged adds (never
 	// corrupt the session directory); for tests and throwaway sessions.
@@ -497,18 +497,16 @@ func WithDurability(d Durability) Option {
 // OpenSession opens a crash-safe session persisted under dir, creating the
 // directory if needed and recovering the prior state otherwise. Every
 // Append (and Add) is written to a checksummed log and fsync'd before it is
-// acknowledged; the log periodically compacts into a snapshot that also
-// stores the Full Disjunction index's per-component closure results, so
-// reopening a large session skips most of the recomputation (see
-// FDStats.RestoredComps). Recovery after a crash keeps every acknowledged
-// add and loses at most the one a crash interrupted: a torn final log
-// record is truncated, never an error.
+// acknowledged; the log periodically compacts into a snapshot of the
+// accumulated tables. Recovery after a crash keeps every acknowledged add
+// and loses at most the one a crash interrupted: a torn final log record is
+// truncated, never an error. Only the tables are persisted: the first
+// Integrate after a reopen computes the result from them, as a fresh
+// session fed the same tables would, and later Integrates are incremental
+// again.
 //
-// The recovered session accepts the same options as NewSession; use the
-// same ones it was created with — matching configuration maximizes how much
-// snapshotted closure work can be adopted (a changed configuration is still
-// safe: content digests catch every divergence and the affected components
-// simply recompute).
+// The recovered session accepts the same options as NewSession; pass the
+// ones it was created with to get the same result.
 func OpenSession(dir string, opts ...Option) (*Session, error) {
 	o, err := buildOpts(opts)
 	if err != nil {

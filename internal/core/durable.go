@@ -18,9 +18,9 @@ var ErrClosed = errors.New("core: session is closed")
 // tail instead of the whole history.
 type Durability struct {
 	// SnapshotEvery is the number of durable log frames between automatic
-	// snapshots (taken after an Integrate, when component closures are
-	// clean and exportable). 0 means the default of 16; negative disables
-	// automatic snapshots — Flush and Close still take them.
+	// snapshots (taken after an Integrate, off the Append acknowledgement
+	// path). 0 means the default of 16; negative disables automatic
+	// snapshots — Flush and Close still take them.
 	SnapshotEvery int
 	// NoSync skips fsyncs for throwaway or test sessions; a crash may then
 	// lose acknowledged adds (never corrupt the store).
@@ -30,19 +30,19 @@ type Durability struct {
 	FS wal.FS
 }
 
-// defaultSnapshotEvery balances reopen cost (replaying a log tail re-runs
-// ingest only; closures restore from the snapshot) against snapshot write
-// amplification (each snapshot rewrites the accumulated tables).
+// defaultSnapshotEvery balances the log tail a reopen replays against
+// snapshot write amplification (each snapshot rewrites the accumulated
+// tables). Either way the first Integrate after a reopen closes every
+// component from the recovered tables.
 const defaultSnapshotEvery = 16
 
 // OpenSession opens a durable session backed by dir, creating it if empty
 // and recovering it otherwise. Recovery loads the latest committed
 // snapshot, replays the log tail, and truncates a torn final record — a
 // crash loses at most the Add it interrupted, never an acknowledged one.
-// The first Integrate after a reopen re-ingests the recovered tables and
-// adopts the snapshot's exported component closures wherever their content
-// digests still match, re-closing only what the replayed tail touched (see
-// FDStats.RestoredComps).
+// The snapshot and log hold only the tables: the first Integrate after a
+// reopen computes the integration from the recovered tables, as a fresh
+// session fed them would, and later deltas extend it incrementally.
 func OpenSession(cfg Config, dir string, d Durability) (*Session, error) {
 	store, rec, err := wal.Open(dir, wal.Options{FS: d.FS, NoSync: d.NoSync})
 	if err != nil {
@@ -55,7 +55,6 @@ func OpenSession(cfg Config, dir string, d Durability) (*Session, error) {
 		s.snapEvery = defaultSnapshotEvery
 	}
 	s.tables = rec.Tables
-	s.idx.RestoreComponents(rec.Comps)
 	return s, nil
 }
 
@@ -108,10 +107,10 @@ func (s *Session) Close() error {
 }
 
 // maybeSnapshot compacts the log into a snapshot when enough frames have
-// accumulated. Called after a successful Integrate — the one point where
-// the index's component closures are clean and exportable — and required
-// to be non-fatal: a failed snapshot leaves the log authoritative and is
-// simply retried after the next Integrate.
+// accumulated. Called after a successful Integrate, so that the snapshot's
+// rewrite of the accumulated tables never delays an Append's
+// acknowledgement, and required to be non-fatal: a failed snapshot leaves
+// the log authoritative and is simply retried after the next Integrate.
 func (s *Session) maybeSnapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,10 +167,10 @@ func (s *Session) Probe() error {
 	return s.store.Probe()
 }
 
-// snapshotLocked writes a snapshot of the current session state. With auto
-// set, it first checks the frame threshold. Callers hold s.mu, which
-// excludes Append: everything in s.tables is already WAL-durable, so the
-// snapshot never claims state the log does not cover.
+// snapshotLocked writes a snapshot of the session's accumulated tables.
+// With auto set, it first checks the frame threshold. Callers hold s.mu,
+// which excludes Append: everything in s.tables is already WAL-durable, so
+// the snapshot never claims state the log does not cover.
 func (s *Session) snapshotLocked(auto bool) error {
 	if s.store == nil || s.closed {
 		return nil
@@ -182,8 +181,5 @@ func (s *Session) snapshotLocked(auto bool) error {
 	if auto && (s.snapEvery < 0 || s.store.FramesSinceSnapshot() < s.snapEvery) {
 		return nil
 	}
-	// Exported components cover at most the tables of the last completed
-	// Update — a subset of s.tables — and adoption digest-checks each one,
-	// so exporting here is safe even if another Integrate is mid-flight.
-	return s.store.Snapshot(s.tables, s.idx.ExportComponents())
+	return s.store.Snapshot(s.tables)
 }

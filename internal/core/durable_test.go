@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fuzzyfd/internal/fd"
@@ -146,28 +147,53 @@ func withFS(d Durability, fs wal.FS) Durability {
 	return d
 }
 
-// A clean close-and-reopen adopts the snapshot's component closures: the
-// first Integrate after reopening reports RestoredComps instead of
-// re-closing, and the result matches the oracle — in whichever order the
-// batches originally arrived.
-func TestDurableSessionCleanRestartRestoresComponents(t *testing.T) {
+// A clean close and reopen serves the identical result, in whichever order
+// the batches arrived. The snapshot holds the tables only — dict.seg,
+// manifest.json and tables.seg, even for a session of over a hundred
+// components — and the first delta after the reopen does exactly the work
+// it does in a session that never restarted: the reopen's first Integrate
+// closes every component from the recovered tables, so the delta extends a
+// closure store instead of re-closing from base tuples.
+func TestDurableSessionCleanRestart(t *testing.T) {
 	base := durableBatches()
-	orders := [][]int{{0, 1, 2, 3, 4}, {4, 2, 0, 3, 1}}
-	for oi, order := range orders {
-		t.Run(fmt.Sprintf("order%d", oi), func(t *testing.T) {
-			batches := make([][]*table.Table, len(order))
-			for i, j := range order {
-				batches[i] = base[j]
-			}
-			cfg := Config{}
+	reorder := func(order ...int) [][]*table.Table {
+		batches := make([][]*table.Table, len(order))
+		for i, j := range order {
+			batches[i] = base[j]
+		}
+		return batches
+	}
+	note := func(name string) *table.Table {
+		t := table.New("notes", "name", "note")
+		t.MustAppendRow(table.S(name), table.S("vip"))
+		return t
+	}
+	wide := table.New("wide", "name", "tag")
+	for i := 0; i < 120; i++ {
+		wide.MustAppendRow(table.S(fmt.Sprintf("n%03d", i)), table.S(fmt.Sprintf("t%03d", i)))
+	}
+	cases := []struct {
+		name      string
+		cfg       Config
+		batches   [][]*table.Table
+		delta     *table.Table // joins an existing component
+		minComps  int
+		minReused int // SeedReusedTuples the delta's re-closure must take from a store
+	}{
+		{"order0", Config{}, reorder(0, 1, 2, 3, 4), note("alice"), 0, 1},
+		{"order1", Config{}, reorder(4, 2, 0, 3, 1), note("alice"), 0, 1},
+		{"wide", Config{Method: MethodEquiFD}, [][]*table.Table{{wide}}, note("n007"), 100, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			fs := wal.NewMemFS()
 			d := Durability{SnapshotEvery: 1 << 30, FS: fs}
 
-			s, err := OpenSession(cfg, "sess", d)
+			s, err := OpenSession(c.cfg, "sess", d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, b := range batches {
+			for _, b := range c.batches {
 				if err := s.Append(b...); err != nil {
 					t.Fatal(err)
 				}
@@ -176,11 +202,21 @@ func TestDurableSessionCleanRestartRestoresComponents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if want.FDStats.Components < c.minComps {
+				t.Fatalf("%d components, want at least %d", want.FDStats.Components, c.minComps)
+			}
 			if err := s.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
+			names, err := fs.ReadDir("sess/snap-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if layout := []string{"dict.seg", "manifest.json", "tables.seg"}; !slices.Equal(names, layout) {
+				t.Errorf("snapshot holds %v, want %v", names, layout)
+			}
 
-			s2, err := OpenSession(cfg, "sess", d)
+			s2, err := OpenSession(c.cfg, "sess", d)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -193,8 +229,37 @@ func TestDurableSessionCleanRestartRestoresComponents(t *testing.T) {
 				t.Fatalf("reopened result diverges:\ngot\n%v %v\nwant\n%v %v",
 					got.Table, got.Prov, want.Table, want.Prov)
 			}
-			if got.FDStats.RestoredComps == 0 {
-				t.Error("no components restored from the snapshot on a clean reopen")
+			if err := s2.Append(c.delta); err != nil {
+				t.Fatal(err)
+			}
+			got, err = s2.Integrate()
+			if err != nil {
+				t.Fatalf("delta after reopen: %v", err)
+			}
+
+			never := NewSession(c.cfg)
+			for _, b := range c.batches {
+				never.Append(b...)
+			}
+			if _, err := never.Integrate(); err != nil {
+				t.Fatal(err)
+			}
+			never.Append(c.delta)
+			ref, err := never.Integrate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResult(got, ref) {
+				t.Fatalf("delta after reopen diverges:\ngot\n%v %v\nwant\n%v %v",
+					got.Table, got.Prov, ref.Table, ref.Prov)
+			}
+			g, r := got.FDStats, ref.FDStats
+			if g.MergeAttempts != r.MergeAttempts || g.SeedReusedTuples != r.SeedReusedTuples || g.ReclosedTuples != r.ReclosedTuples {
+				t.Errorf("delta after reopen: %d merge attempts, %d seed-reused, %d reclosed tuples; never restarted: %d, %d, %d",
+					g.MergeAttempts, g.SeedReusedTuples, g.ReclosedTuples, r.MergeAttempts, r.SeedReusedTuples, r.ReclosedTuples)
+			}
+			if r.SeedReusedTuples < c.minReused {
+				t.Errorf("the delta reused %d closure tuples, want at least %d: it missed the cached component", r.SeedReusedTuples, c.minReused)
 			}
 		})
 	}

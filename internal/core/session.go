@@ -199,9 +199,9 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	s.last = res
 	s.mu.Unlock()
 
-	// Durable sessions compact here — the one point where the index's
-	// closures are clean and exportable. A snapshot failure is non-fatal
-	// (the log remains authoritative) and is retried next time.
+	// Durable sessions compact here, off the Append acknowledgement path. A
+	// snapshot failure is non-fatal (the log remains authoritative) and is
+	// retried next time.
 	s.maybeSnapshot()
 	return res, nil
 }

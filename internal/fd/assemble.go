@@ -63,8 +63,8 @@ func (x *Index) cache(c *comp, rec *cachedComp) {
 	x.published = append(x.published, publication{of: rec, gen: rec.gen})
 }
 
-// uncache takes a closure a claim or an adoption consumes out of the
-// totals and retires its assembled rows.
+// uncache takes a closure a claim consumes out of the totals and retires
+// its assembled rows.
 func (x *Index) uncache(rec *cachedComp) {
 	x.closure -= rec.closure
 	x.covered -= len(rec.members)
@@ -152,7 +152,7 @@ func (x *Index) assembleRows(eng *engine) ([]table.Row, [][]TID) {
 	rows := make([]table.Row, len(x.out))
 	prov := make([][]TID, len(x.out))
 	for k, o := range x.out {
-		if o.of.rows == nil { // left undecoded by a widening or an adoption
+		if o.of.rows == nil { // left undecoded by a widening
 			o.of.rows = eng.decodeKept(o.of.kept, nil, nil)
 		}
 		rows[k], prov[k] = o.of.rows[o.k], o.of.kept[o.k].Prov

@@ -318,7 +318,6 @@ type Stats struct {
 	MemoryBytes       int64 // estimated peak resident bytes under the budget's linear model (0 when no budget was set)
 	Subsumed          int   // tuples removed by subsumption
 	PendingWaits      int   // times an incremental Update waited on components claimed by concurrent Updates (0 for one-shot runs and disjoint concurrent Updates)
-	RestoredComps     int   // components adopted from a staged snapshot export instead of (re)closed (durable-session recovery)
 	Output            int
 	Elapsed           time.Duration
 }

@@ -113,11 +113,6 @@ type indexStore struct {
 	published []publication
 
 	lastTables []*table.Table // per table, the object seen last Update
-
-	// restored stages snapshot-exported component closures for adoption by
-	// the next Update, keyed by smallest member id (see persist.go). Entries
-	// are consumed — adopted or invalidated — on first examination.
-	restored map[int]*CompExport
 }
 
 // comp is one live connected component of the base tuples. Components are
@@ -147,7 +142,7 @@ type comp struct {
 type cachedComp struct {
 	members []int       // the base tuples closed; their store positions are Index.pos
 	kept    []Tuple     // closure + subsumption result, in value order
-	rows    []table.Row // kept, decoded (nil until needed after a widening or adoption)
+	rows    []table.Row // kept, decoded (nil until needed after a widening)
 	closure int         // closure size, for stats and budget accounting
 	// store holds the full closure store. When the component goes dirty the
 	// store is extended in place and only the new or changed base tuples (and
@@ -156,8 +151,8 @@ type cachedComp struct {
 	// is reached from a new base tuple through new tuples. A live entry's
 	// provenance is the fixpoint {b base : b ⊑ entry}, which only grows; a
 	// derived entry that has been extended is dead weight kept for signature
-	// dedup and may lag. A closure adopted from a snapshot has no store
-	// (persist.go), nor has one whose re-closure is in flight or failed.
+	// dedup and may lag. A closure whose re-closure is in flight or failed
+	// has no store.
 	store []Tuple
 	// flags holds one byte per store entry, kept from the run that produced
 	// the store and carried through every seeding rather than rebuilt from
@@ -477,8 +472,7 @@ func (x *Index) adoptStale(tables *[]*table.Table, schema *Schema) {
 	}
 }
 
-// reset drops the tuple store, indexes, components and staged exports (base
-// ids shift under a rebuild, so they can never match), keeping the
+// reset drops the tuple store, indexes and components, keeping the
 // dictionary (append-only by contract; stale symbols are harmless).
 // Callers hold x.mu and have drained outstanding claims.
 func (x *Index) reset() {
@@ -758,9 +752,9 @@ func (x *Index) compactOrder() {
 // — and are not put on the worklist: no pair across two previously separate
 // components can merge (partition.go), so only the dirty members, appended
 // last or refreshed where they already sit, need expanding. Members whose
-// closure was lost (a failed claim) or never stored (a snapshot adoption)
-// come back from their base tuples the same way. With no host at all the
-// job is the degenerate case: the base tuples, everything to expand.
+// closure lost its store (a failed or in-flight claim) come back from their
+// base tuples the same way. With no host at all the job is the degenerate
+// case: the base tuples, everything to expand.
 //
 // The returned closure record — the host, or a fresh one — is emptied
 // until publish refills it; it already lists every member, and x.pos holds
@@ -896,9 +890,8 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 
 		// Sort the queue: components absorbed since they were queued are
 		// gone, components with a closure in flight (a concurrent Update's —
-		// this one holds none here) stay queued, a staged snapshot export
-		// may satisfy a component without closing it, everything else is
-		// ours to claim.
+		// this one holds none here) stay queued, everything else is ours to
+		// claim.
 		var mine []*comp
 		held := x.queue[:0]
 		for _, c := range x.queue {
@@ -906,8 +899,6 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 			case c.dead:
 			case c.inflight > 0:
 				held = append(held, c)
-			case x.restored != nil && x.adoptRestored(c):
-				stats.RestoredComps++
 			default:
 				mine = append(mine, c)
 			}

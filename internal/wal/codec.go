@@ -25,7 +25,6 @@ func (e *encoder) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
 }
-func (e *encoder) raw(b []byte) { e.buf = append(e.buf, b...) }
 
 type decoder struct {
 	buf []byte
@@ -70,16 +69,6 @@ func (d *decoder) str() string {
 	s := string(d.buf[:n])
 	d.buf = d.buf[n:]
 	return s
-}
-
-func (d *decoder) raw(n int) []byte {
-	if d.err != nil || n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
 }
 
 func (d *decoder) done() error {

@@ -1,11 +1,9 @@
 // Package wal is the crash-safe persistence subsystem behind durable
 // integration sessions: an append-only, length-prefixed, CRC32C-checksummed
 // record log of added table batches — one fsync'd frame per Add — plus
-// periodic compact snapshots of the session's state (the interned value
-// dictionary, the accumulated tables, and the Full Disjunction index's
-// per-component closure results as one segment file per component), with a
-// manifest committed atomically via temp-directory rename and a CURRENT
-// pointer flip.
+// periodic compact snapshots of the session's input (the interned value
+// dictionary and the accumulated tables), with a manifest committed
+// atomically via temp-directory rename and a CURRENT pointer flip.
 //
 // Recovery loads the latest valid snapshot and replays the log tail,
 // truncating a torn or corrupt tail frame instead of failing to open: a
@@ -14,10 +12,6 @@
 // the recovery protocol is property-tested against injected faults — short
 // writes, fsync errors, crash-at-byte-N with unsynced-data rollback, bit
 // flips — byte-identical to an undisturbed in-memory session (see MemFS).
-//
-// The design follows the transaction-log shape of lakehouse formats: the
-// manifest names per-component segment files, so a future cold open can
-// load only the components a query touches rather than the whole state.
 package wal
 
 import (

@@ -99,7 +99,7 @@ func validSnapshot(tb testing.TB) (man, dict, tables []byte) {
 	if err := w.AppendAdd(all); err != nil {
 		tb.Fatal(err)
 	}
-	if err := w.Snapshot(all, nil); err != nil {
+	if err := w.Snapshot(all); err != nil {
 		tb.Fatal(err)
 	}
 	read := func(name string) []byte {

@@ -141,7 +141,7 @@ func TestStoreSnapshotRetriesTransientFault(t *testing.T) {
 		want = append(want, b...)
 	}
 	fs.FailWrite(1, "snap-")
-	if err := w.Snapshot(want, nil); err != nil {
+	if err := w.Snapshot(want); err != nil {
 		t.Fatalf("snapshot with transient fault: %v", err)
 	}
 	if w.Retried() == 0 {
@@ -174,7 +174,7 @@ func TestStoreSnapshotFailureKeepsLogAuthoritative(t *testing.T) {
 	}
 	want = append(want, b0...)
 	fs.FailWrite(1, "snap-")
-	if err := w.Snapshot(want, nil); err == nil {
+	if err := w.Snapshot(want); err == nil {
 		t.Fatal("snapshot with no-retry fault: err = nil, want failure")
 	}
 	if w.Degraded() != nil {
@@ -186,7 +186,7 @@ func TestStoreSnapshotFailureKeepsLogAuthoritative(t *testing.T) {
 	}
 	want = append(want, b1...)
 	// The retried snapshot succeeds and rotates.
-	if err := w.Snapshot(want, nil); err != nil {
+	if err := w.Snapshot(want); err != nil {
 		t.Fatalf("snapshot retry: %v", err)
 	}
 	w.Close()

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"fuzzyfd/internal/fd"
 	"fuzzyfd/internal/intern"
 	"fuzzyfd/internal/table"
 )
@@ -21,8 +20,13 @@ import (
 //
 //	CURRENT        → "S\n" — pointer to the committed snapshot (absent before
 //	                 the first snapshot)
-//	snap-S/        → manifest.json + dict.seg + tables.seg + comp-*.seg
+//	snap-S/        → manifest.json + dict.seg + tables.seg
 //	wal-S.log      → Add frames recorded since snap-S
+//
+// A snapshot holds what the log holds — the dictionary and the accumulated
+// tables — and nothing derived from them: the session recomputes its
+// integration from the recovered tables. Other files in snap-S/ are
+// ignored, and leave with the directory at the next rotation.
 //
 // Snapshot commit protocol (each step crash-durable before the next):
 //
@@ -52,16 +56,15 @@ const currentFile = "CURRENT"
 
 func snapDirName(seq uint64) string { return fmt.Sprintf("snap-%d", seq) }
 func logFileName(seq uint64) string { return fmt.Sprintf("wal-%d.log", seq) }
-func compSegName(i int) string      { return fmt.Sprintf("comp-%d.seg", i) }
 
 // manifest is the snapshot's table of contents. Segments are individually
-// framed and checksummed; the manifest only names them, in the Delta-Lake
-// style that lets a future cold open fetch components selectively.
+// framed and checksummed; the manifest only names them. Keys it does not
+// declare, such as the "comps" list of directories written when snapshots
+// also held per-component segments, are ignored.
 type manifest struct {
-	Seq    uint64   `json:"seq"`
-	Dict   string   `json:"dict"`
-	Tables string   `json:"tables"`
-	Comps  []string `json:"comps"`
+	Seq    uint64 `json:"seq"`
+	Dict   string `json:"dict"`
+	Tables string `json:"tables"`
 }
 
 // Options configures a Store.
@@ -81,16 +84,15 @@ type Options struct {
 }
 
 // Recovered is what Open reconstructed from disk: every acknowledged table
-// batch (snapshot content plus replayed log tail, in Add order) and the
-// snapshot's exported component closures, ready for Index.RestoreComponents.
+// batch, snapshot content plus replayed log tail, in Add order.
 type Recovered struct {
 	Tables []*table.Table
-	Comps  []fd.CompExport
 }
 
 // Store is the durable backing of one session: an fsync-per-Add record log
-// plus rotating snapshots. Methods are safe for concurrent use, though the
-// owning session serializes Adds itself to keep log order equal to memory
+// plus rotating snapshots. It has no lock of its own: the owning
+// core.Session makes every call under its mutex s.mu (the read-only
+// Degraded under the read lock), which also keeps log order equal to memory
 // order.
 type Store struct {
 	fs     FS
@@ -163,11 +165,11 @@ func (w *Store) resolveSnapshot(rec *Recovered) (uint64, error) {
 	if data, err := readAll(w.fs, cur); err == nil {
 		if seq, perr := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64); perr == nil && seq > 0 {
 			// Committed pointer: the snapshot it names must be intact.
-			dict, tables, comps, lerr := loadSnapshot(w.fs, w.dir, seq)
+			dict, tables, lerr := loadSnapshot(w.fs, w.dir, seq)
 			if lerr != nil {
 				return 0, fmt.Errorf("wal: committed snapshot %s unreadable: %w", snapDirName(seq), lerr)
 			}
-			w.dict, rec.Tables, rec.Comps = dict, tables, comps
+			w.dict, rec.Tables = dict, tables
 			return seq, nil
 		}
 	}
@@ -186,11 +188,11 @@ func (w *Store) resolveSnapshot(rec *Recovered) (uint64, error) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	for _, seq := range seqs {
-		dict, tables, comps, lerr := loadSnapshot(w.fs, w.dir, seq)
+		dict, tables, lerr := loadSnapshot(w.fs, w.dir, seq)
 		if lerr != nil {
 			continue
 		}
-		w.dict, rec.Tables, rec.Comps = dict, tables, comps
+		w.dict, rec.Tables = dict, tables
 		return seq, nil
 	}
 	return 0, nil
@@ -466,21 +468,21 @@ func (w *Store) ensureLog() error {
 func (w *Store) FramesSinceSnapshot() int { return w.frames }
 
 // Snapshot writes a new committed snapshot of the full session state —
-// tables is the complete accumulated table list, comps the index's exported
-// component closures — then rotates the log. Transient faults are retried
-// with backoff; each attempt restarts from a clean slate, which is safe
-// because nothing is committed until the CURRENT pointer flips (the last
-// step of an attempt). On success the previous snapshot and log are
-// obsolete and deleted (best effort); on failure the store continues on its
-// current snapshot and log — the log stays authoritative, so a failed
-// snapshot is never fatal and Snapshot can simply be retried later.
-func (w *Store) Snapshot(tables []*table.Table, comps []fd.CompExport) error {
+// tables is the complete accumulated table list — then rotates the log.
+// Transient faults are retried with backoff; each attempt restarts from a
+// clean slate, which is safe because nothing is committed until the CURRENT
+// pointer flips (the last step of an attempt). On success the previous
+// snapshot and log are obsolete and deleted (best effort); on failure the
+// store continues on its current snapshot and log — the log stays
+// authoritative, so a failed snapshot is never fatal and Snapshot can
+// simply be retried later.
+func (w *Store) Snapshot(tables []*table.Table) error {
 	if w.degraded != nil && w.Probe() != nil {
 		return &degradedError{cause: w.degraded}
 	}
 	newSeq := w.seq + 1
 	for attempt := 0; ; attempt++ {
-		err := w.prepareSnapshot(tables, comps, newSeq)
+		err := w.prepareSnapshot(tables, newSeq)
 		if err == nil {
 			break
 		}
@@ -498,7 +500,7 @@ func (w *Store) Snapshot(tables []*table.Table, comps []fd.CompExport) error {
 // CURRENT rename. Every earlier step is uncommitted residue that the next
 // attempt's pre-clean (or the next open's orphan sweep) removes, so the
 // whole function is safe to retry.
-func (w *Store) prepareSnapshot(tables []*table.Table, comps []fd.CompExport, newSeq uint64) error {
+func (w *Store) prepareSnapshot(tables []*table.Table, newSeq uint64) error {
 	final := filepath.Join(w.dir, snapDirName(newSeq))
 	tmp := final + ".tmp"
 	// Leftovers of a previous failed attempt at this sequence cannot be a
@@ -536,17 +538,7 @@ func (w *Store) prepareSnapshot(tables []*table.Table, comps []fd.CompExport, ne
 	if err := writeSegment(w.fs, filepath.Join(tmp, "tables.seg"), e.buf, w.noSync); err != nil {
 		return err
 	}
-	man := manifest{Seq: newSeq, Dict: "dict.seg", Tables: "tables.seg"}
-	for i := range comps {
-		e = &encoder{}
-		encodeComp(e, &comps[i])
-		name := compSegName(i)
-		if err := writeSegment(w.fs, filepath.Join(tmp, name), e.buf, w.noSync); err != nil {
-			return err
-		}
-		man.Comps = append(man.Comps, name)
-	}
-	manJSON, err := json.Marshal(man)
+	manJSON, err := json.Marshal(manifest{Seq: newSeq, Dict: "dict.seg", Tables: "tables.seg"})
 	if err != nil {
 		return fmt.Errorf("wal: encode manifest: %w", err)
 	}
@@ -634,25 +626,25 @@ func (w *Store) Close() error {
 // loadSnapshot reads one snapshot generation into fresh state, validating
 // every segment's checksum. Nothing is shared with the store until the
 // caller installs the result, so a failed load pollutes nothing.
-func loadSnapshot(fsys FS, dir string, seq uint64) (*intern.Dict, []*table.Table, []fd.CompExport, error) {
+func loadSnapshot(fsys FS, dir string, seq uint64) (*intern.Dict, []*table.Table, error) {
 	sdir := filepath.Join(dir, snapDirName(seq))
 	manJSON, err := readAll(fsys, filepath.Join(sdir, "manifest.json"))
 	if err != nil {
-		return nil, nil, nil, pathErr("read", filepath.Join(sdir, "manifest.json"), err)
+		return nil, nil, pathErr("read", filepath.Join(sdir, "manifest.json"), err)
 	}
 	var man manifest
 	if err := json.Unmarshal(manJSON, &man); err != nil {
-		return nil, nil, nil, pathErr("parse", filepath.Join(sdir, "manifest.json"), err)
+		return nil, nil, pathErr("parse", filepath.Join(sdir, "manifest.json"), err)
 	}
 	if man.Seq != seq {
-		return nil, nil, nil, pathErr("parse", filepath.Join(sdir, "manifest.json"),
+		return nil, nil, pathErr("parse", filepath.Join(sdir, "manifest.json"),
 			fmt.Errorf("%w: manifest seq %d in %s", errCorrupt, man.Seq, snapDirName(seq)))
 	}
 
 	dict := intern.NewDict()
 	payload, err := readSegment(fsys, filepath.Join(sdir, man.Dict))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	d := &decoder{buf: payload}
 	nv := d.count(1)
@@ -660,35 +652,22 @@ func loadSnapshot(fsys FS, dir string, seq uint64) (*intern.Dict, []*table.Table
 		dict.Intern(d.str())
 	}
 	if err := d.done(); err != nil {
-		return nil, nil, nil, pathErr("decode", filepath.Join(sdir, man.Dict), err)
+		return nil, nil, pathErr("decode", filepath.Join(sdir, man.Dict), err)
 	}
 
 	payload, err = readSegment(fsys, filepath.Join(sdir, man.Tables))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	d = &decoder{buf: payload}
 	tables := decodeTables(d, dict)
 	if err := d.done(); err != nil {
-		return nil, nil, nil, pathErr("decode", filepath.Join(sdir, man.Tables), err)
+		return nil, nil, pathErr("decode", filepath.Join(sdir, man.Tables), err)
 	}
 	if err := checkTables(tables); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-
-	var comps []fd.CompExport
-	for _, name := range man.Comps {
-		payload, err = readSegment(fsys, filepath.Join(sdir, name))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		c, err := decodeComp(payload)
-		if err != nil {
-			return nil, nil, nil, pathErr("decode", filepath.Join(sdir, name), err)
-		}
-		comps = append(comps, c)
-	}
-	return dict, tables, comps, nil
+	return dict, tables, nil
 }
 
 // writeSegment frames a payload and writes it as a segment file.
@@ -697,76 +676,6 @@ func writeSegment(fsys FS, name string, payload []byte, noSync bool) error {
 		return pathErr("write", name, err)
 	}
 	return nil
-}
-
-// encodeComp serializes one exported component. Cells are stored decoded
-// (length+1-prefixed values, 0 = null) rather than as store symbols: kept
-// tuples are adopted into an index whose own dictionary grows in engine
-// order, not store order.
-func encodeComp(e *encoder, c *fd.CompExport) {
-	nCols := 0
-	if len(c.Kept) > 0 {
-		nCols = len(c.Kept[0].Row)
-	}
-	e.uvarint(uint64(nCols))
-	e.uvarint(uint64(len(c.Members)))
-	for _, m := range c.Members {
-		e.uvarint(uint64(m))
-	}
-	e.raw(c.Digest[:])
-	e.uvarint(uint64(c.Closure))
-	e.uvarint(uint64(len(c.Kept)))
-	for _, kt := range c.Kept {
-		for _, cell := range kt.Row {
-			if cell.IsNull {
-				e.uvarint(0)
-			} else {
-				e.uvarint(uint64(len(cell.Val)) + 1)
-				e.raw([]byte(cell.Val))
-			}
-		}
-		e.uvarint(uint64(len(kt.Prov)))
-		for _, tid := range kt.Prov {
-			e.uvarint(uint64(tid.Table))
-			e.uvarint(uint64(tid.Row))
-		}
-	}
-}
-
-// decodeComp is the inverse of encodeComp.
-func decodeComp(payload []byte) (fd.CompExport, error) {
-	var c fd.CompExport
-	d := &decoder{buf: payload}
-	nCols := int(d.uvarint())
-	if nCols > len(payload) {
-		d.fail()
-	}
-	nm := d.count(1)
-	c.Members = make([]int, 0, nm)
-	for i := 0; i < nm && d.err == nil; i++ {
-		c.Members = append(c.Members, int(d.uvarint()))
-	}
-	copy(c.Digest[:], d.raw(len(c.Digest)))
-	c.Closure = int(d.uvarint())
-	nk := d.count(max(nCols, 1))
-	for i := 0; i < nk && d.err == nil; i++ {
-		row := make(table.Row, nCols)
-		for ci := 0; ci < nCols && d.err == nil; ci++ {
-			v := d.uvarint()
-			if v == 0 {
-				row[ci] = table.Null()
-			} else {
-				row[ci] = table.S(string(d.raw(int(v) - 1)))
-			}
-		}
-		np := d.count(2)
-		prov := make([]fd.TID, 0, np)
-		for j := 0; j < np && d.err == nil; j++ {
-			prov = append(prov, fd.TID{Table: int(d.uvarint()), Row: int(d.uvarint())})
-		}
-		c.Kept = append(c.Kept, fd.PortableTuple{Row: row, Prov: prov})
-	}
-	return c, d.done()
 }
 
 // readAll reads a whole file through the FS.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"fuzzyfd/internal/fd"
 	"fuzzyfd/internal/table"
 )
 
@@ -202,7 +201,7 @@ func TestStoreSnapshotRotation(t *testing.T) {
 		}
 		want = append(want, b...)
 	}
-	if err := w.Snapshot(want, nil); err != nil {
+	if err := w.Snapshot(want); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	if w.FramesSinceSnapshot() != 0 {
@@ -218,7 +217,7 @@ func TestStoreSnapshotRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, b...)
-	if err := w.Snapshot(want, nil); err != nil {
+	if err := w.Snapshot(want); err != nil {
 		t.Fatalf("second snapshot: %v", err)
 	}
 	if exists(fs, "sess/snap-1") {
@@ -238,47 +237,6 @@ func TestStoreSnapshotRotation(t *testing.T) {
 	}
 	if w2.FramesSinceSnapshot() != 1 {
 		t.Errorf("FramesSinceSnapshot = %d, want 1 (one post-snapshot frame)", w2.FramesSinceSnapshot())
-	}
-}
-
-// Component exports survive the snapshot roundtrip byte-identically.
-func TestStoreSnapshotCompsRoundtrip(t *testing.T) {
-	fs := NewMemFS()
-	w, _ := mustOpen(t, fs, "sess")
-	tables := batch(0)
-	if err := w.AppendAdd(tables); err != nil {
-		t.Fatal(err)
-	}
-	comp := fd.CompExport{
-		Members: []int{0, 1},
-		Closure: 3,
-		Kept: []fd.PortableTuple{
-			{
-				Row:  table.Row{table.S("k0"), table.Null()},
-				Prov: []fd.TID{{Table: 0, Row: 0}, {Table: 0, Row: 1}},
-			},
-			{
-				Row:  table.Row{table.S("k0"), table.S("v0")},
-				Prov: []fd.TID{{Table: 0, Row: 0}},
-			},
-		},
-	}
-	for i := range comp.Digest {
-		comp.Digest[i] = byte(i * 7)
-	}
-	if err := w.Snapshot(tables, []fd.CompExport{comp}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	w2, rec := mustOpen(t, fs, "sess")
-	defer w2.Close()
-	if len(rec.Comps) != 1 {
-		t.Fatalf("recovered %d comps, want 1", len(rec.Comps))
-	}
-	got := rec.Comps[0]
-	if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", comp) {
-		t.Fatalf("comp roundtrip differs:\ngot  %v\nwant %v", got, comp)
 	}
 }
 
@@ -310,7 +268,7 @@ func TestStoreOpensComponentSegmentLayout(t *testing.T) {
 	if !tablesEqual(rec.Tables, want) {
 		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
 	}
-	if err := w.Snapshot(rec.Tables, nil); err != nil {
+	if err := w.Snapshot(rec.Tables); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	names, err := OSFS{}.ReadDir(filepath.Join(dir, snapDirName(2)))
@@ -333,7 +291,7 @@ func TestStoreCurrentLostScanFallback(t *testing.T) {
 	if err := w.AppendAdd(want); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Snapshot(want, nil); err != nil {
+	if err := w.Snapshot(want); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -357,7 +315,7 @@ func TestStoreCommittedSnapshotCorruptFailsOpen(t *testing.T) {
 	if err := w.AppendAdd(want); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Snapshot(want, nil); err != nil {
+	if err := w.Snapshot(want); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -392,7 +350,7 @@ func TestStoreCrashAtEveryByte(t *testing.T) {
 			}
 			acked = append(acked, batch(i)...)
 			if i == 3 {
-				if err := w.Snapshot(acked, nil); err != nil {
+				if err := w.Snapshot(acked); err != nil {
 					return acked, err
 				}
 			}
