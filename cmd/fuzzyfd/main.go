@@ -181,10 +181,6 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr)
 		}
-		if res.FDStats.PendingWaits > 0 {
-			fmt.Fprintf(os.Stderr, "concurrency: %d waits on components claimed by concurrent updates\n",
-				res.FDStats.PendingWaits)
-		}
 	}
 	if !*quiet {
 		rows := res.FDStats.Output

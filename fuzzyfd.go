@@ -441,18 +441,13 @@ func StreamJSONL(ctx context.Context, w io.Writer, tables []*Table, opts ...Opti
 // (ReusedValues, DirtyComponents, ReclosedTuples) for how much work the
 // session skipped. Added tables must not be modified afterwards.
 //
-// A Session is safe for concurrent use, and concurrent Integrate calls
-// genuinely overlap: only pipeline preparation and result publication
-// serialize on the session lock, while the Full Disjunction stage claims
-// components individually — concurrent Integrates whose new tables touch
-// disjoint components close them in parallel, and one whose delta touches
-// a component another call has claimed waits just for that component's
-// publication (Result.FDStats.PendingWaits counts these waits). Each
-// result reflects every table added before its assembly and stays
-// byte-identical to a serialized execution. Tables, Stats, and Last are
-// read-side snapshots that never block on a running integration. Results
-// are immutable once returned, so a reader may keep a Result while other
-// goroutines integrate on.
+// A Session is safe for concurrent use, and its Integrate, StreamContext
+// and Close calls run one at a time: each integrates exactly the tables
+// added before its turn, and a stream is exactly one integration state.
+// WithParallelFD parallelizes inside a call. Add, Append, Tables, Stats,
+// and Last never wait on a running integration's Full Disjunction stage.
+// Results are immutable once returned, so a reader may keep a Result while
+// other goroutines integrate on.
 type Session struct {
 	s *core.Session
 }
@@ -632,9 +627,10 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 //
 // An emit error or cancellation aborts the stream; rows already emitted
 // stay emitted — the partial prefix is the point — and the session stays
-// consistent for later calls. Streams may run concurrently with other
-// session calls; serialize them against Integrate calls when the consumer
-// needs an exact one-to-one multiset of a single integration state.
+// consistent for later calls. A stream runs one at a time with the
+// session's other integrations, so its rows are exactly one integration
+// state, each component once; emit must not integrate, stream or Close
+// the same session.
 func (s *Session) StreamContext(ctx context.Context, emit func(schema Schema, row Row, prov []TID) error) (*Result, error) {
 	return s.s.StreamContext(ctx, emit)
 }

@@ -36,22 +36,20 @@ import (
 // Tables handed to Add are never mutated, but the session keeps references
 // to them; the caller must not modify them afterwards.
 //
-// A Session is safe for concurrent use. Concurrent Integrate calls
-// serialize their pipeline preparation — column alignment and the match
-// and rewrite caches — under the session lock, but run the FD stage, the
-// dominant cost, with the lock released: the fd.Index serializes its
-// ingest internally and closes disjoint dirty components in parallel, so
-// Integrates whose new tables touch disjoint components proceed
-// concurrently (see fd.Index; FDStats.PendingWaits on the result counts
-// the component waits a call did incur). Each call returns the Full
-// Disjunction of at least the tables it saw, possibly folded together
-// with input a concurrent call added. The read-side calls (Tables,
-// Integrations, Last, EmbeddingCache) take only a read lock and never
-// observe half-updated session state.
+// A Session is safe for concurrent use, and runs one integration at a
+// time: IntegrateContext, StreamContext and Close hold runMu from
+// preparation through publication, so each call integrates exactly the
+// tables added before it took the lock, and a stream is exactly one
+// integration state. mu guards what Append and the read-side calls
+// (Tables, Integrations, Last, RewriteCacheHits) touch, and is released
+// during the FD stage, so neither waits on a running integration's
+// closures, nor observes half-updated session state.
 type Session struct {
 	cfg   Config
 	emb   embed.Embedder
 	cache *embed.ValueCache
+
+	runMu sync.Mutex // one integration, stream or Close at a time
 
 	mu       sync.RWMutex
 	tables   []*table.Table
@@ -168,6 +166,8 @@ func (s *Session) Integrate() (*Result, error) { return s.IntegrateContext(conte
 // dirty — so a later call with a live context completes normally.
 func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
 	s.mu.Lock()
 	work, schema, res, err := s.prepare(ctx)
 	s.mu.Unlock()
@@ -176,11 +176,10 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	}
 
 	// Stage 3: incremental equi-join Full Disjunction over the rewritten
-	// view, with the session lock released — the index coordinates
-	// concurrent Updates itself, closing disjoint dirty components in
-	// parallel. The index verifies that previously ingested rows still
-	// hold (a matching round may have re-elected representatives) and
-	// closes only dirty components.
+	// view, with mu released so Append and readers proceed. The index
+	// verifies that previously ingested rows still hold (a matching round
+	// may have re-elected representatives) and closes only dirty
+	// components.
 	fdStart := time.Now()
 	s.emit(ProgressEvent{Phase: PhaseFD})
 	fdRes, err := s.idx.UpdateContext(ctx, work, schema, s.cfg.fdOptions())
@@ -217,15 +216,16 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 // schema, match diagnostics, FD statistics, and timings, but no
 // materialized Table or Prov, and does not become Last.
 //
-// Cancellation or an emit error aborts the stream: rows already emitted
+// A stream runs one at a time with the session's other integrations, so
+// its rows are exactly one integration state, each component once; emit
+// and Config.Progress must therefore not integrate, stream or Close the
+// same session. Cancellation or an emit error aborts the stream: rows already emitted
 // stay emitted and the session stays consistent — affected components are
-// re-marked dirty and a later call re-closes them. A stream racing
-// concurrent IntegrateContext calls on the same session stays row-correct
-// but can emit a component twice if a concurrent delta merges it
-// mid-stream; serialize streams against integrations for an exact
-// one-to-one multiset.
+// re-marked dirty and a later call re-closes them.
 func (s *Session) StreamContext(ctx context.Context, emit func(schema fd.Schema, row table.Row, prov []fd.TID) error) (*Result, error) {
 	start := time.Now()
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
 	s.mu.Lock()
 	work, schema, res, err := s.prepare(ctx)
 	s.mu.Unlock()
@@ -251,7 +251,8 @@ func (s *Session) StreamContext(ctx context.Context, emit func(schema fd.Schema,
 // prepare runs the pre-FD pipeline stages — column alignment and (for the
 // fuzzy method) value matching with cell rewriting — returning the tables
 // the FD stage should consume and a Result with the schema, match
-// diagnostics, and stage timings filled in. Callers must hold s.mu.
+// diagnostics, and stage timings filled in. Callers must hold s.runMu and
+// s.mu.
 func (s *Session) prepare(ctx context.Context) ([]*table.Table, fd.Schema, *Result, error) {
 	if s.addErr != nil {
 		return nil, fd.Schema{}, nil, fmt.Errorf("core: an added batch was lost by the session log: %w", s.addErr)

@@ -14,7 +14,8 @@ import (
 // is neither compared nor decoded again.
 
 // outRow places one kept tuple of a closure in the assembled output. It is
-// stale once the closure has been consumed by a later claim (gen differs).
+// stale once the closure has been consumed by a later re-closure (gen
+// differs).
 type outRow struct {
 	of  *cachedComp
 	k   int32
@@ -29,7 +30,7 @@ type publication struct {
 	gen uint32
 }
 
-// assembly is what the locked stages of an Update hand back: the engine and
+// assembly is what an Update's locked stages hand back: the engine and
 // schema to decode under and, for a batch Update, the result rows with
 // their provenance in global value order; for a streaming one, the
 // components' kept tuples.
@@ -63,8 +64,8 @@ func (x *Index) cache(c *comp, rec *cachedComp) {
 	x.published = append(x.published, publication{of: rec, gen: rec.gen})
 }
 
-// uncache takes a closure a claim consumes out of the totals and retires
-// its assembled rows.
+// uncache takes a closure a re-closure consumes out of the totals and
+// retires its assembled rows.
 func (x *Index) uncache(rec *cachedComp) {
 	x.closure -= rec.closure
 	x.covered -= len(rec.members)
@@ -97,7 +98,7 @@ func (e *engine) decodeKept(kept, old []Tuple, oldRows []table.Row) []table.Row 
 // place, and the caller reads these after releasing the lock. Streams do
 // not consume the publication list; a session that only ever streams keeps
 // it to the live closures by dropping the superseded entries.
-func (x *Index) assembleGroups(streamed map[*cachedComp]uint32) []groupKept {
+func (x *Index) assembleGroups(streamed map[*cachedComp]bool) []groupKept {
 	if len(x.published) > 2*x.live+32 {
 		x.published = slices.DeleteFunc(x.published, func(p publication) bool { return p.of.gen != p.gen })
 	}
@@ -107,8 +108,7 @@ func (x *Index) assembleGroups(streamed map[*cachedComp]uint32) []groupKept {
 			continue
 		}
 		rec := c.caches[0]
-		gen, emitted := streamed[rec]
-		out = append(out, groupKept{kept: slices.Clone(rec.kept), rows: rec.rows, streamed: emitted && gen == rec.gen})
+		out = append(out, groupKept{kept: slices.Clone(rec.kept), rows: rec.rows, streamed: streamed[rec]})
 	}
 	return out
 }

@@ -96,10 +96,10 @@ type Tuple struct {
 // engine is the shared immutable state of one Full Disjunction round: a
 // frozen snapshot of the value dictionary and the integrated schema width.
 // All symbol decoding and value-order comparisons go through it. Holding an
-// intern.Snapshot rather than the live Dict is load-bearing for
-// concurrency: closures and decoding read the engine outside any lock,
-// while the owning Index may keep interning new values for concurrent
-// Updates — snapshot reads never race with those appends.
+// intern.Snapshot rather than the live Dict is load-bearing: a stream
+// decodes its replayed components after the index lock is released, while
+// a later Update may already be interning new values — snapshot reads
+// never race with those appends.
 type engine struct {
 	dict  intern.Snapshot
 	nCols int
@@ -317,7 +317,6 @@ type Stats struct {
 	PivotBuckets      int   // (list, pivot-value) buckets across the posting indexes built or extended this run
 	MemoryBytes       int64 // estimated peak resident bytes under the budget's linear model (0 when no budget was set)
 	Subsumed          int   // tuples removed by subsumption
-	PendingWaits      int   // times an incremental Update waited on components claimed by concurrent Updates (0 for one-shot runs and disjoint concurrent Updates)
 	Output            int
 	Elapsed           time.Duration
 }

@@ -41,30 +41,15 @@ import (
 // output columns widens the store instead: tuple signatures ignore trailing
 // null cells (hashCells), so every cached closure keeps its indexes.
 //
-// An Index is safe for concurrent use. Updates serialize their ingest and
-// bookkeeping under a store lock, but each Update claims the dirty
-// components it is about to close and runs the closures — the dominant
-// cost — with the lock released. Concurrent Updates whose deltas touch
-// disjoint components therefore close in parallel; Updates needing a
-// component another Update has claimed wait for its publication
-// (Stats.PendingWaits counts those waits). Each Update is linearized at
-// its ingest: its result reflects at least its own input, plus any input
-// concurrent Updates ingested before it assembled. An Update handed a
-// stale view of the integration set — fewer tables or rows than a
-// concurrent Update already ingested, as happens when session calls race —
-// adopts the newer accumulated state rather than rebuilding, and returns
-// its Full Disjunction.
+// An Index is safe for concurrent use, one Update at a time: every Update
+// and stream holds the index lock from reconcile through assembly, so each
+// sees and leaves exactly one state. Options.Workers parallelizes the
+// closures inside an Update.
 type Index struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	dict     *intern.Dict
 	rebuilds int // verification failures that forced a full rebuild
-	claims   int // closures in flight across all Updates
-	// resetWanted gates new claims while an Update waits to rebuild the
-	// store: claim-holding Updates finish and publish, new claims hold off,
-	// and the drain terminates.
-	resetWanted bool
 
 	indexStore
 }
@@ -86,8 +71,8 @@ type indexStore struct {
 	// Per base tuple: its live component; the cached closure whose store
 	// holds it (current only while that closure has a store) and its
 	// position there; and the dirty mark — set on tuples that are new or
-	// whose provenance grew since their component was last closed. Claiming
-	// a component for closure clears its members' marks; a failed closure
+	// whose provenance grew since their component was last closed. Seeding
+	// a component's re-closure clears its members' marks; a failed closure
 	// (budget, cancellation) marks every member, so the next Update
 	// re-closes the component from its base tuples.
 	compOf []*comp
@@ -97,12 +82,12 @@ type indexStore struct {
 
 	order []*comp // live components by smallest member; nil where one was absorbed
 	live  int     // non-nil entries of order
-	queue []*comp // components holding dirty members, awaiting a claim
+	queue []*comp // components holding dirty members, awaiting closure
 
-	// Running totals over the cached closures of live components (closures
-	// in flight excluded): closure tuples, the members they cover, and the
-	// largest component and closure seen — components and closures only
-	// grow, so the maxima never need recomputing.
+	// Running totals over the cached closures of live components: closure
+	// tuples, the members they cover, and the largest component and closure
+	// seen — components and closures only grow, so the maxima never need
+	// recomputing.
 	closure, covered          int
 	largestComp, largestClose int
 
@@ -124,18 +109,13 @@ type comp struct {
 	first   int   // smallest member: the component's stable identity across merges
 	slot    int   // position in Index.order
 	// dirty lists the members carrying a dirty mark. A component with none
-	// and no closure in flight is clean: caches holds exactly one closure,
-	// covering every member.
+	// is clean: caches holds exactly one closure, covering every member.
 	dirty []int
 	// caches are the cached closures of member subsets: one after a close,
 	// several after merges — the next closure's seed (see Index.seed).
 	caches []*cachedComp
-	// inflight counts closures a claiming Update is running right now (lock
-	// released) over members of this component; other Updates needing the
-	// component wait for their publication. Merging sums the counts.
-	inflight int
-	queued   bool // on Index.queue
-	dead     bool // absorbed by a merge
+	queued bool // on Index.queue
+	dead   bool // absorbed by a merge
 }
 
 // cachedComp is the closure of a set of base tuples as of its last close.
@@ -151,8 +131,7 @@ type cachedComp struct {
 	// is reached from a new base tuple through new tuples. A live entry's
 	// provenance is the fixpoint {b base : b ⊑ entry}, which only grows; a
 	// derived entry that has been extended is dead weight kept for signature
-	// dedup and may lag. A closure whose re-closure is in flight or failed
-	// has no store.
+	// dedup and may lag. A closure a re-closure consumed has no store.
 	store []Tuple
 	// flags holds one byte per store entry, kept from the run that produced
 	// the store and carried through every seeding rather than rebuilt from
@@ -174,8 +153,8 @@ type cachedComp struct {
 	sigs      *sigIndex
 	post, der *postingIndex
 	scr       *closeScratch
-	// gen counts the times the closure was consumed by a claim; assembled
-	// rows (outRow) of an older generation are stale.
+	// gen counts the times the closure was consumed by a re-closure;
+	// assembled rows (outRow) of an older generation are stale.
 	gen uint32
 }
 
@@ -183,9 +162,7 @@ type cachedComp struct {
 // Update and may only be extended (new output columns appended) by later
 // ones; any other schema change triggers a rebuild.
 func NewIndex() *Index {
-	x := &Index{dict: intern.NewDict()}
-	x.cond = sync.NewCond(&x.mu)
-	return x
+	return &Index{dict: intern.NewDict()}
 }
 
 // Values reports the size of the session dictionary (distinct interned
@@ -231,9 +208,8 @@ func (x *Index) Update(tables []*table.Table, schema Schema, opts Options) (*Res
 }
 
 // UpdateContext is Update under a context. Cancellation is observed at
-// component boundaries, inside component closures (see
-// FullDisjunctionContext), and while waiting on components claimed by
-// concurrent Updates. A canceled Update keeps the ingested delta: its
+// component boundaries and inside component closures (see
+// FullDisjunctionContext). A canceled Update keeps the ingested delta: its
 // dirty marks persist, so the next Update simply re-closes the affected
 // components — from their base tuples where the cancellation consumed a
 // cached closure — without rebuilding the store.
@@ -265,7 +241,7 @@ func (x *Index) UpdateContext(ctx context.Context, tables []*table.Table, schema
 }
 
 // dirtyEmit observes one dirty component the moment its (re)closure
-// finishes, on the updating goroutine with the index lock released. eng is
+// finishes, on the updating goroutine with the index lock held. eng is
 // the round's engine (dictionary snapshot), groups the number of components
 // in the round that closed it; kept is in value order, rows its decoding.
 type dirtyEmit func(eng *engine, groups int, kept []Tuple, rows []table.Row) error
@@ -282,14 +258,14 @@ type dirtyEmit func(eng *engine, groups int, kept []Tuple, rows []table.Row) err
 // because its subsumer may already be out. opts.Progress fires after a
 // component's rows are emitted.
 //
-// emit runs on the calling goroutine. An emit error (or cancellation)
+// emit runs on the calling goroutine, with the index lock held while the
+// dirty components stream, so it must not call back into the Index. The
+// stream is one Update: every component of the state it leaves behind is
+// emitted exactly once — the dirty ones as they close, the clean ones from
+// snapshots taken under the lock. An emit error (or cancellation)
 // aborts the stream; rows already emitted stay emitted, the consumed
 // component caches are marked dirty again, and a later Update re-closes
-// them — nothing is lost. A stream racing concurrent Updates on the same
-// Index keeps every published row correct, but a component merged by a
-// concurrent ingest mid-stream can be emitted again in merged (superset)
-// form; serialize streams against Updates (as the serving layer does per
-// session) for an exact one-to-one row multiset.
+// them — nothing is lost.
 func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema Schema, opts Options, emit func(row table.Row, prov []TID) error) (Stats, error) {
 	start := time.Now()
 	var stats Stats
@@ -346,73 +322,38 @@ func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema
 	return stats, err
 }
 
-// update runs the locked stages of an Update — reconcile, ingest, the
-// claim/close/publish fixpoint, and the assembly — and returns the result
+// update runs the stages of an Update under the index lock — reconcile,
+// ingest, close the dirty components, assemble — and returns the result
 // rows (batch) or the components' kept tuples (onDirty non-nil: a
-// streaming Update, whose dirty components onDirty already observed),
-// snapshotted under the lock. The lock is held throughout except while
-// closing this Update's claimed components.
+// streaming Update, whose dirty components onDirty already observed).
 func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema, opts Options, stats *Stats, onDirty dirtyEmit) (assembly, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 
-	// Cancellation must also interrupt condition waits: a helper goroutine
-	// broadcasts once the context dies, and every wait loop rechecks
-	// ctx.Err() on wakeup.
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				x.mu.Lock()
-				x.cond.Broadcast()
-				x.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
-
 	// Stage 1: reconcile the schema, then verify that every previously
-	// ingested row still projects to its recorded tuple. A stale view of
-	// the set (a concurrent Update ingested more first) adopts the newer
-	// accumulated state instead; genuine drift rebuilds the store after
-	// outstanding claims drain (the dictionary survives).
-	for {
-		if err := ctx.Err(); err != nil {
-			x.clearResetWanted()
-			return assembly{}, Canceled(err)
-		}
-		x.adoptStale(&tables, &schema)
-		if !x.started || x.schemaExtends(tables, schema) {
-			x.widen(len(schema.Columns))
-			if x.verify(tables, schema) {
-				break
-			}
-		}
-		if x.claims > 0 {
-			x.resetWanted = true
-			stats.PendingWaits++
-			x.cond.Wait()
-			continue
-		}
-		x.clearResetWanted()
-		x.reset()
+	// ingested row still projects to its recorded tuple. Drift rebuilds the
+	// store (the dictionary survives).
+	fits := !x.started || x.schemaExtends(tables, schema)
+	if fits {
+		x.widen(len(schema.Columns))
+		fits = x.verify(tables, schema)
 	}
-	x.clearResetWanted()
+	if !fits {
+		x.reset()
+		x.widen(len(schema.Columns))
+	}
 	x.schema = schema
 	x.started = true
 
 	// Stage 2: ingest the delta. New tuples dedup against the signature
 	// index (re-deduplication dirties the owning component) or join the
 	// components their posting-list neighbors belong to. Dirty marks persist
-	// on the store until a closure claims them.
+	// on the store until a closure is seeded from them.
 	x.ingest(tables, schema, stats)
 	x.lastTables = append([]*table.Table(nil), tables...)
 
-	// Stage 3: claim and close dirty components until every component is
-	// clean and cached.
-	streamed, err := x.closeLocked(ctx, opts, stats, onDirty)
+	// Stage 3: close every dirty component and cache its closure.
+	streamed, err := x.closeDirty(ctx, opts, stats, onDirty)
 	if err != nil {
 		return assembly{}, err
 	}
@@ -436,45 +377,9 @@ func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema
 	return asm, nil
 }
 
-// clearResetWanted lifts the claim gate and wakes Updates held at it.
-// Callers hold x.mu.
-func (x *Index) clearResetWanted() {
-	if x.resetWanted {
-		x.resetWanted = false
-		x.cond.Broadcast()
-	}
-}
-
-// adoptStale detects an input older than what the index has already
-// ingested — fewer tables, or fewer rows in an ingested table — and adopts
-// the accumulated state's tables and schema instead. Session calls race:
-// an Update prepared against a shorter set can reach the index after a
-// concurrent Update ingested a longer one, and rebuilding for it would
-// throw the newer data away. Adoption linearizes the stale Update after
-// the newer one: it returns the Full Disjunction of the newer view.
-// Callers hold x.mu.
-func (x *Index) adoptStale(tables *[]*table.Table, schema *Schema) {
-	if len(x.rowsSeen) == 0 || len(x.lastTables) < len(x.rowsSeen) {
-		return
-	}
-	stale := len(*tables) < len(x.rowsSeen)
-	if !stale {
-		for ti, n := range x.rowsSeen {
-			if len((*tables)[ti].Rows) < n {
-				stale = true
-				break
-			}
-		}
-	}
-	if stale {
-		*tables = x.lastTables
-		*schema = x.schema
-	}
-}
-
 // reset drops the tuple store, indexes and components, keeping the
 // dictionary (append-only by contract; stale symbols are harmless).
-// Callers hold x.mu and have drained outstanding claims.
+// Callers hold x.mu.
 func (x *Index) reset() {
 	x.indexStore = indexStore{}
 	x.rebuilds++
@@ -501,9 +406,9 @@ func (x *Index) schemaExtends(tables []*table.Table, schema Schema) bool {
 	return true
 }
 
-// widenCells returns cells extended to nCols with trailing nulls, in a
-// fresh slice: tuple headers snapshotted by concurrent Updates keep their
-// (narrower) cells untouched.
+// widenCells extends cells to nCols with trailing nulls, in a fresh slice:
+// tuple headers a finished stream snapshotted (assembleGroups) keep their
+// narrower cells untouched.
 func widenCells(tuples []Tuple, nCols int) {
 	for k := range tuples {
 		nc := make([]uint32, nCols)
@@ -529,8 +434,7 @@ func widenComp(c *cachedComp, nCols int) {
 
 // widen brings the store to nCols output columns: tuples gain trailing
 // null cells and the posting indexes empty columns. Initializes the store
-// on first use or after a reset. Callers hold x.mu; closures in flight are width-fixed
-// at publication instead.
+// on first use or after a reset. Callers hold x.mu.
 func (x *Index) widen(nCols int) {
 	if x.post == nil {
 		x.nCols = nCols
@@ -696,8 +600,8 @@ func (x *Index) markDirty(id int) {
 // mergeComps merges two live components and returns the survivor: the one
 // with more members absorbs the other, so relabeling costs each base tuple
 // O(log n) moves over the index's life. The survivor takes over the
-// absorbed component's caches, dirty members and in-flight closures, and
-// the earlier of the two slots in x.order.
+// absorbed component's caches and dirty members, and the earlier of the
+// two slots in x.order.
 func (x *Index) mergeComps(a, b *comp) *comp {
 	if len(a.members) < len(b.members) {
 		a, b = b, a
@@ -708,7 +612,6 @@ func (x *Index) mergeComps(a, b *comp) *comp {
 	a.members = append(a.members, b.members...)
 	a.dirty = append(a.dirty, b.dirty...)
 	a.caches = append(a.caches, b.caches...)
-	a.inflight += b.inflight
 	if b.slot < a.slot {
 		a.slot, b.slot = b.slot, a.slot
 		a.first = b.first
@@ -740,8 +643,7 @@ func (x *Index) compactOrder() {
 	x.order = live
 }
 
-// seed builds the re-closure job for one dirty component and claims it:
-// the seed store holding every tuple already known for it and the worklist
+// seed builds the re-closure job for one dirty component: the seed store holding every tuple already known for it and the worklist
 // of store positions whose pairs are unexamined — the dirty members'. There
 // is one path. The cached closure with the largest store is the host: its
 // store, entry flags, signature index, postings and scratch are
@@ -751,33 +653,24 @@ func (x *Index) compactOrder() {
 // derived, and the store must stay a set for budget accounting to be exact
 // — and are not put on the worklist: no pair across two previously separate
 // components can merge (partition.go), so only the dirty members, appended
-// last or refreshed where they already sit, need expanding. Members whose
-// closure lost its store (a failed or in-flight claim) come back from their
-// base tuples the same way. With no host at all the job is the degenerate
-// case: the base tuples, everything to expand.
+// last or refreshed where they already sit, need expanding. With no host at
+// all (a new component, or one whose last closure failed) the job is the
+// degenerate case: the base tuples, everything to expand.
 //
 // The returned closure record — the host, or a fresh one — is emptied
-// until publish refills it; it already lists every member, and x.pos holds
-// each member's position in the seed store (closures keep seeds in place).
+// until closeDirty refills it; it already lists every member, and x.pos
+// holds each member's position in the seed store (closures keep seeds in
+// place).
 func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 	var host *cachedComp
-	fresh := c.dirty
 	for _, r := range c.caches {
 		x.uncache(r)
-		switch {
-		case r.store == nil:
-			for _, id := range r.members {
-				if !x.dirty[id] {
-					fresh = append(fresh, id)
-				}
-			}
-		case host == nil || len(r.store) > len(host.store):
+		if host == nil || len(r.store) > len(host.store) {
 			host = r
 		}
 	}
-	caches := c.caches
+	fresh, caches := c.dirty, c.caches
 	c.caches, c.dirty, c.queued = nil, nil, false
-	c.inflight++
 
 	if host == nil {
 		rec := &cachedComp{members: fresh}
@@ -823,7 +716,7 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 	}
 	members := host.members
 	for _, r := range caches {
-		if r == host || r.store == nil {
+		if r == host {
 			continue
 		}
 		to := make([]int32, len(r.store))
@@ -856,150 +749,88 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 	return job, host
 }
 
-// closeLocked drives the claim/close/publish fixpoint: claim every queued
-// dirty component no concurrent Update holds, close the claims with the
-// lock released, publish, and repeat until every component is clean and
-// cached — waiting (never while holding claims, so never in a cycle)
-// whenever the only remaining dirty components are claimed by concurrent
-// Updates. A round costs what its dirty components cost; clean components
-// are not visited. A non-nil onDirty observes every dirty component this
-// call closes, from the unlocked closure window; the closures it saw are
-// returned with the generation it saw them at. Callers hold x.mu; it is
-// released and reacquired around closures.
-func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onDirty dirtyEmit) (map[*cachedComp]uint32, error) {
-	largestDirty := 0
-	// streamed records the closures onDirty has emitted this call. A
-	// component re-dirtied and re-closed after its emission (a
-	// concurrent-Update race) carries a later generation or another record,
-	// and is replayed by the assembly instead of silently skipped.
-	var streamed map[*cachedComp]uint32
-	if onDirty != nil {
-		streamed = make(map[*cachedComp]uint32)
+// closeDirty closes every queued dirty component in one round: seed each
+// (sorted by smallest member), close the jobs, and cache the closures on
+// their components. A round costs what its dirty components cost; clean
+// components are not visited. A non-nil onDirty observes every component
+// as it closes; the returned set names the closures it saw. On failure
+// every seeded member is marked dirty again, so the next Update re-closes
+// those components from their base tuples. Callers hold x.mu.
+func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats, onDirty dirtyEmit) (map[*cachedComp]bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, Canceled(err)
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, Canceled(err)
+	var dirty []*comp
+	for _, c := range x.queue {
+		if !c.dead { // components absorbed since they were queued are gone
+			dirty = append(dirty, c)
 		}
-		if x.resetWanted {
-			// An Update is waiting to rebuild the store; hold off new claims
-			// so its drain terminates.
-			stats.PendingWaits++
-			x.cond.Wait()
-			continue
-		}
+	}
+	clear(x.queue)
+	x.queue = x.queue[:0]
+	slices.SortFunc(dirty, func(a, b *comp) int { return a.first - b.first })
 
-		// Sort the queue: components absorbed since they were queued are
-		// gone, components with a closure in flight (a concurrent Update's —
-		// this one holds none here) stay queued, everything else is ours to
-		// claim.
-		var mine []*comp
-		held := x.queue[:0]
-		for _, c := range x.queue {
-			switch {
-			case c.dead:
-			case c.inflight > 0:
-				held = append(held, c)
-			default:
-				mine = append(mine, c)
-			}
-		}
-		clear(x.queue[len(held):])
-		x.queue = held
+	eng := &engine{dict: x.dict.Snapshot(), nCols: x.nCols}
+	jobs := make([]closeJob, len(dirty))
+	recs := make([]*cachedComp, len(dirty))
+	seedExtra := 0 // reused closure tuples seeded into dirty comps, for budget parity
+	for k, c := range dirty {
+		jobs[k], recs[k] = x.seed(c, stats)
+		seedExtra += len(jobs[k].tuples) - jobs[k].base
+	}
+	stats.SeedReusedTuples += seedExtra
+	stats.DirtyComponents += len(jobs)
 
-		if len(mine) == 0 {
-			if x.claims > 0 {
-				stats.PendingWaits++
-				x.cond.Wait()
-				continue
-			}
-			return streamed, nil // every component is clean and cached
-		}
-		slices.SortFunc(mine, func(a, b *comp) int { return a.first - b.first })
+	// The budget seeds with every tuple known to be live — base, the
+	// cached closures' surplus, and the reused dirty seeds — so
+	// Options.MaxTuples keeps its "total closure size" meaning across
+	// incremental runs.
+	bud := newBudget(opts, len(x.base)+x.closure-x.covered+seedExtra, eng)
 
-		// Claim: consume the caches into jobs and clear the dirty marks, all
-		// before releasing the lock, so concurrent Updates see a consistent
-		// claim set. The engine snapshot is per round — concurrent ingests
-		// may have grown the dictionary since our own ingest.
-		roundCols, roundGroups := x.nCols, x.live
-		eng := &engine{dict: x.dict.Snapshot(), nCols: roundCols}
-		jobs := make([]closeJob, len(mine))
-		recs := make([]*cachedComp, len(mine))
-		seedExtra := 0 // reused closure tuples seeded into dirty comps, for budget parity
-		for k, c := range mine {
-			jobs[k], recs[k] = x.seed(c, stats)
-			seedExtra += len(jobs[k].tuples) - jobs[k].base
-		}
-		stats.SeedReusedTuples += seedExtra
-		x.claims += len(jobs)
-		stats.DirtyComponents += len(jobs)
-
-		// The budget seeds with every tuple known to be live — base, the
-		// cached closures' surplus, and the reused dirty seeds — so
-		// Options.MaxTuples keeps its "total closure size" meaning across
-		// incremental runs. (Components claimed by concurrent Updates are
-		// mid-flight; their eventual surplus is not counted.)
-		bud := newBudget(opts, len(x.base)+x.closure-x.covered+seedExtra, eng)
-
-		// Each closed component's kept tuples are put in value order and
-		// decoded here, once, in the unlocked window — rows the closure's
-		// previous generation already decoded carry over — and a streaming
-		// caller then sees the component. The closeEach assembler delivers on
-		// this goroutine, so none of it needs extra synchronization.
-		decoded := make([][]table.Row, len(jobs))
-		hook := func(ci int, r compResult) error {
-			slices.SortFunc(r.kept, func(a, b Tuple) int { return eng.cmpCells(a.Cells, b.Cells) })
-			rec := recs[ci]
-			decoded[ci] = eng.decodeKept(r.kept, rec.kept, rec.rows)
-			if onDirty == nil {
-				return nil
-			}
-			if err := onDirty(eng, roundGroups, r.kept, decoded[ci]); err != nil {
-				return err
-			}
-			streamed[rec] = rec.gen
+	// Each closed component's kept tuples are put in value order and
+	// decoded here, once — rows the closure's previous generation already
+	// decoded carry over — and a streaming caller then sees the component.
+	// The closeEach assembler delivers on this goroutine, so none of it
+	// needs extra synchronization.
+	streamed := make(map[*cachedComp]bool)
+	decoded := make([][]table.Row, len(jobs))
+	hook := func(ci int, r compResult) error {
+		slices.SortFunc(r.kept, func(a, b Tuple) int { return eng.cmpCells(a.Cells, b.Cells) })
+		rec := recs[ci]
+		decoded[ci] = eng.decodeKept(r.kept, rec.kept, rec.rows)
+		if onDirty == nil {
 			return nil
 		}
-		x.mu.Unlock()
-		results, err := eng.closeSet(ctx, jobs, opts, bud, stats, hook)
-		x.mu.Lock()
-		x.claims -= len(jobs)
-		if err != nil {
-			// The consumed caches are gone; mark every claimed member dirty
-			// so the next Update (or round) re-closes those components from
-			// their base tuples.
-			for _, rec := range recs {
-				x.compOf[rec.members[0]].inflight--
-				for _, id := range rec.members {
-					x.markDirty(id)
-				}
-			}
-			x.cond.Broadcast()
-			return nil, err
+		if err := onDirty(eng, x.live, r.kept, decoded[ci]); err != nil {
+			return err
 		}
-
-		// Publish: hand each closure to the live component its members
-		// belong to now — the one claimed, or one that absorbed it while the
-		// lock was released. A concurrent widen during the closure is fixed
-		// up here — the results were produced at this round's width.
-		for di := range results {
-			r, rec := &results[di], recs[di]
-			stats.ReclosedTuples += r.closure
-			// Stats.PivotColumn describes the work this run performed, so it
-			// is the pivot of the largest component actually (re)closed —
-			// clean components did no probing.
-			if r.closure > largestDirty {
-				largestDirty = r.closure
-				stats.PivotColumn = r.stats.PivotColumn
-			}
-			rec.kept, rec.rows, rec.closure = r.kept, decoded[di], r.closure
-			rec.store, rec.flags, rec.sigs, rec.post, rec.der, rec.scr = r.store, r.flags, r.sigs, r.post, r.der, r.scr
-			if x.nCols > roundCols {
-				widenComp(rec, x.nCols)
-			}
-			c := x.compOf[rec.members[0]]
-			c.inflight--
-			x.cache(c, rec)
-		}
-		x.cond.Broadcast()
+		streamed[rec] = true
+		return nil
 	}
+	results, err := eng.closeSet(ctx, jobs, opts, bud, stats, hook)
+	if err != nil {
+		for _, rec := range recs {
+			for _, id := range rec.members {
+				x.markDirty(id)
+			}
+		}
+		return nil, err
+	}
+
+	largestDirty := 0
+	for di := range results {
+		r, rec := &results[di], recs[di]
+		stats.ReclosedTuples += r.closure
+		// Stats.PivotColumn describes the work this run performed, so it
+		// is the pivot of the largest component actually (re)closed —
+		// clean components did no probing.
+		if r.closure > largestDirty {
+			largestDirty = r.closure
+			stats.PivotColumn = r.stats.PivotColumn
+		}
+		rec.kept, rec.rows, rec.closure = r.kept, decoded[di], r.closure
+		rec.store, rec.flags, rec.sigs, rec.post, rec.der, rec.scr = r.store, r.flags, r.sigs, r.post, r.der, r.scr
+		x.cache(dirty[di], rec)
+	}
+	return streamed, nil
 }

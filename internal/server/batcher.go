@@ -25,7 +25,6 @@ var errQueueFull = errors.New("fuzzyfdd: session ingestion queue is full")
 // independently, and nothing here serializes tenants against each other.
 type batcher struct {
 	sess     *fuzzyfd.Session
-	opMu     *sync.Mutex                  // the owning session's integrate/stream serializer
 	wg       *sync.WaitGroup              // the server's drain group; flights count against it
 	maxQueue int                          // tables one accumulating flight may hold (0: unbounded)
 	sem      chan struct{}                // server-wide in-flight integration slots (nil: unbounded)
@@ -135,8 +134,6 @@ func (b *batcher) integrate(f *flight) {
 	if b.hook != nil {
 		b.hook()
 	}
-	b.opMu.Lock()
-	defer b.opMu.Unlock()
 	// Append, not Add: on a durable session the batch must be logged and
 	// fsync'd before anyone is told it integrated; a failed append fails
 	// the flight without poisoning the session.

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -105,7 +105,6 @@ type sessionInfo struct {
 	Components       int       `json:"components"`
 	ClosureTuples    int       `json:"closure_tuples"`
 	ReclosedTuples   int       `json:"reclosed_tuples"`
-	PendingWaits     int       `json:"pending_waits"`
 	RewriteCacheHits int       `json:"rewrite_cache_hits"`
 }
 
@@ -120,7 +119,6 @@ func info(c *session) sessionInfo {
 		Components:       st.Components,
 		ClosureTuples:    st.Closure,
 		ReclosedTuples:   st.ReclosedTuples,
-		PendingWaits:     st.PendingWaits,
 		RewriteCacheHits: c.sess.RewriteCacheHits(),
 	}
 }
@@ -199,7 +197,6 @@ func (s *Server) newSession(name string, opts sessionOptions) (*session, error) 
 	snapPrev := 0
 	c.bat = &batcher{
 		sess:     fs,
-		opMu:     &c.opMu,
 		wg:       &s.inflight,
 		maxQueue: s.cfg.MaxQueue,
 		sem:      s.sem,
@@ -277,7 +274,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c != nil {
-		if err := c.close(); err != nil {
+		if err := c.sess.Close(); err != nil {
 			log.Printf("fuzzyfdd: delete session %q: close: %v", name, err)
 		}
 		s.met.sessionEvicted(name)
@@ -387,13 +384,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	c.opMu.Lock()
 	res := c.sess.Last()
 	var err error
 	if res == nil {
 		res, err = c.sess.IntegrateContext(ctx)
 	}
-	c.opMu.Unlock()
 	if err != nil {
 		switch {
 		case timedOut(err):
@@ -419,22 +414,22 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // streamResult emits the session's integrated rows as JSON Lines via
 // Session.StreamContext: (re)closed components flow out as their closures
-// finish, clean components replay from the session cache. The stream holds
-// the session's opMu, so it observes exactly one integration state and
-// concurrent adds wait rather than mutating mid-stream.
+// finish, clean components replay from the session cache. The session
+// runs one integration or stream at a time, so the stream is exactly one
+// integration state and a concurrent add's integration waits for it. Rows
+// go out in flushes of 128, and the status goes with the first: a failure
+// before it answers a JSON error, a failure after it leaves a truncated
+// 200 body.
 func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, c *session) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	// Rows buffer until the first flush, so an error before any row can
-	// still replace the headers with a JSON error response.
 	w.Header().Set("Content-Type", "application/jsonl")
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	n, flushed := 0, false
 	flush := func() {
-		bw.Flush()
+		w.Write(buf.Bytes())
+		buf.Reset()
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
@@ -450,19 +445,23 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, c *session
 		}
 		return nil
 	})
-	if err != nil && !flushed && n == 0 {
+	if err != nil && !flushed {
 		switch {
 		case timedOut(err):
 			writeErrorCode(w, r, http.StatusGatewayTimeout, "timeout",
 				"stream exceeded the request timeout %s", s.cfg.RequestTimeout)
 		case errors.Is(err, fuzzyfd.ErrNoTables):
 			writeError(w, http.StatusConflict, "stream: %v", err)
+		case errors.Is(err, fuzzyfd.ErrTupleBudget):
+			writeErrorCode(w, r, http.StatusUnprocessableEntity, "tuple_budget", "stream: %v", err)
+		case errors.Is(err, fuzzyfd.ErrMemoryBudget):
+			writeErrorCode(w, r, http.StatusUnprocessableEntity, "memory_budget", "stream: %v", err)
 		default:
 			writeErrorCode(w, r, http.StatusInternalServerError, "stream_failed", "stream: %v", err)
 		}
 		return
 	}
-	bw.Flush()
+	w.Write(buf.Bytes())
 	s.met.rowsStreamed.With(c.name).Add(float64(n))
 }
 

@@ -29,7 +29,6 @@ type serverMetrics struct {
 	sessionRows       *metrics.Family // gauge {session}: output rows
 	reclosedTuples    *metrics.Family // counter {session}
 	pivotSkipped      *metrics.Family // counter {session}
-	pendingWaits      *metrics.Family // counter {session}
 	rewriteCacheHits  *metrics.Family // gauge {session}
 
 	phaseSeconds *metrics.Family // counter {phase}
@@ -62,7 +61,6 @@ func newServerMetrics() *serverMetrics {
 		sessionRows:       r.Gauge("fuzzyfdd_session_rows", "Output rows of the last integration.", "session"),
 		reclosedTuples:    r.Counter("fuzzyfdd_reclosed_tuples_total", "Closure tuples actually (re)computed across integrations.", "session"),
 		pivotSkipped:      r.Counter("fuzzyfdd_pivot_skipped_total", "Candidate iterations skipped by pivot bucketing.", "session"),
-		pendingWaits:      r.Counter("fuzzyfdd_pending_waits_total", "Waits on components claimed by concurrent integrations.", "session"),
 		rewriteCacheHits:  r.Gauge("fuzzyfdd_rewrite_cache_hits", "Table rewrites served from the session's memoized views.", "session"),
 		phaseSeconds:      r.Counter("fuzzyfdd_phase_seconds_total", "Time spent per pipeline phase.", "phase"),
 		phaseRuns:         r.Counter("fuzzyfdd_phase_runs_total", "Phase executions per pipeline phase.", "phase"),
@@ -89,7 +87,6 @@ func (m *serverMetrics) onIntegrated(name string, sess *fuzzyfd.Session, res *fu
 	m.sessionRows.With(name).Set(float64(st.Output))
 	m.reclosedTuples.With(name).Add(float64(st.ReclosedTuples))
 	m.pivotSkipped.With(name).Add(float64(st.PivotSkipped))
-	m.pendingWaits.With(name).Add(float64(st.PendingWaits))
 	m.rewriteCacheHits.With(name).Set(float64(sess.RewriteCacheHits()))
 	for _, p := range []struct {
 		phase string
@@ -114,7 +111,7 @@ func (m *serverMetrics) sessionEvicted(name string) {
 	for _, f := range []*metrics.Family{
 		m.addRequests, m.integrations, m.integrationErrors,
 		m.sessionTuples, m.sessionComponents, m.sessionRows,
-		m.reclosedTuples, m.pivotSkipped, m.pendingWaits,
+		m.reclosedTuples, m.pivotSkipped,
 		m.rewriteCacheHits, m.rowsStreamed, m.sseDropped,
 		m.snapshotFailures,
 	} {

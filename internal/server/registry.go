@@ -9,32 +9,21 @@ import (
 
 // session is one tenant: a fuzzyfd.Session plus its serving adjuncts — the
 // ingestion batcher, the progress fan-out hub, and bookkeeping for idle
-// eviction. opMu serializes integrations and result streams within the
-// session, so a stream always observes exactly one integration state
-// (fuzzyfd.Session tolerates the overlap, but a serving result must be a
-// one-to-one multiset of a single state); sessions never serialize against
-// each other.
+// eviction. The fuzzyfd.Session runs its integrations and result streams
+// one at a time, so a stream observes exactly one integration state;
+// sessions never serialize against each other.
 type session struct {
 	name string
 	dir  string // data directory of a durable session, "" otherwise
 	sess *fuzzyfd.Session
 	bat  *batcher
 	hub  *hub
-	opMu sync.Mutex
 
 	tb *tokenBucket // per-session ingestion rate limiter (nil: unlimited)
 
 	mu       sync.Mutex
 	lastUsed time.Time
 	created  time.Time
-}
-
-// close flushes and releases a durable session's store (a no-op for
-// in-memory sessions). Called after the session has left the registry.
-func (c *session) close() error {
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	return c.sess.Close()
 }
 
 // touch records a request against idle eviction.

@@ -271,12 +271,13 @@ func (s *Server) janitor() {
 			return
 		case <-t.C:
 			for _, sess := range s.reg.evictIdle(s.cfg.IdleTTL) {
-				// Durable sessions flush to disk on close, so eviction is
-				// a cache drop — the next request lazily reopens them. The
+				// Durable sessions flush to disk on close (after any
+				// running integration or stream), so eviction is a cache
+				// drop — the next request lazily reopens them. The
 				// registry marks the name closing until finishClose, so a
 				// reopen racing this close waits instead of opening the
 				// store the departing session still holds.
-				if err := sess.close(); err != nil {
+				if err := sess.sess.Close(); err != nil {
 					log.Printf("fuzzyfdd: evict session %q: %v", sess.name, err)
 				}
 				s.met.sessionEvicted(sess.name)

@@ -539,3 +539,26 @@ func TestServerLimits(t *testing.T) {
 		t.Fatalf("integration error not counted:\n%s", body)
 	}
 }
+
+// TestServerStreamBudgetError: a result stream that fails before its first
+// flush answers the error, not a complete-looking 200 carrying the rows
+// buffered so far. Component "a" closes and emits one row before the "b"
+// component blows the tuple budget.
+func TestServerStreamBudgetError(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	createSession(t, ts, "b", `{"equi":true,"budget":5}`)
+	resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/b/tables?table=t1",
+		`{"k":"a","w":"0"}`+"\n"+`{"k":"b","x":"1"}`+"\n"+`{"k":"b","y":"2"}`+"\n"+`{"k":"b","z":"3"}`, nil)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("add: status %d (%s), want 422", resp.StatusCode, body)
+	}
+	resp, body = doReq(t, http.MethodGet, ts.URL+"/v1/sessions/b/result", "",
+		map[string]string{"Accept": "application/jsonl"})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("stream: status %d (%s), want 422", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Code != "tuple_budget" {
+		t.Fatalf("stream error body %s (%v), want code tuple_budget", body, err)
+	}
+}

@@ -1,8 +1,10 @@
 package table
 
 import (
+	"maps"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzReadCSV checks that arbitrary input never panics the reader and that
@@ -34,6 +36,55 @@ func FuzzReadCSV(f *testing.F) {
 		if back.NumRows() != tb.NumRows() || back.NumCols() != tb.NumCols() {
 			t.Fatalf("round trip changed shape: %dx%d -> %dx%d",
 				tb.NumRows(), tb.NumCols(), back.NumRows(), back.NumCols())
+		}
+	})
+}
+
+// FuzzReadJSONL checks the daemon's parser for untrusted table bodies: it
+// never panics, every accepted row is as wide as the columns and within
+// MaxRows, and whatever parses survives a WriteJSONL/ReadJSONL round trip
+// with its row count and non-null cells intact. Invalid UTF-8 is exempt
+// from the round trip: JSON output cannot carry it, so the writer
+// substitutes U+FFFD.
+func FuzzReadJSONL(f *testing.F) {
+	f.Add(`{"id":"1","name":"alice"}`+"\n"+`{"id":"2","city":"oslo"}`, uint16(0), uint8(0))
+	f.Add(`{"k":"a","k":"b"}`, uint16(0), uint8(0))                          // duplicate key
+	f.Add(`{"n":1,"b":true,"z":null,"o":{"x":[1, 2]}}`, uint16(0), uint8(0)) // non-string values
+	f.Add(`{"a":"1"}`+"\n\n  \n"+`{"a":"2"}`+"\n", uint16(0), uint8(0))      // blank lines
+	f.Add(`{"a":"short"}`+"\n"+`{"a":"`+strings.Repeat("x", 64)+`"}`, uint16(32), uint8(0))
+	f.Add(`{"a":"1"}`+"\n"+`{"a":"2"}`+"\n"+`{"a":"3"}`, uint16(0), uint8(2)) // past MaxRows
+	f.Fuzz(func(t *testing.T, input string, maxLine uint16, maxRows uint8) {
+		lim := JSONLLimits{MaxLineBytes: int(maxLine), MaxRows: int(maxRows)}
+		tb, err := ReadJSONLLimited(strings.NewReader(input), "fuzz", lim)
+		if err != nil {
+			return // malformed or over-limit input is allowed to fail, not to panic
+		}
+		if lim.MaxRows > 0 && tb.NumRows() > lim.MaxRows {
+			t.Fatalf("accepted %d rows past MaxRows %d", tb.NumRows(), lim.MaxRows)
+		}
+		for i, row := range tb.Rows {
+			if len(row) != tb.NumCols() {
+				t.Fatalf("row %d has %d cells, want %d", i, len(row), tb.NumCols())
+			}
+		}
+		if !utf8.ValidString(input) {
+			return
+		}
+		var buf strings.Builder
+		if err := WriteJSONL(&buf, tb); err != nil {
+			t.Fatalf("write after successful read: %v", err)
+		}
+		back, err := ReadJSONL(strings.NewReader(buf.String()), "fuzz")
+		if err != nil {
+			t.Fatalf("re-read own output: %v\noutput: %q", err, buf.String())
+		}
+		if back.NumRows() != tb.NumRows() {
+			t.Fatalf("round trip changed the row count: %d -> %d", tb.NumRows(), back.NumRows())
+		}
+		for i := range tb.Rows {
+			if a, b := RowObject(tb.Columns, tb.Rows[i]), RowObject(back.Columns, back.Rows[i]); !maps.Equal(a, b) {
+				t.Fatalf("round trip changed row %d: %v -> %v", i, a, b)
+			}
 		}
 	})
 }
