@@ -8,7 +8,7 @@
 //	fuzzyfd -align -headers ...                  # content-based alignment
 //	fuzzyfd -prov ...                            # append a provenance column
 //	fuzzyfd -session t1.csv t2.csv t3.csv ...    # incremental integration
-//	fuzzyfd -stream t1.csv t2.csv                # stream JSONL rows per component
+//	fuzzyfd -stream t1.csv t2.csv                # JSONL result via StreamJSONL
 //	fuzzyfd -progress ...                        # live phase/component progress
 //	fuzzyfd -stats ...                           # pivot columns, skip counts, assignment shape
 //	fuzzyfd -cpuprofile cpu.pb.gz ...            # write a CPU profile
@@ -22,10 +22,8 @@
 // stderr, so the amortization of the session state is directly visible;
 // the final result prints as usual.
 //
-// With -stream the integrated rows are written to stdout as JSON Lines as
-// soon as each connected component of the integration closes, instead of
-// after the whole computation — the first rows appear while later
-// components are still closing.
+// With -stream the integrated rows are written to stdout as JSON Lines by
+// fuzzyfd.StreamJSONL, in the result's order: the same bytes as -json.
 //
 // Ctrl-C (or SIGTERM) cancels a running integration cleanly: the closure
 // stops at the next cancellation checkpoint — even inside a single huge
@@ -70,7 +68,7 @@ func main() {
 		budget   = flag.Int("budget", 0, "abort if the FD closure exceeds this many tuples (0 = unlimited)")
 		statsF   = flag.Bool("stats", false, "report per-component pivot columns, skipped candidates and value-assignment shape on stderr")
 		session  = flag.Bool("session", false, "integrate incrementally: add one file at a time to a persistent session")
-		stream   = flag.Bool("stream", false, "stream the result to stdout as JSON Lines, one component at a time")
+		stream   = flag.Bool("stream", false, "write the result to stdout as JSON Lines via StreamJSONL (the bytes of -json)")
 		progress = flag.Bool("progress", false, "report pipeline phases and per-component closure progress on stderr")
 		out      = flag.String("out", "", "write the integrated table to this CSV file instead of stdout")
 		prov     = flag.Bool("prov", false, "append a provenance column (source tuple IDs)")

@@ -40,16 +40,13 @@
 // Failures carry typed errors — ErrTupleBudget, ErrCanceled, and
 // *PhaseError naming the pipeline phase — that errors.Is/As unwrap, and
 // WithProgress streams phase transitions and per-component closure counts
-// to a callback. For results too large (or too urgent) to materialize,
-// Result.Rows iterates rows with provenance, and StreamJSONL emits rows as
-// each connected component closes rather than waiting for the whole
-// integration.
+// to a callback. Result.Rows iterates rows with provenance, StreamJSONL
+// writes a result as JSON Lines, and Session.StreamContext hands a
+// session's current result to a callback row by row.
 package fuzzyfd
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -386,42 +383,18 @@ func IntegrateContext(ctx context.Context, tables []*Table, opts ...Option) (*Re
 }
 
 // StreamJSONL integrates the tables and writes the result to w as JSON
-// Lines (the WriteJSONL row encoding), emitting each row as soon as the
-// connected component producing it closes instead of materializing the
-// whole result first — results begin to flow after the first component,
-// and a canceled context keeps the rows already written as a usable
-// partial prefix. It is a one-shot Session.StreamContext, whose order
-// contract the rows follow: grouped by component rather than globally
-// sorted, and byte-identical across runs unless WithParallelFD is set. The
-// returned Result carries schema, statistics, and timings, but no
-// materialized Table or Prov.
+// Lines: IntegrateContext followed by WriteJSONL, so the bytes are
+// WriteJSONL's of the integrated table, rows in Integrate's order. Nothing
+// is written when the integration fails.
 func StreamJSONL(ctx context.Context, w io.Writer, tables []*Table, opts ...Option) (*Result, error) {
-	cfg, err := buildOptions(opts)
+	res, err := IntegrateContext(ctx, tables, opts...)
 	if err != nil {
 		return nil, err
 	}
-	// Buffer the writes but flush at every component completion (progress
-	// events fire after a component's rows are emitted), so rows become
-	// visible per closed component without a syscall per row.
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	userProgress := cfg.Progress
-	cfg.Progress = func(ev ProgressEvent) {
-		if ev.Phase == PhaseFD && ev.Component > 0 {
-			bw.Flush()
-		}
-		if userProgress != nil {
-			userProgress(ev)
-		}
+	if err := table.WriteJSONL(w, res.Table); err != nil {
+		return nil, err
 	}
-	res, err := core.Stream(ctx, tables, cfg, func(schema fd.Schema, row Row, _ []TID) error {
-		return enc.Encode(table.RowObject(schema.Columns, row))
-	})
-	// Flush the tail even on error: the partial prefix is the point.
-	if ferr := bw.Flush(); err == nil && ferr != nil {
-		err = ferr
-	}
-	return res, err
+	return res, nil
 }
 
 // Session integrates a growing set of tables incrementally. Where
@@ -441,11 +414,11 @@ func StreamJSONL(ctx context.Context, w io.Writer, tables []*Table, opts ...Opti
 // (ReusedValues, DirtyComponents, ReclosedTuples) for how much work the
 // session skipped. Added tables must not be modified afterwards.
 //
-// A Session is safe for concurrent use, and its Integrate, StreamContext
-// and Close calls run one at a time: each integrates exactly the tables
-// added before its turn, and a stream is exactly one integration state.
-// WithParallelFD parallelizes inside a call. Add, Append, Tables, Stats,
-// and Last never wait on a running integration's Full Disjunction stage.
+// A Session is safe for concurrent use, and its Integrate and Close calls
+// run one at a time: each integrates exactly the tables added before its
+// turn. WithParallelFD parallelizes inside a call. Add, Append, Tables,
+// Stats, and Last never wait on a running integration's Full Disjunction
+// stage, and neither does a StreamContext with nothing to integrate.
 // Results are immutable once returned, so a reader may keep a Result while
 // other goroutines integrate on.
 type Session struct {
@@ -600,37 +573,20 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	return s.s.IntegrateContext(ctx)
 }
 
-// StreamContext integrates every table added so far and streams the rows
-// instead of materializing them — the serving-path complement of
-// IntegrateContext. Components the call (re)closes are emitted the moment
-// their closure finishes, so the delta reaches the consumer while the rest
-// is still closing, and components untouched since the last integration
-// replay from the session's cached closure results, paying only decode
-// cost. emit runs on the calling goroutine and receives the integrated
-// schema with each row and its provenance. The returned Result carries
-// schema, statistics, and timings, but no materialized Table or Prov, and
-// does not update Last.
+// StreamContext calls emit with every row of the session's current Result,
+// in Integrate's order, together with the integrated schema and the row's
+// provenance, and returns that Result. The current Result is Last when no
+// table was added since the last Integrate; otherwise StreamContext
+// integrates first, exactly as IntegrateContext does, and the new Result
+// becomes Last. Either way the rows are byte-identical to a one-shot
+// Integrate over every table added so far, so the order is deterministic
+// and the same at every WithParallelFD setting.
 //
-// The order contract of every streaming path (this method, StreamJSONL,
-// the daemon's streamed result):
-//
-//   - rows within a component come in value order;
-//   - components come in the order they close — those this call re-closes
-//     first, then the untouched ones in ingest order;
-//   - with sequential FD (the default) components close by smallest base
-//     tuple in ingest order, so the same inputs and session history give
-//     the same byte stream on every run; under WithParallelFD they come in
-//     completion order;
-//   - the row multiset is IntegrateContext's, except that a fully-empty
-//     input row's all-null output is dropped rather than provenance-folded
-//     when other rows exist (its subsumer may already be out).
-//
-// An emit error or cancellation aborts the stream; rows already emitted
-// stay emitted — the partial prefix is the point — and the session stays
-// consistent for later calls. A stream runs one at a time with the
-// session's other integrations, so its rows are exactly one integration
-// state, each component once; emit must not integrate, stream or Close
-// the same session.
+// emit runs on the calling goroutine with no session lock held: it may
+// call back into the session, and a slow consumer holds up no other add,
+// integration or stream. An emit error or cancellation stops the stream
+// and is returned; the session is unaffected. The Result is read-only, as
+// for Integrate.
 func (s *Session) StreamContext(ctx context.Context, emit func(schema Schema, row Row, prov []TID) error) (*Result, error) {
 	return s.s.StreamContext(ctx, emit)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -164,53 +165,41 @@ func TestProgressEventSequence(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesIntegrate: core.Stream emits the same row multiset as
-// Integrate over the fuzzy pipeline (representative rewriting included),
-// and its Result carries schema and stats without a materialized table.
+// TestStreamMatchesIntegrate: a session's stream emits Integrate's rows
+// with their provenance, in Integrate's order, over the fuzzy pipeline
+// (representative rewriting included), sequentially and with parallel FD;
+// the Result it returns is the one it streamed.
 func TestStreamMatchesIntegrate(t *testing.T) {
 	tables := fig1()
-	want, err := Integrate(tables, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := make(map[string]int)
-	for _, row := range want.Table.Rows {
-		wantRows[rowString(row)]++
-	}
-
-	gotRows := make(map[string]int)
-	var schemaCols []string
-	res, err := Stream(context.Background(), tables, Config{}, func(schema fd.Schema, row table.Row, prov []fd.TID) error {
-		schemaCols = schema.Columns
-		gotRows[rowString(row)]++
-		if len(prov) == 0 {
-			t.Error("streamed row without provenance")
+	for _, workers := range []int{1, 4} {
+		cfg := Config{FD: fd.Options{Workers: workers}}
+		want, err := Integrate(tables, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Table != nil || res.Prov != nil {
-		t.Error("streamed Result should not materialize a table")
-	}
-	if len(res.Schema.Columns) == 0 || res.FDStats.Closure == 0 {
-		t.Errorf("streamed Result missing diagnostics: %+v", res.FDStats)
-	}
-	if len(schemaCols) != len(want.Table.Columns) {
-		t.Errorf("streamed schema has %d columns, want %d", len(schemaCols), len(want.Table.Columns))
-	}
-	if len(gotRows) == 0 {
-		t.Fatal("no rows streamed")
-	}
-	for k, n := range wantRows {
-		if gotRows[k] != n {
-			t.Errorf("row %q: stream %d, batch %d", k, gotRows[k], n)
+		s := NewSession(cfg)
+		s.Add(tables...)
+		var rows []table.Row
+		var provs [][]fd.TID
+		res, err := s.StreamContext(context.Background(), func(schema fd.Schema, row table.Row, prov []fd.TID) error {
+			if !reflect.DeepEqual(schema.Columns, want.Table.Columns) {
+				t.Errorf("streamed schema %v, want %v", schema.Columns, want.Table.Columns)
+			}
+			rows = append(rows, row)
+			provs = append(provs, prov)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for k := range gotRows {
-		if _, ok := wantRows[k]; !ok {
-			t.Errorf("stream emitted extra row %q", k)
+		if len(rows) == 0 {
+			t.Fatal("no rows streamed")
+		}
+		if !reflect.DeepEqual(rows, want.Table.Rows) || !reflect.DeepEqual(provs, want.Prov) {
+			t.Errorf("workers=%d: stream differs from Integrate:\ngot  %v %v\nwant %v %v", workers, rows, provs, want.Table.Rows, want.Prov)
+		}
+		if res != s.Last() || !reflect.DeepEqual(res.Table.Rows, rows) {
+			t.Errorf("workers=%d: the stream's Result is not the Last it streamed", workers)
 		}
 	}
 }

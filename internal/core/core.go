@@ -158,7 +158,8 @@ type Timings struct {
 
 // Result is the integrated table with provenance and diagnostics. The rows
 // and provenance lists of a Session's Result are shared with the session's
-// cached output and with later Results: treat them as read-only.
+// cached output and with later Results: treat them as read-only. No later
+// integration writes to a Result once it is returned.
 type Result struct {
 	Table  *table.Table
 	Prov   [][]fd.TID
@@ -183,12 +184,9 @@ func (r *Result) FDResult() *fd.Result {
 //
 //	for row, prov := range res.Rows() { ... }
 //
-// A Result without a materialized table (from Stream) yields nothing.
+// Session.StreamContext walks the same rows in the same order.
 func (r *Result) Rows() iter.Seq2[table.Row, []fd.TID] {
 	return func(yield func(table.Row, []fd.TID) bool) {
-		if r.Table == nil {
-			return
-		}
 		for i, row := range r.Table.Rows {
 			if !yield(row, r.Prov[i]) {
 				return

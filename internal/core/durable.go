@@ -89,9 +89,9 @@ func (s *Session) Flush() error {
 }
 
 // Close flushes outstanding log frames into a snapshot and releases the
-// store, after any running integration or stream finishes. Further
-// Append/Add calls fail; read-side calls keep working. In-memory sessions
-// no-op. Close is idempotent.
+// store, after any running integration finishes. Further Append/Add calls
+// fail; read-side calls keep working. In-memory sessions no-op. Close is
+// idempotent.
 func (s *Session) Close() error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()

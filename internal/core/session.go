@@ -37,26 +37,28 @@ import (
 // to them; the caller must not modify them afterwards.
 //
 // A Session is safe for concurrent use, and runs one integration at a
-// time: IntegrateContext, StreamContext and Close hold runMu from
-// preparation through publication, so each call integrates exactly the
-// tables added before it took the lock, and a stream is exactly one
-// integration state. mu guards what Append and the read-side calls
-// (Tables, Integrations, Last, RewriteCacheHits) touch, and is released
-// during the FD stage, so neither waits on a running integration's
-// closures, nor observes half-updated session state.
+// time: IntegrateContext and Close hold runMu from preparation through
+// publication, so each integration covers exactly the tables added before
+// it took the lock. mu guards what Append and the read-side calls (Tables,
+// Integrations, Last, RewriteCacheHits, StreamContext's check for pending
+// tables) touch, and is released during the FD stage, so neither waits on
+// a running integration's closures, nor observes half-updated session
+// state. A published Result is never written to again, so a stream
+// iterates Last without any lock.
 type Session struct {
 	cfg   Config
 	emb   embed.Embedder
 	cache *embed.ValueCache
 
-	runMu sync.Mutex // one integration, stream or Close at a time
+	runMu sync.Mutex // one integration or Close at a time
 
-	mu       sync.RWMutex
-	tables   []*table.Table
-	clusters map[clusterDigest][]match.Cluster // aligned-column-set content -> clusters
-	rewrites map[*table.Table]rewriteEntry     // source table -> cached rewritten view
-	idx      *fd.Index
-	last     *Result
+	mu         sync.RWMutex
+	tables     []*table.Table
+	clusters   map[clusterDigest][]match.Cluster // aligned-column-set content -> clusters
+	rewrites   map[*table.Table]rewriteEntry     // source table -> cached rewritten view
+	idx        *fd.Index
+	last       *Result
+	lastTables int // tables integrated into last
 
 	integrations int
 	rewriteHits  int
@@ -170,6 +172,7 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	defer s.runMu.Unlock()
 	s.mu.Lock()
 	work, schema, res, err := s.prepare(ctx)
+	tables := len(s.tables)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -195,7 +198,7 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 
 	s.mu.Lock()
 	s.integrations++
-	s.last = res
+	s.last, s.lastTables = res, tables
 	s.mu.Unlock()
 
 	// Durable sessions compact here, off the Append acknowledgement path. A
@@ -205,47 +208,42 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// StreamContext computes the integration of every table added so far and
-// streams the rows instead of materializing a Result table: components the
-// call (re)closes are emitted the moment their closure finishes — the delta
-// flows while the rest is still closing — and components untouched since
-// the last integration replay from the session's cached kept tuples. emit
-// receives the integrated schema (identical on every call) with each row
-// and its provenance, on the calling goroutine, in the order contract
-// fuzzyfd.Session.StreamContext states. The returned Result carries
-// schema, match diagnostics, FD statistics, and timings, but no
-// materialized Table or Prov, and does not become Last.
-//
-// A stream runs one at a time with the session's other integrations, so
-// its rows are exactly one integration state, each component once; emit
-// and Config.Progress must therefore not integrate, stream or Close the
-// same session. Cancellation or an emit error aborts the stream: rows already emitted
-// stay emitted and the session stays consistent — affected components are
-// re-marked dirty and a later call re-closes them.
+// StreamContext calls emit for every row of the session's current Result,
+// in Integrate's order, with the integrated schema and the row's
+// provenance, and returns that Result. The current Result is Last when no
+// table was added since it was built; otherwise StreamContext integrates
+// first, and the new Result becomes Last as any other does. emit runs on
+// the calling goroutine with no session lock held, so it may call back
+// into the session, and a slow consumer holds up no integration. An emit
+// error or cancellation stops the stream and is returned.
 func (s *Session) StreamContext(ctx context.Context, emit func(schema fd.Schema, row table.Row, prov []fd.TID) error) (*Result, error) {
-	start := time.Now()
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	s.mu.Lock()
-	work, schema, res, err := s.prepare(ctx)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
+	res := s.current()
+	if res == nil {
+		var err error
+		if res, err = s.IntegrateContext(ctx); err != nil {
+			return nil, err
+		}
 	}
-
-	fdStart := time.Now()
-	s.emit(ProgressEvent{Phase: PhaseFD})
-	stats, err := s.idx.StreamContext(ctx, work, schema, s.cfg.fdOptions(), func(row table.Row, prov []fd.TID) error {
-		return emit(schema, row, prov)
-	})
-	res.FDStats = stats
-	res.Timings.FD = time.Since(fdStart)
-	res.Timings.Total = time.Since(start)
-	if err != nil {
-		return res, phaseErr(PhaseFD, err)
+	for row, prov := range res.Rows() {
+		if err := ctx.Err(); err != nil {
+			return nil, fd.Canceled(err)
+		}
+		if err := emit(res.Schema, row, prov); err != nil {
+			return nil, err
+		}
 	}
-	s.emit(ProgressEvent{Phase: PhaseFD, Done: true, Elapsed: res.Timings.FD})
 	return res, nil
+}
+
+// current returns Last when it integrates every table added so far, and
+// nil when an integration is due.
+func (s *Session) current() *Result {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.addErr != nil || s.lastTables != len(s.tables) {
+		return nil
+	}
+	return s.last
 }
 
 // prepare runs the pre-FD pipeline stages — column alignment and (for the

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"fuzzyfd/internal/datagen"
 	"fuzzyfd/internal/embed"
@@ -36,20 +37,41 @@ func streamMultiset(ctx context.Context, s *Session) (map[string]int, *Result, e
 	return got, res, err
 }
 
-// TestSessionRewriteDriftMatchesOneShot feeds a fuzzy session EMBench
-// tables in shuffled row chunks, so value-matching rounds keep electing
-// different representatives and the FD index keeps re-verifying and
-// rebuilding its store. After every chunk the session's Integrate must be
+// streamAll drains the session's stream into rows and provenance, in order.
+func streamAll(ctx context.Context, s *Session) ([]table.Row, [][]fd.TID, error) {
+	var rows []table.Row
+	var provs [][]fd.TID
+	_, err := s.StreamContext(ctx, func(_ fd.Schema, row table.Row, prov []fd.TID) error {
+		rows = append(rows, row)
+		provs = append(provs, prov)
+		return nil
+	})
+	return rows, provs, err
+}
+
+// TestSessionRewriteDriftMatchesOneShot feeds sessions EMBench tables in
+// shuffled row chunks. Under the fuzzy method value-matching rounds keep
+// electing different representatives, so the FD index keeps re-verifying
+// and rebuilding its store; under the equi method new columns keep
+// widening it. After every chunk the session's Integrate must be
 // byte-identical to the one-shot pipeline over the chunks so far, and its
-// stream must carry the same row multiset.
+// stream must be the same rows and provenance in the same order. Every
+// Result the session published must still equal a deep copy taken when it
+// was returned, after all later chunks: published generations are never
+// written to.
 func TestSessionRewriteDriftMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
-	for _, tier := range []string{embed.FastText, embed.Mistral} {
+	names := []string{"equi", embed.FastText, embed.Mistral}
+	cfgs := map[string]Config{"equi": {Method: MethodEquiFD}}
+	for _, tier := range names[1:] {
 		model, err := embed.New(tier)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Embedder: model}
+		cfgs[tier] = Config{Embedder: model}
+	}
+	for _, name := range names {
+		cfg := cfgs[name]
 		for seed := int64(1); seed <= 3; seed++ {
 			bench := datagen.EMBench(datagen.EMConfig{Seed: seed, Entities: 60})
 			var chunks []*table.Table
@@ -66,7 +88,9 @@ func TestSessionRewriteDriftMatchesOneShot(t *testing.T) {
 			})
 
 			s := NewSession(cfg)
-			rewrites := 0
+			rewrites, widenings := 0, 0
+			var published []*Result
+			var copies []*fd.Result
 			for k, chunk := range chunks {
 				s.Add(chunk)
 				got, err := s.IntegrateContext(ctx)
@@ -78,23 +102,46 @@ func TestSessionRewriteDriftMatchesOneShot(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !got.Table.Equal(want.Table) || !reflect.DeepEqual(got.Prov, want.Prov) {
-					t.Fatalf("%s seed %d chunk %d: session differs from the one-shot pipeline", tier, seed, k+1)
+					t.Fatalf("%s seed %d chunk %d: session differs from the one-shot pipeline", name, seed, k+1)
 				}
-				streamed, _, err := streamMultiset(ctx, s)
+				rows, provs, err := streamAll(ctx, s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(streamed, rowMultiset(want.Table.Rows)) {
-					t.Fatalf("%s seed %d chunk %d: stream multiset differs from Integrate", tier, seed, k+1)
+				if !reflect.DeepEqual(rows, want.Table.Rows) || !reflect.DeepEqual(provs, want.Prov) {
+					t.Fatalf("%s seed %d chunk %d: stream differs from Integrate", name, seed, k+1)
 				}
 				rewrites += got.MatchStats.Rewrites
+				if k > 0 && len(got.Schema.Columns) > len(published[k-1].Schema.Columns) {
+					widenings++
+				}
+				published = append(published, got)
+				copies = append(copies, deepCopy(got))
 			}
-			if rewrites == 0 || s.RewriteCacheHits() == 0 || s.idx.Rebuilds() == 0 {
+			for k, res := range published {
+				if !reflect.DeepEqual(res.Table.Rows, copies[k].Table.Rows) || !reflect.DeepEqual(res.Prov, copies[k].Prov) {
+					t.Errorf("%s seed %d: the Result of chunk %d was written to after it was returned", name, seed, k+1)
+				}
+			}
+			if cfg.Method == MethodEquiFD {
+				if widenings == 0 {
+					t.Errorf("%s seed %d: vacuous — no chunk widened the schema", name, seed)
+				}
+			} else if rewrites == 0 || s.RewriteCacheHits() == 0 || s.idx.Rebuilds() == 0 {
 				t.Errorf("%s seed %d: vacuous drift — %d rewrites, %d rewrite-cache hits, %d rebuilds",
-					tier, seed, rewrites, s.RewriteCacheHits(), s.idx.Rebuilds())
+					name, seed, rewrites, s.RewriteCacheHits(), s.idx.Rebuilds())
 			}
 		}
 	}
+}
+
+// deepCopy copies a Result's rows and provenance into fresh slices.
+func deepCopy(res *Result) *fd.Result {
+	out := &fd.Result{Table: res.Table.Clone(), Prov: make([][]fd.TID, len(res.Prov))}
+	for i, p := range res.Prov {
+		out.Prov[i] = slices.Clone(p)
+	}
+	return out
 }
 
 // TestSessionStreamsOneIntegrationState: with tables appended in a fixed
@@ -171,4 +218,54 @@ func TestSessionStreamsOneIntegrationState(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSessionSlowStreamDoesNotHoldUpAdd: a stream whose consumer blocks
+// after the first row holds up no add on the same session — another
+// goroutine's Append and IntegrateContext return while emit waits — and
+// emit may call back into its own session.
+func TestSessionSlowStreamDoesNotHoldUpAdd(t *testing.T) {
+	a := table.New("A", "k", "x")
+	a.MustAppendRow(table.S("k1"), table.S("x1"))
+	a.MustAppendRow(table.S("k2"), table.S("x2"))
+	b := table.New("B", "k", "y")
+	b.MustAppendRow(table.S("k1"), table.S("y1"))
+	s := NewSession(Config{Method: MethodEquiFD})
+	s.Add(a)
+	ctx := context.Background()
+
+	emitted := 0
+	res, err := s.StreamContext(ctx, func(fd.Schema, table.Row, []fd.TID) error {
+		emitted++
+		if emitted > 1 {
+			return nil
+		}
+		if n := s.Tables(); n != 1 {
+			t.Errorf("emit sees %d tables, want 1", n)
+		}
+		added := make(chan error, 1)
+		go func() {
+			if err := s.Append(b); err != nil {
+				added <- err
+				return
+			}
+			_, err := s.IntegrateContext(ctx)
+			added <- err
+		}()
+		select {
+		case err := <-added:
+			return err
+		case <-time.After(5 * time.Second):
+			return errors.New("an add's integration waited for the stream's consumer")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted != 2 || res.FDStats.InputTuples != 2 {
+		t.Errorf("stream emitted %d rows over %d input tuples, want A's 2 rows", emitted, res.FDStats.InputTuples)
+	}
+	if last := s.Last(); last == res || last.FDStats.InputTuples != 3 {
+		t.Errorf("Last is not the add's integration over all 3 input tuples")
+	}
 }

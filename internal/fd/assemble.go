@@ -6,7 +6,7 @@ import (
 	"fuzzyfd/internal/table"
 )
 
-// Output assembly of the incremental index. A batch Update's result is
+// Output assembly of the incremental index. An Update's result is
 // every component's kept tuples in global value order. Each closure keeps
 // its kept tuples sorted and decoded (cachedComp.kept, rows), and the index
 // keeps the global order across Updates: an Update merges the closures it
@@ -28,29 +28,6 @@ func (o outRow) cells() []uint32 { return o.of.kept[o.k].Cells }
 type publication struct {
 	of  *cachedComp
 	gen uint32
-}
-
-// assembly is what an Update's locked stages hand back: the engine and
-// schema to decode under and, for a batch Update, the result rows with
-// their provenance in global value order; for a streaming one, the
-// components' kept tuples.
-type assembly struct {
-	eng    *engine
-	schema Schema
-	rows   []table.Row
-	prov   [][]TID
-	groups []groupKept
-}
-
-// groupKept is one component's contribution to a streaming Update's
-// assembly: a snapshot of its kept (closed + subsumption-reduced) tuples in
-// value order, taken under the index lock so later widenings cannot race
-// with readers. streamed marks groups the Update already emitted while
-// they closed (see Index.StreamContext).
-type groupKept struct {
-	kept     []Tuple
-	rows     []table.Row // decoded kept, or nil
-	streamed bool
 }
 
 // cache installs a closure on a live component and accounts for it.
@@ -90,27 +67,6 @@ func (e *engine) decodeKept(kept, old []Tuple, oldRows []table.Row) []table.Row 
 		}
 	}
 	return rows
-}
-
-// assembleGroups snapshots every component's kept tuples, in ingest order
-// of the components, for a streaming Update. Kept slices are cloned under
-// the lock — a later Update's widening replaces cached cell slices in
-// place, and the caller reads these after releasing the lock. Streams do
-// not consume the publication list; a session that only ever streams keeps
-// it to the live closures by dropping the superseded entries.
-func (x *Index) assembleGroups(streamed map[*cachedComp]bool) []groupKept {
-	if len(x.published) > 2*x.live+32 {
-		x.published = slices.DeleteFunc(x.published, func(p publication) bool { return p.of.gen != p.gen })
-	}
-	out := make([]groupKept, 0, x.live)
-	for _, c := range x.order {
-		if c == nil {
-			continue
-		}
-		rec := c.caches[0]
-		out = append(out, groupKept{kept: slices.Clone(rec.kept), rows: rec.rows, streamed: streamed[rec]})
-	}
-	return out
 }
 
 // assembleRows brings the assembled output up to date and returns the

@@ -95,11 +95,8 @@ type Tuple struct {
 
 // engine is the shared immutable state of one Full Disjunction round: a
 // frozen snapshot of the value dictionary and the integrated schema width.
-// All symbol decoding and value-order comparisons go through it. Holding an
-// intern.Snapshot rather than the live Dict is load-bearing: a stream
-// decodes its replayed components after the index lock is released, while
-// a later Update may already be interning new values — snapshot reads
-// never race with those appends.
+// All symbol decoding and value-order comparisons go through it, so the
+// closures a round runs on worker goroutines read no mutable state.
 type engine struct {
 	dict  intern.Snapshot
 	nCols int
@@ -240,16 +237,15 @@ type Options struct {
 	NoPivot bool
 	// Progress, when non-nil, is called once per closed component, always
 	// from the assembling goroutine (never concurrently), in completion
-	// order — on a stream after the component's rows are emitted, so a
-	// consumer may flush on it. It must not block for long: with Workers > 1
-	// it is on the path that drains worker results.
+	// order. It must not block for long: with Workers > 1 it is on the path
+	// that drains worker results.
 	Progress func(ComponentProgress)
 }
 
 // ComponentProgress reports one component's closure completing.
 type ComponentProgress struct {
 	Done    int // components closed so far this run (1-based, monotonic)
-	Total   int // components scheduled this run
+	Total   int // components scheduled this run (Stats.DirtyComponents)
 	Members int // outer-union tuples of the component that just closed
 	Closure int // closure tuples of that component
 	// PivotColumn is the output column the component's posting lists were

@@ -42,8 +42,8 @@ import (
 // null cells (hashCells), so every cached closure keeps its indexes.
 //
 // An Index is safe for concurrent use, one Update at a time: every Update
-// and stream holds the index lock from reconcile through assembly, so each
-// sees and leaves exactly one state. Options.Workers parallelizes the
+// holds the index lock from reconcile through assembly, so each sees and
+// leaves exactly one state. Options.Workers parallelizes the
 // closures inside an Update.
 type Index struct {
 	mu sync.Mutex
@@ -200,9 +200,11 @@ func (x *Index) Snapshot() intern.Snapshot {
 // session, in a stable order; previously seen tables must come first and
 // may only have grown) and returns the Full Disjunction of the whole set.
 // Only components touched by new or re-deduplicated tuples are re-closed;
-// see the Stats work counters for what was actually done. Rows of the
-// result table are shared with the index's assembled output and with later
-// results: treat them as read-only.
+// see the Stats work counters for what was actually done. Every Update
+// builds fresh Table.Rows and Prov slices and never writes to the ones it
+// returned before, so a Result stays valid while later Updates run. The
+// rows and provenance lists in them are shared with the index's assembled
+// output and with later results: treat them as read-only.
 func (x *Index) Update(tables []*table.Table, schema Schema, opts Options) (*Result, error) {
 	return x.UpdateContext(context.Background(), tables, schema, opts)
 }
@@ -228,105 +230,22 @@ func (x *Index) UpdateContext(ctx context.Context, tables []*table.Table, schema
 		stats.InputTuples += len(t.Rows)
 	}
 
-	asm, err := x.update(ctx, tables, schema, opts, &stats, nil)
+	rows, prov, err := x.update(ctx, tables, schema, opts, &stats)
 	if err != nil {
 		return nil, err
 	}
-	out := table.New("FD", asm.schema.Columns...)
-	out.Rows = asm.rows
-	stats.Subsumed = stats.Closure - len(asm.rows)
-	stats.Output = len(asm.rows)
+	out := table.New("FD", schema.Columns...)
+	out.Rows = rows
+	stats.Subsumed = stats.Closure - len(rows)
+	stats.Output = len(rows)
 	stats.Elapsed = time.Since(start)
-	return &Result{Table: out, Prov: asm.prov, Stats: stats}, nil
-}
-
-// dirtyEmit observes one dirty component the moment its (re)closure
-// finishes, on the updating goroutine with the index lock held. eng is
-// the round's engine (dictionary snapshot), groups the number of components
-// in the round that closed it; kept is in value order, rows its decoding.
-type dirtyEmit func(eng *engine, groups int, kept []Tuple, rows []table.Row) error
-
-// StreamContext ingests the accumulated integration set exactly like
-// UpdateContext but emits the result rows instead of materializing a
-// table: every component this call (re)closes streams as soon as its
-// closure finishes — the delta flows first, while other dirty components
-// are still closing — and once the index is fully clean the untouched
-// components replay from their cached kept tuples and decoded rows, in the
-// order contract fuzzyfd.Session.StreamContext states. The all-null caveat
-// stated there is made here: a fully-empty input row's all-null output is
-// dropped rather than provenance-folded when other components exist,
-// because its subsumer may already be out. opts.Progress fires after a
-// component's rows are emitted.
-//
-// emit runs on the calling goroutine, with the index lock held while the
-// dirty components stream, so it must not call back into the Index. The
-// stream is one Update: every component of the state it leaves behind is
-// emitted exactly once — the dirty ones as they close, the clean ones from
-// snapshots taken under the lock. An emit error (or cancellation)
-// aborts the stream; rows already emitted stay emitted, the consumed
-// component caches are marked dirty again, and a later Update re-closes
-// them — nothing is lost.
-func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema Schema, opts Options, emit func(row table.Row, prov []TID) error) (Stats, error) {
-	start := time.Now()
-	var stats Stats
-	stats.PivotColumn = -1
-	if err := schema.Validate(tables); err != nil {
-		return stats, err
-	}
-	if err := ctx.Err(); err != nil {
-		return stats, Canceled(err)
-	}
-	for _, t := range tables {
-		stats.InputTuples += len(t.Rows)
-	}
-
-	emitted := 0 // rows handed to emit
-	kept := 0    // tuples surviving subsumption in emitted + replayed groups
-	emitComp := func(eng *engine, groups int, tuples []Tuple, rows []table.Row) error {
-		kept += len(tuples)
-		if len(tuples) == 1 && allNull(tuples[0].Cells) && groups > 1 {
-			// Dropped all-null singleton: counts as subsumed, exactly as the
-			// assembly's all-null fold does.
-			kept--
-			return nil
-		}
-		for k, tp := range tuples {
-			var row table.Row
-			if rows != nil {
-				row = rows[k]
-			} else {
-				row = eng.decodeRow(tp.Cells)
-			}
-			if err := emit(row, tp.Prov); err != nil {
-				return err
-			}
-			emitted++
-		}
-		return nil
-	}
-
-	asm, err := x.update(ctx, tables, schema, opts, &stats, emitComp)
-	if err == nil {
-		for _, g := range asm.groups {
-			if g.streamed {
-				continue // emitted while it closed; kept already counted
-			}
-			if err = emitComp(asm.eng, len(asm.groups), g.kept, g.rows); err != nil {
-				break
-			}
-		}
-	}
-	stats.Subsumed = stats.Closure - kept
-	stats.Output = emitted
-	stats.Elapsed = time.Since(start)
-	return stats, err
+	return &Result{Table: out, Prov: prov, Stats: stats}, nil
 }
 
 // update runs the stages of an Update under the index lock — reconcile,
 // ingest, close the dirty components, assemble — and returns the result
-// rows (batch) or the components' kept tuples (onDirty non-nil: a
-// streaming Update, whose dirty components onDirty already observed).
-func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema, opts Options, stats *Stats, onDirty dirtyEmit) (assembly, error) {
+// rows with their provenance.
+func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema, opts Options, stats *Stats) ([]table.Row, [][]TID, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 
@@ -353,14 +272,13 @@ func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema
 	x.lastTables = append([]*table.Table(nil), tables...)
 
 	// Stage 3: close every dirty component and cache its closure.
-	streamed, err := x.closeDirty(ctx, opts, stats, onDirty)
-	if err != nil {
-		return assembly{}, err
+	if err := x.closeDirty(ctx, opts, stats); err != nil {
+		return nil, nil, err
 	}
 
-	// Stage 4: assemble, still under the lock — what the caller reads after
-	// it is released must not alias state a later Update mutates.
-	asm := assembly{eng: &engine{dict: x.dict.Snapshot(), nCols: x.nCols}, schema: x.schema}
+	// Stage 4: assemble, still under the lock — the rows and provenance
+	// handed out are fresh slices no later Update writes to.
+	eng := &engine{dict: x.dict.Snapshot(), nCols: x.nCols}
 	stats.OuterUnion = len(x.base)
 	stats.Values = x.dict.Len()
 	stats.Components = x.live
@@ -368,13 +286,9 @@ func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema
 	stats.LargestComp, stats.LargestClose = x.largestComp, x.largestClose
 	// The budget's estimate for everything live, reported whenever a budget
 	// is set — also when this Update closed nothing.
-	stats.MemoryBytes = newBudget(opts, len(x.base)+x.closure-x.covered, asm.eng).bytes()
-	if onDirty != nil {
-		asm.groups = x.assembleGroups(streamed)
-	} else {
-		asm.rows, asm.prov = x.assembleRows(asm.eng)
-	}
-	return asm, nil
+	stats.MemoryBytes = newBudget(opts, len(x.base)+x.closure-x.covered, eng).bytes()
+	rows, prov := x.assembleRows(eng)
+	return rows, prov, nil
 }
 
 // reset drops the tuple store, indexes and components, keeping the
@@ -406,9 +320,8 @@ func (x *Index) schemaExtends(tables []*table.Table, schema Schema) bool {
 	return true
 }
 
-// widenCells extends cells to nCols with trailing nulls, in a fresh slice:
-// tuple headers a finished stream snapshotted (assembleGroups) keep their
-// narrower cells untouched.
+// widenCells extends cells to nCols with trailing nulls, in a fresh slice
+// per tuple.
 func widenCells(tuples []Tuple, nCols int) {
 	for k := range tuples {
 		nc := make([]uint32, nCols)
@@ -752,13 +665,12 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 // closeDirty closes every queued dirty component in one round: seed each
 // (sorted by smallest member), close the jobs, and cache the closures on
 // their components. A round costs what its dirty components cost; clean
-// components are not visited. A non-nil onDirty observes every component
-// as it closes; the returned set names the closures it saw. On failure
-// every seeded member is marked dirty again, so the next Update re-closes
-// those components from their base tuples. Callers hold x.mu.
-func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats, onDirty dirtyEmit) (map[*cachedComp]bool, error) {
+// components are not visited. On failure every seeded member is marked
+// dirty again, so the next Update re-closes those components from their
+// base tuples. Callers hold x.mu.
+func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats) error {
 	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
+		return Canceled(err)
 	}
 	var dirty []*comp
 	for _, c := range x.queue {
@@ -789,23 +701,12 @@ func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats, onDi
 
 	// Each closed component's kept tuples are put in value order and
 	// decoded here, once — rows the closure's previous generation already
-	// decoded carry over — and a streaming caller then sees the component.
-	// The closeEach assembler delivers on this goroutine, so none of it
-	// needs extra synchronization.
-	streamed := make(map[*cachedComp]bool)
+	// decoded carry over. The closeEach assembler delivers on this
+	// goroutine, so none of it needs extra synchronization.
 	decoded := make([][]table.Row, len(jobs))
-	hook := func(ci int, r compResult) error {
+	hook := func(ci int, r compResult) {
 		slices.SortFunc(r.kept, func(a, b Tuple) int { return eng.cmpCells(a.Cells, b.Cells) })
-		rec := recs[ci]
-		decoded[ci] = eng.decodeKept(r.kept, rec.kept, rec.rows)
-		if onDirty == nil {
-			return nil
-		}
-		if err := onDirty(eng, x.live, r.kept, decoded[ci]); err != nil {
-			return err
-		}
-		streamed[rec] = true
-		return nil
+		decoded[ci] = eng.decodeKept(r.kept, recs[ci].kept, recs[ci].rows)
 	}
 	results, err := eng.closeSet(ctx, jobs, opts, bud, stats, hook)
 	if err != nil {
@@ -814,7 +715,7 @@ func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats, onDi
 				x.markDirty(id)
 			}
 		}
-		return nil, err
+		return err
 	}
 
 	largestDirty := 0
@@ -832,5 +733,5 @@ func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats, onDi
 		rec.store, rec.flags, rec.sigs, rec.post, rec.der, rec.scr = r.store, r.flags, r.sigs, r.post, r.der, r.scr
 		x.cache(dirty[di], rec)
 	}
-	return streamed, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -290,5 +291,74 @@ func TestIndexIncrementalConcurrentRandom(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Incremental Updates fold a fully-empty input row's all-null tuple into the
+// global subsumer's provenance exactly as the definitional oracle does, at
+// every batch of a random split, sequentially and with workers.
+func TestIndexAllNullFoldMatchesNaive(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tables := randomTablesWithEmptyRows(r)
+		nBatches := 1 + r.Intn(3)
+		for _, opts := range []Options{{}, {Workers: 4}} {
+			x := NewIndex()
+			for k := 1; k <= nBatches; k++ {
+				view := accumulate(tables, nBatches, k)
+				schema := IdentitySchema(view)
+				want, err := NaiveFD(view, schema)
+				if errors.Is(err, ErrOracleTooLarge) {
+					return true // skip oversized draws
+				}
+				if err != nil {
+					return false
+				}
+				got, err := x.UpdateContext(context.Background(), view, schema, opts)
+				if err != nil {
+					t.Logf("seed %d batch %d: %v", seed, k, err)
+					return false
+				}
+				if !resultsIdentical(got, want) {
+					t.Logf("seed %d batch %d/%d opts %+v:\ninput:\n%v\ngot:\n%v %v\nwant:\n%v %v",
+						seed, k, nBatches, opts, view, got.Table, got.Prov, want.Table, want.Prov)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Per-component progress of an Update is monotonic and covers every
+// component the Update closes, one-shot and after a delta, sequentially and
+// with workers.
+func TestIndexUpdateProgress(t *testing.T) {
+	for _, tables := range [][]*table.Table{fig1Tables(), chainTables(12)} {
+		for _, workers := range []int{0, 4} {
+			x := NewIndex()
+			for k := 1; k <= 2; k++ {
+				var events []ComponentProgress
+				opts := Options{Workers: workers, Progress: func(p ComponentProgress) { events = append(events, p) }}
+				view := tables[:len(tables)*k/2]
+				res, err := x.UpdateContext(context.Background(), view, IdentitySchema(view), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(events) == 0 || len(events) != res.Stats.DirtyComponents {
+					t.Fatalf("workers=%d update %d: %d progress events for %d dirty components",
+						workers, k, len(events), res.Stats.DirtyComponents)
+				}
+				for i, p := range events {
+					if p.Done != i+1 || p.Total != len(events) {
+						t.Errorf("workers=%d update %d: event %d is %+v, want Done %d of %d",
+							workers, k, i, p, i+1, len(events))
+					}
+				}
+			}
+		}
 	}
 }

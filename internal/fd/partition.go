@@ -193,8 +193,8 @@ const (
 // closeEach closes every listed component job, handing each result to
 // deliver on the calling goroutine as soon as its component finishes
 // (completion order, tagged with the component index) — which is what
-// backs streaming output and per-component progress. With workers > 1 the
-// jobs are split three ways. A hub is closed first, with every worker
+// backs per-component progress and decoding while other components close.
+// With workers > 1 the jobs are split three ways. A hub is closed first, with every worker
 // inside it (closePivotPar), and a job is a hub iff it closes from scratch
 // (nil worklist), has at least hubMinTuples tuples, holds at least half of
 // the round's tuples, and has a pivot column to decompose by — the column
@@ -349,20 +349,15 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 // closeSet closes the listed component jobs through closeEach and returns
 // one compResult per job, in order; merge work counters land in stats. Each
 // completion reaches hook first, on the assembling goroutine — the index
-// puts the component's kept tuples in value order and decodes them there,
-// and a streaming Update emits them — and then opts.Progress, so a progress
-// event is a flush point: the component's rows are already out. A hook
-// error aborts the set exactly like a closure error (in-flight components
-// drain, the error propagates).
-func (e *engine) closeSet(ctx context.Context, jobs []closeJob, opts Options, bud *budget, stats *Stats, hook func(ci int, r compResult) error) ([]compResult, error) {
+// puts the component's kept tuples in value order and decodes them there —
+// and then opts.Progress.
+func (e *engine) closeSet(ctx context.Context, jobs []closeJob, opts Options, bud *budget, stats *Stats, hook func(ci int, r compResult)) ([]compResult, error) {
 	results := make([]compResult, len(jobs))
 	done := 0
 	err := e.closeEach(ctx, jobs, opts, bud, func(ci int, r compResult) error {
 		results[ci] = r
 		stats.mergeWork(r.stats)
-		if err := hook(ci, r); err != nil {
-			return err
-		}
+		hook(ci, r)
 		done++
 		if opts.Progress != nil {
 			opts.Progress(ComponentProgress{

@@ -325,30 +325,7 @@ func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	res, err := c.bat.add(ctx, tbl)
 	if err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.met.throttled.With("queue_full").Inc()
-			writeThrottled(w, r, http.StatusTooManyRequests, "queue_full", time.Second,
-				"session %q ingestion queue is full (limit %d tables per flight)", name, s.cfg.MaxQueue)
-		case timedOut(err):
-			writeErrorCode(w, r, http.StatusGatewayTimeout, "timeout",
-				"integration exceeded the request timeout %s (it continues in the background)", s.cfg.RequestTimeout)
-		case errors.Is(err, fuzzyfd.ErrTupleBudget):
-			writeErrorCode(w, r, http.StatusUnprocessableEntity, "tuple_budget", "integrate: %v", err)
-		case errors.Is(err, fuzzyfd.ErrMemoryBudget):
-			writeErrorCode(w, r, http.StatusUnprocessableEntity, "memory_budget", "integrate: %v", err)
-		case errors.Is(err, fuzzyfd.ErrDegraded):
-			// Degraded mode: the session's log gave up on its filesystem.
-			// Reads and streams keep working; writes come back once a probe
-			// (periodic, or the next write's own) re-arms the log.
-			writeThrottled(w, r, http.StatusServiceUnavailable, "degraded", s.probeEvery(),
-				"session %q is degraded (log unavailable, reads still served): %v", name, err)
-		case errors.Is(err, fuzzyfd.ErrSessionClosed):
-			writeThrottled(w, r, http.StatusServiceUnavailable, "session_closed", time.Second,
-				"session %q was closed mid-request; retry", name)
-		default:
-			writeErrorCode(w, r, http.StatusInternalServerError, "integrate_failed", "integrate: %v", err)
-		}
+		s.writeIntegrateError(w, r, name, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -384,42 +361,29 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res := c.sess.Last()
-	var err error
-	if res == nil {
-		res, err = c.sess.IntegrateContext(ctx)
-	}
+	rows := []map[string]string{}
+	res, err := c.sess.StreamContext(ctx, func(schema fuzzyfd.Schema, row fuzzyfd.Row, _ []fuzzyfd.TID) error {
+		rows = append(rows, table.RowObject(schema.Columns, row))
+		return nil
+	})
 	if err != nil {
-		switch {
-		case timedOut(err):
-			writeErrorCode(w, r, http.StatusGatewayTimeout, "timeout",
-				"integration exceeded the request timeout %s", s.cfg.RequestTimeout)
-		case errors.Is(err, fuzzyfd.ErrNoTables):
-			writeError(w, http.StatusConflict, "integrate: %v", err)
-		default:
-			writeErrorCode(w, r, http.StatusInternalServerError, "integrate_failed", "integrate: %v", err)
-		}
+		s.writeIntegrateError(w, r, name, err)
 		return
 	}
-	rows := make([]map[string]string, len(res.Table.Rows))
-	for i, row := range res.Table.Rows {
-		rows[i] = table.RowObject(res.Table.Columns, row)
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"columns": res.Table.Columns,
+		"columns": res.Schema.Columns,
 		"rows":    rows,
 		"stats":   res.FDStats,
 	})
 }
 
-// streamResult emits the session's integrated rows as JSON Lines via
-// Session.StreamContext: (re)closed components flow out as their closures
-// finish, clean components replay from the session cache. The session
-// runs one integration or stream at a time, so the stream is exactly one
-// integration state and a concurrent add's integration waits for it. Rows
-// go out in flushes of 128, and the status goes with the first: a failure
-// before it answers a JSON error, a failure after it leaves a truncated
-// 200 body.
+// streamResult emits the session's current result as JSON Lines via
+// Session.StreamContext, which reads the last integration when nothing was
+// added since and integrates first otherwise; the JSON form of the route
+// reads the same result the same way. The stream holds no session lock, so
+// a slow client holds up no add. Rows go out in flushes of 128, and the
+// status goes with the first: a failure before it answers a JSON error, a
+// failure after it leaves a truncated 200 body.
 func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, c *session) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
@@ -446,23 +410,42 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, c *session
 		return nil
 	})
 	if err != nil && !flushed {
-		switch {
-		case timedOut(err):
-			writeErrorCode(w, r, http.StatusGatewayTimeout, "timeout",
-				"stream exceeded the request timeout %s", s.cfg.RequestTimeout)
-		case errors.Is(err, fuzzyfd.ErrNoTables):
-			writeError(w, http.StatusConflict, "stream: %v", err)
-		case errors.Is(err, fuzzyfd.ErrTupleBudget):
-			writeErrorCode(w, r, http.StatusUnprocessableEntity, "tuple_budget", "stream: %v", err)
-		case errors.Is(err, fuzzyfd.ErrMemoryBudget):
-			writeErrorCode(w, r, http.StatusUnprocessableEntity, "memory_budget", "stream: %v", err)
-		default:
-			writeErrorCode(w, r, http.StatusInternalServerError, "stream_failed", "stream: %v", err)
-		}
+		s.writeIntegrateError(w, r, c.name, err)
 		return
 	}
 	w.Write(buf.Bytes())
 	s.met.rowsStreamed.With(c.name).Add(float64(n))
+}
+
+// writeIntegrateError answers a failed add, result or stream of session
+// name with the status and code of the README's failure table.
+func (s *Server) writeIntegrateError(w http.ResponseWriter, r *http.Request, name string, err error) {
+	switch {
+	case errors.Is(err, errQueueFull):
+		s.met.throttled.With("queue_full").Inc()
+		writeThrottled(w, r, http.StatusTooManyRequests, "queue_full", time.Second,
+			"session %q ingestion queue is full (limit %d tables per flight)", name, s.cfg.MaxQueue)
+	case timedOut(err):
+		writeErrorCode(w, r, http.StatusGatewayTimeout, "timeout",
+			"integration exceeded the request timeout %s", s.cfg.RequestTimeout)
+	case errors.Is(err, fuzzyfd.ErrNoTables):
+		writeError(w, http.StatusConflict, "integrate: %v", err)
+	case errors.Is(err, fuzzyfd.ErrTupleBudget):
+		writeErrorCode(w, r, http.StatusUnprocessableEntity, "tuple_budget", "integrate: %v", err)
+	case errors.Is(err, fuzzyfd.ErrMemoryBudget):
+		writeErrorCode(w, r, http.StatusUnprocessableEntity, "memory_budget", "integrate: %v", err)
+	case errors.Is(err, fuzzyfd.ErrDegraded):
+		// Degraded mode: the session's log gave up on its filesystem.
+		// Reads and streams keep working; writes come back once a probe
+		// (periodic, or the next write's own) re-arms the log.
+		writeThrottled(w, r, http.StatusServiceUnavailable, "degraded", s.probeEvery(),
+			"session %q is degraded (log unavailable, reads still served): %v", name, err)
+	case errors.Is(err, fuzzyfd.ErrSessionClosed):
+		writeThrottled(w, r, http.StatusServiceUnavailable, "session_closed", time.Second,
+			"session %q was closed mid-request; retry", name)
+	default:
+		writeErrorCode(w, r, http.StatusInternalServerError, "integrate_failed", "integrate: %v", err)
+	}
 }
 
 // handleEvents serves the session's progress stream as Server-Sent Events:

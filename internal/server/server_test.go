@@ -540,25 +540,36 @@ func TestServerLimits(t *testing.T) {
 	}
 }
 
-// TestServerStreamBudgetError: a result stream that fails before its first
-// flush answers the error, not a complete-looking 200 carrying the rows
-// buffered so far. Component "a" closes and emits one row before the "b"
-// component blows the tuple budget.
+// TestServerStreamBudgetError: a result read after an add that blew the
+// tuple budget answers the budget error in both forms — JSON Lines and
+// JSON — whether or not an earlier add had succeeded, never the stale state
+// nor a complete-looking 200 carrying the rows buffered so far. Component
+// "a" closes before the "b" component blows the budget.
 func TestServerStreamBudgetError(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	createSession(t, ts, "b", `{"equi":true,"budget":5}`)
-	resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/b/tables?table=t1",
-		`{"k":"a","w":"0"}`+"\n"+`{"k":"b","x":"1"}`+"\n"+`{"k":"b","y":"2"}`+"\n"+`{"k":"b","z":"3"}`, nil)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("add: status %d (%s), want 422", resp.StatusCode, body)
-	}
-	resp, body = doReq(t, http.MethodGet, ts.URL+"/v1/sessions/b/result", "",
-		map[string]string{"Accept": "application/jsonl"})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("stream: status %d (%s), want 422", resp.StatusCode, body)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(body, &eb); err != nil || eb.Code != "tuple_budget" {
-		t.Fatalf("stream error body %s (%v), want code tuple_budget", body, err)
+	for _, name := range []string{"fresh", "grown"} {
+		createSession(t, ts, name, `{"equi":true,"budget":5}`)
+		if name == "grown" {
+			resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/grown/tables?table=t0", `{"k":"c","v":"9"}`, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("first add: status %d (%s)", resp.StatusCode, body)
+			}
+		}
+		resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/"+name+"/tables?table=t1",
+			`{"k":"a","w":"0"}`+"\n"+`{"k":"b","x":"1"}`+"\n"+`{"k":"b","y":"2"}`+"\n"+`{"k":"b","z":"3"}`, nil)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s add: status %d (%s), want 422", name, resp.StatusCode, body)
+		}
+		for _, accept := range []string{"application/jsonl", "application/json"} {
+			resp, body = doReq(t, http.MethodGet, ts.URL+"/v1/sessions/"+name+"/result", "",
+				map[string]string{"Accept": accept})
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("%s %s result: status %d (%s), want 422", name, accept, resp.StatusCode, body)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(body, &eb); err != nil || eb.Code != "tuple_budget" {
+				t.Fatalf("%s %s result: error body %s (%v), want code tuple_budget", name, accept, body, err)
+			}
+		}
 	}
 }

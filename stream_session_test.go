@@ -3,64 +3,37 @@ package fuzzyfd
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"fuzzyfd/internal/datagen"
 )
 
-// streamLines drains Session.StreamContext into a sorted multiset of
-// row+provenance lines.
-func streamLines(t *testing.T, s *Session) ([]string, *Result) {
+// streamRows drains Session.StreamContext into rows and provenance, in
+// order.
+func streamRows(t *testing.T, s *Session) ([]Row, [][]TID, *Result) {
 	t.Helper()
-	var lines []string
+	var rows []Row
+	var provs [][]TID
 	res, err := s.StreamContext(context.Background(), func(schema Schema, row Row, prov []TID) error {
-		key := ""
-		for _, c := range row {
-			if c.IsNull {
-				key += "\x00⊥"
-			} else {
-				key += "\x00" + c.Val
-			}
-		}
-		lines = append(lines, key+"|"+fmt.Sprint(prov))
+		rows = append(rows, row)
+		provs = append(provs, prov)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(lines)
-	return lines, res
+	return rows, provs, res
 }
 
-// resultLines renders a materialized Result the same way.
-func resultLines(res *Result) []string {
-	lines := make([]string, len(res.Table.Rows))
-	for i, row := range res.Table.Rows {
-		key := ""
-		for _, c := range row {
-			if c.IsNull {
-				key += "\x00⊥"
-			} else {
-				key += "\x00" + c.Val
-			}
-		}
-		lines[i] = key + "|" + fmt.Sprint(res.Prov[i])
-	}
-	sort.Strings(lines)
-	return lines
-}
-
-// TestSessionStreamMatchesIntegrate: Session.StreamContext emits the same
-// row-and-provenance multiset as Integrate at every batch of an
-// incremental feed — the first stream computes everything, later streams
-// emit re-closed components live and replay the clean remainder from the
-// session cache.
+// TestSessionStreamMatchesIntegrate: Session.StreamContext emits
+// Integrate's rows with their provenance, in Integrate's order, at every
+// batch of an incremental feed, sequentially and with parallel FD. A
+// stream after an add integrates the new tables; one after an Integrate
+// reads Last.
 func TestSessionStreamMatchesIntegrate(t *testing.T) {
 	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 7, TotalTuples: 240})
-	for _, opts := range [][]Option{nil, {WithParallelFD(4)}, {WithEquiJoin()}} {
+	for _, opts := range [][]Option{nil, {WithParallelFD(4)}, {WithEquiJoin()}, {WithEquiJoin(), WithParallelFD(4)}} {
 		streamSess, err := NewSession(opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -72,19 +45,20 @@ func TestSessionStreamMatchesIntegrate(t *testing.T) {
 		for _, batch := range chunkTables(tables, 2) {
 			streamSess.Add(batch...)
 			oracleSess.Add(batch...)
-			got, res := streamLines(t, streamSess)
+			rows, provs, res := streamRows(t, streamSess)
 			want, err := oracleSess.Integrate()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, resultLines(want)) {
-				t.Fatalf("streamed multiset differs from Integrate at %d tables", streamSess.Tables())
+			if !reflect.DeepEqual(rows, want.Table.Rows) || !reflect.DeepEqual(provs, want.Prov) {
+				t.Fatalf("stream differs from Integrate at %d tables", streamSess.Tables())
 			}
-			if res.Table != nil || res.Prov != nil {
-				t.Fatal("stream result carries a materialized table")
+			if res != streamSess.Last() || res.FDStats.Output != len(rows) {
+				t.Fatalf("the stream's Result is not the Last it streamed (Output %d, emitted %d)", res.FDStats.Output, len(rows))
 			}
-			if res.FDStats.Output != len(got) {
-				t.Fatalf("stream FDStats.Output=%d, emitted %d", res.FDStats.Output, len(got))
+			again, _, res2 := streamRows(t, streamSess)
+			if res2 != res || !reflect.DeepEqual(again, rows) {
+				t.Fatal("a stream with nothing added did not read Last")
 			}
 		}
 	}
