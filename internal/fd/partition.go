@@ -194,13 +194,14 @@ const (
 // deliver on the calling goroutine as soon as its component finishes
 // (completion order, tagged with the component index) — which is what
 // backs per-component progress and decoding while other components close.
-// With workers > 1 the jobs are split three ways. A hub is closed first, with every worker
-// inside it (closePivotPar), and a job is a hub iff it closes from scratch
-// (nil worklist), has at least hubMinTuples tuples, holds at least half of
-// the round's tuples, and has a pivot column to decompose by — the column
-// is chosen here, once, and travels on the job. Components up
-// to smallCompMax tuples run inline on the assembler (no goroutine spawn —
-// Workers must never pessimize a tiny-component workload). The rest —
+// With workers > 1 the jobs are split three ways. A hub is closed first,
+// with every worker inside it (closePivotPar), and a job is a hub iff it
+// closes from scratch (nil worklist), has at least hubMinTuples tuples,
+// holds at least half of the round's tuples, and has a pivot column to
+// decompose by — the column is chosen here, once, and travels on the job.
+// Components up to smallCompMax tuples run inline on the assembler (no
+// goroutine spawn — Workers must never pessimize a tiny-component
+// workload). The rest —
 // including every cached closure being extended, whatever its size, and
 // every component without a pivot — are closed by the sequential closure,
 // scheduled whole across a worker pool, largest first, flowing back to the
