@@ -3,6 +3,7 @@ package fd
 import (
 	"bytes"
 	"context"
+	"slices"
 
 	"fuzzyfd/internal/intern"
 )
@@ -41,124 +42,319 @@ func (c *cancelCheck) poll() error {
 // enumerates exactly the connected pairs. Keys are interned symbols, so a
 // probe hashes one machine word instead of a cell's text.
 //
-// With pivot >= 0 the index is additionally pivot-bucketed: every posting
-// list is sub-bucketed by each tuple's value in the pivot column (the
-// component's most selective column, see choosePivot), plus a null-pivot
-// bucket. Two tuples holding different non-null pivot values are
-// inconsistent on that column, so a probe for a tuple with pivot value p
-// only iterates the p-bucket and the null bucket of each of its posting
-// lists — candidates that conflict on the pivot are skipped without being
-// iterated. The flat lists are kept alongside the buckets: null-pivot
-// probes and ingest read them unchanged.
+// The postings live in two parts. The frozen part is one CSR array: ids
+// holds every list back to back as int32 store IDs, and lists maps a
+// (column, symbol) key to its list's place in it. The delta holds what was
+// posted since, as per-column maps of lists. Most postings sit in the
+// frozen part (see post): the first batch builds it, and a pivot change or
+// the batch that would make the delta as large as the frozen part rebuilds
+// it over both parts and the batch, so each posting is rebuilt O(1) times,
+// amortized.
+//
+// With pivot >= 0 the index is pivot-bucketed by the component's most
+// selective column (see choosePivot). Two tuples holding different non-null
+// pivot values are inconsistent on that column, so a probe for a tuple with
+// pivot value p only iterates each of its lists' p-bucket and null bucket —
+// candidates that conflict on the pivot are skipped without being iterated.
+// A frozen list is ordered by pivot symbol, null first, then by ID, so both
+// buckets are runs of the list itself, found by binary search over pivs,
+// the entries' pivot symbols. The delta keeps a second, bucketed map
+// (byPivot) beside its flat lists.
 type postingIndex struct {
-	byCol []map[uint32][]int
-	// pivot is the output column the lists are sub-bucketed by, or -1 for
-	// an unbucketed index. byPivot[c][pivotKey(sym, p)] holds the tuples of
-	// byCol[c][sym] whose pivot cell is p.
-	pivot   int
-	byPivot []map[uint64][]int
+	// lists maps listKey(column, symbol) to the list's number k: list k is
+	// ids[offs[k]:offs[k+1]], and pivs[offs[k]:offs[k+1]] holds its
+	// entries' pivot symbols (nil when unbucketed).
+	lists map[uint64]int32
+	offs  []int32
+	ids   []int32
+	pivs  []uint32
+
+	// byCol[c][sym] lists the delta's tuples holding sym in column c;
+	// byPivot[c][pivotKey(sym, p)] those of them whose pivot cell is p.
+	byCol   []map[uint32][]int32
+	byPivot []map[uint64][]int32
+
+	// frozenN and deltaN count the tuples in each part's lists (an all-null
+	// tuple is in none).
+	frozenN, deltaN int
+	pivot           int // the column the lists are bucketed by, or -1
+	// stale marks the frozen part as ordered by another pivot than the
+	// current one: the next post rebuilds it.
+	stale bool
 	// pivotAt is the store size the pivot was chosen at. A cached index
 	// outlives the seed it was bucketed for — a component first indexed
 	// below pivotMinTuples would stay unbucketed for life — so once the
 	// store has doubled the pivot is chosen again (see rechoosePivot).
 	pivotAt int
-	buckets int // (list, pivot-value) buckets in byPivot
+	buckets int // (list, pivot-value) buckets across both parts
 	// upTo is the store length the index is up to date for: entries below it
 	// have been posted if they qualified then (see postFrom).
 	upTo int
 }
 
-// newPostingIndex returns an empty unbucketed index. A column's map is made
-// when its first value is posted: most components touch a few columns of a
-// wide schema, and a cached one carries two indexes.
-func newPostingIndex(nCols int) *postingIndex {
-	return &postingIndex{byCol: make([]map[uint32][]int, nCols), pivot: -1}
+// listKey packs an output column and a value symbol into a frozen list key.
+func listKey(c int, sym uint32) uint64 { return uint64(c)<<32 | uint64(sym) }
+
+// pivotKey packs a posting list's value symbol and a pivot-column symbol
+// into one delta bucket key.
+func pivotKey(sym, p uint32) uint64 { return uint64(sym)<<32 | uint64(p) }
+
+// newPostingIndex returns an empty index bucketed by the given pivot column
+// (-1 = unbucketed).
+func newPostingIndex(pivot int) *postingIndex {
+	return &postingIndex{pivot: pivot}
 }
 
-// newPivotIndex returns a posting index bucketed by the given pivot column
-// (-1 yields a plain unbucketed index).
-func newPivotIndex(nCols, pivot int) *postingIndex {
-	idx := newPostingIndex(nCols)
-	if pivot >= 0 {
-		idx.pivot = pivot
-		idx.byPivot = make([]map[uint64][]int, nCols)
+// indexAll returns an index over every tuple of a store, bucketed by the
+// given pivot column (-1 = unbucketed).
+func indexAll(tuples []Tuple, pivot int) *postingIndex {
+	idx := newPostingIndex(pivot)
+	ids := make([]int32, len(tuples))
+	for i := range ids {
+		ids[i] = int32(i)
 	}
+	idx.post(tuples, ids)
+	idx.pivotAt = len(tuples)
 	return idx
 }
 
-// pivotKey packs a posting list's value symbol and a pivot-column symbol
-// into one bucket key.
-func pivotKey(sym, p uint32) uint64 { return uint64(sym)<<32 | uint64(p) }
-
-func (idx *postingIndex) add(tupleID int, cells []uint32) {
-	for c, sym := range cells {
-		if sym == intern.Null {
-			continue
-		}
-		if idx.byCol[c] == nil {
-			idx.byCol[c] = make(map[uint32][]int)
-		}
-		idx.byCol[c][sym] = append(idx.byCol[c][sym], tupleID)
-		if idx.pivot >= 0 {
-			if idx.byPivot[c] == nil {
-				idx.byPivot[c] = make(map[uint64][]int)
-			}
-			key := pivotKey(sym, cells[idx.pivot])
-			l, ok := idx.byPivot[c][key]
-			if !ok {
-				idx.buckets++
-			}
-			idx.byPivot[c][key] = append(l, tupleID)
-		}
+// frozen returns the frozen list of (column c, symbol sym) and, on a
+// bucketed index, its entries' pivot symbols.
+func (idx *postingIndex) frozen(c int, sym uint32) (list []int32, pivs []uint32) {
+	k, ok := idx.lists[listKey(c, sym)]
+	if !ok {
+		return nil, nil
 	}
+	from, to := idx.offs[k], idx.offs[k+1]
+	if idx.pivs != nil {
+		pivs = idx.pivs[from:to]
+	}
+	return idx.ids[from:to], pivs
 }
 
-// widen gives the index room for output columns appended by a schema
-// widening; existing lists are untouched.
-func (idx *postingIndex) widen(nCols int) {
-	for len(idx.byCol) < nCols {
+// pivotRun returns the run of a frozen list whose pivot symbol is p: found
+// by binary search over the entries' pivot symbols (the null run leads the
+// list), then scanned to its end.
+func pivotRun(list []int32, pivs []uint32, p uint32) []int32 {
+	lo := 0
+	if p != intern.Null {
+		lo, _ = slices.BinarySearch(pivs, p)
+	}
+	hi := lo
+	for hi < len(pivs) && pivs[hi] == p {
+		hi++
+	}
+	return list[lo:hi]
+}
+
+// build replaces both parts with a frozen part holding the given tuples
+// (store IDs, ascending), in two passes over them: count each list's
+// entries, then fill the lists. The tuples are visited in pivot order, null
+// first, then by ID, so every list comes out ordered the same way.
+func (idx *postingIndex) build(tuples []Tuple, ids []int32) {
+	p := idx.pivot
+	var keys []uint64 // with a pivot: each tuple's (pivot symbol, ID), sorted
+	if p >= 0 {
+		keys = make([]uint64, len(ids))
+		for k, id := range ids {
+			keys[k] = uint64(tuples[id].Cells[p])<<32 | uint64(id)
+		}
+		slices.Sort(keys)
+		for k, key := range keys {
+			ids[k] = int32(uint32(key))
+		}
+	}
+	nLists := len(idx.lists) // a rebuild's lists: at most the old ones and the delta's
+	for _, col := range idx.byCol {
+		nLists += len(col)
+	}
+	idx.lists, idx.offs, idx.ids, idx.pivs = nil, nil, nil, nil
+	idx.byCol, idx.byPivot = nil, nil
+	idx.frozenN, idx.deltaN, idx.buckets, idx.stale = 0, 0, 0, false
+	if len(ids) == 0 {
+		return
+	}
+
+	// Pass 1: count each list's entries into offs, and its pivot buckets.
+	// last[k] is 1 + the pivot run (of ids) that list k last saw an entry of.
+	lists := make(map[uint64]int32, nLists)
+	offs := make([]int32, 0, nLists+1)
+	var last []int32
+	total, run := 0, int32(0)
+	for k, id := range ids {
+		cells := tuples[id].Cells
+		if p >= 0 && k > 0 && keys[k]>>32 != keys[k-1]>>32 {
+			run++
+		}
+		if !allNull(cells) {
+			idx.frozenN++
+		}
+		for c, sym := range cells {
+			if sym == intern.Null {
+				continue
+			}
+			key := listKey(c, sym)
+			at, ok := lists[key]
+			if !ok {
+				at = int32(len(offs))
+				lists[key] = at
+				offs = append(offs, 0)
+				if p >= 0 {
+					last = append(last, 0)
+				}
+			}
+			offs[at]++
+			if p >= 0 && last[at] != run+1 {
+				last[at] = run + 1
+				idx.buckets++
+			}
+			total++
+		}
+	}
+
+	// Pass 2: turn the counts into list ends, then fill every list from its
+	// end, visiting the tuples backwards, so each offset lands on its list's
+	// start and each list keeps the visiting order.
+	end := int32(0)
+	for k := range offs {
+		end += offs[k]
+		offs[k] = end
+	}
+	offs = append(offs, end)
+	flat := make([]int32, total)
+	var pivs []uint32
+	if p >= 0 {
+		pivs = make([]uint32, total)
+	}
+	for k := len(ids) - 1; k >= 0; k-- {
+		id := ids[k]
+		cells := tuples[id].Cells
+		for c, sym := range cells {
+			if sym == intern.Null {
+				continue
+			}
+			at := lists[listKey(c, sym)]
+			offs[at]--
+			flat[offs[at]] = id
+			if p >= 0 {
+				pivs[offs[at]] = cells[p]
+			}
+		}
+	}
+	idx.lists, idx.offs, idx.ids, idx.pivs = lists, offs, flat, pivs
+}
+
+// heldIDs returns the store IDs of every tuple the index holds, ascending;
+// all of them lie below upTo.
+func (idx *postingIndex) heldIDs() []int32 {
+	if idx.frozenN+idx.deltaN == 0 {
+		return nil
+	}
+	mark := make([]bool, idx.upTo)
+	for _, id := range idx.ids {
+		mark[id] = true
+	}
+	for _, col := range idx.byCol {
+		for _, list := range col {
+			for _, id := range list {
+				mark[id] = true
+			}
+		}
+	}
+	ids := make([]int32, 0, idx.frozenN+idx.deltaN)
+	for id, ok := range mark {
+		if ok {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
+}
+
+// add posts tuple id, holding cells, to the delta.
+func (idx *postingIndex) add(id int, cells []uint32) {
+	for len(idx.byCol) < len(cells) {
 		idx.byCol = append(idx.byCol, nil)
 		if idx.pivot >= 0 {
 			idx.byPivot = append(idx.byPivot, nil)
 		}
 	}
-}
-
-// setPivot re-buckets the index by the given column (-1 strips the
-// buckets) from the flat lists, which stay valid as they are.
-func (idx *postingIndex) setPivot(tuples []Tuple, pivot int) {
-	idx.pivot, idx.byPivot, idx.buckets = pivot, nil, 0
-	if pivot < 0 {
-		return
-	}
-	idx.byPivot = make([]map[uint64][]int, len(idx.byCol))
-	for c, col := range idx.byCol {
-		if len(col) == 0 {
+	for c, sym := range cells {
+		if sym == intern.Null {
 			continue
 		}
-		m := make(map[uint64][]int, len(col))
-		for sym, list := range col {
-			for _, id := range list {
-				key := pivotKey(sym, tuples[id].Cells[pivot])
-				m[key] = append(m[key], id)
-			}
+		if idx.byCol[c] == nil {
+			idx.byCol[c] = make(map[uint32][]int32)
 		}
-		idx.byPivot[c] = m
-		idx.buckets += len(m)
+		idx.byCol[c][sym] = append(idx.byCol[c][sym], int32(id))
+		if idx.pivot >= 0 {
+			if idx.byPivot[c] == nil {
+				idx.byPivot[c] = make(map[uint64][]int32)
+			}
+			p := cells[idx.pivot]
+			key := pivotKey(sym, p)
+			l, ok := idx.byPivot[c][key]
+			if !ok && !idx.frozenHas(c, sym, p) {
+				idx.buckets++
+			}
+			idx.byPivot[c][key] = append(l, int32(id))
+		}
 	}
+	if !allNull(cells) {
+		idx.deltaN++
+	}
+}
+
+// frozenHas reports whether the frozen list of (c, sym) has a p-bucket.
+func (idx *postingIndex) frozenHas(c int, sym, p uint32) bool {
+	list, pivs := idx.frozen(c, sym)
+	return len(pivotRun(list, pivs, p)) > 0
+}
+
+// compactMinTuples is the smallest index whose delta post folds into the
+// frozen part: below it a delta of a few lists costs less to keep than to
+// rebuild at every batch, and a session closes hundreds of such components.
+const compactMinTuples = 32
+
+// post posts the given store entries, ascending from upTo on, and brings
+// upTo to the store's end. They go to the delta while it stays smaller than
+// the frozen part or the index below compactMinTuples. The batch that would
+// break both — or any batch, when the frozen part is empty or stale — has
+// the frozen part built afresh over what the index held and the batch.
+func (idx *postingIndex) post(tuples []Tuple, ids []int32) {
+	n := idx.deltaN + len(ids) // the delta, were the batch added to it
+	if idx.stale || idx.frozenN == 0 || n >= idx.frozenN && idx.frozenN+n >= compactMinTuples {
+		idx.build(tuples, append(idx.heldIDs(), ids...))
+	} else {
+		for _, id := range ids {
+			idx.add(int(id), tuples[id].Cells)
+		}
+	}
+	idx.upTo = len(tuples)
+}
+
+// setPivot buckets the index by the given column from the next post on,
+// which rebuilds it; -1 strips the buckets at once, as the frozen lists
+// serve unbucketed probes in any order.
+func (idx *postingIndex) setPivot(pivot int) {
+	if pivot < 0 {
+		idx.pivot, idx.pivs, idx.byPivot, idx.buckets = -1, nil, nil, 0
+		return
+	}
+	idx.pivot, idx.stale = pivot, true
 }
 
 // rechoosePivot applies the re-pivot rule to a cached index about to be
 // extended over tuples: once the store has at least doubled since the pivot
 // was chosen (including "no pivot", chosen at whatever size the index was
-// built), choose again over the current store and re-bucket if the choice
-// moved. One rebuild per doubling, so the cost amortizes to O(1) per stored
-// tuple. NoPivot strips the buckets and forgets the size, so a later
-// pivoted run chooses afresh.
+// built), choose again over the current store; if the choice moved, the
+// next post rebuilds the index bucketed by it, the delta folded in. One
+// choice per doubling, so the cost amortizes to O(1) per stored tuple.
+// NoPivot strips the buckets and forgets the size, so a later pivoted run
+// chooses afresh.
 func (idx *postingIndex) rechoosePivot(opts Options, tuples []Tuple, nCols int) {
 	if opts.NoPivot {
 		if idx.pivot >= 0 {
-			idx.setPivot(tuples, -1)
+			idx.setPivot(-1)
 		}
 		idx.pivotAt = 0
 		return
@@ -168,7 +364,7 @@ func (idx *postingIndex) rechoosePivot(opts Options, tuples []Tuple, nCols int) 
 	}
 	idx.pivotAt = len(tuples)
 	if pivot := choosePivot(tuples, nCols); pivot != idx.pivot {
-		idx.setPivot(tuples, pivot)
+		idx.setPivot(pivot)
 	}
 }
 
@@ -207,22 +403,39 @@ func (s *stampSet) seen(j int) bool {
 // the lists of its non-null values, or on a pivoted index, when cells holds
 // a pivot value, only those lists' matching-pivot and null-pivot buckets —
 // a tuple in any other bucket conflicts with cells on the pivot column. The
-// return value is how many list entries that pruning left out (always 0 on
-// an unbucketed index or a null-pivot probe).
-func (idx *postingIndex) probe(cells []uint32, visit func(list []int)) (skipped int) {
+// frozen part is probed before the delta. The return value is how many
+// list entries that pruning left out (always 0 on an unbucketed index or a
+// null-pivot probe).
+func (idx *postingIndex) probe(cells []uint32, visit func(list []int32)) (skipped int) {
 	pivoted := idx.pivot >= 0 && cells[idx.pivot] != intern.Null
+	var p uint32
+	if pivoted {
+		p = cells[idx.pivot]
+	}
 	for c, sym := range cells {
-		switch {
-		case sym == intern.Null:
-		case pivoted:
-			same := idx.byPivot[c][pivotKey(sym, cells[idx.pivot])]
-			null := idx.byPivot[c][pivotKey(sym, intern.Null)]
-			skipped += len(idx.byCol[c][sym]) - len(same) - len(null)
+		if sym == intern.Null {
+			continue
+		}
+		if list, pivs := idx.frozen(c, sym); !pivoted {
+			visit(list)
+		} else if len(list) > 0 {
+			same, null := pivotRun(list, pivs, p), pivotRun(list, pivs, intern.Null)
+			skipped += len(list) - len(same) - len(null)
 			visit(same)
 			visit(null)
-		default:
-			visit(idx.byCol[c][sym])
 		}
+		if c >= len(idx.byCol) {
+			continue
+		}
+		if !pivoted {
+			visit(idx.byCol[c][sym])
+			continue
+		}
+		same := idx.byPivot[c][pivotKey(sym, p)]
+		null := idx.byPivot[c][pivotKey(sym, intern.Null)]
+		skipped += len(idx.byCol[c][sym]) - len(same) - len(null)
+		visit(same)
+		visit(null)
 	}
 	return skipped
 }
@@ -232,12 +445,12 @@ func (idx *postingIndex) probe(cells []uint32, visit func(list []int)) (skipped 
 // excluding self, and returns the candidate iterations pivot bucketing
 // skipped.
 func (idx *postingIndex) candidates(self int, cells []uint32, seen *stampSet, fn func(j int)) (skipped int) {
-	return idx.probe(cells, func(list []int) {
+	return idx.probe(cells, func(list []int32) {
 		for _, j := range list {
-			if j == self || seen.seen(j) {
+			if int(j) == self || seen.seen(int(j)) {
 				continue
 			}
-			fn(j)
+			fn(int(j))
 		}
 	})
 }
@@ -411,28 +624,25 @@ func (p *pairOnce) end(n int) {
 // upTo on it posts the base tuples (base) or the derived tuples nothing has
 // extended (!base), and reports how many.
 func (idx *postingIndex) postFrom(tuples []Tuple, flags []uint8, base bool) (posted int) {
+	var ids []int32
 	for i := idx.upTo; i < len(tuples); i++ {
 		if f := flags[i]; base && f&entryBase != 0 || !base && f == 0 {
-			idx.add(i, tuples[i].Cells)
-			posted++
+			ids = append(ids, int32(i))
 		}
 	}
-	idx.upTo = len(tuples)
-	return posted
+	idx.post(tuples, ids)
+	return len(ids)
 }
 
 // newClosure wraps a store of distinct base tuples, hashing them and posting
 // them bucketed by pivot (-1 = unbucketed).
 func newClosure(eng *engine, tuples []Tuple, bud *budget, pivot int) *closure {
 	flags := bytes.Repeat([]byte{entryBase}, len(tuples))
-	sigs := newSigIndex()
+	sigs := newSigIndex(len(tuples))
 	for i := range tuples {
 		sigs.add(tuples[i].Cells, i)
 	}
-	idx := newPivotIndex(eng.nCols, pivot)
-	idx.postFrom(tuples, flags, true)
-	idx.pivotAt = len(tuples)
-	return &closure{eng: eng, tuples: tuples, flags: flags, sigs: sigs, idx: idx, bud: bud}
+	return &closure{eng: eng, tuples: tuples, flags: flags, sigs: sigs, idx: indexAll(tuples, pivot), bud: bud}
 }
 
 // runFrom closes the store under complementation using a worklist. New

@@ -359,7 +359,7 @@ func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
 	dict := intern.NewDict()
 	eng := &engine{nCols: len(schema.Columns)}
 	var tuples []Tuple
-	sigs := newSigIndex()
+	sigs := newSigIndex(0)
 	for ti, t := range tables {
 		for ri, row := range t.Rows {
 			cells := make([]uint32, eng.nCols) // zero-valued = all null

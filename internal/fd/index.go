@@ -144,12 +144,14 @@ type cachedComp struct {
 	// sigs is the signature index covering store, post the postings of its
 	// base entries, der the postings of the derived entries each run left
 	// unextended, scr the closure's worklist scratch — kept from the run that
-	// produced the store and extended, never rebuilt, by the next. der is nil
-	// until the store is first extended (fact 3: a closure from scratch posts
-	// no derived tuple); sigs, post and scr are nil after a singleton close
-	// or a hub closed by pivot groups (closePivotPar). What is missing is
-	// built when the store is next extended. post re-chooses its pivot column
-	// when the store has doubled (postingIndex.rechoosePivot); der follows.
+	// produced the store and extended by the next. der is nil until the store
+	// is first extended (fact 3: a closure from scratch posts no derived
+	// tuple); sigs, post and scr are nil after a singleton close or a hub
+	// closed by pivot groups (closePivotPar). What is missing is built when
+	// the store is next extended. An extension posts to the postings'
+	// delta, which is folded into their frozen part as it grows
+	// (postingIndex.post); post re-chooses its pivot column when the store
+	// has doubled (postingIndex.rechoosePivot), and der follows.
 	sigs      *sigIndex
 	post, der *postingIndex
 	scr       *closeScratch
@@ -331,35 +333,29 @@ func widenCells(tuples []Tuple, nCols int) {
 }
 
 // widenComp brings one cached closure to nCols output columns: its tuples
-// gain trailing null cells and its posting index empty columns. Signatures
-// ignore trailing nulls, so the signature index — and with it the whole
-// cache — stays valid.
+// gain trailing null cells. Signatures ignore trailing nulls and a posting
+// index holds no list for a null cell, so both indexes — and with them the
+// whole cache — stay valid.
 func widenComp(c *cachedComp, nCols int) {
 	widenCells(c.kept, nCols)
 	widenCells(c.store, nCols)
 	c.rows = nil // decoded at the old width
-	for _, idx := range []*postingIndex{c.post, c.der} {
-		if idx != nil {
-			idx.widen(nCols)
-		}
-	}
 }
 
 // widen brings the store to nCols output columns: tuples gain trailing
-// null cells and the posting indexes empty columns. Initializes the store
-// on first use or after a reset. Callers hold x.mu.
+// null cells, which no index holds. Initializes the store on first use or
+// after a reset. Callers hold x.mu.
 func (x *Index) widen(nCols int) {
 	if x.post == nil {
 		x.nCols = nCols
-		x.sigs = newSigIndex()
-		x.post = newPostingIndex(nCols)
+		x.sigs = newSigIndex(0)
+		x.post = newPostingIndex(-1)
 		return
 	}
 	if nCols == x.nCols {
 		return
 	}
 	widenCells(x.base, nCols)
-	x.post.widen(nCols)
 	for _, c := range x.order {
 		if c != nil {
 			for _, r := range c.caches {
@@ -423,20 +419,23 @@ func (x *Index) verify(tables []*table.Table, schema Schema) bool {
 }
 
 // ingest projects and interns every not-yet-seen row, deduplicating
-// against the signature index and joining genuinely new tuples to the
+// against the signature index, then joins the genuinely new tuples to the
 // components of their mergeable posting-list neighbors — merging those
 // components when a tuple bridges several. Base tuples that are new or
 // whose provenance grew get persistent dirty marks — the seeds of dirty
-// components. Callers hold x.mu.
+// components. The new tuples are posted as one batch before any of them
+// joins (postingIndex.post), and each meets only the tuples stored before
+// it, so components form as if the tuples had been posted one at a time.
+// Callers hold x.mu.
 func (x *Index) ingest(tables []*table.Table, schema Schema, stats *Stats) {
 	mark := uint32(x.dict.Len())
 	reused := make([]bool, mark+1)
-	var scratch stampSet
 
 	for len(x.rowsSeen) < len(tables) {
 		x.rowsSeen = append(x.rowsSeen, 0)
 		x.rowBase = append(x.rowBase, nil)
 	}
+	first := len(x.base)
 	for ti, t := range tables {
 		mapping := schema.Mapping[ti]
 		for ri := x.rowsSeen[ti]; ri < len(t.Rows); ri++ {
@@ -456,44 +455,62 @@ func (x *Index) ingest(tables []*table.Table, schema Schema, stats *Stats) {
 			at, hash, ok := x.sigs.find(cells, x.base)
 			if ok {
 				x.base[at].Prov = mergeProv(x.base[at].Prov, []TID{tid})
-				x.markDirty(at)
+				if at < first { // a new tuple is marked when it joins
+					x.markDirty(at)
+				}
 				x.rowBase[ti] = append(x.rowBase[ti], at)
 				continue
 			}
-			id := len(x.base)
-			x.sigs.addHashed(hash, id)
+			x.sigs.addHashed(hash, len(x.base))
+			x.rowBase[ti] = append(x.rowBase[ti], len(x.base))
 			x.base = append(x.base, Tuple{Cells: cells, Prov: []TID{tid}})
-			scratch.next(id + 1)
-			var c *comp
-			x.post.candidates(id, cells, &scratch, func(j int) {
+		}
+		x.rowsSeen[ti] = len(t.Rows)
+	}
+
+	fresh := make([]int32, 0, len(x.base)-first)
+	for id := first; id < len(x.base); id++ {
+		fresh = append(fresh, int32(id))
+	}
+	x.post.post(x.base, fresh)
+	var scratch stampSet
+	for id := first; id < len(x.base); id++ {
+		cells := x.base[id].Cells
+		scratch.next(id)
+		var c *comp
+		x.post.probe(cells, func(list []int32) {
+			for _, j := range list {
+				if int(j) >= id {
+					return // the ingest index is unbucketed: its lists are in ID order
+				}
+				if scratch.seen(int(j)) {
+					continue
+				}
 				cj := x.compOf[j]
 				if cj == c || !consistentCells(x.base[j].Cells, cells) {
-					return
+					continue
 				}
 				if c == nil {
 					c = cj
 				} else {
 					c = x.mergeComps(c, cj)
 				}
-			})
-			if c == nil {
-				c = &comp{first: id, slot: len(x.order)}
-				x.order = append(x.order, c)
-				x.live++
 			}
-			c.members = append(c.members, id)
-			if len(c.members) > x.largestComp {
-				x.largestComp = len(c.members)
-			}
-			x.compOf = append(x.compOf, c)
-			x.cover = append(x.cover, nil)
-			x.pos = append(x.pos, 0)
-			x.dirty = append(x.dirty, false)
-			x.markDirty(id)
-			x.post.add(id, cells)
-			x.rowBase[ti] = append(x.rowBase[ti], id)
+		})
+		if c == nil {
+			c = &comp{first: id, slot: len(x.order)}
+			x.order = append(x.order, c)
+			x.live++
 		}
-		x.rowsSeen[ti] = len(t.Rows)
+		c.members = append(c.members, id)
+		if len(c.members) > x.largestComp {
+			x.largestComp = len(c.members)
+		}
+		x.compOf = append(x.compOf, c)
+		x.cover = append(x.cover, nil)
+		x.pos = append(x.pos, 0)
+		x.dirty = append(x.dirty, false)
+		x.markDirty(id)
 	}
 }
 
@@ -597,7 +614,7 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 
 	tuples, flags, sigs, post := host.store, host.flags, host.sigs, host.post
 	if sigs == nil {
-		sigs = newSigIndex()
+		sigs = newSigIndex(len(tuples))
 		for i := range tuples {
 			sigs.add(tuples[i].Cells, i)
 		}

@@ -304,7 +304,7 @@ func TestWidthStableSignatures(t *testing.T) {
 	// An index built at width 3 finds the widened tuple, and keeps the
 	// extra-column tuple apart.
 	store := []Tuple{{Cells: narrow}}
-	sigs := newSigIndex()
+	sigs := newSigIndex(0)
 	sigs.add(narrow, 0)
 	if at, _, ok := sigs.find(wide, store); !ok || at != 0 {
 		t.Errorf("find(widened) = %d, %v; want 0, true", at, ok)

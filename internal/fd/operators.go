@@ -45,10 +45,7 @@ func InnerJoin(tables []*table.Table, schema Schema, opts Options) (*Result, err
 		result = perTable[0]
 	}
 	for _, right := range perTable[1:] {
-		idx := newPostingIndex(eng.nCols)
-		for j := range right {
-			idx.add(j, right[j].Cells)
-		}
+		idx := indexAll(right, -1)
 		var next []Tuple
 		var scratch stampSet
 		for i := range result {
@@ -125,7 +122,7 @@ func OuterJoinChain(tables []*table.Table, schema Schema, order []int, opts Opti
 		result = perTable[order[0]]
 	}
 	for _, ti := range order[1:] {
-		result = fullOuterJoin(result, perTable[ti], eng.nCols, &stats)
+		result = fullOuterJoin(result, perTable[ti], &stats)
 		if opts.MaxTuples > 0 && len(result) > opts.MaxTuples {
 			return nil, ErrTupleBudget
 		}
@@ -135,7 +132,7 @@ func OuterJoinChain(tables []*table.Table, schema Schema, order []int, opts Opti
 
 // dedupeTuples merges tuples with identical cells, unioning provenance.
 func dedupeTuples(tuples []Tuple) []Tuple {
-	seen := newSigIndex()
+	seen := newSigIndex(len(tuples))
 	out := tuples[:0]
 	for _, t := range tuples {
 		at, hash, ok := seen.find(t.Cells, out)
@@ -193,11 +190,8 @@ func provHasTable(prov []TID, ti int) bool {
 // sets over the integrated schema: matched pairs (consistent and sharing
 // an equal non-null value) merge; dangling tuples from both sides survive
 // unchanged.
-func fullOuterJoin(left, right []Tuple, nCols int, stats *Stats) []Tuple {
-	idx := newPostingIndex(nCols)
-	for j := range right {
-		idx.add(j, right[j].Cells)
-	}
+func fullOuterJoin(left, right []Tuple, stats *Stats) []Tuple {
+	idx := indexAll(right, -1)
 
 	var out []Tuple
 	matchedRight := make([]bool, len(right))

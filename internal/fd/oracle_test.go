@@ -120,7 +120,7 @@ func NaiveFD(tables []*table.Table, schema Schema) (*Result, error) {
 	}
 
 	// Collect joins of all valid non-empty subsets, deduping by signature.
-	sigs := newSigIndex()
+	sigs := newSigIndex(0)
 	var tuples []Tuple
 	for mask := uint32(1); mask < 1<<n; mask++ {
 		if !isValid(mask) {
@@ -186,7 +186,7 @@ func OuterJoinFD(tables []*table.Table, schema Schema, opts Options) (*Result, e
 		}
 	}
 
-	sigs := newSigIndex()
+	sigs := newSigIndex(0)
 	var acc []Tuple
 	addTuple := func(t Tuple) {
 		at, hash, ok := sigs.find(t.Cells, acc)
@@ -201,7 +201,7 @@ func OuterJoinFD(tables []*table.Table, schema Schema, opts Options) (*Result, e
 	for _, order := range permutations(len(tables)) {
 		result := perTable[order[0]]
 		for _, ti := range order[1:] {
-			result = fullOuterJoin(result, perTable[ti], eng.nCols, &stats)
+			result = fullOuterJoin(result, perTable[ti], &stats)
 			if opts.MaxTuples > 0 && len(result) > opts.MaxTuples {
 				return nil, ErrTupleBudget
 			}
@@ -269,10 +269,14 @@ func (e *engine) subsume(tuples []Tuple) []Tuple {
 	if len(tuples) <= 1 {
 		return tuples
 	}
-	idx := newPostingIndex(e.nCols)
+	lists := make(map[uint64][]int) // listKey(column, symbol) → tuples
 	filled := make([]int, len(tuples))
 	for i := range tuples {
-		idx.add(i, tuples[i].Cells)
+		for c, sym := range tuples[i].Cells {
+			if sym != intern.Null {
+				lists[listKey(c, sym)] = append(lists[listKey(c, sym)], i)
+			}
+		}
 		filled[i] = nonNullCount(tuples[i].Cells)
 	}
 
@@ -301,7 +305,7 @@ func (e *engine) subsume(tuples []Tuple) []Tuple {
 			if sym == intern.Null {
 				continue
 			}
-			if n := len(idx.byCol[c][sym]); best < 0 || n < bestLen {
+			if n := len(lists[listKey(c, sym)]); best < 0 || n < bestLen {
 				best, bestLen = c, n
 			}
 		}
@@ -315,7 +319,7 @@ func (e *engine) subsume(tuples []Tuple) []Tuple {
 				}
 			}
 		} else {
-			for _, j := range idx.byCol[best][cells[best]] {
+			for _, j := range lists[listKey(best, cells[best])] {
 				if j != i && subsumes(tuples[j].Cells, cells) && better(j, cur) {
 					cur = j
 				}

@@ -110,11 +110,12 @@ type compResult struct {
 // base tuples (from scratch: no flags) is posted bucketed by the pivot
 // column chosen over it. A cached store being extended keeps its base
 // postings' pivot until the store has doubled since it was chosen
-// (postingIndex.rechoosePivot), and NoPivot strips the buckets — the flat
-// lists stay valid either way; the derived postings, made at the store's
-// first extension (fact 3 of complement.go), follow that pivot. Both then
-// take in what the seeding appended: the delta's base tuples, and the
-// unextended derived tuples of absorbed stores.
+// (postingIndex.rechoosePivot); a pivot chosen anew that moved rebuilds
+// them. NoPivot strips the buckets; the frozen lists serve unbucketed probes
+// as they are. The derived postings, made at the store's first extension
+// (fact 3 of complement.go), follow that pivot. Both then take in what the
+// seeding appended: the delta's base tuples, and the unextended derived
+// tuples of absorbed stores.
 func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) (cl *closure, posted int) {
 	tuples := job.tuples
 	if job.flags == nil {
@@ -126,15 +127,15 @@ func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) (cl *clos
 	}
 	cl = &closure{eng: e, tuples: tuples, flags: job.flags, sigs: job.sigs, idx: job.post, der: job.der, bud: bud, scr: job.scr}
 	if cl.idx == nil {
-		cl.idx = newPivotIndex(e.nCols, pivotFor(opts, tuples, e.nCols))
+		cl.idx = newPostingIndex(pivotFor(opts, tuples, e.nCols))
 		cl.idx.pivotAt = len(tuples)
 	} else {
 		cl.idx.rechoosePivot(opts, tuples, e.nCols)
 	}
 	if cl.der == nil {
-		cl.der = newPivotIndex(e.nCols, cl.idx.pivot)
+		cl.der = newPostingIndex(cl.idx.pivot)
 	} else if cl.der.pivot != cl.idx.pivot {
-		cl.der.setPivot(tuples, cl.idx.pivot)
+		cl.der.setPivot(cl.idx.pivot)
 	}
 	return cl, cl.idx.postFrom(tuples, cl.flags, true) + cl.der.postFrom(tuples, cl.flags, false)
 }

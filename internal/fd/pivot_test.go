@@ -84,12 +84,8 @@ func TestPivotedCandidatesSoundAndComplete(t *testing.T) {
 	if pivot < 0 {
 		t.Fatal("pivot did not engage on the fixture")
 	}
-	flat := newPostingIndex(eng.nCols)
-	piv := newPivotIndex(eng.nCols, pivot)
-	for i := range base {
-		flat.add(i, base[i].Cells)
-		piv.add(i, base[i].Cells)
-	}
+	flat := indexAll(base, -1)
+	piv := indexAll(base, pivot)
 	var seen stampSet
 	collect := func(idx *postingIndex, i int) []int {
 		seen.next(len(base))

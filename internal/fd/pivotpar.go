@@ -115,7 +115,7 @@ func closePivotPar(ctx context.Context, eng *engine, seed []Tuple, pivot, worker
 		return nil, nil, err
 	}
 	nstar, nflags := ns.tuples, ns.flags
-	ns.der = newPostingIndex(eng.nCols)
+	ns.der = newPostingIndex(-1)
 	ns.der.postFrom(nstar, nflags, false)
 
 	// Phase B: close each pivot group independently. Workers draw group
@@ -172,8 +172,12 @@ func closePivotPar(ctx context.Context, eng *engine, seed []Tuple, pivot, worker
 	// Seeds keep their seed positions (the incremental index locates base
 	// tuples in a cached store by position); derived tuples follow, N*'s
 	// first, then each group's.
-	closed := make([]Tuple, len(seed), len(seed)+len(nstar)-len(nulls))
-	flags := make([]uint8, len(seed), cap(closed))
+	n := len(seed) + len(nstar) - len(nulls)
+	for gi, g := range groups {
+		n += len(stores[gi]) - len(g)
+	}
+	closed := make([]Tuple, len(seed), n)
+	flags := make([]uint8, len(seed), n)
 	for k, si := range nulls {
 		closed[si], flags[si] = nstar[k], nflags[k]
 	}

@@ -88,3 +88,44 @@ func FuzzReadJSONL(f *testing.F) {
 		}
 	})
 }
+
+// FuzzInfer checks that column inference over any CSV the reader accepts
+// never panics and that every column's counts add up: nulls and non-null
+// cells cover the rows, distinct values fit among the non-null cells, and
+// the most frequent value's count and the length bounds are consistent.
+func FuzzInfer(f *testing.F) {
+	f.Add("a,b\n1,2\n")
+	f.Add("n,x,b\n1,1.5,true\n2,,no\n-3,2e9,YES\n")
+	f.Add("city,country\nBerlin,\nBerlin,DE\n,\n")
+	f.Add("⊥,NULL\nn/a,none\n")
+	f.Add("v\n 7 \n7\nNaN\ninf\n")
+	f.Fuzz(func(t *testing.T, input string) {
+		tb, err := ReadCSV(strings.NewReader(input), "fuzz", ReadOptions{})
+		if err != nil {
+			return // malformed input is allowed to fail, not to panic
+		}
+		stats := Infer(tb)
+		if len(stats) != tb.NumCols() {
+			t.Fatalf("%d column stats for %d columns", len(stats), tb.NumCols())
+		}
+		for i, st := range stats {
+			nonNull := st.Rows - st.Nulls
+			switch {
+			case st.Rows != tb.NumRows() || st.Nulls < 0 || nonNull < 0:
+				t.Fatalf("column %d: %d rows, %d nulls; the table has %d rows", i, st.Rows, st.Nulls, tb.NumRows())
+			case st.Distinct > nonNull || nonNull > 0 && st.Distinct == 0:
+				t.Fatalf("column %d: %d distinct values among %d non-null cells", i, st.Distinct, nonNull)
+			case st.TopCount > nonNull || nonNull > 0 && (st.TopCount == 0 || st.TopCount < (nonNull+st.Distinct-1)/st.Distinct):
+				t.Fatalf("column %d: top value count %d among %d non-null cells, %d distinct", i, st.TopCount, nonNull, st.Distinct)
+			case len(st.Exemplars) != min(st.Distinct, 5):
+				t.Fatalf("column %d: %d exemplars for %d distinct values", i, len(st.Exemplars), st.Distinct)
+			case st.MinLen > st.MaxLen || st.MinLen < 0:
+				t.Fatalf("column %d: length bounds %d..%d", i, st.MinLen, st.MaxLen)
+			case nonNull > 0 && (st.MeanLen < float64(st.MinLen) || st.MeanLen > float64(st.MaxLen)):
+				t.Fatalf("column %d: mean length %v outside %d..%d", i, st.MeanLen, st.MinLen, st.MaxLen)
+			case (st.Kind == KindEmpty) != (nonNull == 0):
+				t.Fatalf("column %d: kind %v with %d non-null cells", i, st.Kind, nonNull)
+			}
+		}
+	})
+}

@@ -13,10 +13,16 @@ package fuzzyfd
 // tracks how much closure work the session amortizes away, not just total
 // time. The top-level total_tuples and batches describe the extend and
 // arrive shapes; chunks is 3 000 tuples in 20 row chunks per table.
+//
+// The report also records the heap a session keeps live: an equi session
+// over the IMDB-shaped set at 8 000 and 30 000 tuples, its six tables added
+// one at a time, measured after a GC (sessionLiveHeap). CI prints both and
+// gates the 30 000-tuple value.
 
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -35,6 +41,10 @@ const (
 	// sessionBenchMaxSteps caps the per-step records kept per shape.
 	sessionBenchMaxSteps = 12
 )
+
+// sessionHeapTuples are the input sizes the live heap is measured at: the
+// two ends of the paper's Figure 3 sweep, roughly.
+var sessionHeapTuples = []int{8000, 30000}
 
 // sessionBenchShapes orders the shapes in the report.
 var sessionBenchShapes = []string{"extend", "arrive", "chunks"}
@@ -151,6 +161,47 @@ type sessionBenchReport struct {
 	TotalTuples int                 `json:"total_tuples"`
 	Batches     int                 `json:"batches"`
 	Shapes      []sessionBenchShape `json:"shapes"`
+	LiveHeap    []sessionHeap       `json:"live_heap"`
+}
+
+// sessionHeap is the heap one session keeps live, and what the memory
+// budget's linear model (Stats.MemoryBytes) estimates for it.
+type sessionHeap struct {
+	InputTuples   int     `json:"input_tuples"`
+	LiveBytes     int64   `json:"live_heap_bytes"`
+	PerTuple      float64 `json:"live_heap_bytes_per_input_tuple"`
+	ModelBytes    int64   `json:"memory_model_bytes"`
+	ModelOverLive float64 `json:"memory_model_over_live_x"`
+}
+
+// sessionLiveHeap integrates the IMDB-shaped set of n input tuples through
+// one equi session, adding its six tables one at a time, and measures the
+// heap the session holds after a GC: HeapAlloc with the session alive minus
+// HeapAlloc before it was created (the input tables are made first, so
+// they are in neither). A memory budget too large to fire makes the
+// session report the model's estimate.
+func sessionLiveHeap(n int) (sessionHeap, error) {
+	tables := datagen.IMDB(datagen.IMDBConfig{Seed: sessionBenchSeed, TotalTuples: n})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := NewSession(WithEquiJoin(), WithMemoryBudget(1<<62))
+	if err != nil {
+		return sessionHeap{}, err
+	}
+	for _, t := range tables {
+		s.Add(t)
+		if _, err := s.Integrate(); err != nil {
+			return sessionHeap{}, err
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	h := sessionHeap{InputTuples: n, LiveBytes: int64(after.HeapAlloc) - int64(before.HeapAlloc), ModelBytes: s.Stats().MemoryBytes}
+	runtime.KeepAlive(s)
+	h.PerTuple = float64(h.LiveBytes) / float64(n)
+	h.ModelOverLive = float64(h.ModelBytes) / float64(h.LiveBytes)
+	return h, nil
 }
 
 // writeSessionBenchJSON runs one instrumented session-vs-independent pass
@@ -214,6 +265,13 @@ func writeSessionBenchJSON(path string, sets map[string][][]*Table, opts []Optio
 			sr.SessionOverFinal = sr.SessionMS / finalMS
 		}
 		report.Shapes = append(report.Shapes, sr)
+	}
+	for _, n := range sessionHeapTuples {
+		h, err := sessionLiveHeap(n)
+		if err != nil {
+			return err
+		}
+		report.LiveHeap = append(report.LiveHeap, h)
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
