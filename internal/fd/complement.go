@@ -3,6 +3,7 @@ package fd
 import (
 	"bytes"
 	"context"
+	"math"
 	"slices"
 
 	"fuzzyfd/internal/intern"
@@ -45,11 +46,11 @@ func (c *cancelCheck) poll() error {
 // The postings live in two parts. The frozen part is one CSR array: ids
 // holds every list back to back as int32 store IDs, and lists maps a
 // (column, symbol) key to its list's place in it. The delta holds what was
-// posted since, as per-column maps of lists. Most postings sit in the
-// frozen part (see post): the first batch builds it, and a pivot change or
-// the batch that would make the delta as large as the frozen part rebuilds
-// it over both parts and the batch, so each posting is rebuilt O(1) times,
-// amortized.
+// posted since, chained per list like the signature index's IDs. Most
+// postings sit in the frozen part (see post): the first batch builds it,
+// and a pivot change or the batch that would make the delta as large as the
+// frozen part rebuilds it over both parts and the batch, so each posting is
+// rebuilt O(1) times, amortized.
 //
 // With pivot >= 0 the index is pivot-bucketed by the component's most
 // selective column (see choosePivot). Two tuples holding different non-null
@@ -58,46 +59,44 @@ func (c *cancelCheck) poll() error {
 // candidates that conflict on the pivot are skipped without being iterated.
 // A frozen list is ordered by pivot symbol, null first, then by ID, so both
 // buckets are runs of the list itself, found by binary search over pivs,
-// the entries' pivot symbols. The delta keeps a second, bucketed map
-// (byPivot) beside its flat lists.
+// the entries' pivot symbols. The delta is not bucketed: each of its entries
+// carries its tuple's pivot symbol, and a probe passes over those holding
+// another pivot value, counting them as skipped like the frozen part's.
 type postingIndex struct {
-	// lists maps listKey(column, symbol) to the list's number k: list k is
-	// ids[offs[k]:offs[k+1]], and pivs[offs[k]:offs[k+1]] holds its
-	// entries' pivot symbols (nil when unbucketed).
+	// lists maps listKey(column, symbol) to the list's number k. The frozen
+	// part holds lists 0 to len(offs)-2: list k is ids[offs[k]:offs[k+1]],
+	// and pivs[offs[k]:offs[k+1]] holds its entries' pivot symbols (nil
+	// when unbucketed). A list first posted to since the build is only in
+	// the delta.
 	lists map[uint64]int32
 	offs  []int32
 	ids   []int32
 	pivs  []uint32
-
-	// byCol[c][sym] lists the delta's tuples holding sym in column c;
-	// byPivot[c][pivotKey(sym, p)] those of them whose pivot cell is p.
-	byCol   []map[uint32][]int32
-	byPivot []map[uint64][]int32
+	// The delta chains the entries posted since the build, in posting
+	// order: head[k] and tail[k] are list k's first and last (-1 = none;
+	// both are nil while the delta is empty), next[e] the entry posted to
+	// the same list after entry e, and ents[e] entry e's tuple's pivot
+	// symbol << 32 | store ID.
+	head, tail, next []int32
+	ents             []uint64
 
 	// frozenN and deltaN count the tuples in each part's lists (an all-null
 	// tuple is in none).
 	frozenN, deltaN int
 	pivot           int // the column the lists are bucketed by, or -1
-	// stale marks the frozen part as ordered by another pivot than the
-	// current one: the next post rebuilds it.
-	stale bool
 	// pivotAt is the store size the pivot was chosen at. A cached index
 	// outlives the seed it was bucketed for — a component first indexed
 	// below pivotMinTuples would stay unbucketed for life — so once the
 	// store has doubled the pivot is chosen again (see rechoosePivot).
 	pivotAt int
-	buckets int // (list, pivot-value) buckets across both parts
+	buckets int // (list, pivot-value) buckets of the frozen part
 	// upTo is the store length the index is up to date for: entries below it
 	// have been posted if they qualified then (see postFrom).
 	upTo int
 }
 
-// listKey packs an output column and a value symbol into a frozen list key.
+// listKey packs an output column and a value symbol into a list key.
 func listKey(c int, sym uint32) uint64 { return uint64(c)<<32 | uint64(sym) }
-
-// pivotKey packs a posting list's value symbol and a pivot-column symbol
-// into one delta bucket key.
-func pivotKey(sym, p uint32) uint64 { return uint64(sym)<<32 | uint64(p) }
 
 // newPostingIndex returns an empty index bucketed by the given pivot column
 // (-1 = unbucketed).
@@ -116,20 +115,6 @@ func indexAll(tuples []Tuple, pivot int) *postingIndex {
 	idx.post(tuples, ids)
 	idx.pivotAt = len(tuples)
 	return idx
-}
-
-// frozen returns the frozen list of (column c, symbol sym) and, on a
-// bucketed index, its entries' pivot symbols.
-func (idx *postingIndex) frozen(c int, sym uint32) (list []int32, pivs []uint32) {
-	k, ok := idx.lists[listKey(c, sym)]
-	if !ok {
-		return nil, nil
-	}
-	from, to := idx.offs[k], idx.offs[k+1]
-	if idx.pivs != nil {
-		pivs = idx.pivs[from:to]
-	}
-	return idx.ids[from:to], pivs
 }
 
 // pivotRun returns the run of a frozen list whose pivot symbol is p: found
@@ -164,13 +149,10 @@ func (idx *postingIndex) build(tuples []Tuple, ids []int32) {
 			ids[k] = int32(uint32(key))
 		}
 	}
-	nLists := len(idx.lists) // a rebuild's lists: at most the old ones and the delta's
-	for _, col := range idx.byCol {
-		nLists += len(col)
-	}
+	nLists := len(idx.lists) // at most the old parts' lists
 	idx.lists, idx.offs, idx.ids, idx.pivs = nil, nil, nil, nil
-	idx.byCol, idx.byPivot = nil, nil
-	idx.frozenN, idx.deltaN, idx.buckets, idx.stale = 0, 0, 0, false
+	idx.head, idx.tail, idx.next, idx.ents = nil, nil, nil, nil
+	idx.frozenN, idx.deltaN, idx.buckets = 0, 0, 0
 	if len(ids) == 0 {
 		return
 	}
@@ -254,12 +236,8 @@ func (idx *postingIndex) heldIDs() []int32 {
 	for _, id := range idx.ids {
 		mark[id] = true
 	}
-	for _, col := range idx.byCol {
-		for _, list := range col {
-			for _, id := range list {
-				mark[id] = true
-			}
-		}
+	for _, e := range idx.ents {
+		mark[uint32(e)] = true
 	}
 	ids := make([]int32, 0, idx.frozenN+idx.deltaN)
 	for id, ok := range mark {
@@ -272,42 +250,41 @@ func (idx *postingIndex) heldIDs() []int32 {
 
 // add posts tuple id, holding cells, to the delta.
 func (idx *postingIndex) add(id int, cells []uint32) {
-	for len(idx.byCol) < len(cells) {
-		idx.byCol = append(idx.byCol, nil)
-		if idx.pivot >= 0 {
-			idx.byPivot = append(idx.byPivot, nil)
-		}
+	e := uint64(id)
+	if idx.pivot >= 0 {
+		e |= uint64(cells[idx.pivot]) << 32
+	}
+	if idx.head == nil {
+		idx.head = slices.Repeat([]int32{-1}, max(len(idx.offs)-1, 0))
+		idx.tail = slices.Clone(idx.head)
 	}
 	for c, sym := range cells {
 		if sym == intern.Null {
 			continue
 		}
-		if idx.byCol[c] == nil {
-			idx.byCol[c] = make(map[uint32][]int32)
-		}
-		idx.byCol[c][sym] = append(idx.byCol[c][sym], int32(id))
-		if idx.pivot >= 0 {
-			if idx.byPivot[c] == nil {
-				idx.byPivot[c] = make(map[uint64][]int32)
+		key := listKey(c, sym)
+		k, ok := idx.lists[key]
+		if !ok {
+			if idx.lists == nil {
+				idx.lists = make(map[uint64]int32)
 			}
-			p := cells[idx.pivot]
-			key := pivotKey(sym, p)
-			l, ok := idx.byPivot[c][key]
-			if !ok && !idx.frozenHas(c, sym, p) {
-				idx.buckets++
-			}
-			idx.byPivot[c][key] = append(l, int32(id))
+			k = int32(len(idx.head))
+			idx.lists[key] = k
+			idx.head, idx.tail = append(idx.head, -1), append(idx.tail, -1)
 		}
+		at := int32(len(idx.ents))
+		if last := idx.tail[k]; last >= 0 {
+			idx.next[last] = at
+		} else {
+			idx.head[k] = at
+		}
+		idx.tail[k] = at
+		idx.next = append(idx.next, -1)
+		idx.ents = append(idx.ents, e)
 	}
 	if !allNull(cells) {
 		idx.deltaN++
 	}
-}
-
-// frozenHas reports whether the frozen list of (c, sym) has a p-bucket.
-func (idx *postingIndex) frozenHas(c int, sym, p uint32) bool {
-	list, pivs := idx.frozen(c, sym)
-	return len(pivotRun(list, pivs, p)) > 0
 }
 
 // compactMinTuples is the smallest index whose delta post folds into the
@@ -318,43 +295,45 @@ const compactMinTuples = 32
 // post posts the given store entries, ascending from upTo on, and brings
 // upTo to the store's end. They go to the delta while it stays smaller than
 // the frozen part or the index below compactMinTuples. The batch that would
-// break both — or any batch, when the frozen part is empty or stale — has
-// the frozen part built afresh over what the index held and the batch.
+// break both — or any batch, when the frozen part is empty — has the frozen
+// part built afresh over what the index held and the batch.
 func (idx *postingIndex) post(tuples []Tuple, ids []int32) {
 	n := idx.deltaN + len(ids) // the delta, were the batch added to it
-	if idx.stale || idx.frozenN == 0 || n >= idx.frozenN && idx.frozenN+n >= compactMinTuples {
-		idx.build(tuples, append(idx.heldIDs(), ids...))
-	} else {
-		for _, id := range ids {
-			idx.add(int(id), tuples[id].Cells)
-		}
-	}
 	idx.upTo = len(tuples)
-}
-
-// setPivot buckets the index by the given column from the next post on,
-// which rebuilds it; -1 strips the buckets at once, as the frozen lists
-// serve unbucketed probes in any order.
-func (idx *postingIndex) setPivot(pivot int) {
-	if pivot < 0 {
-		idx.pivot, idx.pivs, idx.byPivot, idx.buckets = -1, nil, nil, 0
+	if idx.frozenN == 0 || n >= idx.frozenN && idx.frozenN+n >= compactMinTuples {
+		idx.build(tuples, append(idx.heldIDs(), ids...))
 		return
 	}
-	idx.pivot, idx.stale = pivot, true
+	for _, id := range ids {
+		idx.add(int(id), tuples[id].Cells)
+	}
+}
+
+// setPivot buckets the index by the given column, rebuilding the frozen
+// part over everything the index holds — the delta's entries carry the old
+// pivot's symbols, so it is folded in; -1 strips the buckets at once, as
+// the frozen lists serve unbucketed probes in any order and an unbucketed
+// probe reads no entry's pivot symbol.
+func (idx *postingIndex) setPivot(tuples []Tuple, pivot int) {
+	idx.pivot = pivot
+	if pivot < 0 {
+		idx.pivs, idx.buckets = nil, 0
+		return
+	}
+	idx.build(tuples, idx.heldIDs())
 }
 
 // rechoosePivot applies the re-pivot rule to a cached index about to be
 // extended over tuples: once the store has at least doubled since the pivot
 // was chosen (including "no pivot", chosen at whatever size the index was
 // built), choose again over the current store; if the choice moved, the
-// next post rebuilds the index bucketed by it, the delta folded in. One
-// choice per doubling, so the cost amortizes to O(1) per stored tuple.
-// NoPivot strips the buckets and forgets the size, so a later pivoted run
-// chooses afresh.
+// index is rebuilt bucketed by it (setPivot). One choice per doubling, so
+// the cost amortizes to O(1) per stored tuple. NoPivot strips the buckets
+// and forgets the size, so a later pivoted run chooses afresh.
 func (idx *postingIndex) rechoosePivot(opts Options, tuples []Tuple, nCols int) {
 	if opts.NoPivot {
 		if idx.pivot >= 0 {
-			idx.setPivot(-1)
+			idx.setPivot(tuples, -1)
 		}
 		idx.pivotAt = 0
 		return
@@ -364,7 +343,7 @@ func (idx *postingIndex) rechoosePivot(opts Options, tuples []Tuple, nCols int) 
 	}
 	idx.pivotAt = len(tuples)
 	if pivot := choosePivot(tuples, nCols); pivot != idx.pivot {
-		idx.setPivot(pivot)
+		idx.setPivot(tuples, pivot)
 	}
 }
 
@@ -399,60 +378,75 @@ func (s *stampSet) seen(j int) bool {
 	return false
 }
 
-// probe calls visit with every posting list a probe for cells has to scan:
-// the lists of its non-null values, or on a pivoted index, when cells holds
-// a pivot value, only those lists' matching-pivot and null-pivot buckets —
-// a tuple in any other bucket conflicts with cells on the pivot column. The
-// frozen part is probed before the delta. The return value is how many
-// list entries that pruning left out (always 0 on an unbucketed index or a
-// null-pivot probe).
-func (idx *postingIndex) probe(cells []uint32, visit func(list []int32)) (skipped int) {
+// candidates calls fn for every tuple sharing an equal non-null value with
+// cells, deduplicated and excluding self — on a pivoted index, when cells
+// holds a pivot value, only for those whose pivot cell is that value or
+// null: a tuple holding any other conflicts with cells on the pivot column.
+// The frozen lists are scanned before the delta's. The return value is how
+// many list entries that pruning passed over (always 0 on an unbucketed
+// index or a null-pivot probe).
+func (idx *postingIndex) candidates(self int, cells []uint32, seen *stampSet, fn func(j int)) (skipped int) {
+	return idx.candidatesBelow(self, math.MaxInt32, cells, seen, fn)
+}
+
+// candidatesBelow is candidates over the store IDs below the given bound
+// only. A scan stops at the first ID not below it, so the bound holds only
+// for lists whose runs and delta chains ascend — those of an index posted
+// in ascending ID order, as a session's ingest index is.
+func (idx *postingIndex) candidatesBelow(self, below int, cells []uint32, seen *stampSet, fn func(j int)) (skipped int) {
 	pivoted := idx.pivot >= 0 && cells[idx.pivot] != intern.Null
 	var p uint32
 	if pivoted {
 		p = cells[idx.pivot]
 	}
+	scan := func(list []int32) {
+		for _, j := range list {
+			if int(j) >= below {
+				return
+			}
+			if int(j) != self && !seen.seen(int(j)) {
+				fn(int(j))
+			}
+		}
+	}
 	for c, sym := range cells {
 		if sym == intern.Null {
 			continue
 		}
-		if list, pivs := idx.frozen(c, sym); !pivoted {
-			visit(list)
-		} else if len(list) > 0 {
-			same, null := pivotRun(list, pivs, p), pivotRun(list, pivs, intern.Null)
-			skipped += len(list) - len(same) - len(null)
-			visit(same)
-			visit(null)
-		}
-		if c >= len(idx.byCol) {
+		k, ok := idx.lists[listKey(c, sym)]
+		if !ok {
 			continue
 		}
-		if !pivoted {
-			visit(idx.byCol[c][sym])
+		if int(k) < len(idx.offs)-1 {
+			list := idx.ids[idx.offs[k]:idx.offs[k+1]]
+			if pivoted {
+				pivs := idx.pivs[idx.offs[k]:idx.offs[k+1]]
+				same, null := pivotRun(list, pivs, p), pivotRun(list, pivs, intern.Null)
+				skipped += len(list) - len(same) - len(null)
+				scan(same)
+				list = null
+			}
+			scan(list)
+		}
+		if idx.head == nil {
 			continue
 		}
-		same := idx.byPivot[c][pivotKey(sym, p)]
-		null := idx.byPivot[c][pivotKey(sym, intern.Null)]
-		skipped += len(idx.byCol[c][sym]) - len(same) - len(null)
-		visit(same)
-		visit(null)
-	}
-	return skipped
-}
-
-// candidates calls fn for every tuple sharing an equal non-null value with
-// cells that could be consistent with it (see probe), deduplicated,
-// excluding self, and returns the candidate iterations pivot bucketing
-// skipped.
-func (idx *postingIndex) candidates(self int, cells []uint32, seen *stampSet, fn func(j int)) (skipped int) {
-	return idx.probe(cells, func(list []int32) {
-		for _, j := range list {
-			if int(j) == self || seen.seen(int(j)) {
+		for at := idx.head[k]; at >= 0; at = idx.next[at] {
+			e := idx.ents[at]
+			if q := uint32(e >> 32); pivoted && q != p && q != intern.Null {
+				skipped++
 				continue
 			}
-			fn(int(j))
+			j := int(uint32(e))
+			if j >= below {
+				break
+			}
+			if j != self && !seen.seen(j) {
+				fn(j)
+			}
 		}
-	})
+	}
+	return skipped
 }
 
 // pivotMinTuples is the smallest seed store a pivoted index is built for;

@@ -310,7 +310,7 @@ type Stats struct {
 	PivotColumn       int   // pivot column of the largest component (re)closed this run; -1 when it ran unbucketed
 	PivotGroups       int   // disjoint pivot-value groups hubs were closed by (closePivotPar; 0 when no component was)
 	PivotSkipped      int   // candidate iterations skipped by pivot bucketing this run
-	PivotBuckets      int   // (list, pivot-value) buckets across the posting indexes built or extended this run
+	PivotBuckets      int   // (list, pivot-value) buckets in the frozen parts of the posting indexes built or extended this run; a delta is not bucketed
 	MemoryBytes       int64 // estimated peak resident bytes under the budget's linear model (0 when no budget was set)
 	Subsumed          int   // tuples removed by subsumption
 	Output            int

@@ -67,6 +67,7 @@ type indexStore struct {
 	base []Tuple       // outer-union tuples, in ingest (outer-union) order
 	sigs *sigIndex     // signature dedup over base
 	post *postingIndex // posting lists over base, used to partition the delta
+	seen stampSet      // ingest's probe deduplication, kept across updates
 
 	// Per base tuple: its live component; the cached closure whose store
 	// holds it (current only while that closure has a store) and its
@@ -473,28 +474,21 @@ func (x *Index) ingest(tables []*table.Table, schema Schema, stats *Stats) {
 		fresh = append(fresh, int32(id))
 	}
 	x.post.post(x.base, fresh)
-	var scratch stampSet
 	for id := first; id < len(x.base); id++ {
 		cells := x.base[id].Cells
-		scratch.next(id)
+		x.seen.next(id)
 		var c *comp
-		x.post.probe(cells, func(list []int32) {
-			for _, j := range list {
-				if int(j) >= id {
-					return // the ingest index is unbucketed: its lists are in ID order
-				}
-				if scratch.seen(int(j)) {
-					continue
-				}
-				cj := x.compOf[j]
-				if cj == c || !consistentCells(x.base[j].Cells, cells) {
-					continue
-				}
-				if c == nil {
-					c = cj
-				} else {
-					c = x.mergeComps(c, cj)
-				}
+		// The ingest index is unbucketed and posted in ID order, so its
+		// lists ascend and the scan can stop at the tuples stored after id.
+		x.post.candidatesBelow(id, id, cells, &x.seen, func(j int) {
+			cj := x.compOf[j]
+			if cj == c || !consistentCells(x.base[j].Cells, cells) {
+				return
+			}
+			if c == nil {
+				c = cj
+			} else {
+				c = x.mergeComps(c, cj)
 			}
 		})
 		if c == nil {

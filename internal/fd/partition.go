@@ -135,7 +135,7 @@ func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) (cl *clos
 	if cl.der == nil {
 		cl.der = newPostingIndex(cl.idx.pivot)
 	} else if cl.der.pivot != cl.idx.pivot {
-		cl.der.setPivot(cl.idx.pivot)
+		cl.der.setPivot(tuples, cl.idx.pivot)
 	}
 	return cl, cl.idx.postFrom(tuples, cl.flags, true) + cl.der.postFrom(tuples, cl.flags, false)
 }

@@ -21,8 +21,10 @@ package fuzzyfd
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -178,10 +180,15 @@ type sessionHeap struct {
 // one equi session, adding its six tables one at a time, and measures the
 // heap the session holds after a GC: HeapAlloc with the session alive minus
 // HeapAlloc before it was created (the input tables are made first, so
-// they are in neither). A memory budget too large to fire makes the
-// session report the model's estimate.
-func sessionLiveHeap(n int) (sessionHeap, error) {
+// they are in neither). pad widens every table by that many all-null
+// columns of its own, so the integrated schema gains 6 × pad columns while
+// the tuples, their values and the closure stay as they are. A memory
+// budget too large to fire makes the session report the model's estimate.
+func sessionLiveHeap(n, pad int) (sessionHeap, error) {
 	tables := datagen.IMDB(datagen.IMDBConfig{Seed: sessionBenchSeed, TotalTuples: n})
+	for k, t := range tables {
+		tables[k] = padNullColumns(t, pad)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -202,6 +209,27 @@ func sessionLiveHeap(n int) (sessionHeap, error) {
 	h.PerTuple = float64(h.LiveBytes) / float64(n)
 	h.ModelOverLive = float64(h.ModelBytes) / float64(h.LiveBytes)
 	return h, nil
+}
+
+// padNullColumns returns t with pad all-null columns appended, named after
+// the table so that no two tables share one.
+func padNullColumns(t *Table, pad int) *Table {
+	if pad == 0 {
+		return t
+	}
+	cols := slices.Clone(t.Columns)
+	for k := range pad {
+		cols = append(cols, fmt.Sprintf("%s_pad%d", t.Name, k))
+	}
+	out := NewTable(t.Name, cols...)
+	for _, r := range t.Rows {
+		row := slices.Clone(r)
+		for range pad {
+			row = append(row, Null())
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out
 }
 
 // writeSessionBenchJSON runs one instrumented session-vs-independent pass
@@ -267,7 +295,7 @@ func writeSessionBenchJSON(path string, sets map[string][][]*Table, opts []Optio
 		report.Shapes = append(report.Shapes, sr)
 	}
 	for _, n := range sessionHeapTuples {
-		h, err := sessionLiveHeap(n)
+		h, err := sessionLiveHeap(n, 0)
 		if err != nil {
 			return err
 		}
