@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"fuzzyfd/internal/core"
 	"fuzzyfd/internal/datagen"
 	"fuzzyfd/internal/embed"
+	"fuzzyfd/internal/fd"
 	"fuzzyfd/internal/metrics"
 	"fuzzyfd/internal/table"
 )
@@ -227,6 +229,77 @@ func TestGoldenEMBenchIntegration(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != w.sha {
 			t.Errorf("%s: integration digest %s, want %s", name, got, w.sha)
+		}
+	}
+}
+
+// operatorDigest is the SHA-256 of an operator result's JSONL followed by
+// one line per row listing its provenance.
+func operatorDigest(t *testing.T, res *fd.Result) string {
+	t.Helper()
+	h := sha256.New()
+	if err := table.WriteJSONL(h, res.Table); err != nil {
+		t.Fatal(err)
+	}
+	for _, prov := range res.Prov {
+		fmt.Fprintln(h, prov)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenOperatorOutputs pins the three baseline operators' output on
+// the EM benchmark byte for byte — rows, row order and provenance — so a
+// reimplementation cannot drift from the one the goldens were recorded
+// with. The inner join of all four tables is empty, so the first two
+// tables are pinned as well.
+func TestGoldenOperatorOutputs(t *testing.T) {
+	want := map[string][3]string{
+		"seed 1": {
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			"52bbc63d145b91171a58c264f6982fb00b9bda8be81bcf6258ca8669d3461729",
+			"2cca8807858b28154b71e15479a24a3cf89d46f13597a4a52381cb75d93c633d",
+		},
+		"seed 7": {
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			"5a7576da188e1b85e5627048a9a204a051e87b8b1e3aa370cf37ae8a6512e5fc",
+			"6da806d57639e823ac751d3da1951c12a7dcb6b4d70d6156b88f50bce34c3b54",
+		},
+		"seed 1, 2 of 4": {
+			"d4b60e0cf96e70136afb76ed5ce0b1b2a6a2e96ef3b70000aa0764be13430753",
+			"0814235edb5f0fe52c3d7cfe3b4616fc09c2eccd9cee0086ae52fc4b0bbe0f27",
+			"839f111d3d4222e11fff7e54860603c0e85d845c0c32c9b47e3d22ea96612b78",
+		},
+		"seed 7, 2 of 4": {
+			"4db201a35ac57c53749a2ea247652b5c6cce21be4920245c335e7af5b2525c22",
+			"e793eb999a9f04e4d60af62910373e64e7a7feb30be9152e0e8678faf510dc1b",
+			"c0249ec700e0f94261aa03cb74f2461f2a9defa56b8da324cf51723095c61d93",
+		},
+	}
+	for _, seed := range []int64{1, 7} {
+		bench := datagen.EMBench(datagen.EMConfig{Seed: seed, Entities: goldenCfg().Entities})
+		for _, tables := range [][]*table.Table{bench.Tables, bench.Tables[:2]} {
+			name := fmt.Sprintf("seed %d", seed)
+			if len(tables) < len(bench.Tables) {
+				name += fmt.Sprintf(", %d of %d", len(tables), len(bench.Tables))
+			}
+			schema := fd.IdentitySchema(tables)
+			inner, err := fd.InnerJoin(tables, schema, fd.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			union, err := fd.OuterUnionOnly(tables, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain, err := fd.OuterJoinChain(tables, schema, nil, fd.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range []*fd.Result{inner, union, chain} {
+				if got := operatorDigest(t, res); got != want[name][i] {
+					t.Errorf("%s, operator %d (%d rows): digest %s, want %s", name, i, res.Table.NumRows(), got, want[name][i])
+				}
+			}
 		}
 	}
 }
