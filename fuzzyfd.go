@@ -318,29 +318,6 @@ func WithProgress(fn func(ProgressEvent)) Option {
 	}
 }
 
-// WithGreedyAssignment replaces the exact bipartite assignment with the
-// greedy heuristic (the ablation baseline; faster, slightly less accurate).
-func WithGreedyAssignment() Option {
-	return func(o *options) error {
-		o.cfg.MatchMode = match.ModeGreedy
-		return nil
-	}
-}
-
-// WithLexiconWeight uses a Mistral-tier embedder whose entity-knowledge
-// share is scaled by w — the knob approximating the paper's future work on
-// finetuned value embedders (larger w concentrates the representation on
-// entity identity; 0 disables entity knowledge). Overrides WithModel.
-func WithLexiconWeight(w float64) Option {
-	return func(o *options) error {
-		if w < 0 {
-			return fmt.Errorf("fuzzyfd: lexicon weight %v < 0", w)
-		}
-		o.cfg.Embedder = embed.NewTuned(w)
-		return nil
-	}
-}
-
 func buildOpts(opts []Option) (*options, error) {
 	var o options
 	for _, opt := range opts {
@@ -618,7 +595,7 @@ func MatchValuesContext(ctx context.Context, columns [][]string, opts ...Option)
 		return nil, err
 	}
 	emb := cfg.ResolvedEmbedder()
-	m := &match.Matcher{Emb: emb, Opts: match.Options{Theta: cfg.Theta, Mode: cfg.MatchMode}}
+	m := &match.Matcher{Emb: emb, Opts: match.Options{Theta: cfg.Theta}}
 	cols := make([]match.Column, len(columns))
 	for i, c := range columns {
 		cols[i] = match.NewColumn(fmt.Sprintf("col%d", i), c)

@@ -149,18 +149,6 @@ func TestMatchValues(t *testing.T) {
 	}
 }
 
-func TestMatchValuesGreedy(t *testing.T) {
-	clusters, err := MatchValues([][]string{
-		{"Berlin"}, {"Berlinn"},
-	}, WithGreedyAssignment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 1 {
-		t.Errorf("clusters=%v", clusters)
-	}
-}
-
 func TestCSVRoundTripThroughFacade(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
@@ -175,30 +163,6 @@ func TestCSVRoundTripThroughFacade(t *testing.T) {
 	}
 	if back.NumRows() != 1 || !back.Rows[0][1].IsNull {
 		t.Errorf("round trip: %v", back)
-	}
-}
-
-func TestWithLexiconWeight(t *testing.T) {
-	// Weight 0 disables entity knowledge: country codes no longer match,
-	// so the COVID example integrates less than full fuzzy (5 rows) but
-	// still more than equi-join (9 rows).
-	res, err := Integrate(covidTables(), WithLexiconWeight(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Table.NumRows() <= 5 || res.Table.NumRows() >= 9 {
-		t.Errorf("rows=%d want in (5, 9)", res.Table.NumRows())
-	}
-	// A strong weight behaves like (or better than) the default.
-	res, err = Integrate(covidTables(), WithLexiconWeight(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Table.NumRows() != 5 {
-		t.Errorf("rows=%d want 5", res.Table.NumRows())
-	}
-	if _, err := Integrate(covidTables(), WithLexiconWeight(-1)); err == nil {
-		t.Error("negative weight accepted")
 	}
 }
 

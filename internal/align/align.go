@@ -311,11 +311,3 @@ func (r Result) Schema(tables []*table.Table) fd.Schema {
 	}
 	return s
 }
-
-// AlignedColumns returns, for each cluster, the per-table column content as
-// match.Column inputs would need them: the cluster index paired with the
-// column references. Exposed for the pipeline, which feeds each cluster
-// with 2+ members into value matching.
-func (r Result) AlignedColumns() [][]ColumnRef {
-	return r.Clusters
-}

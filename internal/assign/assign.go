@@ -3,7 +3,7 @@
 // scipy's linear_sum_assignment, an implementation of the shortest
 // augmenting path algorithm described by Crouse, 2016).
 //
-// Three solvers are provided:
+// Two solvers are provided:
 //
 //   - Solve: exact O(n²·m) dense solver (Jonker–Volgenant style potentials
 //     with shortest augmenting paths), for complete cost matrices.
@@ -12,8 +12,6 @@
 //     its cost follows the number of candidate edges and no matrix is
 //     built. Its optimum equals a dense solve where absent edges carry a
 //     prohibitive cost.
-//   - Greedy: the classic lowest-edge-first heuristic, used as an ablation
-//     baseline.
 package assign
 
 import (

@@ -238,79 +238,3 @@ func TestMatchSparseDuplicateEdges(t *testing.T) {
 		t.Errorf("pairs=%v", pairs)
 	}
 }
-
-func TestGreedy(t *testing.T) {
-	edges := []Edge{
-		{A: 0, B: 0, Cost: 0.1},
-		{A: 0, B: 1, Cost: 0.2},
-		{A: 1, B: 0, Cost: 0.15},
-		{A: 1, B: 1, Cost: 0.9},
-	}
-	pairs := Greedy(edges)
-	// Greedy takes (0,0)@0.1 first, then (1,1)@0.9. Total 1.0 — worse than
-	// optimal 0.35, which is exactly why it is the ablation baseline.
-	if len(pairs) != 2 {
-		t.Fatalf("pairs=%v", pairs)
-	}
-	if pairs[0].B != 0 || pairs[1].B != 1 {
-		t.Errorf("pairs=%v", pairs)
-	}
-}
-
-func TestGreedyDense(t *testing.T) {
-	cost := [][]float64{
-		{0.1, 0.2},
-		{0.15, Forbidden},
-	}
-	rowToCol, total := GreedyDense(cost)
-	if rowToCol[0] != 0 || rowToCol[1] != -1 {
-		t.Errorf("assignment=%v", rowToCol)
-	}
-	if math.Abs(total-0.1) > 1e-12 {
-		t.Errorf("total=%v", total)
-	}
-}
-
-// Property: greedy never beats the exact solver, and both produce valid
-// matchings.
-func TestGreedyNeverBeatsExact(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(6)
-		m := 1 + r.Intn(6)
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, m)
-			for j := range cost[i] {
-				cost[i][j] = r.Float64()
-			}
-		}
-		_, exact, err := Solve(cost)
-		if err != nil {
-			return false
-		}
-		_, greedy := GreedyDense(cost)
-		return greedy >= exact-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkSolveDense100(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	n := 100
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		for j := range cost[i] {
-			cost[i][j] = r.Float64()
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Solve(cost); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

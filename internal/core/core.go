@@ -106,8 +106,6 @@ type Config struct {
 	Embedder embed.Embedder
 	// Theta is the value-matching threshold (0 → match.DefaultTheta).
 	Theta float64
-	// MatchMode selects the assignment strategy (dense/sparse/auto/greedy).
-	MatchMode match.Mode
 	// AlignContent enables content-based column alignment (holistic schema
 	// matching). When false, columns align by identical names.
 	AlignContent bool

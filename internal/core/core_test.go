@@ -119,17 +119,6 @@ func TestIntegrateErrors(t *testing.T) {
 	}
 }
 
-func TestIntegrateGreedyMode(t *testing.T) {
-	res, err := Integrate(fig1(), Config{Method: MethodFuzzyFD, MatchMode: match.ModeGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Greedy assignment still resolves the obvious matches on Fig. 1.
-	if res.Table.NumRows() != 5 {
-		t.Errorf("greedy rows=%d want 5", res.Table.NumRows())
-	}
-}
-
 func TestIntegrateParallelFD(t *testing.T) {
 	seq, err := Integrate(fig1(), Config{})
 	if err != nil {

@@ -157,7 +157,8 @@ func (s *Session) emit(ev ProgressEvent) {
 // Integrate computes the configured pipeline over every table added so
 // far, reusing the session's cached state wherever the input still
 // matches it. The result's rows and provenance lists are shared with the FD
-// index's cached output and with later results (fd.Index.Update): read-only.
+// index's cached output and with later results
+// (fd.Index.UpdateContext): read-only.
 func (s *Session) Integrate() (*Result, error) { return s.IntegrateContext(context.Background()) }
 
 // IntegrateContext is Integrate under a context: cancellation and
@@ -327,7 +328,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 
 	matcher := &match.Matcher{
 		Emb:  s.emb,
-		Opts: match.Options{Theta: s.cfg.Theta, Mode: s.cfg.MatchMode},
+		Opts: match.Options{Theta: s.cfg.Theta},
 	}
 
 	// Build every matchable column set up front, then pre-embed all their

@@ -43,15 +43,6 @@ func TestTopicValuesDistinct(t *testing.T) {
 	}
 }
 
-func TestTopicByName(t *testing.T) {
-	if _, ok := TopicByName("countries"); !ok {
-		t.Error("countries topic missing")
-	}
-	if _, ok := TopicByName("nope"); ok {
-		t.Error("unknown topic found")
-	}
-}
-
 func TestTransformsDeterministic(t *testing.T) {
 	transforms := []Transform{
 		Typo(1), LowerCase(1), UpperCase(1), AbbrevTerms(1), Initialism(1),

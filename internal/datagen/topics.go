@@ -46,16 +46,6 @@ func Topics() []Topic {
 	}
 }
 
-// TopicByName returns the named topic.
-func TopicByName(name string) (Topic, bool) {
-	for _, t := range Topics() {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return Topic{}, false
-}
-
 // pool samples without replacement from a fixed list.
 func pool(list []string) func(int, *rand.Rand) []string {
 	return func(n int, r *rand.Rand) []string {

@@ -163,12 +163,6 @@ var airportCities = []string{
 	"Zellwood", "Ames", "Barton", "Corbin", "Denton", "Ellison",
 }
 
-var instruments = []string{
-	"Guitar", "Piano", "Violin", "Cello", "Drums", "Bass", "Trumpet",
-	"Saxophone", "Flute", "Clarinet", "Harp", "Oboe", "Trombone", "Banjo",
-	"Mandolin", "Accordion", "Harmonica", "Ukulele", "Synth", "Organ",
-}
-
 var fields = []string{
 	"Technology", "Medicine", "Engineering", "Science", "Arts", "Commerce",
 	"Law", "Agriculture", "Mining", "Design", "Economics", "Philosophy",
@@ -183,13 +177,6 @@ var officialTitles = []string{
 	"Clerk", "Assessor", "Surveyor", "Coroner", "Recorder", "Registrar",
 }
 
-var movieStudios = []string{
-	"Silverlight Pictures", "Northgate Films", "Bluebird Studios",
-	"Ironclad Entertainment", "Moonrise Media", "Starfall Productions",
-	"Redwood Films", "Cobblestone Cinema", "Driftwood Pictures",
-	"Lanternlight Studios",
-}
-
 var genres = []string{
 	"Drama", "Comedy", "Action", "Thriller", "Romance", "Documentary",
 	"Horror", "Sci-Fi", "Fantasy", "Mystery", "Crime", "Adventure",
@@ -200,11 +187,6 @@ var genres = []string{
 var professions = []string{
 	"actor", "director", "producer", "writer", "composer", "editor",
 	"cinematographer", "stunt", "costume", "makeup",
-}
-
-var streetTypes = []string{
-	"Street", "Avenue", "Boulevard", "Road", "Drive", "Lane", "Court",
-	"Place", "Terrace", "Way",
 }
 
 var productCategories = []string{

@@ -83,15 +83,10 @@ func (s *Searcher) sampleSize() int {
 	return s.SampleSize
 }
 
-// Unionables returns the top-k corpus tables ranked by unionability with
-// the query: the mean, over the query's columns, of the best cosine
-// similarity to any candidate column (matching kinds only).
-func (s *Searcher) Unionables(query *table.Table, corpus []*table.Table, k int) ([]Candidate, error) {
-	return s.UnionablesContext(context.Background(), query, corpus, k)
-}
-
-// UnionablesContext is Unionables under a context, checked once per corpus
-// table so large corpora cancel promptly.
+// UnionablesContext returns the top-k corpus tables ranked by unionability
+// with the query: the mean, over the query's columns, of the best cosine
+// similarity to any candidate column (matching kinds only). The context is
+// checked once per corpus table so large corpora cancel promptly.
 func (s *Searcher) UnionablesContext(ctx context.Context, query *table.Table, corpus []*table.Table, k int) ([]Candidate, error) {
 	if s.Emb == nil {
 		return nil, ErrNoEmbedder
@@ -130,15 +125,10 @@ func (s *Searcher) UnionablesContext(ctx context.Context, query *table.Table, co
 	return topK(out, k), nil
 }
 
-// Joinables returns the top-k corpus tables ranked by the best value
+// JoinablesContext returns the top-k corpus tables ranked by the best value
 // containment of some query column in some candidate column:
-// |Q ∩ C| / |Q| over folded distinct values.
-func (s *Searcher) Joinables(query *table.Table, corpus []*table.Table, k int) ([]Candidate, error) {
-	return s.JoinablesContext(context.Background(), query, corpus, k)
-}
-
-// JoinablesContext is Joinables under a context, checked once per corpus
-// table so large corpora cancel promptly.
+// |Q ∩ C| / |Q| over folded distinct values. The context is checked once
+// per corpus table so large corpora cancel promptly.
 func (s *Searcher) JoinablesContext(ctx context.Context, query *table.Table, corpus []*table.Table, k int) ([]Candidate, error) {
 	if s.Emb == nil {
 		return nil, ErrNoEmbedder

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"testing"
 
 	"fuzzyfd/internal/embed"
@@ -10,9 +11,11 @@ import (
 func mkTable(name string, cols []string, rows ...[]string) *table.Table {
 	t := table.New(name, cols...)
 	for _, r := range rows {
-		if err := t.AppendStrings(r...); err != nil {
-			panic(err)
+		row := make(table.Row, len(r))
+		for i, v := range r {
+			row[i] = table.S(v)
 		}
+		t.MustAppendRow(row...)
 	}
 	return t
 }
@@ -44,7 +47,7 @@ func corpus() (query *table.Table, tables []*table.Table) {
 func TestUnionables(t *testing.T) {
 	query, tables := corpus()
 	s := &Searcher{Emb: embed.NewMistral()}
-	got, err := s.Unionables(query, tables, 3)
+	got, err := s.UnionablesContext(context.Background(), query, tables, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestUnionables(t *testing.T) {
 func TestJoinables(t *testing.T) {
 	query, tables := corpus()
 	s := &Searcher{Emb: embed.NewMistral()}
-	got, err := s.Joinables(query, tables, 3)
+	got, err := s.JoinablesContext(context.Background(), query, tables, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestJoinables(t *testing.T) {
 func TestQueryExcludedFromResults(t *testing.T) {
 	query, tables := corpus()
 	s := &Searcher{Emb: embed.NewMistral()}
-	u, err := s.Unionables(query, tables, 0)
+	u, err := s.UnionablesContext(context.Background(), query, tables, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +113,10 @@ func TestQueryExcludedFromResults(t *testing.T) {
 
 func TestSearcherErrors(t *testing.T) {
 	s := &Searcher{}
-	if _, err := s.Unionables(nil, nil, 1); err == nil {
+	if _, err := s.UnionablesContext(context.Background(), nil, nil, 1); err == nil {
 		t.Error("nil embedder accepted (union)")
 	}
-	if _, err := s.Joinables(nil, nil, 1); err == nil {
+	if _, err := s.JoinablesContext(context.Background(), nil, nil, 1); err == nil {
 		t.Error("nil embedder accepted (join)")
 	}
 }
@@ -121,7 +124,7 @@ func TestSearcherErrors(t *testing.T) {
 func TestMinScoreFilter(t *testing.T) {
 	query, tables := corpus()
 	s := &Searcher{Emb: embed.NewMistral(), MinScore: 0.99}
-	got, err := s.Joinables(query, tables, 0)
+	got, err := s.JoinablesContext(context.Background(), query, tables, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

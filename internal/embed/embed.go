@@ -157,18 +157,14 @@ func normalize(v Vector) Vector {
 	return v
 }
 
-// Warm embeds values concurrently so that later synchronous lookups hit
-// the model's cache. Embedders are required to be safe for concurrent use,
-// and the Model implementation memoizes per distinct value, so warming is
-// a pure speedup for the value-matching phase on large columns.
-func Warm(e Embedder, values []string, workers int) {
-	WarmContext(context.Background(), e, values, workers)
-}
-
-// WarmContext is Warm under a context: every worker checks the context
-// before each value, so a slow embedder's warm-up pool stops within one
-// in-flight embedding per worker of the cancellation. Returns the context
-// error if the warm-up was cut short (the cache simply stays partial).
+// WarmContext embeds values concurrently so that later synchronous lookups
+// hit the model's cache. Embedders are required to be safe for concurrent
+// use, and the Model implementation memoizes per distinct value, so warming
+// is a pure speedup for the value-matching phase on large columns. Every
+// worker checks the context before each value, so a slow embedder's
+// warm-up pool stops within one in-flight embedding per worker of the
+// cancellation. Returns the context error if the warm-up was cut short
+// (the cache simply stays partial).
 func WarmContext(ctx context.Context, e Embedder, values []string, workers int) error {
 	if workers < 2 || len(values) < 2*workers {
 		for _, v := range values {

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -250,7 +251,9 @@ func TestWarm(t *testing.T) {
 		values[i] = "value-" + string(rune('a'+i%26)) + string(rune('0'+i%10))
 	}
 	m := NewMistral()
-	Warm(m, values, 8)
+	if err := WarmContext(context.Background(), m, values, 8); err != nil {
+		t.Fatal(err)
+	}
 	// All values must now be cached and identical to fresh embeddings.
 	fresh := NewMistral()
 	for _, v := range values {
@@ -263,8 +266,12 @@ func TestWarm(t *testing.T) {
 		}
 	}
 	// Degenerate worker counts fall back to sequential.
-	Warm(m, values[:3], 0)
-	Warm(m, nil, 4)
+	if err := WarmContext(context.Background(), m, values[:3], 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := WarmContext(context.Background(), m, nil, 4); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNewTunedNames(t *testing.T) {

@@ -217,26 +217,26 @@ func Operators(cfg Config) ([]OperatorScore, error) {
 		return OperatorScore{
 			Operator: name,
 			Rows:     res.Table.NumRows(),
-			NullFrac: fd.NullFraction(res),
-			Coverage: fd.Coverage(res, bench.Tables),
+			NullFrac: nullFraction(res),
+			Coverage: coverage(res, bench.Tables),
 			EM:       em.Evaluate(res, bench.Gold, em.Options{}),
 		}
 	}
 
 	var out []OperatorScore
-	inner, err := fd.InnerJoin(bench.Tables, schema, fd.Options{})
+	inner, err := innerJoin(bench.Tables, schema)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, score("inner join", inner))
 
-	union, err := fd.OuterUnionOnly(bench.Tables, schema)
+	union, err := outerUnionOnly(bench.Tables, schema)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, score("outer union", union))
 
-	chain, err := fd.OuterJoinChain(bench.Tables, schema, nil, fd.Options{})
+	chain, err := outerJoinChain(bench.Tables, schema, nil)
 	if err != nil {
 		return nil, err
 	}

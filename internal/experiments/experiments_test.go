@@ -6,7 +6,7 @@ import (
 )
 
 // smallCfg keeps experiment tests fast; the full-scale runs live in
-// cmd/experiments and the root benchmarks.
+// cmd/experiments.
 func smallCfg() Config {
 	return Config{
 		Seed:            1,

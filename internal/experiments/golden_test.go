@@ -283,15 +283,15 @@ func TestGoldenOperatorOutputs(t *testing.T) {
 				name += fmt.Sprintf(", %d of %d", len(tables), len(bench.Tables))
 			}
 			schema := fd.IdentitySchema(tables)
-			inner, err := fd.InnerJoin(tables, schema, fd.Options{})
+			inner, err := innerJoin(tables, schema)
 			if err != nil {
 				t.Fatal(err)
 			}
-			union, err := fd.OuterUnionOnly(tables, schema)
+			union, err := outerUnionOnly(tables, schema)
 			if err != nil {
 				t.Fatal(err)
 			}
-			chain, err := fd.OuterJoinChain(tables, schema, nil, fd.Options{})
+			chain, err := outerJoinChain(tables, schema, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -97,7 +97,7 @@ func TestCancellationInsideComponent(t *testing.T) {
 
 	// Reference run: the closure is big, so an uncancelled run performs
 	// many merge attempts — cancellation cutting in early is observable.
-	ref, err := FullDisjunction(tables, schema, Options{})
+	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFullDisjunctionContextBackgroundIdentical(t *testing.T) {
 	for _, tables := range [][]*table.Table{fig1Tables(), chainTables(12)} {
 		schema := IdentitySchema(tables)
 		for _, v := range cancelVariants {
-			want, err := FullDisjunction(tables, schema, v.opts)
+			want, err := FullDisjunctionContext(context.Background(), tables, schema, v.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()
 			seed := tables[:20]
-			if _, err := x.Update(seed, Schema{Columns: schema.Columns[:21], Mapping: schema.Mapping[:20]}, v.opts); err != nil {
+			if _, err := x.UpdateContext(context.Background(), seed, Schema{Columns: schema.Columns[:21], Mapping: schema.Mapping[:20]}, v.opts); err != nil {
 				t.Fatal(err)
 			}
 
@@ -185,11 +185,11 @@ func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 				t.Fatalf("want ErrCanceled, got %v", err)
 			}
 
-			got, err := x.Update(tables, schema, v.opts)
+			got, err := x.UpdateContext(context.Background(), tables, schema, v.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := FullDisjunction(tables, schema, Options{})
+			want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 	tables := chainTables(30)
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunction(tables, schema, Options{})
+	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 		opts := Options{Workers: workers}
 		for trial := 0; trial < 2; trial++ {
 			opts.MaxTuples = limit
-			if _, err := FullDisjunction(tables, schema, opts); err != nil {
+			if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); err != nil {
 				t.Fatalf("workers=%d: budget at the limit failed: %v", workers, err)
 			}
 			opts.MaxTuples = limit - 1
-			if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+			if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
 				t.Fatalf("workers=%d: budget below the limit returned %v", workers, err)
 			}
 		}
@@ -237,7 +237,7 @@ func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 func TestIndexBudgetAbortRecoversAcrossWorkers(t *testing.T) {
 	tables := chainTables(40)
 	schema := IdentitySchema(tables)
-	want, err := FullDisjunction(tables, schema, Options{})
+	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +251,15 @@ func TestIndexBudgetAbortRecoversAcrossWorkers(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()
 			seed := tables[:20]
-			if _, err := x.Update(seed, Schema{Columns: schema.Columns[:21], Mapping: schema.Mapping[:20]}, v.opts); err != nil {
+			if _, err := x.UpdateContext(context.Background(), seed, Schema{Columns: schema.Columns[:21], Mapping: schema.Mapping[:20]}, v.opts); err != nil {
 				t.Fatal(err)
 			}
 			opts := v.opts
 			opts.MaxTuples = want.Stats.Closure - 1
-			if _, err := x.Update(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+			if _, err := x.UpdateContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
 				t.Fatalf("want ErrTupleBudget, got %v", err)
 			}
-			got, err := x.Update(tables, schema, v.opts)
+			got, err := x.UpdateContext(context.Background(), tables, schema, v.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

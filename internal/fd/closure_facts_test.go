@@ -1,6 +1,7 @@
 package fd_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -123,7 +124,7 @@ func TestClosureInvariantsOnDatagenSets(t *testing.T) {
 					}
 					schema := fd.IdentitySchema(view)
 					var err error
-					if got, err = x.Update(view, schema, opts); err != nil {
+					if got, err = x.UpdateContext(context.Background(), view, schema, opts); err != nil {
 						t.Fatalf("%s step %d: %v", label, step, err)
 					}
 					if err := antichain(got.Table); err != nil {
@@ -141,7 +142,7 @@ func TestClosureInvariantsOnDatagenSets(t *testing.T) {
 				if !fd.ResultsIdentical(got, ref) {
 					t.Errorf("%s: incremental result differs from the flat reference", label)
 				}
-				once, err := fd.FullDisjunction(view, schema, opts)
+				once, err := fd.FullDisjunctionContext(context.Background(), view, schema, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,11 +164,11 @@ func TestHubAttemptsBelowPairwiseClosure(t *testing.T) {
 	const pairwiseAttempts = 1193347
 	tables := hubTables(8000)
 	schema := fd.IdentitySchema(tables)
-	seq, err := fd.FullDisjunction(tables, schema, fd.Options{})
+	seq, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := fd.FullDisjunction(tables, schema, fd.Options{Workers: 4})
+	par, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestSubsumedTupleStillMerges(t *testing.T) {
 			}
 		}
 		for _, opts := range factVariants {
-			got, err := fd.FullDisjunction(view, schema, opts)
+			got, err := fd.FullDisjunctionContext(context.Background(), view, schema, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +237,7 @@ func TestSubsumedTupleStillMerges(t *testing.T) {
 			}
 			x := fd.NewIndex()
 			for k := 1; k <= len(view); k++ {
-				if got, err = x.Update(view[:k], fd.IdentitySchema(view[:k]), opts); err != nil {
+				if got, err = x.UpdateContext(context.Background(), view[:k], fd.IdentitySchema(view[:k]), opts); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -285,11 +286,11 @@ func TestIndexBaseRowEqualsDerivedTuple(t *testing.T) {
 			for k := tc.first; k <= len(tc.steps); k++ {
 				view := tc.steps[:k]
 				schema := fd.IdentitySchema(view)
-				got, err := x.Update(view, schema, opts)
+				got, err := x.UpdateContext(context.Background(), view, schema, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fd.FullDisjunction(view, schema, fd.Options{})
+				want, err := fd.FullDisjunctionContext(context.Background(), view, schema, fd.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

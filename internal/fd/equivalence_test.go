@@ -2,6 +2,7 @@ package fd_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -44,11 +45,11 @@ func TestIndexIncrementalMatchesBatch(t *testing.T) {
 		for k := 1; k <= nBatches; k++ {
 			view := truncated(tables, nBatches, k)
 			schema := fd.IdentitySchema(view)
-			got, err := x.Update(view, schema, opts)
+			got, err := x.UpdateContext(context.Background(), view, schema, opts)
 			if err != nil {
 				t.Fatalf("opts %+v batch %d: %v", opts, k, err)
 			}
-			want, err := fd.FullDisjunction(view, schema, opts)
+			want, err := fd.FullDisjunctionContext(context.Background(), view, schema, opts)
 			if err != nil {
 				t.Fatalf("opts %+v batch %d oneshot: %v", opts, k, err)
 			}
@@ -99,7 +100,7 @@ func TestEnginesAgreeOnDatagenSets(t *testing.T) {
 				t.Fatalf("%s seed %d flat: %v", g.name, seed, err)
 			}
 			for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}, {Workers: 4, NoPivot: true}, {Workers: 8}} {
-				got, err := fd.FullDisjunction(tables, schema, opts)
+				got, err := fd.FullDisjunctionContext(context.Background(), tables, schema, opts)
 				if err != nil {
 					t.Fatalf("%s seed %d opts %+v: %v", g.name, seed, opts, err)
 				}
@@ -127,12 +128,12 @@ func TestPivotMatchesUnbucketedOnSkewed(t *testing.T) {
 	for _, seed := range []int64{3, 21} {
 		tables := datagen.Skewed(datagen.SkewConfig{Seed: seed, Items: 400})
 		schema := fd.IdentitySchema(tables)
-		ref, err := fd.FullDisjunction(tables, schema, fd.Options{NoPivot: true})
+		ref, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{NoPivot: true})
 		if err != nil {
 			t.Fatalf("seed %d flat: %v", seed, err)
 		}
 		for _, opts := range []fd.Options{{}, {Workers: 4}, {Workers: 8}} {
-			got, err := fd.FullDisjunction(tables, schema, opts)
+			got, err := fd.FullDisjunctionContext(context.Background(), tables, schema, opts)
 			if err != nil {
 				t.Fatalf("seed %d opts %+v: %v", seed, opts, err)
 			}
@@ -165,11 +166,11 @@ func TestIndexIncrementalPivotOnSkewed(t *testing.T) {
 		for k := 1; k <= nBatches; k++ {
 			view := truncated(tables, nBatches, k)
 			schema := fd.IdentitySchema(view)
-			got, err := x.Update(view, schema, opts)
+			got, err := x.UpdateContext(context.Background(), view, schema, opts)
 			if err != nil {
 				t.Fatalf("opts %+v batch %d: %v", opts, k, err)
 			}
-			want, err := fd.FullDisjunction(view, schema, opts)
+			want, err := fd.FullDisjunctionContext(context.Background(), view, schema, opts)
 			if err != nil {
 				t.Fatalf("opts %+v batch %d oneshot: %v", opts, k, err)
 			}
@@ -237,11 +238,11 @@ func TestIndexByteIdenticalOnBenchmarkShapes(t *testing.T) {
 		for k := 1; k <= len(script); k++ {
 			view := script[:k]
 			schema := fd.IdentitySchema(view)
-			got, err := x.Update(view, schema, fd.Options{})
+			got, err := x.UpdateContext(context.Background(), view, schema, fd.Options{})
 			if err != nil {
 				t.Fatalf("%s update %d: %v", name, k, err)
 			}
-			want, err := fd.FullDisjunction(view, schema, fd.Options{})
+			want, err := fd.FullDisjunctionContext(context.Background(), view, schema, fd.Options{})
 			if err != nil {
 				t.Fatalf("%s update %d oneshot: %v", name, k, err)
 			}

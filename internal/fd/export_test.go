@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 
+	"fuzzyfd/internal/intern"
 	"fuzzyfd/internal/table"
 )
 
@@ -79,4 +80,49 @@ func FlatReference(tables []*table.Table, schema Schema) (*Result, error) {
 		return nil, err
 	}
 	return eng.materialize(eng.subsume(cl.tuples), schema, stats), nil
+}
+
+// outerUnion projects every input row onto the integrated schema, interning
+// each distinct cell value into a fresh dictionary, and deduplicates by
+// cell signature, unioning provenance — the input of the reference
+// closures, which see the whole outer union at once.
+func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
+	dict := intern.NewDict()
+	eng := &engine{nCols: len(schema.Columns)}
+	var tuples []Tuple
+	sigs := newSigIndex(0)
+	for ti, t := range tables {
+		for ri, row := range t.Rows {
+			cells := make([]uint32, eng.nCols) // zero-valued = all null
+			for ci, cell := range row {
+				if !cell.IsNull {
+					cells[schema.Mapping[ti][ci]] = dict.Intern(cell.Val)
+				}
+			}
+			tid := TID{Table: ti, Row: ri}
+			at, hash, ok := sigs.find(cells, tuples)
+			if ok {
+				tuples[at].Prov = mergeProv(tuples[at].Prov, []TID{tid})
+				continue
+			}
+			sigs.addHashed(hash, len(tuples))
+			tuples = append(tuples, Tuple{Cells: cells, Prov: []TID{tid}})
+		}
+	}
+	eng.dict = dict.Snapshot()
+	return eng, tuples
+}
+
+// materialize sorts tuples with distinct cells into canonical value order
+// and decodes them into a Result — the reference closures' output.
+func (e *engine) materialize(kept []Tuple, schema Schema, stats Stats) *Result {
+	slices.SortFunc(kept, func(a, b Tuple) int { return e.cmpCells(a.Cells, b.Cells) })
+	out := table.New("FD", schema.Columns...)
+	prov := make([][]TID, len(kept))
+	for i, tp := range kept {
+		out.Rows = append(out.Rows, e.decodeRow(tp.Cells))
+		prov[i] = tp.Prov
+	}
+	stats.Output = len(kept)
+	return &Result{Table: out, Prov: prov, Stats: stats}
 }

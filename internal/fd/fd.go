@@ -10,8 +10,8 @@
 // # Engine architecture
 //
 // There is one Full Disjunction path, the incremental Index: a one-shot
-// FullDisjunction is a fresh Index's single Update, and a session keeps
-// the Index between Updates. The engine is dictionary-encoded and
+// FullDisjunctionContext is a fresh Index's single Update, and a session
+// keeps the Index between Updates. The engine is dictionary-encoded and
 // component-partitioned:
 //
 //   - At ingest every distinct cell value is interned into a dense uint32
@@ -69,7 +69,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"fuzzyfd/internal/intern"
@@ -129,20 +128,6 @@ func (e *engine) decodeRow(cells []uint32) table.Row {
 		}
 	}
 	return row
-}
-
-// materialize sorts tuples with distinct cells into canonical value order
-// and decodes them into a Result — the operators' output path.
-func (e *engine) materialize(kept []Tuple, schema Schema, stats Stats) *Result {
-	slices.SortFunc(kept, func(a, b Tuple) int { return e.cmpCells(a.Cells, b.Cells) })
-	out := table.New("FD", schema.Columns...)
-	prov := make([][]TID, len(kept))
-	for i, tp := range kept {
-		out.Rows = append(out.Rows, e.decodeRow(tp.Cells))
-		prov[i] = tp.Prov
-	}
-	stats.Output = len(kept)
-	return &Result{Table: out, Prov: prov, Stats: stats}
 }
 
 // Schema maps each input table's columns onto the integrated (output)
@@ -287,8 +272,8 @@ func Canceled(err error) error {
 }
 
 // Stats reports the work done by one Full Disjunction computation. For an
-// incremental computation (Index.Update), the tuple counts describe the
-// whole accumulated result while the work counters (Merges, MergeAttempts,
+// incremental computation (Index.UpdateContext), the tuple counts describe
+// the whole accumulated result while the work counters (Merges, MergeAttempts,
 // DirtyComponents, ReclosedTuples) describe only the work this run
 // actually performed — the gap between ReclosedTuples and Closure is the
 // work the session amortized away.
@@ -335,53 +320,16 @@ type Result struct {
 	Stats Stats
 }
 
-// FullDisjunction integrates the tables under the given schema. The output
-// rows are sorted by cell value order, so results are deterministic and
-// directly comparable across algorithm variants.
-func FullDisjunction(tables []*table.Table, schema Schema, opts Options) (*Result, error) {
-	return FullDisjunctionContext(context.Background(), tables, schema, opts)
-}
-
-// FullDisjunctionContext is FullDisjunction under a context: cancellation
-// and deadlines are observed at component boundaries and, inside a
-// component, every cancelEvery candidate expansions — so even a single hub
+// FullDisjunctionContext integrates the tables under the given schema. The
+// output rows are sorted by cell value order, so results are deterministic
+// and directly comparable across algorithm variants. Cancellation and
+// deadlines are observed at component boundaries and, inside a component,
+// every cancelEvery candidate expansions — so even a single hub
 // component that dominates the closure is interrupted promptly. A dead
 // context yields an error matching ErrCanceled. It runs as a fresh Index's
 // one Update, so one-shot and incremental results are the same code.
 func FullDisjunctionContext(ctx context.Context, tables []*table.Table, schema Schema, opts Options) (*Result, error) {
 	return NewIndex().UpdateContext(ctx, tables, schema, opts)
-}
-
-// outerUnion projects every input row onto the integrated schema, interning
-// each distinct cell value into a fresh dictionary, and deduplicates by
-// cell signature, unioning provenance — the operators' input.
-func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
-	dict := intern.NewDict()
-	eng := &engine{nCols: len(schema.Columns)}
-	var tuples []Tuple
-	sigs := newSigIndex(0)
-	for ti, t := range tables {
-		for ri, row := range t.Rows {
-			cells := make([]uint32, eng.nCols) // zero-valued = all null
-			for ci, cell := range row {
-				if !cell.IsNull {
-					cells[schema.Mapping[ti][ci]] = dict.Intern(cell.Val)
-				}
-			}
-			tid := TID{Table: ti, Row: ri}
-			at, hash, ok := sigs.find(cells, tuples)
-			if ok {
-				tuples[at].Prov = mergeProv(tuples[at].Prov, []TID{tid})
-				continue
-			}
-			sigs.addHashed(hash, len(tuples))
-			tuples = append(tuples, Tuple{Cells: cells, Prov: []TID{tid}})
-		}
-	}
-	// Interning is complete: closures never mint symbols (merged cells reuse
-	// existing ones), so the engine freezes the dictionary here.
-	eng.dict = dict.Snapshot()
-	return eng, tuples
 }
 
 // mergeProv unions two sorted TID slices.
@@ -435,20 +383,13 @@ func provContains(super, sub []TID) bool {
 	return true
 }
 
-// tryMerge merges two tuples if they are consistent (no attribute holds two
-// different non-null values) and connected (at least one attribute is
-// non-null and equal in both). Returns the merged cells and true on
-// success.
-func tryMerge(a, b []uint32) ([]uint32, bool) {
-	// nil buffer: tryMergeInto only writes after the consistency check
-	// passes, so failed attempts allocate nothing.
-	return tryMergeInto(nil, a, b)
-}
-
-// tryMergeInto is tryMerge writing into buf (grown as needed): closures
-// reuse one buffer per worker, so the dominant duplicate
-// productions — merges whose result already exists in the store — allocate
-// nothing. The result aliases buf; clone it before storing.
+// tryMergeInto merges two tuples if they are consistent (no attribute
+// holds two different non-null values) and connected (at least one
+// attribute is non-null and equal in both), writing the merged cells into
+// buf (grown as needed) and reporting success. Closures reuse one buffer
+// per worker, so the dominant duplicate productions — merges whose result
+// already exists in the store — allocate nothing, and a failed attempt
+// writes nothing. The result aliases buf; clone it before storing.
 func tryMergeInto(buf, a, b []uint32) ([]uint32, bool) {
 	connected := false
 	for i := range a {

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -68,7 +69,7 @@ func provSet(prov []TID) map[TID]bool {
 // only Boston (t6+t11) and Berlin/DE (t7+t9) integrating.
 func TestFig1EquiJoin(t *testing.T) {
 	tables := fig1Tables()
-	res, err := FullDisjunction(tables, IdentitySchema(tables), Options{})
+	res, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestFig1EquiJoin(t *testing.T) {
 // tuples, matching the bottom table of Figure 1.
 func TestFig1Fuzzy(t *testing.T) {
 	tables := fig1Fuzzy()
-	res, err := FullDisjunction(tables, IdentitySchema(tables), Options{})
+	res, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestSchemaValidate(t *testing.T) {
 
 func TestTupleBudget(t *testing.T) {
 	tables := fig1Tables()
-	_, err := FullDisjunction(tables, IdentitySchema(tables), Options{MaxTuples: 3})
+	_, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{MaxTuples: 3})
 	if !errors.Is(err, ErrTupleBudget) {
 		t.Errorf("want ErrTupleBudget, got %v", err)
 	}
@@ -188,11 +189,11 @@ func TestTupleBudget(t *testing.T) {
 func TestMemoryBudget(t *testing.T) {
 	tables := fig1Tables()
 	schema := IdentitySchema(tables)
-	_, err := FullDisjunction(tables, schema, Options{MaxBytes: 128})
+	_, err := FullDisjunctionContext(context.Background(), tables, schema, Options{MaxBytes: 128})
 	if !errors.Is(err, ErrMemoryBudget) {
 		t.Errorf("tiny budget: want ErrMemoryBudget, got %v", err)
 	}
-	res, err := FullDisjunction(tables, schema, Options{MaxBytes: 1 << 20})
+	res, err := FullDisjunctionContext(context.Background(), tables, schema, Options{MaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatalf("generous budget: %v", err)
 	}
@@ -200,7 +201,7 @@ func TestMemoryBudget(t *testing.T) {
 		t.Errorf("Stats.MemoryBytes = %d, want in (0, 1MiB]", res.Stats.MemoryBytes)
 	}
 	// When both ceilings are crossed the tuple signal wins.
-	_, err = FullDisjunction(tables, schema, Options{MaxTuples: 3, MaxBytes: 128})
+	_, err = FullDisjunctionContext(context.Background(), tables, schema, Options{MaxTuples: 3, MaxBytes: 128})
 	if !errors.Is(err, ErrTupleBudget) {
 		t.Errorf("both ceilings: want ErrTupleBudget, got %v", err)
 	}
@@ -208,7 +209,7 @@ func TestMemoryBudget(t *testing.T) {
 
 func TestEmptyAndSingleTable(t *testing.T) {
 	empty := table.New("e", "a")
-	res, err := FullDisjunction([]*table.Table{empty}, IdentitySchema([]*table.Table{empty}), Options{})
+	res, err := FullDisjunctionContext(context.Background(), []*table.Table{empty}, IdentitySchema([]*table.Table{empty}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestEmptyAndSingleTable(t *testing.T) {
 	one := table.New("t", "a", "b")
 	one.MustAppendRow(table.S("1"), table.S("2"))
 	one.MustAppendRow(table.S("1"), table.Null())
-	res, err = FullDisjunction([]*table.Table{one}, IdentitySchema([]*table.Table{one}), Options{})
+	res, err = FullDisjunctionContext(context.Background(), []*table.Table{one}, IdentitySchema([]*table.Table{one}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestDuplicateRowsUnionProvenance(t *testing.T) {
 	tb := table.New("t", "a")
 	tb.MustAppendRow(table.S("x"))
 	tb.MustAppendRow(table.S("x"))
-	res, err := FullDisjunction([]*table.Table{tb}, IdentitySchema([]*table.Table{tb}), Options{})
+	res, err := FullDisjunctionContext(context.Background(), []*table.Table{tb}, IdentitySchema([]*table.Table{tb}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestFDMatchesOracle(t *testing.T) {
 			return false
 		}
 		for _, workers := range []int{1, 4} {
-			got, err := FullDisjunction(tables, schema, Options{Workers: workers})
+			got, err := FullDisjunctionContext(context.Background(), tables, schema, Options{Workers: workers})
 			if err != nil {
 				t.Logf("seed %d workers %d: %v", seed, workers, err)
 				return false
@@ -318,7 +319,7 @@ func TestFDOrderInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tables := randomTables(r)
-		res1, err := FullDisjunction(tables, IdentitySchema(tables), Options{})
+		res1, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{})
 		if err != nil {
 			return false
 		}
@@ -327,7 +328,7 @@ func TestFDOrderInvariance(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = tables[p]
 		}
-		res2, err := FullDisjunction(shuffled, IdentitySchema(shuffled), Options{})
+		res2, err := FullDisjunctionContext(context.Background(), shuffled, IdentitySchema(shuffled), Options{})
 		if err != nil {
 			return false
 		}
@@ -359,7 +360,7 @@ func TestFDInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tables := randomTables(r)
-		res, err := FullDisjunction(tables, IdentitySchema(tables), Options{})
+		res, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{})
 		if err != nil {
 			return false
 		}
@@ -389,7 +390,7 @@ func TestFDInvariants(t *testing.T) {
 		// Fixpoint: FD(FD(T)) has the same rows. Merged tuples cannot merge
 		// further (any consistent connected pair would have merged), and
 		// nothing is subsumed.
-		again, err := FullDisjunction([]*table.Table{res.Table}, IdentitySchema([]*table.Table{res.Table}), Options{})
+		again, err := FullDisjunctionContext(context.Background(), []*table.Table{res.Table}, IdentitySchema([]*table.Table{res.Table}), Options{})
 		if err != nil {
 			return false
 		}
@@ -402,11 +403,11 @@ func TestFDInvariants(t *testing.T) {
 
 func TestParallelMatchesSequentialOnFig1(t *testing.T) {
 	tables := fig1Fuzzy()
-	seq, err := FullDisjunction(tables, IdentitySchema(tables), Options{Workers: 1})
+	seq, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FullDisjunction(tables, IdentitySchema(tables), Options{Workers: 8})
+	par, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestParallelMatchesSequentialOnFig1(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	tables := fig1Fuzzy()
-	res, err := FullDisjunction(tables, IdentitySchema(tables), Options{})
+	res, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,19 +443,19 @@ func TestTIDString(t *testing.T) {
 	}
 }
 
-// Fuzz-ish check of tryMerge semantics, on raw symbols (0 = null).
+// Fuzz-ish check of tryMergeInto semantics, on raw symbols (0 = null).
 func TestTryMerge(t *testing.T) {
 	// Consistent and connected.
-	m, ok := tryMerge([]uint32{1, 0, 2}, []uint32{1, 3, 0})
+	m, ok := tryMergeInto(nil, []uint32{1, 0, 2}, []uint32{1, 3, 0})
 	if !ok || m[0] != 1 || m[1] != 3 || m[2] != 2 {
 		t.Errorf("merge=%v ok=%v", m, ok)
 	}
 	// Conflict.
-	if _, ok := tryMerge([]uint32{1}, []uint32{2}); ok {
+	if _, ok := tryMergeInto(nil, []uint32{1}, []uint32{2}); ok {
 		t.Error("conflicting tuples merged")
 	}
 	// Disconnected (no shared non-null attribute).
-	if _, ok := tryMerge([]uint32{1, 0}, []uint32{0, 2}); ok {
+	if _, ok := tryMergeInto(nil, []uint32{1, 0}, []uint32{0, 2}); ok {
 		t.Error("disconnected tuples merged")
 	}
 }

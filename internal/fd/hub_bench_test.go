@@ -1,6 +1,7 @@
 package fd_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -52,7 +53,7 @@ func BenchmarkClosureHub(b *testing.B) {
 		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := fd.FullDisjunction(tables, schema, eng.opts)
+				res, err := fd.FullDisjunctionContext(context.Background(), tables, schema, eng.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -199,7 +200,7 @@ func hubBenchSweep(tables []*table.Table, schema fd.Schema) (hubBenchProcs, fd.S
 			runtime.GC() // every pass starts from the same heap
 			runtime.ReadMemStats(&before)
 			start := time.Now()
-			res, err := fd.FullDisjunction(tables, schema, eng.opts)
+			res, err := fd.FullDisjunctionContext(context.Background(), tables, schema, eng.opts)
 			if err != nil {
 				return out, seq, err
 			}
@@ -252,12 +253,12 @@ func hubBenchDeltaRun(tables []*table.Table, schema fd.Schema) (hubBenchDelta, e
 	second := func(workers int, best *float64) error {
 		x := fd.NewIndex()
 		opts := fd.Options{Workers: workers}
-		if _, err := x.Update([]*table.Table{head}, schema, opts); err != nil {
+		if _, err := x.UpdateContext(context.Background(), []*table.Table{head}, schema, opts); err != nil {
 			return err
 		}
 		runtime.GC() // the first Update's garbage is not the second's to collect
 		start := time.Now()
-		if _, err := x.Update(tables, schema, opts); err != nil {
+		if _, err := x.UpdateContext(context.Background(), tables, schema, opts); err != nil {
 			return err
 		}
 		if ms := float64(time.Since(start).Microseconds()) / 1000; *best == 0 || ms < *best {
@@ -288,7 +289,7 @@ func hubBenchDeltaRun(tables []*table.Table, schema fd.Schema) (hubBenchDelta, e
 func TestHubFixtureSingleComponent(t *testing.T) {
 	tables := hubTables(3000)
 	schema := fd.IdentitySchema(tables)
-	res, err := fd.FullDisjunction(tables, schema, fd.Options{})
+	res, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestHubFixtureSingleComponent(t *testing.T) {
 	if res.Stats.PivotColumn < 0 {
 		t.Error("pivot index did not engage on the hub fixture")
 	}
-	flat, err := fd.FullDisjunction(tables, schema, fd.Options{NoPivot: true})
+	flat, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{NoPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestHubFixtureSingleComponent(t *testing.T) {
 		if eng.opts.Workers == 0 {
 			continue
 		}
-		par, err := fd.FullDisjunction(tables, schema, eng.opts)
+		par, err := fd.FullDisjunctionContext(context.Background(), tables, schema, eng.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +344,7 @@ func TestPivotParAllocatesLikeSequential(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			res, err := fd.FullDisjunction(tables, schema, fd.Options{Workers: workers})
+			res, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{Workers: workers})
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

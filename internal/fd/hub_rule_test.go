@@ -1,6 +1,7 @@
 package fd_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -49,7 +50,7 @@ func TestHubRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema := fd.IdentitySchema(tc.tables)
-			seq, err := fd.FullDisjunction(tc.tables, schema, fd.Options{Workers: 1})
+			seq, err := fd.FullDisjunctionContext(context.Background(), tc.tables, schema, fd.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +60,7 @@ func TestHubRule(t *testing.T) {
 			if !tc.hub && seq.Stats.PivotColumn >= 0 {
 				t.Fatalf("fixture: pivot column %d chosen", seq.Stats.PivotColumn)
 			}
-			par, err := fd.FullDisjunction(tc.tables, schema, fd.Options{Workers: 4})
+			par, err := fd.FullDisjunctionContext(context.Background(), tc.tables, schema, fd.Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

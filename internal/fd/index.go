@@ -30,7 +30,7 @@ import (
 // closure, and no pair of tuples from the closures of two previously
 // separate components can merge. Every Update therefore produces output
 // byte-identical — tables and provenance — to a fresh Index's single Update
-// over the accumulated input, which is what FullDisjunction runs.
+// over the accumulated input, which is what FullDisjunctionContext runs.
 //
 // Update verifies, cheaply, that previously ingested rows still project to
 // their recorded tuples under the current schema and dictionary. When they
@@ -176,13 +176,6 @@ func (x *Index) Values() int {
 	return x.dict.Len()
 }
 
-// BaseTuples reports the current outer-union size.
-func (x *Index) BaseTuples() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.base)
-}
-
 // Rebuilds reports how many Updates had to rebuild the tuple store because
 // previously ingested rows no longer projected to their recorded tuples.
 func (x *Index) Rebuilds() int {
@@ -199,7 +192,7 @@ func (x *Index) Snapshot() intern.Snapshot {
 	return x.dict.Snapshot()
 }
 
-// Update ingests the accumulated integration set (all tables of the
+// UpdateContext ingests the accumulated integration set (all tables of the
 // session, in a stable order; previously seen tables must come first and
 // may only have grown) and returns the Full Disjunction of the whole set.
 // Only components touched by new or re-deduplicated tuples are re-closed;
@@ -208,16 +201,12 @@ func (x *Index) Snapshot() intern.Snapshot {
 // returned before, so a Result stays valid while later Updates run. The
 // rows and provenance lists in them are shared with the index's assembled
 // output and with later results: treat them as read-only.
-func (x *Index) Update(tables []*table.Table, schema Schema, opts Options) (*Result, error) {
-	return x.UpdateContext(context.Background(), tables, schema, opts)
-}
-
-// UpdateContext is Update under a context. Cancellation is observed at
-// component boundaries and inside component closures (see
-// FullDisjunctionContext). A canceled Update keeps the ingested delta: its
-// dirty marks persist, so the next Update simply re-closes the affected
-// components — from their base tuples where the cancellation consumed a
-// cached closure — without rebuilding the store.
+//
+// Cancellation is observed at component boundaries and inside component
+// closures (see FullDisjunctionContext). A canceled Update keeps the
+// ingested delta: its dirty marks persist, so the next Update simply
+// re-closes the affected components — from their base tuples where the
+// cancellation consumed a cached closure — without rebuilding the store.
 func (x *Index) UpdateContext(ctx context.Context, tables []*table.Table, schema Schema, opts Options) (*Result, error) {
 	start := time.Now()
 	if err := schema.Validate(tables); err != nil {

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -108,7 +109,7 @@ func TestIndexChunkedIngestionMatchesBatch(t *testing.T) {
 					view[vi].Rows = src.Rows[:len(src.Rows)*chunks[si]/nChunks]
 				}
 				schema := IdentitySchema(view)
-				want, err := FullDisjunction(view, schema, Options{})
+				want, err := FullDisjunctionContext(context.Background(), view, schema, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,13 +118,13 @@ func TestIndexChunkedIngestionMatchesBatch(t *testing.T) {
 					// that has a delta to close): the retry below must recover.
 					abort := opts
 					abort.MaxTuples = 1
-					if _, err := x.Update(view, schema, abort); errors.Is(err, ErrTupleBudget) {
+					if _, err := x.UpdateContext(context.Background(), view, schema, abort); errors.Is(err, ErrTupleBudget) {
 						aborted = true
 					} else if err != nil {
 						t.Fatalf("workers %d seed %d step %d: want ErrTupleBudget, got %v", workers, seed, step, err)
 					}
 				}
-				got, err := x.Update(view, schema, opts)
+				got, err := x.UpdateContext(context.Background(), view, schema, opts)
 				if err != nil {
 					t.Fatalf("workers %d seed %d step %d: %v", workers, seed, step, err)
 				}
@@ -195,7 +196,7 @@ func proportionalToDelta(t *testing.T, opts Options) {
 	view := spokeHub(n)
 	schema := IdentitySchema(view)
 	x := NewIndex()
-	first, err := x.Update(view, schema, opts)
+	first, err := x.UpdateContext(context.Background(), view, schema, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func proportionalToDelta(t *testing.T, opts Options) {
 		t.Fatal("fixture: the hub was not closed by pivot groups")
 	}
 	view = grow(view, 0, table.S("k1"), table.S("v-warm"))
-	warm, err := x.Update(view, schema, opts)
+	warm, err := x.UpdateContext(context.Background(), view, schema, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +217,11 @@ func proportionalToDelta(t *testing.T, opts Options) {
 
 	check := func(label string, maxIndexed, maxAttempts int) {
 		t.Helper()
-		got, err := x.Update(view, schema, opts)
+		got, err := x.UpdateContext(context.Background(), view, schema, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := FullDisjunction(view, schema, Options{})
+		want, err := FullDisjunctionContext(context.Background(), view, schema, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func proportionalToDelta(t *testing.T, opts Options) {
 		view := spokeHub(n)
 		schema := IdentitySchema(view)
 		x := NewIndex()
-		if _, err := x.Update(view, schema, opts); err != nil {
+		if _, err := x.UpdateContext(context.Background(), view, schema, opts); err != nil {
 			t.Fatal(err)
 		}
 		const runs = 8
@@ -265,7 +266,7 @@ func proportionalToDelta(t *testing.T, opts Options) {
 		}
 		i := 0
 		return testing.AllocsPerRun(runs, func() {
-			if _, err := x.Update(views[i], schema, opts); err != nil {
+			if _, err := x.UpdateContext(context.Background(), views[i], schema, opts); err != nil {
 				t.Fatal(err)
 			}
 			i++
@@ -332,7 +333,7 @@ func TestIndexRepivotsGrownComponent(t *testing.T) {
 	view := spokeHub(4)
 	schema := IdentitySchema(view)
 	x := NewIndex()
-	first, err := x.Update(view, schema, Options{})
+	first, err := x.UpdateContext(context.Background(), view, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +345,11 @@ func TestIndexRepivotsGrownComponent(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			view = grow(view, 0, table.S("k1"), table.S(fmt.Sprintf("n%d-%d", i, k)))
 		}
-		if last, err = x.Update(view, schema, Options{}); err != nil {
+		if last, err = x.UpdateContext(context.Background(), view, schema, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := FullDisjunction(view, schema, Options{})
+	want, err := FullDisjunctionContext(context.Background(), view, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestIndexExtendsParallelClosedHub(t *testing.T) {
 	view = append(view, dup)
 	schema := IdentitySchema(view)
 	x := NewIndex()
-	first, err := x.Update(view, schema, Options{Workers: 4})
+	first, err := x.UpdateContext(context.Background(), view, schema, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +396,11 @@ func TestIndexExtendsParallelClosedHub(t *testing.T) {
 		for k := 0; k < s.rows; k++ {
 			view = grow(view, 0, table.S("k1"), table.S(fmt.Sprintf("extra%d-%d", step, k)))
 		}
-		got, err := x.Update(view, schema, Options{Workers: s.workers})
+		got, err := x.UpdateContext(context.Background(), view, schema, Options{Workers: s.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := FullDisjunction(view, schema, Options{})
+		want, err := FullDisjunctionContext(context.Background(), view, schema, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,12 +43,12 @@ func TestIndexIncrementalMatchesBatchRandom(t *testing.T) {
 		for k := 1; k <= nBatches; k++ {
 			view := accumulate(tables, nBatches, k)
 			schema := IdentitySchema(view)
-			got, err := x.Update(view, schema, Options{})
+			got, err := x.UpdateContext(context.Background(), view, schema, Options{})
 			if err != nil {
 				t.Logf("seed %d batch %d: %v", seed, k, err)
 				return false
 			}
-			want, err := FullDisjunction(view, schema, Options{})
+			want, err := FullDisjunctionContext(context.Background(), view, schema, Options{})
 			if err != nil {
 				return false
 			}
@@ -84,11 +84,11 @@ func TestIndexSchemaWidening(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		view := []*table.Table{t1, t2, t3}[:k]
 		schema := IdentitySchema(view)
-		got, err := x.Update(view, schema, Options{})
+		got, err := x.UpdateContext(context.Background(), view, schema, Options{})
 		if err != nil {
 			t.Fatalf("step %d: %v", k, err)
 		}
-		want, err := FullDisjunction(view, schema, Options{})
+		want, err := FullDisjunctionContext(context.Background(), view, schema, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestIndexRebuildOnRewriteDrift(t *testing.T) {
 
 	x := NewIndex()
 	view := []*table.Table{t1, t2}
-	if _, err := x.Update(view, IdentitySchema(view), Options{}); err != nil {
+	if _, err := x.UpdateContext(context.Background(), view, IdentitySchema(view), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	valuesBefore := x.Values()
@@ -135,11 +135,11 @@ func TestIndexRebuildOnRewriteDrift(t *testing.T) {
 	t2b := table.New("t2", "k", "b")
 	t2b.MustAppendRow(table.S("K-1"), table.S("y"))
 	view = []*table.Table{t1b, t2b}
-	got, err := x.Update(view, IdentitySchema(view), Options{})
+	got, err := x.UpdateContext(context.Background(), view, IdentitySchema(view), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FullDisjunction(view, IdentitySchema(view), Options{})
+	want, err := FullDisjunctionContext(context.Background(), view, IdentitySchema(view), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestIndexBudgetAbortThenRetry(t *testing.T) {
 	t1.MustAppendRow(table.S("x"), table.Null(), table.S("2"))
 	x := NewIndex()
 	view := []*table.Table{t1}
-	if _, err := x.Update(view, IdentitySchema(view), Options{}); err != nil {
+	if _, err := x.UpdateContext(context.Background(), view, IdentitySchema(view), Options{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,15 +180,15 @@ func TestIndexBudgetAbortThenRetry(t *testing.T) {
 	t2.MustAppendRow(table.S("y"), table.Null(), table.S("4"))
 	view = []*table.Table{t1, t2}
 	schema := IdentitySchema(view)
-	if _, err := x.Update(view, schema, Options{MaxTuples: 4}); !errors.Is(err, ErrTupleBudget) {
+	if _, err := x.UpdateContext(context.Background(), view, schema, Options{MaxTuples: 4}); !errors.Is(err, ErrTupleBudget) {
 		t.Fatalf("want ErrTupleBudget, got %v", err)
 	}
 
-	got, err := x.Update(view, schema, Options{})
+	got, err := x.UpdateContext(context.Background(), view, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FullDisjunction(view, schema, Options{})
+	want, err := FullDisjunctionContext(context.Background(), view, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestIndexSeedReuse(t *testing.T) {
 	for _, n := range []int{20, 30, 40} {
 		tables := chainTables(n)
 		schema := IdentitySchema(tables)
-		got, err := x.Update(tables, schema, Options{})
+		got, err := x.UpdateContext(context.Background(), tables, schema, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := FullDisjunction(tables, schema, Options{})
+		want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestIndexSeedReuse(t *testing.T) {
 			if lastSeed == 0 {
 				t.Errorf("n=%d: no closure tuples reused as seeds", n)
 			}
-			if ref, _ := FullDisjunction(tables, schema, Options{}); lastAttempts >= ref.Stats.MergeAttempts {
+			if ref, _ := FullDisjunctionContext(context.Background(), tables, schema, Options{}); lastAttempts >= ref.Stats.MergeAttempts {
 				t.Errorf("n=%d: seeded update attempted %d merges, one-shot needs only %d — no incremental saving",
 					n, lastAttempts, ref.Stats.MergeAttempts)
 			}
@@ -249,16 +249,16 @@ func TestIndexSeedReuse(t *testing.T) {
 func TestIndexBudget(t *testing.T) {
 	tables := fig1Fuzzy()
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunction(tables, schema, Options{})
+	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := NewIndex()
-	if _, err := x.Update(tables, schema, Options{MaxTuples: ref.Stats.Closure}); err != nil {
+	if _, err := x.UpdateContext(context.Background(), tables, schema, Options{MaxTuples: ref.Stats.Closure}); err != nil {
 		t.Fatalf("budget at the limit must pass: %v", err)
 	}
 	y := NewIndex()
-	if _, err := y.Update(tables, schema, Options{MaxTuples: ref.Stats.Closure - 1}); err == nil {
+	if _, err := y.UpdateContext(context.Background(), tables, schema, Options{MaxTuples: ref.Stats.Closure - 1}); err == nil {
 		t.Fatal("budget below the limit must abort")
 	}
 }
@@ -274,11 +274,11 @@ func TestIndexIncrementalConcurrentRandom(t *testing.T) {
 		for k := 1; k <= nBatches; k++ {
 			view := accumulate(tables, nBatches, k)
 			schema := IdentitySchema(view)
-			got, err := x.Update(view, schema, Options{Workers: 4})
+			got, err := x.UpdateContext(context.Background(), view, schema, Options{Workers: 4})
 			if err != nil {
 				return false
 			}
-			want, err := FullDisjunction(view, schema, Options{})
+			want, err := FullDisjunctionContext(context.Background(), view, schema, Options{})
 			if err != nil {
 				return false
 			}

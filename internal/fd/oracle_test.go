@@ -220,6 +220,69 @@ func OuterJoinFD(tables []*table.Table, schema Schema, opts Options) (*Result, e
 	return eng.materialize(kept, schema, stats), nil
 }
 
+// fullOuterJoin evaluates, for OuterJoinFD, the natural full outer join of
+// two padded tuple sets over the integrated schema: matched pairs
+// (consistent and sharing an equal non-null value) merge; dangling tuples
+// from both sides survive unchanged.
+func fullOuterJoin(left, right []Tuple, stats *Stats) []Tuple {
+	idx := indexAll(right, -1)
+
+	var out []Tuple
+	matchedRight := make([]bool, len(right))
+	var scratch stampSet
+	for i := range left {
+		scratch.next(len(right))
+		matched := false
+		idx.candidates(-1, left[i].Cells, &scratch, func(j int) {
+			stats.MergeAttempts++
+			merged, ok := tryMergeInto(nil, left[i].Cells, right[j].Cells)
+			if !ok {
+				return
+			}
+			stats.Merges++
+			matched = true
+			matchedRight[j] = true
+			out = append(out, Tuple{Cells: merged, Prov: mergeProv(left[i].Prov, right[j].Prov)})
+		})
+		if !matched {
+			out = append(out, left[i])
+		}
+	}
+	for j := range right {
+		if !matchedRight[j] {
+			out = append(out, right[j])
+		}
+	}
+	// Deduplicate within the join result.
+	return dedupeTuples(out)
+}
+
+// dedupeTuples merges tuples with identical cells, unioning provenance.
+func dedupeTuples(tuples []Tuple) []Tuple {
+	seen := newSigIndex(len(tuples))
+	out := tuples[:0]
+	for _, t := range tuples {
+		at, hash, ok := seen.find(t.Cells, out)
+		if ok {
+			out[at].Prov = mergeProv(out[at].Prov, t.Prov)
+			continue
+		}
+		seen.addHashed(hash, len(out))
+		out = append(out, t)
+	}
+	return out
+}
+
+// provHasTable reports whether any TID of prov comes from table ti.
+func provHasTable(prov []TID, ti int) bool {
+	for _, t := range prov {
+		if t.Table == ti {
+			return true
+		}
+	}
+	return false
+}
+
 // permutations enumerates all orderings of 0..n-1 in lexicographic order.
 func permutations(n int) [][]int {
 	if n == 0 {

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestOuterJoinFDOnFig1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FullDisjunction(tables, schema, Options{})
+	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestOuterJoinFDTwoTablesEqualsFD(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := FullDisjunction(tables, schema, Options{})
+		want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 		if err != nil {
 			return false
 		}
@@ -72,7 +73,7 @@ func TestOuterJoinFDNeverOverproduces(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		full, err := FullDisjunction(tables, schema, Options{})
+		full, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -127,7 +128,7 @@ func TestPartitionedMatchesNaive(t *testing.T) {
 			return false
 		}
 		for _, opts := range []Options{{}, {Workers: 4}} {
-			got, err := FullDisjunction(tables, schema, opts)
+			got, err := FullDisjunctionContext(context.Background(), tables, schema, opts)
 			if err != nil {
 				t.Logf("seed %d opts %+v: %v", seed, opts, err)
 				return false
@@ -170,12 +171,12 @@ func TestConcurrentClosureMatchesSequentialRandom(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tables := randomTablesWithEmptyRows(r)
 		schema := IdentitySchema(tables)
-		want, err := FullDisjunction(tables, schema, Options{})
+		want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 		if err != nil {
 			return false
 		}
 		for _, opts := range variants {
-			got, err := FullDisjunction(tables, schema, opts)
+			got, err := FullDisjunctionContext(context.Background(), tables, schema, opts)
 			if err != nil {
 				t.Logf("seed %d opts %+v: %v", seed, opts, err)
 				return false
@@ -202,7 +203,7 @@ func TestPartitionedMatchesFlatWithEmptyRows(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		part, err := FullDisjunction(tables, schema, Options{})
+		part, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 		if err != nil {
 			return false
 		}
@@ -221,7 +222,7 @@ func TestPartitionedMatchesFlatWithEmptyRows(t *testing.T) {
 // Partition stats must describe the partition the closure actually used.
 func TestPartitionStats(t *testing.T) {
 	tables := fig1Fuzzy()
-	res, err := FullDisjunction(tables, IdentitySchema(tables), Options{})
+	res, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,19 +257,19 @@ func TestPartitionedBudgetMatchesFlat(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tables := randomTables(r)
 		schema := IdentitySchema(tables)
-		ref, err := FullDisjunction(tables, schema, Options{})
+		ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 		if err != nil {
 			return false
 		}
 		budget := ref.Stats.Closure // exactly at the limit: must succeed
 		for _, opts := range []Options{{MaxTuples: budget}, {MaxTuples: budget, Workers: 4}} {
-			if _, err := FullDisjunction(tables, schema, opts); err != nil {
+			if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); err != nil {
 				return false
 			}
 		}
 		if budget > 1 {
 			for _, opts := range []Options{{MaxTuples: budget - 1}, {MaxTuples: budget - 1, Workers: 4}} {
-				if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+				if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
 					return false
 				}
 			}

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -124,7 +125,7 @@ func TestPivotedCandidatesSoundAndComplete(t *testing.T) {
 func TestPivotEnginesByteIdentical(t *testing.T) {
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunction(tables, schema, Options{NoPivot: true})
+	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{NoPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestPivotEnginesByteIdentical(t *testing.T) {
 		{"steal8", Options{Workers: 8}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
-			got, err := FullDisjunction(tables, schema, v.opts)
+			got, err := FullDisjunctionContext(context.Background(), tables, schema, v.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +191,7 @@ func TestPivotEnginesByteIdentical(t *testing.T) {
 func TestPivotBudgetDeterministic(t *testing.T) {
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunction(tables, schema, Options{})
+	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestPivotBudgetDeterministic(t *testing.T) {
 	limit := ref.Stats.Closure
 	for _, workers := range []int{1, 4} {
 		opts := Options{Workers: workers, MaxTuples: limit}
-		got, err := FullDisjunction(tables, schema, opts)
+		got, err := FullDisjunctionContext(context.Background(), tables, schema, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: budget at the limit failed: %v", workers, err)
 		}
@@ -208,7 +209,7 @@ func TestPivotBudgetDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d: closed by pivot groups = %v", workers, grouped)
 		}
 		opts.MaxTuples = limit - 1
-		if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+		if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
 			t.Fatalf("workers=%d: budget below the limit returned %v", workers, err)
 		}
 	}
@@ -221,7 +222,7 @@ func TestCancellationInsidePivotGroups(t *testing.T) {
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
 	opts := Options{Workers: 4}
-	ref, err := FullDisjunction(tables, schema, opts)
+	ref, err := FullDisjunctionContext(context.Background(), tables, schema, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestPivotIndexCancelAndBudgetRecover(t *testing.T) {
 	// flipped context is polled well past its entry checks.
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
-	want, err := FullDisjunction(tables, schema, Options{})
+	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestPivotIndexCancelAndBudgetRecover(t *testing.T) {
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()
-			if _, err := x.Update(tables[:2], catSeedSchema(schema), v.opts); err != nil {
+			if _, err := x.UpdateContext(context.Background(), tables[:2], catSeedSchema(schema), v.opts); err != nil {
 				t.Fatal(err)
 			}
 			ctx := newFlipCtx(3)
@@ -272,10 +273,10 @@ func TestPivotIndexCancelAndBudgetRecover(t *testing.T) {
 			}
 			opts := v.opts
 			opts.MaxTuples = want.Stats.Closure - 1
-			if _, err := x.Update(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+			if _, err := x.UpdateContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
 				t.Fatalf("want ErrTupleBudget, got %v", err)
 			}
-			got, err := x.Update(tables, schema, v.opts)
+			got, err := x.UpdateContext(context.Background(), tables, schema, v.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,21 +297,21 @@ func TestIndexNoPivotOverCachedPivotedComponent(t *testing.T) {
 	tables := catTables(60)
 	schema := IdentitySchema(tables)
 	x := NewIndex()
-	first, err := x.Update(tables[:2], catSeedSchema(schema), Options{})
+	first, err := x.UpdateContext(context.Background(), tables[:2], catSeedSchema(schema), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Stats.PivotColumn < 0 {
 		t.Fatal("seed Update must cache a pivoted posting index")
 	}
-	got, err := x.Update(tables, schema, Options{NoPivot: true})
+	got, err := x.UpdateContext(context.Background(), tables, schema, Options{NoPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats.PivotColumn != -1 {
 		t.Errorf("NoPivot Update reports pivot column %d", got.Stats.PivotColumn)
 	}
-	want, err := FullDisjunction(tables, schema, Options{NoPivot: true})
+	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{NoPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}

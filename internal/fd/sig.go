@@ -123,7 +123,7 @@ type budget struct {
 // signature and posting indexes, the cached kept tuples and decoded output
 // rows, and the session's base store and ingest indexes — plus, per
 // column, its cell symbol and its share of the decoded rows' cells (8.1 to
-// 8.2 B measured). The fit is a session's: a one-shot FullDisjunction
+// 8.2 B measured). The fit is a session's: a one-shot FullDisjunctionContext
 // holds no base store or ingest index, and its peak heap is not measured
 // against the model.
 const (

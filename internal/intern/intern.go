@@ -55,9 +55,6 @@ func (d *Dict) Intern(s string) uint32 {
 	return sym
 }
 
-// Bytes estimates the memory the dictionary retains, for memory budgeting.
-func (d *Dict) Bytes() int64 { return d.bytes }
-
 // Symbol returns the symbol for s without interning, and whether s is
 // known.
 func (d *Dict) Symbol(s string) (uint32, bool) {
@@ -73,19 +70,6 @@ func (d *Dict) Value(sym uint32) string {
 
 // Len reports the number of distinct interned values (excluding Null).
 func (d *Dict) Len() int { return len(d.vals) }
-
-// Less orders two symbols by the value order the engine sorts output rows
-// with: Null before any value, values by their strings. Distinct symbols
-// always hold distinct strings, so Less is a strict weak ordering.
-func (d *Dict) Less(a, b uint32) bool {
-	if a == b {
-		return false
-	}
-	if a == Null || b == Null {
-		return a == Null
-	}
-	return d.vals[a-1] < d.vals[b-1]
-}
 
 // Snapshot is an immutable view of the first Len symbols of a Dict. The
 // backing array is shared with the parent (entries never mutate, and the
@@ -109,17 +93,14 @@ func (s Snapshot) Len() int { return len(s.vals) }
 // Bytes estimates the memory retained by the snapshotted dictionary.
 func (s Snapshot) Bytes() int64 { return s.bytes }
 
-// Contains reports whether sym was assigned at snapshot time (Null is
-// never assigned, so it is not contained).
-func (s Snapshot) Contains(sym uint32) bool {
-	return sym != Null && sym <= uint32(len(s.vals))
-}
-
 // Value returns the string for a non-Null symbol covered by the snapshot.
 // As with Dict.Value, an unknown or Null symbol panics.
 func (s Snapshot) Value(sym uint32) string { return s.vals[sym-1] }
 
-// Less orders two snapshot symbols exactly as Dict.Less does.
+// Less orders two snapshot symbols by the value order the engine sorts
+// output rows with: Null before any value, values by their strings.
+// Distinct symbols always hold distinct strings, so Less is a strict weak
+// ordering.
 func (s Snapshot) Less(a, b uint32) bool {
 	if a == b {
 		return false

@@ -134,9 +134,6 @@ func (l *Lexicon) CanonicalToken(tok string) string {
 	return tok
 }
 
-// Entries returns the entry list (shared; read-only).
-func (l *Lexicon) Entries() []Entry { return l.entries }
-
 // Terms returns a copy of the token-level abbreviation pairs as
 // (abbreviated token → canonical token).
 func (l *Lexicon) Terms() map[string]string {

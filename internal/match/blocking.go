@@ -2,7 +2,6 @@ package match
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strings"
 
@@ -198,37 +197,4 @@ func (r *run) blockedEdges(reps, values []string, theta float64) []assign.Edge {
 	}
 	r.stats.Edges += len(edges)
 	return edges
-}
-
-// Validate checks the guarantee the implementation provides for Definition
-// 2: every member joined its cluster at a distance under θ from the
-// then-current representative (recorded in Member.Dist), and every cluster
-// has exactly one member per column at most (columns from the same table do
-// not align with themselves, so a column contributes at most one value to a
-// set of matched values). Returns the first violation found.
-func Validate(clusters []Cluster, theta float64) error {
-	for ci, c := range clusters {
-		if len(c.Members) == 0 {
-			return fmt.Errorf("match: cluster %d is empty", ci)
-		}
-		cols := make(map[int]bool, len(c.Members))
-		repSeen := false
-		for _, mem := range c.Members {
-			if mem.Dist >= theta {
-				return fmt.Errorf("match: cluster %d: member %q matched at distance %.3f (θ=%.2f)",
-					ci, mem.Value, mem.Dist, theta)
-			}
-			if cols[mem.Col] {
-				return fmt.Errorf("match: cluster %d: two members from column %d", ci, mem.Col)
-			}
-			cols[mem.Col] = true
-			if mem.Value == c.Rep {
-				repSeen = true
-			}
-		}
-		if !repSeen {
-			return fmt.Errorf("match: cluster %d: representative %q is not a member", ci, c.Rep)
-		}
-	}
-	return nil
 }

@@ -6,9 +6,24 @@ import (
 	"sync"
 	"testing"
 
+	"fuzzyfd/internal/datagen"
 	"fuzzyfd/internal/embed"
 	"fuzzyfd/internal/match"
 )
+
+// imdbIDColumns returns the aligning title-id columns of the generated IMDB
+// benchmark: random fixed-width identifiers that share hashed trigrams but
+// almost never a token, so blocking links them into one giant candidate
+// component with well under 1 % of its cells filled.
+func imdbIDColumns(totalTuples int) []match.Column {
+	var cols []match.Column
+	for _, t := range datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: totalTuples}) {
+		if ci := t.ColumnIndex("tconst"); ci >= 0 {
+			cols = append(cols, match.NewColumn(t.Name+".tconst", t.ColumnValues(ci)))
+		}
+	}
+	return cols
+}
 
 // Identifier columns form one giant, very sparse candidate component (see
 // imdbIDColumns) — where a solver that explores adjacency lists and one

@@ -58,7 +58,7 @@ func TestVectorPathsEqualPerPairDistance(t *testing.T) {
 			for _, m := range []struct {
 				name string
 				mode match.Mode
-			}{{"dense", match.ModeDense}, {"sparse", match.ModeSparse}, {"greedy", match.ModeGreedy}} {
+			}{{"dense", match.ModeDense}, {"sparse", match.ModeSparse}} {
 				mode := m.mode
 				t.Run(name+"/"+fx.name+"/"+m.name, func(t *testing.T) {
 					emb, err := embed.New(name)

@@ -39,15 +39,12 @@ type Mode int
 
 const (
 	// ModeAuto uses dense assignment for small column pairs and blocked
-	// sparse assignment beyond DenseLimit.
+	// sparse assignment beyond DefaultDenseLimit.
 	ModeAuto Mode = iota
 	// ModeDense always builds the full cost matrix.
 	ModeDense
 	// ModeSparse always uses the blocking index.
 	ModeSparse
-	// ModeGreedy uses the greedy heuristic over blocked candidates
-	// (ablation baseline; not an exact assignment).
-	ModeGreedy
 )
 
 // DefaultDenseLimit bounds |A|·|B| for the dense path under ModeAuto.
@@ -85,7 +82,7 @@ func NewColumn(name string, cells []string) Column {
 
 // DistinctValues returns the distinct values across the columns, in
 // first-seen order — the warm list for pre-embedding a column set (see
-// embed.Warm). Shared by the pipeline's match stage and MatchValues so
+// embed.WarmContext). Shared by the pipeline's match stage and MatchValues so
 // the two paths cannot drift.
 func DistinctValues(cols []Column) []string {
 	var out []string
@@ -127,8 +124,6 @@ type Options struct {
 	Theta float64
 	// Mode selects the assignment strategy (default ModeAuto).
 	Mode Mode
-	// DenseLimit overrides DefaultDenseLimit under ModeAuto.
-	DenseLimit int
 }
 
 func (o Options) theta() float64 {
@@ -136,13 +131,6 @@ func (o Options) theta() float64 {
 		return DefaultTheta
 	}
 	return o.Theta
-}
-
-func (o Options) denseLimit() int {
-	if o.DenseLimit <= 0 {
-		return DefaultDenseLimit
-	}
-	return o.DenseLimit
 }
 
 // Scorer measures the dissimilarity of two cell values in [0, 1]. The
@@ -397,7 +385,7 @@ func (r *run) point(v string) point {
 func (r *run) assignRound(reps, values []string, theta float64) ([]assign.Pair, error) {
 	mode := r.opts.Mode
 	if mode == ModeAuto {
-		if len(reps)*len(values) <= r.opts.denseLimit() {
+		if len(reps)*len(values) <= DefaultDenseLimit {
 			mode = ModeDense
 		} else {
 			mode = ModeSparse
@@ -413,8 +401,6 @@ func (r *run) assignRound(reps, values []string, theta float64) ([]assign.Pair, 
 			r.stats.LargestAssignComponent = [2]int{shape.LargestLeft, shape.LargestRight}
 		}
 		return pairs, nil
-	case ModeGreedy:
-		return assign.Greedy(r.blockedEdges(reps, values, theta)), nil
 	default:
 		return nil, fmt.Errorf("unknown mode %d", mode)
 	}

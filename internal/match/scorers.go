@@ -33,31 +33,3 @@ func (s qgramScorer) Distance(a, b string) float64 {
 	}
 	return 1 - strutil.QGramJaccard(strutil.Fold(a), strutil.Fold(b), s.q)
 }
-
-// hybridScorer takes the minimum distance over several scorers — useful
-// for combining a surface scorer with a knowledge scorer.
-type hybridScorer struct {
-	name    string
-	scorers []Scorer
-}
-
-// MinScorer returns a Scorer whose distance is the minimum over the given
-// scorers (i.e. a value pair matches if any component scorer matches it).
-func MinScorer(name string, scorers ...Scorer) Scorer {
-	return hybridScorer{name: name, scorers: scorers}
-}
-
-func (s hybridScorer) Name() string { return s.name }
-
-func (s hybridScorer) Distance(a, b string) float64 {
-	best := 1.0
-	for _, sc := range s.scorers {
-		if d := sc.Distance(a, b); d < best {
-			best = d
-			if best == 0 {
-				break
-			}
-		}
-	}
-	return best
-}

@@ -48,25 +48,6 @@ func TestQGramScorerProperties(t *testing.T) {
 	}
 }
 
-func TestMinScorer(t *testing.T) {
-	s := MinScorer("hybrid", QGramScorer(3), EmbedderScorer(embed.NewMistral()))
-	if s.Name() != "hybrid" {
-		t.Errorf("Name=%q", s.Name())
-	}
-	// The hybrid bridges synonyms via the embedder even though q-grams do
-	// not.
-	if d := s.Distance("Canada", "CA"); d >= 0.7 {
-		t.Errorf("hybrid should bridge synonyms: %v", d)
-	}
-	// And never exceeds either component.
-	for _, p := range [][2]string{{"Berlin", "Berlinn"}, {"a", "b"}} {
-		d := s.Distance(p[0], p[1])
-		if d > QGramScorer(3).Distance(p[0], p[1])+1e-12 {
-			t.Errorf("hybrid %v exceeds qgram component", d)
-		}
-	}
-}
-
 // A scorer without vectors runs through both assignment paths: the blocked
 // path must fall back to Distance per candidate.
 func TestMatcherWithQGramScorer(t *testing.T) {

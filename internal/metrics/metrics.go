@@ -35,23 +35,8 @@ func (s PairSet) Add(a, b string) {
 	s[NewPair(a, b)] = true
 }
 
-// Has reports membership of {a, b}.
-func (s PairSet) Has(a, b string) bool { return s[NewPair(a, b)] }
-
 // Len returns the number of pairs.
 func (s PairSet) Len() int { return len(s) }
-
-// Union returns a new set holding all pairs of s and o.
-func (s PairSet) Union(o PairSet) PairSet {
-	out := make(PairSet, len(s)+len(o))
-	for p := range s {
-		out[p] = true
-	}
-	for p := range o {
-		out[p] = true
-	}
-	return out
-}
 
 // Intersect returns a new set holding the common pairs of s and o.
 func (s PairSet) Intersect(o PairSet) PairSet {
@@ -63,21 +48,6 @@ func (s PairSet) Intersect(o PairSet) PairSet {
 	for p := range small {
 		if big[p] {
 			out[p] = true
-		}
-	}
-	return out
-}
-
-// ClusterPairs reduces a clustering (each cluster a slice of item IDs) to
-// the set of all intra-cluster pairs. Duplicated IDs within a cluster
-// contribute nothing extra.
-func ClusterPairs(clusters [][]string) PairSet {
-	out := NewPairSet()
-	for _, c := range clusters {
-		for i := 0; i < len(c); i++ {
-			for j := i + 1; j < len(c); j++ {
-				out.Add(c[i], c[j])
-			}
 		}
 	}
 	return out

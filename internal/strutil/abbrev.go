@@ -1,7 +1,5 @@
 package strutil
 
-import "strings"
-
 // AbbrevSignature returns a signature under which a multi-token name and its
 // initialism collide: for a multi-token value the concatenated initials
 // ("New York" → "ny"); for a single short token the token itself lowercased
@@ -20,70 +18,4 @@ func AbbrevSignature(s string) string {
 	default:
 		return JoinInitials(s)
 	}
-}
-
-// initialismStopwords are the connective tokens commonly dropped when
-// forming an initialism ("USA" for "United States of America").
-var initialismStopwords = map[string]bool{
-	"of": true, "the": true, "and": true, "for": true, "in": true,
-	"de": true, "la": true, "du": true, "von": true,
-}
-
-// contentInitials returns the concatenated first runes of the non-stopword
-// tokens of s.
-func contentInitials(s string) string {
-	var sb strings.Builder
-	for _, t := range Tokens(s) {
-		if initialismStopwords[t] {
-			continue
-		}
-		r := []rune(t)
-		if len(r) > 0 {
-			sb.WriteRune(r[0])
-		}
-	}
-	return sb.String()
-}
-
-// IsInitialismOf reports whether short is the initialism of long:
-// "nd" vs "New Delhi", "USA" vs "United States of America" (connective
-// stopwords such as "of" may be skipped). Comparison is case-insensitive;
-// short must be a single token.
-func IsInitialismOf(short, long string) bool {
-	st := Tokens(short)
-	if len(st) != 1 || len(Tokens(long)) < 2 {
-		return false
-	}
-	return st[0] == JoinInitials(long) || st[0] == contentInitials(long)
-}
-
-// IsTruncationOf reports whether short is a prefix truncation of long
-// ("Univ" / "University", "Corp" / "Corporation"). Both are folded first;
-// short must be at least 2 runes and strictly shorter than long.
-func IsTruncationOf(short, long string) bool {
-	s := strings.TrimSuffix(Fold(StripPunct(short)), ".")
-	l := Fold(StripPunct(long))
-	rs := []rune(s)
-	rl := []rune(l)
-	if len(rs) < 2 || len(rs) >= len(rl) {
-		return false
-	}
-	return strings.HasPrefix(l, s)
-}
-
-// ExpandSignatures returns the set of abbreviation-related keys for s, used
-// as blocking keys: the folded form, the initialism signature, the token
-// sorted set, and the consonant skeleton. Empty keys are omitted.
-func ExpandSignatures(s string) []string {
-	var out []string
-	add := func(k string) {
-		if k != "" {
-			out = append(out, k)
-		}
-	}
-	add(Fold(s))
-	add(AbbrevSignature(s))
-	add(SortedTokenSet(s))
-	add(ConsonantSkeleton(s))
-	return out
 }

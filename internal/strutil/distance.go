@@ -1,53 +1,5 @@
 package strutil
 
-// Levenshtein returns the edit distance between a and b (insertions,
-// deletions, substitutions, unit cost), computed over runes.
-func Levenshtein(a, b string) int {
-	ra := []rune(a)
-	rb := []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = minInt(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// LevenshteinSim maps edit distance to a similarity in [0,1]:
-// 1 - dist/maxLen. Equal strings score 1; completely different score 0.
-func LevenshteinSim(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	la := len([]rune(a))
-	lb := len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
-	}
-	if m == 0 {
-		return 1
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
-
 func minInt(vals ...int) int {
 	m := vals[0]
 	for _, v := range vals[1:] {

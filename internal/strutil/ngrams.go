@@ -57,35 +57,6 @@ func QGramJaccard(a, b string, q int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// TokenJaccard computes the Jaccard similarity of the token sets of a and b.
-func TokenJaccard(a, b string) float64 {
-	ta := Tokens(a)
-	tb := Tokens(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	sa := make(map[string]bool, len(ta))
-	for _, t := range ta {
-		sa[t] = true
-	}
-	inter := 0
-	sb := make(map[string]bool, len(tb))
-	for _, t := range tb {
-		if sb[t] {
-			continue
-		}
-		sb[t] = true
-		if sa[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 // Prefixes returns the rune prefixes of s with lengths in [min, max],
 // clipped to the string length. Used as embedder features so that
 // truncation-style abbreviations ("Univ" for "University") share features

@@ -118,18 +118,3 @@ func insertionSort(s []string) {
 		}
 	}
 }
-
-// IsUpperish reports whether s looks like an all-caps code ("USA", "NY",
-// "DE"): every letter is uppercase and it contains at least one letter.
-func IsUpperish(s string) bool {
-	hasLetter := false
-	for _, r := range s {
-		if unicode.IsLetter(r) {
-			hasLetter = true
-			if !unicode.IsUpper(r) {
-				return false
-			}
-		}
-	}
-	return hasLetter
-}

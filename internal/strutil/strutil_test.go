@@ -2,7 +2,6 @@ package strutil
 
 import (
 	"hash/fnv"
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -61,15 +60,6 @@ func TestSortedTokenSet(t *testing.T) {
 	}
 }
 
-func TestIsUpperish(t *testing.T) {
-	cases := map[string]bool{"USA": true, "NY": true, "Ny": false, "123": false, "U.S.": true, "usa": false}
-	for in, want := range cases {
-		if got := IsUpperish(in); got != want {
-			t.Errorf("IsUpperish(%q)=%v want %v", in, got, want)
-		}
-	}
-}
-
 func TestCharNGrams(t *testing.T) {
 	got := CharNGrams("ab", 2, true) // "#ab#"
 	want := []string{"#a", "ab", "b#"}
@@ -115,15 +105,6 @@ func TestQGramJaccard(t *testing.T) {
 	}
 }
 
-func TestTokenJaccard(t *testing.T) {
-	if got := TokenJaccard("new york city", "city of new york"); got != 3.0/4.0 {
-		t.Errorf("TokenJaccard=%v", got)
-	}
-	if got := TokenJaccard("", ""); got != 1 {
-		t.Errorf("empty=%v", got)
-	}
-}
-
 func TestPrefixes(t *testing.T) {
 	got := Prefixes("univ", 2, 6)
 	want := []string{"un", "uni", "univ"}
@@ -138,75 +119,6 @@ func TestJoinInitials(t *testing.T) {
 	}
 	if got := JoinInitials("United States of America"); got != "usoa" {
 		t.Errorf("JoinInitials=%q", got)
-	}
-}
-
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"a", "", 1},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"berlin", "berlinn", 1},
-		{"héllo", "hello", 1},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q)=%d want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-// Properties of Levenshtein: symmetry, identity, and the unit upper bound
-// for single-character appends.
-func TestLevenshteinProperties(t *testing.T) {
-	alphabet := []rune("abcde")
-	randStr := func(r *rand.Rand) string {
-		n := r.Intn(8)
-		s := make([]rune, n)
-		for i := range s {
-			s[i] = alphabet[r.Intn(len(alphabet))]
-		}
-		return string(s)
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randStr(r)
-		b := randStr(r)
-		d := Levenshtein(a, b)
-		if d != Levenshtein(b, a) {
-			return false
-		}
-		if (d == 0) != (a == b) {
-			return false
-		}
-		if Levenshtein(a, a+"x") != 1 {
-			return false
-		}
-		// Triangle inequality through a third string.
-		c := randStr(r)
-		if d > Levenshtein(a, c)+Levenshtein(c, b) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLevenshteinSim(t *testing.T) {
-	if got := LevenshteinSim("abc", "abc"); got != 1 {
-		t.Errorf("identical=%v", got)
-	}
-	if got := LevenshteinSim("", ""); got != 1 {
-		t.Errorf("empty=%v", got)
-	}
-	if got := LevenshteinSim("abc", "xyz"); got != 0 {
-		t.Errorf("disjoint=%v", got)
 	}
 }
 
@@ -290,54 +202,5 @@ func TestAbbrevSignature(t *testing.T) {
 	}
 	if AbbrevSignature("New York") != AbbrevSignature("NY") {
 		t.Error("initialism should collide with its expansion")
-	}
-}
-
-func TestIsInitialismOf(t *testing.T) {
-	if !IsInitialismOf("nd", "New Delhi") {
-		t.Error("nd / New Delhi")
-	}
-	if !IsInitialismOf("USA", "United states of america") {
-		t.Error("USA should match case-insensitively")
-	}
-	if IsInitialismOf("nd", "Delhi") {
-		t.Error("single-token long should not match")
-	}
-	if IsInitialismOf("new delhi", "New Delhi") {
-		t.Error("multi-token short should not match")
-	}
-}
-
-func TestIsTruncationOf(t *testing.T) {
-	if !IsTruncationOf("Univ.", "University") {
-		t.Error("Univ. / University")
-	}
-	if !IsTruncationOf("corp", "Corporation") {
-		t.Error("corp / Corporation")
-	}
-	if IsTruncationOf("University", "Univ") {
-		t.Error("longer cannot truncate shorter")
-	}
-	if IsTruncationOf("x", "xylophone") {
-		t.Error("single-rune truncations are too ambiguous")
-	}
-}
-
-func TestExpandSignatures(t *testing.T) {
-	sigs := ExpandSignatures("New York")
-	want := map[string]bool{"new york": true, "ny": true, "nwrk": false}
-	for k, mustHave := range want {
-		found := false
-		for _, s := range sigs {
-			if s == k {
-				found = true
-			}
-		}
-		if found != mustHave && mustHave {
-			t.Errorf("signature %q missing from %v", k, sigs)
-		}
-	}
-	if got := ExpandSignatures(""); len(got) != 0 {
-		t.Errorf("empty input should yield no signatures: %v", got)
 	}
 }

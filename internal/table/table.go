@@ -104,20 +104,6 @@ func (t *Table) MustAppendRow(cells ...Cell) {
 	}
 }
 
-// AppendStrings adds a row of non-null string cells, treating the empty
-// string and NullToken as nulls.
-func (t *Table) AppendStrings(vals ...string) error {
-	r := make(Row, len(vals))
-	for i, v := range vals {
-		if v == "" || v == NullToken {
-			r[i] = Null()
-		} else {
-			r[i] = S(v)
-		}
-	}
-	return t.AppendRow(r)
-}
-
 // ColumnIndex returns the index of the named column, or -1 if absent.
 func (t *Table) ColumnIndex(name string) int {
 	for i, c := range t.Columns {
@@ -126,15 +112,6 @@ func (t *Table) ColumnIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// Column returns the cells of column i in row order.
-func (t *Table) Column(i int) []Cell {
-	out := make([]Cell, len(t.Rows))
-	for r, row := range t.Rows {
-		out[r] = row[i]
-	}
-	return out
 }
 
 // ColumnValues returns the non-null string values of column i in row order

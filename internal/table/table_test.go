@@ -50,17 +50,6 @@ func TestAppendRowWidthCheck(t *testing.T) {
 	}
 }
 
-func TestAppendStringsNullMapping(t *testing.T) {
-	tb := New("t", "a", "b", "c")
-	if err := tb.AppendStrings("x", "", NullToken); err != nil {
-		t.Fatal(err)
-	}
-	r := tb.Rows[0]
-	if r[0].IsNull || !r[1].IsNull || !r[2].IsNull {
-		t.Fatalf("null mapping wrong: %v", r)
-	}
-}
-
 func TestColumnAccessors(t *testing.T) {
 	tb := New("t", "a", "b")
 	tb.MustAppendRow(S("x"), S("1"))
@@ -78,10 +67,6 @@ func TestColumnAccessors(t *testing.T) {
 	vals, counts := tb.DistinctColumnValues(0)
 	if !reflect.DeepEqual(vals, []string{"x"}) || !reflect.DeepEqual(counts, []int{2}) {
 		t.Errorf("DistinctColumnValues=%v %v", vals, counts)
-	}
-	col := tb.Column(1)
-	if len(col) != 3 || !col[2].IsNull {
-		t.Errorf("Column(1)=%v", col)
 	}
 }
 
