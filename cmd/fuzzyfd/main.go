@@ -8,7 +8,7 @@
 //	fuzzyfd -align -headers ...                  # content-based alignment
 //	fuzzyfd -prov ...                            # append a provenance column
 //	fuzzyfd -session t1.csv t2.csv t3.csv ...    # incremental integration
-//	fuzzyfd -stream t1.csv t2.csv                # JSONL result via StreamJSONL
+//	fuzzyfd -json t1.csv t2.csv                  # JSON Lines instead of a table
 //	fuzzyfd -progress ...                        # live phase/component progress
 //	fuzzyfd -stats ...                           # pivot columns, skip counts, assignment shape
 //	fuzzyfd -cpuprofile cpu.pb.gz ...            # write a CPU profile
@@ -21,9 +21,6 @@
 // tuples touch are re-closed. Per-step timings and reuse statistics go to
 // stderr, so the amortization of the session state is directly visible;
 // the final result prints as usual.
-//
-// With -stream the integrated rows are written to stdout as JSON Lines by
-// fuzzyfd.StreamJSONL, in the result's order: the same bytes as -json.
 //
 // Ctrl-C (or SIGTERM) cancels a running integration cleanly: the closure
 // stops at the next cancellation checkpoint — even inside a single huge
@@ -68,7 +65,6 @@ func main() {
 		budget   = flag.Int("budget", 0, "abort if the FD closure exceeds this many tuples (0 = unlimited)")
 		statsF   = flag.Bool("stats", false, "report per-component pivot columns, skipped candidates and value-assignment shape on stderr")
 		session  = flag.Bool("session", false, "integrate incrementally: add one file at a time to a persistent session")
-		stream   = flag.Bool("stream", false, "write the result to stdout as JSON Lines via StreamJSONL (the bytes of -json)")
 		progress = flag.Bool("progress", false, "report pipeline phases and per-component closure progress on stderr")
 		out      = flag.String("out", "", "write the integrated table to this CSV file instead of stdout")
 		prov     = flag.Bool("prov", false, "append a provenance column (source tuple IDs)")
@@ -83,9 +79,6 @@ func main() {
 	paths := flag.Args()
 	if len(paths) < 2 {
 		log.Fatal("need at least two CSV files to integrate")
-	}
-	if *stream && (*session || *out != "" || *prov) {
-		log.Fatal("-stream writes JSONL to stdout and combines only with matcher/engine flags")
 	}
 
 	stopProfiles, err := startProfiles(*cpuProf, *memProf, *pprofSrv)
@@ -133,12 +126,9 @@ func main() {
 	opts = append(opts, fuzzyfd.WithProgress(tracker.observe))
 
 	var res *fuzzyfd.Result
-	switch {
-	case *stream:
-		res, err = fuzzyfd.StreamJSONL(ctx, os.Stdout, tables, opts...)
-	case *session:
+	if *session {
 		res, err = runSession(ctx, tables, paths, opts, *quiet)
-	default:
+	} else {
 		res, err = fuzzyfd.IntegrateContext(ctx, tables, opts...)
 	}
 	if err != nil {
@@ -150,23 +140,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if !*stream {
-		result := res.Table
-		if *prov {
-			result = res.TableWithProvenance()
+	result := res.Table
+	if *prov {
+		result = res.TableWithProvenance()
+	}
+	switch {
+	case *jsonOut:
+		if err := fuzzyfd.WriteJSONL(os.Stdout, result); err != nil {
+			log.Fatal(err)
 		}
-		switch {
-		case *jsonOut:
-			if err := fuzzyfd.WriteJSONL(os.Stdout, result); err != nil {
-				log.Fatal(err)
-			}
-		case *out != "":
-			if err := fuzzyfd.WriteCSVFile(*out, result); err != nil {
-				log.Fatal(err)
-			}
-		default:
-			fmt.Print(result)
+	case *out != "":
+		if err := fuzzyfd.WriteCSVFile(*out, result); err != nil {
+			log.Fatal(err)
 		}
+	default:
+		fmt.Print(result)
 	}
 
 	if *statsF {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -127,42 +126,6 @@ func TestResultRows(t *testing.T) {
 	}
 	if i != 1 {
 		t.Error("early break did not stop iteration")
-	}
-}
-
-// TestStreamJSONLMatchesBatch: streamed JSONL is the batch WriteJSONL
-// output byte for byte, for both pipelines, sequentially and with parallel
-// FD.
-func TestStreamJSONLMatchesBatch(t *testing.T) {
-	tables := covidTables()
-	for name, opts := range map[string][]Option{
-		"fuzzy":      nil,
-		"fuzzy-par4": {WithParallelFD(4)},
-		"equi":       {WithEquiJoin()},
-		"equi-par4":  {WithEquiJoin(), WithParallelFD(4)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			batch, err := Integrate(tables, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want strings.Builder
-			if err := WriteJSONL(&want, batch.Table); err != nil {
-				t.Fatal(err)
-			}
-
-			var got strings.Builder
-			res, err := StreamJSONL(context.Background(), &got, tables, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.FDStats.Output != batch.Table.NumRows() {
-				t.Errorf("stream Output=%d, batch rows=%d", res.FDStats.Output, batch.Table.NumRows())
-			}
-			if got.String() != want.String() {
-				t.Errorf("JSONL differs:\nbatch:\n%s\nstream:\n%s", want.String(), got.String())
-			}
-		})
 	}
 }
 

@@ -40,8 +40,8 @@
 // Failures carry typed errors — ErrTupleBudget, ErrCanceled, and
 // *PhaseError naming the pipeline phase — that errors.Is/As unwrap, and
 // WithProgress streams phase transitions and per-component closure counts
-// to a callback. Result.Rows iterates rows with provenance, StreamJSONL
-// writes a result as JSON Lines, and Session.StreamContext hands a
+// to a callback. Result.Rows iterates rows with provenance, WriteJSONL
+// writes a result's table as JSON Lines, and Session.StreamContext hands a
 // session's current result to a callback row by row.
 package fuzzyfd
 
@@ -359,21 +359,6 @@ func IntegrateContext(ctx context.Context, tables []*Table, opts ...Option) (*Re
 	return core.IntegrateContext(ctx, tables, cfg)
 }
 
-// StreamJSONL integrates the tables and writes the result to w as JSON
-// Lines: IntegrateContext followed by WriteJSONL, so the bytes are
-// WriteJSONL's of the integrated table, rows in Integrate's order. Nothing
-// is written when the integration fails.
-func StreamJSONL(ctx context.Context, w io.Writer, tables []*Table, opts ...Option) (*Result, error) {
-	res, err := IntegrateContext(ctx, tables, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := table.WriteJSONL(w, res.Table); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // Session integrates a growing set of tables incrementally. Where
 // Integrate rebuilds everything per call, a Session keeps its value
 // dictionary, embedding cache, match clusters, and Full Disjunction index
@@ -594,7 +579,7 @@ func MatchValuesContext(ctx context.Context, columns [][]string, opts ...Option)
 	if err != nil {
 		return nil, err
 	}
-	emb := cfg.ResolvedEmbedder()
+	emb := embed.Cached(cfg.ResolvedEmbedder(), embed.NewValueCache())
 	m := &match.Matcher{Emb: emb, Opts: match.Options{Theta: cfg.Theta}}
 	cols := make([]match.Column, len(columns))
 	for i, c := range columns {
@@ -605,7 +590,7 @@ func MatchValuesContext(ctx context.Context, columns [][]string, opts ...Option)
 			return nil, fd.Canceled(err)
 		}
 	}
-	clusters, err := m.MatchContext(ctx, cols)
+	clusters, _, err := m.Match(ctx, cols)
 	if err != nil {
 		return nil, markCanceled(err)
 	}
@@ -661,7 +646,7 @@ func discover(ctx context.Context, query *Table, corpus []*Table, k int, opts []
 	if err != nil {
 		return nil, err
 	}
-	s := &discovery.Searcher{Emb: cfg.ResolvedEmbedder()}
+	s := &discovery.Searcher{Emb: embed.Cached(cfg.ResolvedEmbedder(), embed.NewValueCache())}
 	var cands []Candidate
 	if join {
 		cands, err = s.JoinablesContext(ctx, query, corpus, k)

@@ -51,28 +51,9 @@ type Result struct {
 // Aligner clusters columns across tables.
 type Aligner struct {
 	Emb embed.Embedder
-	// Threshold overrides DefaultThreshold when non-zero.
-	Threshold float64
-	// SampleSize overrides DefaultSampleSize when non-zero.
-	SampleSize int
 	// UseHeaders blends a header embedding into each column embedding.
 	// Disable when headers are known to be garbage.
 	UseHeaders bool
-	// headerWeight is the blend factor for the header embedding.
-}
-
-func (a *Aligner) threshold() float64 {
-	if a.Threshold == 0 {
-		return DefaultThreshold
-	}
-	return a.Threshold
-}
-
-func (a *Aligner) sampleSize() int {
-	if a.SampleSize <= 0 {
-		return DefaultSampleSize
-	}
-	return a.SampleSize
 }
 
 // Align clusters the columns of the integration set.
@@ -115,7 +96,7 @@ func (a *Aligner) Align(tables []*table.Table) (Result, error) {
 				continue
 			}
 			sim := 1 - embed.CosineDistance(cols[i].vec, cols[j].vec)
-			if sim >= a.threshold() {
+			if sim >= DefaultThreshold {
 				pairs = append(pairs, scored{i: i, j: j, sim: sim})
 			}
 		}
@@ -211,8 +192,7 @@ func kindsCompatible(a, b table.Kind) bool {
 // enabled.
 func (a *Aligner) columnVector(t *table.Table, ci int) embed.Vector {
 	vals, counts := t.DistinctColumnValues(ci)
-	limit := a.sampleSize()
-	if len(vals) > limit {
+	if len(vals) > DefaultSampleSize {
 		// Prefer frequent values: sort by count descending, then value.
 		type vc struct {
 			v string
@@ -229,7 +209,7 @@ func (a *Aligner) columnVector(t *table.Table, ci int) embed.Vector {
 			return byCount[i].v < byCount[j].v
 		})
 		vals = vals[:0]
-		for i := 0; i < limit; i++ {
+		for i := 0; i < DefaultSampleSize; i++ {
 			vals = append(vals, byCount[i].v)
 		}
 	}

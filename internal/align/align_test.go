@@ -161,7 +161,7 @@ func TestSampleSizeCap(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		big.MustAppendRow(table.S("value-" + string(rune('a'+i%26)) + string(rune('0'+i%10))))
 	}
-	a := &Aligner{Emb: embed.NewMistral(), SampleSize: 10}
+	a := &Aligner{Emb: embed.NewMistral()}
 	vec := a.columnVector(big, 0)
 	if len(vec) != a.Emb.Dim() {
 		t.Errorf("vector dim=%d", len(vec))

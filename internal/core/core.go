@@ -109,8 +109,6 @@ type Config struct {
 	// AlignContent enables content-based column alignment (holistic schema
 	// matching). When false, columns align by identical names.
 	AlignContent bool
-	// AlignThreshold overrides the alignment similarity threshold.
-	AlignThreshold float64
 	// UseHeaders blends headers into content-based alignment.
 	UseHeaders bool
 	// MatchWorkers sets the concurrency of the match phase's value

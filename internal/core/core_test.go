@@ -152,22 +152,6 @@ func TestTableWithProvenance(t *testing.T) {
 	}
 }
 
-func TestCustomAlignThreshold(t *testing.T) {
-	// An absurdly strict alignment threshold prevents any cross-table
-	// column alignment: every column becomes its own output column and
-	// nothing integrates (no shared columns at all).
-	res, err := Integrate(fig1(), Config{AlignContent: true, AlignThreshold: 0.999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(res.Schema.Columns), 8; got != want {
-		t.Errorf("output columns=%d want %d (no alignment)", got, want)
-	}
-	if res.Table.NumRows() != 11 {
-		t.Errorf("rows=%d want 11 (nothing integrates)", res.Table.NumRows())
-	}
-}
-
 // The paper's §3.2 claim, in miniature and deterministic: entity matching
 // over Fuzzy FD output beats entity matching over regular FD output.
 func TestDownstreamEMImproves(t *testing.T) {

@@ -141,10 +141,10 @@ func (s *Session) Last() *Result {
 }
 
 // EmbeddingCache exposes the session's value-embedding cache, for
-// diagnostics (hit/miss counts across repeated integrations). The matcher
-// looks each distinct value up once per column set and scores pairs from
-// the vectors it got, so on dense-mode sets the lookups count values, not
-// value pairs. The cache is itself safe for concurrent use.
+// diagnostics (hit/miss counts across repeated integrations). It is the
+// session's only embedding memo: each miss embeds once, and the matcher
+// looks each distinct value up once per column set, so the lookups count
+// values, not value pairs. The cache is itself safe for concurrent use.
 func (s *Session) EmbeddingCache() *embed.ValueCache { return s.cache }
 
 // emit delivers a progress event, if a callback is configured.
@@ -272,11 +272,7 @@ func (s *Session) prepare(ctx context.Context) ([]*table.Table, fd.Schema, *Resu
 	s.emit(ProgressEvent{Phase: PhaseAlign})
 	var schema fd.Schema
 	if s.cfg.AlignContent {
-		aligner := &align.Aligner{
-			Emb:        s.emb,
-			Threshold:  s.cfg.AlignThreshold,
-			UseHeaders: s.cfg.UseHeaders,
-		}
+		aligner := &align.Aligner{Emb: s.emb, UseHeaders: s.cfg.UseHeaders}
 		ar, err := aligner.Align(tables)
 		if err != nil {
 			return nil, fd.Schema{}, nil, phaseErr(PhaseAlign, err)
@@ -349,8 +345,9 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 		}
 		cols := make([]match.Column, len(refs))
 		for k, rf := range refs {
-			name := fmt.Sprintf("%s.%s", tables[rf.table].Name, tables[rf.table].Columns[rf.col])
-			cols[k] = match.NewColumn(name, tables[rf.table].ColumnValues(rf.col))
+			t := tables[rf.table]
+			values, counts := t.DistinctColumnValues(rf.col)
+			cols[k] = match.Column{Name: t.Name + "." + t.Columns[rf.col], Values: values, Counts: counts}
 		}
 		sets = append(sets, columnSet{out: out, refs: refs, cols: cols})
 		allCols = append(allCols, cols...)
@@ -373,7 +370,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 			stats = match.Summarize(clusters)
 		} else {
 			var err error
-			clusters, stats, err = matcher.MatchWithStats(ctx, cs.cols)
+			clusters, stats, err = matcher.Match(ctx, cs.cols)
 			if err != nil {
 				return nil, phaseErr(PhaseMatch, fmt.Errorf("output column %q: %w", schema.Columns[cs.out], err))
 			}

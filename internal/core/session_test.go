@@ -2,10 +2,48 @@ package core
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"fuzzyfd/internal/datagen"
+	"fuzzyfd/internal/embed"
 	"fuzzyfd/internal/match"
 )
+
+// countingEmbedder counts the embeddings it computes.
+type countingEmbedder struct {
+	embed.Embedder
+	calls atomic.Int64
+}
+
+func (c *countingEmbedder) Embed(v string) embed.Vector {
+	c.calls.Add(1)
+	return c.Embedder.Embed(v)
+}
+
+// The session's value cache is its only embedding memo: fed IMDB tables one
+// at a time, with an integration after each, the session embeds each
+// distinct value exactly once over its life, and every embedding is a cache
+// miss.
+func TestSessionEmbedsEachValueOnce(t *testing.T) {
+	emb := &countingEmbedder{Embedder: embed.NewMistral()}
+	s := NewSession(Config{Embedder: emb, MatchWorkers: 4})
+	for _, tbl := range datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 2000}) {
+		s.Add(tbl)
+		if _, err := s.Integrate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache := s.EmbeddingCache()
+	calls := emb.calls.Load()
+	if calls == 0 || calls != int64(cache.Len()) || calls != cache.Misses() {
+		t.Errorf("%d embeddings for %d cached values and %d misses, want all equal and nonzero",
+			calls, cache.Len(), cache.Misses())
+	}
+	if cache.Hits() == 0 {
+		t.Error("no cache hits across the session's integrations")
+	}
+}
 
 // A second Integrate with nothing added is a pure cache replay: no dirty
 // components, no re-closed tuples, clusters reused per aligned column set,

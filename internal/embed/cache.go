@@ -6,12 +6,12 @@ import (
 )
 
 // ValueCache is a concurrency-safe embedding cache keyed by (model tier,
-// value text). It is the long-lived layer of an integration session: a
-// Model's internal memo dies with the Model instance, while a ValueCache
-// outlives every per-call embedder, so values re-embedded across repeated
-// integrations of overlapping table sets are computed once. Distinct model
-// tiers never share entries — the same value embeds differently under
-// different tiers.
+// value text), and the only embedding memo: a Model computes every vector
+// it is asked for. A caller that embeds values repeatedly fronts its model
+// with one through Cached. An integration session keeps one for its
+// lifetime, so values re-embedded across repeated integrations of
+// overlapping table sets are computed once. Distinct model tiers never
+// share entries — the same value embeds differently under different tiers.
 type ValueCache struct {
 	mu     sync.RWMutex
 	m      map[valueKey]Vector

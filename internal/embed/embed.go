@@ -158,13 +158,12 @@ func normalize(v Vector) Vector {
 }
 
 // WarmContext embeds values concurrently so that later synchronous lookups
-// hit the model's cache. Embedders are required to be safe for concurrent
-// use, and the Model implementation memoizes per distinct value, so warming
-// is a pure speedup for the value-matching phase on large columns. Every
-// worker checks the context before each value, so a slow embedder's
-// warm-up pool stops within one in-flight embedding per worker of the
-// cancellation. Returns the context error if the warm-up was cut short
-// (the cache simply stays partial).
+// hit the cache in front of e (see Cached); on an embedder without one it
+// only spends the work. Embedders are required to be safe for concurrent
+// use. Every worker checks the context before each value, so a slow
+// embedder's warm-up pool stops within one in-flight embedding per worker
+// of the cancellation. Returns the context error if the warm-up was cut
+// short (the cache simply stays partial).
 func WarmContext(ctx context.Context, e Embedder, values []string, workers int) error {
 	if workers < 2 || len(values) < 2*workers {
 		for _, v := range values {
@@ -190,26 +189,4 @@ func WarmContext(ctx context.Context, e Embedder, values []string, workers int) 
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// cache is a concurrency-safe value→vector memo. Cell values repeat heavily
-// across rows, so embedding each distinct value once dominates in practice.
-type cache struct {
-	mu sync.RWMutex
-	m  map[string]Vector
-}
-
-func newCache() *cache { return &cache{m: make(map[string]Vector)} }
-
-func (c *cache) get(k string) (Vector, bool) {
-	c.mu.RLock()
-	v, ok := c.m[k]
-	c.mu.RUnlock()
-	return v, ok
-}
-
-func (c *cache) put(k string, v Vector) {
-	c.mu.Lock()
-	c.m[k] = v
-	c.mu.Unlock()
 }

@@ -250,11 +250,15 @@ func TestWarm(t *testing.T) {
 	for i := range values {
 		values[i] = "value-" + string(rune('a'+i%26)) + string(rune('0'+i%10))
 	}
-	m := NewMistral()
+	cache := NewValueCache()
+	m := Cached(NewMistral(), cache)
 	if err := WarmContext(context.Background(), m, values, 8); err != nil {
 		t.Fatal(err)
 	}
 	// All values must now be cached and identical to fresh embeddings.
+	if cache.Len() != 130 {
+		t.Errorf("cache Len=%d want the 130 distinct values", cache.Len())
+	}
 	fresh := NewMistral()
 	for _, v := range values {
 		a := m.Embed(v)
@@ -294,7 +298,7 @@ func BenchmarkEmbedMistralCold(b *testing.B) {
 }
 
 func BenchmarkEmbedMistralCached(b *testing.B) {
-	m := NewMistral()
+	m := Cached(NewMistral(), NewValueCache())
 	m.Embed("Berlin")
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -39,10 +39,11 @@ type Config struct {
 }
 
 // Model is a deterministic feature-hashing embedder configured by Config.
+// It keeps no state between calls: a caller that embeds the same values
+// repeatedly fronts it with a ValueCache (see Cached).
 type Model struct {
-	name  string
-	cfg   Config
-	cache *cache
+	name string
+	cfg  Config
 }
 
 // NewModel builds an embedder with the given name and configuration.
@@ -50,7 +51,7 @@ func NewModel(name string, cfg Config) *Model {
 	if cfg.Dim <= 0 {
 		cfg.Dim = 128
 	}
-	return &Model{name: name, cfg: cfg, cache: newCache()}
+	return &Model{name: name, cfg: cfg}
 }
 
 // Name implements Embedder.
@@ -59,22 +60,12 @@ func (m *Model) Name() string { return m.name }
 // Dim implements Embedder.
 func (m *Model) Dim() int { return m.cfg.Dim }
 
-// Embed implements Embedder.
+// Embed implements Embedder. It extracts value's weighted features and
+// hashes each into the vector as it is found: the surface features, then
+// the structural ones, whose weights scale with the surface mass. A
+// feature's family prefix is streamed into the hash ahead of its key, so no
+// feature string is built and no feature list is kept.
 func (m *Model) Embed(value string) Vector {
-	if v, ok := m.cache.get(value); ok {
-		return v
-	}
-	v := m.vector(value)
-	m.cache.put(value, v)
-	return v
-}
-
-// vector extracts value's weighted features and hashes each into the
-// vector as it is found: the surface features, then the structural ones,
-// whose weights scale with the surface mass. A feature's family prefix is
-// streamed into the hash ahead of its key, so no feature string is built
-// and no feature list is kept.
-func (m *Model) vector(value string) Vector {
 	cfg := &m.cfg
 	s := value
 	if cfg.Fold {

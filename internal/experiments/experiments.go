@@ -14,6 +14,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -81,7 +82,7 @@ func Table1(cfg Config) ([]ModelScore, error) {
 		if err != nil {
 			return nil, err
 		}
-		scores, err := scoreModel(model, sets, cfg.Theta)
+		scores, err := scoreModel(embed.Cached(model, embed.NewValueCache()), sets, cfg.Theta)
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +95,7 @@ func scoreModel(model embed.Embedder, sets []*datagen.IntegrationSet, theta floa
 	matcher := &match.Matcher{Emb: model, Opts: match.Options{Theta: theta}}
 	scores := make([]metrics.PRF, 0, len(sets))
 	for _, s := range sets {
-		clusters, err := matcher.Match(s.Columns)
+		clusters, _, err := matcher.Match(context.Background(), s.Columns)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s on %s: %w", model.Name(), s.Name, err)
 		}
@@ -182,7 +183,7 @@ func ThetaSweep(cfg Config, thetas []float64) ([]ThetaScore, error) {
 	sets := datagen.AutoJoin(datagen.AutoJoinConfig{
 		Seed: cfg.Seed, Sets: cfg.Sets, ValuesPerColumn: cfg.ValuesPerColumn,
 	})
-	model := embed.NewMistral()
+	model := embed.Cached(embed.NewMistral(), embed.NewValueCache())
 	var out []ThetaScore
 	for _, theta := range thetas {
 		scores, err := scoreModel(model, sets, theta)
@@ -298,19 +299,22 @@ func Baselines(cfg Config) ([]BaselineScore, error) {
 
 	qgram := &match.Matcher{Scorer: match.QGramScorer(3), Opts: match.Options{Theta: cfg.Theta}}
 	if err := run("q-gram join (Zhu et al.)", func(s *datagen.IntegrationSet) ([]match.Cluster, error) {
-		return qgram.Match(s.Columns)
+		clusters, _, err := qgram.Match(context.Background(), s.Columns)
+		return clusters, err
 	}); err != nil {
 		return nil, err
 	}
-	mistral := &match.Matcher{Emb: embed.NewMistral(), Opts: match.Options{Theta: cfg.Theta}}
-	tuner := &match.AutoTuner{Scorer: match.EmbedderScorer(embed.NewMistral())}
+	emb := embed.Cached(embed.NewMistral(), embed.NewValueCache())
+	mistral := &match.Matcher{Emb: emb, Opts: match.Options{Theta: cfg.Theta}}
+	tuner := &match.AutoTuner{Scorer: match.EmbedderScorer(emb)}
 	if err := run("auto-tuned θ (Li et al.)", func(s *datagen.IntegrationSet) ([]match.Cluster, error) {
 		return mistral.MatchAutoTuned(s.Columns, tuner)
 	}); err != nil {
 		return nil, err
 	}
 	if err := run(fmt.Sprintf("fixed θ=%.1f (paper)", cfg.Theta), func(s *datagen.IntegrationSet) ([]match.Cluster, error) {
-		return mistral.Match(s.Columns)
+		clusters, _, err := mistral.Match(context.Background(), s.Columns)
+		return clusters, err
 	}); err != nil {
 		return nil, err
 	}
@@ -346,7 +350,7 @@ func LexiconSweep(cfg Config, shares []float64) ([]LexiconScore, error) {
 	})
 	var out []LexiconScore
 	for _, share := range shares {
-		scores, err := scoreModel(embed.NewTuned(share), sets, cfg.Theta)
+		scores, err := scoreModel(embed.Cached(embed.NewTuned(share), embed.NewValueCache()), sets, cfg.Theta)
 		if err != nil {
 			return nil, err
 		}

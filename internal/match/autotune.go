@@ -1,9 +1,6 @@
 package match
 
-import (
-	"context"
-	"sort"
-)
+import "context"
 
 // This file implements the unsupervised threshold selection of the
 // AutoFuzzyJoin line of work (Li, Cheng, Chu, He, Chaudhuri: SIGMOD 2021):
@@ -19,73 +16,42 @@ import (
 // a false-positive regime at that radius. Estimated precision at threshold
 // t is the fraction of accepted pairs that are unambiguous.
 
+// The tuner's precision constraint, the separation margin of its ambiguity
+// test, and the thresholds it chooses from, ascending.
+const (
+	minPrecision = 0.9
+	margin       = 0.1
+)
+
+var candidates = []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+
 // AutoTuner selects per-column-pair thresholds.
 type AutoTuner struct {
 	// Scorer measures value distance (required).
 	Scorer Scorer
-	// MinPrecision is the precision constraint (default 0.9).
-	MinPrecision float64
-	// Margin is the separation margin for the ambiguity test (default 0.1).
-	Margin float64
-	// Candidates are the thresholds to consider, ascending (default
-	// 0.3..0.9 step 0.1).
-	Candidates []float64
-}
-
-func (a *AutoTuner) minPrecision() float64 {
-	if a.MinPrecision == 0 {
-		return 0.9
-	}
-	return a.MinPrecision
-}
-
-func (a *AutoTuner) margin() float64 {
-	if a.Margin == 0 {
-		return 0.1
-	}
-	return a.Margin
-}
-
-func (a *AutoTuner) candidates() []float64 {
-	if len(a.Candidates) > 0 {
-		return a.Candidates
-	}
-	return []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 }
 
 // Tune returns the selected threshold for matching colA against colB:
 // the largest candidate threshold whose estimated precision clears
-// MinPrecision, or the smallest candidate when none does.
+// minPrecision, or the smallest candidate when none does.
 func (a *AutoTuner) Tune(colA, colB []string) float64 {
-	cands := append([]float64(nil), a.candidates()...)
-	sort.Float64s(cands)
+	maxT := candidates[len(candidates)-1]
 	if len(colA) == 0 || len(colB) == 0 {
-		return cands[len(cands)-1]
+		return maxT
 	}
-	maxT := cands[len(cands)-1]
 
 	// For every left value, its best and second-best distances to the
 	// right column (within the largest candidate threshold).
 	type sep struct {
 		best, second float64
 	}
-	// A vector scorer's points are resolved once per value, not per pair.
-	vectors, _ := a.Scorer.(vectorScorer)
-	var pa, pb []point
-	if vectors != nil {
-		resolve := func(v string) point { return pointOf(vectors, v) }
-		pa, pb = points(colA, resolve), points(colB, resolve)
-	}
+	r := newRun(a.Scorer)
+	left, right := r.records(colA), r.records(colB)
 	seps := make([]sep, 0, len(colA))
-	for i, va := range colA {
+	for _, va := range left {
 		s := sep{best: 2, second: 2}
-		for j, vb := range colB {
-			var d float64
-			if vectors != nil {
-				d = pointDistance(va, vb, pa[i], pb[j])
-			} else {
-				d = a.Scorer.Distance(va, vb)
-			}
+		for _, vb := range right {
+			d := r.distance(va, vb)
 			if d > maxT {
 				continue
 			}
@@ -102,11 +68,11 @@ func (a *AutoTuner) Tune(colA, colB []string) float64 {
 		}
 	}
 	if len(seps) == 0 {
-		return cands[0]
+		return candidates[0]
 	}
 
-	chosen := cands[0]
-	for _, t := range cands {
+	chosen := candidates[0]
+	for _, t := range candidates {
 		accepted := 0
 		unambiguous := 0
 		for _, s := range seps {
@@ -114,7 +80,7 @@ func (a *AutoTuner) Tune(colA, colB []string) float64 {
 				continue
 			}
 			accepted++
-			if s.second-s.best >= a.margin() {
+			if s.second-s.best >= margin {
 				unambiguous++
 			}
 		}
@@ -123,7 +89,7 @@ func (a *AutoTuner) Tune(colA, colB []string) float64 {
 			chosen = t
 			continue
 		}
-		if float64(unambiguous)/float64(accepted) >= a.minPrecision() {
+		if float64(unambiguous)/float64(accepted) >= minPrecision {
 			chosen = t
 		}
 	}
@@ -141,8 +107,6 @@ func (m *Matcher) MatchAutoTuned(cols []Column, tuner *AutoTuner) ([]Cluster, er
 	if tuner.Scorer == nil {
 		return nil, ErrNoEmbedder
 	}
-	clusters, _, err := m.match(context.Background(), cols, func(_ int, reps, values []string) float64 {
-		return tuner.Tune(reps, values)
-	})
+	clusters, _, err := m.match(context.Background(), cols, tuner.Tune)
 	return clusters, err
 }

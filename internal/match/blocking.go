@@ -92,47 +92,27 @@ func minTrigrams(s string, k int) []string {
 	return out
 }
 
-// blocker is the blocked path's memo for one match call. A value's blocking
-// keys and point depend on the value alone, and representatives are values
-// of earlier columns, so each distinct value is resolved once however many
-// rounds and candidate pairs it takes part in. Keys are interned to dense
-// ids by their full text, so two values share an id exactly when they share
-// a key.
-type blocker struct {
-	keyIDs map[string]int32
-	values map[string]*blockedValue
-}
-
-// blockedValue is what candidate generation needs to know about a value.
-type blockedValue struct {
-	keys  []int32 // interned blockingKeys, duplicates kept
-	point         // zero unless the scorer is a vectorScorer
-}
-
-func (r *run) resolve(v string, lex *lexicon.Lexicon) *blockedValue {
-	b := &r.blocker
-	if bv, ok := b.values[v]; ok {
-		return bv
+// blockKeys returns rec's interned blocking keys, computing them the first
+// time the value is blocked. Keys are interned to dense ids by their full
+// text, so two values share an id exactly when they share a key.
+func (r *run) blockKeys(rec *value, lex *lexicon.Lexicon) []int32 {
+	if rec.keys != nil {
+		return rec.keys
 	}
-	if b.values == nil {
-		b.keyIDs = make(map[string]int32)
-		b.values = make(map[string]*blockedValue)
+	if r.keyIDs == nil {
+		r.keyIDs = make(map[string]int32)
 	}
-	keys := blockingKeys(v, lex)
-	bv := &blockedValue{keys: make([]int32, len(keys))}
+	keys := blockingKeys(rec.text, lex)
+	rec.keys = make([]int32, len(keys))
 	for i, k := range keys {
-		id, ok := b.keyIDs[k]
+		id, ok := r.keyIDs[k]
 		if !ok {
-			id = int32(len(b.keyIDs))
-			b.keyIDs[k] = id
+			id = int32(len(r.keyIDs))
+			r.keyIDs[k] = id
 		}
-		bv.keys[i] = id
+		rec.keys[i] = id
 	}
-	if r.vectors != nil {
-		bv.point = r.point(v)
-	}
-	b.values[v] = bv
-	return bv
+	return rec.keys
 }
 
 // blockedEdges generates candidate (cluster, value) pairs via the blocking
@@ -143,13 +123,13 @@ func (r *run) blockedEdges(reps, values []string, theta float64) []assign.Edge {
 	// Index side B by blocking key: key k's bucket is
 	// items[start[k]:start[k+1]], ascending. Keys first interned by side A
 	// below lie beyond start and have no bucket.
-	side := make([]*blockedValue, len(values))
-	for j, v := range values {
-		side[j] = r.resolve(v, lex)
+	side := r.records(values)
+	for _, rec := range side {
+		r.blockKeys(rec, lex)
 	}
-	start := make([]int32, len(r.blocker.keyIDs)+1)
-	for _, bv := range side {
-		for _, k := range bv.keys {
+	start := make([]int32, len(r.keyIDs)+1)
+	for _, rec := range side {
+		for _, k := range rec.keys {
 			start[k+1]++
 		}
 	}
@@ -158,8 +138,8 @@ func (r *run) blockedEdges(reps, values []string, theta float64) []assign.Edge {
 	}
 	items := make([]int32, start[len(start)-1])
 	next := append([]int32(nil), start...)
-	for j, bv := range side {
-		for _, k := range bv.keys {
+	for j, rec := range side {
+		for _, k := range rec.keys {
 			items[next[k]] = int32(j)
 			next[k]++
 		}
@@ -168,8 +148,8 @@ func (r *run) blockedEdges(reps, values []string, theta float64) []assign.Edge {
 	var edges []assign.Edge
 	seenBy := make([]int32, len(values)) // 1 + the last cluster that scored the value
 	for i, v := range reps {
-		rep := r.resolve(v, lex)
-		for _, k := range rep.keys {
+		rep := r.record(v)
+		for _, k := range r.blockKeys(rep, lex) {
 			if int(k)+1 >= len(start) {
 				continue
 			}
@@ -183,13 +163,7 @@ func (r *run) blockedEdges(reps, values []string, theta float64) []assign.Edge {
 				}
 				seenBy[j] = int32(i) + 1
 				r.stats.CandidatePairs++
-				var d float64
-				if r.vectors != nil {
-					d = pointDistance(v, values[j], rep.point, side[j].point)
-				} else {
-					d = r.scorer.Distance(v, values[j])
-				}
-				if d < theta {
+				if d := r.distance(rep, side[j]); d < theta {
 					edges = append(edges, assign.Edge{A: i, B: int(j), Cost: d})
 				}
 			}

@@ -37,12 +37,11 @@ func TestDenseSparseAgreementIdentifiers(t *testing.T) {
 		}
 	}
 	emb := embed.NewMistral()
-	dense, err := (&match.Matcher{Emb: emb, Opts: match.Options{Mode: match.ModeDense}}).Match(cols)
+	dense, _, err := (&match.Matcher{Emb: emb}).Pin(match.Dense).Match(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, stats, err := (&match.Matcher{Emb: emb, Opts: match.Options{Mode: match.ModeSparse}}).
-		MatchWithStats(context.Background(), cols)
+	sparse, stats, err := (&match.Matcher{Emb: emb}).Pin(match.Sparse).Match(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +67,8 @@ func TestDenseSparseAgreementIdentifiers(t *testing.T) {
 // must all return what a lone call returns. Run under -race.
 func TestMatcherSharedAcrossGoroutines(t *testing.T) {
 	cols := imdbIDColumns(2000)
-	m := &match.Matcher{Emb: embed.NewMistral(), Opts: match.Options{Mode: match.ModeSparse}}
-	want, err := m.Match(cols)
+	m := (&match.Matcher{Emb: embed.NewMistral()}).Pin(match.Sparse)
+	want, _, err := m.Match(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestMatcherSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := m.Match(cols)
+			got, _, err := m.Match(context.Background(), cols)
 			if err != nil {
 				t.Error(err)
 				return

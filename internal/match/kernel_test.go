@@ -16,6 +16,12 @@ import (
 // reference arithmetic the vector paths must reproduce bit for bit.
 type perPair struct{ match.Scorer }
 
+// cachedScorer scores by emb through a value cache of its own, so a
+// per-pair reference embeds each value once rather than once per pair.
+func cachedScorer(emb embed.Embedder) match.Scorer {
+	return match.EmbedderScorer(embed.Cached(emb, embed.NewValueCache()))
+}
+
 // sameClustering reports the first difference between two clusterings,
 // comparing every Member.Dist by its bits.
 func sameClustering(got, want []match.Cluster) error {
@@ -57,22 +63,22 @@ func TestVectorPathsEqualPerPairDistance(t *testing.T) {
 			}
 			for _, m := range []struct {
 				name string
-				mode match.Mode
-			}{{"dense", match.ModeDense}, {"sparse", match.ModeSparse}} {
-				mode := m.mode
+				path match.Path
+			}{{"dense", match.Dense}, {"sparse", match.Sparse}} {
+				path := m.path
 				t.Run(name+"/"+fx.name+"/"+m.name, func(t *testing.T) {
 					emb, err := embed.New(name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					vec := &match.Matcher{Emb: emb, Opts: match.Options{Mode: mode}}
-					ref := &match.Matcher{Scorer: perPair{match.EmbedderScorer(emb)}, Opts: match.Options{Mode: mode}}
+					vec := (&match.Matcher{Emb: emb}).Pin(path)
+					ref := (&match.Matcher{Scorer: perPair{cachedScorer(emb)}}).Pin(path)
 					for i, cols := range fx.sets {
-						got, gotStats, err := vec.MatchWithStats(context.Background(), cols)
+						got, gotStats, err := vec.Match(context.Background(), cols)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, wantStats, err := ref.MatchWithStats(context.Background(), cols)
+						want, wantStats, err := ref.Match(context.Background(), cols)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -99,7 +105,7 @@ func TestAutoTunerVectorPathEqualsPerPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := m.MatchAutoTuned(s.Columns, &match.AutoTuner{Scorer: perPair{match.EmbedderScorer(emb)}})
+		want, err := m.MatchAutoTuned(s.Columns, &match.AutoTuner{Scorer: perPair{cachedScorer(emb)}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,16 +11,17 @@
 // earlier table); the combined column is then matched against the next
 // column, and so on until every column is consumed.
 //
-// Two assignment paths produce matchings of equal cardinality and cost: a
-// dense solver for small column pairs (the paper's scipy
-// linear_sum_assignment) and a blocked sparse solver for data-lake-scale
-// columns, which restricts the assignment to candidate pairs sharing a
-// blocking key (sound for hashed feature embeddings: cosine similarity
-// requires a shared feature) and whose cost follows the number of
-// candidates, not the product of the column sizes.
+// Each round is one assignment. A round whose representatives times values
+// fit under DefaultDenseLimit builds the full cost matrix and solves it
+// densely (the paper's scipy linear_sum_assignment); a larger one restricts
+// the assignment to candidate pairs sharing a blocking key (sound for
+// hashed feature embeddings: cosine similarity requires a shared feature),
+// so its cost follows the number of candidates, not the product of the
+// column sizes. The two produce matchings of equal cardinality and cost.
 package match
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -34,20 +35,8 @@ import (
 // with the matching threshold of 0.7, which gives the best results").
 const DefaultTheta = 0.7
 
-// Mode selects the assignment strategy.
-type Mode int
-
-const (
-	// ModeAuto uses dense assignment for small column pairs and blocked
-	// sparse assignment beyond DefaultDenseLimit.
-	ModeAuto Mode = iota
-	// ModeDense always builds the full cost matrix.
-	ModeDense
-	// ModeSparse always uses the blocking index.
-	ModeSparse
-)
-
-// DefaultDenseLimit bounds |A|·|B| for the dense path under ModeAuto.
+// DefaultDenseLimit bounds |A|·|B| for a round solved densely; larger rounds
+// are blocked.
 const DefaultDenseLimit = 200_000
 
 // ErrNoEmbedder is returned when a Matcher is used without an embedder.
@@ -122,8 +111,6 @@ type Options struct {
 	// Theta is the matching threshold; pairs at distance ≥ Theta are never
 	// matched. Zero means DefaultTheta.
 	Theta float64
-	// Mode selects the assignment strategy (default ModeAuto).
-	Mode Mode
 }
 
 func (o Options) theta() float64 {
@@ -145,8 +132,10 @@ type Scorer interface {
 	Distance(a, b string) float64
 }
 
-// embedScorer adapts an Embedder to Scorer. The embedder's internal
-// value→vector cache makes repeated Distance calls cheap.
+// embedScorer adapts an Embedder to Scorer. A match call scores it from
+// each value's vector, embedded once per call (run.distance); Distance
+// embeds both values on every call, so a caller that uses it directly on
+// many pairs fronts the embedder with a ValueCache (embed.Cached).
 type embedScorer struct{ e embed.Embedder }
 
 func (s embedScorer) Name() string { return s.e.Name() }
@@ -156,41 +145,9 @@ func (s embedScorer) Distance(a, b string) float64 {
 func (s embedScorer) vector(v string) embed.Vector { return s.e.Embed(v) }
 
 // vectorScorer is a Scorer whose Distance is embed.Distance over per-value
-// vectors. The match paths resolve each value's vector and support once per
-// call and score pairs with the support kernel (pointDistance); other
-// scorers keep calling Distance per pair.
+// vectors, which a match call resolves once per value.
 type vectorScorer interface {
 	vector(v string) embed.Vector
-}
-
-// point is a value's vector with its support (embed.Support).
-type point struct {
-	vec embed.Vector
-	sup []uint64
-}
-
-func pointOf(vs vectorScorer, v string) point {
-	vec := vs.vector(v)
-	return point{vec: vec, sup: embed.Support(vec)}
-}
-
-// points resolves each value to its point.
-func points(values []string, resolve func(string) point) []point {
-	out := make([]point, len(values))
-	for i, v := range values {
-		out[i] = resolve(v)
-	}
-	return out
-}
-
-// pointDistance is embed.Distance for values a and b at points pa and pb,
-// bit for bit: equal values are 0 even with zero vectors, and
-// SupportDistance equals CosineDistance.
-func pointDistance(a, b string, pa, pb point) float64 {
-	if a == b {
-		return 0
-	}
-	return embed.SupportDistance(pa.vec, pb.vec, pa.sup, pb.sup)
 }
 
 // EmbedderScorer wraps an embedding model as a Scorer.
@@ -203,6 +160,8 @@ type Matcher struct {
 	Emb    embed.Embedder
 	Scorer Scorer
 	Opts   Options
+
+	denseLimit int // DefaultDenseLimit when zero; tests pin a path with it
 }
 
 func (m *Matcher) scorer() Scorer {
@@ -223,41 +182,30 @@ type working struct {
 
 // Match clusters the values of the aligning columns. Columns are consumed
 // in input order, mirroring the paper's sequential combined-column process.
-func (m *Matcher) Match(cols []Column) ([]Cluster, error) {
-	return m.MatchContext(context.Background(), cols)
-}
-
-// MatchContext is Match under a context: the context is checked before
-// every sequential assignment round (one per column consumed), so a
-// cancellation or deadline stops the matching between rounds and returns
-// the context error unwrapped — callers layer their own cancellation
-// marker on top.
-func (m *Matcher) MatchContext(ctx context.Context, cols []Column) ([]Cluster, error) {
-	clusters, _, err := m.MatchWithStats(ctx, cols)
-	return clusters, err
-}
-
-// MatchWithStats is MatchContext that also returns the clustering's Stats:
-// Summarize of the clusters plus the assignment counters, which describe
-// the run and cannot be recovered from the clusters afterwards.
-func (m *Matcher) MatchWithStats(ctx context.Context, cols []Column) ([]Cluster, Stats, error) {
+// It also returns the clustering's Stats: Summarize of the clusters plus
+// the assignment counters, which describe the run and cannot be recovered
+// from the clusters afterwards. The context is checked before every
+// sequential assignment round (one per column consumed), so a cancellation
+// or deadline stops the matching between rounds and returns the context
+// error unwrapped — callers layer their own cancellation marker on top.
+func (m *Matcher) Match(ctx context.Context, cols []Column) ([]Cluster, Stats, error) {
 	theta := m.Opts.theta()
-	return m.match(ctx, cols, func(int, []string, []string) float64 { return theta })
+	return m.match(ctx, cols, func([]string, []string) float64 { return theta })
 }
 
 // thetaFunc chooses the matching threshold for one sequential round, given
-// the round index, the current representatives, and the next column's
-// values. Match uses a constant; MatchAutoTuned plugs in the tuner.
-type thetaFunc func(round int, reps, values []string) float64
+// the current representatives and the next column's values. Match uses a
+// constant; MatchAutoTuned plugs in the tuner.
+type thetaFunc func(reps, values []string) float64
 
 func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) ([]Cluster, Stats, error) {
 	// Everything a call accumulates lives in r, never on the Matcher, which
 	// is shared across calls and goroutines.
-	r := &run{opts: m.Opts, scorer: m.scorer()}
+	r := newRun(m.scorer())
 	if r.scorer == nil {
 		return nil, Stats{}, ErrNoEmbedder
 	}
-	r.vectors, _ = r.scorer.(vectorScorer)
+	r.denseLimit = cmp.Or(m.denseLimit, DefaultDenseLimit)
 	for i, c := range cols {
 		if len(c.Values) != len(c.Counts) {
 			return nil, Stats{}, fmt.Errorf("match: column %d (%s): %d values but %d counts", i, c.Name, len(c.Values), len(c.Counts))
@@ -294,7 +242,7 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 		for i, c := range clusters {
 			reps[i] = c.rep
 		}
-		theta := thetaFor(k, reps, cols[k].Values)
+		theta := thetaFor(reps, cols[k].Values)
 		pairs, err := r.assignRound(reps, cols[k].Values, theta)
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("match: column %d (%s): %w", k, cols[k].Name, err)
@@ -354,77 +302,97 @@ func (m *Matcher) elect(c *working, freq map[string]int) {
 	c.rep = c.members[best].Value
 }
 
-// run is the state of one match call: its scorer and options, the per-value
-// memos, and the assignment counters of Stats.
+// run is the state of one match call: its scorer, one record per distinct
+// value, and the assignment counters of Stats.
 type run struct {
-	opts    Options
-	scorer  Scorer
-	vectors vectorScorer // scorer, when it scores from vectors; else nil
-	points  map[string]point
-	blocker blocker
-	stats   Stats
+	scorer     Scorer
+	vectors    vectorScorer // scorer, when it scores from vectors; else nil
+	denseLimit int
+	values     map[string]*value
+	keyIDs     map[string]int32 // blocking keys interned to dense ids
+	stats      Stats
 }
 
-// point resolves v's vector and support once per call: representatives are
-// values of earlier columns, so a value takes part in many rounds.
-func (r *run) point(v string) point {
-	p, ok := r.points[v]
+// value is what a match call knows about one distinct value: its vector and
+// support when the scorer scores from vectors, and its blocking keys once
+// the value has been blocked. All of it depends on the value alone, and
+// representatives are values of earlier columns, so each distinct value is
+// resolved once however many rounds and candidate pairs it takes part in.
+type value struct {
+	text string
+	vec  embed.Vector
+	sup  []uint64 // embed.Support(vec)
+	keys []int32  // interned blockingKeys, duplicates kept; nil until blocked
+}
+
+func newRun(s Scorer) *run {
+	r := &run{scorer: s, values: make(map[string]*value)}
+	r.vectors, _ = s.(vectorScorer)
+	return r
+}
+
+// record returns v's record, resolving its vector on first sight.
+func (r *run) record(v string) *value {
+	rec, ok := r.values[v]
 	if !ok {
-		if r.points == nil {
-			r.points = make(map[string]point)
+		rec = &value{text: v}
+		if r.vectors != nil {
+			rec.vec = r.vectors.vector(v)
+			rec.sup = embed.Support(rec.vec)
 		}
-		p = pointOf(r.vectors, v)
-		r.points[v] = p
+		r.values[v] = rec
 	}
-	return p
+	return rec
+}
+
+// records returns the record of each value.
+func (r *run) records(vs []string) []*value {
+	out := make([]*value, len(vs))
+	for i, v := range vs {
+		out[i] = r.record(v)
+	}
+	return out
+}
+
+// distance scores a pair: by the support kernel when the scorer scores from
+// vectors, else by Scorer.Distance. The kernel is embed.Distance bit for
+// bit: equal values are 0 even with zero vectors, and SupportDistance
+// equals CosineDistance.
+func (r *run) distance(a, b *value) float64 {
+	if r.vectors == nil {
+		return r.scorer.Distance(a.text, b.text)
+	}
+	if a.text == b.text {
+		return 0
+	}
+	return embed.SupportDistance(a.vec, b.vec, a.sup, b.sup)
 }
 
 // assignRound matches the current clusters' representatives (side A)
 // against the next column's values (side B), returning assignment pairs
 // under θ.
 func (r *run) assignRound(reps, values []string, theta float64) ([]assign.Pair, error) {
-	mode := r.opts.Mode
-	if mode == ModeAuto {
-		if len(reps)*len(values) <= DefaultDenseLimit {
-			mode = ModeDense
-		} else {
-			mode = ModeSparse
-		}
-	}
-	switch mode {
-	case ModeDense:
+	if len(reps)*len(values) <= r.denseLimit {
 		return r.assignDense(reps, values, theta)
-	case ModeSparse:
-		pairs, shape := assign.MatchSparse(len(reps), len(values), r.blockedEdges(reps, values, theta))
-		r.stats.AssignComponents += shape.Components
-		if big := r.stats.LargestAssignComponent; shape.LargestLeft*shape.LargestRight > big[0]*big[1] {
-			r.stats.LargestAssignComponent = [2]int{shape.LargestLeft, shape.LargestRight}
-		}
-		return pairs, nil
-	default:
-		return nil, fmt.Errorf("unknown mode %d", mode)
 	}
+	pairs, shape := assign.MatchSparse(len(reps), len(values), r.blockedEdges(reps, values, theta))
+	r.stats.AssignComponents += shape.Components
+	if big := r.stats.LargestAssignComponent; shape.LargestLeft*shape.LargestRight > big[0]*big[1] {
+		r.stats.LargestAssignComponent = [2]int{shape.LargestLeft, shape.LargestRight}
+	}
+	return pairs, nil
 }
 
 func (r *run) assignDense(reps, values []string, theta float64) ([]assign.Pair, error) {
 	if len(reps) == 0 || len(values) == 0 {
 		return nil, nil
 	}
-	// A vector scorer's points are resolved once per value, not per pair.
-	var pa, pb []point
-	if r.vectors != nil {
-		pa, pb = points(reps, r.point), points(values, r.point)
-	}
-	cost := make([][]float64, len(reps))
-	for i, rep := range reps {
-		row := make([]float64, len(values))
-		for j, v := range values {
-			var d float64
-			if r.vectors != nil {
-				d = pointDistance(rep, v, pa[i], pb[j])
-			} else {
-				d = r.scorer.Distance(rep, v)
-			}
+	a, b := r.records(reps), r.records(values)
+	cost := make([][]float64, len(a))
+	for i, ra := range a {
+		row := make([]float64, len(b))
+		for j, rb := range b {
+			d := r.distance(ra, rb)
 			if d >= theta {
 				d = assign.Forbidden
 			} else {

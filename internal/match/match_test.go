@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -42,8 +43,14 @@ func Validate(clusters []Cluster, theta float64) error {
 	return nil
 }
 
-func mistralMatcher(mode Mode) *Matcher {
-	return &Matcher{Emb: embed.NewMistral(), Opts: Options{Mode: mode}}
+func mistralMatcher(p Path) *Matcher {
+	return (&Matcher{Emb: embed.NewMistral()}).Pin(p)
+}
+
+// matchClusters is Match's clusters under a background context.
+func matchClusters(m *Matcher, cols []Column) ([]Cluster, error) {
+	clusters, _, err := m.Match(context.Background(), cols)
+	return clusters, err
 }
 
 // clusterByRep indexes clusters by representative for assertions.
@@ -74,39 +81,39 @@ func TestExample4(t *testing.T) {
 		NewColumn("T2.City", []string{"Toronto", "Boston", "Berlin", "Barcelona"}),
 		NewColumn("T3.City", []string{"Berlin", "barcelona", "Boston"}),
 	}
-	for _, mode := range []Mode{ModeDense, ModeSparse} {
-		clusters, err := mistralMatcher(mode).Match(cols)
+	for _, path := range []Path{Dense, Sparse} {
+		clusters, err := matchClusters(mistralMatcher(path), cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(clusters) != 5 {
-			t.Fatalf("mode %v: got %d clusters, want 5: %+v", mode, len(clusters), clusters)
+			t.Fatalf("path %v: got %d clusters, want 5: %+v", path, len(clusters), clusters)
 		}
 		byRep := clusterByRep(clusters)
 
 		berlin, ok := byRep["Berlin"]
 		if !ok {
-			t.Fatalf("mode %v: no Berlin cluster (reps: %v)", mode, repsOf(clusters))
+			t.Fatalf("path %v: no Berlin cluster (reps: %v)", path, repsOf(clusters))
 		}
 		if vals := memberValues(berlin); !vals["Berlinn"] || !vals["Berlin"] || len(berlin.Members) != 3 {
-			t.Errorf("mode %v: Berlin cluster members=%v", mode, berlin.Members)
+			t.Errorf("path %v: Berlin cluster members=%v", path, berlin.Members)
 		}
 
 		barca, ok := byRep["Barcelona"]
 		if !ok {
-			t.Fatalf("mode %v: no Barcelona cluster", mode)
+			t.Fatalf("path %v: no Barcelona cluster", path)
 		}
 		if vals := memberValues(barca); !vals["barcelona"] || len(barca.Members) != 3 {
-			t.Errorf("mode %v: Barcelona cluster members=%v", mode, barca.Members)
+			t.Errorf("path %v: Barcelona cluster members=%v", path, barca.Members)
 		}
 
 		for _, rep := range []string{"Toronto", "New Delhi", "Boston"} {
 			if _, ok := byRep[rep]; !ok {
-				t.Errorf("mode %v: missing cluster %q", mode, rep)
+				t.Errorf("path %v: missing cluster %q", path, rep)
 			}
 		}
 		if err := Validate(clusters, DefaultTheta); err != nil {
-			t.Errorf("mode %v: %v", mode, err)
+			t.Errorf("path %v: %v", path, err)
 		}
 	}
 }
@@ -127,7 +134,7 @@ func TestExample3Countries(t *testing.T) {
 		NewColumn("T1.Country", []string{"Germany", "Canada", "Spain", "India"}),
 		NewColumn("T2.Country", []string{"CA", "US", "DE", "ES"}),
 	}
-	clusters, err := mistralMatcher(ModeDense).Match(cols)
+	clusters, err := matchClusters(mistralMatcher(Dense), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,23 +165,21 @@ func TestNewColumnDedupes(t *testing.T) {
 }
 
 func TestMatchErrors(t *testing.T) {
-	m := &Matcher{}
-	if _, err := m.Match([]Column{{Values: []string{"a"}, Counts: []int{1}}}); err == nil {
+	if _, err := matchClusters(&Matcher{}, []Column{{Values: []string{"a"}, Counts: []int{1}}}); err == nil {
 		t.Error("nil embedder accepted")
 	}
-	m = mistralMatcher(ModeDense)
-	if _, err := m.Match([]Column{{Values: []string{"a"}, Counts: nil}}); err == nil {
+	if _, err := matchClusters(mistralMatcher(Dense), []Column{{Values: []string{"a"}, Counts: nil}}); err == nil {
 		t.Error("mismatched counts accepted")
 	}
 }
 
 func TestMatchEmptyAndSingle(t *testing.T) {
-	m := mistralMatcher(ModeDense)
-	got, err := m.Match(nil)
+	m := mistralMatcher(Dense)
+	got, err := matchClusters(m, nil)
 	if err != nil || got != nil {
 		t.Errorf("empty input: %v %v", got, err)
 	}
-	single, err := m.Match([]Column{NewColumn("only", []string{"x", "y"})})
+	single, err := matchClusters(m, []Column{NewColumn("only", []string{"x", "y"})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +202,7 @@ func TestRepresentativeElection(t *testing.T) {
 		NewColumn("a", []string{"Berlinn", "Berlinn"}),
 		NewColumn("b", []string{"Berlin", "Berlin", "Berlin"}),
 	}
-	clusters, err := mistralMatcher(ModeDense).Match(cols)
+	clusters, err := matchClusters(mistralMatcher(Dense), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +215,7 @@ func TestRepresentativeElection(t *testing.T) {
 		NewColumn("a", []string{"Berlinn"}),
 		NewColumn("b", []string{"Berlin"}),
 	}
-	clusters, err = mistralMatcher(ModeDense).Match(cols)
+	clusters, err = matchClusters(mistralMatcher(Dense), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +259,11 @@ func TestDenseSparseAgreement(t *testing.T) {
 			return NewColumn(name, vals)
 		}
 		cols := []Column{mkCol("a"), mkCol("b"), mkCol("c")}
-		dense, err := mistralMatcher(ModeDense).Match(cols)
+		dense, err := matchClusters(mistralMatcher(Dense), cols)
 		if err != nil {
 			return false
 		}
-		sparse, err := mistralMatcher(ModeSparse).Match(cols)
+		sparse, err := matchClusters(mistralMatcher(Sparse), cols)
 		if err != nil {
 			return false
 		}
@@ -325,7 +330,7 @@ func TestMatchPartitionProperty(t *testing.T) {
 				want[[2]string{itoaTest(k), v}]++
 			}
 		}
-		clusters, err := mistralMatcher(ModeAuto).Match(cols)
+		clusters, err := matchClusters(&Matcher{Emb: embed.NewMistral()}, cols)
 		if err != nil {
 			return false
 		}

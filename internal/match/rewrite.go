@@ -37,7 +37,7 @@ type Stats struct {
 	DistanceCount int     // members contributing to MeanDistance — its weight when combining Stats
 
 	// Assignment counters, summed over the sequential rounds. They describe
-	// the run, not the clusters, so only MatchWithStats fills them;
+	// the run, not the clusters, so only Match fills them;
 	// Summarize leaves them zero.
 	CandidatePairs   int // (cluster, value) pairs scored: every cell when dense, blocked candidates when sparse
 	Edges            int // scored pairs under θ, the edges assignment chose from

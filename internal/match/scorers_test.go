@@ -51,9 +51,9 @@ func TestQGramScorerProperties(t *testing.T) {
 // A scorer without vectors runs through both assignment paths: the blocked
 // path must fall back to Distance per candidate.
 func TestMatcherWithQGramScorer(t *testing.T) {
-	for _, mode := range []Mode{ModeDense, ModeSparse} {
-		m := &Matcher{Scorer: QGramScorer(3), Opts: Options{Mode: mode}}
-		clusters, err := m.Match([]Column{
+	for _, path := range []Path{Dense, Sparse} {
+		m := (&Matcher{Scorer: QGramScorer(3)}).Pin(path)
+		clusters, err := matchClusters(m, []Column{
 			NewColumn("a", []string{"Berlinn", "Toronto"}),
 			NewColumn("b", []string{"Berlin", "Boston"}),
 		})
@@ -67,12 +67,12 @@ func TestMatcherWithQGramScorer(t *testing.T) {
 			if len(c.Members) == 2 {
 				found = true
 				if rep != "Berlinn" && rep != "Berlin" {
-					t.Errorf("mode %d: unexpected merged cluster %q", mode, rep)
+					t.Errorf("path %d: unexpected merged cluster %q", path, rep)
 				}
 			}
 		}
 		if !found || len(clusters) != 3 {
-			t.Errorf("mode %d: typo pair not merged: %+v", mode, clusters)
+			t.Errorf("path %d: typo pair not merged: %+v", path, clusters)
 		}
 	}
 }

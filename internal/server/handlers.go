@@ -148,6 +148,10 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "session options: %v", err)
 		return
 	}
+	if err := opts.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "session options: %v", err)
+		return
+	}
 	c, created, full, err := s.reg.put(name, func() (*session, error) {
 		return s.newSession(name, opts)
 	})

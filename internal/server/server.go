@@ -333,6 +333,20 @@ type sessionOptions struct {
 	ContentAlign bool `json:"content_align,omitempty"`
 }
 
+// validate rejects a negative worker count or budget, which no option
+// means; zero takes the server default.
+func (o sessionOptions) validate() error {
+	switch {
+	case o.Workers < 0:
+		return fmt.Errorf("workers %d < 0", o.Workers)
+	case o.Budget < 0:
+		return fmt.Errorf("budget %d < 0", o.Budget)
+	case o.MemoryBudget < 0:
+		return fmt.Errorf("memory_budget %d < 0", o.MemoryBudget)
+	}
+	return nil
+}
+
 // buildSession turns creation options into a fuzzyfd.Session wired to the
 // session's progress hub — durable under dir when one is given, in-memory
 // otherwise.

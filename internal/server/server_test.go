@@ -155,6 +155,27 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOutOfRangeOptions: a session option outside its range is
+// a 400 and creates no session, for a negative worker count or budget as
+// for a threshold outside (0, 1].
+func TestServerRejectsOutOfRangeOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, opts := range []string{
+		`{"threshold": 1.5}`,
+		`{"workers": -1}`,
+		`{"budget": -1}`,
+		`{"memory_budget": -1}`,
+	} {
+		resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/sessions/bad", opts, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", opts, resp.StatusCode, body)
+		}
+		if resp, _ := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/bad", "", nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: session created (status %d)", opts, resp.StatusCode)
+		}
+	}
+}
+
 // TestServerResult: the equi integration of two tiny tables, both as a
 // materialized JSON document and as streamed JSON Lines.
 func TestServerResult(t *testing.T) {
