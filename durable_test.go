@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fuzzyfd"
+	"fuzzyfd/internal/wal"
 )
 
 // End-to-end durability on a real filesystem: a session opened on disk,
@@ -81,20 +82,33 @@ func TestOpenSessionReopenOnDisk(t *testing.T) {
 	}
 }
 
-// WithDurability knobs pass through: NoSync sessions work, and a forced
-// Flush compacts the log so the reopen replays nothing.
+// WithDurability puts the session on the filesystem passed in, and every
+// acknowledged append is synced there: an append with no Flush or Close
+// survives a crash of that filesystem. A forced Flush then compacts the
+// log into a snapshot, and the reopen still sees the table.
 func TestOpenSessionWithDurability(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "sess")
-	s, err := fuzzyfd.OpenSession(dir,
-		fuzzyfd.WithEquiJoin(),
-		fuzzyfd.WithDurability(fuzzyfd.Durability{SnapshotEvery: -1, NoSync: true}))
-	if err != nil {
-		t.Fatal(err)
+	fs := wal.NewMemFS()
+	open := func() *fuzzyfd.Session {
+		t.Helper()
+		s, err := fuzzyfd.OpenSession("sess",
+			fuzzyfd.WithEquiJoin(),
+			fuzzyfd.WithDurability(fuzzyfd.Durability{FS: fs}))
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return s
 	}
+	s := open()
 	tb := fuzzyfd.NewTable("t", "k", "v")
 	tb.MustAppendRow(fuzzyfd.String("k1"), fuzzyfd.String("v1"))
 	if err := s.Append(tb); err != nil {
 		t.Fatal(err)
+	}
+	fs.Crash()
+
+	s = open()
+	if n := s.Tables(); n != 1 {
+		t.Fatalf("session reopened after a crash has %d tables, want the acknowledged 1", n)
 	}
 	if _, err := s.Integrate(); err != nil {
 		t.Fatal(err)
@@ -105,11 +119,11 @@ func TestOpenSessionWithDurability(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	s2, err := fuzzyfd.OpenSession(dir, fuzzyfd.WithEquiJoin())
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+	if _, err := fs.Stat("sess/snap-1/tables.seg"); err != nil {
+		t.Fatalf("flush wrote no snapshot on the session's filesystem: %v", err)
 	}
+
+	s2 := open()
 	defer s2.Close()
 	if n := s2.Tables(); n != 1 {
 		t.Fatalf("reopened session has %d tables, want 1", n)

@@ -191,7 +191,7 @@ type Option func(*options) error
 
 type options struct {
 	cfg core.Config
-	dur core.Durability
+	fs  wal.FS
 }
 
 // WithModel selects the embedding model by name (ModelMistral by default).
@@ -397,29 +397,21 @@ func NewSession(opts ...Option) (*Session, error) {
 	return &Session{s: core.NewSession(cfg)}, nil
 }
 
-// Durability tunes a durable session opened with OpenSession.
+// Durability configures a durable session opened with OpenSession. The
+// write path itself is fixed: every acknowledged append is fsynced, and a
+// snapshot follows an Integrate every 16 logged adds.
 type Durability struct {
-	// SnapshotEvery is the number of logged adds between automatic
-	// compactions of the log into a snapshot (taken after an Integrate, so
-	// that no Append waits for one). 0 means a sensible default; negative
-	// disables automatic snapshots — Flush and Close still take them.
-	SnapshotEvery int
-	// NoSync skips fsyncs. A crash may then lose acknowledged adds (never
-	// corrupt the session directory); for tests and throwaway sessions.
-	NoSync bool
-	// FS overrides the filesystem the session's log and snapshots live on.
-	// Nil means the operating system's. Fault-injecting filesystems
+	// FS is the filesystem the session's log and snapshots live on. Nil
+	// means the operating system's. Fault-injecting filesystems
 	// (wal.NewFlakyFS, wal.NewMemFS) plug in here for resilience testing.
 	FS wal.FS
 }
 
-// WithDurability tunes the durability of a session opened with OpenSession.
+// WithDurability sets the filesystem of a session opened with OpenSession.
 // It has no effect on NewSession or one-shot Integrate calls.
 func WithDurability(d Durability) Option {
 	return func(o *options) error {
-		o.dur.SnapshotEvery = d.SnapshotEvery
-		o.dur.NoSync = d.NoSync
-		o.dur.FS = d.FS
+		o.fs = d.FS
 		return nil
 	}
 }
@@ -442,7 +434,7 @@ func OpenSession(dir string, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.OpenSession(o.cfg, dir, o.dur)
+	s, err := core.OpenSession(o.cfg, dir, o.fs)
 	if err != nil {
 		return nil, err
 	}

@@ -11,49 +11,34 @@ import (
 // calls keep working after Close.
 var ErrClosed = errors.New("core: session is closed")
 
-// Durability configures the crash-safety of a session opened with
-// OpenSession: every Add is appended to a checksummed write-ahead log and
-// fsync'd before it is acknowledged, and the accumulated state is
-// periodically compacted into a snapshot so reopening replays a short log
-// tail instead of the whole history.
-type Durability struct {
-	// SnapshotEvery is the number of durable log frames between automatic
-	// snapshots (taken after an Integrate, off the Append acknowledgement
-	// path). 0 means the default of 16; negative disables automatic
-	// snapshots — Flush and Close still take them.
-	SnapshotEvery int
-	// NoSync skips fsyncs for throwaway or test sessions; a crash may then
-	// lose acknowledged adds (never corrupt the store).
-	NoSync bool
-	// FS overrides the filesystem — fault-injecting test filesystems plug
-	// in here. Nil means the operating system's.
-	FS wal.FS
-}
+// snapshotEvery is the number of durable log frames between automatic
+// snapshots, taken after an Integrate and off the Append acknowledgement
+// path. It balances the log tail a reopen replays against snapshot write
+// amplification (each snapshot rewrites the accumulated tables). Either way
+// the first Integrate after a reopen closes every component from the
+// recovered tables.
+const snapshotEvery = 16
 
-// defaultSnapshotEvery balances the log tail a reopen replays against
-// snapshot write amplification (each snapshot rewrites the accumulated
-// tables). Either way the first Integrate after a reopen closes every
-// component from the recovered tables.
-const defaultSnapshotEvery = 16
-
-// OpenSession opens a durable session backed by dir, creating it if empty
-// and recovering it otherwise. Recovery loads the latest committed
-// snapshot, replays the log tail, and truncates a torn final record — a
-// crash loses at most the Add it interrupted, never an acknowledged one.
-// The snapshot and log hold only the tables: the first Integrate after a
-// reopen computes the integration from the recovered tables, as a fresh
-// session fed them would, and later deltas extend it incrementally.
-func OpenSession(cfg Config, dir string, d Durability) (*Session, error) {
-	store, rec, err := wal.Open(dir, wal.Options{FS: d.FS, NoSync: d.NoSync})
+// OpenSession opens a durable session backed by dir on fsys (nil means the
+// operating system's filesystem), creating it if empty and recovering it
+// otherwise. Every Add is appended to a checksummed write-ahead log and
+// fsync'd before it is acknowledged, and the accumulated tables are
+// compacted into a snapshot every snapshotEvery frames, so reopening
+// replays a short log tail instead of the whole history. Recovery loads the
+// latest committed snapshot, replays the log tail, and truncates a torn
+// final record — a crash loses at most the Add it interrupted, never an
+// acknowledged one. The snapshot and log hold only the tables: the first
+// Integrate after a reopen computes the integration from the recovered
+// tables, as a fresh session fed them would, and later deltas extend it
+// incrementally.
+func OpenSession(cfg Config, dir string, fsys wal.FS) (*Session, error) {
+	store, rec, err := wal.Open(dir, fsys)
 	if err != nil {
 		return nil, err
 	}
 	s := NewSession(cfg)
 	s.store = store
-	s.snapEvery = d.SnapshotEvery
-	if s.snapEvery == 0 {
-		s.snapEvery = defaultSnapshotEvery
-	}
+	s.snapEvery = snapshotEvery
 	s.tables = rec.Tables
 	return s, nil
 }
@@ -181,7 +166,7 @@ func (s *Session) snapshotLocked(auto bool) error {
 	if s.store.FramesSinceSnapshot() == 0 {
 		return nil
 	}
-	if auto && (s.snapEvery < 0 || s.store.FramesSinceSnapshot() < s.snapEvery) {
+	if auto && s.store.FramesSinceSnapshot() < s.snapEvery {
 		return nil
 	}
 	return s.store.Snapshot(s.tables)

@@ -52,8 +52,8 @@ func sameResult(a, b *Result) bool {
 // integrating (and thereby possibly auto-snapshotting) after every one.
 // It returns the batches whose Append was acknowledged; any error after
 // the crash budget fires is expected and ends the run.
-func durableScript(fs *wal.MemFS, cfg Config, d Durability, batches [][]*table.Table) (acked [][]*table.Table) {
-	s, err := OpenSession(cfg, "sess", d)
+func durableScript(fs *wal.MemFS, cfg Config, snapEvery int, batches [][]*table.Table) (acked [][]*table.Table) {
+	s, err := openDurable(cfg, fs, snapEvery)
 	if err != nil {
 		return nil
 	}
@@ -79,19 +79,19 @@ func durableScript(fs *wal.MemFS, cfg Config, d Durability, batches [][]*table.T
 func TestDurableSessionCrashRecoveryProperty(t *testing.T) {
 	batches := durableBatches()
 	variants := []struct {
-		name   string
-		cfg    Config
-		d      Durability
-		stride int64 // sweep step; 1 = every byte
+		name      string
+		cfg       Config
+		snapEvery int
+		stride    int64 // sweep step; 1 = every byte
 	}{
-		{"equi-snap1", Config{Method: MethodEquiFD}, Durability{SnapshotEvery: 1}, 1},
-		{"fuzzy-snap2-workers4", Config{FD: fd.Options{Workers: 4}}, Durability{SnapshotEvery: 2}, 7},
-		{"equi-nosnap", Config{Method: MethodEquiFD}, Durability{SnapshotEvery: 1 << 30}, 5},
+		{"equi-snap1", Config{Method: MethodEquiFD}, 1, 1},
+		{"fuzzy-snap2-workers4", Config{FD: fd.Options{Workers: 4}}, 2, 7},
+		{"equi-nosnap", Config{Method: MethodEquiFD}, 1 << 30, 5},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			dry := wal.NewMemFS()
-			if got := durableScript(dry, v.cfg, withFS(v.d, dry), batches); len(got) != len(batches) {
+			if got := durableScript(dry, v.cfg, v.snapEvery, batches); len(got) != len(batches) {
 				t.Fatalf("dry run acked %d/%d batches", len(got), len(batches))
 			}
 			total := dry.BytesWritten()
@@ -101,10 +101,10 @@ func TestDurableSessionCrashRecoveryProperty(t *testing.T) {
 			for n := int64(0); n <= total; n += v.stride {
 				fs := wal.NewMemFS()
 				fs.CrashAfterBytes(n)
-				acked := durableScript(fs, v.cfg, withFS(v.d, fs), batches)
+				acked := durableScript(fs, v.cfg, v.snapEvery, batches)
 				fs.Crash()
 
-				s, err := OpenSession(v.cfg, "sess", withFS(v.d, fs))
+				s, err := openDurable(v.cfg, fs, v.snapEvery)
 				if err != nil {
 					t.Fatalf("budget %d: reopen: %v", n, err)
 				}
@@ -142,9 +142,14 @@ func TestDurableSessionCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-func withFS(d Durability, fs wal.FS) Durability {
-	d.FS = fs
-	return d
+// openDurable opens the session in "sess" on fs and sets how many log
+// frames it lets pass between automatic snapshots.
+func openDurable(cfg Config, fs wal.FS, snapEvery int) (*Session, error) {
+	s, err := OpenSession(cfg, "sess", fs)
+	if err == nil {
+		s.snapEvery = snapEvery
+	}
+	return s, err
 }
 
 // A clean close and reopen serves the identical result, in whichever order
@@ -187,9 +192,7 @@ func TestDurableSessionCleanRestart(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			fs := wal.NewMemFS()
-			d := Durability{SnapshotEvery: 1 << 30, FS: fs}
-
-			s, err := OpenSession(c.cfg, "sess", d)
+			s, err := openDurable(c.cfg, fs, 1<<30)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +219,7 @@ func TestDurableSessionCleanRestart(t *testing.T) {
 				t.Errorf("snapshot holds %v, want %v", names, layout)
 			}
 
-			s2, err := OpenSession(c.cfg, "sess", d)
+			s2, err := openDurable(c.cfg, fs, 1<<30)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -270,8 +273,7 @@ func TestDurableSessionCleanRestart(t *testing.T) {
 func TestDurableSessionDetectsSnapshotCorruption(t *testing.T) {
 	fs := wal.NewMemFS()
 	cfg := Config{Method: MethodEquiFD}
-	d := Durability{SnapshotEvery: 1, FS: fs}
-	s, err := OpenSession(cfg, "sess", d)
+	s, err := openDurable(cfg, fs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +291,7 @@ func TestDurableSessionDetectsSnapshotCorruption(t *testing.T) {
 	if err := fs.FlipBit("sess/snap-1/tables.seg", 12, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSession(cfg, "sess", d); err == nil {
+	if _, err := OpenSession(cfg, "sess", fs); err == nil {
 		t.Fatal("reopen succeeded on a corrupt committed snapshot")
 	}
 }
@@ -297,7 +299,7 @@ func TestDurableSessionDetectsSnapshotCorruption(t *testing.T) {
 // After Close the session rejects writes but keeps serving reads.
 func TestDurableSessionClosedRejectsWrites(t *testing.T) {
 	fs := wal.NewMemFS()
-	s, err := OpenSession(Config{Method: MethodEquiFD}, "sess", Durability{FS: fs})
+	s, err := OpenSession(Config{Method: MethodEquiFD}, "sess", fs)
 	if err != nil {
 		t.Fatal(err)
 	}

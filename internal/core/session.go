@@ -66,7 +66,7 @@ type Session struct {
 	// Durable-session state (nil store for plain in-memory sessions; see
 	// OpenSession in durable.go).
 	store     *wal.Store
-	snapEvery int
+	snapEvery int // frames between automatic snapshots (snapshotEvery)
 	closed    bool
 	addErr    error // first Add batch lost to a log failure; poisons Integrate
 	snapFails int   // automatic snapshots that failed (non-fatal; log stays authoritative)

@@ -53,7 +53,7 @@ var cancelVariants = []struct {
 	opts Options
 }{
 	{"partitioned", Options{}},
-	{"partitioned-nopivot", Options{NoPivot: true}},
+	{"partitioned-nopivot", Options{noPivot: true}},
 	{"partitioned-steal4", Options{Workers: 4}},
 }
 

@@ -20,7 +20,7 @@ import (
 // machinery, and the two cases where it is easiest to get wrong.
 
 // factVariants are the closure variants every check runs under.
-var factVariants = []fd.Options{{}, {NoPivot: true}, {Workers: 4}}
+var factVariants = []fd.Options{{}, fd.Options{}.Unpivoted(), {Workers: 4}}
 
 // provFixpoint returns, for every row of out, the TIDs of the input rows it
 // subsumes or equals — computed from the input tables alone. Fully-null input

@@ -328,10 +328,10 @@ func (idx *postingIndex) setPivot(tuples []Tuple, pivot int) {
 // was chosen (including "no pivot", chosen at whatever size the index was
 // built), choose again over the current store; if the choice moved, the
 // index is rebuilt bucketed by it (setPivot). One choice per doubling, so
-// the cost amortizes to O(1) per stored tuple. NoPivot strips the buckets
+// the cost amortizes to O(1) per stored tuple. noPivot strips the buckets
 // and forgets the size, so a later pivoted run chooses afresh.
 func (idx *postingIndex) rechoosePivot(opts Options, tuples []Tuple, nCols int) {
-	if opts.NoPivot {
+	if opts.noPivot {
 		if idx.pivot >= 0 {
 			idx.setPivot(tuples, -1)
 		}
@@ -499,9 +499,9 @@ func choosePivot(tuples []Tuple, nCols int) int {
 }
 
 // pivotFor resolves the pivot column for a closure over the given seed,
-// honoring the NoPivot ablation.
+// honoring Options.noPivot.
 func pivotFor(opts Options, tuples []Tuple, nCols int) int {
-	if opts.NoPivot {
+	if opts.noPivot {
 		return -1
 	}
 	return choosePivot(tuples, nCols)
@@ -542,7 +542,7 @@ func pivotFor(opts Options, tuples []Tuple, nCols int) int {
 // tuple the base postings only. One-shot integrations never pay for the
 // second index.
 
-// Per-entry flags of a closure store, cached with it (cachedComp.flags).
+// Per-entry flags of a closure store (store.flags).
 const (
 	// entryBase marks an outer-union tuple; unmarked entries were derived.
 	entryBase uint8 = 1 << iota
@@ -552,20 +552,50 @@ const (
 	entryExtended
 )
 
+// store is a closure store: the tuples, one entry flag byte each, and the
+// indexes and scratch that cover them. A closure grows it; the incremental
+// index caches it with the component (cachedComp) and, when the component
+// goes dirty, extends it in place and expands only the new or changed base
+// tuples (and what they produce), instead of re-deriving the closure from
+// base tuples: by fact 1 every tuple the delta adds is reached from a new
+// base tuple through new tuples. A live entry's provenance is the fixpoint
+// {b base : b ⊑ entry}, which only grows; a derived entry that has been
+// extended is dead weight kept for signature dedup and may lag.
+//
+// flags are kept from the run that produced the store and carried through
+// every seeding rather than rebuilt from Index.pos: entryBase (an
+// outer-union tuple — what an expansion probes for, fact 1) and
+// entryExtended (some attempt strictly extended the entry, so it is not
+// maximal, fact 2; kept is the rest). Both only ever get set: a derived
+// entry turns base when an identical row arrives, and a store only grows,
+// so an extended entry stays extended.
+//
+// sigs is the signature index covering tuples, post the postings of the
+// base entries, der the postings of the derived entries each run left
+// unextended, scr the worklist scratch. der is nil until the store is first
+// extended (fact 3: a closure from scratch posts no derived tuple); sigs,
+// post and scr are nil after a singleton close or a hub closed by pivot
+// groups (closePivotPar). What is missing is built when the store is next
+// extended. An extension posts to the postings' delta, which is folded into
+// their frozen part as it grows (postingIndex.post); post re-chooses its
+// pivot column when the store has doubled (postingIndex.rechoosePivot), and
+// der follows. A store a re-closure consumed is the zero store.
+type store struct {
+	tuples    []Tuple
+	flags     []uint8
+	sigs      *sigIndex
+	post, der *postingIndex
+	scr       *closeScratch
+}
+
 // closure is the mutable state of one complementation run: the growing
-// tuple store with its flags, signature index and postings, plus the
-// (possibly shared) tuple budget. A closure covers a single connected
-// component (or, inside the pivot-partitioned hub closure, its null-pivot
-// tuples).
+// store plus the (possibly shared) tuple budget. A closure covers a single
+// connected component (or, inside the pivot-partitioned hub closure, its
+// null-pivot tuples). A nil scr allocates one on the first run.
 type closure struct {
-	eng    *engine
-	tuples []Tuple
-	flags  []uint8 // entryBase, entryExtended per store entry
-	sigs   *sigIndex
-	idx    *postingIndex // postings of the base tuples
-	der    *postingIndex // postings of unextended derived tuples; nil on a store never extended
-	bud    *budget
-	scr    *closeScratch // nil allocates one on first run
+	eng *engine
+	store
+	bud *budget
 	// ns, set on a pivot group's closure (pivotpar.go), is the closed
 	// null-pivot closure the group's tuples also meet, read-only; nsExt[j]
 	// records that this worker extended ns.tuples[j].
@@ -636,7 +666,7 @@ func newClosure(eng *engine, tuples []Tuple, bud *budget, pivot int) *closure {
 	for i := range tuples {
 		sigs.add(tuples[i].Cells, i)
 	}
-	return &closure{eng: eng, tuples: tuples, flags: flags, sigs: sigs, idx: indexAll(tuples, pivot), bud: bud}
+	return &closure{eng: eng, store: store{tuples: tuples, flags: flags, sigs: sigs, post: indexAll(tuples, pivot)}, bud: bud}
 }
 
 // runFrom closes the store under complementation using a worklist. New
@@ -734,21 +764,21 @@ func (c *closure) runFrom(ctx context.Context, work []int, stats *Stats) error {
 		scr.seen.next(len(c.tuples))
 		scr.once.expand(i, len(c.tuples))
 		cells := c.tuples[i].Cells
-		skipped += c.idx.candidates(i, cells, &scr.seen, attempt)
+		skipped += c.post.candidates(i, cells, &scr.seen, attempt)
 		if base && c.der != nil {
 			skipped += c.der.candidates(i, cells, &scr.seen, attempt)
 		}
 		if c.ns != nil {
 			shared = true
 			scr.seen.next(len(c.ns.tuples)) // a new round, over N*'s IDs
-			c.ns.idx.candidates(-1, cells, &scr.seen, attempt)
+			c.ns.post.candidates(-1, cells, &scr.seen, attempt)
 			if base {
 				c.ns.der.candidates(-1, cells, &scr.seen, attempt)
 			}
 			shared = false
 		}
 	}
-	c.idx.upTo = len(c.tuples) // a run adds no base tuple
+	c.post.upTo = len(c.tuples) // a run adds no base tuple
 	if c.der != nil && stopErr == nil {
 		c.der.postFrom(c.tuples, c.flags, false) // what this run left unextended
 	}

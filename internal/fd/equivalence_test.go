@@ -40,7 +40,7 @@ func truncated(tables []*table.Table, nBatches, k int) []*table.Table {
 func TestIndexIncrementalMatchesBatch(t *testing.T) {
 	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 1200})
 	const nBatches = 4
-	for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}} {
+	for _, opts := range []fd.Options{{}, fd.Options{}.Unpivoted(), {Workers: 4}} {
 		x := fd.NewIndex()
 		for k := 1; k <= nBatches; k++ {
 			view := truncated(tables, nBatches, k)
@@ -99,7 +99,7 @@ func TestEnginesAgreeOnDatagenSets(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d flat: %v", g.name, seed, err)
 			}
-			for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}, {Workers: 4, NoPivot: true}, {Workers: 8}} {
+			for _, opts := range []fd.Options{{}, fd.Options{}.Unpivoted(), {Workers: 4}, fd.Options{Workers: 4}.Unpivoted(), {Workers: 8}} {
 				got, err := fd.FullDisjunctionContext(context.Background(), tables, schema, opts)
 				if err != nil {
 					t.Fatalf("%s seed %d opts %+v: %v", g.name, seed, opts, err)
@@ -128,7 +128,7 @@ func TestPivotMatchesUnbucketedOnSkewed(t *testing.T) {
 	for _, seed := range []int64{3, 21} {
 		tables := datagen.Skewed(datagen.SkewConfig{Seed: seed, Items: 400})
 		schema := fd.IdentitySchema(tables)
-		ref, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{NoPivot: true})
+		ref, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{}.Unpivoted())
 		if err != nil {
 			t.Fatalf("seed %d flat: %v", seed, err)
 		}

@@ -17,6 +17,14 @@ import (
 // fixture-size assertions.
 const HubMinTuples = hubMinTuples
 
+// Unpivoted returns o with pivot bucketing off: every closure scans flat
+// posting lists, the unbucketed path the equivalence tests compare against
+// and the hub bench's seq-nopivot row measures.
+func (o Options) Unpivoted() Options {
+	o.noPivot = true
+	return o
+}
+
 // ResultsIdentical re-exports resultsIdentical for package fd_test.
 var ResultsIdentical = resultsIdentical
 

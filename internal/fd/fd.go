@@ -211,20 +211,18 @@ type Options struct {
 	// tuple budget uses; treat it as a resource ceiling, not allocator
 	// accounting. 0 means unlimited.
 	MaxBytes int64
-	// NoPivot disables pivot-bucketed posting lists and scans flat posting
-	// lists during the closure — the unbucketed path, kept as an ablation.
-	// The pivot index is on by default: each component's posting lists are
-	// sub-bucketed by its most selective column (see choosePivot), so
-	// candidates that conflict on that column are skipped without being
-	// iterated. Output is byte-identical either way; choosePivot already
-	// declines to bucket a uniformly unselective component, so this switch
-	// exists for measuring what the index saves, not for tuning.
-	NoPivot bool
 	// Progress, when non-nil, is called once per closed component, always
 	// from the assembling goroutine (never concurrently), in completion
 	// order. It must not block for long: with Workers > 1 it is on the path
 	// that drains worker results.
 	Progress func(ComponentProgress)
+
+	// noPivot scans flat posting lists during the closure instead of
+	// sub-bucketing them by each component's most selective column (see
+	// choosePivot). Output is byte-identical either way; only tests set it
+	// (through Options.Unpivoted in export_test.go), as the unbucketed
+	// reference and to measure what the pivot index saves.
+	noPivot bool
 }
 
 // ComponentProgress reports one component's closure completing.
@@ -234,7 +232,7 @@ type ComponentProgress struct {
 	Members int // outer-union tuples of the component that just closed
 	Closure int // closure tuples of that component
 	// PivotColumn is the output column the component's posting lists were
-	// bucketed by, or -1 when the component ran unbucketed (NoPivot,
+	// bucketed by, or -1 when the component ran unbucketed (noPivot,
 	// singleton, or no sufficiently selective column). PivotSkipped is the
 	// candidate iterations that bucketing skipped inside this component.
 	PivotColumn  int

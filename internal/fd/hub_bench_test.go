@@ -40,7 +40,7 @@ var hubEngines = []struct {
 	opts fd.Options
 }{
 	{"seq", fd.Options{}},
-	{"seq-nopivot", fd.Options{NoPivot: true}},
+	{"seq-nopivot", fd.Options{}.Unpivoted()},
 	{"pivot-par2", fd.Options{Workers: 2}},
 	{"pivot-par4", fd.Options{Workers: 4}},
 	{"pivot-par8", fd.Options{Workers: 8}},
@@ -192,7 +192,7 @@ func hubBenchSweep(tables []*table.Table, schema fd.Schema) (hubBenchProcs, fd.S
 	var seq fd.Stats
 	for rep := 0; rep < hubBenchReps; rep++ {
 		for ei, eng := range hubEngines {
-			if rep > 0 && eng.opts.NoPivot {
+			if rep > 0 && eng.name == "seq-nopivot" {
 				continue
 			}
 			row := &out.Engines[ei]
@@ -302,7 +302,7 @@ func TestHubFixtureSingleComponent(t *testing.T) {
 	if res.Stats.PivotColumn < 0 {
 		t.Error("pivot index did not engage on the hub fixture")
 	}
-	flat, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{NoPivot: true})
+	flat, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{}.Unpivoted())
 	if err != nil {
 		t.Fatal(err)
 	}

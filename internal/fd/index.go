@@ -125,37 +125,7 @@ type cachedComp struct {
 	kept    []Tuple     // closure + subsumption result, in value order
 	rows    []table.Row // kept, decoded (nil until needed after a widening)
 	closure int         // closure size, for stats and budget accounting
-	// store holds the full closure store. When the component goes dirty the
-	// store is extended in place and only the new or changed base tuples (and
-	// what they produce) are expanded, instead of re-deriving the closure
-	// from base tuples: by fact 1 of complement.go every tuple the delta adds
-	// is reached from a new base tuple through new tuples. A live entry's
-	// provenance is the fixpoint {b base : b ⊑ entry}, which only grows; a
-	// derived entry that has been extended is dead weight kept for signature
-	// dedup and may lag. A closure a re-closure consumed has no store.
-	store []Tuple
-	// flags holds one byte per store entry, kept from the run that produced
-	// the store and carried through every seeding rather than rebuilt from
-	// Index.pos: entryBase (an outer-union tuple — what an expansion probes
-	// for, fact 1) and entryExtended (some attempt strictly extended the
-	// entry, so it is not maximal, fact 2; kept is the rest). Both only ever
-	// get set: a derived entry turns base when an identical row arrives, and
-	// a store only grows, so an extended entry stays extended.
-	flags []uint8
-	// sigs is the signature index covering store, post the postings of its
-	// base entries, der the postings of the derived entries each run left
-	// unextended, scr the closure's worklist scratch — kept from the run that
-	// produced the store and extended by the next. der is nil until the store
-	// is first extended (fact 3: a closure from scratch posts no derived
-	// tuple); sigs, post and scr are nil after a singleton close or a hub
-	// closed by pivot groups (closePivotPar). What is missing is built when
-	// the store is next extended. An extension posts to the postings'
-	// delta, which is folded into their frozen part as it grows
-	// (postingIndex.post); post re-chooses its pivot column when the store
-	// has doubled (postingIndex.rechoosePivot), and der follows.
-	sigs      *sigIndex
-	post, der *postingIndex
-	scr       *closeScratch
+	store               // the full closure store, extended by the next re-closure
 	// gen counts the times the closure was consumed by a re-closure;
 	// assembled rows (outRow) of an older generation are stale.
 	gen uint32
@@ -328,7 +298,7 @@ func widenCells(tuples []Tuple, nCols int) {
 // whole cache — stay valid.
 func widenComp(c *cachedComp, nCols int) {
 	widenCells(c.kept, nCols)
-	widenCells(c.store, nCols)
+	widenCells(c.tuples, nCols)
 	c.rows = nil // decoded at the old width
 }
 
@@ -578,7 +548,7 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 	var host *cachedComp
 	for _, r := range c.caches {
 		x.uncache(r)
-		if host == nil || len(r.store) > len(host.store) {
+		if host == nil || len(r.tuples) > len(host.tuples) {
 			host = r
 		}
 	}
@@ -592,14 +562,15 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 			tuples[k] = x.base[id]
 			x.cover[id], x.pos[id], x.dirty[id] = rec, int32(k), false
 		}
-		return closeJob{tuples: tuples, base: len(tuples)}, rec
+		return closeJob{store: store{tuples: tuples}, base: len(tuples)}, rec
 	}
 
-	tuples, flags, sigs, post := host.store, host.flags, host.sigs, host.post
-	if sigs == nil {
-		sigs = newSigIndex(len(tuples))
-		for i := range tuples {
-			sigs.add(tuples[i].Cells, i)
+	st := host.store
+	host.store = store{}
+	if st.sigs == nil {
+		st.sigs = newSigIndex(len(st.tuples))
+		for i := range st.tuples {
+			st.sigs.add(st.tuples[i].Cells, i)
 		}
 	}
 	// add puts one tuple with its flags into the store, folding it into the
@@ -610,21 +581,21 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 	// here, or no derived tuple would ever probe for it. (It may sit in the
 	// derived postings too; a probe of both deduplicates.)
 	add := func(t Tuple, f uint8) int32 {
-		at, hash, ok := sigs.find(t.Cells, tuples)
+		at, hash, ok := st.sigs.find(t.Cells, st.tuples)
 		if ok {
-			if !provContains(tuples[at].Prov, t.Prov) {
-				tuples[at].Prov = mergeProv(tuples[at].Prov, t.Prov)
+			if !provContains(st.tuples[at].Prov, t.Prov) {
+				st.tuples[at].Prov = mergeProv(st.tuples[at].Prov, t.Prov)
 			}
-			if post != nil && f&entryBase != 0 && flags[at]&entryBase == 0 {
-				post.add(at, tuples[at].Cells)
+			if st.post != nil && f&entryBase != 0 && st.flags[at]&entryBase == 0 {
+				st.post.add(at, st.tuples[at].Cells)
 				stats.SeedIndexedTuples++
 			}
-			flags[at] |= f
+			st.flags[at] |= f
 			return int32(at)
 		}
-		at = len(tuples)
-		tuples, flags = append(tuples, t), append(flags, f)
-		sigs.addHashed(hash, at)
+		at = len(st.tuples)
+		st.tuples, st.flags = append(st.tuples, t), append(st.flags, f)
+		st.sigs.addHashed(hash, at)
 		return int32(at)
 	}
 	members := host.members
@@ -632,15 +603,15 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 		if r == host {
 			continue
 		}
-		to := make([]int32, len(r.store))
-		for p := range r.store {
-			to[p] = add(r.store[p], r.flags[p])
+		to := make([]int32, len(r.tuples))
+		for p := range r.tuples {
+			to[p] = add(r.tuples[p], r.flags[p])
 		}
 		for _, id := range r.members {
 			x.cover[id], x.pos[id] = host, to[x.pos[id]]
 		}
 		members = append(members, r.members...)
-		r.store, r.flags, r.sigs, r.post, r.der, r.scr = nil, nil, nil, nil, nil, nil
+		r.store = store{}
 	}
 	work := make([]int, 0, len(fresh))
 	for _, id := range fresh {
@@ -648,18 +619,13 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 		if x.cover[id] != host {
 			x.cover[id], x.pos[id] = host, add(x.base[id], entryBase)
 			members = append(members, id)
-		} else if p := x.pos[id]; !provContains(tuples[p].Prov, x.base[id].Prov) {
-			tuples[p].Prov = mergeProv(tuples[p].Prov, x.base[id].Prov)
+		} else if p := x.pos[id]; !provContains(st.tuples[p].Prov, x.base[id].Prov) {
+			st.tuples[p].Prov = mergeProv(st.tuples[p].Prov, x.base[id].Prov)
 		}
 		work = append(work, int(x.pos[id]))
 	}
-	job := closeJob{
-		tuples: tuples, flags: flags, base: len(members), work: work,
-		sigs: sigs, post: post, der: host.der, scr: host.scr,
-	}
 	host.members = members
-	host.store, host.flags, host.sigs, host.post, host.der, host.scr = nil, nil, nil, nil, nil, nil
-	return job, host
+	return closeJob{store: st, base: len(members), work: work}, host
 }
 
 // closeDirty closes every queued dirty component in one round: seed each
@@ -730,7 +696,7 @@ func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats) erro
 			stats.PivotColumn = r.stats.PivotColumn
 		}
 		rec.kept, rec.rows, rec.closure = r.kept, decoded[di], r.closure
-		rec.store, rec.flags, rec.sigs, rec.post, rec.der, rec.scr = r.store, r.flags, r.sigs, r.post, r.der, r.scr
+		rec.store = r.store
 		x.cache(dirty[di], rec)
 	}
 	return nil

@@ -64,21 +64,13 @@ func consistentCells(a, b []uint32) bool {
 // grows and mutates them in place. Seed tuples stay at their seed positions
 // in the store a closure returns.
 type closeJob struct {
-	tuples []Tuple
-	base   int   // count of outer-union (base) tuples in the seed
-	work   []int // store IDs to expand; nil closes from scratch
-	// flags are the seed's entry flags (entryBase, entryExtended), or nil on
-	// a seed of base tuples to close from scratch. A job with flags extends a
-	// cached store and brings its signature index.
-	flags []uint8
-	// sigs is the signature index over a cached store's tuples. post and
-	// der, when non-nil, are the postings of its base tuples and of its
-	// unextended derived tuples, and scr the worklist scratch, all from the
-	// component's previous closure: the closure brings them up to date
-	// instead of re-indexing the store.
-	sigs      *sigIndex
-	post, der *postingIndex
-	scr       *closeScratch
+	// store is the seed. Its flags are nil on a seed of base tuples to close
+	// from scratch; a job with flags extends a cached store and brings its
+	// signature index, and any postings and scratch it has, which the
+	// closure brings up to date instead of re-indexing the store.
+	store
+	base int   // count of outer-union (base) tuples in the seed
+	work []int // store IDs to expand; nil closes from scratch
 	// pivoted says closeEach already chose the pivot column while applying
 	// its hub rule to this from-scratch job: a column makes the job a hub,
 	// closed by that column's groups with every worker inside it
@@ -91,18 +83,12 @@ type closeJob struct {
 // compResult is the outcome of closing one component.
 type compResult struct {
 	kept []Tuple
-	// store is the full closure store with its entry flags. The incremental
-	// index caches it — together with the signature and posting indexes that
-	// cover it, when closeOne produced them — to seed future re-closures of
-	// the component.
-	store     []Tuple
-	flags     []uint8
-	sigs      *sigIndex
-	post, der *postingIndex
-	scr       *closeScratch // the closure's worklist scratch
-	stats     Stats
-	closure   int
-	err       error
+	// store is the full closure store. The incremental index caches it to
+	// seed future re-closures of the component.
+	store
+	stats   Stats
+	closure int
+	err     error
 }
 
 // newJobClosure wraps a job's seed store in a closure and reports how many
@@ -111,7 +97,7 @@ type compResult struct {
 // column chosen over it. A cached store being extended keeps its base
 // postings' pivot until the store has doubled since it was chosen
 // (postingIndex.rechoosePivot); a pivot chosen anew that moved rebuilds
-// them. NoPivot strips the buckets; the frozen lists serve unbucketed probes
+// them. noPivot strips the buckets; the frozen lists serve unbucketed probes
 // as they are. The derived postings, made at the store's first extension
 // (fact 3 of complement.go), follow that pivot. Both then take in what the
 // seeding appended: the delta's base tuples, and the unextended derived
@@ -125,19 +111,19 @@ func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) (cl *clos
 		}
 		return newClosure(e, tuples, bud, pivot), 0
 	}
-	cl = &closure{eng: e, tuples: tuples, flags: job.flags, sigs: job.sigs, idx: job.post, der: job.der, bud: bud, scr: job.scr}
-	if cl.idx == nil {
-		cl.idx = newPostingIndex(pivotFor(opts, tuples, e.nCols))
-		cl.idx.pivotAt = len(tuples)
+	cl = &closure{eng: e, store: job.store, bud: bud}
+	if cl.post == nil {
+		cl.post = newPostingIndex(pivotFor(opts, tuples, e.nCols))
+		cl.post.pivotAt = len(tuples)
 	} else {
-		cl.idx.rechoosePivot(opts, tuples, e.nCols)
+		cl.post.rechoosePivot(opts, tuples, e.nCols)
 	}
 	if cl.der == nil {
-		cl.der = newPostingIndex(cl.idx.pivot)
-	} else if cl.der.pivot != cl.idx.pivot {
-		cl.der.setPivot(tuples, cl.idx.pivot)
+		cl.der = newPostingIndex(cl.post.pivot)
+	} else if cl.der.pivot != cl.post.pivot {
+		cl.der.setPivot(tuples, cl.post.pivot)
 	}
-	return cl, cl.idx.postFrom(tuples, cl.flags, true) + cl.der.postFrom(tuples, cl.flags, false)
+	return cl, cl.post.postFrom(tuples, cl.flags, true) + cl.der.postFrom(tuples, cl.flags, false)
 }
 
 // closeOne closes one component job — the complementation closure, whose
@@ -152,7 +138,7 @@ func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *
 		if err != nil {
 			return compResult{err: err}
 		}
-		return compResult{kept: keptOf(closed, flags), store: closed, flags: flags, stats: st, closure: len(closed)}
+		return compResult{kept: keptOf(closed, flags), store: store{tuples: closed, flags: flags}, stats: st, closure: len(closed)}
 	}
 	if len(job.tuples) == 1 {
 		// A singleton component is its own closure and its own maximal
@@ -161,21 +147,18 @@ func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *
 		if err := bud.check(); err != nil {
 			return compResult{err: err}
 		}
-		return compResult{kept: job.tuples, store: job.tuples, flags: []uint8{entryBase}, stats: Stats{PivotColumn: -1}, closure: 1}
+		return compResult{kept: job.tuples, store: store{tuples: job.tuples, flags: []uint8{entryBase}}, stats: Stats{PivotColumn: -1}, closure: 1}
 	}
 	cl, posted := newJobClosure(e, job, opts, bud)
-	st := Stats{PivotColumn: cl.idx.pivot, SeedIndexedTuples: posted}
+	st := Stats{PivotColumn: cl.post.pivot, SeedIndexedTuples: posted}
 	if err := cl.runFrom(ctx, job.work, &st); err != nil {
 		return compResult{err: err}
 	}
-	st.PivotBuckets = cl.idx.buckets
+	st.PivotBuckets = cl.post.buckets
 	if cl.der != nil {
 		st.PivotBuckets += cl.der.buckets
 	}
-	return compResult{
-		kept: keptOf(cl.tuples, cl.flags), store: cl.tuples, flags: cl.flags,
-		sigs: cl.sigs, post: cl.idx, der: cl.der, scr: cl.scr, stats: st, closure: len(cl.tuples),
-	}
+	return compResult{kept: keptOf(cl.tuples, cl.flags), store: cl.store, stats: st, closure: len(cl.tuples)}
 }
 
 // Component scheduling thresholds for Workers > 1.

@@ -125,12 +125,12 @@ func TestPivotedCandidatesSoundAndComplete(t *testing.T) {
 func TestPivotEnginesByteIdentical(t *testing.T) {
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{NoPivot: true})
+	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{noPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.Stats.PivotColumn != -1 {
-		t.Fatalf("NoPivot run reports pivot column %d", ref.Stats.PivotColumn)
+		t.Fatalf("unpivoted run reports pivot column %d", ref.Stats.PivotColumn)
 	}
 	if ref.Stats.Components != 1 {
 		t.Fatalf("fixture split into %d components", ref.Stats.Components)
@@ -304,18 +304,18 @@ func TestIndexNoPivotOverCachedPivotedComponent(t *testing.T) {
 	if first.Stats.PivotColumn < 0 {
 		t.Fatal("seed Update must cache a pivoted posting index")
 	}
-	got, err := x.UpdateContext(context.Background(), tables, schema, Options{NoPivot: true})
+	got, err := x.UpdateContext(context.Background(), tables, schema, Options{noPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats.PivotColumn != -1 {
-		t.Errorf("NoPivot Update reports pivot column %d", got.Stats.PivotColumn)
+		t.Errorf("unpivoted Update reports pivot column %d", got.Stats.PivotColumn)
 	}
-	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{NoPivot: true})
+	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{noPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Table.Equal(want.Table) || !reflect.DeepEqual(got.Prov, want.Prov) {
-		t.Error("NoPivot Update over a pivoted cache differs from batch result")
+		t.Error("unpivoted Update over a pivoted cache differs from batch result")
 	}
 }

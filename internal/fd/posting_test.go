@@ -164,7 +164,7 @@ func TestPostingIndexMatchesReference(t *testing.T) {
 				fallthrough
 			case op == 2:
 				what += "+rechoosePivot"
-				idx.rechoosePivot(Options{NoPivot: rng.Intn(5) == 0}, tuples, nCols)
+				idx.rechoosePivot(Options{noPivot: rng.Intn(5) == 0}, tuples, nCols)
 				fallthrough
 			default:
 				what += "+postFrom"

@@ -84,6 +84,59 @@ func TestServerRestartServesSameResult(t *testing.T) {
 	}
 }
 
+// A session whose store exists but will not open — one byte of its
+// committed snapshot flipped — is a 500 open_failed naming the cause, on the
+// lazy reopen behind GET as on PUT; it is neither missing (404) nor a bad
+// request. Options out of range are still a 400, checked before any open,
+// and DELETE still removes the session.
+func TestServerCorruptStoreOpenFailed(t *testing.T) {
+	dir := t.TempDir()
+	srv1 := New(Config{DataDir: dir})
+	ts1 := httptest.NewServer(srv1)
+	createSession(t, ts1, "crash", `{"equi": true}`)
+	postTable(t, ts1, "crash", "people", `{"name":"alice","city":"Berlin"}`)
+	if err := srv1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	segs, err := filepath.Glob(filepath.Join(dir, "crash", "snap-*", "tables.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("committed tables segments = %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x20
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	for _, req := range []struct{ method, body string }{
+		{http.MethodGet, ""},
+		{http.MethodPut, `{"equi": true}`},
+	} {
+		resp, body := doReq(t, req.method, ts.URL+"/v1/sessions/crash", req.body, nil)
+		var eb errorBody
+		json.Unmarshal(body, &eb)
+		if resp.StatusCode != http.StatusInternalServerError || eb.Code != "open_failed" || !strings.Contains(eb.Error, "snap-1") {
+			t.Fatalf("%s corrupt session: status %d body %s, want 500 open_failed naming snap-1", req.method, resp.StatusCode, body)
+		}
+	}
+	if resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/sessions/crash", `{"threshold": 2}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("threshold 2: status %d body %s, want 400", resp.StatusCode, body)
+	}
+	if resp, body := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/crash", "", nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete corrupt session: status %d body %s, want 204", resp.StatusCode, body)
+	}
+	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/crash", "", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("get after delete: status %d, want 404", resp.StatusCode)
+	}
+}
+
 // Idle eviction of a durable session flushes it to disk instead of losing
 // it: the next request transparently reopens it with its state intact.
 func TestServerEvictionFlushesAndReopens(t *testing.T) {

@@ -71,6 +71,17 @@ func writeThrottled(w http.ResponseWriter, r *http.Request, status int, code str
 	writeErrorCode(w, r, status, code, format, args...)
 }
 
+// writeNoSession answers a request whose session did not resolve: 500
+// open_failed, naming the cause, when it exists but would not open (a
+// corrupt store, say), else 404.
+func writeNoSession(w http.ResponseWriter, r *http.Request, name string, err error) {
+	if err != nil {
+		writeErrorCode(w, r, http.StatusInternalServerError, "open_failed", "open session %q: %v", name, err)
+		return
+	}
+	writeError(w, http.StatusNotFound, "no session %q", name)
+}
+
 // writeDraining answers a state-changing request arriving after drain began.
 func (s *Server) writeDraining(w http.ResponseWriter, r *http.Request) {
 	s.met.throttled.With("draining").Inc()
@@ -148,7 +159,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "session options: %v", err)
 		return
 	}
-	if err := opts.validate(); err != nil {
+	err := opts.validate()
+	if err == nil {
+		_, err = s.sessionDir(name)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "session options: %v", err)
 		return
 	}
@@ -162,7 +177,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			"session limit %d reached", s.cfg.MaxSessions)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "session options: %v", err)
+		writeNoSession(w, r, name, err)
 		return
 	}
 	if created {
@@ -244,9 +259,9 @@ func (s *Server) setIntegrateHook(h func(session string)) {
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	c := s.session(r.PathValue("name"))
+	c, err := s.session(r.PathValue("name"))
 	if c == nil {
-		writeError(w, http.StatusNotFound, "no session %q", r.PathValue("name"))
+		writeNoSession(w, r, r.PathValue("name"), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info(c))
@@ -300,9 +315,9 @@ func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	name := r.PathValue("name")
-	c := s.session(name)
+	c, err := s.session(name)
 	if c == nil {
-		writeError(w, http.StatusNotFound, "no session %q", name)
+		writeNoSession(w, r, name, err)
 		return
 	}
 	if wait, ok := c.tb.allow(); !ok {
@@ -353,9 +368,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	name := r.PathValue("name")
-	c := s.session(name)
+	c, err := s.session(name)
 	if c == nil {
-		writeError(w, http.StatusNotFound, "no session %q", name)
+		writeNoSession(w, r, name, err)
 		return
 	}
 	accept := r.Header.Get("Accept")
@@ -464,9 +479,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	name := r.PathValue("name")
-	c := s.session(name)
+	c, err := s.session(name)
 	if c == nil {
-		writeError(w, http.StatusNotFound, "no session %q", name)
+		writeNoSession(w, r, name, err)
 		return
 	}
 	fl, ok := w.(http.Flusher)

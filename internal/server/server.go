@@ -15,13 +15,16 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -333,10 +336,16 @@ type sessionOptions struct {
 	ContentAlign bool `json:"content_align,omitempty"`
 }
 
-// validate rejects a negative worker count or budget, which no option
-// means; zero takes the server default.
+// validate rejects a threshold outside (0, 1], an unknown model, and a
+// negative worker count or budget, which no option means; zero takes the
+// server default. It runs before anything is opened, so a bad request
+// never reaches the store.
 func (o sessionOptions) validate() error {
 	switch {
+	case o.Threshold < 0 || o.Threshold > 1:
+		return fmt.Errorf("threshold %v outside (0, 1]", o.Threshold)
+	case o.Model != "" && !slices.Contains(fuzzyfd.Models(), o.Model):
+		return fmt.Errorf("unknown model %q (have %v)", o.Model, fuzzyfd.Models())
 	case o.Workers < 0:
 		return fmt.Errorf("workers %d < 0", o.Workers)
 	case o.Budget < 0:
@@ -387,9 +396,7 @@ func (s *Server) buildSession(o sessionOptions, h *hub, dir string) (*fuzzyfd.Se
 	}
 	opts = append(opts, fuzzyfd.WithProgress(h.publish))
 	if dir != "" {
-		if s.cfg.WALFS != nil {
-			opts = append(opts, fuzzyfd.WithDurability(fuzzyfd.Durability{FS: s.cfg.WALFS}))
-		}
+		opts = append(opts, fuzzyfd.WithDurability(fuzzyfd.Durability{FS: s.cfg.WALFS}))
 		return fuzzyfd.OpenSession(dir, opts...)
 	}
 	return fuzzyfd.NewSession(opts...)
@@ -432,34 +439,36 @@ func saveOptions(dir string, o sessionOptions) error {
 
 // session resolves a name: the registry first, then — on a durable server
 // — the data directory, lazily reopening a session that a previous process
-// (or the eviction janitor) left on disk. It returns nil when the session
-// exists nowhere.
-func (s *Server) session(name string) *session {
+// (or the eviction janitor) left on disk. It returns nil, nil when the
+// session exists nowhere, and the error when it exists but will not open.
+func (s *Server) session(name string) (*session, error) {
 	if c := s.reg.get(name); c != nil {
-		return c
+		return c, nil
 	}
 	dir, err := s.sessionDir(name)
 	if dir == "" || err != nil {
-		return nil
+		return nil, nil
 	}
 	data, err := os.ReadFile(filepath.Join(dir, optionsFile))
-	if err != nil {
-		return nil
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
 	var opts sessionOptions
-	if err := json.Unmarshal(data, &opts); err != nil {
-		log.Printf("fuzzyfdd: session %q: corrupt %s: %v", name, optionsFile, err)
-		return nil
+	if err == nil {
+		err = json.Unmarshal(data, &opts)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("read %s: %w", optionsFile, err)
 	}
 	c, created, _, err := s.reg.put(name, func() (*session, error) {
 		return s.newSession(name, opts)
 	})
 	if err != nil {
 		log.Printf("fuzzyfdd: reopen session %q: %v", name, err)
-		return nil
+		return nil, err
 	}
 	if created {
 		s.met.sessionsReopened.With().Inc()
 	}
-	return c
+	return c, nil
 }

@@ -5,6 +5,11 @@
 // dictionary and the accumulated tables), with a manifest committed
 // atomically via temp-directory rename and a CURRENT pointer flip.
 //
+// Every write is fsynced: each log frame, segment, manifest and CURRENT
+// pointer before it counts, and each directory entry at its parent's
+// SyncDir. A transient fault is retried on a fixed ladder (retryAttempts
+// from retryBase, capped at maxBackoff) before the store degrades.
+//
 // Recovery loads the latest valid snapshot and replays the log tail,
 // truncating a torn or corrupt tail frame instead of failing to open: a
 // crash mid-Add loses at most the un-acknowledged frame being written,
@@ -115,9 +120,9 @@ func (OSFS) SyncDir(dir string) error {
 	return err
 }
 
-// writeFileSync writes content to name via fs, fsyncing before close unless
-// noSync. The caller syncs the parent directory to commit the entry.
-func writeFileSync(fs FS, name string, content []byte, noSync bool) error {
+// writeFileSync writes content to name via fs, fsyncing before close. The
+// caller syncs the parent directory to commit the entry.
+func writeFileSync(fs FS, name string, content []byte) error {
 	f, err := fs.Create(name)
 	if err != nil {
 		return err
@@ -126,11 +131,9 @@ func writeFileSync(fs FS, name string, content []byte, noSync bool) error {
 		f.Close()
 		return err
 	}
-	if !noSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
 	}
 	return f.Close()
 }

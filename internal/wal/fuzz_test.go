@@ -71,11 +71,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 			sdir + "/comp-0.seg":    comp,
 		}
 		for name, data := range files {
-			if err := writeFileSync(fs, name, data, false); err != nil {
+			if err := writeFileSync(fs, name, data); err != nil {
 				t.Fatal(err)
 			}
 		}
-		w, rec, err := Open("sess", Options{FS: fs})
+		w, rec, err := Open("sess", fs)
 		if err != nil {
 			return
 		}
@@ -90,7 +90,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 // manifest, dictionary and tables bytes.
 func validSnapshot(tb testing.TB) (man, dict, tables []byte) {
 	fs := NewMemFS()
-	w, _, err := Open("sess", Options{FS: fs})
+	w, _, err := Open("sess", fs)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -42,38 +42,23 @@ func IsTransient(err error) bool {
 }
 
 const (
-	// defaultRetryAttempts is how many times a transient fault is retried
-	// before the store degrades (the first try plus this many retries).
-	defaultRetryAttempts = 4
-	// defaultRetryBase is the first backoff step; each retry doubles it.
-	defaultRetryBase = 2 * time.Millisecond
-	// maxRetryBackoff caps the exponential growth so a long retry ladder
+	// retryAttempts is how many times a transient fault is retried before
+	// the store degrades (the first try plus this many retries).
+	retryAttempts = 4
+	// retryBase is the first backoff step; each retry doubles it.
+	retryBase = 2 * time.Millisecond
+	// maxBackoff caps the exponential growth so a long retry ladder
 	// never turns into multi-second stalls under the session lock.
-	maxRetryBackoff = 250 * time.Millisecond
+	maxBackoff = 250 * time.Millisecond
 )
 
-// retries resolves the Options knob: 0 means the default, negative means
-// no retries at all.
-func (o Options) retries() int {
-	switch {
-	case o.RetryAttempts < 0:
-		return 0
-	case o.RetryAttempts == 0:
-		return defaultRetryAttempts
-	}
-	return o.RetryAttempts
-}
-
 // sleepBackoff sleeps the attempt-th step of a bounded exponential backoff
-// with jitter: base<<attempt capped at maxRetryBackoff, plus up to half of
+// with jitter: base<<attempt capped at maxBackoff, plus up to half of
 // itself so colliding retriers decorrelate.
 func sleepBackoff(base time.Duration, attempt int) {
-	if base <= 0 {
-		base = defaultRetryBase
-	}
 	d := base << uint(min(attempt, 16))
-	if d > maxRetryBackoff || d <= 0 {
-		d = maxRetryBackoff
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	d += rand.N(d/2 + 1)
 	time.Sleep(d)

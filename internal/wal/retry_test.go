@@ -52,10 +52,11 @@ func TestStoreAppendRetriesTransientFault(t *testing.T) {
 // probe (or the next append's self-probe) restores write availability.
 func TestStoreDegradesThenProbeHeals(t *testing.T) {
 	flaky := NewFlakyFS(NewMemFS(), 0, 1)
-	w, _, err := Open("sess", Options{FS: flaky, RetryBackoff: 1})
+	w, _, err := Open("sess", flaky)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	w.retryBase = 1
 	b0 := batch(0)
 	if err := w.AppendAdd(b0); err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestStoreDegradesThenProbeHeals(t *testing.T) {
 	}
 	w.Close()
 
-	w2, rec, err := Open("sess", Options{FS: flaky})
+	w2, rec, err := Open("sess", flaky)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -109,10 +110,11 @@ func TestStoreDegradesThenProbeHeals(t *testing.T) {
 // probes first, so no explicit Probe call is required once the disk works.
 func TestStoreAppendSelfProbes(t *testing.T) {
 	flaky := NewFlakyFS(NewMemFS(), 0, 2)
-	w, _, err := Open("sess", Options{FS: flaky, RetryAttempts: -1})
+	w, _, err := Open("sess", flaky)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	w.retryN = 0
 	defer w.Close()
 	flaky.SetRate(1)
 	if err := w.AppendAdd(batch(0)); !errors.Is(err, ErrDegraded) {
@@ -163,10 +165,11 @@ func TestStoreSnapshotRetriesTransientFault(t *testing.T) {
 // every acknowledged batch.
 func TestStoreSnapshotFailureKeepsLogAuthoritative(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := Open("sess", Options{FS: fs, RetryAttempts: -1})
+	w, _, err := Open("sess", fs)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	w.retryN = 0
 	var want []*table.Table
 	b0 := batch(0)
 	if err := w.AppendAdd(b0); err != nil {

@@ -67,22 +67,6 @@ type manifest struct {
 	Tables string `json:"tables"`
 }
 
-// Options configures a Store.
-type Options struct {
-	// FS is the filesystem to operate on; nil means the real one.
-	FS FS
-	// NoSync skips every fsync — faster, crash-unsafe. For tests and
-	// throwaway sessions only.
-	NoSync bool
-	// RetryAttempts is how many times a transient write fault (see
-	// IsTransient) is retried with exponential backoff before the store
-	// degrades. 0 means a small default; negative disables retries.
-	RetryAttempts int
-	// RetryBackoff is the first backoff step between retries; each retry
-	// doubles it, capped and jittered. 0 means a small default.
-	RetryBackoff time.Duration
-}
-
 // Recovered is what Open reconstructed from disk: every acknowledged table
 // batch, snapshot content plus replayed log tail, in Add order.
 type Recovered struct {
@@ -95,9 +79,8 @@ type Recovered struct {
 // Degraded under the read lock), which also keeps log order equal to memory
 // order.
 type Store struct {
-	fs     FS
-	dir    string
-	noSync bool
+	fs  FS
+	dir string
 
 	// The store keeps its own dictionary so log frames can carry cells as
 	// dense symbols: each frame declares the values newly seen since the
@@ -120,8 +103,8 @@ type Store struct {
 	// until Probe verifies the log is appendable again and clears it.
 	degraded error
 
-	retryN    int           // transient-fault retries before degrading
-	retryBase time.Duration // first backoff step between retries
+	retryN    int           // transient-fault retries before degrading (retryAttempts)
+	retryBase time.Duration // first backoff step between retries (retryBase)
 	retried   int64         // transient faults retried away, for diagnostics
 
 	buf []byte // payload scratch, reused across appends
@@ -129,9 +112,9 @@ type Store struct {
 
 // Open opens (or creates) a store directory, recovering whatever state
 // survived: latest committed snapshot, then the log tail, with a torn tail
-// truncated rather than rejected.
-func Open(dir string, opts Options) (*Store, *Recovered, error) {
-	fsys := opts.FS
+// truncated rather than rejected. A nil fsys means the operating system's
+// filesystem.
+func Open(dir string, fsys FS) (*Store, *Recovered, error) {
 	if fsys == nil {
 		fsys = OSFS{}
 	}
@@ -139,8 +122,8 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		return nil, nil, pathErr("mkdir", dir, err)
 	}
 	w := &Store{
-		fs: fsys, dir: dir, noSync: opts.NoSync, dict: intern.NewDict(),
-		retryN: opts.retries(), retryBase: opts.RetryBackoff,
+		fs: fsys, dir: dir, dict: intern.NewDict(),
+		retryN: retryAttempts, retryBase: retryBase,
 	}
 	rec := &Recovered{}
 
@@ -359,10 +342,7 @@ func (w *Store) writeFrame(frame []byte) error {
 	if _, err := w.log.Write(frame); err != nil {
 		return err
 	}
-	if !w.noSync {
-		return w.log.Sync()
-	}
-	return nil
+	return w.log.Sync()
 }
 
 // repair cuts a failed append's partial frame back off the log, restoring
@@ -429,12 +409,10 @@ func (w *Store) Probe() error {
 	if err := w.ensureLog(); err != nil {
 		return &degradedError{cause: err}
 	}
-	if !w.noSync {
-		if err := w.log.Sync(); err != nil {
-			w.log.Close()
-			w.log = nil
-			return &degradedError{cause: err}
-		}
+	if err := w.log.Sync(); err != nil {
+		w.log.Close()
+		w.log = nil
+		return &degradedError{cause: err}
 	}
 	w.degraded = nil
 	return nil
@@ -451,7 +429,7 @@ func (w *Store) ensureLog() error {
 	if err != nil {
 		return pathErr("open", w.logName, err)
 	}
-	if !existed && !w.noSync {
+	if !existed {
 		if err := w.fs.SyncDir(w.dir); err != nil {
 			f.Close()
 			return pathErr("syncdir", w.dir, err)
@@ -522,7 +500,7 @@ func (w *Store) prepareSnapshot(tables []*table.Table, newSeq uint64) error {
 	for sym := 1; sym <= w.dict.Len(); sym++ {
 		e.str(w.dict.Value(uint32(sym)))
 	}
-	if err := writeSegment(w.fs, filepath.Join(tmp, "dict.seg"), e.buf, w.noSync); err != nil {
+	if err := writeSegment(w.fs, filepath.Join(tmp, "dict.seg"), e.buf); err != nil {
 		return err
 	}
 	e = &encoder{}
@@ -535,33 +513,29 @@ func (w *Store) prepareSnapshot(tables []*table.Table, newSeq uint64) error {
 		}
 		return sym
 	})
-	if err := writeSegment(w.fs, filepath.Join(tmp, "tables.seg"), e.buf, w.noSync); err != nil {
+	if err := writeSegment(w.fs, filepath.Join(tmp, "tables.seg"), e.buf); err != nil {
 		return err
 	}
 	manJSON, err := json.Marshal(manifest{Seq: newSeq, Dict: "dict.seg", Tables: "tables.seg"})
 	if err != nil {
 		return fmt.Errorf("wal: encode manifest: %w", err)
 	}
-	if err := writeFileSync(w.fs, filepath.Join(tmp, "manifest.json"), manJSON, w.noSync); err != nil {
+	if err := writeFileSync(w.fs, filepath.Join(tmp, "manifest.json"), manJSON); err != nil {
 		return pathErr("write", filepath.Join(tmp, "manifest.json"), err)
 	}
-	if !w.noSync {
-		if err := w.fs.SyncDir(tmp); err != nil {
-			return pathErr("syncdir", tmp, err)
-		}
+	if err := w.fs.SyncDir(tmp); err != nil {
+		return pathErr("syncdir", tmp, err)
 	}
 
 	// Publish the snapshot directory, then flip CURRENT — the commit point.
 	if err := w.fs.Rename(tmp, final); err != nil {
 		return pathErr("rename", final, err)
 	}
-	if !w.noSync {
-		if err := w.fs.SyncDir(w.dir); err != nil {
-			return pathErr("syncdir", w.dir, err)
-		}
+	if err := w.fs.SyncDir(w.dir); err != nil {
+		return pathErr("syncdir", w.dir, err)
 	}
 	curTmp := filepath.Join(w.dir, currentFile+".tmp")
-	if err := writeFileSync(w.fs, curTmp, []byte(strconv.FormatUint(newSeq, 10)+"\n"), w.noSync); err != nil {
+	if err := writeFileSync(w.fs, curTmp, []byte(strconv.FormatUint(newSeq, 10)+"\n")); err != nil {
 		return pathErr("write", curTmp, err)
 	}
 	if err := w.fs.Rename(curTmp, filepath.Join(w.dir, currentFile)); err != nil {
@@ -577,20 +551,11 @@ func (w *Store) prepareSnapshot(tables []*table.Table, newSeq uint64) error {
 // flip back must still find them intact — but in-memory state advances
 // regardless, because the flip is already visible to this process.
 func (w *Store) finishRotate(newSeq uint64) {
-	durable := w.noSync
-	if !w.noSync {
-		for attempt := 0; ; attempt++ {
-			err := w.fs.SyncDir(w.dir)
-			if err == nil {
-				durable = true
-				break
-			}
-			if !IsTransient(err) || attempt >= w.retryN {
-				break
-			}
-			w.retried++
-			sleepBackoff(w.retryBase, attempt)
-		}
+	err := w.fs.SyncDir(w.dir)
+	for attempt := 0; err != nil && IsTransient(err) && attempt < w.retryN; attempt++ {
+		w.retried++
+		sleepBackoff(w.retryBase, attempt)
+		err = w.fs.SyncDir(w.dir)
 	}
 	if w.log != nil {
 		w.log.Close()
@@ -601,7 +566,7 @@ func (w *Store) finishRotate(newSeq uint64) {
 	w.logName = filepath.Join(w.dir, logFileName(newSeq))
 	w.committed = 0
 	w.frames = 0
-	if !durable {
+	if err != nil {
 		return
 	}
 	if exists(w.fs, oldLog) {
@@ -671,8 +636,8 @@ func loadSnapshot(fsys FS, dir string, seq uint64) (*intern.Dict, []*table.Table
 }
 
 // writeSegment frames a payload and writes it as a segment file.
-func writeSegment(fsys FS, name string, payload []byte, noSync bool) error {
-	if err := writeFileSync(fsys, name, appendFrame(nil, payload), noSync); err != nil {
+func writeSegment(fsys FS, name string, payload []byte) error {
+	if err := writeFileSync(fsys, name, appendFrame(nil, payload)); err != nil {
 		return pathErr("write", name, err)
 	}
 	return nil

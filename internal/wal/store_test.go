@@ -37,7 +37,7 @@ func tablesEqual(a, b []*table.Table) bool {
 
 func mustOpen(t *testing.T, fs FS, dir string) (*Store, *Recovered) {
 	t.Helper()
-	w, rec, err := Open(dir, Options{FS: fs})
+	w, rec, err := Open(dir, fs)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -154,10 +154,11 @@ func TestStoreFailedAppendRepairs(t *testing.T) {
 	for _, mode := range []string{"write", "sync"} {
 		t.Run(mode, func(t *testing.T) {
 			fs := NewMemFS()
-			w, _, err := Open("sess", Options{FS: fs, RetryAttempts: -1})
+			w, _, err := Open("sess", fs)
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
+			w.retryN = 0
 			var want []*table.Table
 			b0 := batch(0)
 			if err := w.AppendAdd(b0); err != nil {
@@ -260,7 +261,7 @@ func TestStoreOpensComponentSegmentLayout(t *testing.T) {
 	ages.MustAppendRow(table.S("bob"), table.S("41"))
 	want := []*table.Table{people, jobs, ages}
 
-	w, rec, err := Open(dir, Options{})
+	w, rec, err := Open(dir, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -323,7 +324,7 @@ func TestStoreCommittedSnapshotCorruptFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err := Open("sess", Options{FS: fs})
+	_, _, err := Open("sess", fs)
 	if err == nil {
 		t.Fatal("open succeeded on a corrupt committed snapshot")
 	}
@@ -338,7 +339,7 @@ func TestStoreCommittedSnapshotCorruptFailsOpen(t *testing.T) {
 func TestStoreCrashAtEveryByte(t *testing.T) {
 	// Dry run to learn the total byte volume.
 	script := func(fs *MemFS) (acked []*table.Table, _ error) {
-		w, rec, err := Open("sess", Options{FS: fs})
+		w, rec, err := Open("sess", fs)
 		if err != nil {
 			return nil, err
 		}
@@ -374,7 +375,7 @@ func TestStoreCrashAtEveryByte(t *testing.T) {
 		if serr == nil && fired {
 			t.Fatalf("budget %d: crash fired but script saw no error", n)
 		}
-		w, rec, err := Open("sess", Options{FS: fs})
+		w, rec, err := Open("sess", fs)
 		if err != nil {
 			t.Fatalf("budget %d: reopen: %v", n, err)
 		}
