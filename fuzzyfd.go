@@ -162,21 +162,23 @@ func WriteCSVFile(path string, t *Table) error {
 	return table.WriteCSVFile(path, t, table.WriteOptions{})
 }
 
-// WriteJSONL writes a table as JSON Lines (one object per row, null cells
-// omitted) — the machine-readable output of the fuzzyfd CLI's -json flag.
+// WriteJSONL writes a table as JSON Lines (one object per row, keys sorted,
+// null cells omitted) — the machine-readable output of the fuzzyfd CLI's
+// -json flag, and byte for byte the rows fuzzyfdd streams from a result.
 func WriteJSONL(w io.Writer, t *Table) error {
 	return table.WriteJSONL(w, t)
 }
 
 // ReadJSONL parses a JSON Lines stream (one object per row, missing keys
 // null) into a table with the given name — the inverse of WriteJSONL, and
-// the table encoding the fuzzyfdd server ingests.
+// the table encoding the fuzzyfdd server ingests. A line that is not a JSON
+// object, null included, is an error naming the line.
 func ReadJSONL(r io.Reader, name string) (*Table, error) {
 	return table.ReadJSONL(r, name)
 }
 
 // JSONLLimits bounds a JSONL parse: MaxLineBytes caps one line (default
-// 4 MiB), MaxRows caps the row count (0 = unlimited). Servers ingesting
+// 4 MiB), MaxRows caps the row count (0 or negative = unlimited). Servers ingesting
 // untrusted streams should set both.
 type JSONLLimits = table.JSONLLimits
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -396,8 +395,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamResult emits the session's current result as JSON Lines via
-// Session.StreamContext, which reads the last integration when nothing was
+// streamResult emits the session's current result as JSON Lines, each row
+// encoded by table.RowEncoder as WriteJSONL encodes it. It reads
+// Session.StreamContext, which serves the last integration when nothing was
 // added since and integrates first otherwise; the JSON form of the route
 // reads the same result the same way. The stream holds no session lock, so
 // a slow client holds up no add. Rows go out in flushes of 128, and the
@@ -407,21 +407,24 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, c *session
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	w.Header().Set("Content-Type", "application/jsonl")
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var (
+		buf []byte
+		enc *table.RowEncoder
+	)
 	n, flushed := 0, false
 	flush := func() {
-		w.Write(buf.Bytes())
-		buf.Reset()
+		w.Write(buf)
+		buf = buf[:0]
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
 		flushed = true
 	}
 	_, err := c.sess.StreamContext(ctx, func(schema fuzzyfd.Schema, row fuzzyfd.Row, _ []fuzzyfd.TID) error {
-		if err := enc.Encode(table.RowObject(schema.Columns, row)); err != nil {
-			return err
+		if enc == nil {
+			enc = table.NewRowEncoder(schema.Columns) // one result, one schema
 		}
+		buf = enc.AppendRow(buf, row)
 		n++
 		if n%128 == 0 {
 			flush()
@@ -432,7 +435,7 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, c *session
 		s.writeIntegrateError(w, r, c.name, err)
 		return
 	}
-	w.Write(buf.Bytes())
+	w.Write(buf)
 	s.met.rowsStreamed.With(c.name).Add(float64(n))
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fuzzyfd"
+	"fuzzyfd/internal/table"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -303,6 +304,83 @@ func TestServerCoalescing(t *testing.T) {
 	want := sortedJSONLLines(oracle.Bytes())
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("coalesced result differs from oracle:\ngot  %v\nwant %v", got, want)
+	}
+}
+
+// TestServerStreamMatchesReferenceEncoding pins the JSON Lines result
+// stream, byte for byte, to encoding/json over table.RowObject of the
+// session's last result, computed here rather than by the encoder the
+// server uses. The values and column names need every escape class
+// (quote, backslash, control bytes, HTML characters, U+2028/U+2029,
+// invalid UTF-8), beside plain ASCII and non-ASCII ones, and the rows span
+// several flushes of the stream.
+func TestServerStreamMatchesReferenceEncoding(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	createSession(t, ts, "esc", `{"equi": true}`)
+	values := []string{
+		"plain", `quote "`, `backslash \ slash /`, "ctl \x01", "ctl \x1f", "tab\t", "nl\n", "cr\r",
+		"a<b", "a>b", "a&b", "ls\u2028", "ps\u2029", "Zürich 東京 \x7f", "",
+	}
+	var body strings.Builder
+	for i := range 300 {
+		obj := map[string]string{"id": fmt.Sprint(i), "v": values[i%len(values)]}
+		if i%5 == 0 {
+			obj[`<q"k>`] = values[(i/5)%len(values)]
+		}
+		line, err := json.Marshal(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Write(line)
+		body.WriteByte('\n')
+	}
+	body.WriteString("{\"id\":\"bad\",\"v\":\"\xff\xfe\"}\n") // invalid UTF-8, read as U+FFFD
+	postTable(t, ts, "esc", "t1", body.String())
+
+	resp, got := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/esc/result", "",
+		map[string]string{"Accept": "application/jsonl"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result: status %d: %s", resp.StatusCode, got)
+	}
+	c, err := srv.session("esc")
+	if err != nil || c == nil {
+		t.Fatalf("session: %v", err)
+	}
+	last := c.sess.Last().Table
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, row := range last.Rows {
+		if err := enc.Encode(table.RowObject(last.Columns, row)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(last.Rows) != 301 || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("stream of %d rows differs from the reference encoding:\ngot  %q\nwant %q", len(last.Rows), got, want.Bytes())
+	}
+}
+
+// TestServerRejectsNullTable: a body line reading null is no row, so the
+// add answers 400 bad_jsonl naming the line and the session gains no
+// table.
+func TestServerRejectsNullTable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	createSession(t, ts, "nul", `{"equi": true}`)
+	for _, b := range []string{"null", `{"a":"1"}` + "\nnull"} {
+		resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/nul/tables?table=t1", b, nil)
+		var eb errorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &eb) != nil || eb.Code != "bad_jsonl" {
+			t.Fatalf("body %q: status %d (%s), want 400 bad_jsonl", b, resp.StatusCode, body)
+		}
+		if want := fmt.Sprintf("line %d", strings.Count(b, "\n")+1); !strings.Contains(eb.Error, want) {
+			t.Fatalf("body %q: error %q does not name %s", b, eb.Error, want)
+		}
+	}
+	resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/nul", "", nil)
+	var st struct {
+		Tables int `json:"tables"`
+	}
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &st) != nil || st.Tables != 0 {
+		t.Fatalf("session after rejected adds: status %d: %s, want 0 tables", resp.StatusCode, body)
 	}
 }
 

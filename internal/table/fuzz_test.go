@@ -1,7 +1,10 @@
 package table
 
 import (
+	"bytes"
+	"encoding/json"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -84,6 +87,88 @@ func FuzzReadJSONL(f *testing.F) {
 		for i := range tb.Rows {
 			if a, b := RowObject(tb.Columns, tb.Rows[i]), RowObject(back.Columns, back.Rows[i]); !maps.Equal(a, b) {
 				t.Fatalf("round trip changed row %d: %v -> %v", i, a, b)
+			}
+		}
+	})
+}
+
+// FuzzReadJSONLMatchesReference checks ReadJSONLLimited against the
+// map-based parser it replaced (referenceReadJSONL): for every input and
+// limit both give the same columns, rows and null flags, or the same error
+// text. The seeds cover each way a line leaves the flat-string fast path.
+func FuzzReadJSONLMatchesReference(f *testing.F) {
+	for _, in := range []string{
+		`{"id":"1","name":"alice"}` + "\n" + `{"id":"2","city":"oslo"}`,
+		`{"a\"b":"x\ny","c":"\u00e9","d":"\/"}`,                       // escapes
+		`{"n":1,"b":true,"z":null,"o":{"x":[1, 2]},"s":"x"}`,          // non-string values
+		`{"k":"a","k":"b"}` + "\n" + `{"k":"\u0062","j":"1","k":"c"}`, // duplicate keys
+		`{"città":"Zürich","名":"東京"}`,                                 // non-ASCII
+		"{\"a\":\"\xff\"}\n{\"\xed\xa0\x80\":\"x\"}",                  // invalid UTF-8
+		`{"a":"1"}` + "\r\n" + `{"b":"2"}` + "\r\n",                   // CRLF
+		"{ \"a\" : \"1\" ,\t\"b\":\"2\"\r}\n\t{}\n",                   // inner whitespace
+		"{\"a\":\"\x01\",\"b\":\"\x7f\"}",                             // control byte, DEL
+		`{"a":"1"}` + "\nnull",                                        // a null line
+		`{"a":"1"} x`, `{"a":"1"}{"b":"2"}`, `{"a":"1",}`, `{"a" "1"}`, `[]`, `"x"`, `{"a":"1"`,
+		"{\"\":\"\"}\n{\"a\":\"\u2028\"}\n\u00a0{\"a\":\"b\"}\u0085",
+	} {
+		f.Add(in, uint16(0), uint8(0))
+	}
+	f.Add(`{"a":"short"}`+"\n"+`{"a":"`+strings.Repeat("x", 64)+`"}`, uint16(32), uint8(0))
+	f.Add(`{"a":"1"}`+"\n"+`{"a":"2"}`+"\n"+`{"a":"3"}`, uint16(0), uint8(2))
+	f.Fuzz(func(t *testing.T, input string, maxLine uint16, maxRows uint8) {
+		lim := JSONLLimits{MaxLineBytes: int(maxLine), MaxRows: int(maxRows)}
+		got, err := ReadJSONLLimited(strings.NewReader(input), "fuzz", lim)
+		want, wantErr := referenceReadJSONL(strings.NewReader(input), "fuzz", lim)
+		if err != nil || wantErr != nil {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("error %v, reference %v", err, wantErr)
+			}
+			return
+		}
+		if !slices.Equal(got.Columns, want.Columns) {
+			t.Fatalf("columns %q, reference %q", got.Columns, want.Columns)
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%d rows, reference %d", len(got.Rows), len(want.Rows))
+		}
+		for i := range got.Rows {
+			if !slices.Equal(got.Rows[i], want.Rows[i]) {
+				t.Fatalf("row %d %v, reference %v", i, got.Rows[i], want.Rows[i])
+			}
+		}
+	})
+}
+
+// FuzzRowJSONLMatchesEncoder checks RowEncoder against encoding/json over
+// RowObject, byte for byte: names split on "|" (repeats give duplicate
+// columns), values assigned round-robin, nulls set by a bit mask. One
+// encoder writes the row and its null-inverted twin.
+func FuzzRowJSONLMatchesEncoder(f *testing.F) {
+	f.Add("a|b|a", "x|<y>|z", uint16(0))
+	f.Add("a|b|c|d|e|f|g|h|i|j", "<|>|&|\"|\\|\n|\x1f|\u2028|\u2029|\xff", uint16(0))
+	f.Add("a|a|a", "1|2|3", uint16(0b010))
+	f.Add("k|k", "1|2", uint16(0b10))
+	f.Add("\"q\\|<&>|\x01\t", "\u2028|\u2029|\xff\xfe", uint16(0))
+	f.Add("é|ü|\xed\xa0\x80|\xff|\xfe", "ok|\x7f||\\n|\"", uint16(0b00101))
+	f.Add("", "", uint16(0))
+	f.Fuzz(func(t *testing.T, names, values string, nulls uint16) {
+		cols := strings.Split(names, "|")
+		vals := strings.Split(values, "|")
+		row, twin := make(Row, len(cols)), make(Row, len(cols))
+		for c := range cols {
+			row[c], twin[c] = S(vals[c%len(vals)]), Null()
+			if nulls>>(c%16)&1 == 1 {
+				row[c], twin[c] = twin[c], row[c]
+			}
+		}
+		enc := NewRowEncoder(cols)
+		for _, r := range []Row{row, twin} {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(RowObject(cols, r)); err != nil {
+				t.Fatal(err)
+			}
+			if got := enc.AppendRow(nil, r); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("columns %q row %v:\ngot  %q\nwant %q", cols, r, got, want.Bytes())
 			}
 		}
 	})

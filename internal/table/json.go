@@ -4,29 +4,38 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
+	"unicode/utf8"
 )
 
 // WriteJSONL writes the table as JSON Lines: one object per row mapping
 // column names to string values; null cells are omitted. JSONL is the
 // interchange format downstream pipelines (and the fuzzyfd CLI's -json
-// flag) consume.
+// flag) consume. Rows are encoded by a RowEncoder, the one JSONL row
+// encoding of the module.
 func WriteJSONL(w io.Writer, t *Table) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	enc := NewRowEncoder(t.Columns)
+	var buf []byte
 	for i, row := range t.Rows {
-		if err := enc.Encode(RowObject(t.Columns, row)); err != nil {
-			return fmt.Errorf("table: write jsonl %q row %d: %w", t.Name, i, err)
+		buf = enc.AppendRow(buf, row)
+		if len(buf) >= 32<<10 || i == len(t.Rows)-1 {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("table: write jsonl %q row %d: %w", t.Name, i, err)
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
-// RowObject returns the JSONL object of one row — column name to value,
-// null cells omitted — the per-row encoding WriteJSONL uses. Streaming
-// writers encode rows one at a time through this, so streamed and batch
-// JSONL output stay byte-identical per row.
+// RowObject returns the JSONL object of one row as a map — column name to
+// value, null cells omitted, the last non-null cell winning among columns
+// of the same name. Encoding it with encoding/json gives exactly the line
+// RowEncoder.AppendRow writes; JSON documents that embed rows use it.
 func RowObject(columns []string, row Row) map[string]string {
 	obj := make(map[string]string, len(row))
 	for c, cell := range row {
@@ -37,13 +46,101 @@ func RowObject(columns []string, row Row) map[string]string {
 	return obj
 }
 
+// RowEncoder writes rows of one column list as JSONL objects without
+// reflection. Its bytes equal json.Encoder's over RowObject: keys in sorted
+// order, null cells omitted, the last non-null cell of a repeated column
+// name kept, strings escaped as encoding/json escapes them (HTML
+// characters, U+2028 and U+2029, invalid UTF-8 replaced).
+type RowEncoder struct {
+	fields []jsonField
+}
+
+// jsonField is one distinct column name of a RowEncoder.
+type jsonField struct {
+	key  []byte // the quoted name and its colon
+	cols []int  // the columns of that name, last first
+}
+
+// NewRowEncoder sorts and quotes the keys of columns once, for every row
+// AppendRow writes afterwards.
+func NewRowEncoder(columns []string) *RowEncoder {
+	order := make([]int, len(columns))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(columns[a], columns[b]) })
+	e := &RowEncoder{}
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && columns[order[j]] == columns[order[i]] {
+			j++
+		}
+		cols := order[i:j:j]
+		slices.Reverse(cols)
+		e.fields = append(e.fields, jsonField{key: append(appendJSONString(nil, columns[cols[0]]), ':'), cols: cols})
+		i = j
+	}
+	return e
+}
+
+// AppendRow appends row's JSONL object and its newline to dst. The row
+// must be as wide as the encoder's column list.
+func (e *RowEncoder) AppendRow(dst []byte, row Row) []byte {
+	dst = append(dst, '{')
+	first := true
+	for _, f := range e.fields {
+		for _, c := range f.cols {
+			if row[c].IsNull {
+				continue
+			}
+			if !first {
+				dst = append(dst, ',')
+			}
+			first = false
+			dst = append(dst, f.key...)
+			dst = appendJSONString(dst, row[c].Val)
+			break
+		}
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendJSONString appends s as a JSON string: copied between quotes when
+// nothing in it needs escaping, through json.Marshal otherwise.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b < 0x20 || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+				return appendMarshaled(dst, s)
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
+			return appendMarshaled(dst, s)
+		}
+		i += n
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+func appendMarshaled(dst []byte, s string) []byte {
+	b, _ := json.Marshal(s) // a string always marshals
+	return append(dst, b...)
+}
+
 // JSONLLimits bounds a JSONL parse against hostile or accidental input.
-// Zero values mean the defaults; use -1 for MaxRows to refuse all rows.
+// Zero values mean the defaults.
 type JSONLLimits struct {
 	// MaxLineBytes caps a single line. Lines past it fail with an error
 	// naming the line number instead of buffering unboundedly. Default 4 MiB.
 	MaxLineBytes int
-	// MaxRows caps the number of rows parsed. 0 means unlimited.
+	// MaxRows caps the number of rows parsed. Zero or negative means
+	// unlimited.
 	MaxRows int
 }
 
@@ -51,10 +148,22 @@ type JSONLLimits struct {
 // arbitrarily much memory while staying far above any realistic row.
 const defaultMaxLineBytes = 4 << 20
 
+// errNullLine rejects a line reading null: encoding/json decodes it into a
+// nil map without error, but it is no row.
+var errNullLine = errors.New("line is null, not a JSON object")
+
 // ReadJSONL parses a JSON Lines stream into a table with the default
-// limits. The schema is the union of all keys in first-seen order; missing
-// keys become null cells. Non-string JSON values are rendered with their
+// limits. Every non-blank line must be a JSON object. The schema is the
+// union of all keys, each row's keys sorted and added in order of first
+// appearance; missing keys become null cells, and a key repeated within a
+// line keeps its last value. Non-string JSON values are rendered with their
 // default JSON encoding. Errors name the 1-based offending line.
+//
+// A line that is a flat object of strings without escape sequences or
+// control bytes is split without encoding/json: its values are copied back
+// to back into one string, and its cells are substrings of that string.
+// Every other line is decoded by encoding/json, with the same result and
+// the same error text.
 func ReadJSONL(r io.Reader, name string) (*Table, error) {
 	return ReadJSONLLimited(r, name, JSONLLimits{})
 }
@@ -68,8 +177,8 @@ func ReadJSONLLimited(r io.Reader, name string, lim JSONLLimits) (*Table, error)
 	sc := bufio.NewScanner(r)
 	// Scanner's cap is max(maxLine, cap(buf)), so the initial buffer must
 	// not exceed the limit or small limits would be silently ignored.
-	sc.Buffer(make([]byte, 0, min(64*1024, maxLine)), maxLine)
-	var rawRows []map[string]json.RawMessage
+	sc.Buffer(make([]byte, 0, min(4<<10, maxLine)), maxLine)
+	p := jsonlParser{colIdx: make(map[string]int)}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -77,14 +186,12 @@ func ReadJSONLLimited(r io.Reader, name string, lim JSONLLimits) (*Table, error)
 		if len(text) == 0 {
 			continue
 		}
-		if lim.MaxRows > 0 && len(rawRows) >= lim.MaxRows {
+		if lim.MaxRows > 0 && len(p.ends) >= lim.MaxRows {
 			return nil, fmt.Errorf("table: read jsonl %q line %d: row limit of %d exceeded", name, line, lim.MaxRows)
 		}
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(text, &obj); err != nil {
+		if err := p.addLine(text); err != nil {
 			return nil, fmt.Errorf("table: read jsonl %q line %d: %w", name, line, err)
 		}
-		rawRows = append(rawRows, obj)
 	}
 	if err := sc.Err(); err != nil {
 		if err == bufio.ErrTooLong {
@@ -92,49 +199,180 @@ func ReadJSONLLimited(r io.Reader, name string, lim JSONLLimits) (*Table, error)
 		}
 		return nil, fmt.Errorf("table: read jsonl %q line %d: %w", name, line+1, err)
 	}
+	return p.table(name), nil
+}
 
-	t := New(name)
-	colIdx := make(map[string]int)
-	// First pass: collect schema deterministically (sorted within a row to
-	// make column order stable despite Go's map iteration).
-	for _, obj := range rawRows {
-		for _, k := range sortedKeys(obj) {
-			if _, ok := colIdx[k]; !ok {
-				colIdx[k] = len(t.Columns)
-				t.Columns = append(t.Columns, k)
-			}
+// jsonlParser accumulates a JSONL stream's rows as (column, value) entries;
+// the rows are laid out once the stream ends and the width is known.
+type jsonlParser struct {
+	colIdx     map[string]int
+	columns    []string
+	cells      []jsonCell // every row's entries, in line order
+	ends       []int      // row i's entries end at cells[ends[i]]
+	keys, vals []string   // the current line's members
+	vbuf       []byte     // the current line's values, back to back
+	vends      []int      // value i ends at vbuf[vends[i]]
+}
+
+type jsonCell struct {
+	col int
+	val string
+}
+
+// addLine parses one trimmed, non-blank line into a row.
+func (p *jsonlParser) addLine(text []byte) error {
+	if !p.splitFlat(text) {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(text, &obj); err != nil {
+			return err
 		}
-	}
-	for _, obj := range rawRows {
-		row := make(Row, len(t.Columns))
-		for i := range row {
-			row[i] = Null()
+		if obj == nil {
+			return errNullLine
 		}
+		p.keys, p.vals = p.keys[:0], p.vals[:0]
 		for k, raw := range obj {
 			var s string
 			if err := json.Unmarshal(raw, &s); err != nil {
 				s = string(raw) // numbers, booleans, nested values: raw JSON
 			}
-			row[colIdx[k]] = S(s)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-func sortedKeys(m map[string]json.RawMessage) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	insertionSortStrings(keys)
-	return keys
-}
-
-func insertionSortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+			p.keys = append(p.keys, k)
+			p.vals = append(p.vals, s)
 		}
 	}
+	p.addRow()
+	return nil
+}
+
+// addRow appends the scratch keys and values as one row, first adding the
+// row's unseen keys to the schema in sorted order.
+func (p *jsonlParser) addRow() {
+	var fresh []string
+	for _, k := range p.keys {
+		if _, ok := p.colIdx[k]; !ok {
+			fresh = append(fresh, k)
+		}
+	}
+	if fresh != nil {
+		slices.Sort(fresh)
+		for _, k := range slices.Compact(fresh) {
+			p.colIdx[k] = len(p.columns)
+			p.columns = append(p.columns, k)
+		}
+	}
+	for i, k := range p.keys {
+		p.cells = append(p.cells, jsonCell{p.colIdx[k], p.vals[i]})
+	}
+	p.ends = append(p.ends, len(p.cells))
+}
+
+// table lays the parsed rows out over one backing array of cells. Entries
+// are applied in line order, so a repeated key keeps its last value.
+func (p *jsonlParser) table(name string) *Table {
+	t := New(name, p.columns...)
+	w := len(t.Columns)
+	if len(p.ends) == 0 {
+		return t
+	}
+	cells := make([]Cell, len(p.ends)*w)
+	for i := range cells {
+		cells[i].IsNull = true
+	}
+	t.Rows = make([]Row, len(p.ends))
+	start := 0
+	for i, end := range p.ends {
+		row := Row(cells[i*w : (i+1)*w : (i+1)*w])
+		for _, c := range p.cells[start:end] {
+			row[c.col] = S(c.val)
+		}
+		t.Rows[i] = row
+		start = end
+	}
+	return t
+}
+
+// splitFlat splits the trimmed line text into the scratch keys and values
+// when it is a flat JSON object whose keys and values are all strings free
+// of escape sequences and control bytes. The values are substrings of one
+// string holding them back to back, so a row costs one allocation and keeps
+// none of the line's syntax alive; a key already in the schema reuses its
+// column's name. It reports false for anything else — escapes, other
+// values, nesting, invalid UTF-8, malformed JSON — which the caller hands
+// to encoding/json.
+func (p *jsonlParser) splitFlat(text []byte) bool {
+	p.keys, p.vals, p.vbuf, p.vends = p.keys[:0], p.vals[:0], p.vbuf[:0], p.vends[:0]
+	if len(text) < 2 || text[0] != '{' {
+		return false
+	}
+	i := skipJSONSpace(text, 1) // text ends in a non-space, so i < len(text)
+	if text[i] == '}' {
+		return i == len(text)-1
+	}
+	for {
+		k, next, ok := flatString(text, i)
+		if !ok {
+			return false
+		}
+		if i = skipJSONSpace(text, next); i == len(text) || text[i] != ':' {
+			return false
+		}
+		v, next, ok := flatString(text, skipJSONSpace(text, i+1))
+		if !ok {
+			return false
+		}
+		p.keys = append(p.keys, p.key(k))
+		p.vbuf = append(p.vbuf, v...)
+		p.vends = append(p.vends, len(p.vbuf))
+		switch i = skipJSONSpace(text, next); {
+		case i == len(text):
+			return false
+		case text[i] == ',':
+			i = skipJSONSpace(text, i+1)
+		case text[i] == '}':
+			if i != len(text)-1 || !utf8.Valid(text) {
+				return false
+			}
+			vals, start := string(p.vbuf), 0
+			for _, end := range p.vends {
+				p.vals = append(p.vals, vals[start:end])
+				start = end
+			}
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// key returns k as a string, the column's own name when k is already in the
+// schema.
+func (p *jsonlParser) key(k []byte) string {
+	if c, ok := p.colIdx[string(k)]; ok {
+		return p.columns[c]
+	}
+	return string(k)
+}
+
+// flatString returns the contents of the JSON string opening at text[i] and
+// the index after its closing quote, or false if there is none or it holds
+// an escape sequence or a control byte.
+func flatString(text []byte, i int) ([]byte, int, bool) {
+	if i == len(text) || text[i] != '"' {
+		return nil, 0, false
+	}
+	for j := i + 1; j < len(text); j++ {
+		switch c := text[j]; {
+		case c == '"':
+			return text[i+1 : j], j + 1, true
+		case c == '\\' || c < 0x20:
+			return nil, 0, false
+		}
+	}
+	return nil, 0, false
+}
+
+func skipJSONSpace(text []byte, i int) int {
+	for i < len(text) && (text[i] == ' ' || text[i] == '\t' || text[i] == '\n' || text[i] == '\r') {
+		i++
+	}
+	return i
 }

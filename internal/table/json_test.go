@@ -82,6 +82,22 @@ func TestReadJSONLNamesOffendingLine(t *testing.T) {
 	}
 }
 
+// TestReadJSONLRejectsNull: a line reading null decodes into a nil map
+// without error, but it is no row; it fails with its line number, alone or
+// after a row.
+func TestReadJSONLRejectsNull(t *testing.T) {
+	for in, line := range map[string]string{
+		"null":                    "line 1",
+		"{\"a\":\"1\"}\nnull":     "line 2",
+		"{\"a\":\"1\"}\n\n null ": "line 3",
+	} {
+		tb, err := ReadJSONL(strings.NewReader(in), "j")
+		if err == nil || !strings.Contains(err.Error(), line) || !strings.Contains(err.Error(), "not a JSON object") {
+			t.Errorf("%q: table %v, error %v; want a %s error", in, tb, err, line)
+		}
+	}
+}
+
 func TestReadJSONLBlankLinesSkipped(t *testing.T) {
 	in := "\n{\"a\":\"1\"}\n   \n{\"a\":\"2\"}\n\n"
 	tb, err := ReadJSONL(strings.NewReader(in), "j")
@@ -111,6 +127,13 @@ func TestReadJSONLLimits(t *testing.T) {
 		JSONLLimits{MaxRows: 2, MaxLineBytes: 64})
 	if err != nil || tb.NumRows() != 2 {
 		t.Errorf("input within limits rejected: %v %v", tb, err)
+	}
+
+	// Every non-positive MaxRows means unlimited, as the zero value does.
+	tb, err = ReadJSONLLimited(strings.NewReader("{\"a\":\"1\"}\n{\"a\":\"2\"}\n{\"a\":\"3\"}"), "j",
+		JSONLLimits{MaxRows: -1})
+	if err != nil || tb.NumRows() != 3 {
+		t.Errorf("MaxRows -1 did not read all rows: %v %v", tb, err)
 	}
 }
 
