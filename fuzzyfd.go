@@ -170,8 +170,8 @@ func WriteJSONL(w io.Writer, t *Table) error {
 }
 
 // ReadJSONL parses a JSON Lines stream (one object per row, missing keys
-// null) into a table with the given name — the inverse of WriteJSONL, and
-// the table encoding the fuzzyfdd server ingests. A line that is not a JSON
+// and null members null) into a table with the given name — the inverse of
+// WriteJSONL, and the table encoding the fuzzyfdd server ingests. A line that is not a JSON
 // object, null included, is an error naming the line.
 func ReadJSONL(r io.Reader, name string) (*Table, error) {
 	return table.ReadJSONL(r, name)
@@ -241,17 +241,15 @@ func WithContentAlignment(useHeaders bool) Option {
 }
 
 // WithParallelFD computes the Full Disjunction with the given number of
-// workers. Components of the integration graph small enough that closure
-// is cheaper than scheduling run inline and the rest are closed whole across
-// workers. One case puts every worker inside a single component: a hub —
-// common on data-lake workloads, where one component can hold most of the
-// closure work — that closes from scratch, has at least 512 tuples, holds
-// at least half of the tuples being closed, and has a selective (key-like)
-// column. It is split by that column's values into groups that close
-// independently, with group-local indexes and no shared mutable state.
-// Everything else is closed exactly as without this option; in particular a
-// Session extends a cached closure in place, sequentially, whatever the
-// size of the delta. Results are byte-identical for any worker count.
+// workers, which parallelise one thing: a hub — common on data-lake
+// workloads, where one component can hold most of the closure work — that
+// closes from scratch, has at least 512 tuples and has a selective
+// (key-like) column. It is split by that column's values into groups that
+// close independently across the workers, with group-local indexes and no
+// shared mutable state. Everything else is closed exactly as without this
+// option, one component after another; in particular a Session extends a
+// cached closure in place, sequentially, whatever the size of the delta.
+// Results are byte-identical for any worker count.
 func WithParallelFD(workers int) Option {
 	return func(o *options) error {
 		if workers < 1 {

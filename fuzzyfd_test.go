@@ -2,6 +2,8 @@ package fuzzyfd
 
 import (
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +44,41 @@ func TestIntegrateEquiJoinBaseline(t *testing.T) {
 	}
 	if res.Table.NumRows() != 9 {
 		t.Errorf("rows=%d want 9", res.Table.NumRows())
+	}
+}
+
+// TestJSONLNullMemberIsAbsent: a JSONL member that reads null is a null
+// cell, so tables that write "a":null integrate exactly as the same tables
+// without the member — the two null rows do not join on a value nobody
+// wrote — fuzzy and equi alike.
+func TestJSONLNullMemberIsAbsent(t *testing.T) {
+	read := func(name, in string) *Table {
+		tb, err := ReadJSONL(strings.NewReader(in), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	withNull := []*Table{
+		read("T1", `{"a":"z","k":"2"}`+"\n"+`{"k":"1","a":null}`),
+		read("T2", `{"a":"z","j":"y"}`+"\n"+`{"j":"x","a":null}`),
+	}
+	absent := []*Table{
+		read("T1", `{"a":"z","k":"2"}`+"\n"+`{"k":"1"}`),
+		read("T2", `{"a":"z","j":"y"}`+"\n"+`{"j":"x"}`),
+	}
+	for _, opts := range [][]Option{nil, {WithEquiJoin()}} {
+		got, err := Integrate(withNull, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Integrate(absent, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Table.Equal(want.Table) || !reflect.DeepEqual(got.Prov, want.Prov) {
+			t.Errorf("with %d options: null members integrate to\n%v\nabsent members to\n%v", len(opts), got.Table, want.Table)
+		}
 	}
 }
 

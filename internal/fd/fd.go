@@ -36,16 +36,15 @@
 //     or scans for derived tuples, so a closure from scratch posts its base
 //     tuples only; when a cached store is extended, the derived tuples still
 //     unextended are posted, for the new base tuples to find.
-//   - With Options.Workers > 1 components are scheduled by size — tiny ones
-//     close inline, the rest are scheduled whole across workers — and one
-//     rule decides the only other way a component is closed: a component
-//     closing from scratch (no cached closure to extend) with at least
-//     hubMinTuples tuples, holding at least half of the round's tuples (or
-//     alone in it), for which choosePivot finds a pivot column, is closed
-//     with every worker inside it by closePivotPar (pivotpar.go) — the same
-//     worklist loop, run once per disjoint pivot-value group. Everything
-//     else, at any Workers setting — every cached closure being extended,
-//     every component without a pivot — is closed by that one loop, in place.
+//   - Components close one after another. Options.Workers > 1 parallelises
+//     one thing, decided by one rule: a component closing from scratch (no
+//     cached closure to extend) with at least hubMinTuples tuples, for
+//     which choosePivot finds a pivot column, is closed with every worker
+//     inside it by closePivotPar (pivotpar.go) — the same worklist loop, run
+//     once per disjoint pivot-value group. Everything else, at any Workers
+//     setting — every cached closure being extended, every smaller
+//     component, every component without a pivot — is closed by that one
+//     loop, in place.
 //   - The Index keeps every component's closure between Updates and makes
 //     an update cost what its delta costs. A dirty component is re-closed
 //     through one seeding path (Index.seed): the cached closure with the
@@ -188,13 +187,10 @@ func (s Schema) Validate(tables []*table.Table) error {
 
 // Options tunes the Full Disjunction computation.
 type Options struct {
-	// Workers > 1 closes connected components concurrently: components
-	// below a size threshold run inline, the rest are scheduled whole across
-	// workers, and a hub — a component closing from scratch with at least
-	// hubMinTuples tuples that holds at least half of the round's tuples
-	// (or is alone) and has a pivot column — is closed with all workers
-	// inside it, one pivot-value group at a time (pivotpar.go). A cached
-	// closure being extended and a component without a pivot are closed
+	// Workers > 1 closes a hub — a component closing from scratch with at
+	// least hubMinTuples tuples and a pivot column — with all workers
+	// inside it, one pivot-value group at a time (pivotpar.go). Every other
+	// component, including a cached closure being extended, is closed
 	// sequentially, in place, exactly as with Workers <= 1. 0 or 1 runs
 	// sequentially. Output is byte-identical at every setting.
 	Workers int
@@ -211,10 +207,9 @@ type Options struct {
 	// tuple budget uses; treat it as a resource ceiling, not allocator
 	// accounting. 0 means unlimited.
 	MaxBytes int64
-	// Progress, when non-nil, is called once per closed component, always
-	// from the assembling goroutine (never concurrently), in completion
-	// order. It must not block for long: with Workers > 1 it is on the path
-	// that drains worker results.
+	// Progress, when non-nil, is called once per closed component, from the
+	// goroutine running the Update (never concurrently), in the order the
+	// components close.
 	Progress func(ComponentProgress)
 
 	// noPivot scans flat posting lists during the closure instead of
@@ -301,7 +296,7 @@ type Stats struct {
 }
 
 // mergeWork folds another run's work counters into s — the per-component
-// counters the closures report back through the assembler.
+// counters each component's closure reports back.
 func (s *Stats) mergeWork(r Stats) {
 	s.Merges += r.Merges
 	s.MergeAttempts += r.MergeAttempts

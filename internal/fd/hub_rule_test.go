@@ -31,36 +31,60 @@ func ladderTables(n int) []*table.Table {
 	return tables
 }
 
+// prefixedTables copies tables with every non-null value prefixed, so no
+// value of the copy equals one of the original and the two cannot join.
+func prefixedTables(tables []*table.Table, prefix string) []*table.Table {
+	out := make([]*table.Table, len(tables))
+	for i, t := range tables {
+		c := t.Clone()
+		for _, row := range c.Rows {
+			for j := range row {
+				if !row[j].IsNull {
+					row[j].Val = prefix + row[j].Val
+				}
+			}
+		}
+		out[i] = c
+	}
+	return out
+}
+
 // TestHubRule pins which components Workers > 1 closes with every worker
-// inside them: only a closure from scratch of at least HubMinTuples tuples
-// that has a pivot column. A lone component of any smaller size and a large
-// component without a pivot are closed by the sequential worklist — no
-// pivot groups, and exactly the sequential run's merge attempts (it tries
-// each unordered pair once). Output is byte-identical either way.
+// inside them: every closure from scratch of at least HubMinTuples tuples
+// that has a pivot column, however many share the round. A lone component
+// of any smaller size and a large component without a pivot are closed by
+// the sequential worklist — no pivot groups, and exactly the sequential
+// run's merge attempts (it tries each unordered pair once). Output is
+// byte-identical either way.
 func TestHubRule(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		tables []*table.Table
-		hub    bool
+		name  string
+		parts [][]*table.Table // one component each
+		hub   bool
 	}{
-		{"one row", ladderTables(1), false},
-		{"20-row component", ladderTables(20), false},
-		{"pivotless component", ladderTables(fd.HubMinTuples + 88), false},
-		{"hub fixture", hubTables(3000), true},
+		{"one row", [][]*table.Table{ladderTables(1)}, false},
+		{"20-row component", [][]*table.Table{ladderTables(20)}, false},
+		{"pivotless component", [][]*table.Table{ladderTables(fd.HubMinTuples + 88)}, false},
+		{"hub fixture", [][]*table.Table{hubTables(3000)}, true},
+		{"two disjoint hubs", [][]*table.Table{hubTables(3000), prefixedTables(hubTables(1500), "b:")}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			schema := fd.IdentitySchema(tc.tables)
-			seq, err := fd.FullDisjunctionContext(context.Background(), tc.tables, schema, fd.Options{Workers: 1})
+			var tables []*table.Table
+			for _, part := range tc.parts {
+				tables = append(tables, part...)
+			}
+			schema := fd.IdentitySchema(tables)
+			seq, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seq.Stats.Components != 1 {
-				t.Fatalf("fixture has %d components, want 1", seq.Stats.Components)
+			if seq.Stats.Components != len(tc.parts) {
+				t.Fatalf("fixture has %d components, want %d", seq.Stats.Components, len(tc.parts))
 			}
 			if !tc.hub && seq.Stats.PivotColumn >= 0 {
 				t.Fatalf("fixture: pivot column %d chosen", seq.Stats.PivotColumn)
 			}
-			par, err := fd.FullDisjunctionContext(context.Background(), tc.tables, schema, fd.Options{Workers: 4})
+			par, err := fd.FullDisjunctionContext(context.Background(), tables, schema, fd.Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,8 +92,21 @@ func TestHubRule(t *testing.T) {
 				t.Error("Workers 4 differs from Workers 1")
 			}
 			if tc.hub {
-				if par.Stats.PivotGroups == 0 {
-					t.Error("hub not closed by pivot groups")
+				// Every hub closes by groups: the round's groups are the
+				// sum of each hub's groups when it closes alone.
+				want := 0
+				for _, part := range tc.parts {
+					alone, err := fd.FullDisjunctionContext(context.Background(), part, fd.IdentitySchema(part), fd.Options{Workers: 4})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if alone.Stats.PivotGroups == 0 {
+						t.Fatal("hub not closed by pivot groups")
+					}
+					want += alone.Stats.PivotGroups
+				}
+				if par.Stats.PivotGroups != want {
+					t.Errorf("%d pivot groups, want %d: a hub closed sequentially", par.Stats.PivotGroups, want)
 				}
 				return
 			}

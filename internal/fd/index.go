@@ -667,8 +667,7 @@ func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats) erro
 
 	// Each closed component's kept tuples are put in value order and
 	// decoded here, once — rows the closure's previous generation already
-	// decoded carry over. The closeEach assembler delivers on this
-	// goroutine, so none of it needs extra synchronization.
+	// decoded carry over, as each component closes.
 	decoded := make([][]table.Row, len(jobs))
 	hook := func(ci int, r compResult) {
 		slices.SortFunc(r.kept, func(a, b Tuple) int { return eng.cmpCells(a.Cells, b.Cells) })

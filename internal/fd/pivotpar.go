@@ -50,8 +50,8 @@ import (
 // The decomposition needs every seed expanded, so it serves closures from
 // scratch only (nil worklist), and it needs a pivot. Extending a cached
 // closure — where unexpanded cached tuples would miss their pairs with new
-// null-pivot tuples — and closing a pivotless component are closeOne's, at
-// any Workers setting (see closeEach).
+// null-pivot tuples — and closing a pivotless component are left to the
+// sequential worklist at any Workers setting (closeOne).
 
 // pivotGroups partitions seed indices by their pivot-column symbol:
 // null-pivot seeds first, then one group per distinct pivot value in

@@ -101,8 +101,8 @@ func (s *sigIndex) addHashed(hash uint64, id int) {
 }
 
 // budget enforces Options.MaxTuples and Options.MaxBytes across the whole
-// computation. Component closures run concurrently, so the live tuple count
-// is shared; each new tuple reserves a slot. The memory ceiling rides on
+// computation. A hub's pivot groups close concurrently, so the live tuple
+// count is shared; each new tuple reserves a slot. The memory ceiling rides on
 // the same counter through a linear model: estimated bytes = the engine
 // dictionary's retained bytes (fixed at budget creation — interning happens
 // at outer-union time, before closures run) + live tuples × a per-tuple

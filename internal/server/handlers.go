@@ -38,10 +38,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // errorBody is the typed error response: a message, a stable machine code,
 // and the request id for correlating with the daemon's logs.
 type errorBody struct {
@@ -78,7 +74,7 @@ func writeNoSession(w http.ResponseWriter, r *http.Request, name string, err err
 		writeErrorCode(w, r, http.StatusInternalServerError, "open_failed", "open session %q: %v", name, err)
 		return
 	}
-	writeError(w, http.StatusNotFound, "no session %q", name)
+	writeErrorCode(w, r, http.StatusNotFound, "no_session", "no session %q", name)
 }
 
 // writeDraining answers a state-changing request arriving after drain began.
@@ -155,7 +151,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&opts); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "session options: %v", err)
+		writeErrorCode(w, r, http.StatusBadRequest, "bad_options", "session options: %v", err)
 		return
 	}
 	err := opts.validate()
@@ -163,7 +159,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		_, err = s.sessionDir(name)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "session options: %v", err)
+		writeErrorCode(w, r, http.StatusBadRequest, "bad_options", "session options: %v", err)
 		return
 	}
 	c, created, full, err := s.reg.put(name, func() (*session, error) {
@@ -288,7 +284,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if c == nil && dir == "" {
-		writeError(w, http.StatusNotFound, "no session %q", name)
+		writeErrorCode(w, r, http.StatusNotFound, "no_session", "no session %q", name)
 		return
 	}
 	if c != nil {
@@ -379,20 +375,32 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	rows := []map[string]string{}
+	// The document is the bytes json.Encoder writes for {"columns", "rows",
+	// "stats"}, its rows encoded by table.RowEncoder as the stream's are.
+	rows := []byte(`,"rows":[`)
+	var enc *table.RowEncoder
 	res, err := c.sess.StreamContext(ctx, func(schema fuzzyfd.Schema, row fuzzyfd.Row, _ []fuzzyfd.TID) error {
-		rows = append(rows, table.RowObject(schema.Columns, row))
+		if enc == nil {
+			enc = table.NewRowEncoder(schema.Columns)
+		} else {
+			rows = append(rows, ',')
+		}
+		rows = enc.AppendRow(rows, row)
+		rows = rows[:len(rows)-1] // the row's newline
 		return nil
 	})
 	if err != nil {
 		s.writeIntegrateError(w, r, name, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"columns": res.Schema.Columns,
-		"rows":    rows,
-		"stats":   res.FDStats,
-	})
+	// Neither can fail: a []string, and a struct of integer fields.
+	columns, _ := json.Marshal(res.Schema.Columns)
+	stats, _ := json.Marshal(res.FDStats)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append([]byte(`{"columns":`), columns...))
+	w.Write(rows)
+	w.Write(append(append([]byte(`],"stats":`), stats...), "}\n"...))
 }
 
 // streamResult emits the session's current result as JSON Lines, each row
@@ -451,7 +459,7 @@ func (s *Server) writeIntegrateError(w http.ResponseWriter, r *http.Request, nam
 		writeErrorCode(w, r, http.StatusGatewayTimeout, "timeout",
 			"integration exceeded the request timeout %s", s.cfg.RequestTimeout)
 	case errors.Is(err, fuzzyfd.ErrNoTables):
-		writeError(w, http.StatusConflict, "integrate: %v", err)
+		writeErrorCode(w, r, http.StatusConflict, "no_tables", "integrate: %v", err)
 	case errors.Is(err, fuzzyfd.ErrTupleBudget):
 		writeErrorCode(w, r, http.StatusUnprocessableEntity, "tuple_budget", "integrate: %v", err)
 	case errors.Is(err, fuzzyfd.ErrMemoryBudget):
@@ -489,7 +497,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		writeErrorCode(w, r, http.StatusInternalServerError, "streaming_unsupported", "streaming unsupported")
 		return
 	}
 	// Subscribe before the headers go out: a client whose request has

@@ -142,6 +142,10 @@ func TestServerLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: status %d", resp.StatusCode)
 	}
+	resp, body = doReq(t, http.MethodGet, ts.URL+"/v1/sessions/alpha", "", nil)
+	if eb := decodeErrorBody(t, body); resp.StatusCode != http.StatusNotFound || eb.Code != "no_session" || eb.RequestID == "" {
+		t.Fatalf("get after delete: status %d body %s, want 404 no_session with a request id", resp.StatusCode, body)
+	}
 	for _, probe := range []struct{ method, path string }{
 		{http.MethodGet, "/v1/sessions/alpha"},
 		{http.MethodDelete, "/v1/sessions/alpha"},
@@ -310,7 +314,8 @@ func TestServerCoalescing(t *testing.T) {
 // TestServerStreamMatchesReferenceEncoding pins the JSON Lines result
 // stream, byte for byte, to encoding/json over table.RowObject of the
 // session's last result, computed here rather than by the encoder the
-// server uses. The values and column names need every escape class
+// server uses, and the JSON form to json.Encoder over the document of those
+// row maps, columns and stats. The values and column names need every escape class
 // (quote, backslash, control bytes, HTML characters, U+2028/U+2029,
 // invalid UTF-8), beside plain ASCII and non-ASCII ones, and the rows span
 // several flushes of the stream.
@@ -356,6 +361,24 @@ func TestServerStreamMatchesReferenceEncoding(t *testing.T) {
 	}
 	if len(last.Rows) != 301 || !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("stream of %d rows differs from the reference encoding:\ngot  %q\nwant %q", len(last.Rows), got, want.Bytes())
+	}
+
+	// The JSON form is the document json.Encoder writes over one map per
+	// row.
+	resp, got = doReq(t, http.MethodGet, ts.URL+"/v1/sessions/esc/result", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("json result: status %d: %s", resp.StatusCode, got)
+	}
+	rows := []map[string]string{}
+	for _, row := range last.Rows {
+		rows = append(rows, table.RowObject(last.Columns, row))
+	}
+	want.Reset()
+	if err := enc.Encode(map[string]any{"columns": last.Columns, "rows": rows, "stats": c.sess.Last().FDStats}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("JSON document differs from the reference encoding:\ngot  %q\nwant %q", got, want.Bytes())
 	}
 }
 

@@ -35,7 +35,9 @@ func WriteJSONL(w io.Writer, t *Table) error {
 // RowObject returns the JSONL object of one row as a map — column name to
 // value, null cells omitted, the last non-null cell winning among columns
 // of the same name. Encoding it with encoding/json gives exactly the line
-// RowEncoder.AppendRow writes; JSON documents that embed rows use it.
+// RowEncoder.AppendRow writes. Nothing in the module encodes with it: it is
+// the reference tests compare RowEncoder against, and the benchmark harness
+// keys result rows by it.
 func RowObject(columns []string, row Row) map[string]string {
 	obj := make(map[string]string, len(row))
 	for c, cell := range row {
@@ -230,7 +232,12 @@ func (p *jsonlParser) addLine(text []byte) error {
 			return errNullLine
 		}
 		p.keys, p.vals = p.keys[:0], p.vals[:0]
+		var nulls []string
 		for k, raw := range obj {
+			if string(raw) == "null" {
+				nulls = append(nulls, k)
+				continue
+			}
 			var s string
 			if err := json.Unmarshal(raw, &s); err != nil {
 				s = string(raw) // numbers, booleans, nested values: raw JSON
@@ -238,13 +245,16 @@ func (p *jsonlParser) addLine(text []byte) error {
 			p.keys = append(p.keys, k)
 			p.vals = append(p.vals, s)
 		}
+		p.keys = append(p.keys, nulls...)
 	}
 	p.addRow()
 	return nil
 }
 
 // addRow appends the scratch keys and values as one row, first adding the
-// row's unseen keys to the schema in sorted order.
+// row's unseen keys to the schema in sorted order. Keys past the last value
+// are members that read null: they enter the schema, and their cells stay
+// null.
 func (p *jsonlParser) addRow() {
 	var fresh []string
 	for _, k := range p.keys {
@@ -259,8 +269,8 @@ func (p *jsonlParser) addRow() {
 			p.columns = append(p.columns, k)
 		}
 	}
-	for i, k := range p.keys {
-		p.cells = append(p.cells, jsonCell{p.colIdx[k], p.vals[i]})
+	for i, v := range p.vals {
+		p.cells = append(p.cells, jsonCell{p.colIdx[p.keys[i]], v})
 	}
 	p.ends = append(p.ends, len(p.cells))
 }

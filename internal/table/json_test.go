@@ -61,6 +61,28 @@ func TestReadJSONLNonStringValues(t *testing.T) {
 	}
 }
 
+// TestReadJSONLNullMember: a member whose value is null is a column with a
+// null cell, not an empty string two rows could join on.
+func TestReadJSONLNullMember(t *testing.T) {
+	in := `{"k":"1","a":null}` + "\n" + `{"k":"2", "a" : null ,"b":"x"}`
+	tb, err := ReadJSONL(strings.NewReader(in), "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := tb.ColumnIndex("a")
+	if a < 0 {
+		t.Fatalf("null member's key missing from schema %v", tb.Columns)
+	}
+	for i, row := range tb.Rows {
+		if !row[a].IsNull {
+			t.Errorf("row %d: a = %q, want null", i, row[a].Val)
+		}
+	}
+	if tb.Rows[1][tb.ColumnIndex("b")].Val != "x" {
+		t.Errorf("row 1: %v", tb.Rows[1])
+	}
+}
+
 func TestReadJSONLErrors(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader("{bad json"), "j"); err == nil {
 		t.Error("malformed input accepted")

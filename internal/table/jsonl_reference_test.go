@@ -11,8 +11,8 @@ import (
 // referenceReadJSONL is the map-based JSONL parser ReadJSONLLimited
 // replaced, kept as the oracle of FuzzReadJSONLMatchesReference: every line
 // is decoded by encoding/json into a map of raw values, every value a
-// second time into a string. It differs from the original only in
-// rejecting a line that reads null.
+// second time into a string. It differs from the original in rejecting a
+// line that reads null and in reading a null member as a null cell.
 func referenceReadJSONL(r io.Reader, name string, lim JSONLLimits) (*Table, error) {
 	maxLine := lim.MaxLineBytes
 	if maxLine <= 0 {
@@ -67,6 +67,9 @@ func referenceReadJSONL(r io.Reader, name string, lim JSONLLimits) (*Table, erro
 			row[i] = Null()
 		}
 		for k, raw := range obj {
+			if string(raw) == "null" {
+				continue // a null member: its key is a column, its cell null
+			}
 			var s string
 			if err := json.Unmarshal(raw, &s); err != nil {
 				s = string(raw) // numbers, booleans, nested values: raw JSON
