@@ -159,13 +159,13 @@ func main() {
 
 	if *statsF {
 		tracker.reportPivot(res)
-		if ms := res.MatchStats; ms.CandidatePairs > 0 {
+		if ms := res.MatchStats; ms.Rounds > 0 {
 			fmt.Fprintf(os.Stderr, "assignment: %d candidate pairs scored, %d edges under θ", ms.CandidatePairs, ms.Edges)
 			if ms.AssignComponents > 0 {
 				fmt.Fprintf(os.Stderr, ", %d sparse components (largest %d×%d)", ms.AssignComponents,
 					ms.LargestAssignComponent[0], ms.LargestAssignComponent[1])
 			}
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintf(os.Stderr, "; %d rounds, %d replayed\n", ms.Rounds, ms.RoundsReplayed)
 		}
 	}
 	if !*quiet {

@@ -290,6 +290,8 @@ func combineStats(stats []match.Stats) match.Stats {
 		if c, big := s.LargestAssignComponent, out.LargestAssignComponent; c[0]*c[1] > big[0]*big[1] {
 			out.LargestAssignComponent = c
 		}
+		out.Rounds += s.Rounds
+		out.RoundsReplayed += s.RoundsReplayed
 	}
 	if out.DistanceCount > 0 {
 		out.MeanDistance = distSum / float64(out.DistanceCount)

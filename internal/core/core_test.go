@@ -186,9 +186,9 @@ func TestDownstreamEMImproves(t *testing.T) {
 func TestCombineStatsMemberWeighted(t *testing.T) {
 	combined := combineStats([]match.Stats{
 		{Clusters: 1, Members: 3, MeanDistance: 0.1, DistanceCount: 9,
-			CandidatePairs: 40, Edges: 7, AssignComponents: 2, LargestAssignComponent: [2]int{3, 4}},
+			CandidatePairs: 40, Edges: 7, AssignComponents: 2, LargestAssignComponent: [2]int{3, 4}, Rounds: 2, RoundsReplayed: 1},
 		{Clusters: 2, Members: 2, MeanDistance: 0.7, DistanceCount: 1,
-			CandidatePairs: 2, Edges: 1, AssignComponents: 1, LargestAssignComponent: [2]int{1, 13}},
+			CandidatePairs: 2, Edges: 1, AssignComponents: 1, LargestAssignComponent: [2]int{1, 13}, Rounds: 3, RoundsReplayed: 3},
 	})
 	want := (0.1*9 + 0.7*1) / 10
 	if diff := combined.MeanDistance - want; diff > 1e-12 || diff < -1e-12 {
@@ -198,7 +198,8 @@ func TestCombineStatsMemberWeighted(t *testing.T) {
 		t.Errorf("DistanceCount=%d want 10", combined.DistanceCount)
 	}
 	if combined.Clusters != 3 || combined.Members != 5 ||
-		combined.CandidatePairs != 42 || combined.Edges != 8 || combined.AssignComponents != 3 {
+		combined.CandidatePairs != 42 || combined.Edges != 8 || combined.AssignComponents != 3 ||
+		combined.Rounds != 5 || combined.RoundsReplayed != 4 {
 		t.Errorf("counts not summed: %+v", combined)
 	}
 	if combined.LargestAssignComponent != [2]int{1, 13} {

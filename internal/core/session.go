@@ -21,8 +21,10 @@ import (
 // Session is the resumable form of the pipeline: a long-lived object that
 // owns the state every one-shot Integrate call used to rebuild from
 // scratch — the embedding cache (values embed once per model tier for the
-// session's lifetime), the match clusters of every aligned column set
-// (reused while the set's contents are unchanged), and the incremental
+// session's lifetime), the matcher's memo (each value's record, and the
+// assignment rounds of the latest integration, replayed while their inputs
+// are unchanged: a column set that gains a column re-runs only the rounds
+// the new column changes), and the incremental
 // Full Disjunction index with its append-only dictionary, posting and
 // signature indexes, and per-component closure results.
 //
@@ -50,12 +52,12 @@ type Session struct {
 	emb   embed.Embedder
 	cache *embed.ValueCache
 
-	runMu sync.Mutex // one integration or Close at a time
+	runMu sync.Mutex  // one integration or Close at a time
+	memo  *match.Memo // the matcher's, used under runMu
 
 	mu         sync.RWMutex
 	tables     []*table.Table
-	clusters   map[clusterDigest][]match.Cluster // aligned-column-set content -> clusters
-	rewrites   map[*table.Table]rewriteEntry     // source table -> cached rewritten view
+	rewrites   map[*table.Table]rewriteEntry // source table -> cached rewritten view
 	idx        *fd.Index
 	last       *Result
 	lastTables int // tables integrated into last
@@ -76,11 +78,11 @@ type Session struct {
 // rewriteEntry caches one table's rewritten view, keyed by a digest of the
 // rewrite maps that produced it. While a table's maps are unchanged, the
 // cached view — the same pointer every Integrate — is handed to the FD
-// index, whose verification step skips pointer-identical tables; a full
-// cluster-cache hit therefore costs neither a table clone nor a
-// re-projection of history.
+// index, whose verification step skips pointer-identical tables; a table
+// whose clusters did not change therefore costs neither a table clone nor
+// a re-projection of history.
 type rewriteEntry struct {
-	key clusterDigest
+	key planDigest
 	out *table.Table
 }
 
@@ -92,7 +94,7 @@ func NewSession(cfg Config) *Session {
 		cfg:      cfg,
 		cache:    cache,
 		emb:      embed.Cached(cfg.ResolvedEmbedder(), cache),
-		clusters: make(map[clusterDigest][]match.Cluster),
+		memo:     match.NewMemo(),
 		rewrites: make(map[*table.Table]rewriteEntry),
 		idx:      fd.NewIndex(),
 	}
@@ -142,8 +144,8 @@ func (s *Session) Last() *Result {
 
 // EmbeddingCache exposes the session's value-embedding cache, for
 // diagnostics (hit/miss counts across repeated integrations). It is the
-// session's only embedding memo: each miss embeds once, and the matcher
-// looks each distinct value up once per column set, so the lookups count
+// session's only embedding memo: each miss embeds once, and the matcher's
+// memo looks each distinct value up once per session, so the lookups count
 // values, not value pairs. The cache is itself safe for concurrent use.
 func (s *Session) EmbeddingCache() *embed.ValueCache { return s.cache }
 
@@ -288,8 +290,8 @@ func (s *Session) prepare(ctx context.Context) ([]*table.Table, fd.Schema, *Resu
 	res.Timings.Align = time.Since(alignStart)
 	s.emit(ProgressEvent{Phase: PhaseAlign, Done: true, Elapsed: res.Timings.Align})
 
-	// Stage 2 (fuzzy only): value matching and cell rewriting, with
-	// cluster reuse per aligned column set.
+	// Stage 2 (fuzzy only): value matching and cell rewriting, replaying
+	// the assignment rounds whose inputs are unchanged.
 	work := tables
 	if s.cfg.Method == MethodFuzzyFD {
 		matchStart := time.Now()
@@ -307,9 +309,10 @@ func (s *Session) prepare(ctx context.Context) ([]*table.Table, fd.Schema, *Resu
 
 // matchAndRewrite runs the Match Values component over every aligned
 // column set with at least two source columns and returns rewritten copies
-// of the tables. Cluster results are cached on the set's exact contents:
-// a column set untouched by newly added tables reuses its clusters without
-// re-running assignment.
+// of the tables. Every set is matched on the session's memo: a round whose
+// inputs an earlier integration met replays its pairs, so a set untouched
+// by newly added tables runs no assignment, and one that gained a column
+// re-runs only from the first round whose inputs changed.
 func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, schema fd.Schema, res *Result) ([]*table.Table, error) {
 	// Invert the schema: output column -> contributing (table, column)
 	// refs in table order (the order the paper's sequential matching
@@ -325,6 +328,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 	matcher := &match.Matcher{
 		Emb:  s.emb,
 		Opts: match.Options{Theta: s.cfg.Theta},
+		Memo: s.memo,
 	}
 
 	// Build every matchable column set up front, then pre-embed all their
@@ -358,24 +362,13 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 		}
 	}
 
-	newClusters := make(map[clusterDigest][]match.Cluster, len(sets))
 	var allStats []match.Stats
 	plans := make([][]colRewrite, len(tables))
 	for _, cs := range sets {
-		key := clusterKey(cs.cols)
-		clusters, ok := s.clusters[key]
-		var stats match.Stats
-		if ok {
-			// No assignment ran: the assignment counters stay zero.
-			stats = match.Summarize(clusters)
-		} else {
-			var err error
-			clusters, stats, err = matcher.Match(ctx, cs.cols)
-			if err != nil {
-				return nil, phaseErr(PhaseMatch, fmt.Errorf("output column %q: %w", schema.Columns[cs.out], err))
-			}
+		clusters, stats, err := matcher.Match(ctx, cs.cols)
+		if err != nil {
+			return nil, phaseErr(PhaseMatch, fmt.Errorf("output column %q: %w", schema.Columns[cs.out], err))
 		}
-		newClusters[key] = clusters
 		res.ColumnClusters[cs.out] = clusters
 		allStats = append(allStats, stats)
 
@@ -384,15 +377,14 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 			plans[rf.table] = append(plans[rf.table], colRewrite{col: rf.col, m: maps[k]})
 		}
 	}
-	// Replace, not merge: sets no longer present (their contents changed)
-	// must not pin stale clusters forever.
-	s.clusters = newClusters
+	// Rounds this integration did not meet are dropped.
+	s.memo.Sweep()
 	res.MatchStats = combineStats(allStats)
 
 	// Materialize each table's rewritten view, memoized per (table,
 	// rewrite-map fingerprint): while a table's maps are stable the cached
-	// clone — same pointer every call — is reused, so a full cluster-cache
-	// hit no longer clones and re-rewrites the whole accumulated history,
+	// clone — same pointer every call — is reused, so an integration whose
+	// clusters did not change clones and re-rewrites no history,
 	// and the FD index's row verification skips the unchanged tables
 	// entirely. A table none of whose values rewrite passes through as the
 	// original.
@@ -417,7 +409,8 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 		rewritten[i] = out
 		newRewrites[t] = rewriteEntry{key: key, out: out}
 	}
-	// Replace, not merge, for the same reason as the cluster cache.
+	// Replace, not merge: tables whose plan changed must not pin stale
+	// views.
 	s.rewrites = newRewrites
 	return rewritten, nil
 }
@@ -441,7 +434,7 @@ type colRewrite struct {
 // table — per column, the non-identity value mappings in sorted order,
 // plus the table's row count as a guard — and reports how many such
 // mappings there are (0 means the plan is a no-op for this table).
-func rewritePlanKey(t *table.Table, plan []colRewrite) (clusterDigest, int) {
+func rewritePlanKey(t *table.Table, plan []colRewrite) (planDigest, int) {
 	h := sha256.New()
 	var buf [binary.MaxVarintLen64]byte
 	writeInt := func(n int) {
@@ -472,36 +465,11 @@ func rewritePlanKey(t *table.Table, plan []colRewrite) (clusterDigest, int) {
 			writeStr(p[1])
 		}
 	}
-	var out clusterDigest
+	var out planDigest
 	h.Sum(out[:0])
 	return out, live
 }
 
-// clusterDigest fingerprints an aligned column set's exact contents in
-// constant space (the cache must not retain a copy of every column's
-// text).
-type clusterDigest [sha256.Size]byte
-
-// clusterKey hashes an aligned column set — per-column distinct values
-// and counts, in order. Clusters depend on nothing else (column names are
-// diagnostics only), so equal keys yield equal clusters. Lengths and
-// counts are varint-prefixed, making the hashed encoding injective up to
-// hash collision.
-func clusterKey(cols []match.Column) clusterDigest {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	writeInt := func(n int) {
-		h.Write(buf[:binary.PutUvarint(buf[:], uint64(n))])
-	}
-	for _, c := range cols {
-		writeInt(len(c.Values))
-		for i, v := range c.Values {
-			writeInt(len(v))
-			io.WriteString(h, v)
-			writeInt(c.Counts[i])
-		}
-	}
-	var out clusterDigest
-	h.Sum(out[:0])
-	return out
-}
+// planDigest fingerprints a table's rewrite plan in constant space (the
+// cache must not retain a copy of every map).
+type planDigest [sha256.Size]byte

@@ -55,10 +55,11 @@ func streamAll(ctx context.Context, s *Session) ([]table.Row, [][]fd.TID, error)
 // and rebuilding its store; under the equi method new columns keep
 // widening it. After every chunk the session's Integrate must be
 // byte-identical to the one-shot pipeline over the chunks so far, and its
-// stream must be the same rows and provenance in the same order. Every
-// Result the session published must still equal a deep copy taken when it
-// was returned, after all later chunks: published generations are never
-// written to.
+// stream must be the same rows and provenance in the same order; the fuzzy
+// sessions must have replayed some assignment rounds and re-run others on
+// the way. Every Result the session published must still equal a deep copy
+// taken when it was returned, after all later chunks: published
+// generations are never written to.
 func TestSessionRewriteDriftMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	names := []string{"equi", embed.FastText, embed.Mistral}
@@ -88,7 +89,7 @@ func TestSessionRewriteDriftMatchesOneShot(t *testing.T) {
 			})
 
 			s := NewSession(cfg)
-			rewrites, widenings := 0, 0
+			rewrites, widenings, rounds, replayed := 0, 0, 0, 0
 			var published []*Result
 			var copies []*fd.Result
 			for k, chunk := range chunks {
@@ -112,6 +113,8 @@ func TestSessionRewriteDriftMatchesOneShot(t *testing.T) {
 					t.Fatalf("%s seed %d chunk %d: stream differs from Integrate", name, seed, k+1)
 				}
 				rewrites += got.MatchStats.Rewrites
+				rounds += got.MatchStats.Rounds
+				replayed += got.MatchStats.RoundsReplayed
 				if k > 0 && len(got.Schema.Columns) > len(published[k-1].Schema.Columns) {
 					widenings++
 				}
@@ -130,6 +133,9 @@ func TestSessionRewriteDriftMatchesOneShot(t *testing.T) {
 			} else if rewrites == 0 || s.RewriteCacheHits() == 0 || s.idx.Rebuilds() == 0 {
 				t.Errorf("%s seed %d: vacuous drift — %d rewrites, %d rewrite-cache hits, %d rebuilds",
 					name, seed, rewrites, s.RewriteCacheHits(), s.idx.Rebuilds())
+			} else if replayed == 0 || replayed == rounds {
+				t.Errorf("%s seed %d: %d of %d assignment rounds replayed, want some replayed and some re-run",
+					name, seed, replayed, rounds)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"fuzzyfd/internal/datagen"
 	"fuzzyfd/internal/embed"
-	"fuzzyfd/internal/match"
 )
 
 // countingEmbedder counts the embeddings it computes.
@@ -46,8 +45,8 @@ func TestSessionEmbedsEachValueOnce(t *testing.T) {
 }
 
 // A second Integrate with nothing added is a pure cache replay: no dirty
-// components, no re-closed tuples, clusters reused per aligned column set,
-// and a byte-identical result.
+// components, no re-closed tuples, every assignment round replayed, and a
+// byte-identical result.
 func TestSessionRepeatIntegrateIsNoOpDelta(t *testing.T) {
 	s := NewSession(Config{})
 	s.Add(fig1()...)
@@ -58,10 +57,6 @@ func TestSessionRepeatIntegrateIsNoOpDelta(t *testing.T) {
 	if first.FDStats.DirtyComponents != first.FDStats.Components {
 		t.Errorf("first run: %d of %d components closed — everything should be dirty",
 			first.FDStats.DirtyComponents, first.FDStats.Components)
-	}
-	clusterSets := len(s.clusters)
-	if clusterSets == 0 {
-		t.Fatal("no cluster cache entries after a fuzzy integrate")
 	}
 	hitsBefore := s.EmbeddingCache().Hits()
 
@@ -79,8 +74,8 @@ func TestSessionRepeatIntegrateIsNoOpDelta(t *testing.T) {
 	if second.FDStats.Merges != 0 || second.FDStats.MergeAttempts != 0 {
 		t.Errorf("repeat Integrate attempted merges: %+v", second.FDStats)
 	}
-	if len(s.clusters) != clusterSets {
-		t.Errorf("cluster cache size changed on replay: %d -> %d", clusterSets, len(s.clusters))
+	if ms := second.MatchStats; ms.Rounds == 0 || ms.RoundsReplayed != ms.Rounds {
+		t.Errorf("repeat Integrate replayed %d of %d assignment rounds, want all of a nonzero number", ms.RoundsReplayed, ms.Rounds)
 	}
 	if s.EmbeddingCache().Hits() <= hitsBefore {
 		t.Error("replay did not hit the embedding cache")
@@ -90,7 +85,41 @@ func TestSessionRepeatIntegrateIsNoOpDelta(t *testing.T) {
 	}
 }
 
-// The fuzzy rewrite cache: a repeat Integrate (full cluster-cache hit)
+// A fuzzy session fed the IMDB-shaped tables one at a time replays every
+// assignment round whose inputs an earlier integration met: of the 16
+// rounds its six integrations meet, 10 replay, and the result is still the
+// one-shot pipeline's.
+func TestSessionReplaysMatchRounds(t *testing.T) {
+	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 5000})
+	s := NewSession(Config{})
+	rounds, replayed := 0, 0
+	var got *Result
+	for _, tbl := range tables {
+		s.Add(tbl)
+		var err error
+		if got, err = s.Integrate(); err != nil {
+			t.Fatal(err)
+		}
+		rounds += got.MatchStats.Rounds
+		replayed += got.MatchStats.RoundsReplayed
+	}
+	if rounds != 16 || replayed != 10 {
+		t.Errorf("%d of %d rounds replayed, want 10 of 16", replayed, rounds)
+	}
+	want, err := Integrate(tables, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Table.Equal(want.Table) || !reflect.DeepEqual(got.Prov, want.Prov) {
+		t.Error("session differs from the one-shot pipeline")
+	}
+	if got.MatchStats.Rounds != want.MatchStats.Rounds || want.MatchStats.RoundsReplayed != 0 {
+		t.Errorf("one-shot: %d rounds, %d replayed; session's last integration: %d rounds",
+			want.MatchStats.Rounds, want.MatchStats.RoundsReplayed, got.MatchStats.Rounds)
+	}
+}
+
+// The fuzzy rewrite cache: a repeat Integrate (every round replayed)
 // serves every rewritten table from the memoized views — same pointers, so
 // the FD index's row verification also short-circuits — instead of cloning
 // and re-rewriting the accumulated history; growing the session keeps the
@@ -142,25 +171,6 @@ func TestSessionRewriteCache(t *testing.T) {
 	}
 	if !got.Table.Equal(want.Table) || !reflect.DeepEqual(got.Prov, want.Prov) {
 		t.Error("session with rewrite cache differs from one-shot pipeline")
-	}
-}
-
-// Cluster cache keys must be injective on column contents: sets that
-// differ only in value boundaries (concatenation ambiguity) or counts must
-// not collide.
-func TestClusterKeyInjective(t *testing.T) {
-	mk := func(vals ...string) match.Column { return match.NewColumn("c", vals) }
-	a := clusterKey([]match.Column{mk("ab", "c")})
-	b := clusterKey([]match.Column{mk("a", "bc")})
-	c := clusterKey([]match.Column{mk("ab", "c", "ab")}) // count differs
-	if a == b {
-		t.Error("boundary-ambiguous column sets collide")
-	}
-	if a == c {
-		t.Error("count-differing column sets collide")
-	}
-	if a != clusterKey([]match.Column{mk("ab", "c")}) {
-		t.Error("equal column sets produce different keys")
 	}
 }
 

@@ -45,7 +45,7 @@ func (a *AutoTuner) Tune(colA, colB []string) float64 {
 	type sep struct {
 		best, second float64
 	}
-	r := newRun(a.Scorer)
+	r := newRun(a.Scorer, nil)
 	left, right := r.records(colA), r.records(colB)
 	seps := make([]sep, 0, len(colA))
 	for _, va := range left {

@@ -99,9 +99,6 @@ func (r *run) blockKeys(rec *value, lex *lexicon.Lexicon) []int32 {
 	if rec.keys != nil {
 		return rec.keys
 	}
-	if r.keyIDs == nil {
-		r.keyIDs = make(map[string]int32)
-	}
 	keys := blockingKeys(rec.text, lex)
 	rec.keys = make([]int32, len(keys))
 	for i, k := range keys {

@@ -18,6 +18,11 @@
 // hashed feature embeddings: cosine similarity requires a shared feature),
 // so its cost follows the number of candidates, not the product of the
 // column sizes. The two produce matchings of equal cardinality and cost.
+//
+// A Matcher's Memo lets consecutive calls share each value's record and
+// replay every round whose exact inputs they met before (see Memo). One
+// Memo serves one call at a time, which core.Session's runMu ensures; a
+// Matcher without one gives each call a fresh Memo, so all take one path.
 package match
 
 import (
@@ -160,6 +165,9 @@ type Matcher struct {
 	Emb    embed.Embedder
 	Scorer Scorer
 	Opts   Options
+	// Memo, when set, is shared by the calls it serves (one at a time);
+	// nil gives each call a fresh one.
+	Memo *Memo
 
 	denseLimit int // DefaultDenseLimit when zero; tests pin a path with it
 }
@@ -199,9 +207,9 @@ func (m *Matcher) Match(ctx context.Context, cols []Column) ([]Cluster, Stats, e
 type thetaFunc func(reps, values []string) float64
 
 func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) ([]Cluster, Stats, error) {
-	// Everything a call accumulates lives in r, never on the Matcher, which
-	// is shared across calls and goroutines.
-	r := newRun(m.scorer())
+	// Everything a call accumulates lives in r and its memo, never on the
+	// Matcher itself, which is shared across calls and goroutines.
+	r := newRun(m.scorer(), m.Memo)
 	if r.scorer == nil {
 		return nil, Stats{}, ErrNoEmbedder
 	}
@@ -243,7 +251,7 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 			reps[i] = c.rep
 		}
 		theta := thetaFor(reps, cols[k].Values)
-		pairs, err := r.assignRound(reps, cols[k].Values, theta)
+		pairs, err := r.round(reps, cols[k].Values, theta)
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("match: column %d (%s): %w", k, cols[k].Name, err)
 		}
@@ -274,6 +282,7 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 	stats := Summarize(out)
 	stats.CandidatePairs, stats.Edges = r.stats.CandidatePairs, r.stats.Edges
 	stats.AssignComponents, stats.LargestAssignComponent = r.stats.AssignComponents, r.stats.LargestAssignComponent
+	stats.Rounds, stats.RoundsReplayed = r.stats.Rounds, r.stats.RoundsReplayed
 	return out, stats, nil
 }
 
@@ -302,22 +311,21 @@ func (m *Matcher) elect(c *working, freq map[string]int) {
 	c.rep = c.members[best].Value
 }
 
-// run is the state of one match call: its scorer, one record per distinct
-// value, and the assignment counters of Stats.
+// run is the state of one match call: its scorer, its memo, and the
+// assignment counters of Stats.
 type run struct {
+	*Memo
 	scorer     Scorer
 	vectors    vectorScorer // scorer, when it scores from vectors; else nil
 	denseLimit int
-	values     map[string]*value
-	keyIDs     map[string]int32 // blocking keys interned to dense ids
 	stats      Stats
 }
 
-// value is what a match call knows about one distinct value: its vector and
+// value is what a memo knows about one distinct value: its vector and
 // support when the scorer scores from vectors, and its blocking keys once
 // the value has been blocked. All of it depends on the value alone, and
 // representatives are values of earlier columns, so each distinct value is
-// resolved once however many rounds and candidate pairs it takes part in.
+// resolved once per memo, however many rounds and pairs it takes part in.
 type value struct {
 	text string
 	vec  embed.Vector
@@ -325,8 +333,12 @@ type value struct {
 	keys []int32  // interned blockingKeys, duplicates kept; nil until blocked
 }
 
-func newRun(s Scorer) *run {
-	r := &run{scorer: s, values: make(map[string]*value)}
+// newRun starts a call on memo, or on a fresh memo when it is nil.
+func newRun(s Scorer, memo *Memo) *run {
+	if memo == nil {
+		memo = NewMemo()
+	}
+	r := &run{Memo: memo, scorer: s}
 	r.vectors, _ = s.(vectorScorer)
 	return r
 }
@@ -366,6 +378,24 @@ func (r *run) distance(a, b *value) float64 {
 		return 0
 	}
 	return embed.SupportDistance(a.vec, b.vec, a.sup, b.sup)
+}
+
+// round returns the pairs of one assignment round: replayed from the memo
+// when a round with the same inputs ran since its Sweep before last, else
+// assigned and remembered. A replayed round adds nothing to the assignment
+// counters, which count work done.
+func (r *run) round(reps, values []string, theta float64) ([]assign.Pair, error) {
+	r.stats.Rounds++
+	key := r.roundKey(reps, values, theta, r.denseLimit)
+	if pairs, ok := r.replay(key); ok {
+		r.stats.RoundsReplayed++
+		return pairs, nil
+	}
+	pairs, err := r.assignRound(reps, values, theta)
+	if err == nil {
+		r.rounds[key] = pairs
+	}
+	return pairs, err
 }
 
 // assignRound matches the current clusters' representatives (side A)

@@ -46,6 +46,10 @@ type Stats struct {
 	// component by cell count. Edges over the cells of all components is
 	// the density a matrix-based solver would have paid for.
 	LargestAssignComponent [2]int
+	// Rounds counts the sequential assignment rounds, and RoundsReplayed
+	// those whose pairs came from the Matcher's Memo. A replayed round adds
+	// nothing to the counters above.
+	Rounds, RoundsReplayed int
 }
 
 // Summarize computes Stats for a clustering.

@@ -99,15 +99,17 @@ func FuzzReadJSONL(f *testing.F) {
 func FuzzReadJSONLMatchesReference(f *testing.F) {
 	for _, in := range []string{
 		`{"id":"1","name":"alice"}` + "\n" + `{"id":"2","city":"oslo"}`,
-		`{"a\"b":"x\ny","c":"\u00e9","d":"\/"}`,                       // escapes
-		`{"n":1,"b":true,"z":null,"o":{"x":[1, 2]},"s":"x"}`,          // non-string values
-		`{"k":"a","k":"b"}` + "\n" + `{"k":"\u0062","j":"1","k":"c"}`, // duplicate keys
-		`{"città":"Zürich","名":"東京"}`,                                 // non-ASCII
-		"{\"a\":\"\xff\"}\n{\"\xed\xa0\x80\":\"x\"}",                  // invalid UTF-8
-		`{"a":"1"}` + "\r\n" + `{"b":"2"}` + "\r\n",                   // CRLF
-		"{ \"a\" : \"1\" ,\t\"b\":\"2\"\r}\n\t{}\n",                   // inner whitespace
-		"{\"a\":\"\x01\",\"b\":\"\x7f\"}",                             // control byte, DEL
-		`{"a":"1"}` + "\nnull",                                        // a null line
+		`{"a\"b":"x\ny","c":"\u00e9","d":"\/"}`,                                   // escapes
+		`{"\u0061":"\ud83d\ude00","b":"\ud83d","c":"\ude00x","d":"\ud83d\u0041"}`, // surrogates
+		`{"a":"\ud83d\u12"}` + "\n" + `{"a":"\x"}`,                                // malformed escapes
+		`{"n":1,"b":true,"z":null,"o":{"x":[1, 2]},"s":"x"}`,                      // non-string values
+		`{"k":"a","k":"b"}` + "\n" + `{"k":"\u0062","j":"1","k":"c"}`,             // duplicate keys
+		`{"città":"Zürich","名":"東京"}`,                                             // non-ASCII
+		"{\"a\":\"\xff\"}\n{\"\xed\xa0\x80\":\"x\"}",                              // invalid UTF-8
+		`{"a":"1"}` + "\r\n" + `{"b":"2"}` + "\r\n",                               // CRLF
+		"{ \"a\" : \"1\" ,\t\"b\":\"2\"\r}\n\t{}\n",                               // inner whitespace
+		"{\"a\":\"\x01\",\"b\":\"\x7f\"}",                                         // control byte, DEL
+		`{"a":"1"}` + "\nnull",                                                    // a null line
 		`{"a":"1"} x`, `{"a":"1"}{"b":"2"}`, `{"a":"1",}`, `{"a" "1"}`, `[]`, `"x"`, `{"a":"1"`,
 		"{\"\":\"\"}\n{\"a\":\"\u2028\"}\n\u00a0{\"a\":\"b\"}\u0085",
 	} {

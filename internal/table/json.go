@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -161,11 +162,10 @@ var errNullLine = errors.New("line is null, not a JSON object")
 // line keeps its last value. Non-string JSON values are rendered with their
 // default JSON encoding. Errors name the 1-based offending line.
 //
-// A line that is a flat object of strings without escape sequences or
-// control bytes is split without encoding/json: its values are copied back
-// to back into one string, and its cells are substrings of that string.
-// Every other line is decoded by encoding/json, with the same result and
-// the same error text.
+// A line that is a flat object of strings without control bytes is split
+// without encoding/json: its values are decoded back to back into one
+// string, and its cells are substrings of that string. Every other line is
+// decoded by encoding/json, with the same result and the same error text.
 func ReadJSONL(r io.Reader, name string) (*Table, error) {
 	return ReadJSONLLimited(r, name, JSONLLimits{})
 }
@@ -213,6 +213,7 @@ type jsonlParser struct {
 	ends       []int      // row i's entries end at cells[ends[i]]
 	keys, vals []string   // the current line's members
 	vbuf       []byte     // the current line's values, back to back
+	kbuf       []byte     // the current member's decoded key
 	vends      []int      // value i ends at vbuf[vends[i]]
 }
 
@@ -302,12 +303,12 @@ func (p *jsonlParser) table(name string) *Table {
 
 // splitFlat splits the trimmed line text into the scratch keys and values
 // when it is a flat JSON object whose keys and values are all strings free
-// of escape sequences and control bytes. The values are substrings of one
-// string holding them back to back, so a row costs one allocation and keeps
-// none of the line's syntax alive; a key already in the schema reuses its
-// column's name. It reports false for anything else — escapes, other
-// values, nesting, invalid UTF-8, malformed JSON — which the caller hands
-// to encoding/json.
+// of control bytes, decoding their escape sequences. The values are
+// substrings of one string holding them back to back, so a row costs one
+// allocation and keeps none of the line's syntax alive; a key already in
+// the schema reuses its column's name. It reports false for anything else —
+// other values, nesting, malformed escapes, invalid UTF-8, malformed JSON —
+// which the caller hands to encoding/json.
 func (p *jsonlParser) splitFlat(text []byte) bool {
 	p.keys, p.vals, p.vbuf, p.vends = p.keys[:0], p.vals[:0], p.vbuf[:0], p.vends[:0]
 	if len(text) < 2 || text[0] != '{' {
@@ -318,19 +319,18 @@ func (p *jsonlParser) splitFlat(text []byte) bool {
 		return i == len(text)-1
 	}
 	for {
-		k, next, ok := flatString(text, i)
-		if !ok {
+		var next int
+		var ok bool
+		if p.kbuf, next, ok = appendUnquoted(p.kbuf[:0], text, i); !ok {
 			return false
 		}
 		if i = skipJSONSpace(text, next); i == len(text) || text[i] != ':' {
 			return false
 		}
-		v, next, ok := flatString(text, skipJSONSpace(text, i+1))
-		if !ok {
+		if p.vbuf, next, ok = appendUnquoted(p.vbuf, text, skipJSONSpace(text, i+1)); !ok {
 			return false
 		}
-		p.keys = append(p.keys, p.key(k))
-		p.vbuf = append(p.vbuf, v...)
+		p.keys = append(p.keys, p.key(p.kbuf))
 		p.vends = append(p.vends, len(p.vbuf))
 		switch i = skipJSONSpace(text, next); {
 		case i == len(text):
@@ -362,22 +362,89 @@ func (p *jsonlParser) key(k []byte) string {
 	return string(k)
 }
 
-// flatString returns the contents of the JSON string opening at text[i] and
-// the index after its closing quote, or false if there is none or it holds
-// an escape sequence or a control byte.
-func flatString(text []byte, i int) ([]byte, int, bool) {
+// appendUnquoted appends the contents of the JSON string opening at
+// text[i] to dst and returns the index after its closing quote. Escape
+// sequences decode as encoding/json decodes them: a surrogate that is not
+// half of a \u-escaped pair reads U+FFFD. It reports false if there is no
+// string at i, or it holds a control byte or a malformed escape.
+func appendUnquoted(dst, text []byte, i int) ([]byte, int, bool) {
 	if i == len(text) || text[i] != '"' {
-		return nil, 0, false
+		return dst, 0, false
 	}
-	for j := i + 1; j < len(text); j++ {
-		switch c := text[j]; {
+	i++
+	start := i
+	for i < len(text) {
+		switch c := text[i]; {
 		case c == '"':
-			return text[i+1 : j], j + 1, true
-		case c == '\\' || c < 0x20:
-			return nil, 0, false
+			return append(dst, text[start:i]...), i + 1, true
+		case c < 0x20:
+			return dst, 0, false
+		case c != '\\':
+			i++
+			continue
 		}
+		dst = append(dst, text[start:i]...)
+		if i+1 == len(text) {
+			return dst, 0, false
+		}
+		switch e := text[i+1]; e {
+		case '"', '\\', '/':
+			dst = append(dst, e)
+		case 'b':
+			dst = append(dst, '\b')
+		case 'f':
+			dst = append(dst, '\f')
+		case 'n':
+			dst = append(dst, '\n')
+		case 'r':
+			dst = append(dst, '\r')
+		case 't':
+			dst = append(dst, '\t')
+		case 'u':
+			r := hexEscape(text, i)
+			if r < 0 {
+				return dst, 0, false
+			}
+			i += 6
+			if utf16.IsSurrogate(r) {
+				r = utf16.DecodeRune(r, hexEscape(text, i))
+				if r != utf8.RuneError {
+					i += 6
+				}
+			}
+			dst = utf8.AppendRune(dst, r)
+			start = i
+			continue
+		default:
+			return dst, 0, false
+		}
+		i += 2
+		start = i
 	}
-	return nil, 0, false
+	return dst, 0, false
+}
+
+// hexEscape returns the code unit of the \uXXXX escape at text[i], or -1
+// if there is none.
+func hexEscape(text []byte, i int) rune {
+	if len(text) < i+6 || text[i] != '\\' || text[i+1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, c := range text[i+2 : i+6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }
 
 func skipJSONSpace(text []byte, i int) int {

@@ -1,7 +1,10 @@
 package table
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,6 +83,52 @@ func TestReadJSONLNullMember(t *testing.T) {
 	}
 	if tb.Rows[1][tb.ColumnIndex("b")].Val != "x" {
 		t.Errorf("row 1: %v", tb.Rows[1])
+	}
+}
+
+// TestReadJSONLEscapes: escape sequences in keys and values decode as
+// encoding/json decodes them, a surrogate outside a \u-escaped pair
+// reading U+FFFD.
+func TestReadJSONLEscapes(t *testing.T) {
+	for _, lit := range []string{
+		`"Z\u00fcrich"`, `"Z\u00FCrich"`, `"\ud83d\ude00"`, `"\ud83d"`, `"\ude00"`, `"\ud83dx"`,
+		`"\ud83d\u0041"`, `"\ud83d\ud83d\ude00"`, `"\"\\\/\b\f\n\r\t"`, `"a\u0000b"`,
+	} {
+		var want string
+		if err := json.Unmarshal([]byte(lit), &want); err != nil {
+			t.Fatal(err)
+		}
+		tb, err := ReadJSONL(strings.NewReader(`{"\u0061":`+lit+`}`), "j")
+		if err != nil {
+			t.Fatalf("%s: %v", lit, err)
+		}
+		if !slices.Equal(tb.Columns, []string{"a"}) || tb.Rows[0][0].Val != want {
+			t.Errorf("%s: columns %q, value %q; want [a], %q", lit, tb.Columns, tb.Rows[0][0].Val, want)
+		}
+	}
+	for _, bad := range []string{`{"a":"\x"}`, `{"a":"\u12"}`, `{"a":"\u12g4"}`, `{"a":"\ud83d\u12"}`} {
+		if _, err := ReadJSONL(strings.NewReader(bad), "j"); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
+}
+
+// A line whose values hold escape sequences stays on the flat path: about
+// one allocation per row, as for a line without them.
+func TestReadJSONLEscapedRowAllocs(t *testing.T) {
+	const rows = 1000
+	var sb strings.Builder
+	for i := range rows {
+		fmt.Fprintf(&sb, `{"id":"%d","city":"Z\u00fcrich"}`+"\n", i)
+	}
+	body := sb.String()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadJSONL(strings.NewReader(body), "j"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := allocs / rows; perRow > 3 {
+		t.Errorf("%.1f allocations per escaped row, want at most 3", perRow)
 	}
 }
 

@@ -18,10 +18,16 @@ package fuzzyfd
 // over the IMDB-shaped set at 8 000 and 30 000 tuples, its six tables added
 // one at a time, measured after a GC (sessionLiveHeap). CI prints both and
 // gates the 30 000-tuple value.
+//
+// Last, it records one fuzzy shape, drift (sessionDriftRecord): EMBench
+// tables arriving as shuffled row chunks, on which value matching keeps
+// re-electing representatives. CI gates the share of its assignment rounds
+// the session replayed, a deterministic count ratio.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"slices"
@@ -42,6 +48,12 @@ const (
 
 	// sessionBenchMaxSteps caps the per-step records kept per shape.
 	sessionBenchMaxSteps = 12
+
+	// The drift shape: EMBench at this seed and size, each table cut into
+	// sessionDriftParts row chunks.
+	sessionDriftSeed     = 1
+	sessionDriftEntities = 1500
+	sessionDriftParts    = 3
 )
 
 // sessionHeapTuples are the input sizes the live heap is measured at: the
@@ -164,6 +176,75 @@ type sessionBenchReport struct {
 	Batches     int                 `json:"batches"`
 	Shapes      []sessionBenchShape `json:"shapes"`
 	LiveHeap    []sessionHeap       `json:"live_heap"`
+	Drift       sessionDrift        `json:"drift"`
+}
+
+// sessionDrift is the fuzzy drift shape's record: its assignment rounds
+// over every update and how many the session replayed, and the session's
+// integrations in total, measured in final one-shot integrations (the
+// median of three).
+type sessionDrift struct {
+	Shape            string  `json:"shape"`
+	Method           string  `json:"method"`
+	Updates          int     `json:"updates"`
+	Rounds           int     `json:"rounds"`
+	RoundsReplayed   int     `json:"rounds_replayed"`
+	SessionMS        float64 `json:"session_total_ms"`
+	FinalOneShotMS   float64 `json:"final_oneshot_ms"`
+	SessionOverFinal float64 `json:"session_over_final_oneshot_x"`
+}
+
+// sessionDriftChunks cuts every EMBench table into sessionDriftParts row
+// chunks, each a table of its own, and shuffles them.
+func sessionDriftChunks() []*Table {
+	bench := datagen.EMBench(datagen.EMConfig{Seed: sessionDriftSeed, Entities: sessionDriftEntities})
+	var chunks []*Table
+	for _, t := range bench.Tables {
+		n := len(t.Rows)
+		for c := range sessionDriftParts {
+			part := NewTable(fmt.Sprintf("%s.%d", t.Name, c), t.Columns...)
+			part.Rows = slices.Clone(t.Rows[c*n/sessionDriftParts : (c+1)*n/sessionDriftParts])
+			chunks = append(chunks, part)
+		}
+	}
+	rand.New(rand.NewSource(sessionDriftSeed)).Shuffle(len(chunks), func(i, j int) {
+		chunks[i], chunks[j] = chunks[j], chunks[i]
+	})
+	return chunks
+}
+
+// sessionDriftRecord integrates the drift chunks through one fuzzy session,
+// one chunk per update, and then three times in one shot.
+func sessionDriftRecord() (sessionDrift, error) {
+	chunks := sessionDriftChunks()
+	d := sessionDrift{Shape: "drift", Method: "fuzzy", Updates: len(chunks)}
+	s, err := NewSession()
+	if err != nil {
+		return d, err
+	}
+	for _, c := range chunks {
+		s.Add(c)
+		start := time.Now()
+		res, err := s.Integrate()
+		if err != nil {
+			return d, err
+		}
+		d.SessionMS += float64(time.Since(start).Microseconds()) / 1000
+		d.Rounds += res.MatchStats.Rounds
+		d.RoundsReplayed += res.MatchStats.RoundsReplayed
+	}
+	var walls []float64
+	for range 3 {
+		start := time.Now()
+		if _, err := Integrate(chunks); err != nil {
+			return d, err
+		}
+		walls = append(walls, float64(time.Since(start).Microseconds())/1000)
+	}
+	slices.Sort(walls)
+	d.FinalOneShotMS = walls[1]
+	d.SessionOverFinal = d.SessionMS / d.FinalOneShotMS
+	return d, nil
 }
 
 // sessionHeap is the heap one session keeps live, and what the memory
@@ -301,6 +382,11 @@ func writeSessionBenchJSON(path string, sets map[string][][]*Table, opts []Optio
 		}
 		report.LiveHeap = append(report.LiveHeap, h)
 	}
+	drift, err := sessionDriftRecord()
+	if err != nil {
+		return err
+	}
+	report.Drift = drift
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
