@@ -62,7 +62,7 @@ func main() {
 		alignC   = flag.Bool("align", false, "align columns by content instead of by name")
 		headers  = flag.Bool("headers", false, "with -align, also use header text")
 		workers  = flag.Int("workers", 1, "parallel FD workers")
-		budget   = flag.Int("budget", 0, "abort if the FD closure exceeds this many tuples (0 = unlimited)")
+		memory   = flag.Int64("memory-budget", 0, "abort if the FD closure's estimated memory exceeds this many bytes (0 = unlimited)")
 		statsF   = flag.Bool("stats", false, "report per-component pivot columns, skipped candidates and value-assignment shape on stderr")
 		session  = flag.Bool("session", false, "integrate incrementally: add one file at a time to a persistent session")
 		progress = flag.Bool("progress", false, "report pipeline phases and per-component closure progress on stderr")
@@ -117,8 +117,8 @@ func main() {
 	if *workers > 1 {
 		opts = append(opts, fuzzyfd.WithParallelFD(*workers))
 	}
-	if *budget > 0 {
-		opts = append(opts, fuzzyfd.WithTupleBudget(*budget))
+	if *memory > 0 {
+		opts = append(opts, fuzzyfd.WithMemoryBudget(*memory))
 	}
 	// Always observe progress: -progress prints it live, and a canceled
 	// run reports how far it got either way.

@@ -5,7 +5,7 @@
 // result back as JSON Lines, follow progress over Server-Sent Events, and
 // scrape Prometheus metrics from /metrics.
 //
-//	fuzzyfdd -addr :8080 -max-sessions 64 -idle-ttl 30m -budget 5000000 \
+//	fuzzyfdd -addr :8080 -max-sessions 64 -idle-ttl 30m -memory-budget 2000000000 \
 //	         -data-dir /var/lib/fuzzyfdd -request-timeout 2m
 //
 // With -data-dir every session is durable: each table-add is written to a
@@ -54,7 +54,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 64, "maximum live sessions")
 	idleTTL := flag.Duration("idle-ttl", 0, "evict sessions idle this long (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on shutdown")
-	budget := flag.Int("budget", 0, "per-session tuple budget ceiling (0 unbounded)")
 	workers := flag.Int("workers", 0, "default FD workers per session (0 sequential)")
 	dataDir := flag.String("data-dir", "", "make sessions durable under this directory; they survive restarts")
 	requestTimeout := flag.Duration("request-timeout", 0, "bound ingestion/result requests; exceeded requests get 504 (0 unbounded)")
@@ -88,7 +87,6 @@ func main() {
 	srv := server.New(server.Config{
 		MaxSessions:    *maxSessions,
 		IdleTTL:        *idleTTL,
-		TupleBudget:    *budget,
 		Workers:        *workers,
 		DataDir:        *dataDir,
 		RequestTimeout: *requestTimeout,

@@ -10,13 +10,13 @@ import (
 	"fuzzyfd/internal/datagen"
 )
 
-// TestExportedErrTupleBudget: the budget error is reachable through the
+// TestExportedErrMemoryBudget: the budget error is reachable through the
 // public sentinel, and errors.As extracts the PhaseError naming the FD
 // phase.
-func TestExportedErrTupleBudget(t *testing.T) {
-	_, err := Integrate(covidTables(), WithEquiJoin(), WithTupleBudget(1))
-	if !errors.Is(err, ErrTupleBudget) {
-		t.Fatalf("want ErrTupleBudget, got %v", err)
+func TestExportedErrMemoryBudget(t *testing.T) {
+	_, err := Integrate(covidTables(), WithEquiJoin(), WithMemoryBudget(1))
+	if !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("want ErrMemoryBudget, got %v", err)
 	}
 	var pe *PhaseError
 	if !errors.As(err, &pe) {
@@ -27,12 +27,12 @@ func TestExportedErrTupleBudget(t *testing.T) {
 	}
 }
 
-// TestWithTupleBudgetRejectsNonPositive: a budget below 1 is a
+// TestWithMemoryBudgetRejectsNonPositive: a budget below 1 is a
 // configuration error, not "unlimited".
-func TestWithTupleBudgetRejectsNonPositive(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		if _, err := Integrate(covidTables(), WithTupleBudget(n)); err == nil {
-			t.Errorf("WithTupleBudget(%d) accepted", n)
+func TestWithMemoryBudgetRejectsNonPositive(t *testing.T) {
+	for _, n := range []int64{0, -1} {
+		if _, err := Integrate(covidTables(), WithMemoryBudget(n)); err == nil {
+			t.Errorf("WithMemoryBudget(%d) accepted", n)
 		}
 	}
 }

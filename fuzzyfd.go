@@ -37,7 +37,7 @@
 // ...) that observes cancellation and deadlines down to single-component
 // granularity inside the Full Disjunction closure; the context-free
 // signatures are context.Background() wrappers kept for compatibility.
-// Failures carry typed errors — ErrTupleBudget, ErrCanceled, and
+// Failures carry typed errors — ErrMemoryBudget, ErrCanceled, and
 // *PhaseError naming the pipeline phase — that errors.Is/As unwrap, and
 // WithProgress streams phase transitions and per-component closure counts
 // to a callback. Result.Rows iterates rows with provenance, WriteJSONL
@@ -108,9 +108,6 @@ const (
 // Typed failure modes, matchable with errors.Is through any wrapping
 // (including *PhaseError).
 var (
-	// ErrTupleBudget is returned when the Full Disjunction closure exceeds
-	// the WithTupleBudget limit.
-	ErrTupleBudget = fd.ErrTupleBudget
 	// ErrCanceled is returned when a context passed to a ...Context entry
 	// point is canceled or its deadline expires. Such errors also match
 	// the context's own error (context.Canceled or
@@ -273,25 +270,13 @@ func WithMatchWorkers(workers int) Option {
 	}
 }
 
-// WithTupleBudget aborts integration with ErrTupleBudget if the Full
-// Disjunction closure exceeds n tuples — a safety valve for pathological
-// join blowup. n must be at least 1; to run unbounded, omit the option.
-func WithTupleBudget(n int) Option {
-	return func(o *options) error {
-		if n < 1 {
-			return fmt.Errorf("fuzzyfd: tuple budget %d < 1", n)
-		}
-		o.cfg.FD.MaxTuples = n
-		return nil
-	}
-}
-
 // WithMemoryBudget aborts integration with ErrMemoryBudget if the Full
 // Disjunction's estimated resident memory — the interned value dictionary
 // plus the live closure tuples under a linear per-tuple cost model — exceeds
-// n bytes. The estimate is a stable model, not allocator-exact accounting;
-// it pairs with WithTupleBudget as a safety valve sized in bytes rather
-// than tuples. n must be at least 1; to run unbounded, omit the option.
+// n bytes — the one safety valve for pathological join blowup, sized in
+// bytes an operator can provision for. The estimate is a stable model, not
+// allocator-exact accounting (FDStats.MemoryBytes reports it). n must be at
+// least 1; to run unbounded, omit the option.
 func WithMemoryBudget(n int64) Option {
 	return func(o *options) error {
 		if n < 1 {

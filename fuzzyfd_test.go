@@ -123,7 +123,7 @@ func TestOptionCombinations(t *testing.T) {
 		WithThreshold(0.7),
 		WithContentAlignment(true),
 		WithParallelFD(4),
-		WithTupleBudget(100000),
+		WithMemoryBudget(1<<30),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ type ProgressEvent struct {
 }
 
 // PhaseError records which pipeline phase an integration error came from.
-// It unwraps, so errors.Is/As reach the underlying cause (fd.ErrTupleBudget,
+// It unwraps, so errors.Is/As reach the underlying cause (fd.ErrMemoryBudget,
 // fd.ErrCanceled, context.DeadlineExceeded, ...).
 type PhaseError struct {
 	Phase string // PhaseAlign, PhaseMatch, or PhaseFD

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"fuzzyfd/internal/datagen"
@@ -112,10 +113,10 @@ func TestIntegrateErrors(t *testing.T) {
 	if _, err := Integrate(nil, Config{}); err == nil {
 		t.Error("empty integration set accepted")
 	}
-	// FD options flow through: a tiny tuple budget must abort.
+	// FD options flow through: a tiny memory budget must abort.
 	tables := fig1()
-	if _, err := Integrate(tables, Config{Method: MethodEquiFD, FD: fd.Options{MaxTuples: 2}}); err == nil {
-		t.Error("tuple budget not propagated")
+	if _, err := Integrate(tables, Config{Method: MethodEquiFD, FD: fd.Options{MaxBytes: 1}}); !errors.Is(err, fd.ErrMemoryBudget) {
+		t.Errorf("memory budget not propagated: %v", err)
 	}
 }
 

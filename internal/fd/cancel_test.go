@@ -203,28 +203,24 @@ func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 	}
 }
 
-// TestBudgetDeterministicAcrossWorkers: whether ErrTupleBudget fires
+// TestBudgetDeterministicAcrossWorkers: whether ErrMemoryBudget fires
 // depends only on the closure's final size, never on the schedule — a
-// budget exactly at the closure size passes and one below it aborts, for
-// every worker count. (Only distinct produced tuples reserve budget;
-// duplicate productions dedup at the signature index.)
+// budget exactly at the closure's estimate passes and one byte below it
+// aborts, for every worker count. (Only distinct produced tuples reserve
+// budget; duplicate productions dedup at the signature index.)
 func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 	tables := chainTables(30)
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit := ref.Stats.Closure
+	limit := closureBytes(t, tables, schema)
 	for _, workers := range []int{1, 2, 8} {
 		opts := Options{Workers: workers}
 		for trial := 0; trial < 2; trial++ {
-			opts.MaxTuples = limit
+			opts.MaxBytes = limit
 			if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); err != nil {
 				t.Fatalf("workers=%d: budget at the limit failed: %v", workers, err)
 			}
-			opts.MaxTuples = limit - 1
-			if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+			opts.MaxBytes = limit - 1
+			if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrMemoryBudget) {
 				t.Fatalf("workers=%d: budget below the limit returned %v", workers, err)
 			}
 		}
@@ -237,7 +233,7 @@ func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 func TestIndexBudgetAbortRecoversAcrossWorkers(t *testing.T) {
 	tables := chainTables(40)
 	schema := IdentitySchema(tables)
-	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
+	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{MaxBytes: unbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +251,9 @@ func TestIndexBudgetAbortRecoversAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := v.opts
-			opts.MaxTuples = want.Stats.Closure - 1
-			if _, err := x.UpdateContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
-				t.Fatalf("want ErrTupleBudget, got %v", err)
+			opts.MaxBytes = want.Stats.MemoryBytes - 1
+			if _, err := x.UpdateContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrMemoryBudget) {
+				t.Fatalf("want ErrMemoryBudget, got %v", err)
 			}
 			got, err := x.UpdateContext(context.Background(), tables, schema, v.opts)
 			if err != nil {

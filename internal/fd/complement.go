@@ -589,7 +589,7 @@ type store struct {
 }
 
 // closure is the mutable state of one complementation run: the growing
-// store plus the (possibly shared) tuple budget. A closure covers a single
+// store plus the (possibly shared) memory budget. A closure covers a single
 // connected component (or, inside the pivot-partitioned hub closure, its
 // null-pivot tuples). A nil scr allocates one on the first run.
 type closure struct {

@@ -194,18 +194,14 @@ type Options struct {
 	// sequentially, in place, exactly as with Workers <= 1. 0 or 1 runs
 	// sequentially. Output is byte-identical at every setting.
 	Workers int
-	// MaxTuples aborts the computation if the closure exceeds this many
-	// tuples (a safety valve against pathological join blowup). 0 means
-	// unlimited.
-	MaxTuples int
 	// MaxBytes aborts the computation with ErrMemoryBudget once the
 	// estimated resident size of the closure state — the interned value
 	// dictionary plus the live closure tuples across all components —
-	// exceeds this many bytes. The estimate is a deliberately simple
-	// linear model (dictionary bytes plus a per-tuple constant scaled by
-	// schema width), cheap enough for the same shared atomic counter the
-	// tuple budget uses; treat it as a resource ceiling, not allocator
-	// accounting. 0 means unlimited.
+	// exceeds this many bytes: the one safety valve against pathological
+	// join blowup. The estimate is a deliberately simple linear model
+	// (dictionary bytes plus a per-tuple constant scaled by schema width),
+	// cheap enough for one shared atomic tuple counter; treat it as a
+	// resource ceiling, not allocator accounting. 0 means unlimited.
 	MaxBytes int64
 	// Progress, when non-nil, is called once per closed component, from the
 	// goroutine running the Update (never concurrently), in the order the
@@ -233,9 +229,6 @@ type ComponentProgress struct {
 	PivotColumn  int
 	PivotSkipped int
 }
-
-// ErrTupleBudget is returned when the closure exceeds Options.MaxTuples.
-var ErrTupleBudget = errors.New("fd: tuple budget exceeded")
 
 // ErrMemoryBudget is returned when the estimated closure memory exceeds
 // Options.MaxBytes.

@@ -178,12 +178,20 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestTupleBudget(t *testing.T) {
-	tables := fig1Tables()
-	_, err := FullDisjunctionContext(context.Background(), tables, IdentitySchema(tables), Options{MaxTuples: 3})
-	if !errors.Is(err, ErrTupleBudget) {
-		t.Errorf("want ErrTupleBudget, got %v", err)
+// unbounded is a byte ceiling no fixture reaches: it turns the memory
+// estimate (Stats.MemoryBytes) on without aborting anything.
+const unbounded = 1 << 62
+
+// closureBytes is the memory estimate of the one-shot Full Disjunction of
+// tables — the exact trip point of the byte ceiling: MaxBytes at this value
+// passes and one byte below aborts, at every Workers setting.
+func closureBytes(t testing.TB, tables []*table.Table, schema Schema) int64 {
+	t.Helper()
+	res, err := FullDisjunctionContext(context.Background(), tables, schema, Options{MaxBytes: unbounded})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res.Stats.MemoryBytes
 }
 
 func TestMemoryBudget(t *testing.T) {
@@ -199,11 +207,6 @@ func TestMemoryBudget(t *testing.T) {
 	}
 	if res.Stats.MemoryBytes <= 0 || res.Stats.MemoryBytes > 1<<20 {
 		t.Errorf("Stats.MemoryBytes = %d, want in (0, 1MiB]", res.Stats.MemoryBytes)
-	}
-	// When both ceilings are crossed the tuple signal wins.
-	_, err = FullDisjunctionContext(context.Background(), tables, schema, Options{MaxTuples: 3, MaxBytes: 128})
-	if !errors.Is(err, ErrTupleBudget) {
-		t.Errorf("both ceilings: want ErrTupleBudget, got %v", err)
 	}
 }
 

@@ -661,7 +661,7 @@ func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats) erro
 
 	// The budget seeds with every tuple known to be live — base, the
 	// cached closures' surplus, and the reused dirty seeds — so
-	// Options.MaxTuples keeps its "total closure size" meaning across
+	// Options.MaxBytes bounds the whole closure's estimate across
 	// incremental runs.
 	bud := newBudget(opts, len(x.base)+x.closure-x.covered+seedExtra, eng)
 

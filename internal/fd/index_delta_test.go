@@ -117,11 +117,11 @@ func TestIndexChunkedIngestionMatchesBatch(t *testing.T) {
 					// A budget abort mid-sequence (on the first step from here
 					// that has a delta to close): the retry below must recover.
 					abort := opts
-					abort.MaxTuples = 1
-					if _, err := x.UpdateContext(context.Background(), view, schema, abort); errors.Is(err, ErrTupleBudget) {
+					abort.MaxBytes = 1
+					if _, err := x.UpdateContext(context.Background(), view, schema, abort); errors.Is(err, ErrMemoryBudget) {
 						aborted = true
 					} else if err != nil {
-						t.Fatalf("workers %d seed %d step %d: want ErrTupleBudget, got %v", workers, seed, step, err)
+						t.Fatalf("workers %d seed %d step %d: want ErrMemoryBudget, got %v", workers, seed, step, err)
 					}
 				}
 				got, err := x.UpdateContext(context.Background(), view, schema, opts)

@@ -168,20 +168,21 @@ func TestIndexBudgetAbortThenRetry(t *testing.T) {
 	t1.MustAppendRow(table.S("x"), table.Null(), table.S("2"))
 	x := NewIndex()
 	view := []*table.Table{t1}
-	if _, err := x.UpdateContext(context.Background(), view, IdentitySchema(view), Options{}); err != nil {
+	first, err := x.UpdateContext(context.Background(), view, IdentitySchema(view), Options{MaxBytes: unbounded})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Batch 2: a duplicate of t1's first row (merges provenance into an
-	// existing tuple) plus fresh rows that blow a tiny budget.
+	// existing tuple) plus fresh rows that blow a budget batch 1 fits in.
 	t2 := table.New("t2", "a", "b", "c")
 	t2.MustAppendRow(table.S("x"), table.S("1"), table.Null())
 	t2.MustAppendRow(table.S("y"), table.S("3"), table.Null())
 	t2.MustAppendRow(table.S("y"), table.Null(), table.S("4"))
 	view = []*table.Table{t1, t2}
 	schema := IdentitySchema(view)
-	if _, err := x.UpdateContext(context.Background(), view, schema, Options{MaxTuples: 4}); !errors.Is(err, ErrTupleBudget) {
-		t.Fatalf("want ErrTupleBudget, got %v", err)
+	if _, err := x.UpdateContext(context.Background(), view, schema, Options{MaxBytes: first.Stats.MemoryBytes}); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("want ErrMemoryBudget, got %v", err)
 	}
 
 	got, err := x.UpdateContext(context.Background(), view, schema, Options{})
@@ -243,23 +244,26 @@ func TestIndexSeedReuse(t *testing.T) {
 	}
 }
 
-// The tuple budget keeps its total-closure-size meaning across incremental
+// The memory budget bounds the whole closure's estimate across incremental
 // updates: an index that has accumulated state must still abort when the
-// accumulated closure exceeds MaxTuples.
+// accumulated closure's estimate exceeds MaxBytes.
 func TestIndexBudget(t *testing.T) {
 	tables := fig1Fuzzy()
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
-	if err != nil {
+	limit := closureBytes(t, tables, schema)
+	x := NewIndex()
+	if _, err := x.UpdateContext(context.Background(), tables[:1], IdentitySchema(tables[:1]), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	x := NewIndex()
-	if _, err := x.UpdateContext(context.Background(), tables, schema, Options{MaxTuples: ref.Stats.Closure}); err != nil {
+	if _, err := x.UpdateContext(context.Background(), tables, schema, Options{MaxBytes: limit}); err != nil {
 		t.Fatalf("budget at the limit must pass: %v", err)
 	}
 	y := NewIndex()
-	if _, err := y.UpdateContext(context.Background(), tables, schema, Options{MaxTuples: ref.Stats.Closure - 1}); err == nil {
-		t.Fatal("budget below the limit must abort")
+	if _, err := y.UpdateContext(context.Background(), tables[:1], IdentitySchema(tables[:1]), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := y.UpdateContext(context.Background(), tables, schema, Options{MaxBytes: limit - 1}); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("budget below the limit: want ErrMemoryBudget, got %v", err)
 	}
 }
 

@@ -175,6 +175,13 @@ func OuterJoinFD(tables []*table.Table, schema Schema, opts Options) (*Result, e
 
 	eng, base := outerUnion(tables, schema)
 	stats.OuterUnion = len(base)
+	bud := newBudget(opts, 0, eng)
+	over := func(n int) error {
+		if bud == nil {
+			return nil
+		}
+		return bud.over(int64(n))
+	}
 
 	// Group padded tuples by source table.
 	perTable := make([][]Tuple, len(tables))
@@ -202,15 +209,15 @@ func OuterJoinFD(tables []*table.Table, schema Schema, opts Options) (*Result, e
 		result := perTable[order[0]]
 		for _, ti := range order[1:] {
 			result = fullOuterJoin(result, perTable[ti], &stats)
-			if opts.MaxTuples > 0 && len(result) > opts.MaxTuples {
-				return nil, ErrTupleBudget
+			if err := over(len(result)); err != nil {
+				return nil, err
 			}
 		}
 		for _, t := range result {
 			addTuple(t)
 		}
-		if opts.MaxTuples > 0 && len(acc) > opts.MaxTuples {
-			return nil, ErrTupleBudget
+		if err := over(len(acc)); err != nil {
+			return nil, err
 		}
 	}
 	stats.Closure = len(acc)

@@ -118,8 +118,8 @@ func TestOuterJoinFDTooManyTables(t *testing.T) {
 
 func TestOuterJoinFDBudget(t *testing.T) {
 	tables := fig1Tables()
-	if _, err := OuterJoinFD(tables, IdentitySchema(tables), Options{MaxTuples: 2}); !errors.Is(err, ErrTupleBudget) {
-		t.Errorf("want ErrTupleBudget, got %v", err)
+	if _, err := OuterJoinFD(tables, IdentitySchema(tables), Options{MaxBytes: 1}); !errors.Is(err, ErrMemoryBudget) {
+		t.Errorf("want ErrMemoryBudget, got %v", err)
 	}
 }
 

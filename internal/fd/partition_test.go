@@ -249,29 +249,23 @@ func TestPartitionStats(t *testing.T) {
 	}
 }
 
-// The budget aborts exactly when the total closure, summed over components,
-// exceeds MaxTuples — what a closure of the unpartitioned outer union would
-// count.
+// The budget aborts exactly when the estimate of the total closure, summed
+// over components, exceeds MaxBytes — what a closure of the unpartitioned
+// outer union would count.
 func TestPartitionedBudgetMatchesFlat(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tables := randomTables(r)
 		schema := IdentitySchema(tables)
-		ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
-		if err != nil {
-			return false
-		}
-		budget := ref.Stats.Closure // exactly at the limit: must succeed
-		for _, opts := range []Options{{MaxTuples: budget}, {MaxTuples: budget, Workers: 4}} {
+		budget := closureBytes(t, tables, schema) // exactly at the limit: must succeed
+		for _, opts := range []Options{{MaxBytes: budget}, {MaxBytes: budget, Workers: 4}} {
 			if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); err != nil {
 				return false
 			}
 		}
-		if budget > 1 {
-			for _, opts := range []Options{{MaxTuples: budget - 1}, {MaxTuples: budget - 1, Workers: 4}} {
-				if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
-					return false
-				}
+		for _, opts := range []Options{{MaxBytes: budget - 1}, {MaxBytes: budget - 1, Workers: 4}} {
+			if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrMemoryBudget) {
+				return false
 			}
 		}
 		return true

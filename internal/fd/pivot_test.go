@@ -184,23 +184,23 @@ func TestPivotEnginesByteIdentical(t *testing.T) {
 }
 
 // TestPivotBudgetDeterministic: with the pivot engaged, whether
-// ErrTupleBudget fires still depends only on the closure's final size,
+// ErrMemoryBudget fires still depends only on the closure's final size,
 // never on the schedule or on the pruned candidate order — in the
 // sequential closure and across the pivot groups of a hub (the fixture is
 // large enough for Workers 4 to close it by groups).
 func TestPivotBudgetDeterministic(t *testing.T) {
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
+	ref, err := FullDisjunctionContext(context.Background(), tables, schema, Options{MaxBytes: unbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.Stats.PivotColumn < 0 {
 		t.Fatal("fixture must engage the pivot index")
 	}
-	limit := ref.Stats.Closure
+	limit := ref.Stats.MemoryBytes
 	for _, workers := range []int{1, 4} {
-		opts := Options{Workers: workers, MaxTuples: limit}
+		opts := Options{Workers: workers, MaxBytes: limit}
 		got, err := FullDisjunctionContext(context.Background(), tables, schema, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: budget at the limit failed: %v", workers, err)
@@ -208,8 +208,8 @@ func TestPivotBudgetDeterministic(t *testing.T) {
 		if grouped := got.Stats.PivotGroups > 0; grouped != (workers > 1) {
 			t.Fatalf("workers=%d: closed by pivot groups = %v", workers, grouped)
 		}
-		opts.MaxTuples = limit - 1
-		if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+		opts.MaxBytes = limit - 1
+		if _, err := FullDisjunctionContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrMemoryBudget) {
 			t.Fatalf("workers=%d: budget below the limit returned %v", workers, err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestPivotIndexCancelAndBudgetRecover(t *testing.T) {
 	// flipped context is polled well past its entry checks.
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
-	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{})
+	want, err := FullDisjunctionContext(context.Background(), tables, schema, Options{MaxBytes: unbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +272,9 @@ func TestPivotIndexCancelAndBudgetRecover(t *testing.T) {
 				t.Fatalf("want ErrCanceled, got %v", err)
 			}
 			opts := v.opts
-			opts.MaxTuples = want.Stats.Closure - 1
-			if _, err := x.UpdateContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
-				t.Fatalf("want ErrTupleBudget, got %v", err)
+			opts.MaxBytes = want.Stats.MemoryBytes - 1
+			if _, err := x.UpdateContext(context.Background(), tables, schema, opts); !errors.Is(err, ErrMemoryBudget) {
+				t.Fatalf("want ErrMemoryBudget, got %v", err)
 			}
 			got, err := x.UpdateContext(context.Background(), tables, schema, v.opts)
 			if err != nil {

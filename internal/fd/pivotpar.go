@@ -29,7 +29,7 @@ import (
 //
 // Each group is closed by plain sequential code over group-local maps plus
 // read-only probes of N*'s two posting indexes — no locks, no atomics (bar
-// one group-counter increment per group and the shared tuple budget), no
+// one group-counter increment per group and the shared memory budget), no
 // cross-worker duplicate probes, and caches that fit a few hundred tuples
 // instead of the whole closure. Workers pick groups off an atomic counter;
 // the result, and the merge-attempt count, are the same for any worker

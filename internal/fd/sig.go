@@ -100,16 +100,15 @@ func (s *sigIndex) addHashed(hash uint64, id int) {
 	s.next[id], s.head[hash] = prev, int32(id)
 }
 
-// budget enforces Options.MaxTuples and Options.MaxBytes across the whole
-// computation. A hub's pivot groups close concurrently, so the live tuple
-// count is shared; each new tuple reserves a slot. The memory ceiling rides on
-// the same counter through a linear model: estimated bytes = the engine
-// dictionary's retained bytes (fixed at budget creation — interning happens
-// at outer-union time, before closures run) + live tuples × a per-tuple
-// cost scaled by schema width. A nil budget is unlimited.
+// budget enforces Options.MaxBytes across the whole computation. A hub's
+// pivot groups close concurrently, so the live tuple count is shared; each
+// new tuple reserves a slot. The ceiling reads that counter through a
+// linear model: estimated bytes = the engine dictionary's retained bytes
+// (fixed at budget creation — interning happens at outer-union time, before
+// closures run) + live tuples × a per-tuple cost scaled by schema width. A
+// nil budget is unlimited.
 type budget struct {
-	maxTuples int64 // 0 = no tuple ceiling
-	maxBytes  int64 // 0 = no byte ceiling
+	maxBytes  int64
 	baseBytes int64 // dictionary bytes, already resident before the closure
 	perTuple  int64 // estimated bytes one live closure tuple retains
 	n         atomic.Int64
@@ -132,15 +131,14 @@ const (
 )
 
 // newBudget returns a budget with initial tuples already live, or nil when
-// neither ceiling is set (unlimited).
+// no ceiling is set (unlimited).
 func newBudget(opts Options, initial int, eng *engine) *budget {
-	if opts.MaxTuples <= 0 && opts.MaxBytes <= 0 {
+	if opts.MaxBytes <= 0 {
 		return nil
 	}
 	b := &budget{
-		maxTuples: int64(opts.MaxTuples),
-		maxBytes:  opts.MaxBytes,
-		perTuple:  tupleBaseBytes,
+		maxBytes: opts.MaxBytes,
+		perTuple: tupleBaseBytes,
 	}
 	if eng != nil {
 		b.baseBytes = eng.dict.Bytes()
@@ -150,7 +148,7 @@ func newBudget(opts Options, initial int, eng *engine) *budget {
 	return b
 }
 
-// check reports whether the live count is already over either ceiling (the
+// check reports whether the live count is already over the ceiling (the
 // pre-closure check: an outer union larger than the budget fails on the
 // first component processed, matching the global engine).
 func (b *budget) check() error {
@@ -160,8 +158,8 @@ func (b *budget) check() error {
 	return b.over(b.n.Load())
 }
 
-// add reserves k new tuples, reporting the violated ceiling's error once
-// the total exceeds it.
+// add reserves k new tuples, reporting ErrMemoryBudget once the total
+// exceeds the ceiling.
 func (b *budget) add(k int) error {
 	if b == nil {
 		return nil
@@ -169,14 +167,9 @@ func (b *budget) add(k int) error {
 	return b.over(b.n.Add(int64(k)))
 }
 
-// over maps a live tuple count to the budget error it violates, if any.
-// Tuples are checked first: when both ceilings are crossed the older,
-// more specific signal wins.
+// over reports ErrMemoryBudget when n live tuples exceed the ceiling.
 func (b *budget) over(n int64) error {
-	if b.maxTuples > 0 && n > b.maxTuples {
-		return ErrTupleBudget
-	}
-	if b.maxBytes > 0 && b.baseBytes+n*b.perTuple > b.maxBytes {
+	if b.baseBytes+n*b.perTuple > b.maxBytes {
 		return ErrMemoryBudget
 	}
 	return nil

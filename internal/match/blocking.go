@@ -18,10 +18,11 @@ import (
 // families still cover such pairs.
 const maxBucket = 64
 
-// blockingKeys returns the candidate-generation keys for a value. Two
-// values can only be within θ under the feature-hash embedders if they
-// share surface or structural features, and every feature family used by
-// the embedders is covered by a key family here:
+// blockingKeys returns the candidate-generation keys for a value: one or
+// more per kind of surface or structural likeness the embedders reward.
+// The keys do not cover every feature an embedder hashes, so two values
+// within θ need not share one — a blocked round finds a subset of the
+// dense round's edges (see the package doc). The key families:
 //
 //   - the folded form (exact and case/whitespace variants)
 //   - the sorted token set (token reorderings)

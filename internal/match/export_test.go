@@ -1,6 +1,10 @@
 package match
 
-import "math"
+import (
+	"math"
+
+	"fuzzyfd/internal/assign"
+)
 
 // Path is an assignment path a test pins a Matcher to: the dense limit is
 // set above or below every round's |reps|·|values|.
@@ -15,4 +19,20 @@ const (
 func (m *Matcher) Pin(p Path) *Matcher {
 	m.denseLimit = int(p)
 	return m
+}
+
+// RoundEdges returns one round's edges under θ both ways, scored by m's
+// scorer on a fresh memo: blocked from the blocked path's candidate pairs,
+// dense from every pair the dense path scores.
+func (m *Matcher) RoundEdges(reps, values []string, theta float64) (blocked, dense []assign.Edge) {
+	r := newRun(m.scorer(), nil)
+	blocked = r.blockedEdges(reps, values, theta)
+	for i, a := range r.records(reps) {
+		for j, b := range r.records(values) {
+			if d := r.distance(a, b); d < theta {
+				dense = append(dense, assign.Edge{A: i, B: j, Cost: d})
+			}
+		}
+	}
+	return blocked, dense
 }

@@ -14,10 +14,12 @@
 // Each round is one assignment. A round whose representatives times values
 // fit under DefaultDenseLimit builds the full cost matrix and solves it
 // densely (the paper's scipy linear_sum_assignment); a larger one restricts
-// the assignment to candidate pairs sharing a blocking key (sound for
-// hashed feature embeddings: cosine similarity requires a shared feature),
-// so its cost follows the number of candidates, not the product of the
-// column sizes. The two produce matchings of equal cardinality and cost.
+// the assignment to candidate pairs sharing a blocking key, so its cost
+// follows the number of candidates, not the product of the column sizes.
+// Blocking is a heuristic, not a sound filter: a blocked round's edges are
+// a subset of the dense round's edges under θ, at the same costs, but two
+// values can be within θ without sharing any key, so a blocked round can
+// match fewer values, and different ones, than a dense round would.
 //
 // A Matcher's Memo lets consecutive calls share each value's record and
 // replay every round whose exact inputs they met before (see Memo). One

@@ -84,6 +84,94 @@ func TestServerRestartServesSameResult(t *testing.T) {
 	}
 }
 
+// restartWith drains and closes a durable server and starts another on the
+// same data directory.
+func restartWith(t *testing.T, srv *Server, ts *httptest.Server, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	srv.Close()
+	srv2, ts2 := newTestServer(t, cfg)
+	return srv2, ts2
+}
+
+// A PUT naming a durable session that is on disk but not live — after a
+// restart — reopens that session with its recorded options: it answers
+// 200, not 201, and neither the result nor session.json changes. (Created
+// with the request's empty options, the session would integrate fuzzily and
+// merge Berlin with Berlinn.)
+func TestServerPutReopensDurableSession(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := newTestServer(t, Config{DataDir: dir})
+	createSession(t, ts1, "cities", `{"equi": true}`)
+	postTable(t, ts1, "cities", "t1", `{"city":"Berlin","country":"Germany"}`)
+	postTable(t, ts1, "cities", "t2", `{"city":"Berlinn","rate":"63%"}`)
+	want := resultJSON(t, ts1, "cities")
+	optsPath := filepath.Join(dir, "cities", optionsFile)
+	wantOpts, err := os.ReadFile(optsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := restartWith(t, srv1, ts1, Config{DataDir: dir})
+	resp, body := doReq(t, http.MethodPut, ts2.URL+"/v1/sessions/cities", `{}`, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT after restart: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	if got := resultJSON(t, ts2, "cities"); !reflect.DeepEqual(got["rows"], want["rows"]) || !reflect.DeepEqual(got["columns"], want["columns"]) {
+		t.Fatalf("PUT after restart changed the result:\ngot  %v\nwant %v", got, want)
+	}
+	if got, err := os.ReadFile(optsPath); err != nil || string(got) != string(wantOpts) {
+		t.Fatalf("PUT after restart rewrote %s: %q (%v), want %q", optionsFile, got, err, wantOpts)
+	}
+	_, body = doReq(t, http.MethodGet, ts2.URL+"/metrics", "", nil)
+	if !strings.Contains(string(body), "fuzzyfdd_sessions_reopened_total 1") {
+		t.Errorf("reopen not counted in metrics:\n%s", body)
+	}
+}
+
+// A session.json that still holds "budget" — the tuple ceiling sessions
+// could once set — reopens and integrates: the reopen ignores the field the
+// options no longer have.
+func TestServerReopensOptionsWithTupleBudget(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := newTestServer(t, Config{DataDir: dir})
+	createSession(t, ts1, "old", `{"equi": true}`)
+	postTable(t, ts1, "old", "people", `{"name":"alice","city":"Berlin"}`)
+	if err := os.WriteFile(filepath.Join(dir, "old", optionsFile), []byte(`{"equi":true,"budget":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := restartWith(t, srv1, ts1, Config{DataDir: dir})
+	postTable(t, ts2, "old", "jobs", `{"name":"alice","job":"eng"}
+{"name":"bob","job":"ops"}`)
+	if rows := resultJSON(t, ts2, "old")["rows"].([]any); len(rows) != 2 {
+		t.Fatalf("reopened session integrated %d rows, want 2: %v", len(rows), rows)
+	}
+}
+
+// saveOptions replaces session.json whole, through a temporary file it
+// renames into place: a rewrite leaves the new content and no temporary.
+func TestSaveOptionsReplaces(t *testing.T) {
+	dir := t.TempDir()
+	if err := saveOptions(dir, sessionOptions{Equi: true, Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveOptions(dir, sessionOptions{Model: "fasttext"}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, optionsFile))
+	if err != nil || string(got) != `{"model":"fasttext"}`+"\n" {
+		t.Fatalf("%s = %q (%v), want the second options", optionsFile, got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %v (%v), want only %s", entries, err, optionsFile)
+	}
+}
+
 // A session whose store exists but will not open — one byte of its
 // committed snapshot flipped — is a 500 open_failed naming the cause, on the
 // lazy reopen behind GET as on PUT; it is neither missing (404) nor a bad

@@ -162,6 +162,18 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, r, http.StatusBadRequest, "bad_options", "session options: %v", err)
 		return
 	}
+	// A durable session left on disk by a restart or an eviction is the
+	// existing session: reopen it with its recorded options rather than
+	// re-creating it from this request's.
+	c, err := s.session(name)
+	if err != nil {
+		writeNoSession(w, r, name, err)
+		return
+	}
+	if c != nil {
+		writeJSON(w, http.StatusOK, info(c))
+		return
+	}
 	c, created, full, err := s.reg.put(name, func() (*session, error) {
 		return s.newSession(name, opts)
 	})
@@ -460,8 +472,6 @@ func (s *Server) writeIntegrateError(w http.ResponseWriter, r *http.Request, nam
 			"integration exceeded the request timeout %s", s.cfg.RequestTimeout)
 	case errors.Is(err, fuzzyfd.ErrNoTables):
 		writeErrorCode(w, r, http.StatusConflict, "no_tables", "integrate: %v", err)
-	case errors.Is(err, fuzzyfd.ErrTupleBudget):
-		writeErrorCode(w, r, http.StatusUnprocessableEntity, "tuple_budget", "integrate: %v", err)
 	case errors.Is(err, fuzzyfd.ErrMemoryBudget):
 		writeErrorCode(w, r, http.StatusUnprocessableEntity, "memory_budget", "integrate: %v", err)
 	case errors.Is(err, fuzzyfd.ErrDegraded):

@@ -173,7 +173,7 @@ func TestServerDrainTyped(t *testing.T) {
 }
 
 // A server-wide memory budget fails oversized integrations with a typed
-// 422 (memory_budget) — the byte-denominated sibling of the tuple budget.
+// 422 (memory_budget).
 func TestServerMemoryBudget(t *testing.T) {
 	_, ts := newTestServer(t, Config{MemoryBudget: 64})
 	createSession(t, ts, "m", `{"equi": true}`)

@@ -42,10 +42,6 @@ type Config struct {
 	// IdleTTL evicts sessions with no requests for this long. Zero
 	// disables eviction.
 	IdleTTL time.Duration
-	// TupleBudget is the default per-session Full Disjunction tuple
-	// budget (fuzzyfd.WithTupleBudget); zero runs unbounded. A session's
-	// creation request may lower it but not exceed it.
-	TupleBudget int
 	// Workers is the default fuzzyfd.WithParallelFD worker count for new
 	// sessions; zero leaves the closure sequential.
 	Workers int
@@ -326,9 +322,6 @@ type sessionOptions struct {
 	Model string `json:"model,omitempty"`
 	// Workers overrides the server's default FD worker count.
 	Workers int `json:"workers,omitempty"`
-	// Budget overrides the tuple budget; it may not exceed the server's
-	// configured TupleBudget when one is set.
-	Budget int `json:"budget,omitempty"`
 	// MemoryBudget overrides the memory budget in bytes; it may not exceed
 	// the server's configured MemoryBudget when one is set.
 	MemoryBudget int64 `json:"memory_budget,omitempty"`
@@ -337,7 +330,7 @@ type sessionOptions struct {
 }
 
 // validate rejects a threshold outside (0, 1], an unknown model, and a
-// negative worker count or budget, which no option means; zero takes the
+// negative worker count or memory budget, which no option means; zero takes the
 // server default. It runs before anything is opened, so a bad request
 // never reaches the store.
 func (o sessionOptions) validate() error {
@@ -348,8 +341,6 @@ func (o sessionOptions) validate() error {
 		return fmt.Errorf("unknown model %q (have %v)", o.Model, fuzzyfd.Models())
 	case o.Workers < 0:
 		return fmt.Errorf("workers %d < 0", o.Workers)
-	case o.Budget < 0:
-		return fmt.Errorf("budget %d < 0", o.Budget)
 	case o.MemoryBudget < 0:
 		return fmt.Errorf("memory_budget %d < 0", o.MemoryBudget)
 	}
@@ -379,13 +370,6 @@ func (s *Server) buildSession(o sessionOptions, h *hub, dir string) (*fuzzyfd.Se
 	}
 	if workers > 0 {
 		opts = append(opts, fuzzyfd.WithParallelFD(workers))
-	}
-	budget := o.Budget
-	if s.cfg.TupleBudget > 0 && (budget <= 0 || budget > s.cfg.TupleBudget) {
-		budget = s.cfg.TupleBudget
-	}
-	if budget > 0 {
-		opts = append(opts, fuzzyfd.WithTupleBudget(budget))
 	}
 	memory := o.MemoryBudget
 	if s.cfg.MemoryBudget > 0 && (memory <= 0 || memory > s.cfg.MemoryBudget) {
@@ -422,10 +406,13 @@ func (s *Server) sessionDir(name string) (string, error) {
 	return filepath.Join(s.cfg.DataDir, esc), nil
 }
 
-// saveOptions persists the creation options next to the session's log. It
-// creates the directory itself: the log usually has already, but when the
-// WAL is on an injected filesystem (Config.WALFS) the options file is the
-// first thing to land in the real one.
+// saveOptions persists the creation options next to the session's log,
+// as durably as the log's own writes: a synced temporary file renamed over
+// the old one, then a synced directory, so a crash leaves the old options
+// or the new ones, never a torn or missing file beside acknowledged adds.
+// It creates the directory itself: the log usually has already, but when
+// the WAL is on an injected filesystem (Config.WALFS) the options file is
+// the first thing to land in the real one.
 func saveOptions(dir string, o sessionOptions) error {
 	data, err := json.Marshal(o)
 	if err != nil {
@@ -434,7 +421,17 @@ func saveOptions(dir string, o sessionOptions) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, optionsFile), append(data, '\n'), 0o644)
+	var osfs wal.OSFS
+	tmp := filepath.Join(dir, optionsFile+".tmp")
+	err = wal.WriteFileSync(osfs, tmp, append(data, '\n'))
+	if err == nil {
+		err = osfs.Rename(tmp, filepath.Join(dir, optionsFile))
+	}
+	if err != nil {
+		osfs.Remove(tmp)
+		return err
+	}
+	return osfs.SyncDir(dir)
 }
 
 // session resolves a name: the registry first, then — on a durable server

@@ -161,19 +161,20 @@ func TestServerLifecycle(t *testing.T) {
 }
 
 // TestServerRejectsOutOfRangeOptions: a session option outside its range is
-// a 400 and creates no session, for a negative worker count or budget as
-// for a threshold outside (0, 1].
+// a 400 and creates no session, for a negative worker count or memory
+// budget as for a threshold outside (0, 1] — and so is "budget", the tuple
+// ceiling the memory budget replaced, which no session option names.
 func TestServerRejectsOutOfRangeOptions(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, opts := range []string{
 		`{"threshold": 1.5}`,
 		`{"workers": -1}`,
-		`{"budget": -1}`,
 		`{"memory_budget": -1}`,
+		`{"equi": true, "budget": 5}`,
 	} {
 		resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/sessions/bad", opts, nil)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400: %s", opts, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusBadRequest || decodeErrorBody(t, body).Code != "bad_options" {
+			t.Errorf("%s: status %d, want 400 bad_options: %s", opts, resp.StatusCode, body)
 		}
 		if resp, _ := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/bad", "", nil); resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s: session created (status %d)", opts, resp.StatusCode)
@@ -639,7 +640,7 @@ func TestServerMetrics(t *testing.T) {
 	}
 }
 
-// TestServerLimits: the session cap returns 429, and a session-level tuple
+// TestServerLimits: the session cap returns 429, and a server-wide memory
 // budget surfaces as 422 with the error counted.
 func TestServerLimits(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxSessions: 1})
@@ -649,7 +650,7 @@ func TestServerLimits(t *testing.T) {
 		t.Fatalf("over-cap create: status %d, want 429", resp.StatusCode)
 	}
 
-	_, ts2 := newTestServer(t, Config{TupleBudget: 1})
+	_, ts2 := newTestServer(t, Config{MemoryBudget: 1})
 	createSession(t, ts2, "tiny", `{"equi": true}`)
 	resp, body := doReq(t, http.MethodPost, ts2.URL+"/v1/sessions/tiny/tables?table=t1",
 		`{"id":"1","a":"x"}`+"\n"+`{"id":"2","a":"y"}`, nil)
@@ -663,22 +664,33 @@ func TestServerLimits(t *testing.T) {
 }
 
 // TestServerStreamBudgetError: a result read after an add that blew the
-// tuple budget answers the budget error in both forms — JSON Lines and
+// memory budget answers the budget error in both forms — JSON Lines and
 // JSON — whether or not an earlier add had succeeded, never the stale state
 // nor a complete-looking 200 carrying the rows buffered so far. Component
 // "a" closes before the "b" component blows the budget.
 func TestServerStreamBudgetError(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
+	const t0 = `{"k":"c","v":"9"}`
+	const t1 = `{"k":"a","w":"0"}` + "\n" + `{"k":"b","x":"1"}` + "\n" + `{"k":"b","y":"2"}` + "\n" + `{"k":"b","z":"3"}`
 	for _, name := range []string{"fresh", "grown"} {
-		createSession(t, ts, name, `{"equi":true,"budget":5}`)
+		// The ceiling is one byte under the whole closure's estimate, read
+		// off a twin session under a budget nothing reaches: "a" adds no
+		// tuple and closes within it, "b"'s merges cross it.
+		twin := name + "-twin"
+		createSession(t, ts, twin, `{"equi":true,"memory_budget":4611686018427387904}`)
 		if name == "grown" {
-			resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/grown/tables?table=t0", `{"k":"c","v":"9"}`, nil)
+			postTable(t, ts, twin, "t0", t0)
+		}
+		postTable(t, ts, twin, "t1", t1)
+		ceiling := srv.reg.get(twin).sess.Stats().MemoryBytes - 1
+		createSession(t, ts, name, fmt.Sprintf(`{"equi":true,"memory_budget":%d}`, ceiling))
+		if name == "grown" {
+			resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/grown/tables?table=t0", t0, nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("first add: status %d (%s)", resp.StatusCode, body)
 			}
 		}
-		resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/"+name+"/tables?table=t1",
-			`{"k":"a","w":"0"}`+"\n"+`{"k":"b","x":"1"}`+"\n"+`{"k":"b","y":"2"}`+"\n"+`{"k":"b","z":"3"}`, nil)
+		resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/"+name+"/tables?table=t1", t1, nil)
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Fatalf("%s add: status %d (%s), want 422", name, resp.StatusCode, body)
 		}
@@ -689,8 +701,8 @@ func TestServerStreamBudgetError(t *testing.T) {
 				t.Fatalf("%s %s result: status %d (%s), want 422", name, accept, resp.StatusCode, body)
 			}
 			var eb errorBody
-			if err := json.Unmarshal(body, &eb); err != nil || eb.Code != "tuple_budget" {
-				t.Fatalf("%s %s result: error body %s (%v), want code tuple_budget", name, accept, body, err)
+			if err := json.Unmarshal(body, &eb); err != nil || eb.Code != "memory_budget" {
+				t.Fatalf("%s %s result: error body %s (%v), want code memory_budget", name, accept, body, err)
 			}
 		}
 	}

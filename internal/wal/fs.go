@@ -120,9 +120,9 @@ func (OSFS) SyncDir(dir string) error {
 	return err
 }
 
-// writeFileSync writes content to name via fs, fsyncing before close. The
+// WriteFileSync writes content to name via fs, fsyncing before close. The
 // caller syncs the parent directory to commit the entry.
-func writeFileSync(fs FS, name string, content []byte) error {
+func WriteFileSync(fs FS, name string, content []byte) error {
 	f, err := fs.Create(name)
 	if err != nil {
 		return err

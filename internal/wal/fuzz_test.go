@@ -71,7 +71,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			sdir + "/comp-0.seg":    comp,
 		}
 		for name, data := range files {
-			if err := writeFileSync(fs, name, data); err != nil {
+			if err := WriteFileSync(fs, name, data); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -520,7 +520,7 @@ func (w *Store) prepareSnapshot(tables []*table.Table, newSeq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: encode manifest: %w", err)
 	}
-	if err := writeFileSync(w.fs, filepath.Join(tmp, "manifest.json"), manJSON); err != nil {
+	if err := WriteFileSync(w.fs, filepath.Join(tmp, "manifest.json"), manJSON); err != nil {
 		return pathErr("write", filepath.Join(tmp, "manifest.json"), err)
 	}
 	if err := w.fs.SyncDir(tmp); err != nil {
@@ -535,7 +535,7 @@ func (w *Store) prepareSnapshot(tables []*table.Table, newSeq uint64) error {
 		return pathErr("syncdir", w.dir, err)
 	}
 	curTmp := filepath.Join(w.dir, currentFile+".tmp")
-	if err := writeFileSync(w.fs, curTmp, []byte(strconv.FormatUint(newSeq, 10)+"\n")); err != nil {
+	if err := WriteFileSync(w.fs, curTmp, []byte(strconv.FormatUint(newSeq, 10)+"\n")); err != nil {
 		return pathErr("write", curTmp, err)
 	}
 	if err := w.fs.Rename(curTmp, filepath.Join(w.dir, currentFile)); err != nil {
@@ -637,7 +637,7 @@ func loadSnapshot(fsys FS, dir string, seq uint64) (*intern.Dict, []*table.Table
 
 // writeSegment frames a payload and writes it as a segment file.
 func writeSegment(fsys FS, name string, payload []byte) error {
-	if err := writeFileSync(fsys, name, appendFrame(nil, payload)); err != nil {
+	if err := WriteFileSync(fsys, name, appendFrame(nil, payload)); err != nil {
 		return pathErr("write", name, err)
 	}
 	return nil
