@@ -10,11 +10,14 @@
 //
 // With -data-dir every session is durable: each table-add is written to a
 // checksummed write-ahead log and fsync'd before the request is
-// acknowledged, the accumulated state is periodically compacted into
-// snapshots, and after a crash or restart the daemon lazily reopens each
-// named session — recovering it from its snapshot and log tail — on its
-// first request. DELETE removes a session's on-disk state; idle eviction
-// merely flushes it (the next request reopens it).
+// acknowledged, and the log (beside the session's options) is all the
+// daemon writes. After a crash or restart the daemon lazily reopens each
+// named session — replaying its log — on its first request; directories
+// an earlier version wrote, with a snapshot before the log, open too. A
+// store that will not open (a corrupt frame with acknowledged frames after
+// it, or a corrupt snapshot) answers 500 open_failed. DELETE removes a
+// session's on-disk state; idle eviction merely drops it from memory (the
+// next request reopens it).
 //
 // Endpoints:
 //

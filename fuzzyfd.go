@@ -361,11 +361,11 @@ func IntegrateContext(ctx context.Context, tables []*Table, opts ...Option) (*Re
 // (ReusedValues, DirtyComponents, ReclosedTuples) for how much work the
 // session skipped. Added tables must not be modified afterwards.
 //
-// A Session is safe for concurrent use, and its Integrate and Close calls
-// run one at a time: each integrates exactly the tables added before its
-// turn. WithParallelFD parallelizes inside a call. Add, Append, Tables,
-// Stats, and Last never wait on a running integration's Full Disjunction
-// stage, and neither does a StreamContext with nothing to integrate.
+// A Session is safe for concurrent use, and its Integrate calls run one at
+// a time: each integrates exactly the tables added before its turn.
+// WithParallelFD parallelizes inside a call. Add, Append, Tables, Stats,
+// Last, Degraded and Close never wait on a running integration, and
+// neither does a StreamContext with nothing to integrate.
 // Results are immutable once returned, so a reader may keep a Result while
 // other goroutines integrate on.
 type Session struct {
@@ -383,11 +383,11 @@ func NewSession(opts ...Option) (*Session, error) {
 }
 
 // Durability configures a durable session opened with OpenSession. The
-// write path itself is fixed: every acknowledged append is fsynced, and a
-// snapshot follows an Integrate every 16 logged adds.
+// write path itself is fixed: every acknowledged append is one fsynced
+// frame of the session's log, and nothing else is written.
 type Durability struct {
-	// FS is the filesystem the session's log and snapshots live on. Nil
-	// means the operating system's. Fault-injecting filesystems
+	// FS is the filesystem the session's log lives on. Nil means the
+	// operating system's. Fault-injecting filesystems
 	// (wal.NewFlakyFS, wal.NewMemFS) plug in here for resilience testing.
 	FS wal.FS
 }
@@ -404,13 +404,15 @@ func WithDurability(d Durability) Option {
 // OpenSession opens a crash-safe session persisted under dir, creating the
 // directory if needed and recovering the prior state otherwise. Every
 // Append (and Add) is written to a checksummed log and fsync'd before it is
-// acknowledged; the log periodically compacts into a snapshot of the
-// accumulated tables. Recovery after a crash keeps every acknowledged add
-// and loses at most the one a crash interrupted: a torn final log record is
-// truncated, never an error. Only the tables are persisted: the first
-// Integrate after a reopen computes the result from them, as a fresh
-// session fed the same tables would, and later Integrates are incremental
-// again.
+// acknowledged, and the log is all the session writes. Recovery after a
+// crash keeps every acknowledged add and loses at most the one a crash
+// interrupted: a torn final log record is truncated, never an error. A
+// corrupt record with acknowledged records after it fails the open, naming
+// the log and the offset, as does a corrupt snapshot in a directory an
+// earlier version wrote (such directories still open, and their log keeps
+// growing). Only the tables are persisted: the first Integrate after a
+// reopen computes the result from them, as a fresh session fed the same
+// tables would, and later Integrates are incremental again.
 //
 // The recovered session accepts the same options as NewSession; pass the
 // ones it was created with to get the same result.
@@ -438,13 +440,10 @@ func (s *Session) Add(tables ...*Table) { s.s.Add(tables...) }
 // retry. On an in-memory session it never fails.
 func (s *Session) Append(tables ...*Table) error { return s.s.Append(tables...) }
 
-// Flush compacts any adds logged since the last snapshot into a new
-// snapshot. In-memory sessions no-op.
-func (s *Session) Flush() error { return s.s.Flush() }
-
-// Close flushes and releases a durable session's store; the session
-// afterwards rejects new adds but still serves reads. In-memory sessions
-// only reject further adds. Close is idempotent.
+// Close releases a durable session's log; the session afterwards rejects
+// new adds but still serves reads. It writes nothing: every acknowledged
+// add is already on disk. In-memory sessions only reject further adds.
+// Close is idempotent.
 func (s *Session) Close() error { return s.s.Close() }
 
 // Durable reports whether the session persists its adds (true exactly for
@@ -462,15 +461,6 @@ func (s *Session) Degraded() error { return s.s.Degraded() }
 // still failing. Writes also self-probe; Probe just restores availability
 // ahead of the next write.
 func (s *Session) Probe() error { return s.s.Probe() }
-
-// SnapshotFailures reports how many automatic log compactions have failed.
-// Auto-snapshot failures are non-fatal (the log stays authoritative), so
-// this counter is the signal that compaction is not keeping up.
-func (s *Session) SnapshotFailures() int { return s.s.SnapshotFailures() }
-
-// LastSnapshotError returns the most recent automatic-snapshot failure, or
-// nil if none has failed.
-func (s *Session) LastSnapshotError() error { return s.s.LastSnapshotError() }
 
 // Tables reports the number of tables added so far.
 func (s *Session) Tables() int { return s.s.Tables() }
@@ -504,10 +494,11 @@ func (s *Session) Integrate() (*Result, error) { return s.s.Integrate() }
 
 // IntegrateContext is Integrate under a context, with the cancellation
 // semantics of the package-level IntegrateContext. A canceled integration
-// leaves the session consistent — cached state the run did not reach is
-// kept, the FD index discards its partial delta — so a later call with a
-// live context completes normally and stays byte-identical to a one-shot
-// run. The Result is read-only, as for Integrate.
+// leaves the session consistent: cached state the run did not reach is
+// kept, and the FD index keeps the delta it ingested marked dirty. A later
+// call with a live context therefore closes that delta, completes normally
+// and stays byte-identical to a one-shot run. The Result is read-only, as
+// for Integrate.
 func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	return s.s.IntegrateContext(ctx)
 }

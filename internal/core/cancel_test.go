@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"fuzzyfd/internal/embed"
 	"fuzzyfd/internal/fd"
 	"fuzzyfd/internal/table"
+	"fuzzyfd/internal/wal"
 )
 
 // gateEmbedder is the deterministic slow-embedder fixture: the first Embed
@@ -79,6 +81,64 @@ func TestIntegrateContextCancelsMatchPhase(t *testing.T) {
 	}
 	if pe.Phase != PhaseMatch {
 		t.Errorf("Phase = %q, want %q", pe.Phase, PhaseMatch)
+	}
+}
+
+// TestSessionReadsDuringMatchPhase: while an integration is held inside
+// its match phase's embedding warm-up, the read-side calls, an Append and a
+// Close on the same durable session all return; the held integration then
+// completes over exactly the tables added before it started.
+func TestSessionReadsDuringMatchPhase(t *testing.T) {
+	gate := newGateEmbedder()
+	s, err := OpenSession(Config{Embedder: gate, MatchWorkers: 1}, "sess", wal.NewMemFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := fig1()
+	if err := s.Append(tables[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.IntegrateContext(context.Background())
+		done <- err
+	}()
+	<-gate.started // the match phase is mid-embedding
+
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Tables", func() error { s.Tables(); return nil }},
+		{"Last", func() error { s.Last(); return nil }},
+		{"Integrations", func() error { s.Integrations(); return nil }},
+		{"RewriteCacheHits", func() error { s.RewriteCacheHits(); return nil }},
+		{"Degraded", s.Degraded},
+		{"Append", func() error { return s.Append(tables[2]) }},
+		{"Close", s.Close},
+	}
+	for _, c := range calls {
+		returned := make(chan error, 1)
+		go func() { returned <- c.call() }()
+		select {
+		case err := <-returned:
+			if err != nil {
+				t.Errorf("%s during the match phase: %v", c.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			close(gate.release)
+			t.Fatalf("%s still blocked on the running integration after 5 s", c.name)
+		}
+	}
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Last().Table.NumRows(); got == 0 {
+		t.Error("the held integration published an empty result")
+	}
+	if s.Tables() != 3 || s.current() != nil {
+		t.Errorf("%d tables, current result %v: want 3 tables and the one appended during the match phase pending", s.Tables(), s.current())
 	}
 }
 

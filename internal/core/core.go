@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"iter"
 	"runtime"
 	"strings"
@@ -83,7 +82,16 @@ type PhaseError struct {
 	Err   error
 }
 
-func (e *PhaseError) Error() string { return fmt.Sprintf("core: %s: %v", e.Phase, e.Err) }
+// Error names the phase once: a cause whose text already starts with it,
+// as the fd layer's errors do, is not prefixed again.
+func (e *PhaseError) Error() string {
+	msg := e.Err.Error()
+	if strings.HasPrefix(msg, e.Phase+": ") {
+		return "core: " + msg
+	}
+	return "core: " + e.Phase + ": " + msg
+}
+
 func (e *PhaseError) Unwrap() error { return e.Err }
 
 // phaseErr wraps a stage failure in a PhaseError, first marking context

@@ -3,8 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"fuzzyfd/internal/fd"
@@ -49,11 +52,11 @@ func sameResult(a, b *Result) bool {
 }
 
 // durableScript drives one full session run against fs: append each batch,
-// integrating (and thereby possibly auto-snapshotting) after every one.
-// It returns the batches whose Append was acknowledged; any error after
-// the crash budget fires is expected and ends the run.
-func durableScript(fs *wal.MemFS, cfg Config, snapEvery int, batches [][]*table.Table) (acked [][]*table.Table) {
-	s, err := openDurable(cfg, fs, snapEvery)
+// integrating after every one. It returns the batches whose Append was
+// acknowledged; any error after the crash budget fires is expected and ends
+// the run.
+func durableScript(fs *wal.MemFS, cfg Config, batches [][]*table.Table) (acked [][]*table.Table) {
+	s, err := OpenSession(cfg, "sess", fs)
 	if err != nil {
 		return nil
 	}
@@ -71,40 +74,36 @@ func durableScript(fs *wal.MemFS, cfg Config, snapEvery int, batches [][]*table.
 }
 
 // The recovery property: crash the filesystem after every possible byte
-// budget during a scripted run of appends, integrations, and snapshots;
-// reopening must recover a session whose integration result is
-// byte-identical — tables and provenance — to an in-memory session fed
-// exactly the acknowledged batches. Swept across engine variants and
-// snapshot cadences.
+// budget during a scripted run of appends and integrations; reopening must
+// recover a session whose integration result is byte-identical — tables
+// and provenance — to an in-memory session fed exactly the acknowledged
+// batches. Swept across engine variants.
 func TestDurableSessionCrashRecoveryProperty(t *testing.T) {
 	batches := durableBatches()
 	variants := []struct {
-		name      string
-		cfg       Config
-		snapEvery int
-		stride    int64 // sweep step; 1 = every byte
+		name string
+		cfg  Config
 	}{
-		{"equi-snap1", Config{Method: MethodEquiFD}, 1, 1},
-		{"fuzzy-snap2-workers4", Config{FD: fd.Options{Workers: 4}}, 2, 7},
-		{"equi-nosnap", Config{Method: MethodEquiFD}, 1 << 30, 5},
+		{"equi-nosnap", Config{Method: MethodEquiFD}},
+		{"fuzzy-workers4", Config{FD: fd.Options{Workers: 4}}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			dry := wal.NewMemFS()
-			if got := durableScript(dry, v.cfg, v.snapEvery, batches); len(got) != len(batches) {
+			if got := durableScript(dry, v.cfg, batches); len(got) != len(batches) {
 				t.Fatalf("dry run acked %d/%d batches", len(got), len(batches))
 			}
 			total := dry.BytesWritten()
 			if total == 0 {
 				t.Fatal("dry run wrote nothing")
 			}
-			for n := int64(0); n <= total; n += v.stride {
+			for n := int64(0); n <= total; n++ {
 				fs := wal.NewMemFS()
 				fs.CrashAfterBytes(n)
-				acked := durableScript(fs, v.cfg, v.snapEvery, batches)
+				acked := durableScript(fs, v.cfg, batches)
 				fs.Crash()
 
-				s, err := openDurable(v.cfg, fs, v.snapEvery)
+				s, err := OpenSession(v.cfg, "sess", fs)
 				if err != nil {
 					t.Fatalf("budget %d: reopen: %v", n, err)
 				}
@@ -142,23 +141,13 @@ func TestDurableSessionCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// openDurable opens the session in "sess" on fs and sets how many log
-// frames it lets pass between automatic snapshots.
-func openDurable(cfg Config, fs wal.FS, snapEvery int) (*Session, error) {
-	s, err := OpenSession(cfg, "sess", fs)
-	if err == nil {
-		s.snapEvery = snapEvery
-	}
-	return s, err
-}
-
 // A clean close and reopen serves the identical result, in whichever order
-// the batches arrived. The snapshot holds the tables only — dict.seg,
-// manifest.json and tables.seg, even for a session of over a hundred
-// components — and the first delta after the reopen does exactly the work
-// it does in a session that never restarted: the reopen's first Integrate
-// closes every component from the recovered tables, so the delta extends a
-// closure store instead of re-closing from base tuples.
+// the batches arrived. The store holds the log only — wal-0.log, even for
+// a session of over a hundred components — and the first delta after the
+// reopen does exactly the work it does in a session that never restarted:
+// the reopen's first Integrate closes every component from the recovered
+// tables, so the delta extends a closure store instead of re-closing from
+// base tuples.
 func TestDurableSessionCleanRestart(t *testing.T) {
 	base := durableBatches()
 	reorder := func(order ...int) [][]*table.Table {
@@ -192,7 +181,7 @@ func TestDurableSessionCleanRestart(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			fs := wal.NewMemFS()
-			s, err := openDurable(c.cfg, fs, 1<<30)
+			s, err := OpenSession(c.cfg, "sess", fs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,15 +200,15 @@ func TestDurableSessionCleanRestart(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
-			names, err := fs.ReadDir("sess/snap-1")
+			names, err := fs.ReadDir("sess")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if layout := []string{"dict.seg", "manifest.json", "tables.seg"}; !slices.Equal(names, layout) {
-				t.Errorf("snapshot holds %v, want %v", names, layout)
+			if layout := []string{"wal-0.log"}; !slices.Equal(names, layout) {
+				t.Errorf("store holds %v, want %v", names, layout)
 			}
 
-			s2, err := openDurable(c.cfg, fs, 1<<30)
+			s2, err := OpenSession(c.cfg, "sess", fs)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -268,32 +257,83 @@ func TestDurableSessionCleanRestart(t *testing.T) {
 	}
 }
 
-// A flipped bit in a committed snapshot segment must fail the reopen with
-// an error naming the corrupt snapshot — never silently drop state.
-func TestDurableSessionDetectsSnapshotCorruption(t *testing.T) {
-	fs := wal.NewMemFS()
-	cfg := Config{Method: MethodEquiFD}
-	s, err := openDurable(cfg, fs, 1)
+// legacySnapshotLayout copies the store directory an earlier version's
+// snapshot writer left in internal/wal/testdata/snapshot-layout (a
+// committed snapshot plus a two-frame log) into dir on fs, synced and
+// committed.
+func legacySnapshotLayout(t *testing.T, fs *wal.MemFS, dir string) {
+	t.Helper()
+	src := filepath.Join("..", "wal", "testdata", "snapshot-layout")
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		dst := filepath.Join(dir, rel)
+		if d.IsDir() {
+			if err := fs.MkdirAll(dst); err != nil {
+				return err
+			}
+		} else if data, err := os.ReadFile(path); err != nil {
+			return err
+		} else if err := wal.WriteFileSync(fs, dst, data); err != nil {
+			return err
+		}
+		return fs.SyncDir(filepath.Dir(dst))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range durableBatches() {
-		if err := s.Append(b...); err != nil {
+}
+
+// A flipped bit in acknowledged state must fail the reopen with an error
+// naming the corrupt file — never silently drop state: in a committed
+// snapshot segment of a directory an earlier version wrote, and in a log
+// frame with acknowledged frames after it.
+func TestDurableSessionDetectsSnapshotCorruption(t *testing.T) {
+	cfg := Config{Method: MethodEquiFD}
+	t.Run("snapshot", func(t *testing.T) {
+		fs := wal.NewMemFS()
+		legacySnapshotLayout(t, fs, "sess")
+		s, err := OpenSession(cfg, "sess", fs)
+		if err != nil {
+			t.Fatalf("the intact legacy directory: %v", err)
+		}
+		if s.Tables() != 5 {
+			t.Fatalf("the legacy directory recovered %d tables, want 5", s.Tables())
+		}
+		s.Close()
+		if err := fs.FlipBit("sess/snap-1/tables.seg", 12, 5); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := s.Integrate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.FlipBit("sess/snap-1/tables.seg", 12, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSession(cfg, "sess", fs); err == nil {
-		t.Fatal("reopen succeeded on a corrupt committed snapshot")
-	}
+		if _, err := OpenSession(cfg, "sess", fs); err == nil || !strings.Contains(err.Error(), "snap-1") {
+			t.Fatalf("reopen on a corrupt committed snapshot: err = %v, want one naming snap-1", err)
+		}
+	})
+	t.Run("interior-frame", func(t *testing.T) {
+		fs := wal.NewMemFS()
+		s, err := OpenSession(cfg, "sess", fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range durableBatches() {
+			if err := s.Append(b...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Integrate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.FlipBit("sess/wal-0.log", 12, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSession(cfg, "sess", fs); err == nil || !strings.Contains(err.Error(), "wal-0.log") || !strings.Contains(err.Error(), "offset 0") {
+			t.Fatalf("reopen on a corrupt first frame: err = %v, want one naming wal-0.log at offset 0", err)
+		}
+	})
 }
 
 // After Close the session rejects writes but keeps serving reads.

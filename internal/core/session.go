@@ -39,26 +39,27 @@ import (
 // to them; the caller must not modify them afterwards.
 //
 // A Session is safe for concurrent use, and runs one integration at a
-// time: IntegrateContext and Close hold runMu from preparation through
-// publication, so each integration covers exactly the tables added before
-// it took the lock. mu guards what Append and the read-side calls (Tables,
-// Integrations, Last, RewriteCacheHits, StreamContext's check for pending
-// tables) touch, and is released during the FD stage, so neither waits on
-// a running integration's closures, nor observes half-updated session
-// state. A published Result is never written to again, so a stream
-// iterates Last without any lock.
+// time: IntegrateContext holds runMu from preparation through publication.
+// It reads the table list under mu once, at the start, so each integration
+// covers exactly the tables added before it; alignment, matching and the FD
+// stage then run under runMu alone. mu guards what Append and the
+// read-side calls (Tables, Integrations, Last, RewriteCacheHits, Degraded,
+// StreamContext's check for pending tables) touch, so none of them waits on
+// a running integration, nor observes half-updated session state. A
+// published Result is never written to again, so a stream iterates Last
+// without any lock.
 type Session struct {
 	cfg   Config
 	emb   embed.Embedder
 	cache *embed.ValueCache
 
-	runMu sync.Mutex  // one integration or Close at a time
-	memo  *match.Memo // the matcher's, used under runMu
+	runMu    sync.Mutex                    // one integration at a time
+	memo     *match.Memo                   // the matcher's, used under runMu
+	rewrites map[*table.Table]rewriteEntry // source table -> cached rewritten view, used under runMu
+	idx      *fd.Index
 
 	mu         sync.RWMutex
 	tables     []*table.Table
-	rewrites   map[*table.Table]rewriteEntry // source table -> cached rewritten view
-	idx        *fd.Index
 	last       *Result
 	lastTables int // tables integrated into last
 
@@ -67,12 +68,9 @@ type Session struct {
 
 	// Durable-session state (nil store for plain in-memory sessions; see
 	// OpenSession in durable.go).
-	store     *wal.Store
-	snapEvery int // frames between automatic snapshots (snapshotEvery)
-	closed    bool
-	addErr    error // first Add batch lost to a log failure; poisons Integrate
-	snapFails int   // automatic snapshots that failed (non-fatal; log stays authoritative)
-	snapErr   error // most recent automatic-snapshot failure
+	store  *wal.Store
+	closed bool
+	addErr error // first Add batch lost to a log failure; poisons Integrate
 }
 
 // rewriteEntry caches one table's rewritten view, keyed by a digest of the
@@ -173,19 +171,21 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	s.mu.Lock()
-	work, schema, res, err := s.prepare(ctx)
-	tables := len(s.tables)
-	s.mu.Unlock()
+	s.mu.RLock()
+	tables, addErr := s.tables, s.addErr
+	s.mu.RUnlock()
+	if addErr != nil {
+		return nil, fmt.Errorf("core: an added batch was lost by the session log: %w", addErr)
+	}
+	work, schema, res, hits, err := s.prepare(ctx, tables)
 	if err != nil {
 		return nil, err
 	}
 
 	// Stage 3: incremental equi-join Full Disjunction over the rewritten
-	// view, with mu released so Append and readers proceed. The index
-	// verifies that previously ingested rows still hold (a matching round
-	// may have re-elected representatives) and closes only dirty
-	// components.
+	// view. The index verifies that previously ingested rows still hold (a
+	// matching round may have re-elected representatives) and closes only
+	// dirty components.
 	fdStart := time.Now()
 	s.emit(ProgressEvent{Phase: PhaseFD})
 	fdRes, err := s.idx.UpdateContext(ctx, work, schema, s.cfg.fdOptions())
@@ -201,13 +201,9 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 
 	s.mu.Lock()
 	s.integrations++
-	s.last, s.lastTables = res, tables
+	s.rewriteHits += hits
+	s.last, s.lastTables = res, len(tables)
 	s.mu.Unlock()
-
-	// Durable sessions compact here, off the Append acknowledgement path. A
-	// snapshot failure is non-fatal (the log remains authoritative) and is
-	// retried next time.
-	s.maybeSnapshot()
 	return res, nil
 }
 
@@ -249,22 +245,18 @@ func (s *Session) current() *Result {
 	return s.last
 }
 
-// prepare runs the pre-FD pipeline stages — column alignment and (for the
-// fuzzy method) value matching with cell rewriting — returning the tables
-// the FD stage should consume and a Result with the schema, match
-// diagnostics, and stage timings filled in. Callers must hold s.runMu and
-// s.mu.
-func (s *Session) prepare(ctx context.Context) ([]*table.Table, fd.Schema, *Result, error) {
-	if s.addErr != nil {
-		return nil, fd.Schema{}, nil, fmt.Errorf("core: an added batch was lost by the session log: %w", s.addErr)
-	}
-	if len(s.tables) == 0 {
-		return nil, fd.Schema{}, nil, ErrNoTables
+// prepare runs the pre-FD pipeline stages over tables — column alignment
+// and (for the fuzzy method) value matching with cell rewriting — returning
+// the tables the FD stage should consume, a Result with the schema, match
+// diagnostics, and stage timings filled in, and the rewrites served from
+// the session's cached views. Callers must hold s.runMu and not s.mu.
+func (s *Session) prepare(ctx context.Context, tables []*table.Table) ([]*table.Table, fd.Schema, *Result, int, error) {
+	if len(tables) == 0 {
+		return nil, fd.Schema{}, nil, 0, ErrNoTables
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fd.Schema{}, nil, phaseErr(PhaseAlign, err)
+		return nil, fd.Schema{}, nil, 0, phaseErr(PhaseAlign, err)
 	}
-	tables := s.tables
 	res := &Result{ColumnClusters: make(map[int][]match.Cluster)}
 
 	// Stage 1: column alignment. Content alignment re-runs over the whole
@@ -277,14 +269,14 @@ func (s *Session) prepare(ctx context.Context) ([]*table.Table, fd.Schema, *Resu
 		aligner := &align.Aligner{Emb: s.emb, UseHeaders: s.cfg.UseHeaders}
 		ar, err := aligner.Align(tables)
 		if err != nil {
-			return nil, fd.Schema{}, nil, phaseErr(PhaseAlign, err)
+			return nil, fd.Schema{}, nil, 0, phaseErr(PhaseAlign, err)
 		}
 		schema = ar.Schema(tables)
 	} else {
 		schema = fd.IdentitySchema(tables)
 	}
 	if err := schema.Validate(tables); err != nil {
-		return nil, fd.Schema{}, nil, err
+		return nil, fd.Schema{}, nil, 0, err
 	}
 	res.Schema = schema
 	res.Timings.Align = time.Since(alignStart)
@@ -292,28 +284,29 @@ func (s *Session) prepare(ctx context.Context) ([]*table.Table, fd.Schema, *Resu
 
 	// Stage 2 (fuzzy only): value matching and cell rewriting, replaying
 	// the assignment rounds whose inputs are unchanged.
-	work := tables
+	work, hits := tables, 0
 	if s.cfg.Method == MethodFuzzyFD {
 		matchStart := time.Now()
 		s.emit(ProgressEvent{Phase: PhaseMatch})
-		rewritten, err := s.matchAndRewrite(ctx, tables, schema, res)
+		rewritten, h, err := s.matchAndRewrite(ctx, tables, schema, res)
 		if err != nil {
-			return nil, fd.Schema{}, nil, err
+			return nil, fd.Schema{}, nil, 0, err
 		}
-		work = rewritten
+		work, hits = rewritten, h
 		res.Timings.Match = time.Since(matchStart)
 		s.emit(ProgressEvent{Phase: PhaseMatch, Done: true, Elapsed: res.Timings.Match})
 	}
-	return work, schema, res, nil
+	return work, schema, res, hits, nil
 }
 
 // matchAndRewrite runs the Match Values component over every aligned
 // column set with at least two source columns and returns rewritten copies
-// of the tables. Every set is matched on the session's memo: a round whose
-// inputs an earlier integration met replays its pairs, so a set untouched
-// by newly added tables runs no assignment, and one that gained a column
-// re-runs only from the first round whose inputs changed.
-func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, schema fd.Schema, res *Result) ([]*table.Table, error) {
+// of the tables, with the number of them served from cached views. Every
+// set is matched on the session's memo: a round whose inputs an earlier
+// integration met replays its pairs, so a set untouched by newly added
+// tables runs no assignment, and one that gained a column re-runs only from
+// the first round whose inputs changed.
+func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, schema fd.Schema, res *Result) ([]*table.Table, int, error) {
 	// Invert the schema: output column -> contributing (table, column)
 	// refs in table order (the order the paper's sequential matching
 	// consumes them).
@@ -358,7 +351,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 	}
 	if values := match.DistinctValues(allCols); len(values) > 0 {
 		if err := embed.WarmContext(ctx, s.emb, values, s.cfg.ResolvedMatchWorkers()); err != nil {
-			return nil, phaseErr(PhaseMatch, err)
+			return nil, 0, phaseErr(PhaseMatch, err)
 		}
 	}
 
@@ -367,7 +360,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 	for _, cs := range sets {
 		clusters, stats, err := matcher.Match(ctx, cs.cols)
 		if err != nil {
-			return nil, phaseErr(PhaseMatch, fmt.Errorf("output column %q: %w", schema.Columns[cs.out], err))
+			return nil, 0, phaseErr(PhaseMatch, fmt.Errorf("output column %q: %w", schema.Columns[cs.out], err))
 		}
 		res.ColumnClusters[cs.out] = clusters
 		allStats = append(allStats, stats)
@@ -390,6 +383,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 	// original.
 	rewritten := make([]*table.Table, len(tables))
 	newRewrites := make(map[*table.Table]rewriteEntry, len(tables))
+	hits := 0
 	for i, t := range tables {
 		key, live := rewritePlanKey(t, plans[i])
 		if live == 0 {
@@ -399,7 +393,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 		if e, ok := s.rewrites[t]; ok && e.key == key {
 			rewritten[i] = e.out
 			newRewrites[t] = e
-			s.rewriteHits++
+			hits++
 			continue
 		}
 		out := t.Clone()
@@ -412,7 +406,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 	// Replace, not merge: tables whose plan changed must not pin stale
 	// views.
 	s.rewrites = newRewrites
-	return rewritten, nil
+	return rewritten, hits, nil
 }
 
 // RewriteCacheHits reports how many table rewrites were served from the

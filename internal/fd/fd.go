@@ -282,7 +282,7 @@ type Stats struct {
 	PivotGroups       int   // disjoint pivot-value groups hubs were closed by (closePivotPar; 0 when no component was)
 	PivotSkipped      int   // candidate iterations skipped by pivot bucketing this run
 	PivotBuckets      int   // (list, pivot-value) buckets in the frozen parts of the posting indexes built or extended this run; a delta is not bucketed
-	MemoryBytes       int64 // estimated peak resident bytes under the budget's linear model (0 when no budget was set)
+	MemoryBytes       int64 // estimated resident bytes after the run under the memory budget's linear model, reported with or without a budget
 	Subsumed          int   // tuples removed by subsumption
 	Output            int
 	Elapsed           time.Duration

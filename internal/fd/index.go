@@ -246,9 +246,10 @@ func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema
 	stats.Components = x.live
 	stats.Closure = x.closure
 	stats.LargestComp, stats.LargestClose = x.largestComp, x.largestClose
-	// The budget's estimate for everything live, reported whenever a budget
-	// is set — also when this Update closed nothing.
-	stats.MemoryBytes = newBudget(opts, len(x.base)+x.closure-x.covered, eng).bytes()
+	// The budget model's estimate for everything live, reported on every
+	// Update — with or without a budget, and also when it closed nothing.
+	base, perTuple := memoryModel(eng)
+	stats.MemoryBytes = base + int64(len(x.base)+x.closure-x.covered)*perTuple
 	rows, prov := x.assembleRows(eng)
 	return rows, prov, nil
 }

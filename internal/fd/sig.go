@@ -130,20 +130,25 @@ const (
 	tupleColBytes  = 8
 )
 
+// memoryModel returns the linear model's fixed bytes (the dictionary's)
+// and its bytes per live tuple at eng's schema width.
+func memoryModel(eng *engine) (baseBytes, perTuple int64) {
+	perTuple = tupleBaseBytes
+	if eng != nil {
+		baseBytes = eng.dict.Bytes()
+		perTuple += tupleColBytes * int64(eng.nCols)
+	}
+	return baseBytes, perTuple
+}
+
 // newBudget returns a budget with initial tuples already live, or nil when
 // no ceiling is set (unlimited).
 func newBudget(opts Options, initial int, eng *engine) *budget {
 	if opts.MaxBytes <= 0 {
 		return nil
 	}
-	b := &budget{
-		maxBytes: opts.MaxBytes,
-		perTuple: tupleBaseBytes,
-	}
-	if eng != nil {
-		b.baseBytes = eng.dict.Bytes()
-		b.perTuple += tupleColBytes * int64(eng.nCols)
-	}
+	b := &budget{maxBytes: opts.MaxBytes}
+	b.baseBytes, b.perTuple = memoryModel(eng)
 	b.n.Store(int64(initial))
 	return b
 }
@@ -173,12 +178,4 @@ func (b *budget) over(n int64) error {
 		return ErrMemoryBudget
 	}
 	return nil
-}
-
-// bytes estimates the resident closure memory at the current live count.
-func (b *budget) bytes() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.baseBytes + b.n.Load()*b.perTuple
 }

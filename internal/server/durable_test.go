@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -172,47 +173,121 @@ func TestSaveOptionsReplaces(t *testing.T) {
 	}
 }
 
-// A session whose store exists but will not open — one byte of its
-// committed snapshot flipped — is a 500 open_failed naming the cause, on the
-// lazy reopen behind GET as on PUT; it is neither missing (404) nor a bad
-// request. Options out of range are still a 400, checked before any open,
-// and DELETE still removes the session.
+// legacySession copies internal/wal/testdata/snapshot-layout — a store
+// directory an earlier version's snapshot writer left: tables t0–t4 of
+// columns k and v, t0–t2 in a committed snapshot and t3, t4 in its log —
+// into dataDir as the equi session name, beside the session.json a server
+// would have written.
+func legacySession(t *testing.T, dataDir, name string) string {
+	t.Helper()
+	dir := filepath.Join(dataDir, name)
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "wal", "testdata", "snapshot-layout"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveOptions(dir, sessionOptions{Equi: true}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// legacyTables is what legacySession's directory holds, as JSONL bodies by
+// table name.
+func legacyTables() (names, bodies []string) {
+	for i := range 5 {
+		body := fmt.Sprintf(`{"k":"k%d","v":"v%d"}`, i, i%3)
+		if i%2 == 0 {
+			body += fmt.Sprintf("\n"+`{"k":"k%d","v":null}`, i)
+		}
+		names, bodies = append(names, fmt.Sprintf("t%d", i)), append(bodies, body)
+	}
+	return names, bodies
+}
+
+// A session directory an earlier version wrote — a committed snapshot plus
+// a log tail — is served as it stands: the daemon reopens it on the first
+// request and streams the result a session fed the same tables over HTTP
+// streams, and a table added afterwards lands in its log and survives the
+// next restart.
+func TestServerOpensSnapshotLayout(t *testing.T) {
+	dir := t.TempDir()
+	legacySession(t, dir, "old")
+	srv, ts := newTestServer(t, Config{DataDir: dir})
+	createSession(t, ts, "new", `{"equi": true}`)
+	names, bodies := legacyTables()
+	for i := range names {
+		postTable(t, ts, "new", names[i], bodies[i])
+	}
+	want := resultJSON(t, ts, "new")
+	if got := resultJSON(t, ts, "old"); !reflect.DeepEqual(got["rows"], want["rows"]) || !reflect.DeepEqual(got["columns"], want["columns"]) {
+		t.Fatalf("the legacy session's result diverges:\ngot  %v\nwant %v", got, want)
+	}
+
+	extra := `{"k":"k1","w":"x"}`
+	postTable(t, ts, "old", "extra", extra)
+	postTable(t, ts, "new", "extra", extra)
+	want = resultJSON(t, ts, "new")
+	_, ts2 := restartWith(t, srv, ts, Config{DataDir: dir})
+	if got := resultJSON(t, ts2, "old"); !reflect.DeepEqual(got["rows"], want["rows"]) {
+		t.Fatalf("the legacy session after an add and a restart diverges:\ngot  %v\nwant %v", got, want)
+	}
+}
+
+// A session whose store exists but will not open is a 500 open_failed
+// naming the cause, on the lazy reopen behind GET as on PUT; it is neither
+// missing (404) nor a bad request, and the failed open truncates nothing.
+// Two stores fail so: one with a flipped byte in the first of its two log
+// frames, and a directory an earlier version wrote with a flipped byte in
+// its committed snapshot. Options out of range are still a 400, checked
+// before any open, and DELETE still removes the session.
 func TestServerCorruptStoreOpenFailed(t *testing.T) {
 	dir := t.TempDir()
 	srv1 := New(Config{DataDir: dir})
 	ts1 := httptest.NewServer(srv1)
 	createSession(t, ts1, "crash", `{"equi": true}`)
 	postTable(t, ts1, "crash", "people", `{"name":"alice","city":"Berlin"}`)
+	postTable(t, ts1, "crash", "jobs", `{"name":"alice","job":"eng"}`)
 	if err := srv1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
 	srv1.Close()
+	legacySession(t, dir, "legacy")
 
-	segs, err := filepath.Glob(filepath.Join(dir, "crash", "snap-*", "tables.seg"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("committed tables segments = %v (%v), want one", segs, err)
+	flip := func(name string, at int) []byte {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[at] ^= 0x20
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x20
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	log := filepath.Join(dir, "crash", "wal-0.log")
+	corruptLog := flip(log, 12) // inside the first frame's payload
+	seg := filepath.Join(dir, "legacy", "snap-1", "tables.seg")
+	flip(seg, 12)
 
 	_, ts := newTestServer(t, Config{DataDir: dir})
-	for _, req := range []struct{ method, body string }{
-		{http.MethodGet, ""},
-		{http.MethodPut, `{"equi": true}`},
+	for _, c := range []struct{ session, names string }{
+		{"crash", "wal-0.log"},
+		{"legacy", "snap-1"},
 	} {
-		resp, body := doReq(t, req.method, ts.URL+"/v1/sessions/crash", req.body, nil)
-		var eb errorBody
-		json.Unmarshal(body, &eb)
-		if resp.StatusCode != http.StatusInternalServerError || eb.Code != "open_failed" || !strings.Contains(eb.Error, "snap-1") {
-			t.Fatalf("%s corrupt session: status %d body %s, want 500 open_failed naming snap-1", req.method, resp.StatusCode, body)
+		for _, req := range []struct{ method, body string }{
+			{http.MethodGet, ""},
+			{http.MethodPut, `{"equi": true}`},
+		} {
+			resp, body := doReq(t, req.method, ts.URL+"/v1/sessions/"+c.session, req.body, nil)
+			var eb errorBody
+			json.Unmarshal(body, &eb)
+			if resp.StatusCode != http.StatusInternalServerError || eb.Code != "open_failed" || !strings.Contains(eb.Error, c.names) {
+				t.Fatalf("%s corrupt session %s: status %d body %s, want 500 open_failed naming %s", req.method, c.session, resp.StatusCode, body, c.names)
+			}
 		}
+	}
+	if got, err := os.ReadFile(log); err != nil || !slices.Equal(got, corruptLog) {
+		t.Fatalf("the failed open changed the log (%v)", err)
 	}
 	if resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/sessions/crash", `{"threshold": 2}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("threshold 2: status %d body %s, want 400", resp.StatusCode, body)
@@ -225,8 +300,9 @@ func TestServerCorruptStoreOpenFailed(t *testing.T) {
 	}
 }
 
-// Idle eviction of a durable session flushes it to disk instead of losing
-// it: the next request transparently reopens it with its state intact.
+// Idle eviction of a durable session loses nothing: its log already holds
+// every add, and the next request transparently reopens it with its state
+// intact.
 func TestServerEvictionFlushesAndReopens(t *testing.T) {
 	srv, ts := newTestServer(t, Config{DataDir: t.TempDir(), IdleTTL: 30 * time.Millisecond})
 	createSession(t, ts, "ev", `{"equi": true}`)

@@ -112,6 +112,10 @@ type sessionInfo struct {
 	ClosureTuples    int       `json:"closure_tuples"`
 	ReclosedTuples   int       `json:"reclosed_tuples"`
 	RewriteCacheHits int       `json:"rewrite_cache_hits"`
+	// MemoryBytes is the memory budget model's estimate of the session's
+	// Full Disjunction state after its latest integration: the figure a
+	// -memory-budget is checked against.
+	MemoryBytes int64 `json:"memory_bytes"`
 }
 
 func info(c *session) sessionInfo {
@@ -126,6 +130,7 @@ func info(c *session) sessionInfo {
 		ClosureTuples:    st.Closure,
 		ReclosedTuples:   st.ReclosedTuples,
 		RewriteCacheHits: c.sess.RewriteCacheHits(),
+		MemoryBytes:      st.MemoryBytes,
 	}
 }
 
@@ -216,11 +221,6 @@ func (s *Server) newSession(name string, opts sessionOptions) (*session, error) 
 		}
 	}
 	c.sess = fs
-	// Auto-snapshots are deliberately non-fatal, which makes them silent;
-	// the per-flight bridge surfaces the failure counter's delta as a
-	// metric and a warn log naming the session. snapPrev needs no lock:
-	// done runs on the batcher goroutine, one flight at a time.
-	snapPrev := 0
 	c.bat = &batcher{
 		sess:     fs,
 		wg:       &s.inflight,
@@ -230,12 +230,6 @@ func (s *Server) newSession(name string, opts sessionOptions) (*session, error) 
 		hook:     s.hookFor(name),
 		done: func(res *fuzzyfd.Result, err error) {
 			s.met.onIntegrated(name, fs, res, err)
-			if n := fs.SnapshotFailures(); n > snapPrev {
-				s.met.snapshotFailures.With(name).Add(float64(n - snapPrev))
-				log.Printf("fuzzyfdd: session %q: automatic snapshot failed (%d total): %v",
-					name, n, fs.LastSnapshotError())
-				snapPrev = n
-			}
 		},
 		panicked: func(v any) {
 			s.met.panics.With().Inc()

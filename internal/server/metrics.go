@@ -38,7 +38,6 @@ type serverMetrics struct {
 	sseDropped   *metrics.Family // counter {session}
 
 	sessionsDegraded *metrics.Family // gauge: degraded durable sessions (set at scrape)
-	snapshotFailures *metrics.Family // counter {session}: failed automatic snapshots
 	throttled        *metrics.Family // counter {reason}: requests rejected by admission control
 	inflightWaits    *metrics.Family // counter: flights that queued on the in-flight limiter
 	probeRecoveries  *metrics.Family // counter: degraded logs re-armed by the prober
@@ -67,7 +66,6 @@ func newServerMetrics() *serverMetrics {
 		rowsStreamed:      r.Counter("fuzzyfdd_result_rows_streamed_total", "Result rows streamed to clients.", "session"),
 		sseDropped:        r.Counter("fuzzyfdd_sse_dropped_total", "Progress events dropped on slow SSE subscribers.", "session"),
 		sessionsDegraded:  r.Gauge("fuzzyfdd_sessions_degraded", "Durable sessions whose log is degraded (writes rejected, reads served)."),
-		snapshotFailures:  r.Counter("fuzzyfdd_snapshot_failures_total", "Automatic log compactions that failed (non-fatal; the log stays authoritative).", "session"),
 		throttled:         r.Counter("fuzzyfdd_throttled_total", "Requests rejected by admission control.", "reason"),
 		inflightWaits:     r.Counter("fuzzyfdd_inflight_waits_total", "Coalesced flights that queued on the in-flight integration limiter."),
 		probeRecoveries:   r.Counter("fuzzyfdd_probe_recoveries_total", "Degraded session logs re-armed by the recovery prober."),
@@ -113,7 +111,6 @@ func (m *serverMetrics) sessionEvicted(name string) {
 		m.sessionTuples, m.sessionComponents, m.sessionRows,
 		m.reclosedTuples, m.pivotSkipped,
 		m.rewriteCacheHits, m.rowsStreamed, m.sseDropped,
-		m.snapshotFailures,
 	} {
 		f.Delete(name)
 	}

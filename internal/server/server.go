@@ -46,8 +46,8 @@ type Config struct {
 	// sessions; zero leaves the closure sequential.
 	Workers int
 	// DataDir, when set, makes sessions durable: each one is backed by a
-	// write-ahead log and snapshots under DataDir/<escaped-name>, survives
-	// a daemon restart, and is lazily reopened on its first request.
+	// write-ahead log under DataDir/<escaped-name>, survives a daemon
+	// restart, and is lazily reopened on its first request.
 	DataDir string
 	// RequestTimeout bounds ingestion and result requests; a request whose
 	// integration has not completed in time gets 504 (the coalesced
@@ -207,16 +207,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		close(s.drainCh)
 	}
 	s.mu.Unlock()
+	// Every acknowledged add is already in its session's log, so there is
+	// nothing to write once the work in flight has finished.
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
-		// Quiesced: snapshot every dirty durable session so a restart
-		// replays nothing (in-memory sessions no-op).
-		for _, c := range s.reg.list() {
-			if err := c.sess.Flush(); err != nil {
-				log.Printf("fuzzyfdd: drain: flush session %q: %v", c.name, err)
-			}
-		}
 		close(done)
 	}()
 	select {
@@ -270,12 +265,12 @@ func (s *Server) janitor() {
 			return
 		case <-t.C:
 			for _, sess := range s.reg.evictIdle(s.cfg.IdleTTL) {
-				// Durable sessions flush to disk on close (after any
-				// running integration or stream), so eviction is a cache
-				// drop — the next request lazily reopens them. The
-				// registry marks the name closing until finishClose, so a
-				// reopen racing this close waits instead of opening the
-				// store the departing session still holds.
+				// A durable session's log already holds every
+				// acknowledged add, so eviction is a cache drop — the next
+				// request lazily reopens it. The registry marks the name
+				// closing until finishClose, so a reopen racing this close
+				// waits instead of opening the log the departing session
+				// still holds.
 				if err := sess.sess.Close(); err != nil {
 					log.Printf("fuzzyfdd: evict session %q: %v", sess.name, err)
 				}

@@ -132,6 +132,11 @@ func TestServerLifecycle(t *testing.T) {
 	if inf.Tables != 1 || inf.Integrations != 1 || inf.Rows != 2 {
 		t.Fatalf("session info = %+v, want 1 table, 1 integration, 2 rows", inf)
 	}
+	// The memory estimate a -memory-budget is sized against is reported
+	// without a budget too.
+	if inf.MemoryBytes <= 0 || !bytes.Contains(body, []byte(`"memory_bytes":`)) {
+		t.Fatalf("session info %s: want a positive memory_bytes", body)
+	}
 
 	resp, body = doReq(t, http.MethodGet, ts.URL+"/v1/sessions", "", nil)
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"alpha"`)) {
@@ -656,6 +661,10 @@ func TestServerLimits(t *testing.T) {
 		`{"id":"1","a":"x"}`+"\n"+`{"id":"2","a":"y"}`, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("budget blowup: status %d (%s), want 422", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Code != "memory_budget" || eb.Error != "integrate: core: fd: memory budget exceeded" {
+		t.Fatalf("budget blowup body %s (%v), want code memory_budget naming the fd phase once", body, err)
 	}
 	_, body = doReq(t, http.MethodGet, ts2.URL+"/metrics", "", nil)
 	if !strings.Contains(string(body), `fuzzyfdd_integration_errors_total{session="tiny"} 1`) {

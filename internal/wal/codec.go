@@ -8,8 +8,8 @@ import (
 	"fuzzyfd/internal/table"
 )
 
-// Binary encoding helpers. Everything the log and the snapshot segments
-// store is built from two primitives — unsigned varints and
+// Binary encoding helpers. Everything the log and the legacy snapshot
+// segments store is built from two primitives — unsigned varints and
 // length-prefixed strings — wrapped in checksummed frames (see log.go), so
 // the decoders below never trust a length without the frame checksum
 // having passed first; limits here are only a second line of defense

@@ -12,8 +12,8 @@ import (
 // store's retry and degraded-mode paths. Faults are ErrInjected (classified
 // transient by IsTransient); an injected file write is torn, landing half
 // its bytes, so repair paths are exercised too. Read-side operations (Open,
-// ReadDir, Stat) and the namespace ops the commit protocol leans on
-// (Rename, Remove, MkdirAll) never fault: recovery correctness under those
+// ReadDir, Stat) and the namespace ops orphan cleanup leans on (Remove,
+// MkdirAll) never fault: recovery correctness under those
 // is MemFS's crash model's job, while FlakyFS models a disk whose writes
 // intermittently fail.
 //
@@ -85,7 +85,6 @@ func (f *FlakyFS) Create(name string) (File, error) {
 func (f *FlakyFS) Open(name string) (io.ReadCloser, error) { return f.inner.Open(name) }
 func (f *FlakyFS) ReadDir(dir string) ([]string, error)    { return f.inner.ReadDir(dir) }
 func (f *FlakyFS) Stat(name string) (int64, error)         { return f.inner.Stat(name) }
-func (f *FlakyFS) Rename(oldname, newname string) error    { return f.inner.Rename(oldname, newname) }
 func (f *FlakyFS) Remove(name string) error                { return f.inner.Remove(name) }
 
 func (f *FlakyFS) Truncate(name string, size int64) error {

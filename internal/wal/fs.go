@@ -1,22 +1,25 @@
 // Package wal is the crash-safe persistence subsystem behind durable
 // integration sessions: an append-only, length-prefixed, CRC32C-checksummed
-// record log of added table batches — one fsync'd frame per Add — plus
-// periodic compact snapshots of the session's input (the interned value
-// dictionary and the accumulated tables), with a manifest committed
-// atomically via temp-directory rename and a CURRENT pointer flip.
+// record log of added table batches — one fsync'd frame per Add. The log is
+// the store: each frame declares the dictionary values it introduces and
+// references every cell by symbol, so the log holds the session's input
+// once and nothing is ever rewritten. Directories written by earlier
+// versions may also hold a committed snapshot (CURRENT → snap-S/), which is
+// read on open and never written.
 //
-// Every write is fsynced: each log frame, segment, manifest and CURRENT
-// pointer before it counts, and each directory entry at its parent's
-// SyncDir. A transient fault is retried on a fixed ladder (retryAttempts
-// from retryBase, capped at maxBackoff) before the store degrades.
+// Every write is fsynced: each log frame before it counts, and the log's
+// directory entry at its parent's SyncDir. A transient fault is retried on
+// a fixed ladder (retryAttempts from retryBase, capped at maxBackoff)
+// before the store degrades.
 //
-// Recovery loads the latest valid snapshot and replays the log tail,
-// truncating a torn or corrupt tail frame instead of failing to open: a
-// crash mid-Add loses at most the un-acknowledged frame being written,
-// never an acknowledged one. All I/O goes through the small FS interface so
-// the recovery protocol is property-tested against injected faults — short
-// writes, fsync errors, crash-at-byte-N with unsynced-data rollback, bit
-// flips — byte-identical to an undisturbed in-memory session (see MemFS).
+// Recovery replays the log (after a legacy snapshot, if any), truncating a
+// torn final frame instead of failing to open: a crash mid-Add loses at
+// most the un-acknowledged frame being written, never an acknowledged one.
+// A bad frame with acknowledged bytes after it fails the open instead. All
+// I/O goes through the small FS interface so the recovery protocol is
+// property-tested against injected faults — short writes, fsync errors,
+// crash-at-byte-N with unsynced-data rollback, bit flips — byte-identical
+// to an undisturbed in-memory session (see MemFS).
 package wal
 
 import (
@@ -33,10 +36,8 @@ import (
 // in-memory one used by crash tests.
 //
 // Durability contract (matching POSIX): file bytes become crash-durable at
-// File.Sync; namespace changes — create, rename, remove — become
-// crash-durable at SyncDir of the parent directory. Rename is atomic: after
-// a crash the destination holds either the old or the new content, never a
-// mix.
+// File.Sync; namespace changes — create, remove — become crash-durable at
+// SyncDir of the parent directory.
 type FS interface {
 	// MkdirAll creates the directory and any missing parents.
 	MkdirAll(dir string) error
@@ -52,8 +53,6 @@ type FS interface {
 	Stat(name string) (int64, error)
 	// Truncate cuts the file to size bytes — the torn-tail repair.
 	Truncate(name string, size int64) error
-	// Rename atomically replaces newname with oldname's entry.
-	Rename(oldname, newname string) error
 	// Remove deletes a file or empty directory.
 	Remove(name string) error
 	// SyncDir makes a directory's entry changes crash-durable.
@@ -104,6 +103,8 @@ func (OSFS) Stat(name string) (int64, error) {
 
 func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
+// Rename atomically replaces newname with oldname's entry: after a crash
+// the destination holds either the old or the new content, never a mix.
 func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 
 func (OSFS) Remove(name string) error { return os.Remove(name) }
@@ -144,7 +145,7 @@ func exists(fs FS, name string) bool {
 	return err == nil
 }
 
-// removeTree removes a directory and its direct children (snapshot
+// removeTree removes a directory and its direct children (legacy snapshot
 // directories are flat). Best effort: the first error is returned but later
 // entries are still attempted.
 func removeTree(fs FS, dir string) error {

@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 )
@@ -86,24 +88,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 	})
 }
 
-// validSnapshot writes a real snapshot of two batches and returns its
-// manifest, dictionary and tables bytes.
+// validSnapshot returns the manifest, dictionary and tables bytes of the
+// committed snapshot in testdata/snapshot-layout, which an earlier
+// version's snapshot writer produced.
 func validSnapshot(tb testing.TB) (man, dict, tables []byte) {
-	fs := NewMemFS()
-	w, _, err := Open("sess", fs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer w.Close()
-	all := append(batch(0), batch(1)...)
-	if err := w.AppendAdd(all); err != nil {
-		tb.Fatal(err)
-	}
-	if err := w.Snapshot(all); err != nil {
-		tb.Fatal(err)
-	}
 	read := func(name string) []byte {
-		data, err := readAll(fs, "sess/snap-1/"+name)
+		data, err := os.ReadFile(filepath.Join("testdata", "snapshot-layout", snapDirName(1), name))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -7,7 +7,8 @@ import (
 	"io"
 )
 
-// Frame format, the unit of both the log and every snapshot segment:
+// Frame format, the unit of both the log and every legacy snapshot
+// segment:
 //
 //	+----------------+----------------+=================+
 //	| length (4B LE) | CRC32C (4B LE) |     payload     |
@@ -15,9 +16,10 @@ import (
 //
 // length counts payload bytes; the checksum is CRC32C (Castagnoli) over
 // the payload. A frame is valid iff the header fits, the payload fits,
-// and the checksum matches — anything else at the end of a log is a torn
-// tail and is truncated on open rather than failing recovery. The first
-// payload byte of log frames is a record-type tag.
+// and the checksum matches. A bad frame that reaches the end of a log is a
+// torn tail and is truncated on open; one with bytes after it fails the
+// open (see Open). The first payload byte of log frames is a record-type
+// tag.
 const frameHeader = 8
 
 // maxFramePayload bounds a single frame. A length field larger than this
@@ -50,12 +52,17 @@ func appendFrame(buf, payload []byte) []byte {
 type frameReader struct {
 	r     io.Reader
 	valid int64 // offset after the last good frame
-	hdr   [frameHeader]byte
+	// badEnd is the declared end of a whole frame that failed its checksum
+	// (0 otherwise); the caller compares it with the stream's length to
+	// tell a torn final frame from a corrupt interior one.
+	badEnd int64
+	hdr    [frameHeader]byte
 }
 
 // next returns the next frame's payload. ok=false with nil err means the
-// stream ended — cleanly at a frame boundary, or with a torn/corrupt tail
-// (Truncated reports which); a non-nil err is a genuine read failure.
+// stream ended — cleanly at a frame boundary, with a short frame, or at a
+// frame that fails its checksum (badEnd set); a non-nil err is a genuine
+// read failure.
 func (fr *frameReader) next() (payload []byte, ok bool, err error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -84,6 +91,7 @@ func (fr *frameReader) next() (payload []byte, ok bool, err error) {
 		return nil, false, err
 	}
 	if crc32.Checksum(payload, castagnoli) != want {
+		fr.badEnd = fr.valid + frameHeader + int64(n)
 		return nil, false, nil // bit flip or torn rewrite
 	}
 	fr.valid += frameHeader + int64(n)

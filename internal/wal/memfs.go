@@ -26,9 +26,8 @@ var (
 //   - File bytes written but not Sync'd are lost at Crash, so a crash
 //     mid-frame leaves a torn tail exactly as a real kernel may.
 //   - Namespace changes (create, rename, remove, mkdir) not committed by
-//     SyncDir of the parent are rolled back at Crash, so the
-//     snapshot-commit protocol's rename/CURRENT ordering is genuinely
-//     exercised.
+//     SyncDir of the parent are rolled back at Crash, so a log file whose
+//     directory entry was never committed is genuinely lost.
 //   - CrashAfterBytes arms a byte budget: the write that exhausts it is
 //     applied partially (a short, torn write) and the filesystem dies with
 //     ErrCrashed — crash-at-byte-N for every N.

@@ -8,7 +8,7 @@ import (
 )
 
 // ErrDegraded marks a store whose log could not be written even after
-// retries: appends and snapshots are refused until a Probe re-arms the log,
+// retries: appends are refused until a Probe re-arms the log,
 // while the already-acknowledged state stays fully readable. Matched with
 // errors.Is through any wrapping.
 var ErrDegraded = errors.New("wal: store degraded, writes unavailable")

@@ -128,74 +128,3 @@ func TestStoreAppendSelfProbes(t *testing.T) {
 		t.Errorf("Degraded() = %v after self-probe", w.Degraded())
 	}
 }
-
-// A one-shot transient fault inside the snapshot machinery is retried to
-// success; the rotation completes and recovery reads the new generation.
-func TestStoreSnapshotRetriesTransientFault(t *testing.T) {
-	fs := NewMemFS()
-	w, _ := mustOpen(t, fs, "sess")
-	var want []*table.Table
-	for i := 0; i < 3; i++ {
-		b := batch(i)
-		if err := w.AppendAdd(b); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, b...)
-	}
-	fs.FailWrite(1, "snap-")
-	if err := w.Snapshot(want); err != nil {
-		t.Fatalf("snapshot with transient fault: %v", err)
-	}
-	if w.Retried() == 0 {
-		t.Error("Retried() = 0, want at least one absorbed fault")
-	}
-	if w.FramesSinceSnapshot() != 0 {
-		t.Errorf("FramesSinceSnapshot = %d after snapshot", w.FramesSinceSnapshot())
-	}
-	w.Close()
-	w2, rec := mustOpen(t, fs, "sess")
-	defer w2.Close()
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("recovered %d tables, want %d", len(rec.Tables), len(want))
-	}
-}
-
-// A snapshot whose retries exhaust is an error but not a degradation: the
-// log remains authoritative, appends keep flowing, and recovery still sees
-// every acknowledged batch.
-func TestStoreSnapshotFailureKeepsLogAuthoritative(t *testing.T) {
-	fs := NewMemFS()
-	w, _, err := Open("sess", fs)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	w.retryN = 0
-	var want []*table.Table
-	b0 := batch(0)
-	if err := w.AppendAdd(b0); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, b0...)
-	fs.FailWrite(1, "snap-")
-	if err := w.Snapshot(want); err == nil {
-		t.Fatal("snapshot with no-retry fault: err = nil, want failure")
-	}
-	if w.Degraded() != nil {
-		t.Fatalf("snapshot failure degraded the store: %v", w.Degraded())
-	}
-	b1 := batch(1)
-	if err := w.AppendAdd(b1); err != nil {
-		t.Fatalf("append after failed snapshot: %v", err)
-	}
-	want = append(want, b1...)
-	// The retried snapshot succeeds and rotates.
-	if err := w.Snapshot(want); err != nil {
-		t.Fatalf("snapshot retry: %v", err)
-	}
-	w.Close()
-	w2, rec := mustOpen(t, fs, "sess")
-	defer w2.Close()
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("recovered %d tables, want %d", len(rec.Tables), len(want))
-	}
-}

@@ -16,29 +16,20 @@ import (
 	"fuzzyfd/internal/table"
 )
 
-// On-disk layout of a store directory at sequence S:
+// On-disk layout of a store directory:
 //
-//	CURRENT        → "S\n" — pointer to the committed snapshot (absent before
-//	                 the first snapshot)
-//	snap-S/        → manifest.json + dict.seg + tables.seg
-//	wal-S.log      → Add frames recorded since snap-S
+//	wal-S.log      → every acknowledged Add frame, in order
 //
-// A snapshot holds what the log holds — the dictionary and the accumulated
-// tables — and nothing derived from them: the session recomputes its
-// integration from the recovered tables. Other files in snap-S/ are
-// ignored, and leave with the directory at the next rotation.
+// A new directory holds wal-0.log and nothing else: the log is the store.
+// Directories written by earlier versions may also hold a committed
+// snapshot, which the store still reads and never writes:
 //
-// Snapshot commit protocol (each step crash-durable before the next):
+//	CURRENT        → "S\n" — pointer to the committed snapshot
+//	snap-S/        → manifest.json + dict.seg + tables.seg: the dictionary
+//	                 and the tables of every frame before wal-S.log's first
 //
-//	1. write snap-S'.tmp/ with every segment fsync'd, sync the tmp dir
-//	2. rename snap-S'.tmp → snap-S', sync the store dir
-//	3. write CURRENT.tmp, fsync, rename → CURRENT, sync the store dir
-//	4. switch appends to wal-S'.log; best-effort delete snap-S, wal-S.log
-//
-// A crash before step 3 leaves CURRENT pointing at S, whose snapshot and
-// log are untouched — the orphan snap-S' is deleted on the next open. A
-// crash after step 3 recovers at S' with an absent (= empty) log. CURRENT
-// is the single commit point.
+// Appends on such a directory continue in wal-S.log. Other files in snap-S/
+// (the per-component segments older versions wrote) are ignored.
 //
 // Recovery resolution ladder:
 //
@@ -46,10 +37,14 @@ import (
 //	   fails its checksum is a hard open error naming the bad file, because
 //	   acknowledged data is unrecoverable.
 //	2. CURRENT absent or unparseable → scan for the highest snap-* that
-//	   loads cleanly (covers both a fresh directory and a lost CURRENT).
-//	3. Replay wal-S.log, truncating a torn or corrupt tail at the last
-//	   valid frame boundary — an interrupted append is the expected crash
-//	   residue, never an open failure.
+//	   loads cleanly; a directory without one starts at sequence 0.
+//	3. Replay wal-S.log. A bad frame that runs to the end of the file is
+//	   the residue of an interrupted append and is truncated, never an open
+//	   failure. A bad frame with bytes after it is corruption of
+//	   acknowledged frames: the open fails naming the log and the frame's
+//	   offset, and the log is left as it is. One case cannot be told apart
+//	   from a torn tail: a flipped length field that claims more bytes than
+//	   the file holds. Its frame and every later one are truncated.
 
 // currentFile is the committed-snapshot pointer file.
 const currentFile = "CURRENT"
@@ -68,16 +63,16 @@ type manifest struct {
 }
 
 // Recovered is what Open reconstructed from disk: every acknowledged table
-// batch, snapshot content plus replayed log tail, in Add order.
+// batch, snapshot content (in a directory that has one) plus replayed log,
+// in Add order.
 type Recovered struct {
 	Tables []*table.Table
 }
 
-// Store is the durable backing of one session: an fsync-per-Add record log
-// plus rotating snapshots. It has no lock of its own: the owning
-// core.Session makes every call under its mutex s.mu (the read-only
-// Degraded under the read lock), which also keeps log order equal to memory
-// order.
+// Store is the durable backing of one session: an fsync-per-Add record log.
+// It has no lock of its own: the owning core.Session makes every call under
+// its mutex s.mu (the read-only Degraded under the read lock), which also
+// keeps log order equal to memory order.
 type Store struct {
 	fs  FS
 	dir string
@@ -92,15 +87,14 @@ type Store struct {
 	// identical to ours.
 	durableVals int
 
-	seq       uint64
+	seq       uint64 // the recovered snapshot's sequence; 0 without one
 	logName   string
-	log       File  // nil until the first append after open/rotate
+	log       File  // nil until the first append after open
 	committed int64 // log offset up to which frames are acknowledged
-	frames    int   // acknowledged frames in the current log
 
 	// degraded, when non-nil, records the fault that exhausted the write
-	// retries: appends and snapshots are refused (read state is untouched)
-	// until Probe verifies the log is appendable again and clears it.
+	// retries: appends are refused (read state is untouched) until Probe
+	// verifies the log is appendable again and clears it.
 	degraded error
 
 	retryN    int           // transient-fault retries before degrading (retryAttempts)
@@ -110,9 +104,10 @@ type Store struct {
 	buf []byte // payload scratch, reused across appends
 }
 
-// Open opens (or creates) a store directory, recovering whatever state
-// survived: latest committed snapshot, then the log tail, with a torn tail
-// truncated rather than rejected. A nil fsys means the operating system's
+// Open opens (or creates) a store directory, recovering every acknowledged
+// batch: a legacy committed snapshot if the directory has one, then the
+// log, with a torn tail truncated rather than rejected and a corrupt
+// interior frame reported. A nil fsys means the operating system's
 // filesystem.
 func Open(dir string, fsys FS) (*Store, *Recovered, error) {
 	if fsys == nil {
@@ -181,10 +176,11 @@ func (w *Store) resolveSnapshot(rec *Recovered) (uint64, error) {
 	return 0, nil
 }
 
-// dropOrphans removes leftovers of interrupted snapshots: tmp directories,
-// and snapshots or logs at any sequence other than the recovered one (an
-// uncommitted snap-S+1 must go, or a later scan-based recovery could adopt
-// it and silently skip the committed log's frames). Best effort.
+// dropOrphans removes what snapshot writers of earlier versions left behind
+// when interrupted: tmp directories, and snapshots or logs at any sequence
+// other than the recovered one (an uncommitted snap-S+1 must go, or a later
+// scan-based recovery could adopt it and silently skip the committed log's
+// frames). Best effort.
 func (w *Store) dropOrphans() {
 	names, err := w.fs.ReadDir(w.dir)
 	if err != nil {
@@ -211,8 +207,9 @@ func (w *Store) dropOrphans() {
 	}
 }
 
-// replayLog replays the current log's valid frames into rec and truncates
-// anything past the last valid frame boundary.
+// replayLog replays the log's valid frames into rec and truncates a torn
+// tail. A frame that fails its checksum with bytes after its declared end
+// is not a tail: the open fails and the log is not touched.
 func (w *Store) replayLog(rec *Recovered) error {
 	if !exists(w.fs, w.logName) {
 		return nil
@@ -235,10 +232,18 @@ func (w *Store) replayLog(rec *Recovered) error {
 			f.Close()
 			return pathErr("replay", w.logName, err)
 		}
-		w.frames++
 	}
 	f.Close()
-	if size, err := w.fs.Stat(w.logName); err == nil && size > fr.valid {
+	size, err := w.fs.Stat(w.logName)
+	if err != nil {
+		return pathErr("stat", w.logName, err)
+	}
+	if fr.badEnd > 0 && fr.badEnd < size {
+		return pathErr("replay", w.logName, fmt.Errorf(
+			"%w: frame at offset %d fails its checksum, with %d bytes after it",
+			errCorrupt, fr.valid, size-fr.badEnd))
+	}
+	if size > fr.valid {
 		if err := w.fs.Truncate(w.logName, fr.valid); err != nil {
 			return pathErr("truncate", w.logName, err)
 		}
@@ -315,13 +320,13 @@ func (w *Store) AppendAdd(tables []*table.Table) error {
 		if err == nil {
 			w.committed += int64(len(frame))
 			w.durableVals = newLen
-			w.frames++
 			return nil
 		}
 		// Cut the partial frame back off before anything else: appending
-		// over a dirty tail would make replay stop at the garbage and drop
-		// every frame after it. If even the repair fails, the log is not
-		// safely appendable — degrade now and let Probe fix the tail later.
+		// over a dirty tail would leave a bad frame inside the log, which
+		// the next open refuses as corruption. If even the repair fails,
+		// the log is not safely appendable — degrade now and let Probe fix
+		// the tail later.
 		if rerr := w.repair(); rerr != nil {
 			return w.degrade(fmt.Errorf("wal: log unrepairable after failed append (%v): %w", err, rerr))
 		}
@@ -390,7 +395,7 @@ func (w *Store) Degraded() error {
 	return &degradedError{cause: w.degraded}
 }
 
-// Retried reports how many transient faults the retry loops absorbed, for
+// Retried reports how many transient faults the retry loop absorbed, for
 // diagnostics and tests.
 func (w *Store) Retried() int64 { return w.retried }
 
@@ -419,7 +424,7 @@ func (w *Store) Probe() error {
 }
 
 // ensureLog opens the append handle, creating the log file (and committing
-// its directory entry) on first use after open or rotation.
+// its directory entry) on first use after open.
 func (w *Store) ensureLog() error {
 	if w.log != nil {
 		return nil
@@ -437,144 +442,6 @@ func (w *Store) ensureLog() error {
 	}
 	w.log = f
 	return nil
-}
-
-// FramesSinceSnapshot reports acknowledged log frames not yet covered by a
-// snapshot — the session's trigger for auto-snapshotting. Replayed tail
-// frames count, so a session that crashed with a long tail compacts soon
-// after reopening.
-func (w *Store) FramesSinceSnapshot() int { return w.frames }
-
-// Snapshot writes a new committed snapshot of the full session state —
-// tables is the complete accumulated table list — then rotates the log.
-// Transient faults are retried with backoff; each attempt restarts from a
-// clean slate, which is safe because nothing is committed until the CURRENT
-// pointer flips (the last step of an attempt). On success the previous
-// snapshot and log are obsolete and deleted (best effort); on failure the
-// store continues on its current snapshot and log — the log stays
-// authoritative, so a failed snapshot is never fatal and Snapshot can
-// simply be retried later.
-func (w *Store) Snapshot(tables []*table.Table) error {
-	if w.degraded != nil && w.Probe() != nil {
-		return &degradedError{cause: w.degraded}
-	}
-	newSeq := w.seq + 1
-	for attempt := 0; ; attempt++ {
-		err := w.prepareSnapshot(tables, newSeq)
-		if err == nil {
-			break
-		}
-		if !IsTransient(err) || attempt >= w.retryN {
-			return err
-		}
-		w.retried++
-		sleepBackoff(w.retryBase, attempt)
-	}
-	w.finishRotate(newSeq)
-	return nil
-}
-
-// prepareSnapshot runs one snapshot attempt through its commit point, the
-// CURRENT rename. Every earlier step is uncommitted residue that the next
-// attempt's pre-clean (or the next open's orphan sweep) removes, so the
-// whole function is safe to retry.
-func (w *Store) prepareSnapshot(tables []*table.Table, newSeq uint64) error {
-	final := filepath.Join(w.dir, snapDirName(newSeq))
-	tmp := final + ".tmp"
-	// Leftovers of a previous failed attempt at this sequence cannot be a
-	// committed snapshot (commit would have advanced w.seq); clear them.
-	if exists(w.fs, tmp) {
-		removeTree(w.fs, tmp)
-	}
-	if exists(w.fs, final) {
-		removeTree(w.fs, final)
-	}
-	if err := w.fs.MkdirAll(tmp); err != nil {
-		return pathErr("mkdir", tmp, err)
-	}
-
-	// Segments. The snapshot dictionary is the store dictionary in full:
-	// replay reconstructs the identical symbol assignment from it.
-	e := &encoder{}
-	e.uvarint(uint64(w.dict.Len()))
-	for sym := 1; sym <= w.dict.Len(); sym++ {
-		e.str(w.dict.Value(uint32(sym)))
-	}
-	if err := writeSegment(w.fs, filepath.Join(tmp, "dict.seg"), e.buf); err != nil {
-		return err
-	}
-	e = &encoder{}
-	encodeTables(e, tables, func(v string) uint32 {
-		sym, ok := w.dict.Symbol(v)
-		if !ok {
-			// Snapshot state must be WAL-covered: the session appends to the
-			// log before memory, so every cell value is already interned.
-			panic(fmt.Sprintf("wal: snapshot cell %q not in store dictionary", v))
-		}
-		return sym
-	})
-	if err := writeSegment(w.fs, filepath.Join(tmp, "tables.seg"), e.buf); err != nil {
-		return err
-	}
-	manJSON, err := json.Marshal(manifest{Seq: newSeq, Dict: "dict.seg", Tables: "tables.seg"})
-	if err != nil {
-		return fmt.Errorf("wal: encode manifest: %w", err)
-	}
-	if err := WriteFileSync(w.fs, filepath.Join(tmp, "manifest.json"), manJSON); err != nil {
-		return pathErr("write", filepath.Join(tmp, "manifest.json"), err)
-	}
-	if err := w.fs.SyncDir(tmp); err != nil {
-		return pathErr("syncdir", tmp, err)
-	}
-
-	// Publish the snapshot directory, then flip CURRENT — the commit point.
-	if err := w.fs.Rename(tmp, final); err != nil {
-		return pathErr("rename", final, err)
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		return pathErr("syncdir", w.dir, err)
-	}
-	curTmp := filepath.Join(w.dir, currentFile+".tmp")
-	if err := WriteFileSync(w.fs, curTmp, []byte(strconv.FormatUint(newSeq, 10)+"\n")); err != nil {
-		return pathErr("write", curTmp, err)
-	}
-	if err := w.fs.Rename(curTmp, filepath.Join(w.dir, currentFile)); err != nil {
-		return pathErr("rename", currentFile, err)
-	}
-	return nil
-}
-
-// finishRotate completes a committed snapshot: make the CURRENT flip
-// durable, switch appends to the new generation's fresh log, and drop the
-// superseded one. The directory sync is retried on its own; if it never
-// succeeds, the old snapshot and log are kept — a crash that rolled the
-// flip back must still find them intact — but in-memory state advances
-// regardless, because the flip is already visible to this process.
-func (w *Store) finishRotate(newSeq uint64) {
-	err := w.fs.SyncDir(w.dir)
-	for attempt := 0; err != nil && IsTransient(err) && attempt < w.retryN; attempt++ {
-		w.retried++
-		sleepBackoff(w.retryBase, attempt)
-		err = w.fs.SyncDir(w.dir)
-	}
-	if w.log != nil {
-		w.log.Close()
-		w.log = nil
-	}
-	oldSeq, oldLog := w.seq, w.logName
-	w.seq = newSeq
-	w.logName = filepath.Join(w.dir, logFileName(newSeq))
-	w.committed = 0
-	w.frames = 0
-	if err != nil {
-		return
-	}
-	if exists(w.fs, oldLog) {
-		w.fs.Remove(oldLog)
-	}
-	if oldSeq > 0 {
-		removeTree(w.fs, filepath.Join(w.dir, snapDirName(oldSeq)))
-	}
 }
 
 // Close releases the log handle. It does not sync: every acknowledged
@@ -633,14 +500,6 @@ func loadSnapshot(fsys FS, dir string, seq uint64) (*intern.Dict, []*table.Table
 		return nil, nil, err
 	}
 	return dict, tables, nil
-}
-
-// writeSegment frames a payload and writes it as a segment file.
-func writeSegment(fsys FS, name string, payload []byte) error {
-	if err := WriteFileSync(fsys, name, appendFrame(nil, payload)); err != nil {
-		return pathErr("write", name, err)
-	}
-	return nil
 }
 
 // readAll reads a whole file through the FS.

@@ -65,8 +65,9 @@ func TestStoreAppendReopenRoundtrip(t *testing.T) {
 	if !tablesEqual(rec2.Tables, want) {
 		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec2.Tables, want)
 	}
-	if w2.FramesSinceSnapshot() != 5 {
-		t.Errorf("FramesSinceSnapshot = %d, want 5", w2.FramesSinceSnapshot())
+	// The log is the store: a new directory holds nothing else.
+	if names, err := fs.ReadDir("sess"); err != nil || !slices.Equal(names, []string{"wal-0.log"}) {
+		t.Errorf("store directory holds %v (%v), want only wal-0.log", names, err)
 	}
 }
 
@@ -191,61 +192,10 @@ func TestStoreFailedAppendRepairs(t *testing.T) {
 	}
 }
 
-func TestStoreSnapshotRotation(t *testing.T) {
-	fs := NewMemFS()
-	w, _ := mustOpen(t, fs, "sess")
-	var want []*table.Table
-	for i := 0; i < 4; i++ {
-		b := batch(i)
-		if err := w.AppendAdd(b); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, b...)
-	}
-	if err := w.Snapshot(want); err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	if w.FramesSinceSnapshot() != 0 {
-		t.Errorf("FramesSinceSnapshot = %d after snapshot", w.FramesSinceSnapshot())
-	}
-	// The superseded generation is gone.
-	if exists(fs, "sess/wal-0.log") {
-		t.Error("old log survived rotation")
-	}
-	// Appends continue on the new log.
-	b := batch(4)
-	if err := w.AppendAdd(b); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, b...)
-	if err := w.Snapshot(want); err != nil {
-		t.Fatalf("second snapshot: %v", err)
-	}
-	if exists(fs, "sess/snap-1") {
-		t.Error("old snapshot survived rotation")
-	}
-	b = batch(5)
-	if err := w.AppendAdd(b); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, b...)
-	w.Close()
-
-	w2, rec := mustOpen(t, fs, "sess")
-	defer w2.Close()
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
-	}
-	if w2.FramesSinceSnapshot() != 1 {
-		t.Errorf("FramesSinceSnapshot = %d, want 1 (one post-snapshot frame)", w2.FramesSinceSnapshot())
-	}
-}
-
 // testdata/component-segment-layout was written when a snapshot also held
 // one comp-N.seg per Full Disjunction component: three such segments beside
 // the tables of the first batch, and the second batch in the log tail. It
-// opens with its tables intact, and its next snapshot holds only the
-// dictionary, the tables and the manifest.
+// opens with its tables intact, and a new append continues its log.
 func TestStoreOpensComponentSegmentLayout(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sess")
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "component-segment-layout"))); err != nil {
@@ -265,43 +215,115 @@ func TestStoreOpensComponentSegmentLayout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer w.Close()
 	if !tablesEqual(rec.Tables, want) {
 		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
 	}
-	if err := w.Snapshot(rec.Tables); err != nil {
-		t.Fatalf("snapshot: %v", err)
+	b := batch(0)
+	if err := w.AppendAdd(b); err != nil {
+		t.Fatal(err)
 	}
-	names, err := OSFS{}.ReadDir(filepath.Join(dir, snapDirName(2)))
+	w.Close()
+	want = append(want, b...)
+	w, rec, err = Open(dir, nil)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer w.Close()
+	if !tablesEqual(rec.Tables, want) {
+		t.Fatalf("reopen recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
+	}
+	if exists(OSFS{}, filepath.Join(dir, logFileName(0))) {
+		t.Error("the append started a new log instead of continuing wal-1.log")
+	}
+}
+
+// testdata/snapshot-layout was written by the snapshot writer of earlier
+// versions: batches 0–2 in the committed snapshot snap-1, batches 3 and 4
+// in the two frames of wal-1.log. snapshotLayout copies it into dir on fs,
+// every byte synced and every entry committed, and returns the tables it
+// holds.
+func snapshotLayout(t testing.TB, fs FS, dir string) []*table.Table {
+	t.Helper()
+	src := filepath.Join("testdata", "snapshot-layout")
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		dst := filepath.Join(dir, rel)
+		if d.IsDir() {
+			if err := fs.MkdirAll(dst); err != nil {
+				return err
+			}
+			return fs.SyncDir(filepath.Dir(dst))
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := WriteFileSync(fs, dst, data); err != nil {
+			return err
+		}
+		return fs.SyncDir(filepath.Dir(dst))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"dict.seg", "manifest.json", "tables.seg"}; !slices.Equal(names, want) {
-		t.Errorf("next snapshot holds %v, want %v", names, want)
+	var want []*table.Table
+	for i := 0; i < 5; i++ {
+		want = append(want, batch(i)...)
 	}
-	if exists(OSFS{}, filepath.Join(dir, snapDirName(1))) {
-		t.Error("the snapshot with component segments survived rotation")
+	return want
+}
+
+// A directory an earlier version wrote — a committed snapshot plus a log
+// tail — opens to its tables, byte for byte; appends continue in its
+// wal-1.log, and a reopen recovers every one. Nothing is written beside the
+// log: the snapshot and CURRENT stay as they were.
+func TestStoreOpensSnapshotLayout(t *testing.T) {
+	fs := NewMemFS()
+	want := snapshotLayout(t, fs, "sess")
+	before, err := readAll(fs, "sess/snap-1/tables.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, rec := mustOpen(t, fs, "sess")
+	if !tablesEqual(rec.Tables, want) {
+		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
+	}
+	for i := 5; i < 8; i++ {
+		b := batch(i)
+		if err := w.AppendAdd(b); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b...)
+	}
+	w.Close()
+
+	w2, rec := mustOpen(t, fs, "sess")
+	defer w2.Close()
+	if !tablesEqual(rec.Tables, want) {
+		t.Fatalf("reopen recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
+	}
+	names, err := fs.ReadDir("sess")
+	if err != nil || !slices.Equal(names, []string{"CURRENT", "snap-1", "wal-1.log"}) {
+		t.Errorf("store directory holds %v (%v), want CURRENT, snap-1 and wal-1.log", names, err)
+	}
+	if after, err := readAll(fs, "sess/snap-1/tables.seg"); err != nil || !slices.Equal(after, before) {
+		t.Errorf("the legacy snapshot changed (%v)", err)
 	}
 }
 
 // Without CURRENT the store adopts the highest snapshot that loads cleanly.
 func TestStoreCurrentLostScanFallback(t *testing.T) {
 	fs := NewMemFS()
-	w, _ := mustOpen(t, fs, "sess")
-	want := batch(0)
-	if err := w.AppendAdd(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Snapshot(want); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
+	want := snapshotLayout(t, fs, "sess")
 	if err := fs.Remove("sess/CURRENT"); err != nil {
 		t.Fatal(err)
 	}
 
-	w2, rec := mustOpen(t, fs, "sess")
-	defer w2.Close()
+	w, rec := mustOpen(t, fs, "sess")
+	defer w.Close()
 	if !tablesEqual(rec.Tables, want) {
 		t.Fatalf("scan fallback recovered %v, want %v", rec.Tables, want)
 	}
@@ -311,15 +333,7 @@ func TestStoreCurrentLostScanFallback(t *testing.T) {
 // the bad file — acknowledged data must never silently vanish.
 func TestStoreCommittedSnapshotCorruptFailsOpen(t *testing.T) {
 	fs := NewMemFS()
-	w, _ := mustOpen(t, fs, "sess")
-	want := batch(0)
-	if err := w.AppendAdd(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Snapshot(want); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
+	snapshotLayout(t, fs, "sess")
 	if err := fs.FlipBit("sess/snap-1/tables.seg", frameHeader+1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -333,60 +347,125 @@ func TestStoreCommittedSnapshotCorruptFailsOpen(t *testing.T) {
 	}
 }
 
-// Crash-at-byte-N property: for every byte budget N over a scripted run of
-// appends and a snapshot, the post-crash reopen recovers exactly the
-// batches whose AppendAdd was acknowledged before the crash.
-func TestStoreCrashAtEveryByte(t *testing.T) {
-	// Dry run to learn the total byte volume.
-	script := func(fs *MemFS) (acked []*table.Table, _ error) {
-		w, rec, err := Open("sess", fs)
-		if err != nil {
-			return nil, err
+// A bad frame with acknowledged frames after it is corruption, not a torn
+// tail: for a flipped bit at every checksum and payload byte of every frame
+// but the last, Open fails naming the log and the frame's offset, and the
+// log's bytes stay as they were — nothing acknowledged is truncated away.
+func TestStoreInteriorCorruptionFailsOpen(t *testing.T) {
+	fs := NewMemFS()
+	w, _ := mustOpen(t, fs, "sess")
+	var ends []int // frame boundaries: ends[i] is where frame i ends
+	for i := 0; i < 5; i++ {
+		if err := w.AppendAdd(batch(i)); err != nil {
+			t.Fatal(err)
 		}
-		defer w.Close()
-		acked = append(acked, rec.Tables...)
-		for i := 0; i < 6; i++ {
-			if err := w.AppendAdd(batch(i)); err != nil {
-				return acked, err
-			}
-			acked = append(acked, batch(i)...)
-			if i == 3 {
-				if err := w.Snapshot(acked); err != nil {
-					return acked, err
-				}
-			}
-		}
-		return acked, nil
+		size, _ := fs.Stat("sess/wal-0.log")
+		ends = append(ends, int(size))
 	}
-	dry := NewMemFS()
-	if _, err := script(dry); err != nil {
-		t.Fatalf("dry run: %v", err)
-	}
-	total := dry.BytesWritten()
-	if total == 0 {
-		t.Fatal("dry run wrote nothing")
-	}
+	w.Close()
+	full, _ := readAll(fs, "sess/wal-0.log")
 
-	for n := int64(0); n <= total; n++ {
-		fs := NewMemFS()
-		fs.CrashAfterBytes(n)
-		acked, serr := script(fs)
-		fired := fs.Crash()
-		if serr == nil && fired {
-			t.Fatalf("budget %d: crash fired but script saw no error", n)
+	for f := 0; f < len(ends)-1; f++ {
+		start := 0
+		if f > 0 {
+			start = ends[f-1]
 		}
-		w, rec, err := Open("sess", fs)
-		if err != nil {
-			t.Fatalf("budget %d: reopen: %v", n, err)
+		for at := start + 4; at < ends[f]; at++ {
+			if err := fs.FlipBit("sess/wal-0.log", at, uint(at)); err != nil {
+				t.Fatal(err)
+			}
+			_, rec, err := Open("sess", fs)
+			if err == nil {
+				t.Fatalf("frame %d, byte %d flipped: open recovered %d of 5 tables without an error", f, at, len(rec.Tables))
+			}
+			if msg := err.Error(); !strings.Contains(msg, "wal-0.log") || !strings.Contains(msg, fmt.Sprintf("offset %d", start)) {
+				t.Fatalf("frame %d, byte %d flipped: error names neither the log nor offset %d: %v", f, at, start, err)
+			}
+			if got, _ := readAll(fs, "sess/wal-0.log"); !slices.Equal(got, flipped(full, at)) {
+				t.Fatalf("frame %d, byte %d flipped: the failed open changed the log (%d bytes, had %d)", f, at, len(got), len(full))
+			}
+			if err := fs.FlipBit("sess/wal-0.log", at, uint(at)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !tablesEqual(rec.Tables, acked) {
-			t.Fatalf("budget %d: recovered %d tables, want %d acknowledged",
-				n, len(rec.Tables), len(acked))
-		}
-		// The revived store must accept further appends.
-		if err := w.AppendAdd(batch(99)); err != nil {
-			t.Fatalf("budget %d: append after recovery: %v", n, err)
-		}
-		w.Close()
+	}
+	w, rec := mustOpen(t, fs, "sess")
+	defer w.Close()
+	if len(rec.Tables) != 5 {
+		t.Fatalf("the restored log recovered %d tables, want 5", len(rec.Tables))
+	}
+}
+
+// flipped returns a copy of data with the bit FlipBit(at, at) flips.
+func flipped(data []byte, at int) []byte {
+	out := slices.Clone(data)
+	out[at] ^= 1 << (uint(at) % 8)
+	return out
+}
+
+// Crash-at-byte-N property: for every byte budget N over a scripted run of
+// appends, the post-crash reopen recovers exactly the batches whose
+// AppendAdd was acknowledged before the crash — on an empty directory, and
+// on a copy of a directory an earlier version wrote, whose snapshot and log
+// tail are acknowledged before the first append.
+func TestStoreCrashAtEveryByte(t *testing.T) {
+	for _, layout := range []string{"empty", "snapshot-layout"} {
+		t.Run(layout, func(t *testing.T) {
+			fresh := func() *MemFS {
+				fs := NewMemFS()
+				if layout != "empty" {
+					snapshotLayout(t, fs, "sess")
+				}
+				return fs
+			}
+			script := func(fs *MemFS) (acked []*table.Table, _ error) {
+				w, rec, err := Open("sess", fs)
+				if err != nil {
+					return nil, err
+				}
+				defer w.Close()
+				acked = append(acked, rec.Tables...)
+				for i := 0; i < 6; i++ {
+					if err := w.AppendAdd(batch(10 + i)); err != nil {
+						return acked, err
+					}
+					acked = append(acked, batch(10+i)...)
+				}
+				return acked, nil
+			}
+			// Dry run to learn the total byte volume.
+			dry := fresh()
+			start := dry.BytesWritten()
+			if _, err := script(dry); err != nil {
+				t.Fatalf("dry run: %v", err)
+			}
+			total := dry.BytesWritten() - start
+			if total == 0 {
+				t.Fatal("dry run wrote nothing")
+			}
+
+			for n := int64(0); n <= total; n++ {
+				fs := fresh()
+				fs.CrashAfterBytes(n)
+				acked, serr := script(fs)
+				fired := fs.Crash()
+				if serr == nil && fired {
+					t.Fatalf("budget %d: crash fired but script saw no error", n)
+				}
+				w, rec, err := Open("sess", fs)
+				if err != nil {
+					t.Fatalf("budget %d: reopen: %v", n, err)
+				}
+				if !tablesEqual(rec.Tables, acked) {
+					t.Fatalf("budget %d: recovered %d tables, want %d acknowledged",
+						n, len(rec.Tables), len(acked))
+				}
+				// The revived store must accept further appends.
+				if err := w.AppendAdd(batch(99)); err != nil {
+					t.Fatalf("budget %d: append after recovery: %v", n, err)
+				}
+				w.Close()
+			}
+		})
 	}
 }
