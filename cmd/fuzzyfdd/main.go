@@ -16,8 +16,10 @@
 // an earlier version wrote, with a snapshot before the log, open too. A
 // store that will not open (a corrupt frame with acknowledged frames after
 // it, or a corrupt snapshot) answers 500 open_failed. DELETE removes a
-// session's on-disk state; idle eviction merely drops it from memory (the
-// next request reopens it).
+// session's on-disk state for good; idle eviction merely drops it from
+// memory (the next request reopens it, or answers 429 session_limit at
+// -max-sessions). Opening, reopening, evicting and deleting a session
+// serialize on one registry lock, so no concurrent request undoes a DELETE.
 //
 // Endpoints:
 //

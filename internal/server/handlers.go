@@ -9,7 +9,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"os"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -66,15 +65,21 @@ func writeThrottled(w http.ResponseWriter, r *http.Request, status int, code str
 	writeErrorCode(w, r, status, code, format, args...)
 }
 
-// writeNoSession answers a request whose session did not resolve: 500
-// open_failed, naming the cause, when it exists but would not open (a
-// corrupt store, say), else 404.
-func writeNoSession(w http.ResponseWriter, r *http.Request, name string, err error) {
-	if err != nil {
+// writeNoSession answers a request whose session did not resolve: 429
+// session_limit when opening it would exceed the cap, 500 open_failed,
+// naming the cause, when it exists but would not open (a corrupt store,
+// say), else 404.
+func (s *Server) writeNoSession(w http.ResponseWriter, r *http.Request, name string, err error) {
+	switch {
+	case errors.Is(err, errSessionLimit):
+		s.met.throttled.With("session_limit").Inc()
+		writeThrottled(w, r, http.StatusTooManyRequests, "session_limit", time.Second,
+			"session limit %d reached", s.cfg.MaxSessions)
+	case err != nil:
 		writeErrorCode(w, r, http.StatusInternalServerError, "open_failed", "open session %q: %v", name, err)
-		return
+	default:
+		writeErrorCode(w, r, http.StatusNotFound, "no_session", "no session %q", name)
 	}
-	writeErrorCode(w, r, http.StatusNotFound, "no_session", "no session %q", name)
 }
 
 // writeDraining answers a state-changing request arriving after drain began.
@@ -168,32 +173,14 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A durable session left on disk by a restart or an eviction is the
-	// existing session: reopen it with its recorded options rather than
-	// re-creating it from this request's.
-	c, err := s.session(name)
-	if err != nil {
-		writeNoSession(w, r, name, err)
-		return
-	}
-	if c != nil {
-		writeJSON(w, http.StatusOK, info(c))
-		return
-	}
-	c, created, full, err := s.reg.put(name, func() (*session, error) {
-		return s.newSession(name, opts)
-	})
-	switch {
-	case full:
-		s.met.throttled.With("session_limit").Inc()
-		writeThrottled(w, r, http.StatusTooManyRequests, "session_limit", time.Second,
-			"session limit %d reached", s.cfg.MaxSessions)
-		return
-	case err != nil:
-		writeNoSession(w, r, name, err)
+	// existing session: resolve reopens it with its recorded options rather
+	// than re-creating it from this request's.
+	c, created, err := s.resolve(name, &opts)
+	if c == nil {
+		s.writeNoSession(w, r, name, err)
 		return
 	}
 	if created {
-		s.met.sessionCreated(name)
 		writeJSON(w, http.StatusCreated, info(c))
 		return
 	}
@@ -207,7 +194,7 @@ func (s *Server) newSession(name string, opts sessionOptions) (*session, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := &session{name: name, dir: dir}
+	c := &session{name: name}
 	c.hub = newHub(func() { s.met.sseDropped.With(name).Inc() })
 	c.tb = newTokenBucket(s.cfg.RatePerSec, s.cfg.Burst)
 	fs, err := s.buildSession(opts, c.hub, dir)
@@ -260,9 +247,9 @@ func (s *Server) setIntegrateHook(h func(session string)) {
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	c, err := s.session(r.PathValue("name"))
+	c, _, err := s.resolve(r.PathValue("name"), nil)
 	if c == nil {
-		writeNoSession(w, r, r.PathValue("name"), err)
+		s.writeNoSession(w, r, r.PathValue("name"), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info(c))
@@ -276,36 +263,15 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	name := r.PathValue("name")
-	c := s.reg.remove(name)
-	// remove marked the name closing; hold the mark through close and
-	// directory removal so a lazy reopen cannot resurrect the session from
-	// a store mid-close or a directory mid-removal.
-	defer s.reg.finishClose(name)
-	dir, _ := s.sessionDir(name)
-	if c == nil && dir != "" {
-		// Not live, but possibly on disk (evicted, or from a previous
-		// process). DELETE means gone for good either way.
-		if _, err := os.Stat(dir); err != nil {
-			dir = ""
-		}
-	}
-	if c == nil && dir == "" {
+	found, err := s.deleteSession(name)
+	switch {
+	case err != nil:
+		writeErrorCode(w, r, http.StatusInternalServerError, "delete_failed", "delete session data: %v", err)
+	case !found:
 		writeErrorCode(w, r, http.StatusNotFound, "no_session", "no session %q", name)
-		return
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	if c != nil {
-		if err := c.sess.Close(); err != nil {
-			log.Printf("fuzzyfdd: delete session %q: close: %v", name, err)
-		}
-		s.met.sessionEvicted(name)
-	}
-	if dir != "" {
-		if err := os.RemoveAll(dir); err != nil {
-			writeErrorCode(w, r, http.StatusInternalServerError, "delete_failed", "delete session data: %v", err)
-			return
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) {
@@ -316,9 +282,9 @@ func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	name := r.PathValue("name")
-	c, err := s.session(name)
+	c, _, err := s.resolve(name, nil)
 	if c == nil {
-		writeNoSession(w, r, name, err)
+		s.writeNoSession(w, r, name, err)
 		return
 	}
 	if wait, ok := c.tb.allow(); !ok {
@@ -369,9 +335,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	name := r.PathValue("name")
-	c, err := s.session(name)
+	c, _, err := s.resolve(name, nil)
 	if c == nil {
-		writeNoSession(w, r, name, err)
+		s.writeNoSession(w, r, name, err)
 		return
 	}
 	accept := r.Header.Get("Accept")
@@ -494,9 +460,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	name := r.PathValue("name")
-	c, err := s.session(name)
+	c, _, err := s.resolve(name, nil)
 	if c == nil {
-		writeNoSession(w, r, name, err)
+		s.writeNoSession(w, r, name, err)
 		return
 	}
 	fl, ok := w.(http.Flusher)

@@ -1,11 +1,22 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
+	"log"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"fuzzyfd"
 )
+
+// errSessionLimit rejects a create or a reopen that would exceed
+// Config.MaxSessions.
+var errSessionLimit = errors.New("fuzzyfdd: session limit reached")
 
 // session is one tenant: a fuzzyfd.Session plus its serving adjuncts — the
 // ingestion batcher, the progress fan-out hub, and bookkeeping for idle
@@ -14,121 +25,122 @@ import (
 // sessions never serialize against each other.
 type session struct {
 	name string
-	dir  string // data directory of a durable session, "" otherwise
 	sess *fuzzyfd.Session
 	bat  *batcher
 	hub  *hub
 
 	tb *tokenBucket // per-session ingestion rate limiter (nil: unlimited)
 
-	mu       sync.Mutex
-	lastUsed time.Time
 	created  time.Time
+	lastUsed time.Time // guarded by registry.mu
 }
 
-// touch records a request against idle eviction.
-func (c *session) touch() {
-	c.mu.Lock()
-	c.lastUsed = time.Now()
-	c.mu.Unlock()
-}
-
-func (c *session) idleSince() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastUsed
-}
-
-// registry is the named-session table with the tenant cap. closing marks
-// names whose session has left the map but whose store is still being
-// closed (janitor eviction, DELETE): a lazy durable reopen of the same name
-// must not open the write-ahead log while the departing store still holds
-// it, so put waits for the mark to clear.
+// registry is the named-session table with the tenant cap. Its mutex is the
+// one lock over a name's lifecycle: resolve opens, reopens and creates,
+// deleteSession closes and removes, and evictIdle closes, each entirely
+// under it. So a name is never opened while its previous incarnation is
+// still closing, and a DELETE is never undone by a concurrent lazy reopen.
 type registry struct {
 	mu       sync.Mutex
 	sessions map[string]*session
-	closing  map[string]chan struct{}
 	max      int
 }
 
-// get returns the named session, touching it, or nil.
-func (r *registry) get(name string) *session {
+// resolve returns the named session under the registry lock: the live one;
+// else, on a durable server, the one its data directory holds, reopened
+// with the options recorded there; else, when create is non-nil, a new one
+// built from *create. created reports the last case. It returns nil, nil
+// when the name exists nowhere, errSessionLimit when opening would exceed
+// the cap, and the error when the session exists but will not open.
+func (s *Server) resolve(name string, create *sessionOptions) (c *session, created bool, err error) {
+	r := s.reg
 	r.mu.Lock()
-	c := r.sessions[name]
-	r.mu.Unlock()
-	if c != nil {
-		c.touch()
-	}
-	return c
-}
-
-// put inserts a session built by mk under name. It reports created=false
-// if the name already exists (the existing session is returned — creation
-// is idempotent) and full=true when the tenant cap blocks a new one. mk
-// runs outside the registry lock only in spirit — construction is cheap,
-// and holding the lock keeps create-vs-create races trivially correct.
-func (r *registry) put(name string, mk func() (*session, error)) (c *session, created, full bool, err error) {
-	r.mu.Lock()
-	for {
-		ch := r.closing[name]
-		if ch == nil {
-			break
-		}
-		// The name's previous incarnation is mid-close; wait it out so mk
-		// never opens a store the departing session still holds.
-		r.mu.Unlock()
-		<-ch
-		r.mu.Lock()
-	}
 	defer r.mu.Unlock()
+	now := time.Now()
 	if c = r.sessions[name]; c != nil {
-		c.touch()
-		return c, false, false, nil
+		c.lastUsed = now
+		return c, false, nil
+	}
+	opts, onDisk, err := s.loadOptions(name)
+	if err != nil {
+		return nil, false, err
+	}
+	if !onDisk {
+		if create == nil {
+			return nil, false, nil
+		}
+		opts = *create
 	}
 	if len(r.sessions) >= r.max {
-		return nil, false, true, nil
+		return nil, false, errSessionLimit
 	}
-	c, err = mk()
-	if err != nil {
-		return nil, false, false, err
+	if c, err = s.newSession(name, opts); err != nil {
+		if onDisk {
+			log.Printf("fuzzyfdd: reopen session %q: %v", name, err)
+		}
+		return nil, false, err
 	}
-	now := time.Now()
 	c.created, c.lastUsed = now, now
 	r.sessions[name] = c
-	return c, true, false, nil
+	if onDisk {
+		s.met.sessionsReopened.With().Inc()
+	} else {
+		s.met.sessionCreated(name)
+	}
+	return c, !onDisk, nil
 }
 
-// remove deletes and returns the named session, marking the name closing
-// until the caller's finishClose — a concurrent lazy reopen must not open
-// the store mid-close or race a directory removal.
-func (r *registry) remove(name string) *session {
+// loadOptions reads the creation options a durable session recorded in its
+// data directory. onDisk is false when the server is not durable or the
+// name has no session there.
+func (s *Server) loadOptions(name string) (opts sessionOptions, onDisk bool, err error) {
+	dir, err := s.sessionDir(name)
+	if dir == "" || err != nil {
+		return opts, false, nil
+	}
+	data, err := os.ReadFile(filepath.Join(dir, optionsFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return opts, false, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &opts)
+	}
+	if err != nil {
+		return opts, false, fmt.Errorf("read %s: %w", optionsFile, err)
+	}
+	return opts, true, nil
+}
+
+// deleteSession removes the named session for good under the registry
+// lock: the live session is dropped, and on a durable server the data
+// directory is removed whether or not the session was live. found is false
+// when the name exists nowhere.
+func (s *Server) deleteSession(name string) (found bool, err error) {
+	r := s.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.sessions[name]
-	delete(r.sessions, name)
-	r.markClosing(name)
-	return c
+	if c := r.sessions[name]; c != nil {
+		r.drop(c)
+		s.met.sessionEvicted(name)
+		found = true
+	}
+	dir, _ := s.sessionDir(name)
+	if dir == "" {
+		return found, nil
+	}
+	if _, err := os.Stat(dir); err != nil {
+		return found, nil
+	}
+	return true, os.RemoveAll(dir)
 }
 
-// markClosing records name as mid-close. Caller holds r.mu.
-func (r *registry) markClosing(name string) {
-	if r.closing == nil {
-		r.closing = make(map[string]chan struct{})
-	}
-	if _, ok := r.closing[name]; !ok {
-		r.closing[name] = make(chan struct{})
-	}
-}
-
-// finishClose clears a closing mark, releasing reopens waiting on the name.
-// Idempotent: a second call for the same mark is a no-op.
-func (r *registry) finishClose(name string) {
-	r.mu.Lock()
-	ch := r.closing[name]
-	delete(r.closing, name)
-	r.mu.Unlock()
-	if ch != nil {
-		close(ch)
+// drop removes c from the table and closes it. A durable session's log
+// already holds every acknowledged add, so closing writes nothing. Caller
+// holds r.mu.
+func (r *registry) drop(c *session) {
+	delete(r.sessions, c.name)
+	if err := c.sess.Close(); err != nil {
+		log.Printf("fuzzyfdd: close session %q: %v", c.name, err)
 	}
 }
 
@@ -150,17 +162,16 @@ func (r *registry) count() int {
 	return len(r.sessions)
 }
 
-// evictIdle removes sessions idle longer than ttl with no batcher work in
+// evictIdle drops the sessions idle longer than ttl with no batcher work in
 // flight, returning the evicted set.
 func (r *registry) evictIdle(ttl time.Duration) []*session {
 	cutoff := time.Now().Add(-ttl)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var evicted []*session
-	for name, c := range r.sessions {
-		if c.idleSince().Before(cutoff) && c.bat.idle() {
-			delete(r.sessions, name)
-			r.markClosing(name)
+	for _, c := range r.sessions {
+		if c.lastUsed.Before(cutoff) && c.bat.idle() {
+			r.drop(c)
 			evicted = append(evicted, c)
 		}
 	}

@@ -281,8 +281,8 @@ func TestServerProberRecovers(t *testing.T) {
 
 // Janitor eviction racing lazy durable reopens of the same session name:
 // requests landing while the janitor closes the store must wait for the
-// close (registry closing marks), never open the WAL a departing store
-// still holds, and never observe an error. Run under -race.
+// close (it runs under the registry lock), never open the WAL a departing
+// store still holds, and never observe an error. Run under -race.
 func TestServerEvictionReopenRace(t *testing.T) {
 	_, ts := newTestServer(t, Config{DataDir: t.TempDir(), IdleTTL: 20 * time.Millisecond})
 	createSession(t, ts, "race", `{"equi": true}`)

@@ -15,9 +15,7 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"log"
 	"net/http"
 	"net/url"
@@ -264,18 +262,10 @@ func (s *Server) janitor() {
 		case <-s.stopJanitor:
 			return
 		case <-t.C:
+			// Eviction is a cache drop: the next request lazily reopens a
+			// durable session from its log.
 			for _, sess := range s.reg.evictIdle(s.cfg.IdleTTL) {
-				// A durable session's log already holds every
-				// acknowledged add, so eviction is a cache drop — the next
-				// request lazily reopens it. The registry marks the name
-				// closing until finishClose, so a reopen racing this close
-				// waits instead of opening the log the departing session
-				// still holds.
-				if err := sess.sess.Close(); err != nil {
-					log.Printf("fuzzyfdd: evict session %q: %v", sess.name, err)
-				}
 				s.met.sessionEvicted(sess.name)
-				s.reg.finishClose(sess.name)
 			}
 		}
 	}
@@ -427,40 +417,4 @@ func saveOptions(dir string, o sessionOptions) error {
 		return err
 	}
 	return osfs.SyncDir(dir)
-}
-
-// session resolves a name: the registry first, then — on a durable server
-// — the data directory, lazily reopening a session that a previous process
-// (or the eviction janitor) left on disk. It returns nil, nil when the
-// session exists nowhere, and the error when it exists but will not open.
-func (s *Server) session(name string) (*session, error) {
-	if c := s.reg.get(name); c != nil {
-		return c, nil
-	}
-	dir, err := s.sessionDir(name)
-	if dir == "" || err != nil {
-		return nil, nil
-	}
-	data, err := os.ReadFile(filepath.Join(dir, optionsFile))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	var opts sessionOptions
-	if err == nil {
-		err = json.Unmarshal(data, &opts)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("read %s: %w", optionsFile, err)
-	}
-	c, created, _, err := s.reg.put(name, func() (*session, error) {
-		return s.newSession(name, opts)
-	})
-	if err != nil {
-		log.Printf("fuzzyfdd: reopen session %q: %v", name, err)
-		return nil, err
-	}
-	if created {
-		s.met.sessionsReopened.With().Inc()
-	}
-	return c, nil
 }

@@ -353,9 +353,9 @@ func TestServerStreamMatchesReferenceEncoding(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result: status %d: %s", resp.StatusCode, got)
 	}
-	c, err := srv.session("esc")
-	if err != nil || c == nil {
-		t.Fatalf("session: %v", err)
+	c := srv.reg.get("esc")
+	if c == nil {
+		t.Fatal("session esc is not live")
 	}
 	last := c.sess.Last().Table
 	var want bytes.Buffer

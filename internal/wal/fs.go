@@ -7,8 +7,9 @@
 // versions may also hold a committed snapshot (CURRENT → snap-S/), which is
 // read on open and never written.
 //
-// Every write is fsynced: each log frame before it counts, and the log's
-// directory entry at its parent's SyncDir. A transient fault is retried on
+// Every write is fsynced: each log frame before it counts, and every
+// directory entry the store creates (the log's, and each directory level
+// Open makes) at its parent's SyncDir. A transient fault is retried on
 // a fixed ladder (retryAttempts from retryBase, capped at maxBackoff)
 // before the store degrades.
 //

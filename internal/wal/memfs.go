@@ -27,7 +27,8 @@ var (
 //     mid-frame leaves a torn tail exactly as a real kernel may.
 //   - Namespace changes (create, rename, remove, mkdir) not committed by
 //     SyncDir of the parent are rolled back at Crash, so a log file whose
-//     directory entry was never committed is genuinely lost.
+//     directory entry was never committed is genuinely lost — and so is
+//     everything under a directory whose own entry was never committed.
 //   - CrashAfterBytes arms a byte budget: the write that exhausts it is
 //     applied partially (a short, torn write) and the filesystem dies with
 //     ErrCrashed — crash-at-byte-N for every N.
@@ -69,9 +70,10 @@ type memFile struct {
 
 // NewMemFS returns an empty in-memory filesystem with faults disarmed.
 func NewMemFS() *MemFS {
+	root := &memEntry{dir: true}
 	return &MemFS{
-		vol: map[string]*memEntry{".": {dir: true}},
-		dur: map[string]*memEntry{".": {dir: true}},
+		vol: map[string]*memEntry{".": root, "/": root},
+		dur: map[string]*memEntry{".": root, "/": root},
 	}
 }
 
@@ -103,14 +105,21 @@ func (m *MemFS) FailSync(n int, match string) {
 }
 
 // Crash rolls the filesystem back to its durable image — unsynced file
-// bytes vanish, uncommitted namespace changes roll back — and revives it
-// for reopening. It reports whether the armed budget had fired.
+// bytes vanish, uncommitted namespace changes roll back, and durable entries
+// under a directory whose own entry is not durable are unreachable and go
+// too — and revives it for reopening. It reports whether the armed budget
+// had fired.
 func (m *MemFS) Crash() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fired := m.crashed
 	m.crashed, m.armed, m.budget = false, false, 0
 	m.writeFails, m.syncFails = 0, 0
+	for p := range m.dur {
+		if !m.reachable(p) {
+			delete(m.dur, p)
+		}
+	}
 	m.vol = make(map[string]*memEntry, len(m.dur))
 	for p, e := range m.dur {
 		m.vol[p] = e
@@ -123,6 +132,16 @@ func (m *MemFS) Crash() bool {
 		}
 	}
 	return fired
+}
+
+// reachable reports whether every ancestor of p is a durable directory.
+func (m *MemFS) reachable(p string) bool {
+	for d := filepath.Dir(p); d != p; p, d = d, filepath.Dir(d) {
+		if e := m.dur[d]; e == nil || !e.dir {
+			return false
+		}
+	}
+	return true
 }
 
 // BytesWritten reports the total bytes accepted across all files — the
@@ -371,18 +390,7 @@ func (m *MemFS) Rename(oldname, newname string) error {
 		return pathErr("rename", newname, errNotExist)
 	}
 	if e.dir {
-		// Move the whole subtree (snapshot tmp-dir commit).
-		moved := make(map[string]*memEntry)
-		for p, c := range m.vol {
-			if p == op || strings.HasPrefix(p, op+string(filepath.Separator)) {
-				moved[np+p[len(op):]] = c
-				delete(m.vol, p)
-			}
-		}
-		for p, c := range moved {
-			m.vol[p] = c
-		}
-		return nil
+		return pathErr("rename", oldname, errors.New("is a directory"))
 	}
 	delete(m.vol, op)
 	m.vol[np] = e
@@ -413,9 +421,10 @@ func (m *MemFS) Remove(name string) error {
 
 // SyncDir commits the directory's entry changes to the durable image: its
 // direct children in the volatile view replace those in the durable view.
-// Files gaining a durable entry keep their own synced watermark — an
-// unsynced file committed by name still loses its bytes at Crash, exactly
-// as a real filesystem may.
+// The directory's own entry is its parent's to commit. Files gaining a
+// durable entry keep their own synced watermark — an unsynced file
+// committed by name still loses its bytes at Crash, exactly as a real
+// filesystem may.
 func (m *MemFS) SyncDir(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -426,9 +435,6 @@ func (m *MemFS) SyncDir(dir string) error {
 	if e := m.vol[d]; e == nil || !e.dir {
 		return pathErr("syncdir", dir, errNotExist)
 	}
-	if m.dur[d] == nil {
-		m.dur[d] = m.vol[d]
-	}
 	for p := range m.dur {
 		if p != d && filepath.Dir(p) == d {
 			if _, ok := m.vol[p]; !ok {
@@ -439,31 +445,7 @@ func (m *MemFS) SyncDir(dir string) error {
 	for p, e := range m.vol {
 		if p != d && filepath.Dir(p) == d {
 			m.dur[p] = e
-			if e.dir {
-				m.syncSubtree(p)
-			}
 		}
 	}
 	return nil
-}
-
-// syncSubtree commits a renamed directory's contents along with its entry:
-// the rename of a fully written tmp directory is the snapshot commit point,
-// and the store syncs every file inside before renaming, so treating the
-// subtree's entries as committed with the parent entry models the
-// rename-then-dir-sync protocol without per-entry bookkeeping. File byte
-// durability still follows each file's own synced watermark.
-func (m *MemFS) syncSubtree(dir string) {
-	for p, e := range m.vol {
-		if strings.HasPrefix(p, dir+string(filepath.Separator)) {
-			m.dur[p] = e
-		}
-	}
-	for p := range m.dur {
-		if strings.HasPrefix(p, dir+string(filepath.Separator)) {
-			if _, ok := m.vol[p]; !ok {
-				delete(m.dur, p)
-			}
-		}
-	}
 }

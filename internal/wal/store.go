@@ -40,11 +40,13 @@ import (
 //	   loads cleanly; a directory without one starts at sequence 0.
 //	3. Replay wal-S.log. A bad frame that runs to the end of the file is
 //	   the residue of an interrupted append and is truncated, never an open
-//	   failure. A bad frame with bytes after it is corruption of
-//	   acknowledged frames: the open fails naming the log and the frame's
-//	   offset, and the log is left as it is. One case cannot be told apart
-//	   from a torn tail: a flipped length field that claims more bytes than
-//	   the file holds. Its frame and every later one are truncated.
+//	   failure; so is an all-zero frame with only zeros after it, the tail
+//	   a filesystem that extends a file before its data lands leaves. A bad
+//	   frame with bytes after it is corruption of acknowledged frames: the
+//	   open fails naming the log and the frame's offset, and the log is left
+//	   as it is. One case cannot be told apart from a torn tail: a flipped
+//	   length field that claims more bytes than the file holds. Its frame
+//	   and every later one are truncated.
 
 // currentFile is the committed-snapshot pointer file.
 const currentFile = "CURRENT"
@@ -113,8 +115,8 @@ func Open(dir string, fsys FS) (*Store, *Recovered, error) {
 	if fsys == nil {
 		fsys = OSFS{}
 	}
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, nil, pathErr("mkdir", dir, err)
+	if err := mkdirSynced(fsys, dir); err != nil {
+		return nil, nil, err
 	}
 	w := &Store{
 		fs: fsys, dir: dir, dict: intern.NewDict(),
@@ -134,6 +136,35 @@ func Open(dir string, fsys FS) (*Store, *Recovered, error) {
 	}
 	w.durableVals = w.dict.Len()
 	return w, rec, nil
+}
+
+// mkdirSynced creates dir and any missing parents, committing each level it
+// creates by syncing that level's parent: a directory entry is durable only
+// once its parent is synced, so without this a new store directory, and the
+// acknowledged frames inside it, could vanish at power loss. When a sync
+// fails it removes the levels it created, so the next Open creates and
+// commits them again rather than taking them for committed.
+func mkdirSynced(fsys FS, dir string) error {
+	var created []string
+	for d := filepath.Clean(dir); !exists(fsys, d); d = filepath.Dir(d) {
+		created = append(created, d)
+		if filepath.Dir(d) == d {
+			break
+		}
+	}
+	if err := fsys.MkdirAll(dir); err != nil {
+		return pathErr("mkdir", dir, err)
+	}
+	for i := len(created) - 1; i >= 0; i-- {
+		parent := filepath.Dir(created[i])
+		if err := fsys.SyncDir(parent); err != nil {
+			for _, d := range created { // deepest first
+				fsys.Remove(d)
+			}
+			return pathErr("syncdir", parent, err)
+		}
+	}
+	return nil
 }
 
 // resolveSnapshot picks the snapshot to recover from (0 = none) and loads
@@ -220,12 +251,30 @@ func (w *Store) replayLog(rec *Recovered) error {
 	}
 	fr := &frameReader{r: f}
 	for {
+		start := fr.valid
 		payload, ok, err := fr.next()
 		if err != nil {
 			f.Close()
 			return pathErr("read", w.logName, err)
 		}
 		if !ok {
+			break
+		}
+		if len(payload) == 0 {
+			// An all-zero header reads as an empty frame whose checksum
+			// holds. Zeros to the end of the file are a tail the
+			// filesystem extended before the data landed: torn, so cut.
+			zero, err := zeroTail(f)
+			if err != nil {
+				f.Close()
+				return pathErr("read", w.logName, err)
+			}
+			if !zero {
+				f.Close()
+				return pathErr("replay", w.logName, fmt.Errorf(
+					"%w: empty frame at offset %d, with non-zero bytes after it", errCorrupt, start))
+			}
+			fr.valid = start
 			break
 		}
 		if err := w.replayFrame(payload, rec); err != nil {
@@ -252,13 +301,29 @@ func (w *Store) replayLog(rec *Recovered) error {
 	return nil
 }
 
-// replayFrame applies one checksummed frame. The checksum already passed,
-// so a decode failure here means a format bug, not a torn write — fail the
-// open rather than silently drop acknowledged data.
-func (w *Store) replayFrame(payload []byte, rec *Recovered) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("%w: empty frame", errCorrupt)
+// zeroTail reports whether every byte left in r is zero.
+func zeroTail(r io.Reader) (bool, error) {
+	buf := make([]byte, 4096)
+	for {
+		n, err := r.Read(buf)
+		for _, b := range buf[:n] {
+			if b != 0 {
+				return false, nil
+			}
+		}
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
 	}
+}
+
+// replayFrame applies one non-empty checksummed frame. The checksum already
+// passed, so a decode failure here means a format bug, not a torn write —
+// fail the open rather than silently drop acknowledged data.
+func (w *Store) replayFrame(payload []byte, rec *Recovered) error {
 	switch payload[0] {
 	case recAdd:
 		d := &decoder{buf: payload[1:]}

@@ -396,6 +396,122 @@ func TestStoreInteriorCorruptionFailsOpen(t *testing.T) {
 	}
 }
 
+// A zero-filled tail — what a filesystem that extends a file before its
+// data lands can leave after power loss — reads as an all-zero frame, whose
+// empty payload passes its checksum. Zeros to the end of the file are a
+// torn tail: the open recovers every batch before them and truncates the
+// log back to those batches.
+func TestStoreZeroTailTruncated(t *testing.T) {
+	for _, zeros := range []int{8, 4096} {
+		t.Run(fmt.Sprint(zeros), func(t *testing.T) {
+			fs := NewMemFS()
+			w, _ := mustOpen(t, fs, "sess")
+			var want []*table.Table
+			for i := 0; i < 2; i++ {
+				b := batch(i)
+				if err := w.AppendAdd(b); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, b...)
+			}
+			w.Close()
+			goodSize, _ := fs.Stat("sess/wal-0.log")
+			f, err := fs.OpenAppend("sess/wal-0.log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(make([]byte, zeros))
+			f.Close()
+
+			w, rec := mustOpen(t, fs, "sess")
+			defer w.Close()
+			if !tablesEqual(rec.Tables, want) {
+				t.Fatalf("recovered %d tables, want %d", len(rec.Tables), len(want))
+			}
+			if size, _ := fs.Stat("sess/wal-0.log"); size != goodSize {
+				t.Errorf("log not truncated to its batches: %d != %d", size, goodSize)
+			}
+		})
+	}
+}
+
+// An all-zero frame with a good frame after it is corruption, not a tail:
+// the open fails naming the log and the zero frame's offset, and leaves the
+// log as it is.
+func TestStoreZeroFrameBeforeGoodFrameFailsOpen(t *testing.T) {
+	fs := NewMemFS()
+	w, _ := mustOpen(t, fs, "sess")
+	var ends []int
+	for i := 0; i < 2; i++ {
+		if err := w.AppendAdd(batch(i)); err != nil {
+			t.Fatal(err)
+		}
+		size, _ := fs.Stat("sess/wal-0.log")
+		ends = append(ends, int(size))
+	}
+	w.Close()
+	full, _ := readAll(fs, "sess/wal-0.log")
+	log := slices.Concat(full[:ends[0]], make([]byte, frameHeader), full[ends[0]:])
+	f, err := fs.Create("sess/wal-0.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(log)
+	f.Close()
+
+	_, _, err = Open("sess", fs)
+	if err == nil {
+		t.Fatal("open succeeded on a log with a zero frame before a good frame")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "wal-0.log") || !strings.Contains(msg, fmt.Sprintf("offset %d", ends[0])) {
+		t.Fatalf("error names neither the log nor offset %d: %v", ends[0], err)
+	}
+	if got, _ := readAll(fs, "sess/wal-0.log"); !slices.Equal(got, log) {
+		t.Fatalf("the failed open changed the log (%d bytes, had %d)", len(got), len(log))
+	}
+}
+
+// A store opened in a directory that does not exist yet commits every
+// directory level it creates: an acknowledged batch survives a crash that
+// keeps only what was synced.
+func TestStoreNewNestedDirSurvivesCrash(t *testing.T) {
+	fs := NewMemFS()
+	dir := "data/sessions/sess"
+	w, _ := mustOpen(t, fs, dir)
+	if err := w.AppendAdd(batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	fs.Crash()
+	w, rec := mustOpen(t, fs, dir)
+	defer w.Close()
+	if !tablesEqual(rec.Tables, batch(0)) {
+		t.Fatalf("recovered %d tables after the crash, want the acknowledged one", len(rec.Tables))
+	}
+}
+
+// An Open whose directory sync fails leaves no directory behind, so the
+// next Open creates and commits it again: its acknowledged batch survives a
+// crash.
+func TestStoreFailedDirSyncRetried(t *testing.T) {
+	mem := NewMemFS()
+	flaky := NewFlakyFS(mem, 1, 1)
+	dir := "data/sess"
+	if _, _, err := Open(dir, flaky); !errors.Is(err, ErrInjected) {
+		t.Fatalf("open on a failing directory sync: err = %v", err)
+	}
+	flaky.SetRate(0)
+	w, _ := mustOpen(t, flaky, dir)
+	if err := w.AppendAdd(batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	mem.Crash()
+	w, rec := mustOpen(t, mem, dir)
+	defer w.Close()
+	if !tablesEqual(rec.Tables, batch(0)) {
+		t.Fatalf("recovered %d tables after the crash, want the acknowledged one", len(rec.Tables))
+	}
+}
+
 // flipped returns a copy of data with the bit FlipBit(at, at) flips.
 func flipped(data []byte, at int) []byte {
 	out := slices.Clone(data)
