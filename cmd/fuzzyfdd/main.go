@@ -8,14 +8,16 @@
 //	fuzzyfdd -addr :8080 -max-sessions 64 -idle-ttl 30m -memory-budget 2000000000 \
 //	         -data-dir /var/lib/fuzzyfdd -request-timeout 2m
 //
-// With -data-dir every session is durable: each table-add is written to a
-// checksummed write-ahead log and fsync'd before the request is
-// acknowledged, and the log (beside the session's options) is all the
-// daemon writes. After a crash or restart the daemon lazily reopens each
-// named session — replaying its log — on its first request; directories
-// an earlier version wrote, with a snapshot before the log, open too. A
-// store that will not open (a corrupt frame with acknowledged frames after
-// it, or a corrupt snapshot) answers 500 open_failed. DELETE removes a
+// With -data-dir every session is durable: its creation options are the
+// first frame of a checksummed write-ahead log, each table-add is written
+// to that log and fsync'd before the request is acknowledged, and the log
+// is all the daemon writes. After a crash or restart the daemon lazily
+// reopens each named session — reading its options from the log and
+// replaying the rest, writing nothing — on its first request; directories
+// an earlier version wrote, with a snapshot before the log and the options
+// in a session.json beside it, open too and are never rewritten. A store
+// that will not open (a corrupt frame with acknowledged frames after it, a
+// corrupt snapshot, or tables without options) answers 500 open_failed. DELETE removes a
 // session's on-disk state for good; idle eviction merely drops it from
 // memory (the next request reopens it, or answers 429 session_limit at
 // -max-sessions). Opening, reopening, evicting and deleting a session

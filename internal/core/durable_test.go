@@ -276,7 +276,7 @@ func legacySnapshotLayout(t *testing.T, fs *wal.MemFS, dir string) {
 			}
 		} else if data, err := os.ReadFile(path); err != nil {
 			return err
-		} else if err := wal.WriteFileSync(fs, dst, data); err != nil {
+		} else if err := writeFileSync(fs, dst, data); err != nil {
 			return err
 		}
 		return fs.SyncDir(filepath.Dir(dst))
@@ -284,6 +284,23 @@ func legacySnapshotLayout(t *testing.T, fs *wal.MemFS, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeFileSync writes data to name on fs and syncs it; the caller commits
+// the entry with SyncDir.
+func writeFileSync(fs *wal.MemFS, name string, data []byte) error {
+	f, err := fs.Create(name)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // A flipped bit in acknowledged state must fail the reopen with an error

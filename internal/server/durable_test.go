@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,8 +13,11 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"fuzzyfd/internal/wal"
 )
 
 // resultJSON fetches the session's integrated result in JSON mode.
@@ -100,9 +105,9 @@ func restartWith(t *testing.T, srv *Server, ts *httptest.Server, cfg Config) (*S
 
 // A PUT naming a durable session that is on disk but not live — after a
 // restart — reopens that session with its recorded options: it answers
-// 200, not 201, and neither the result nor session.json changes. (Created
-// with the request's empty options, the session would integrate fuzzily and
-// merge Berlin with Berlinn.)
+// 200, not 201, and neither the result nor a byte of its log changes.
+// (Created with the request's empty options, the session would integrate
+// fuzzily and merge Berlin with Berlinn.)
 func TestServerPutReopensDurableSession(t *testing.T) {
 	dir := t.TempDir()
 	srv1, ts1 := newTestServer(t, Config{DataDir: dir})
@@ -110,8 +115,8 @@ func TestServerPutReopensDurableSession(t *testing.T) {
 	postTable(t, ts1, "cities", "t1", `{"city":"Berlin","country":"Germany"}`)
 	postTable(t, ts1, "cities", "t2", `{"city":"Berlinn","rate":"63%"}`)
 	want := resultJSON(t, ts1, "cities")
-	optsPath := filepath.Join(dir, "cities", optionsFile)
-	wantOpts, err := os.ReadFile(optsPath)
+	logPath := filepath.Join(dir, "cities", "wal-0.log")
+	wantLog, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +129,8 @@ func TestServerPutReopensDurableSession(t *testing.T) {
 	if got := resultJSON(t, ts2, "cities"); !reflect.DeepEqual(got["rows"], want["rows"]) || !reflect.DeepEqual(got["columns"], want["columns"]) {
 		t.Fatalf("PUT after restart changed the result:\ngot  %v\nwant %v", got, want)
 	}
-	if got, err := os.ReadFile(optsPath); err != nil || string(got) != string(wantOpts) {
-		t.Fatalf("PUT after restart rewrote %s: %q (%v), want %q", optionsFile, got, err, wantOpts)
+	if got, err := os.ReadFile(logPath); err != nil || !slices.Equal(got, wantLog) {
+		t.Fatalf("PUT after restart changed wal-0.log (%v)", err)
 	}
 	_, body = doReq(t, http.MethodGet, ts2.URL+"/metrics", "", nil)
 	if !strings.Contains(string(body), "fuzzyfdd_sessions_reopened_total 1") {
@@ -153,26 +158,6 @@ func TestServerReopensOptionsWithTupleBudget(t *testing.T) {
 	}
 }
 
-// saveOptions replaces session.json whole, through a temporary file it
-// renames into place: a rewrite leaves the new content and no temporary.
-func TestSaveOptionsReplaces(t *testing.T) {
-	dir := t.TempDir()
-	if err := saveOptions(dir, sessionOptions{Equi: true, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := saveOptions(dir, sessionOptions{Model: "fasttext"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, optionsFile))
-	if err != nil || string(got) != `{"model":"fasttext"}`+"\n" {
-		t.Fatalf("%s = %q (%v), want the second options", optionsFile, got, err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("directory holds %v (%v), want only %s", entries, err, optionsFile)
-	}
-}
-
 // legacySession copies internal/wal/testdata/snapshot-layout — a store
 // directory an earlier version's snapshot writer left: tables t0–t4 of
 // columns k and v, t0–t2 in a committed snapshot and t3, t4 in its log —
@@ -184,7 +169,7 @@ func legacySession(t *testing.T, dataDir, name string) string {
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "wal", "testdata", "snapshot-layout"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := saveOptions(dir, sessionOptions{Equi: true}); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, optionsFile), []byte(`{"equi":true}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -235,10 +220,11 @@ func TestServerOpensSnapshotLayout(t *testing.T) {
 // A session whose store exists but will not open is a 500 open_failed
 // naming the cause, on the lazy reopen behind GET as on PUT; it is neither
 // missing (404) nor a bad request, and the failed open truncates nothing.
-// Two stores fail so: one with a flipped byte in the first of its two log
-// frames, and a directory an earlier version wrote with a flipped byte in
-// its committed snapshot. Options out of range are still a 400, checked
-// before any open, and DELETE still removes the session.
+// Two stores fail so: one with a flipped byte in its log's first frame,
+// the options, with two acknowledged frames after it, and a directory an
+// earlier version wrote with a flipped byte in its committed snapshot.
+// Options out of range are still a 400, checked before any open, and
+// DELETE still removes the session.
 func TestServerCorruptStoreOpenFailed(t *testing.T) {
 	dir := t.TempDir()
 	srv1 := New(Config{DataDir: dir})
@@ -265,7 +251,7 @@ func TestServerCorruptStoreOpenFailed(t *testing.T) {
 		return data
 	}
 	log := filepath.Join(dir, "crash", "wal-0.log")
-	corruptLog := flip(log, 12) // inside the first frame's payload
+	corruptLog := flip(log, 12) // inside the options frame's payload
 	seg := filepath.Join(dir, "legacy", "snap-1", "tables.seg")
 	flip(seg, 12)
 
@@ -452,5 +438,216 @@ func TestServerSessionNameEscaping(t *testing.T) {
 	createSession(t, ts, "a%2Fb", "") // decodes to the session name "a/b"
 	if _, err := os.Stat(filepath.Join(dir, "a%2Fb")); err != nil {
 		t.Fatalf("escaped session dir missing: %v", err)
+	}
+}
+
+// countingFS wraps a wal.FS and counts what sessions ask of it: creates
+// (directories, and files opened for writing), writes (file writes,
+// truncations, removals) and fsyncs (of files and directories). wal.FS has
+// no rename, so nothing renames through it.
+type countingFS struct {
+	wal.FS
+	creates, writes, fsyncs atomic.Int64
+}
+
+func (c *countingFS) counts() [3]int64 {
+	return [3]int64{c.creates.Load(), c.writes.Load(), c.fsyncs.Load()}
+}
+
+func (c *countingFS) MkdirAll(dir string) error { c.creates.Add(1); return c.FS.MkdirAll(dir) }
+func (c *countingFS) OpenAppend(name string) (wal.File, error) {
+	c.creates.Add(1)
+	return c.file(c.FS.OpenAppend(name))
+}
+func (c *countingFS) Truncate(name string, size int64) error {
+	c.writes.Add(1)
+	return c.FS.Truncate(name, size)
+}
+func (c *countingFS) Remove(name string) error { c.writes.Add(1); return c.FS.Remove(name) }
+func (c *countingFS) SyncDir(dir string) error { c.fsyncs.Add(1); return c.FS.SyncDir(dir) }
+
+func (c *countingFS) file(f wal.File, err error) (wal.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+type countingFile struct {
+	wal.File
+	fs *countingFS
+}
+
+func (f *countingFile) Write(p []byte) (int, error) { f.fs.writes.Add(1); return f.File.Write(p) }
+func (f *countingFile) Sync() error                 { f.fs.fsyncs.Add(1); return f.File.Sync() }
+
+// readFS reads a whole file from fs.
+func readFS(t *testing.T, fs wal.FS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// plantFS writes data as name on fs, synced, creating and committing its
+// directory.
+func plantFS(t *testing.T, fs *wal.MemFS, name string, data []byte) {
+	t.Helper()
+	dir := filepath.Dir(name)
+	err := fs.MkdirAll(dir)
+	var f wal.File
+	if err == nil {
+		f, err = fs.Create(name)
+	}
+	if err == nil {
+		_, err = f.Write(data)
+		if err == nil {
+			err = f.Sync()
+		}
+		f.Close()
+	}
+	if err == nil {
+		err = fs.SyncDir(dir)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireEmptyDir fails unless the real directory dir holds nothing.
+func requireEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("%s holds %v (%v), want nothing", dir, ents, err)
+	}
+}
+
+// A reopen writes nothing: after a restart, neither the GET that reopens a
+// durable session nor a PUT of its name creates, writes or fsyncs anything
+// on the WAL filesystem, and the log keeps every byte. The session's
+// directory holds its log alone, and nothing lands under the real data
+// directory: the WAL filesystem holds the whole session.
+func TestServerReopenWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	fs := &countingFS{FS: wal.NewMemFS()}
+	cfg := Config{DataDir: dir, WALFS: fs}
+	srv, ts := newTestServer(t, cfg)
+	createSession(t, ts, "cities", `{"equi": true}`)
+	postTable(t, ts, "cities", "t1", `{"city":"Berlin","country":"Germany"}`)
+	log := filepath.Join(dir, "cities", "wal-0.log")
+	want := readFS(t, fs, log)
+
+	_, ts2 := restartWith(t, srv, ts, cfg)
+	before := fs.counts()
+	resp, body := doReq(t, http.MethodGet, ts2.URL+"/v1/sessions/cities", "", nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"tables":1`) {
+		t.Fatalf("GET after restart: status %d: %s", resp.StatusCode, body)
+	}
+	if after := fs.counts(); after != before {
+		t.Fatalf("the reopen made %v creates, writes and fsyncs", [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]})
+	}
+
+	_, ts3 := restartWith(t, srv, ts2, cfg)
+	if resp, body := doReq(t, http.MethodPut, ts3.URL+"/v1/sessions/cities", `{}`, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT after restart: status %d: %s", resp.StatusCode, body)
+	}
+	if got := readFS(t, fs, log); !slices.Equal(got, want) {
+		t.Fatalf("the reopening PUT changed wal-0.log: %d bytes, had %d", len(got), len(want))
+	}
+	if names, err := fs.ReadDir(filepath.Dir(log)); err != nil || !slices.Equal(names, []string{"wal-0.log"}) {
+		t.Fatalf("the session directory holds %v (%v), want only wal-0.log", names, err)
+	}
+	requireEmptyDir(t, dir)
+}
+
+// DELETE removes a session's directory from the WAL filesystem: a PUT of
+// the same name then starts with no tables. A directory an earlier version
+// wrote goes whole, its nested snapshot directory included.
+func TestServerDeleteOnWALFS(t *testing.T) {
+	dir := t.TempDir()
+	mem := wal.NewMemFS()
+	_, ts := newTestServer(t, Config{DataDir: dir, WALFS: mem})
+	del := func(name string) {
+		t.Helper()
+		if resp, body := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/"+name, "", nil); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("DELETE %s: status %d: %s", name, resp.StatusCode, body)
+		}
+		if _, err := mem.Stat(filepath.Join(dir, name)); err == nil {
+			t.Errorf("DELETE %s left its directory on the WAL filesystem", name)
+		}
+	}
+
+	createSession(t, ts, "orders", `{"equi": true}`)
+	postTable(t, ts, "orders", "people", `{"name":"alice","city":"Berlin"}`)
+	del("orders")
+	resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/sessions/orders", `{"equi": true}`, nil)
+	if resp.StatusCode != http.StatusCreated || !strings.Contains(string(body), `"tables":0`) {
+		t.Fatalf("PUT after DELETE: status %d: %s, want 201 with no tables", resp.StatusCode, body)
+	}
+
+	src := filepath.Join("..", "wal", "testdata", "snapshot-layout")
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		data, err := os.ReadFile(path)
+		plantFS(t, mem, filepath.Join(dir, "legacy", rel), data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "budget" is the tuple ceiling earlier versions' options could hold.
+	plantFS(t, mem, filepath.Join(dir, "legacy", optionsFile), []byte(`{"equi":true,"budget":1}`+"\n"))
+	if resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/legacy", "", nil); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"tables":5`) {
+		t.Fatalf("GET planted legacy session: status %d: %s", resp.StatusCode, body)
+	}
+	del("legacy")
+	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/legacy", "", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET after DELETE: status %d, want 404", resp.StatusCode)
+	}
+	requireEmptyDir(t, dir)
+}
+
+// What a crash inside the options frame leaves, a log holding part of its
+// first frame, is no session: GET answers 404 and a PUT creates it. A log
+// of acknowledged adds with neither an options frame nor a session.json
+// beside it will not open: 500 open_failed, and the log is left as it is.
+func TestServerSessionWithoutOptions(t *testing.T) {
+	dir := t.TempDir()
+	mem := wal.NewMemFS()
+	_, ts := newTestServer(t, Config{DataDir: dir, WALFS: mem})
+	createSession(t, ts, "whole", `{"equi": true}`)
+	postTable(t, ts, "whole", "people", `{"name":"alice","city":"Berlin"}`)
+	log := readFS(t, mem, filepath.Join(dir, "whole", "wal-0.log"))
+	first := 8 + int(binary.LittleEndian.Uint32(log))
+
+	plantFS(t, mem, filepath.Join(dir, "torn", "wal-0.log"), log[:first-3])
+	if resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/torn", "", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET torn: status %d: %s, want 404", resp.StatusCode, body)
+	}
+	createSession(t, ts, "torn", `{"equi": true}`)
+	if got := readFS(t, mem, filepath.Join(dir, "torn", "wal-0.log")); !slices.Equal(got, log[:first]) {
+		t.Fatalf("the re-created log holds %q, want the options frame %q", got, log[:first])
+	}
+
+	headless := filepath.Join(dir, "headless", "wal-0.log")
+	plantFS(t, mem, headless, log[first:])
+	for _, method := range []string{http.MethodGet, http.MethodPut} {
+		resp, body := doReq(t, method, ts.URL+"/v1/sessions/headless", `{"equi": true}`, nil)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `"code":"open_failed"`) {
+			t.Fatalf("%s headless: status %d: %s, want 500 open_failed", method, resp.StatusCode, body)
+		}
+	}
+	if got := readFS(t, mem, headless); !slices.Equal(got, log[first:]) {
+		t.Fatal("the failed open changed the log")
 	}
 }

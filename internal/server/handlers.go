@@ -17,6 +17,7 @@ import (
 
 	"fuzzyfd"
 	"fuzzyfd/internal/table"
+	"fuzzyfd/internal/wal"
 )
 
 func (s *Server) routes() {
@@ -188,24 +189,30 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // newSession assembles one tenant: hub, fuzzyfd session (durable when the
-// server has a data directory), batcher, metrics wiring.
-func (s *Server) newSession(name string, opts sessionOptions) (*session, error) {
+// server has a data directory), batcher, metrics wiring. A durable session
+// being created records its options as its log's first frame before the
+// log opens; a reopen writes nothing. A creation that fails removes what
+// it wrote.
+func (s *Server) newSession(name string, opts sessionOptions, create bool) (*session, error) {
 	dir, err := s.sessionDir(name)
 	if err != nil {
 		return nil, err
+	}
+	if dir != "" && create {
+		meta, _ := json.Marshal(opts) // a struct of plain fields
+		if err := wal.WriteMeta(dir, s.cfg.WALFS, meta); err != nil {
+			return nil, fmt.Errorf("persist session options: %w", err)
+		}
 	}
 	c := &session{name: name}
 	c.hub = newHub(func() { s.met.sseDropped.With(name).Inc() })
 	c.tb = newTokenBucket(s.cfg.RatePerSec, s.cfg.Burst)
 	fs, err := s.buildSession(opts, c.hub, dir)
 	if err != nil {
-		return nil, err
-	}
-	if dir != "" {
-		if err := saveOptions(dir, opts); err != nil {
-			fs.Close()
-			return nil, fmt.Errorf("persist session options: %w", err)
+		if dir != "" && create {
+			wal.RemoveAll(s.cfg.WALFS, dir)
 		}
+		return nil, err
 	}
 	c.sess = fs
 	c.bat = &batcher{

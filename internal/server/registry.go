@@ -4,14 +4,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"fuzzyfd"
+	"fuzzyfd/internal/wal"
 )
 
 // errSessionLimit rejects a create or a reopen that would exceed
@@ -74,7 +75,7 @@ func (s *Server) resolve(name string, create *sessionOptions) (c *session, creat
 	if len(r.sessions) >= r.max {
 		return nil, false, errSessionLimit
 	}
-	if c, err = s.newSession(name, opts); err != nil {
+	if c, err = s.newSession(name, opts, !onDisk); err != nil {
 		if onDisk {
 			log.Printf("fuzzyfdd: reopen session %q: %v", name, err)
 		}
@@ -90,31 +91,39 @@ func (s *Server) resolve(name string, create *sessionOptions) (c *session, creat
 	return c, !onDisk, nil
 }
 
-// loadOptions reads the creation options a durable session recorded in its
-// data directory. onDisk is false when the server is not durable or the
-// name has no session there.
+// loadOptions reads, through the WAL filesystem and writing nothing, the
+// creation options a durable session recorded as its log's first frame, or,
+// in a directory an earlier version wrote, in optionsFile beside the log.
+// onDisk is false when the server is not durable or the name has neither.
 func (s *Server) loadOptions(name string) (opts sessionOptions, onDisk bool, err error) {
 	dir, err := s.sessionDir(name)
 	if dir == "" || err != nil {
 		return opts, false, nil
 	}
-	data, err := os.ReadFile(filepath.Join(dir, optionsFile))
-	if errors.Is(err, fs.ErrNotExist) {
+	data, err := wal.ReadMeta(dir, s.cfg.WALFS)
+	if data == nil && (err == nil || errors.Is(err, wal.ErrNoMeta)) {
+		// No options frame: an earlier version's directory, or none.
+		f, ferr := s.cfg.WALFS.Open(filepath.Join(dir, optionsFile))
+		if ferr == nil {
+			data, err = io.ReadAll(f)
+			f.Close()
+		} else if err != nil || !errors.Is(ferr, fs.ErrNotExist) {
+			err = fmt.Errorf("the log has no options frame and %w", ferr)
+		}
+	}
+	if data == nil && err == nil {
 		return opts, false, nil
 	}
 	if err == nil {
 		err = json.Unmarshal(data, &opts)
 	}
-	if err != nil {
-		return opts, false, fmt.Errorf("read %s: %w", optionsFile, err)
-	}
-	return opts, true, nil
+	return opts, err == nil, err
 }
 
 // deleteSession removes the named session for good under the registry
 // lock: the live session is dropped, and on a durable server the data
-// directory is removed whether or not the session was live. found is false
-// when the name exists nowhere.
+// directory is removed from the WAL filesystem whether or not the session
+// was live. found is false when the name exists nowhere.
 func (s *Server) deleteSession(name string) (found bool, err error) {
 	r := s.reg
 	r.mu.Lock()
@@ -128,10 +137,10 @@ func (s *Server) deleteSession(name string) (found bool, err error) {
 	if dir == "" {
 		return found, nil
 	}
-	if _, err := os.Stat(dir); err != nil {
+	if _, err := s.cfg.WALFS.Stat(dir); err != nil {
 		return found, nil
 	}
-	return true, os.RemoveAll(dir)
+	return true, wal.RemoveAll(s.cfg.WALFS, dir)
 }
 
 // drop removes c from the table and closes it. A durable session's log

@@ -14,12 +14,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
 	"net/url"
-	"os"
 	"path/filepath"
 	"runtime/debug"
 	"slices"
@@ -81,7 +79,9 @@ type Config struct {
 	// Zero defaults to 5s (when DataDir is set); negative disables the
 	// prober — writes still self-probe.
 	ProbeInterval time.Duration
-	// WALFS overrides the filesystem durable sessions log to. Nil means the
+	// WALFS is the filesystem durable sessions live on: under DataDir on
+	// it, each session's directory holds the log that records its options
+	// and tables, and DELETE removes that directory from it. Nil means the
 	// operating system's; fault-injecting filesystems (wal.NewFlakyFS) plug
 	// in here for chaos testing.
 	WALFS wal.FS
@@ -119,6 +119,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 64
+	}
+	if cfg.WALFS == nil {
+		cfg.WALFS = wal.OSFS{}
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -371,9 +374,10 @@ func (s *Server) buildSession(o sessionOptions, h *hub, dir string) (*fuzzyfd.Se
 	return fuzzyfd.NewSession(opts...)
 }
 
-// optionsFile records a durable session's creation options inside its data
-// directory, so a restarted daemon can rebuild the session with the same
-// engine configuration before replaying its log.
+// optionsFile is where earlier versions recorded a durable session's
+// creation options, beside its log. A session directory whose log does not
+// begin with the options (wal.ReadMeta) reads them from here; nothing
+// writes it any more.
 const optionsFile = "session.json"
 
 // sessionDir maps a session name to its on-disk directory, or "" when the
@@ -389,32 +393,4 @@ func (s *Server) sessionDir(name string) (string, error) {
 		return "", fmt.Errorf("invalid session name %q", name)
 	}
 	return filepath.Join(s.cfg.DataDir, esc), nil
-}
-
-// saveOptions persists the creation options next to the session's log,
-// as durably as the log's own writes: a synced temporary file renamed over
-// the old one, then a synced directory, so a crash leaves the old options
-// or the new ones, never a torn or missing file beside acknowledged adds.
-// It creates the directory itself: the log usually has already, but when
-// the WAL is on an injected filesystem (Config.WALFS) the options file is
-// the first thing to land in the real one.
-func saveOptions(dir string, o sessionOptions) error {
-	data, err := json.Marshal(o)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var osfs wal.OSFS
-	tmp := filepath.Join(dir, optionsFile+".tmp")
-	err = wal.WriteFileSync(osfs, tmp, append(data, '\n'))
-	if err == nil {
-		err = osfs.Rename(tmp, filepath.Join(dir, optionsFile))
-	}
-	if err != nil {
-		osfs.Remove(tmp)
-		return err
-	}
-	return osfs.SyncDir(dir)
 }

@@ -71,17 +71,6 @@ func (f *FlakyFS) OpenAppend(name string) (File, error) {
 	return &flakyFile{fs: f, name: name, inner: h}, nil
 }
 
-func (f *FlakyFS) Create(name string) (File, error) {
-	if err := f.trip("create", name); err != nil {
-		return nil, err
-	}
-	h, err := f.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{fs: f, name: name, inner: h}, nil
-}
-
 func (f *FlakyFS) Open(name string) (io.ReadCloser, error) { return f.inner.Open(name) }
 func (f *FlakyFS) ReadDir(dir string) ([]string, error)    { return f.inner.ReadDir(dir) }
 func (f *FlakyFS) Stat(name string) (int64, error)         { return f.inner.Stat(name) }

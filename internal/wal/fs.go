@@ -3,9 +3,11 @@
 // record log of added table batches — one fsync'd frame per Add. The log is
 // the store: each frame declares the dictionary values it introduces and
 // references every cell by symbol, so the log holds the session's input
-// once and nothing is ever rewritten. Directories written by earlier
-// versions may also hold a committed snapshot (CURRENT → snap-S/), which is
-// read on open and never written.
+// once and nothing is ever rewritten. Frame 0 may hold the caller's
+// metadata instead (WriteMeta, ReadMeta): the daemon records a session's
+// creation options there. Directories written by earlier versions may also
+// hold a committed snapshot (CURRENT → snap-S/), which is read on open and
+// never written.
 //
 // Every write is fsynced: each log frame before it counts, and every
 // directory entry the store creates (the log's, and each directory level
@@ -44,8 +46,6 @@ type FS interface {
 	MkdirAll(dir string) error
 	// OpenAppend opens the file for appending, creating it if absent.
 	OpenAppend(name string) (File, error)
-	// Create opens the file for writing, truncating any previous content.
-	Create(name string) (File, error)
 	// Open opens the file for reading.
 	Open(name string) (io.ReadCloser, error)
 	// ReadDir lists the names (not paths) of a directory's entries.
@@ -60,7 +60,7 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// File is a writable log or segment file.
+// File is the writable log.
 type File interface {
 	io.Writer
 	// Sync makes every written byte crash-durable.
@@ -76,8 +76,6 @@ func (OSFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 func (OSFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
-
-func (OSFS) Create(name string) (File, error) { return os.Create(name) }
 
 func (OSFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
@@ -104,10 +102,6 @@ func (OSFS) Stat(name string) (int64, error) {
 
 func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
-// Rename atomically replaces newname with oldname's entry: after a crash
-// the destination holds either the old or the new content, never a mix.
-func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
-
 func (OSFS) Remove(name string) error { return os.Remove(name) }
 
 func (OSFS) SyncDir(dir string) error {
@@ -122,45 +116,24 @@ func (OSFS) SyncDir(dir string) error {
 	return err
 }
 
-// WriteFileSync writes content to name via fs, fsyncing before close. The
-// caller syncs the parent directory to commit the entry.
-func WriteFileSync(fs FS, name string, content []byte) error {
-	f, err := fs.Create(name)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(content); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // exists reports whether a path exists (as a file of any size).
 func exists(fs FS, name string) bool {
 	_, err := fs.Stat(name)
 	return err == nil
 }
 
-// removeTree removes a directory and its direct children (legacy snapshot
-// directories are flat). Best effort: the first error is returned but later
-// entries are still attempted.
-func removeTree(fs FS, dir string) error {
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return err
-	}
+// RemoveAll removes name and, when it is a directory, everything under it.
+// Best effort: the first error is returned but later entries are still
+// attempted.
+func RemoveAll(fs FS, name string) error {
+	names, _ := fs.ReadDir(name) // a file has none
 	var first error
 	for _, n := range names {
-		if err := fs.Remove(filepath.Join(dir, n)); err != nil && first == nil {
+		if err := RemoveAll(fs, filepath.Join(name, n)); err != nil && first == nil {
 			first = err
 		}
 	}
-	if err := fs.Remove(dir); err != nil && first == nil {
+	if err := fs.Remove(name); err != nil && first == nil {
 		first = err
 	}
 	return first

@@ -51,6 +51,96 @@ func FuzzFrameReader(f *testing.F) {
 	})
 }
 
+// writeCounter wraps an FS and counts the calls that change it; writes
+// need a file that OpenAppend or Create returned.
+type writeCounter struct {
+	FS
+	n int
+}
+
+func (c *writeCounter) MkdirAll(dir string) error { c.n++; return c.FS.MkdirAll(dir) }
+func (c *writeCounter) OpenAppend(name string) (File, error) {
+	c.n++
+	return c.FS.OpenAppend(name)
+}
+func (c *writeCounter) Truncate(name string, size int64) error {
+	c.n++
+	return c.FS.Truncate(name, size)
+}
+func (c *writeCounter) Remove(name string) error { c.n++; return c.FS.Remove(name) }
+func (c *writeCounter) SyncDir(dir string) error { c.n++; return c.FS.SyncDir(dir) }
+
+// FuzzOpenLog plants fuzzed bytes as a store directory's wal-0.log. Open
+// must never panic: it either fails or recovers tables whose rows all fit
+// their columns, with no meta frame left after the first. ReadMeta writes
+// nothing, and it agrees with Open: a log that opens gives the same answer
+// before and after Open's truncation, a log ReadMeta finds corrupt does not
+// open, and a log ReadMeta finds empty opens to no tables and no bytes.
+func FuzzOpenLog(f *testing.F) {
+	meta := appendFrame(nil, append([]byte{recMeta}, `{"equi":true}`...))
+	fs := NewMemFS()
+	w, _, err := Open("sess", fs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.AppendAdd(batch(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	w.Close()
+	adds, _ := readAll(fs, "sess/wal-0.log")
+	first := frameHeader + int(binary.LittleEndian.Uint32(adds))
+	f.Add(append(slices.Clone(meta), adds...))
+	f.Add(meta)
+	f.Add(adds) // a directory an earlier version wrote
+	f.Add(append(append(slices.Clone(adds[:first]), meta...), adds[first:]...))
+	f.Add(meta[:len(meta)-3]) // torn
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mem := NewMemFS()
+		if err := mem.MkdirAll("sess"); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFileSync(mem, "sess/wal-0.log", data); err != nil {
+			t.Fatal(err)
+		}
+		fs := &writeCounter{FS: mem}
+		got, merr := ReadMeta("sess", fs)
+		if fs.n != 0 {
+			t.Fatalf("ReadMeta made %d changing calls", fs.n)
+		}
+		w, rec, err := Open("sess", mem)
+		if err != nil {
+			return
+		}
+		defer w.Close()
+		if err := checkTables(rec.Tables); err != nil {
+			t.Fatalf("open accepted malformed tables: %v", err)
+		}
+		if merr != nil && merr != ErrNoMeta {
+			t.Fatalf("ReadMeta failed (%v) on a log that opens", merr)
+		}
+		after, aerr := ReadMeta("sess", mem)
+		if aerr != merr || !bytes.Equal(after, got) || (after == nil) != (got == nil) {
+			t.Fatalf("ReadMeta = %q, %v before Open and %q, %v after", got, merr, after, aerr)
+		}
+		kept, _ := readAll(mem, "sess/wal-0.log")
+		if got == nil && merr == nil && (len(rec.Tables) != 0 || len(kept) != 0) {
+			t.Fatalf("ReadMeta found nothing, Open kept %d tables in %d bytes", len(rec.Tables), len(kept))
+		}
+		fr := &frameReader{r: bytes.NewReader(kept)}
+		for i := 0; ; i++ {
+			payload, ok, _ := fr.next()
+			if !ok {
+				break
+			}
+			if i > 0 && len(payload) > 0 && payload[0] == recMeta {
+				t.Fatalf("Open accepted a meta frame as frame %d", i)
+			}
+		}
+	})
+}
+
 // FuzzLoadSnapshot plants fuzzed manifest, dictionary, tables and
 // component-segment bytes as the committed snapshot of a store directory.
 // Open must never panic: it either fails or recovers tables whose rows all
@@ -73,7 +163,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			sdir + "/comp-0.seg":    comp,
 		}
 		for name, data := range files {
-			if err := WriteFileSync(fs, name, data); err != nil {
+			if err := writeFileSync(fs, name, data); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -34,7 +35,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Log record types.
 const (
-	recAdd = byte(1) // one Add: new dictionary values + the table batch
+	recAdd  = byte(1) // one Add: new dictionary values + the table batch
+	recMeta = byte(2) // the caller's opaque metadata: frame 0 of wal-0.log only
 )
 
 // appendFrame appends a framed payload to buf.
@@ -96,6 +98,33 @@ func (fr *frameReader) next() (payload []byte, ok bool, err error) {
 	}
 	fr.valid += frameHeader + int64(n)
 	return payload, true, nil
+}
+
+// nextInLog is next for a log, which ends cleanly at a frame boundary or
+// at a torn tail: a bad frame that reaches the end of the stream, or an
+// all-zero frame (its empty payload passes the checksum) with only zeros
+// after it, where a filesystem extended the file before its data landed;
+// valid stays at the tail's start. A bad or all-zero frame with other bytes
+// after it is corruption.
+func (fr *frameReader) nextInLog() (payload []byte, ok bool, err error) {
+	start := fr.valid
+	payload, ok, err = fr.next()
+	switch {
+	case err != nil || ok && len(payload) > 0:
+		return payload, ok, err
+	case ok:
+		fr.valid = start
+		rest, err := io.ReadAll(fr.r)
+		if err == nil && len(bytes.TrimLeft(rest, "\x00")) > 0 {
+			err = fmt.Errorf("%w: empty frame at offset %d, with non-zero bytes after it", errCorrupt, start)
+		}
+		return nil, false, err
+	case fr.badEnd > 0:
+		if _, err := io.ReadFull(fr.r, make([]byte, 1)); err == nil {
+			return nil, false, fmt.Errorf("%w: frame at offset %d fails its checksum, with bytes after it", errCorrupt, start)
+		}
+	}
+	return nil, false, nil
 }
 
 // readSegment reads a single-frame segment file in full, verifying its

@@ -21,8 +21,11 @@ import (
 //	wal-S.log      → every acknowledged Add frame, in order
 //
 // A new directory holds wal-0.log and nothing else: the log is the store.
-// Directories written by earlier versions may also hold a committed
-// snapshot, which the store still reads and never writes:
+// Its frame 0 may be a meta frame, the caller's opaque metadata (the
+// daemon's session options), which WriteMeta writes into an empty log and
+// ReadMeta reads back; Open skips it, and a meta frame anywhere else is
+// corruption. Directories written by earlier versions may also hold a
+// committed snapshot, which the store still reads and never writes:
 //
 //	CURRENT        → "S\n" — pointer to the committed snapshot
 //	snap-S/        → manifest.json + dict.seg + tables.seg: the dictionary
@@ -138,6 +141,58 @@ func Open(dir string, fsys FS) (*Store, *Recovered, error) {
 	return w, rec, nil
 }
 
+// ErrNoMeta reports a log whose first frame is an add, not a meta frame:
+// one an earlier version wrote, or one no WriteMeta started.
+var ErrNoMeta = errors.New("wal: log has no meta record")
+
+// WriteMeta starts the store in dir with meta as frame 0 of wal-0.log,
+// through the append path: the frame fsynced, and the log's directory entry
+// and every directory level Open creates committed. It refuses a store that
+// already holds a frame; the torn first frame a crash inside an earlier
+// WriteMeta left is truncated by Open, as any torn tail is.
+func WriteMeta(dir string, fsys FS, meta []byte) error {
+	w, _, err := Open(dir, fsys)
+	if err != nil {
+		return err
+	}
+	if w.committed != 0 || w.seq != 0 {
+		err = pathErr("write meta", w.logName, errors.New("the store already holds frames"))
+	} else {
+		err = w.append(appendFrame(nil, append([]byte{recMeta}, meta...)))
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// ReadMeta returns the meta WriteMeta recorded in dir, and writes nothing.
+// It returns nil, nil when wal-0.log holds no whole frame — dir or the log
+// is missing, or the log holds only a torn tail, as a crash inside
+// WriteMeta leaves — and ErrNoMeta when its first frame is an add. A bad
+// first frame with bytes after it is corruption, as it is to Open.
+func ReadMeta(dir string, fsys FS) ([]byte, error) {
+	name := filepath.Join(dir, logFileName(0))
+	f, err := fsys.Open(name)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, pathErr("open", name, err)
+	}
+	defer f.Close()
+	payload, ok, err := (&frameReader{r: f}).nextInLog()
+	switch {
+	case err != nil:
+		return nil, pathErr("read", name, err)
+	case !ok:
+		return nil, nil
+	case payload[0] != recMeta:
+		return nil, ErrNoMeta
+	}
+	return payload[1:], nil
+}
+
 // mkdirSynced creates dir and any missing parents, committing each level it
 // creates by syncing that level's parent: a directory entry is durable only
 // once its parent is synced, so without this a new store directory, and the
@@ -151,6 +206,9 @@ func mkdirSynced(fsys FS, dir string) error {
 		if filepath.Dir(d) == d {
 			break
 		}
+	}
+	if len(created) == 0 {
+		return nil
 	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return pathErr("mkdir", dir, err)
@@ -218,29 +276,17 @@ func (w *Store) dropOrphans() {
 		return
 	}
 	for _, n := range names {
-		full := filepath.Join(w.dir, n)
-		switch {
-		case strings.HasSuffix(n, ".tmp"):
-			if strings.HasPrefix(n, "snap-") {
-				removeTree(w.fs, full)
-			} else {
-				w.fs.Remove(full)
-			}
-		case strings.HasPrefix(n, "snap-"):
-			if n != snapDirName(w.seq) {
-				removeTree(w.fs, full)
-			}
-		case strings.HasPrefix(n, "wal-"):
-			if n != logFileName(w.seq) {
-				w.fs.Remove(full)
-			}
+		if strings.HasSuffix(n, ".tmp") ||
+			strings.HasPrefix(n, "snap-") && n != snapDirName(w.seq) ||
+			strings.HasPrefix(n, "wal-") && n != logFileName(w.seq) {
+			RemoveAll(w.fs, filepath.Join(w.dir, n))
 		}
 	}
 }
 
 // replayLog replays the log's valid frames into rec and truncates a torn
-// tail. A frame that fails its checksum with bytes after its declared end
-// is not a tail: the open fails and the log is not touched.
+// tail. A bad frame with bytes after it is not a tail: the open fails and
+// the log is not touched.
 func (w *Store) replayLog(rec *Recovered) error {
 	if !exists(w.fs, w.logName) {
 		return nil
@@ -249,48 +295,25 @@ func (w *Store) replayLog(rec *Recovered) error {
 	if err != nil {
 		return pathErr("open", w.logName, err)
 	}
+	defer f.Close()
 	fr := &frameReader{r: f}
 	for {
 		start := fr.valid
-		payload, ok, err := fr.next()
+		payload, ok, err := fr.nextInLog()
+		// Frame 0 of wal-0.log may be WriteMeta's, which holds no tables.
+		if err == nil && ok && (payload[0] != recMeta || start != 0 || w.seq != 0) {
+			err = w.replayFrame(payload, rec)
+		}
 		if err != nil {
-			f.Close()
-			return pathErr("read", w.logName, err)
+			return pathErr("replay", w.logName, err)
 		}
 		if !ok {
 			break
 		}
-		if len(payload) == 0 {
-			// An all-zero header reads as an empty frame whose checksum
-			// holds. Zeros to the end of the file are a tail the
-			// filesystem extended before the data landed: torn, so cut.
-			zero, err := zeroTail(f)
-			if err != nil {
-				f.Close()
-				return pathErr("read", w.logName, err)
-			}
-			if !zero {
-				f.Close()
-				return pathErr("replay", w.logName, fmt.Errorf(
-					"%w: empty frame at offset %d, with non-zero bytes after it", errCorrupt, start))
-			}
-			fr.valid = start
-			break
-		}
-		if err := w.replayFrame(payload, rec); err != nil {
-			f.Close()
-			return pathErr("replay", w.logName, err)
-		}
 	}
-	f.Close()
 	size, err := w.fs.Stat(w.logName)
 	if err != nil {
 		return pathErr("stat", w.logName, err)
-	}
-	if fr.badEnd > 0 && fr.badEnd < size {
-		return pathErr("replay", w.logName, fmt.Errorf(
-			"%w: frame at offset %d fails its checksum, with %d bytes after it",
-			errCorrupt, fr.valid, size-fr.badEnd))
 	}
 	if size > fr.valid {
 		if err := w.fs.Truncate(w.logName, fr.valid); err != nil {
@@ -299,25 +322,6 @@ func (w *Store) replayLog(rec *Recovered) error {
 	}
 	w.committed = fr.valid
 	return nil
-}
-
-// zeroTail reports whether every byte left in r is zero.
-func zeroTail(r io.Reader) (bool, error) {
-	buf := make([]byte, 4096)
-	for {
-		n, err := r.Read(buf)
-		for _, b := range buf[:n] {
-			if b != 0 {
-				return false, nil
-			}
-		}
-		if err == io.EOF {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
-		}
-	}
 }
 
 // replayFrame applies one non-empty checksummed frame. The checksum already
@@ -340,6 +344,8 @@ func (w *Store) replayFrame(payload []byte, rec *Recovered) error {
 		}
 		rec.Tables = append(rec.Tables, tables...)
 		return nil
+	case recMeta:
+		return fmt.Errorf("%w: meta record outside frame 0 of wal-0.log", errCorrupt)
 	default:
 		return fmt.Errorf("%w: unknown record type %d", errCorrupt, payload[0])
 	}
@@ -378,13 +384,20 @@ func (w *Store) AppendAdd(tables []*table.Table) error {
 		return sym
 	})
 	w.buf = e.buf
-	frame := appendFrame(nil, e.buf)
+	if err := w.append(appendFrame(nil, e.buf)); err != nil {
+		return err
+	}
+	w.durableVals = newLen
+	return nil
+}
 
+// append makes one frame durable, retrying transient faults and degrading
+// the store once they exhaust, as AppendAdd describes.
+func (w *Store) append(frame []byte) error {
 	for attempt := 0; ; attempt++ {
 		err := w.writeFrame(frame)
 		if err == nil {
 			w.committed += int64(len(frame))
-			w.durableVals = newLen
 			return nil
 		}
 		// Cut the partial frame back off before anything else: appending

@@ -35,6 +35,23 @@ func tablesEqual(a, b []*table.Table) bool {
 	return true
 }
 
+// writeFileSync writes data to name on fs and syncs it; the caller commits
+// the entry with SyncDir.
+func writeFileSync(fs *MemFS, name string, data []byte) error {
+	f, err := fs.Create(name)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func mustOpen(t *testing.T, fs FS, dir string) (*Store, *Recovered) {
 	t.Helper()
 	w, rec, err := Open(dir, fs)
@@ -242,7 +259,7 @@ func TestStoreOpensComponentSegmentLayout(t *testing.T) {
 // in the two frames of wal-1.log. snapshotLayout copies it into dir on fs,
 // every byte synced and every entry committed, and returns the tables it
 // holds.
-func snapshotLayout(t testing.TB, fs FS, dir string) []*table.Table {
+func snapshotLayout(t testing.TB, fs *MemFS, dir string) []*table.Table {
 	t.Helper()
 	src := filepath.Join("testdata", "snapshot-layout")
 	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
@@ -261,7 +278,7 @@ func snapshotLayout(t testing.TB, fs FS, dir string) []*table.Table {
 		if err != nil {
 			return err
 		}
-		if err := WriteFileSync(fs, dst, data); err != nil {
+		if err := writeFileSync(fs, dst, data); err != nil {
 			return err
 		}
 		return fs.SyncDir(filepath.Dir(dst))
@@ -521,10 +538,15 @@ func flipped(data []byte, at int) []byte {
 
 // Crash-at-byte-N property: for every byte budget N over a scripted run of
 // appends, the post-crash reopen recovers exactly the batches whose
-// AppendAdd was acknowledged before the crash — on an empty directory, and
-// on a copy of a directory an earlier version wrote, whose snapshot and log
-// tail are acknowledged before the first append.
+// AppendAdd was acknowledged before the crash — on an empty directory,
+// whose script starts by writing a meta frame, and on a copy of a directory
+// an earlier version wrote, whose snapshot and log tail are acknowledged
+// before the first append. The meta frame survives byte for byte once
+// WriteMeta returned; a crash inside it leaves a directory ReadMeta reports
+// empty (the daemon answers 404) and WriteMeta can write again (a PUT
+// re-creates the session).
 func TestStoreCrashAtEveryByte(t *testing.T) {
+	meta := []byte(`{"equi":true}`)
 	for _, layout := range []string{"empty", "snapshot-layout"} {
 		t.Run(layout, func(t *testing.T) {
 			fresh := func() *MemFS {
@@ -534,25 +556,31 @@ func TestStoreCrashAtEveryByte(t *testing.T) {
 				}
 				return fs
 			}
-			script := func(fs *MemFS) (acked []*table.Table, _ error) {
+			script := func(fs *MemFS) (metaAcked bool, acked []*table.Table, _ error) {
+				if layout == "empty" {
+					if err := WriteMeta("sess", fs, meta); err != nil {
+						return false, nil, err
+					}
+					metaAcked = true
+				}
 				w, rec, err := Open("sess", fs)
 				if err != nil {
-					return nil, err
+					return metaAcked, nil, err
 				}
 				defer w.Close()
 				acked = append(acked, rec.Tables...)
 				for i := 0; i < 6; i++ {
 					if err := w.AppendAdd(batch(10 + i)); err != nil {
-						return acked, err
+						return metaAcked, acked, err
 					}
 					acked = append(acked, batch(10+i)...)
 				}
-				return acked, nil
+				return metaAcked, acked, nil
 			}
 			// Dry run to learn the total byte volume.
 			dry := fresh()
 			start := dry.BytesWritten()
-			if _, err := script(dry); err != nil {
+			if _, _, err := script(dry); err != nil {
 				t.Fatalf("dry run: %v", err)
 			}
 			total := dry.BytesWritten() - start
@@ -563,10 +591,29 @@ func TestStoreCrashAtEveryByte(t *testing.T) {
 			for n := int64(0); n <= total; n++ {
 				fs := fresh()
 				fs.CrashAfterBytes(n)
-				acked, serr := script(fs)
+				metaAcked, acked, serr := script(fs)
 				fired := fs.Crash()
 				if serr == nil && fired {
 					t.Fatalf("budget %d: crash fired but script saw no error", n)
+				}
+				got, err := ReadMeta("sess", fs)
+				switch {
+				case layout != "empty":
+					// No wal-0.log: the daemon reads its session.json.
+					if got != nil || err != nil {
+						t.Fatalf("budget %d: legacy directory: ReadMeta = %q, %v; want nothing", n, got, err)
+					}
+				case metaAcked:
+					if err != nil || !slices.Equal(got, meta) {
+						t.Fatalf("budget %d: recovered meta %q (%v), want %q", n, got, err, meta)
+					}
+				default:
+					if got != nil || err != nil {
+						t.Fatalf("budget %d: crash inside the meta frame: ReadMeta = %q, %v; want nothing", n, got, err)
+					}
+					if err := WriteMeta("sess", fs, meta); err != nil {
+						t.Fatalf("budget %d: rewrite the meta frame: %v", n, err)
+					}
 				}
 				w, rec, err := Open("sess", fs)
 				if err != nil {
@@ -583,5 +630,73 @@ func TestStoreCrashAtEveryByte(t *testing.T) {
 				w.Close()
 			}
 		})
+	}
+}
+
+// A meta frame is frame 0 of wal-0.log and nothing else: Open skips it and
+// recovers the adds after it, ReadMeta returns it as written, and a meta
+// frame after the first fails the open as corruption, as WriteMeta
+// refuses to write one. ReadMeta reports nothing for a missing or empty
+// directory and ErrNoMeta for a log that starts with an add.
+func TestStoreMetaFrame(t *testing.T) {
+	fs := NewMemFS()
+	if got, err := ReadMeta("sess", fs); got != nil || err != nil {
+		t.Fatalf("missing directory: ReadMeta = %q, %v", got, err)
+	}
+	if err := WriteMeta("sess", fs, []byte("opts")); err != nil {
+		t.Fatal(err)
+	}
+	w, rec := mustOpen(t, fs, "sess")
+	if len(rec.Tables) != 0 {
+		t.Fatalf("a meta-only log recovered %d tables", len(rec.Tables))
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.AppendAdd(batch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	w, rec = mustOpen(t, fs, "sess")
+	w.Close()
+	if want := append(batch(0), batch(1)...); !tablesEqual(rec.Tables, want) {
+		t.Fatalf("recovered %v, want %v", rec.Tables, want)
+	}
+	if got, err := ReadMeta("sess", fs); err != nil || string(got) != "opts" {
+		t.Fatalf("ReadMeta = %q, %v; want opts", got, err)
+	}
+	if names, err := fs.ReadDir("sess"); err != nil || !slices.Equal(names, []string{"wal-0.log"}) {
+		t.Errorf("store directory holds %v (%v), want only wal-0.log", names, err)
+	}
+
+	adds := NewMemFS()
+	w, _ = mustOpen(t, adds, "sess")
+	if err := w.AppendAdd(batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if got, err := ReadMeta("sess", adds); got != nil || !errors.Is(err, ErrNoMeta) {
+		t.Fatalf("a log of adds: ReadMeta = %q, %v; want ErrNoMeta", got, err)
+	}
+	log, _ := readAll(adds, "sess/wal-0.log")
+	if err := WriteMeta("sess", adds, []byte("opts")); err == nil {
+		t.Fatal("WriteMeta appended a meta frame after an add")
+	}
+	if got, _ := readAll(adds, "sess/wal-0.log"); !slices.Equal(got, log) {
+		t.Fatal("the refused WriteMeta changed the log")
+	}
+	log = appendFrame(log, []byte{recMeta, 'x'})
+	if err := writeFileSync(adds, "sess/wal-0.log", log); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open("sess", adds); err == nil || !strings.Contains(err.Error(), "meta record") {
+		t.Fatalf("a meta frame after an add: open err = %v, want corruption", err)
+	}
+
+	empty := NewMemFS()
+	if err := empty.MkdirAll("sess"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadMeta("sess", empty); got != nil || err != nil {
+		t.Fatalf("empty directory: ReadMeta = %q, %v", got, err)
 	}
 }
