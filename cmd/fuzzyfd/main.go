@@ -162,7 +162,7 @@ func main() {
 		if ms := res.MatchStats; ms.Rounds > 0 {
 			fmt.Fprintf(os.Stderr, "assignment: %d candidate pairs scored, %d edges under θ", ms.CandidatePairs, ms.Edges)
 			if ms.AssignComponents > 0 {
-				fmt.Fprintf(os.Stderr, ", %d sparse components (largest %d×%d)", ms.AssignComponents,
+				fmt.Fprintf(os.Stderr, ", %d assignment components (largest %d×%d)", ms.AssignComponents,
 					ms.LargestAssignComponent[0], ms.LargestAssignComponent[1])
 			}
 			fmt.Fprintf(os.Stderr, "; %d rounds, %d replayed\n", ms.Rounds, ms.RoundsReplayed)

@@ -1,24 +1,17 @@
-// Package assign implements linear sum assignment (minimum-cost bipartite
-// matching), the primitive the paper uses for value matching (it calls
-// scipy's linear_sum_assignment, an implementation of the shortest
-// augmenting path algorithm described by Crouse, 2016).
-//
-// Two solvers are provided:
-//
-//   - Solve: exact O(n²·m) dense solver (Jonker–Volgenant style potentials
-//     with shortest augmenting paths), for complete cost matrices.
-//   - MatchSparse: exact solver for sparse candidate graphs; the same
-//     shortest augmenting paths, found by Dijkstra over adjacency lists, so
-//     its cost follows the number of candidate edges and no matrix is
-//     built. Its optimum equals a dense solve where absent edges carry a
-//     prohibitive cost.
 package assign
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
+
+// The dense reference solvers the tests compare MatchSparse against:
+// Solve, an exact O(n²·m) shortest-augmenting-path solver (Jonker–Volgenant
+// style potentials) over a complete cost matrix where absent edges carry
+// Forbidden, and BruteForce, which enumerates every assignment of a small
+// matrix.
 
 // Forbidden is the cost marking a disallowed pairing in a dense matrix.
 // Assignments to Forbidden edges are reported as unmatched (-1).
@@ -190,4 +183,115 @@ func solveRect(cost [][]float64, n, m int) []int {
 		}
 	}
 	return rowToCol
+}
+
+// ErrTooLarge is returned by BruteForce for inputs beyond its factorial
+// budget.
+var ErrTooLarge = errors.New("assign: brute force limited to 9 rows")
+
+// BruteForce finds the optimal assignment by enumerating all permutations.
+// It exists as a correctness oracle for property tests and works only for
+// small matrices (≤9 rows after orienting rows ≤ cols).
+func BruteForce(cost [][]float64) ([]int, float64, error) {
+	n := len(cost)
+	if n == 0 {
+		return nil, 0, nil
+	}
+	m := len(cost[0])
+	for _, row := range cost {
+		if len(row) != m {
+			return nil, 0, ErrRagged
+		}
+	}
+	if n > m {
+		tr := make([][]float64, m)
+		for j := 0; j < m; j++ {
+			tr[j] = make([]float64, n)
+			for i := 0; i < n; i++ {
+				tr[j][i] = cost[i][j]
+			}
+		}
+		colToRow, total, err := BruteForce(tr)
+		if err != nil {
+			return nil, 0, err
+		}
+		rowToCol := make([]int, n)
+		for i := range rowToCol {
+			rowToCol[i] = -1
+		}
+		for j, i := range colToRow {
+			if i >= 0 {
+				rowToCol[i] = j
+			}
+		}
+		return rowToCol, total, nil
+	}
+	if n > 9 {
+		return nil, 0, ErrTooLarge
+	}
+
+	// Clamp Forbidden entries so sums stay finite (mirrors Solve).
+	big := 1.0
+	for _, row := range cost {
+		for _, c := range row {
+			if c < Forbidden {
+				big += c
+			}
+		}
+	}
+	big *= 2
+	work := make([][]float64, n)
+	for i, row := range cost {
+		work[i] = make([]float64, m)
+		for j, c := range row {
+			if c >= Forbidden {
+				work[i][j] = big
+			} else {
+				work[i][j] = c
+			}
+		}
+	}
+
+	// rest[i] bounds what rows i.. add from below: each row's cheapest
+	// entry, whatever the columns left. Branches that cannot beat the best
+	// assignment so far are cut; the optimum is still exhaustive.
+	rest := make([]float64, n+1)
+	for i := n - 1; i >= 0; i-- {
+		rest[i] = rest[i+1] + slices.Min(work[i])
+	}
+	best := math.MaxFloat64
+	var bestAssign []int
+	cur := make([]int, n)
+	used := make([]bool, m)
+	var rec func(i int, acc float64)
+	rec = func(i int, acc float64) {
+		if acc+rest[i] >= best {
+			return
+		}
+		if i == n {
+			best = acc
+			bestAssign = append([]int(nil), cur...)
+			return
+		}
+		for j := 0; j < m; j++ {
+			if used[j] {
+				continue
+			}
+			used[j] = true
+			cur[i] = j
+			rec(i+1, acc+work[i][j])
+			used[j] = false
+		}
+	}
+	rec(0, 0)
+
+	total := 0.0
+	for i, j := range bestAssign {
+		if cost[i][j] >= Forbidden {
+			bestAssign[i] = -1
+			continue
+		}
+		total += cost[i][j]
+	}
+	return bestAssign, total, nil
 }

@@ -1,3 +1,10 @@
+// Package assign implements thresholded minimum-cost bipartite matching,
+// the primitive the paper uses for value matching (it calls scipy's
+// linear_sum_assignment, an implementation of the shortest augmenting path
+// algorithm described by Crouse, 2016). MatchSparse runs the same shortest
+// augmenting paths over a candidate edge list instead of a cost matrix, so
+// its cost follows the number of edges and pairs absent from the list are
+// never matched.
 package assign
 
 import (
@@ -24,19 +31,20 @@ type SparseShape struct {
 	// Components is the number of connected components holding an edge.
 	Components int
 	// LargestLeft × LargestRight are the sides of the component with the
-	// most left·right cells — the matrix a dense solve would have filled.
+	// most left·right cells.
 	LargestLeft, LargestRight int
 }
 
 // MatchSparse computes a maximum-cardinality, minimum-cost matching over a
 // sparse bipartite candidate graph with nA left and nB right items, and
 // reports the graph's component shape. Items with no incident edge stay
-// unmatched. The matching has the cardinality and total cost a dense Solve
-// would produce with absent edges set to Forbidden, but no matrix is built:
-// left items are added one at a time along a shortest augmenting path found
-// by Dijkstra over the adjacency lists, so time is O(augmentations × edges
-// explored · log) and memory is O(nA + nB + edges), however large the
-// connected components are.
+// unmatched. The matching has the cardinality and total cost of a linear
+// sum assignment over the complete nA×nB matrix with absent edges at a
+// prohibitive cost, but no matrix is built: left items are added one at a
+// time along a shortest augmenting path found by Dijkstra over the
+// adjacency lists, so time is O(augmentations × edges explored · log) and
+// memory is O(nA + nB + edges), however large the connected components
+// are.
 //
 // Cardinality dominates cost: every left item owns a private dummy partner
 // whose cost exceeds any sum of real edges in its component, so leaving an
@@ -44,10 +52,9 @@ type SparseShape struct {
 // thresholded linear sum assignment where leaving a feasible pair unmatched
 // is never optimal.
 //
-// The result depends on the edge set only: edges are sorted by (A, B), the
-// cheapest of duplicate edges is kept, and equal path lengths are broken by
-// node id. Where several matchings are optimal the one chosen may differ
-// from the dense solver's.
+// The pairs come in ascending A order, and they depend on the edge set
+// only: edges are sorted by (A, B), the cheapest of duplicate edges is
+// kept, and equal path lengths are broken by node id.
 func MatchSparse(nA, nB int, edges []Edge) ([]Pair, SparseShape) {
 	if len(edges) == 0 {
 		return nil, SparseShape{}

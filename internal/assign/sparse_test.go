@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -50,10 +51,9 @@ func randomSparseCase(r *rand.Rand, i int) sparseCase {
 	return c
 }
 
-// denseReference solves the case with Solve over a Forbidden-filled matrix
-// holding the cheapest of duplicate edges.
-func denseReference(t *testing.T, c sparseCase) ([]Pair, float64) {
-	t.Helper()
+// caseMatrix is the case as a Forbidden-filled cost matrix holding the
+// cheapest of duplicate edges.
+func caseMatrix(c sparseCase) [][]float64 {
 	cost := make([][]float64, c.nA)
 	for i := range cost {
 		cost[i] = make([]float64, c.nB)
@@ -66,6 +66,13 @@ func denseReference(t *testing.T, c sparseCase) ([]Pair, float64) {
 			cost[e.A][e.B] = e.Cost
 		}
 	}
+	return cost
+}
+
+// denseReference solves the case with Solve over caseMatrix.
+func denseReference(t *testing.T, c sparseCase) ([]Pair, float64) {
+	t.Helper()
+	cost := caseMatrix(c)
 	rowToCol, total, err := Solve(cost)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +86,53 @@ func denseReference(t *testing.T, c sparseCase) ([]Pair, float64) {
 	return pairs, total
 }
 
+// bruteReference solves the case with BruteForce over the same matrix as
+// denseReference, returning the cardinality and total cost.
+func bruteReference(t *testing.T, c sparseCase) (int, float64) {
+	t.Helper()
+	rowToCol, total, err := BruteForce(caseMatrix(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, j := range rowToCol {
+		if j >= 0 {
+			n++
+		}
+	}
+	return n, total
+}
+
+// checkMatching fails t unless got is a matching over c's edges, in
+// ascending A order, whose every pair costs the cheapest edge between its
+// nodes, and returns its total cost.
+func checkMatching(t *testing.T, c sparseCase, got []Pair) float64 {
+	t.Helper()
+	cheapest := make(map[[2]int]float64)
+	for _, e := range c.edges {
+		k := [2]int{e.A, e.B}
+		if old, ok := cheapest[k]; !ok || e.Cost < old {
+			cheapest[k] = e.Cost
+		}
+	}
+	usedA, usedB := make(map[int]bool), make(map[int]bool)
+	total := 0.0
+	for i, p := range got {
+		if usedA[p.A] || usedB[p.B] {
+			t.Fatalf("%v reuses a node in %v", p, got)
+		}
+		usedA[p.A], usedB[p.B] = true, true
+		if i > 0 && got[i-1].A > p.A {
+			t.Fatalf("pairs %v are not in A order", got)
+		}
+		if cost, ok := cheapest[[2]int{p.A, p.B}]; !ok || cost != p.Cost {
+			t.Fatalf("pair %v is not the cheapest edge between its nodes", p)
+		}
+		total += p.Cost
+	}
+	return total
+}
+
 // Property: on random sparse graphs MatchSparse returns a matching over the
 // given edges with the cardinality and total cost of the dense solver, and
 // the very same pairs wherever the optimum is unique.
@@ -88,26 +142,7 @@ func TestMatchSparseDifferential(t *testing.T) {
 		c := randomSparseCase(r, i)
 		got, _ := MatchSparse(c.nA, c.nB, c.edges)
 		want, wantTotal := denseReference(t, c)
-
-		cheapest := make(map[[2]int]float64)
-		for _, e := range c.edges {
-			k := [2]int{e.A, e.B}
-			if old, ok := cheapest[k]; !ok || e.Cost < old {
-				cheapest[k] = e.Cost
-			}
-		}
-		usedA, usedB := make(map[int]bool), make(map[int]bool)
-		total := 0.0
-		for _, p := range got {
-			if usedA[p.A] || usedB[p.B] {
-				t.Fatalf("case %d: %v reuses a node in %v", i, p, got)
-			}
-			usedA[p.A], usedB[p.B] = true, true
-			if cost, ok := cheapest[[2]int{p.A, p.B}]; !ok || cost != p.Cost {
-				t.Fatalf("case %d: pair %v is not the cheapest edge between its nodes", i, p)
-			}
-			total += p.Cost
-		}
+		total := checkMatching(t, c, got)
 		if len(got) != len(want) {
 			t.Fatalf("case %d: cardinality %d, dense %d", i, len(got), len(want))
 		}
@@ -118,6 +153,47 @@ func TestMatchSparseDifferential(t *testing.T) {
 			t.Fatalf("case %d: pairs %v, dense %v", i, got, want)
 		}
 	}
+}
+
+// FuzzMatchSparse decodes up to 12 left and 12 right items and an edge list
+// whose costs come from a few levels, 0 included, so ties and duplicate
+// edges are common. The result must be a matching over the cheapest given
+// edges with the dense solver's cardinality and total cost (and the brute
+// force's, where it is small enough to enumerate), and must not depend on
+// the order the edges arrive in.
+func FuzzMatchSparse(f *testing.F) {
+	f.Add([]byte{3, 3, 0, 0, 1, 0, 1, 0, 1, 0, 0, 2, 2, 5})
+	f.Add([]byte{12, 5, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 1, 1, 2, 11, 4, 3})
+	f.Add([]byte{9, 12, 8, 11, 1, 8, 11, 3, 0, 0, 0, 0, 0, 0})
+	levels := []float64{0, 0.1, 0.2, 0.3, 0.5, 0.9}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		c := sparseCase{nA: int(data[0]) % 13, nB: int(data[1]) % 13}
+		if c.nA > 0 && c.nB > 0 {
+			for e := data[2:]; len(e) >= 3; e = e[3:] {
+				c.edges = append(c.edges, Edge{A: int(e[0]) % c.nA, B: int(e[1]) % c.nB, Cost: levels[int(e[2])%len(levels)]})
+			}
+		}
+		got, shape := MatchSparse(c.nA, c.nB, c.edges)
+		total := checkMatching(t, c, got)
+		want, wantTotal := denseReference(t, c)
+		if len(got) != len(want) || math.Abs(total-wantTotal) > 1e-9 {
+			t.Fatalf("%d pairs costing %v, dense %d costing %v", len(got), total, len(want), wantTotal)
+		}
+		if c.nA <= 9 {
+			n, bfTotal := bruteReference(t, c)
+			if len(got) != n || math.Abs(total-bfTotal) > 1e-9 {
+				t.Fatalf("%d pairs costing %v, brute force %d costing %v", len(got), total, n, bfTotal)
+			}
+		}
+		reversed := slices.Clone(c.edges)
+		slices.Reverse(reversed)
+		if again, againShape := MatchSparse(c.nA, c.nB, reversed); !reflect.DeepEqual(again, got) || againShape != shape {
+			t.Fatalf("reversed edges give %v %+v, want %v %+v", again, againShape, got, shape)
+		}
+	})
 }
 
 // The result is a function of the edge set: any arrival order of the same

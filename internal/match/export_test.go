@@ -6,8 +6,8 @@ import (
 	"fuzzyfd/internal/assign"
 )
 
-// Path is an assignment path a test pins a Matcher to: the dense limit is
-// set above or below every round's |reps|·|values|.
+// Path is a candidate path a test pins a Matcher to: the dense limit is set
+// above or below every round's |reps|·|values|.
 type Path int
 
 const (
@@ -26,13 +26,5 @@ func (m *Matcher) Pin(p Path) *Matcher {
 // dense from every pair the dense path scores.
 func (m *Matcher) RoundEdges(reps, values []string, theta float64) (blocked, dense []assign.Edge) {
 	r := newRun(m.scorer(), nil)
-	blocked = r.blockedEdges(reps, values, theta)
-	for i, a := range r.records(reps) {
-		for j, b := range r.records(values) {
-			if d := r.distance(a, b); d < theta {
-				dense = append(dense, assign.Edge{A: i, B: j, Cost: d})
-			}
-		}
-	}
-	return blocked, dense
+	return r.blockedEdges(reps, values, theta), r.denseEdges(reps, values, theta)
 }

@@ -11,15 +11,17 @@
 // earlier table); the combined column is then matched against the next
 // column, and so on until every column is consumed.
 //
-// Each round is one assignment. A round whose representatives times values
-// fit under DefaultDenseLimit builds the full cost matrix and solves it
-// densely (the paper's scipy linear_sum_assignment); a larger one restricts
-// the assignment to candidate pairs sharing a blocking key, so its cost
-// follows the number of candidates, not the product of the column sizes.
-// Blocking is a heuristic, not a sound filter: a blocked round's edges are
-// a subset of the dense round's edges under θ, at the same costs, but two
-// values can be within θ without sharing any key, so a blocked round can
-// match fewer values, and different ones, than a dense round would.
+// Each round is one thresholded minimum-cost assignment (the paper's scipy
+// linear_sum_assignment), solved by assign.MatchSparse over the round's
+// edges under θ. The round's size picks only which pairs are scored: a
+// round whose representatives times values fit under DefaultDenseLimit
+// scores every pair; a larger one scores only candidate pairs sharing a
+// blocking key, so its cost follows the number of candidates, not the
+// product of the column sizes. Blocking is a heuristic, not a sound
+// filter: a blocked round's edges are a subset of the dense round's edges
+// under θ, at the same costs, but two values can be within θ without
+// sharing any key, so a blocked round can match fewer values, and
+// different ones, than a dense round would.
 //
 // A Matcher's Memo lets consecutive calls share each value's record and
 // replay every round whose exact inputs they met before (see Memo). One
@@ -32,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"fuzzyfd/internal/assign"
 	"fuzzyfd/internal/embed"
@@ -42,8 +43,8 @@ import (
 // with the matching threshold of 0.7, which gives the best results").
 const DefaultTheta = 0.7
 
-// DefaultDenseLimit bounds |A|·|B| for a round solved densely; larger rounds
-// are blocked.
+// DefaultDenseLimit bounds |A|·|B| for a round that scores every pair;
+// larger rounds are blocked.
 const DefaultDenseLimit = 200_000
 
 // ErrNoEmbedder is returned when a Matcher is used without an embedder.
@@ -253,10 +254,7 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 			reps[i] = c.rep
 		}
 		theta := thetaFor(reps, cols[k].Values)
-		pairs, err := r.round(reps, cols[k].Values, theta)
-		if err != nil {
-			return nil, Stats{}, fmt.Errorf("match: column %d (%s): %w", k, cols[k].Name, err)
-		}
+		pairs := r.round(reps, cols[k].Values, theta)
 		matched := make(map[int]bool, len(pairs)) // col-k value index -> merged
 		for _, p := range pairs {
 			clusters[p.A].members = append(clusters[p.A].members, Member{Col: k, Value: cols[k].Values[p.B], Dist: p.Cost})
@@ -386,65 +384,49 @@ func (r *run) distance(a, b *value) float64 {
 // when a round with the same inputs ran since its Sweep before last, else
 // assigned and remembered. A replayed round adds nothing to the assignment
 // counters, which count work done.
-func (r *run) round(reps, values []string, theta float64) ([]assign.Pair, error) {
+func (r *run) round(reps, values []string, theta float64) []assign.Pair {
 	r.stats.Rounds++
 	key := r.roundKey(reps, values, theta, r.denseLimit)
 	if pairs, ok := r.replay(key); ok {
 		r.stats.RoundsReplayed++
-		return pairs, nil
+		return pairs
 	}
-	pairs, err := r.assignRound(reps, values, theta)
-	if err == nil {
-		r.rounds[key] = pairs
-	}
-	return pairs, err
+	pairs := r.assignRound(reps, values, theta)
+	r.rounds[key] = pairs
+	return pairs
 }
 
 // assignRound matches the current clusters' representatives (side A)
 // against the next column's values (side B), returning assignment pairs
-// under θ.
-func (r *run) assignRound(reps, values []string, theta float64) ([]assign.Pair, error) {
+// under θ. The round's size picks only the candidate pairs it scores:
+// every pair up to the dense limit, blocked candidates beyond it.
+func (r *run) assignRound(reps, values []string, theta float64) []assign.Pair {
+	var edges []assign.Edge
 	if len(reps)*len(values) <= r.denseLimit {
-		return r.assignDense(reps, values, theta)
+		edges = r.denseEdges(reps, values, theta)
+	} else {
+		edges = r.blockedEdges(reps, values, theta)
 	}
-	pairs, shape := assign.MatchSparse(len(reps), len(values), r.blockedEdges(reps, values, theta))
+	pairs, shape := assign.MatchSparse(len(reps), len(values), edges)
 	r.stats.AssignComponents += shape.Components
 	if big := r.stats.LargestAssignComponent; shape.LargestLeft*shape.LargestRight > big[0]*big[1] {
 		r.stats.LargestAssignComponent = [2]int{shape.LargestLeft, shape.LargestRight}
 	}
-	return pairs, nil
+	return pairs
 }
 
-func (r *run) assignDense(reps, values []string, theta float64) ([]assign.Pair, error) {
-	if len(reps) == 0 || len(values) == 0 {
-		return nil, nil
-	}
+// denseEdges scores every (cluster, value) pair, keeping edges under θ.
+func (r *run) denseEdges(reps, values []string, theta float64) []assign.Edge {
+	var edges []assign.Edge
 	a, b := r.records(reps), r.records(values)
-	cost := make([][]float64, len(a))
 	for i, ra := range a {
-		row := make([]float64, len(b))
 		for j, rb := range b {
-			d := r.distance(ra, rb)
-			if d >= theta {
-				d = assign.Forbidden
-			} else {
-				r.stats.Edges++
+			if d := r.distance(ra, rb); d < theta {
+				edges = append(edges, assign.Edge{A: i, B: j, Cost: d})
 			}
-			row[j] = d
-		}
-		cost[i] = row
-	}
-	r.stats.CandidatePairs += len(reps) * len(values)
-	rowToCol, _, err := assign.Solve(cost)
-	if err != nil {
-		return nil, err
-	}
-	var pairs []assign.Pair
-	for i, j := range rowToCol {
-		if j >= 0 {
-			pairs = append(pairs, assign.Pair{A: i, B: j, Cost: cost[i][j]})
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].A < pairs[b].A })
-	return pairs, nil
+	r.stats.CandidatePairs += len(a) * len(b)
+	r.stats.Edges += len(edges)
+	return edges
 }

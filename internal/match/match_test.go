@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -225,8 +226,8 @@ func TestRepresentativeElection(t *testing.T) {
 }
 
 // On these small city-name columns every edge under θ shares a blocking
-// key, so the blocked path finds the dense path's edges and the two agree.
-// That is a property of the fixture, not of blocking: in general a blocked
+// key, so the blocked path finds the dense path's edges, and one solver
+// over the same edges returns the same clusters. That is a property of the fixture, not of blocking: in general a blocked
 // round's edges are only a subset of the dense round's
 // (TestBlockedEdgesSubsetOfDense).
 func TestDenseSparseAgreement(t *testing.T) {
@@ -271,41 +272,17 @@ func TestDenseSparseAgreement(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Exact-cost ties can be assigned differently by the two paths, so
-		// compare the tie-insensitive invariants both solvers guarantee:
-		// the number of clusters, the number of matched members, and the
-		// total assignment cost.
-		dc, dm, dcost := clusterTotals(dense)
-		sc, sm, scost := clusterTotals(sparse)
-		if dc != sc || dm != sm {
-			t.Logf("seed %d: dense %d/%d vs sparse %d/%d", seed, dc, dm, sc, sm)
-			return false
-		}
-		if diff := dcost - scost; diff > 1e-9 || diff < -1e-9 {
-			t.Logf("seed %d: cost %v vs %v", seed, dcost, scost)
+		if !reflect.DeepEqual(dense, sparse) {
+			t.Logf("seed %d: dense %+v\nsparse %+v", seed, dense, sparse)
 			return false
 		}
 		return true
 	}
-	// Fixed corpus: ties between equal-cost assignments could cascade into
-	// different (equally optimal) clusterings, so this agreement check runs
-	// on a reproducible input set.
+	// Fixed corpus: that every edge under θ shares a key is checked on
+	// these inputs only.
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(2024))}); err != nil {
 		t.Error(err)
 	}
-}
-
-// clusterTotals returns (clusters, matched members, total match cost).
-func clusterTotals(cs []Cluster) (int, int, float64) {
-	members := 0
-	cost := 0.0
-	for _, c := range cs {
-		members += len(c.Members)
-		for _, m := range c.Members {
-			cost += m.Dist
-		}
-	}
-	return len(cs), members, cost
 }
 
 // Properties that must hold for any input: clusters partition the input

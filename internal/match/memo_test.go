@@ -13,7 +13,7 @@ import (
 
 // A memo warmed by earlier calls — column prefixes, overlapping and
 // reordered sets, the whole set under another θ, across sweeps — must give
-// the clusters and Summarize of a fresh call, on either assignment path and
+// the clusters and Summarize of a fresh call, on either candidate path and
 // under the auto-tuner. Rounds must actually replay, and not every one of
 // them.
 func TestMemoReplayEqualsFreshMatch(t *testing.T) {

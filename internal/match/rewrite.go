@@ -39,12 +39,12 @@ type Stats struct {
 	// Assignment counters, summed over the sequential rounds. They describe
 	// the run, not the clusters, so only Match fills them;
 	// Summarize leaves them zero.
-	CandidatePairs   int // (cluster, value) pairs scored: every cell when dense, blocked candidates when sparse
+	CandidatePairs   int // (cluster, value) pairs scored: all of a dense round's, a blocked round's candidates
 	Edges            int // scored pairs under θ, the edges assignment chose from
-	AssignComponents int // connected components of the sparse candidate graphs
+	AssignComponents int // connected components of the rounds' edge graphs
 	// LargestAssignComponent is the left × right size of the biggest such
-	// component by cell count. Edges over the cells of all components is
-	// the density a matrix-based solver would have paid for.
+	// component by cell count; Edges over the cells of all components is
+	// how densely the edges fill them.
 	LargestAssignComponent [2]int
 	// Rounds counts the sequential assignment rounds, and RoundsReplayed
 	// those whose pairs came from the Matcher's Memo. A replayed round adds

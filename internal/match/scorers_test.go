@@ -48,7 +48,7 @@ func TestQGramScorerProperties(t *testing.T) {
 	}
 }
 
-// A scorer without vectors runs through both assignment paths: the blocked
+// A scorer without vectors runs through both candidate paths: the blocked
 // path must fall back to Distance per candidate.
 func TestMatcherWithQGramScorer(t *testing.T) {
 	for _, path := range []Path{Dense, Sparse} {

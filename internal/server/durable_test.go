@@ -617,6 +617,29 @@ func TestServerDeleteOnWALFS(t *testing.T) {
 	requireEmptyDir(t, dir)
 }
 
+// A DELETE that answered 204 survives power loss: the session's directory
+// is gone from the filesystem's durable image, so a server restarted after
+// a crash does not bring the deleted session back with its tables.
+func TestServerDeleteIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	mem := wal.NewMemFS()
+	cfg := Config{DataDir: dir, WALFS: mem}
+	srv, ts := newTestServer(t, cfg)
+	createSession(t, ts, "orders", `{"equi": true}`)
+	postTable(t, ts, "orders", "people", `{"name":"alice","city":"Berlin"}`)
+	if resp, body := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/orders", "", nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE: status %d: %s", resp.StatusCode, body)
+	}
+	mem.Crash()
+	_, ts = restartWith(t, srv, ts, cfg)
+	if resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/orders", "", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET after DELETE and crash: status %d: %s, want 404", resp.StatusCode, body)
+	}
+	if _, err := mem.Stat(filepath.Join(dir, "orders")); err == nil {
+		t.Error("the deleted session's directory came back after a crash")
+	}
+}
+
 // What a crash inside the options frame leaves, a log holding part of its
 // first frame, is no session: GET answers 404 and a PUT creates it. A log
 // of acknowledged adds with neither an options frame nor a session.json

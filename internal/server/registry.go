@@ -123,7 +123,8 @@ func (s *Server) loadOptions(name string) (opts sessionOptions, onDisk bool, err
 // deleteSession removes the named session for good under the registry
 // lock: the live session is dropped, and on a durable server the data
 // directory is removed from the WAL filesystem whether or not the session
-// was live. found is false when the name exists nowhere.
+// was live, and the removal is committed by syncing the directory that held
+// it. found is false when the name exists nowhere.
 func (s *Server) deleteSession(name string) (found bool, err error) {
 	r := s.reg
 	r.mu.Lock()
@@ -140,7 +141,10 @@ func (s *Server) deleteSession(name string) (found bool, err error) {
 	if _, err := s.cfg.WALFS.Stat(dir); err != nil {
 		return found, nil
 	}
-	return true, wal.RemoveAll(s.cfg.WALFS, dir)
+	if err := wal.RemoveAll(s.cfg.WALFS, dir); err != nil {
+		return true, err
+	}
+	return true, s.cfg.WALFS.SyncDir(filepath.Dir(dir))
 }
 
 // drop removes c from the table and closes it. A durable session's log
