@@ -92,7 +92,7 @@ func (a *Aligner) Align(tables []*table.Table) (Result, error) {
 			if cols[i].ref.Table == cols[j].ref.Table {
 				continue
 			}
-			if !kindsCompatible(cols[i].kind, cols[j].kind) {
+			if !table.KindsCompatible(cols[i].kind, cols[j].kind) {
 				continue
 			}
 			sim := 1 - embed.CosineDistance(cols[i].vec, cols[j].vec)
@@ -174,17 +174,6 @@ func (a *Aligner) Align(tables []*table.Table) (Result, error) {
 		res.Names = append(res.Names, electName(nameVotes, usedNames, len(res.Names)))
 	}
 	return res, nil
-}
-
-// kindsCompatible blocks alignments between clearly incompatible content
-// types (a numeric column never aligns with a text column); empty columns
-// are compatible with anything.
-func kindsCompatible(a, b table.Kind) bool {
-	if a == table.KindEmpty || b == table.KindEmpty || a == b {
-		return true
-	}
-	numeric := func(k table.Kind) bool { return k == table.KindInt || k == table.KindFloat }
-	return numeric(a) && numeric(b)
 }
 
 // columnVector embeds a column as the normalized mean of its sampled

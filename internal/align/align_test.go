@@ -107,13 +107,13 @@ func TestSameTableConstraint(t *testing.T) {
 // Numeric columns must not align with text columns even when embeddings
 // are noisy.
 func TestKindGate(t *testing.T) {
-	if kindsCompatible(table.KindInt, table.KindString) {
+	if table.KindsCompatible(table.KindInt, table.KindString) {
 		t.Error("int/string should be incompatible")
 	}
-	if !kindsCompatible(table.KindInt, table.KindFloat) {
+	if !table.KindsCompatible(table.KindInt, table.KindFloat) {
 		t.Error("int/float should be compatible")
 	}
-	if !kindsCompatible(table.KindEmpty, table.KindString) {
+	if !table.KindsCompatible(table.KindEmpty, table.KindString) {
 		t.Error("empty should be compatible with anything")
 	}
 }

@@ -108,7 +108,7 @@ func (s *Searcher) UnionablesContext(ctx context.Context, query *table.Table, co
 		for qi := range qvecs {
 			best := 0.0
 			for ci := range cvecs {
-				if !kindsMatch(qkinds[qi], ckinds[ci]) {
+				if !table.KindsCompatible(qkinds[qi], ckinds[ci]) {
 					continue
 				}
 				if sim := 1 - embed.CosineDistance(qvecs[qi], cvecs[ci]); sim > best {
@@ -239,14 +239,6 @@ func (s *Searcher) valueSets(t *table.Table) []map[string]bool {
 		out[ci] = set
 	}
 	return out
-}
-
-func kindsMatch(a, b table.Kind) bool {
-	if a == table.KindEmpty || b == table.KindEmpty || a == b {
-		return true
-	}
-	numeric := func(k table.Kind) bool { return k == table.KindInt || k == table.KindFloat }
-	return numeric(a) && numeric(b)
 }
 
 func topK(cands []Candidate, k int) []Candidate {

@@ -42,8 +42,8 @@ func components(tables []*table.Table, schema Schema) (*engine, [][]Tuple) {
 	x.widen(len(schema.Columns))
 	x.ingest(tables, schema, &Stats{})
 	var comps [][]Tuple
-	for _, c := range x.order {
-		if c == nil {
+	for id, c := range x.compOf {
+		if c.first != id {
 			continue
 		}
 		comp := make([]Tuple, 0, len(c.members))
@@ -52,7 +52,7 @@ func components(tables []*table.Table, schema Schema) (*engine, [][]Tuple) {
 		}
 		comps = append(comps, comp)
 	}
-	return &engine{dict: x.dict.Snapshot(), nCols: x.nCols}, comps
+	return &engine{dict: x.dict, nCols: x.nCols}, comps
 }
 
 // ExtractLargestComponent materializes the largest connected component of
@@ -95,8 +95,7 @@ func FlatReference(tables []*table.Table, schema Schema) (*Result, error) {
 // cell signature, unioning provenance — the input of the reference
 // closures, which see the whole outer union at once.
 func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
-	dict := intern.NewDict()
-	eng := &engine{nCols: len(schema.Columns)}
+	eng := &engine{dict: intern.NewDict(), nCols: len(schema.Columns)}
 	var tuples []Tuple
 	sigs := newSigIndex(0)
 	for ti, t := range tables {
@@ -104,7 +103,7 @@ func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
 			cells := make([]uint32, eng.nCols) // zero-valued = all null
 			for ci, cell := range row {
 				if !cell.IsNull {
-					cells[schema.Mapping[ti][ci]] = dict.Intern(cell.Val)
+					cells[schema.Mapping[ti][ci]] = eng.dict.Intern(cell.Val)
 				}
 			}
 			tid := TID{Table: ti, Row: ri}
@@ -117,7 +116,6 @@ func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
 			tuples = append(tuples, Tuple{Cells: cells, Prov: []TID{tid}})
 		}
 	}
-	eng.dict = dict.Snapshot()
 	return eng, tuples
 }
 

@@ -91,12 +91,12 @@ type Tuple struct {
 	Prov  []TID // sorted, unique
 }
 
-// engine is the shared immutable state of one Full Disjunction round: a
-// frozen snapshot of the value dictionary and the integrated schema width.
-// All symbol decoding and value-order comparisons go through it, so the
-// closures a round runs on worker goroutines read no mutable state.
+// engine is what one Update's closures share: the index's value dictionary,
+// complete once the delta is ingested, and the integrated schema width. All
+// symbol decoding and value-order comparisons go through it, on the
+// Update's goroutine; a hub's pivot-group workers read nCols only.
 type engine struct {
-	dict  intern.Snapshot
+	dict  *intern.Dict
 	nCols int
 }
 

@@ -106,13 +106,22 @@ type hubBenchProcs struct {
 // last DeltaRows rows arriving after the rest has been closed and cached.
 // A cached closure is extended in place at any Workers setting, so
 // Par8VsSeq (sequential time over Workers 8 time) gates that Workers never
-// pessimizes that path.
+// pessimizes that path. The work counters hold, per side, the head Update's
+// and the delta Update's value ([head, delta]): equal delta merge attempts
+// on both sides show the clock ratio compares identical work.
 type hubBenchDelta struct {
 	GoMaxProcs int     `json:"gomaxprocs"`
 	DeltaRows  int     `json:"delta_rows"`
 	SeqMS      float64 `json:"seq_ms"`
 	Par8MS     float64 `json:"par8_ms"`
 	Par8VsSeq  float64 `json:"par8_vs_seq_speedup"`
+
+	SeqMergeAttempts      [2]int `json:"seq_merge_attempts"`
+	Par8MergeAttempts     [2]int `json:"par8_merge_attempts"`
+	SeqSeedIndexedTuples  [2]int `json:"seq_seed_indexed_tuples"`
+	Par8SeedIndexedTuples [2]int `json:"par8_seed_indexed_tuples"`
+	SeqPivotGroups        [2]int `json:"seq_pivot_groups"`
+	Par8PivotGroups       [2]int `json:"par8_pivot_groups"`
 }
 
 // hubBenchReport is the BENCH_fd.json schema. Every CI gate on it is a
@@ -244,35 +253,45 @@ func (p hubBenchProcs) engine(name string) hubBenchEngine {
 // hubBenchDeltaRun times, at the current GOMAXPROCS, the second Update of
 // a two-Update session over the hub — best of hubBenchReps fresh sessions
 // per Workers setting, the two settings alternating, and alternating which
-// goes first, so that machine drift lands on both.
+// goes first, so that machine drift lands on both — and records each
+// side's work counters, which are deterministic.
 func hubBenchDeltaRun(tables []*table.Table, schema fd.Schema) (hubBenchDelta, error) {
 	out := hubBenchDelta{GoMaxProcs: runtime.GOMAXPROCS(0), DeltaRows: hubDeltaRows}
 	hub := tables[0]
 	head := table.New(hub.Name, hub.Columns...)
 	head.Rows = hub.Rows[:len(hub.Rows)-hubDeltaRows]
-	second := func(workers int, best *float64) error {
+	second := func(workers int, best *float64, attempts, indexed, groups *[2]int) error {
 		x := fd.NewIndex()
 		opts := fd.Options{Workers: workers}
-		if _, err := x.UpdateContext(context.Background(), []*table.Table{head}, schema, opts); err != nil {
+		first, err := x.UpdateContext(context.Background(), []*table.Table{head}, schema, opts)
+		if err != nil {
 			return err
 		}
 		runtime.GC() // the first Update's garbage is not the second's to collect
 		start := time.Now()
-		if _, err := x.UpdateContext(context.Background(), tables, schema, opts); err != nil {
+		res, err := x.UpdateContext(context.Background(), tables, schema, opts)
+		if err != nil {
 			return err
 		}
 		if ms := float64(time.Since(start).Microseconds()) / 1000; *best == 0 || ms < *best {
 			*best = ms
 		}
+		for k, st := range []fd.Stats{first.Stats, res.Stats} {
+			attempts[k], indexed[k], groups[k] = st.MergeAttempts, st.SeedIndexedTuples, st.PivotGroups
+		}
 		return nil
 	}
 	sides := []struct {
-		workers int
-		best    *float64
-	}{{1, &out.SeqMS}, {8, &out.Par8MS}}
+		workers                   int
+		best                      *float64
+		attempts, indexed, groups *[2]int
+	}{
+		{1, &out.SeqMS, &out.SeqMergeAttempts, &out.SeqSeedIndexedTuples, &out.SeqPivotGroups},
+		{8, &out.Par8MS, &out.Par8MergeAttempts, &out.Par8SeedIndexedTuples, &out.Par8PivotGroups},
+	}
 	for rep := 0; rep < hubBenchReps; rep++ {
 		for _, s := range sides {
-			if err := second(s.workers, s.best); err != nil {
+			if err := second(s.workers, s.best, s.attempts, s.indexed, s.groups); err != nil {
 				return out, err
 			}
 		}

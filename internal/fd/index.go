@@ -81,8 +81,7 @@ type indexStore struct {
 	pos    []int32
 	dirty  []bool
 
-	order []*comp // live components by smallest member; nil where one was absorbed
-	live  int     // non-nil entries of order
+	live  int     // live components
 	queue []*comp // components holding dirty members, awaiting closure
 
 	// Running totals over the cached closures of live components: closure
@@ -107,8 +106,9 @@ type indexStore struct {
 // bridges two; they never split.
 type comp struct {
 	members []int // base tuple ids, in joining order
-	first   int   // smallest member: the component's stable identity across merges
-	slot    int   // position in Index.order
+	// first is the smallest member: the component's stable identity across
+	// merges, and where a walk over Index.compOf meets it once.
+	first int
 	// dirty lists the members carrying a dirty mark. A component with none
 	// is clean: caches holds exactly one closure, covering every member.
 	dirty []int
@@ -125,9 +125,9 @@ type cachedComp struct {
 	kept    []Tuple     // closure + subsumption result, in value order
 	rows    []table.Row // kept, decoded (nil until needed after a widening)
 	closure int         // closure size, for stats and budget accounting
-	store               // the full closure store, extended by the next re-closure
-	// gen counts the times the closure was consumed by a re-closure;
-	// assembled rows (outRow) of an older generation are stale.
+	store               // the full closure store, extended in place by the next re-closure
+	// gen counts the re-closures the record went into (uncache); assembled
+	// rows (outRow) of an older generation are stale.
 	gen uint32
 }
 
@@ -152,14 +152,6 @@ func (x *Index) Rebuilds() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.rebuilds
-}
-
-// Snapshot captures the current dictionary state; symbols in tuples held
-// by the caller remain decodable through it regardless of later Updates.
-func (x *Index) Snapshot() intern.Snapshot {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.dict.Snapshot()
 }
 
 // UpdateContext ingests the accumulated integration set (all tables of the
@@ -232,15 +224,16 @@ func (x *Index) update(ctx context.Context, tables []*table.Table, schema Schema
 	// on the store until a closure is seeded from them.
 	x.ingest(tables, schema, stats)
 	x.lastTables = append([]*table.Table(nil), tables...)
+	// The dictionary is complete now: one engine serves the rest.
+	eng := &engine{dict: x.dict, nCols: x.nCols}
 
 	// Stage 3: close every dirty component and cache its closure.
-	if err := x.closeDirty(ctx, opts, stats); err != nil {
+	if err := x.closeDirty(ctx, eng, opts, stats); err != nil {
 		return nil, nil, err
 	}
 
 	// Stage 4: assemble, still under the lock — the rows and provenance
 	// handed out are fresh slices no later Update writes to.
-	eng := &engine{dict: x.dict.Snapshot(), nCols: x.nCols}
 	stats.OuterUnion = len(x.base)
 	stats.Values = x.dict.Len()
 	stats.Components = x.live
@@ -317,8 +310,8 @@ func (x *Index) widen(nCols int) {
 		return
 	}
 	widenCells(x.base, nCols)
-	for _, c := range x.order {
-		if c != nil {
+	for id, c := range x.compOf {
+		if c.first == id { // each live component once
 			for _, r := range c.caches {
 				widenComp(r, nCols)
 			}
@@ -332,9 +325,10 @@ func (x *Index) widen(nCols int) {
 // against value-matching rounds rewriting history. Runs after widen, so
 // widths agree. Tables pointer-identical to the last Update are assumed
 // unchanged (ingested rows must not be mutated, per the Update contract)
-// and skipped, so a pure-append session pays nothing here; the fuzzy
-// pipeline hands the index fresh rewritten clones each round, which are
-// always re-verified.
+// and skipped, so a pure-append session pays nothing here. The fuzzy
+// pipeline hands the index a rewritten clone of a table only when the
+// table's rewrite plan changed (an unchanged plan hands back the same
+// clone), and a new clone is always re-verified.
 func (x *Index) verify(tables []*table.Table, schema Schema) bool {
 	if len(x.rowsSeen) == 0 {
 		return true
@@ -452,8 +446,7 @@ func (x *Index) ingest(tables []*table.Table, schema Schema, stats *Stats) {
 			}
 		})
 		if c == nil {
-			c = &comp{first: id, slot: len(x.order)}
-			x.order = append(x.order, c)
+			c = &comp{first: id}
 			x.live++
 		}
 		c.members = append(c.members, id)
@@ -484,8 +477,8 @@ func (x *Index) markDirty(id int) {
 // mergeComps merges two live components and returns the survivor: the one
 // with more members absorbs the other, so relabeling costs each base tuple
 // O(log n) moves over the index's life. The survivor takes over the
-// absorbed component's caches and dirty members, and the earlier of the
-// two slots in x.order.
+// absorbed component's caches and dirty members, and the smaller first
+// member.
 func (x *Index) mergeComps(a, b *comp) *comp {
 	if len(a.members) < len(b.members) {
 		a, b = b, a
@@ -496,16 +489,8 @@ func (x *Index) mergeComps(a, b *comp) *comp {
 	a.members = append(a.members, b.members...)
 	a.dirty = append(a.dirty, b.dirty...)
 	a.caches = append(a.caches, b.caches...)
-	if b.slot < a.slot {
-		a.slot, b.slot = b.slot, a.slot
-		a.first = b.first
-		x.order[a.slot] = a
-	}
-	x.order[b.slot] = nil
+	a.first = min(a.first, b.first)
 	x.live--
-	if len(x.order) > 2*x.live+32 {
-		x.compactOrder()
-	}
 	b.dead = true
 	if b.queued && !a.queued {
 		a.queued = true
@@ -514,38 +499,26 @@ func (x *Index) mergeComps(a, b *comp) *comp {
 	return a
 }
 
-// compactOrder squeezes the absorbed components' slots out of x.order.
-func (x *Index) compactOrder() {
-	live := x.order[:0]
-	for _, c := range x.order {
-		if c != nil {
-			c.slot = len(live)
-			live = append(live, c)
-		}
-	}
-	clear(x.order[len(live):])
-	x.order = live
-}
-
-// seed builds the re-closure job for one dirty component: the seed store holding every tuple already known for it and the worklist
-// of store positions whose pairs are unexamined — the dirty members'. There
-// is one path. The cached closure with the largest store is the host: its
-// store, entry flags, signature index, postings and scratch are
-// kept and extended in place. The stores of the other (smaller) closures
-// the component absorbed are appended behind it, deduplicated through the
-// host's signatures — a new base tuple can equal a tuple one of them
-// derived, and the store must stay a set for budget accounting to be exact
-// — and are not put on the worklist: no pair across two previously separate
-// components can merge (partition.go), so only the dirty members, appended
-// last or refreshed where they already sit, need expanding. With no host at
-// all (a new component, or one whose last closure failed) the job is the
-// degenerate case: the base tuples, everything to expand.
+// seed prepares one dirty component's re-closure in the cached record it
+// closes in, and returns the record with the worklist: the store positions
+// whose pairs are unexamined — the dirty members'. There is one path. The
+// cached closure with the largest store is the host and keeps its store:
+// tuples, entry flags, signature index, postings and scratch are extended
+// in place. The stores of the other (smaller) closures the component
+// absorbed are appended behind it, deduplicated through the host's
+// signatures — a new base tuple can equal a tuple one of them derived, and
+// the store must stay a set for budget accounting to be exact — and are not
+// put on the worklist: no pair across two previously separate components
+// can merge (partition.go), so only the dirty members, appended last or
+// refreshed where they already sit, need expanding. With no host at all (a
+// new component, or one whose last closure failed) a fresh record holds the
+// base tuples, without flags, and the worklist is nil: everything is
+// expanded.
 //
-// The returned closure record — the host, or a fresh one — is emptied
-// until closeDirty refills it; it already lists every member, and x.pos
-// holds each member's position in the seed store (closures keep seeds in
-// place).
-func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
+// The record lists every member, and x.pos holds each member's position in
+// its store (closures keep seeds in place); closeDirty refills its kept
+// tuples and rows.
+func (x *Index) seed(c *comp, stats *Stats) (*cachedComp, []int) {
 	var host *cachedComp
 	for _, r := range c.caches {
 		x.uncache(r)
@@ -557,17 +530,15 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 	c.caches, c.dirty, c.queued = nil, nil, false
 
 	if host == nil {
-		rec := &cachedComp{members: fresh}
-		tuples := make([]Tuple, len(fresh))
+		rec := &cachedComp{members: fresh, store: store{tuples: make([]Tuple, len(fresh))}}
 		for k, id := range fresh {
-			tuples[k] = x.base[id]
+			rec.tuples[k] = x.base[id]
 			x.cover[id], x.pos[id], x.dirty[id] = rec, int32(k), false
 		}
-		return closeJob{store: store{tuples: tuples}, base: len(tuples)}, rec
+		return rec, nil
 	}
 
-	st := host.store
-	host.store = store{}
+	st := &host.store
 	if st.sigs == nil {
 		st.sigs = newSigIndex(len(st.tuples))
 		for i := range st.tuples {
@@ -577,7 +548,7 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 	// add puts one tuple with its flags into the store, folding it into the
 	// entry with identical cells if there is one, and reports where it sits.
 	// Appended entries are posted when the closure brings the postings up to
-	// date (newJobClosure). A base tuple can also land on an entry that was
+	// date (closeOne). A base tuple can also land on an entry that was
 	// derived until now: the entry turns base and enters the base postings
 	// here, or no derived tuple would ever probe for it. (It may sit in the
 	// derived postings too; a probe of both deduplicates.)
@@ -626,16 +597,18 @@ func (x *Index) seed(c *comp, stats *Stats) (closeJob, *cachedComp) {
 		work = append(work, int(x.pos[id]))
 	}
 	host.members = members
-	return closeJob{store: st, base: len(members), work: work}, host
+	return host, work
 }
 
 // closeDirty closes every queued dirty component in one round: seed each
-// (sorted by smallest member), close the jobs, and cache the closures on
-// their components. A round costs what its dirty components cost; clean
-// components are not visited. On failure every seeded member is marked
-// dirty again, so the next Update re-closes those components from their
-// base tuples. Callers hold x.mu.
-func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats) error {
+// (sorted by smallest member), close them one after another, and cache the
+// closures on their components once all have closed. A round costs what its
+// dirty components cost; clean components are not visited. The context is
+// checked at every component boundary (and inside components by the
+// closures). On failure every seeded member is marked dirty again, so the
+// next Update re-closes those components from their base tuples. Callers
+// hold x.mu.
+func (x *Index) closeDirty(ctx context.Context, eng *engine, opts Options, stats *Stats) error {
 	if err := ctx.Err(); err != nil {
 		return Canceled(err)
 	}
@@ -649,16 +622,15 @@ func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats) erro
 	x.queue = x.queue[:0]
 	slices.SortFunc(dirty, func(a, b *comp) int { return a.first - b.first })
 
-	eng := &engine{dict: x.dict.Snapshot(), nCols: x.nCols}
-	jobs := make([]closeJob, len(dirty))
 	recs := make([]*cachedComp, len(dirty))
+	work := make([][]int, len(dirty))
 	seedExtra := 0 // reused closure tuples seeded into dirty comps, for budget parity
 	for k, c := range dirty {
-		jobs[k], recs[k] = x.seed(c, stats)
-		seedExtra += len(jobs[k].tuples) - jobs[k].base
+		recs[k], work[k] = x.seed(c, stats)
+		seedExtra += len(recs[k].tuples) - len(recs[k].members)
 	}
 	stats.SeedReusedTuples += seedExtra
-	stats.DirtyComponents += len(jobs)
+	stats.DirtyComponents += len(dirty)
 
 	// The budget seeds with every tuple known to be live — base, the
 	// cached closures' surplus, and the reused dirty seeds — so
@@ -666,38 +638,45 @@ func (x *Index) closeDirty(ctx context.Context, opts Options, stats *Stats) erro
 	// incremental runs.
 	bud := newBudget(opts, len(x.base)+x.closure-x.covered+seedExtra, eng)
 
-	// Each closed component's kept tuples are put in value order and
-	// decoded here, once — rows the closure's previous generation already
-	// decoded carry over, as each component closes.
-	decoded := make([][]table.Row, len(jobs))
-	hook := func(ci int, r compResult) {
-		slices.SortFunc(r.kept, func(a, b Tuple) int { return eng.cmpCells(a.Cells, b.Cells) })
-		decoded[ci] = eng.decodeKept(r.kept, recs[ci].kept, recs[ci].rows)
-	}
-	results, err := eng.closeSet(ctx, jobs, opts, bud, stats, hook)
-	if err != nil {
-		for _, rec := range recs {
-			for _, id := range rec.members {
-				x.markDirty(id)
-			}
-		}
-		return err
-	}
-
 	largestDirty := 0
-	for di := range results {
-		r, rec := &results[di], recs[di]
-		stats.ReclosedTuples += r.closure
-		// Stats.PivotColumn describes the work this run performed, so it
-		// is the pivot of the largest component actually (re)closed —
-		// clean components did no probing.
-		if r.closure > largestDirty {
-			largestDirty = r.closure
-			stats.PivotColumn = r.stats.PivotColumn
+	for k, rec := range recs {
+		err := Canceled(ctx.Err())
+		var kept []Tuple
+		var st Stats
+		if err == nil {
+			kept, st, err = eng.closeOne(ctx, rec, work[k], opts, bud)
 		}
-		rec.kept, rec.rows, rec.closure = r.kept, decoded[di], r.closure
-		rec.store = r.store
-		x.cache(dirty[di], rec)
+		if err != nil {
+			for _, rec := range recs {
+				rec.store = store{} // the next close starts from base tuples
+				for _, id := range rec.members {
+					x.markDirty(id)
+				}
+			}
+			return err
+		}
+		stats.mergeWork(st)
+		stats.ReclosedTuples += rec.closure
+		// Stats.PivotColumn describes the work this run performed, so it is
+		// the pivot of the largest component actually (re)closed — clean
+		// components did no probing.
+		if rec.closure > largestDirty {
+			largestDirty = rec.closure
+			stats.PivotColumn = st.PivotColumn
+		}
+		// The kept tuples are put in value order and decoded here, once —
+		// rows the record's previous generation already decoded carry over.
+		slices.SortFunc(kept, func(a, b Tuple) int { return eng.cmpCells(a.Cells, b.Cells) })
+		rec.kept, rec.rows = kept, eng.decodeKept(kept, rec.kept, rec.rows)
+		if opts.Progress != nil {
+			opts.Progress(ComponentProgress{
+				Done: k + 1, Total: len(recs), Members: len(rec.members), Closure: rec.closure,
+				PivotColumn: st.PivotColumn, PivotSkipped: st.PivotSkipped,
+			})
+		}
+	}
+	for k, rec := range recs {
+		x.cache(dirty[k], rec)
 	}
 	return nil
 }

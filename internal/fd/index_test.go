@@ -69,20 +69,30 @@ func TestIndexIncrementalMatchesBatchRandom(t *testing.T) {
 // index must widen its store rather than rebuild, stay equivalent, and keep
 // the cached closures it widened: the component the widening table touches
 // is extended in place (its derived tuple reused, only the new row hashed
-// and posted), not relayed.
+// and posted), not relayed, and every clean component is widened too — a
+// merged one included.
 func TestIndexSchemaWidening(t *testing.T) {
 	t1 := table.New("t1", "k", "a")
 	t1.MustAppendRow(table.S("k1"), table.S("x"))
 	t1.MustAppendRow(table.S("k2"), table.S("y"))
 	t2 := table.New("t2", "k", "b")
 	t2.MustAppendRow(table.S("k1"), table.S("p"))
+	// The first two rows form a two-member component; the third bridges it
+	// to the one holding t1's k2 row, an earlier and so smaller member, and
+	// the larger component absorbs it. The widening Update leaves the merged
+	// component clean.
+	tm := table.New("tm", "k", "a", "b")
+	tm.MustAppendRow(table.Null(), table.S("z"), table.S("w"))
+	tm.MustAppendRow(table.S("k9"), table.Null(), table.S("w"))
+	tm.MustAppendRow(table.S("k2"), table.Null(), table.S("w"))
 	t3 := table.New("t3", "k", "c", "d")
 	t3.MustAppendRow(table.S("k1"), table.S("q"), table.S("r"))
 	t3.MustAppendRow(table.S("k3"), table.Null(), table.S("s"))
 
+	all := []*table.Table{t1, t2, tm, t3}
 	x := NewIndex()
-	for k := 1; k <= 3; k++ {
-		view := []*table.Table{t1, t2, t3}[:k]
+	for k := 1; k <= len(all); k++ {
+		view := all[:k]
 		schema := IdentitySchema(view)
 		got, err := x.UpdateContext(context.Background(), view, schema, Options{})
 		if err != nil {
@@ -95,7 +105,7 @@ func TestIndexSchemaWidening(t *testing.T) {
 		if !resultsIdentical(got, want) {
 			t.Fatalf("step %d: got\n%v %v\nwant\n%v %v", k, got.Table, got.Prov, want.Table, want.Prov)
 		}
-		if k == 3 {
+		if k == len(all) {
 			// t3 widens the schema by two columns and its first row joins the
 			// k1 component, whose closure (two base tuples, one derived) was
 			// cached with its indexes at width 3.
@@ -104,6 +114,10 @@ func TestIndexSchemaWidening(t *testing.T) {
 			}
 			if got.Stats.SeedIndexedTuples != 1 {
 				t.Errorf("seeding hashed or posted %d tuples, want only the new row: the widened cache was relayed", got.Stats.SeedIndexedTuples)
+			}
+			// Base tuple 1 is t1's k2 row; tm's pair (3, 4) absorbed it.
+			if c := x.compOf[1]; len(c.members) != 4 || c.members[0] != 3 || c.first != 1 || got.Stats.DirtyComponents != 2 {
+				t.Errorf("merged component members %v first %d, %d dirty components: want [3 4 1 5], 1, 2", c.members, c.first, got.Stats.DirtyComponents)
 			}
 		}
 	}

@@ -11,9 +11,8 @@
 // A Dict is append-only: symbols, once assigned, never change meaning, so
 // long-lived consumers (the incremental FD index of an integration
 // session) can hold symbol-encoded tuples across many interning rounds.
-// Snapshot captures an immutable view of the dictionary at a point in
-// time; reads through a Snapshot stay valid — and safe against data races
-// — while the parent Dict keeps growing.
+// The index interns and reads its Dict only under its own lock, one Update
+// at a time, so nothing reads a Dict while it grows.
 package intern
 
 // Null is the reserved symbol for the null cell. Dictionaries never assign
@@ -22,9 +21,8 @@ const Null uint32 = 0
 
 // Dict is a symbol table for cell values. The zero value is not usable;
 // call NewDict. Interning is not safe for concurrent use; lookups by symbol
-// are safe concurrently with each other once interning is done (the FD
-// engine interns single-threaded during the outer union and only reads
-// afterwards).
+// are safe concurrently with each other once interning is done (an FD
+// Update interns its delta first and only reads afterwards).
 type Dict struct {
 	ids   map[string]uint32
 	vals  []string // vals[sym-1] is the value of symbol sym
@@ -71,42 +69,18 @@ func (d *Dict) Value(sym uint32) string {
 // Len reports the number of distinct interned values (excluding Null).
 func (d *Dict) Len() int { return len(d.vals) }
 
-// Snapshot is an immutable view of the first Len symbols of a Dict. The
-// backing array is shared with the parent (entries never mutate, and the
-// three-index slice below caps further appends out of the view), so taking
-// one is O(1) and later Intern calls on the parent neither invalidate the
-// view nor race with reads through it.
-type Snapshot struct {
-	vals  []string
-	bytes int64
-}
+// Bytes estimates the memory retained by the dictionary.
+func (d *Dict) Bytes() int64 { return d.bytes }
 
-// Snapshot captures the dictionary's current contents as an immutable
-// view. Symbols interned after the snapshot are unknown to it.
-func (d *Dict) Snapshot() Snapshot {
-	return Snapshot{vals: d.vals[:len(d.vals):len(d.vals)], bytes: d.bytes}
-}
-
-// Len reports the number of symbols the snapshot covers.
-func (s Snapshot) Len() int { return len(s.vals) }
-
-// Bytes estimates the memory retained by the snapshotted dictionary.
-func (s Snapshot) Bytes() int64 { return s.bytes }
-
-// Value returns the string for a non-Null symbol covered by the snapshot.
-// As with Dict.Value, an unknown or Null symbol panics.
-func (s Snapshot) Value(sym uint32) string { return s.vals[sym-1] }
-
-// Less orders two snapshot symbols by the value order the engine sorts
-// output rows with: Null before any value, values by their strings.
-// Distinct symbols always hold distinct strings, so Less is a strict weak
-// ordering.
-func (s Snapshot) Less(a, b uint32) bool {
+// Less orders two symbols by the value order the engine sorts output rows
+// with: Null before any value, values by their strings. Distinct symbols
+// always hold distinct strings, so Less is a strict weak ordering.
+func (d *Dict) Less(a, b uint32) bool {
 	if a == b {
 		return false
 	}
 	if a == Null || b == Null {
 		return a == Null
 	}
-	return s.vals[a-1] < s.vals[b-1]
+	return d.vals[a-1] < d.vals[b-1]
 }

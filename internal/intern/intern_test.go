@@ -44,38 +44,10 @@ func TestSymbol(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	d := NewDict()
-	b := d.Intern("b")
-	a := d.Intern("a")
-	snap := d.Snapshot()
-
-	// Later interning must not leak into the snapshot.
-	d.Intern("c")
-	if snap.Len() != 2 {
-		t.Errorf("snapshot Len=%d want 2", snap.Len())
-	}
-	if snap.Value(a) != "a" || snap.Value(b) != "b" {
-		t.Errorf("snapshot values: %q %q", snap.Value(a), snap.Value(b))
-	}
-	// Less follows value order, like the parent.
-	if !snap.Less(a, b) || snap.Less(b, a) || snap.Less(a, a) {
-		t.Error("snapshot Less should order by value")
-	}
-	if !snap.Less(Null, a) || snap.Less(a, Null) {
-		t.Error("Null must sort before any value in a snapshot")
-	}
-	// The parent keeps growing independently.
-	if d.Len() != 3 {
-		t.Errorf("parent Len=%d want 3", d.Len())
-	}
-}
-
 func TestLess(t *testing.T) {
-	dict := NewDict()
-	b := dict.Intern("b") // interned first, so symbol order disagrees with
-	a := dict.Intern("a") // value order — Less must follow value order
-	d := dict.Snapshot()
+	d := NewDict()
+	b := d.Intern("b") // interned first, so symbol order disagrees with
+	a := d.Intern("a") // value order — Less must follow value order
 	if !d.Less(a, b) || d.Less(b, a) {
 		t.Error("Less should order by value, not symbol")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -245,7 +246,7 @@ func TestDenseSparseAgreement(t *testing.T) {
 				i := r.Intn(len(s))
 				return s[:i] + s[i:i+1] + s[i:]
 			case 2: // lowercase
-				return string([]rune(s)) // keep; case change below
+				return strings.ToLower(s)
 			default:
 				return s
 			}

@@ -34,6 +34,18 @@ func (k Kind) String() string {
 	}
 }
 
+// KindsCompatible reports whether columns of kinds a and b may hold the
+// same attribute: clearly incompatible content types are kept apart (a
+// numeric column never pairs with a text column), and an empty column is
+// compatible with anything.
+func KindsCompatible(a, b Kind) bool {
+	if a == KindEmpty || b == KindEmpty || a == b {
+		return true
+	}
+	numeric := func(k Kind) bool { return k == KindInt || k == KindFloat }
+	return numeric(a) && numeric(b)
+}
+
 // kindOf classifies a single value.
 func kindOf(s string) Kind {
 	if _, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64); err == nil {

@@ -169,6 +169,9 @@ func (t *Table) Equal(o *Table) bool {
 		}
 	}
 	for i := range t.Rows {
+		if len(t.Rows[i]) != len(o.Rows[i]) {
+			return false
+		}
 		for j := range t.Rows[i] {
 			if !t.Rows[i][j].Equal(o.Rows[i][j]) {
 				return false
