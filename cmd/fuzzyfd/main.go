@@ -10,7 +10,8 @@
 //	fuzzyfd -session t1.csv t2.csv t3.csv ...    # incremental integration
 //	fuzzyfd -json t1.csv t2.csv                  # JSON Lines instead of a table
 //	fuzzyfd -progress ...                        # live phase/component progress
-//	fuzzyfd -stats ...                           # pivot columns, skip counts, assignment shape
+//	fuzzyfd -stats ...                           # pivot columns, skip counts, pivot groups, assignment shape
+//	GOMAXPROCS=1 fuzzyfd ...                     # one CPU: hubs close sequentially
 //	fuzzyfd -cpuprofile cpu.pb.gz ...            # write a CPU profile
 //	fuzzyfd -memprofile mem.pb.gz ...            # write a heap profile at exit
 //	fuzzyfd -pprof localhost:6060 ...            # serve net/http/pprof live
@@ -61,9 +62,8 @@ func main() {
 		equi     = flag.Bool("equi", false, "disable value matching (regular FD baseline)")
 		alignC   = flag.Bool("align", false, "align columns by content instead of by name")
 		headers  = flag.Bool("headers", false, "with -align, also use header text")
-		workers  = flag.Int("workers", 1, "parallel FD workers")
 		memory   = flag.Int64("memory-budget", 0, "abort if the FD closure's estimated memory exceeds this many bytes (0 = unlimited)")
-		statsF   = flag.Bool("stats", false, "report per-component pivot columns, skipped candidates and value-assignment shape on stderr")
+		statsF   = flag.Bool("stats", false, "report per-component pivot columns, skipped candidates, pivot groups and value-assignment shape on stderr")
 		session  = flag.Bool("session", false, "integrate incrementally: add one file at a time to a persistent session")
 		progress = flag.Bool("progress", false, "report pipeline phases and per-component closure progress on stderr")
 		out      = flag.String("out", "", "write the integrated table to this CSV file instead of stdout")
@@ -113,9 +113,6 @@ func main() {
 	}
 	if *alignC {
 		opts = append(opts, fuzzyfd.WithContentAlignment(*headers))
-	}
-	if *workers > 1 {
-		opts = append(opts, fuzzyfd.WithParallelFD(*workers))
 	}
 	if *memory > 0 {
 		opts = append(opts, fuzzyfd.WithMemoryBudget(*memory))
@@ -320,6 +317,7 @@ func (p *progressTracker) reportPivot(res *fuzzyfd.Result) {
 	}
 	fmt.Fprintf(os.Stderr, "pivot: skipped %d candidate probes (%d buckets, %d components unbucketed)\n",
 		p.pivotSkipped, res.FDStats.PivotBuckets, p.unbucketed)
+	fmt.Fprintf(os.Stderr, "pivot: hubs closed by %d pivot-value groups\n", res.FDStats.PivotGroups)
 }
 
 // reportCanceled prints how far the integration got before cancellation.

@@ -61,7 +61,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 64, "maximum live sessions")
 	idleTTL := flag.Duration("idle-ttl", 0, "evict sessions idle this long (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on shutdown")
-	workers := flag.Int("workers", 0, "default FD workers per session (0 sequential)")
 	dataDir := flag.String("data-dir", "", "make sessions durable under this directory; they survive restarts")
 	requestTimeout := flag.Duration("request-timeout", 0, "bound ingestion/result requests; exceeded requests get 504 (0 unbounded)")
 	maxLineBytes := flag.Int("max-line-bytes", 0, "max bytes of one ingested JSONL line (0: 4MiB default)")
@@ -94,7 +93,6 @@ func main() {
 	srv := server.New(server.Config{
 		MaxSessions:    *maxSessions,
 		IdleTTL:        *idleTTL,
-		Workers:        *workers,
 		DataDir:        *dataDir,
 		RequestTimeout: *requestTimeout,
 		MaxLineBytes:   *maxLineBytes,

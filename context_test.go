@@ -41,10 +41,8 @@ func TestWithMemoryBudgetRejectsNonPositive(t *testing.T) {
 // must hold over.
 func integrationVariants() map[string][]Option {
 	return map[string][]Option{
-		"fuzzy":      nil,
-		"equi":       {WithEquiJoin()},
-		"equi-par4":  {WithEquiJoin(), WithParallelFD(4)},
-		"fuzzy-par4": {WithParallelFD(4)},
+		"fuzzy": nil,
+		"equi":  {WithEquiJoin()},
 	}
 }
 

@@ -41,14 +41,4 @@ func main() {
 
 	overhead := float64(fuzzy.Timings.Total-regular.Timings.Total) / float64(regular.Timings.Total) * 100
 	fmt.Printf("\nfuzzy overhead over regular FD: %+.1f%% — the Figure 3 story\n", overhead)
-
-	// Parallel FD (the Paganelli et al. extension) on the same input.
-	par, err := fuzzyfd.Integrate(tables, fuzzyfd.WithEquiJoin(), fuzzyfd.WithParallelFD(8))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if par.Table.NumRows() != regular.Table.NumRows() {
-		log.Fatalf("parallel FD disagrees: %d vs %d rows", par.Table.NumRows(), regular.Table.NumRows())
-	}
-	fmt.Printf("parallel FD (8 workers): fd=%v (same %d rows)\n", par.Timings.FD, par.Table.NumRows())
 }

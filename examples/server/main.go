@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	srv := server.New(server.Config{MaxSessions: 8, Workers: 4})
+	srv := server.New(server.Config{MaxSessions: 8})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	fmt.Printf("fuzzyfdd serving on %s\n\n", ts.URL)

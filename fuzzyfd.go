@@ -16,15 +16,21 @@
 //	fmt.Println(res.Prov[0])          // which input tuples produced row 0
 //
 // Options select the embedding model, the matching threshold θ, the
-// baseline equi-join pipeline, content-based column alignment for tables
-// with unreliable headers, and parallel Full Disjunction:
+// baseline equi-join pipeline, and content-based column alignment for
+// tables with unreliable headers:
 //
 //	res, err := fuzzyfd.Integrate(tables,
 //	    fuzzyfd.WithModel(fuzzyfd.ModelMistral),
 //	    fuzzyfd.WithThreshold(0.7),
 //	    fuzzyfd.WithContentAlignment(true),
-//	    fuzzyfd.WithParallelFD(8),
 //	)
+//
+// The Full Disjunction uses runtime.GOMAXPROCS(0) CPUs: a hub — a
+// component closing from scratch with at least 512 tuples and a selective
+// (key-like) column — is split by that column's values into groups that
+// close independently across the CPUs. Everything else closes one
+// component after another, and results are byte-identical at every
+// GOMAXPROCS.
 //
 // When overlapping integration sets arrive continuously (the serving
 // scenario), use a Session instead of repeated Integrate calls: it keeps
@@ -237,29 +243,9 @@ func WithContentAlignment(useHeaders bool) Option {
 	}
 }
 
-// WithParallelFD computes the Full Disjunction with the given number of
-// workers, which parallelise one thing: a hub — common on data-lake
-// workloads, where one component can hold most of the closure work — that
-// closes from scratch, has at least 512 tuples and has a selective
-// (key-like) column. It is split by that column's values into groups that
-// close independently across the workers, with group-local indexes and no
-// shared mutable state. Everything else is closed exactly as without this
-// option, one component after another; in particular a Session extends a
-// cached closure in place, sequentially, whatever the size of the delta.
-// Results are byte-identical for any worker count.
-func WithParallelFD(workers int) Option {
-	return func(o *options) error {
-		if workers < 1 {
-			return fmt.Errorf("fuzzyfd: workers %d < 1", workers)
-		}
-		o.cfg.FD.Workers = workers
-		return nil
-	}
-}
-
 // WithMatchWorkers sets the concurrency of the value-matching phase's
-// embedding warm-up (default: the number of CPUs). It is independent of
-// WithParallelFD, which tunes the FD closure.
+// embedding warm-up (default: runtime.GOMAXPROCS(0)). It does not change
+// the FD closure, which always uses runtime.GOMAXPROCS(0) CPUs.
 func WithMatchWorkers(workers int) Option {
 	return func(o *options) error {
 		if workers < 1 {
@@ -362,10 +348,12 @@ func IntegrateContext(ctx context.Context, tables []*Table, opts ...Option) (*Re
 // session skipped. Added tables must not be modified afterwards.
 //
 // A Session is safe for concurrent use, and its Integrate calls run one at
-// a time: each integrates exactly the tables added before its turn.
-// WithParallelFD parallelizes inside a call. Add, Append, Tables, Stats,
-// Last, Degraded and Close never wait on a running integration, and
-// neither does a StreamContext with nothing to integrate.
+// a time: each integrates exactly the tables added before its turn. Inside
+// a call, a hub closing from scratch is closed across runtime.GOMAXPROCS(0)
+// CPUs; a cached closure is extended in place, sequentially, whatever the
+// size of the delta. Add, Append, Tables, Stats, Last, Degraded and Close
+// never wait on a running integration, and neither does a StreamContext
+// with nothing to integrate.
 // Results are immutable once returned, so a reader may keep a Result while
 // other goroutines integrate on.
 type Session struct {
@@ -510,7 +498,7 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 // integrates first, exactly as IntegrateContext does, and the new Result
 // becomes Last. Either way the rows are byte-identical to a one-shot
 // Integrate over every table added so far, so the order is deterministic
-// and the same at every WithParallelFD setting.
+// and the same at every GOMAXPROCS.
 //
 // emit runs on the calling goroutine with no session lock held: it may
 // call back into the session, and a slow consumer holds up no other add,

@@ -122,7 +122,6 @@ func TestOptionCombinations(t *testing.T) {
 		WithModel(ModelMistral),
 		WithThreshold(0.7),
 		WithContentAlignment(true),
-		WithParallelFD(4),
 		WithMemoryBudget(1<<30),
 	)
 	if err != nil {
@@ -154,9 +153,6 @@ func TestOptionErrors(t *testing.T) {
 	}
 	if _, err := Integrate(covidTables(), WithThreshold(0)); err == nil {
 		t.Error("zero threshold accepted")
-	}
-	if _, err := Integrate(covidTables(), WithParallelFD(0)); err == nil {
-		t.Error("zero workers accepted")
 	}
 	if _, err := Integrate(nil); err == nil {
 		t.Error("empty integration set accepted")

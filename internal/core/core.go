@@ -120,11 +120,12 @@ type Config struct {
 	// UseHeaders blends headers into content-based alignment.
 	UseHeaders bool
 	// MatchWorkers sets the concurrency of the match phase's value
-	// pre-embedding. 0 means runtime.NumCPU(). The match phase has its own
-	// knob because its parallelism is about embedder throughput, not about
-	// the FD closure (FD.Workers).
+	// pre-embedding. 0 means runtime.GOMAXPROCS(0). The match phase has its
+	// own knob because its parallelism is about embedder throughput, not
+	// about the FD closure.
 	MatchWorkers int
-	// FD tunes the Full Disjunction computation.
+	// FD tunes the Full Disjunction computation. FD.Workers 0 means
+	// runtime.GOMAXPROCS(0) (see fdOptions).
 	FD fd.Options
 	// Progress, when non-nil, observes phase transitions and per-component
 	// closure completions (see ProgressEvent). Called from the integrating
@@ -133,12 +134,13 @@ type Config struct {
 }
 
 // ResolvedMatchWorkers returns the effective match-phase concurrency
-// (MatchWorkers, defaulting to the number of CPUs).
+// (MatchWorkers, defaulting to runtime.GOMAXPROCS(0), the same CPU count
+// the FD closure uses).
 func (c Config) ResolvedMatchWorkers() int {
 	if c.MatchWorkers > 0 {
 		return c.MatchWorkers
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // ResolvedEmbedder returns the effective embedding model (Embedder,
@@ -240,10 +242,15 @@ func IntegrateContext(ctx context.Context, tables []*table.Table, cfg Config) (*
 	return s.IntegrateContext(ctx)
 }
 
-// fdOptions resolves the FD options for one run, adapting Progress onto
-// the fd layer's per-component callback.
+// fdOptions resolves the FD options for one run: Workers 0 becomes
+// runtime.GOMAXPROCS(0), so the fd layer's hub rule counts the process's
+// CPUs (sequential at GOMAXPROCS 1), and Progress is adapted onto the fd
+// layer's per-component callback. Output is byte-identical either way.
 func (c Config) fdOptions() fd.Options {
 	opts := c.FD
+	if opts.Workers == 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	if c.Progress != nil {
 		progress := c.Progress
 		opts.Progress = func(p fd.ComponentProgress) {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"fuzzyfd/internal/datagen"
@@ -134,6 +136,39 @@ func TestIntegrateParallelFD(t *testing.T) {
 	}
 }
 
+// TestFDWorkersFollowGOMAXPROCS: with FD.Workers unset, the closure counts
+// the process's CPUs. The IMDB tables at 2 000 tuples hold a 1 062-tuple
+// hub, which GOMAXPROCS 2 closes by pivot-value groups and GOMAXPROCS 1
+// closes sequentially with pivot bucketing — into the same table,
+// provenance and merge attempts.
+func TestFDWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) *Result {
+		t.Helper()
+		runtime.GOMAXPROCS(procs)
+		tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 2000})
+		res, err := Integrate(tables, Config{Method: MethodEquiFD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	par, seq := run(2), run(1)
+	if par.FDStats.PivotGroups == 0 {
+		t.Error("GOMAXPROCS 2: the hub was not closed by pivot groups")
+	}
+	if seq.FDStats.PivotGroups != 0 || seq.FDStats.PivotSkipped == 0 {
+		t.Errorf("GOMAXPROCS 1: %d pivot groups, %d skipped probes; want 0 groups and a bucketed closure",
+			seq.FDStats.PivotGroups, seq.FDStats.PivotSkipped)
+	}
+	if !par.Table.Equal(seq.Table) || !reflect.DeepEqual(par.Prov, seq.Prov) {
+		t.Error("GOMAXPROCS 2 and 1 integrated different tables or provenance")
+	}
+	if par.FDStats.MergeAttempts != seq.FDStats.MergeAttempts {
+		t.Errorf("%d merge attempts at GOMAXPROCS 2, %d at 1", par.FDStats.MergeAttempts, seq.FDStats.MergeAttempts)
+	}
+}
+
 func TestTableWithProvenance(t *testing.T) {
 	res, err := Integrate(fig1(), Config{})
 	if err != nil {
@@ -215,7 +250,7 @@ func TestCombineStatsMemberWeighted(t *testing.T) {
 
 // Match-phase warming has its own worker knob: a single-threaded-FD config
 // must still integrate correctly with explicit match workers, and the
-// default (0 = NumCPU) must not depend on FD.Workers.
+// default (0 = GOMAXPROCS) must not depend on FD.Workers.
 func TestMatchWorkersIndependentOfFD(t *testing.T) {
 	base, err := Integrate(fig1(), Config{})
 	if err != nil {

@@ -327,7 +327,7 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 	// Build every matchable column set up front, then pre-embed all their
 	// distinct values concurrently; matching then hits the embedder's
 	// cache. Warming concurrency is the match phase's own knob
-	// (Config.MatchWorkers, default NumCPU). Values already in the session
+	// (Config.MatchWorkers, default GOMAXPROCS). Values already in the session
 	// cache cost one lookup.
 	type columnSet struct {
 		out  int

@@ -220,7 +220,6 @@ type Options struct {
 type ComponentProgress struct {
 	Done    int // components closed so far this run (1-based, monotonic)
 	Total   int // components scheduled this run (Stats.DirtyComponents)
-	Members int // outer-union tuples of the component that just closed
 	Closure int // closure tuples of that component
 	// PivotColumn is the output column the component's posting lists were
 	// bucketed by, or -1 when the component ran unbucketed (noPivot,

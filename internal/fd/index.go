@@ -670,7 +670,7 @@ func (x *Index) closeDirty(ctx context.Context, eng *engine, opts Options, stats
 		rec.kept, rec.rows = kept, eng.decodeKept(kept, rec.kept, rec.rows)
 		if opts.Progress != nil {
 			opts.Progress(ComponentProgress{
-				Done: k + 1, Total: len(recs), Members: len(rec.members), Closure: rec.closure,
+				Done: k + 1, Total: len(recs), Closure: rec.closure,
 				PivotColumn: st.PivotColumn, PivotSkipped: st.PivotSkipped,
 			})
 		}

@@ -158,6 +158,23 @@ func TestServerReopensOptionsWithTupleBudget(t *testing.T) {
 	}
 }
 
+// A log whose options frame still holds "workers" — the FD worker count
+// sessions could set before the closure took it from GOMAXPROCS — reopens
+// and integrates: the reopen ignores the field the options no longer have.
+func TestServerReopensOptionsWithWorkers(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	if err := wal.WriteMeta(filepath.Join(dir, "old"), wal.OSFS{}, []byte(`{"equi":true,"workers":4}`)); err != nil {
+		t.Fatal(err)
+	}
+	postTable(t, ts, "old", "people", `{"name":"alice","city":"Berlin"}`)
+	postTable(t, ts, "old", "jobs", `{"name":"alice","job":"eng"}
+{"name":"bob","job":"ops"}`)
+	if rows := resultJSON(t, ts, "old")["rows"].([]any); len(rows) != 2 {
+		t.Fatalf("reopened session integrated %d rows, want 2: %v", len(rows), rows)
+	}
+}
+
 // legacySession copies internal/wal/testdata/snapshot-layout — a store
 // directory an earlier version's snapshot writer left: tables t0–t4 of
 // columns k and v, t0–t2 in a committed snapshot and t3, t4 in its log —

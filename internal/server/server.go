@@ -38,9 +38,6 @@ type Config struct {
 	// IdleTTL evicts sessions with no requests for this long. Zero
 	// disables eviction.
 	IdleTTL time.Duration
-	// Workers is the default fuzzyfd.WithParallelFD worker count for new
-	// sessions; zero leaves the closure sequential.
-	Workers int
 	// DataDir, when set, makes sessions durable: each one is backed by a
 	// write-ahead log under DataDir/<escaped-name>, survives a daemon
 	// restart, and is lazily reopened on its first request.
@@ -308,8 +305,6 @@ type sessionOptions struct {
 	Threshold float64 `json:"threshold,omitempty"`
 	// Model names the embedding model (fuzzyfd.Models lists them).
 	Model string `json:"model,omitempty"`
-	// Workers overrides the server's default FD worker count.
-	Workers int `json:"workers,omitempty"`
 	// MemoryBudget overrides the memory budget in bytes; it may not exceed
 	// the server's configured MemoryBudget when one is set.
 	MemoryBudget int64 `json:"memory_budget,omitempty"`
@@ -318,8 +313,8 @@ type sessionOptions struct {
 }
 
 // validate rejects a threshold outside (0, 1], an unknown model, and a
-// negative worker count or memory budget, which no option means; zero takes the
-// server default. It runs before anything is opened, so a bad request
+// negative memory budget, which no option means; zero takes the server
+// default. It runs before anything is opened, so a bad request
 // never reaches the store.
 func (o sessionOptions) validate() error {
 	switch {
@@ -327,8 +322,6 @@ func (o sessionOptions) validate() error {
 		return fmt.Errorf("threshold %v outside (0, 1]", o.Threshold)
 	case o.Model != "" && !slices.Contains(fuzzyfd.Models(), o.Model):
 		return fmt.Errorf("unknown model %q (have %v)", o.Model, fuzzyfd.Models())
-	case o.Workers < 0:
-		return fmt.Errorf("workers %d < 0", o.Workers)
 	case o.MemoryBudget < 0:
 		return fmt.Errorf("memory_budget %d < 0", o.MemoryBudget)
 	}
@@ -351,13 +344,6 @@ func (s *Server) buildSession(o sessionOptions, h *hub, dir string) (*fuzzyfd.Se
 	}
 	if o.ContentAlign {
 		opts = append(opts, fuzzyfd.WithContentAlignment(true))
-	}
-	workers := o.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	if workers > 0 {
-		opts = append(opts, fuzzyfd.WithParallelFD(workers))
 	}
 	memory := o.MemoryBudget
 	if s.cfg.MemoryBudget > 0 && (memory <= 0 || memory > s.cfg.MemoryBudget) {

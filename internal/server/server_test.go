@@ -166,14 +166,15 @@ func TestServerLifecycle(t *testing.T) {
 }
 
 // TestServerRejectsOutOfRangeOptions: a session option outside its range is
-// a 400 and creates no session, for a negative worker count or memory
-// budget as for a threshold outside (0, 1] — and so is "budget", the tuple
-// ceiling the memory budget replaced, which no session option names.
+// a 400 and creates no session, for a negative memory budget as for a
+// threshold outside (0, 1] — and so are "workers", the FD worker count the
+// closure now takes from GOMAXPROCS, and "budget", the tuple ceiling the
+// memory budget replaced, which no session option names.
 func TestServerRejectsOutOfRangeOptions(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, opts := range []string{
 		`{"threshold": 1.5}`,
-		`{"workers": -1}`,
+		`{"workers": 4}`,
 		`{"memory_budget": -1}`,
 		`{"equi": true, "budget": 5}`,
 	} {

@@ -65,8 +65,6 @@ func TestSessionAnyBatchOrderMatchesIntegrate(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"parallel", []Option{WithParallelFD(4)}},
-		{"parallel8", []Option{WithParallelFD(8)}},
 		{"equi", []Option{WithEquiJoin()}},
 	}
 	r := rand.New(rand.NewSource(99))
