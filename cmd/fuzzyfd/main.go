@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
@@ -155,7 +156,7 @@ func main() {
 	}
 
 	if *statsF {
-		tracker.reportPivot(res)
+		tracker.reportPivot(os.Stderr, res)
 		if ms := res.MatchStats; ms.Rounds > 0 {
 			fmt.Fprintf(os.Stderr, "assignment: %d candidate pairs scored, %d edges under θ", ms.CandidatePairs, ms.Edges)
 			if ms.AssignComponents > 0 {
@@ -258,8 +259,10 @@ func (p *progressTracker) observe(ev fuzzyfd.ProgressEvent) {
 	p.phase = ev.Phase
 	if ev.Phase == fuzzyfd.PhaseFD && !ev.Done && ev.Component == 0 {
 		// A new FD run starts (each -session step runs one): the partial
-		// counters describe only the run a cancellation would interrupt.
+		// counters describe only the run a cancellation would interrupt,
+		// and the pivot counters only the run whose FDStats -stats reports.
 		p.components, p.total, p.closure = 0, 0, 0
+		p.pivoted, p.unbucketed, p.pivotSkipped = nil, 0, 0
 	}
 	if ev.Component > 0 {
 		p.components = ev.Component
@@ -296,13 +299,13 @@ func (p *progressTracker) observe(ev fuzzyfd.ProgressEvent) {
 	}
 }
 
-// reportPivot prints which pivot columns the closure bucketed components
-// by and how much candidate iteration that skipped. Column indexes resolve
-// to names only here — the aligned output schema does not exist until the
-// run completes.
-func (p *progressTracker) reportPivot(res *fuzzyfd.Result) {
+// reportPivot prints to w which pivot columns the last FD run's closure
+// bucketed components by and how much candidate iteration that skipped.
+// Column indexes resolve to names only here — the aligned output schema
+// does not exist until the run completes.
+func (p *progressTracker) reportPivot(w io.Writer, res *fuzzyfd.Result) {
 	if len(p.pivoted) == 0 {
-		fmt.Fprintf(os.Stderr, "pivot: no component large or selective enough to bucket (%d closed unbucketed)\n",
+		fmt.Fprintf(w, "pivot: no component large or selective enough to bucket (%d closed unbucketed)\n",
 			p.unbucketed)
 		return
 	}
@@ -312,12 +315,12 @@ func (p *progressTracker) reportPivot(res *fuzzyfd.Result) {
 	}
 	sort.Ints(cols)
 	for _, c := range cols {
-		fmt.Fprintf(os.Stderr, "pivot: %d component(s) bucketed by column %q\n",
+		fmt.Fprintf(w, "pivot: %d component(s) bucketed by column %q\n",
 			p.pivoted[c], res.Schema.Columns[c])
 	}
-	fmt.Fprintf(os.Stderr, "pivot: skipped %d candidate probes (%d buckets, %d components unbucketed)\n",
+	fmt.Fprintf(w, "pivot: skipped %d candidate probes (%d buckets, %d components unbucketed)\n",
 		p.pivotSkipped, res.FDStats.PivotBuckets, p.unbucketed)
-	fmt.Fprintf(os.Stderr, "pivot: hubs closed by %d pivot-value groups\n", res.FDStats.PivotGroups)
+	fmt.Fprintf(w, "pivot: hubs closed by %d pivot-value groups\n", res.FDStats.PivotGroups)
 }
 
 // reportCanceled prints how far the integration got before cancellation.

@@ -13,14 +13,15 @@
 // to that log and fsync'd before the request is acknowledged, and the log
 // is all the daemon writes. After a crash or restart the daemon lazily
 // reopens each named session — reading its options from the log and
-// replaying the rest, writing nothing — on its first request; directories
-// an earlier version wrote, with a snapshot before the log and the options
-// in a session.json beside it, open too and are never rewritten. A store
-// that will not open (a corrupt frame with acknowledged frames after it, a
-// corrupt snapshot, or tables without options) answers 500 open_failed. DELETE removes a
-// session's on-disk state for good; idle eviction merely drops it from
-// memory (the next request reopens it, or answers 429 session_limit at
-// -max-sessions). Opening, reopening, evicting and deleting a session
+// replaying the rest, writing nothing — on its first request. A session
+// directory holds its log and nothing else: one in the layout an earlier
+// version wrote (a snapshot before the log, or the options in a
+// session.json beside it) is refused and left as it is. A store that will
+// not open (such a directory, a corrupt frame with acknowledged frames
+// after it, or tables without options) answers 500 open_failed naming the
+// cause. DELETE removes a session's on-disk state for good; idle eviction
+// merely drops it from memory (the next request reopens it, or answers 429
+// session_limit at -max-sessions). Opening, reopening, evicting and deleting a session
 // serialize on one registry lock, so no concurrent request undoes a DELETE.
 //
 // Endpoints:

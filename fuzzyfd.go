@@ -396,9 +396,9 @@ func WithDurability(d Durability) Option {
 // crash keeps every acknowledged add and loses at most the one a crash
 // interrupted: a torn final log record is truncated, never an error. A
 // corrupt record with acknowledged records after it fails the open, naming
-// the log and the offset, as does a corrupt snapshot in a directory an
-// earlier version wrote (such directories still open, and their log keeps
-// growing). Only the tables are persisted: the first Integrate after a
+// the log and the offset. The directory holds the log alone: one holding
+// anything else, as the layouts earlier versions wrote do, fails the open
+// naming that entry, and is left as it is. Only the tables are persisted: the first Integrate after a
 // reopen computes the result from them, as a fresh session fed the same
 // tables would, and later Integrates are incremental again.
 //

@@ -15,21 +15,22 @@ var ErrClosed = errors.New("core: session is closed")
 // operating system's filesystem), creating it if empty and recovering it
 // otherwise. Every Add is appended to a checksummed write-ahead log and
 // fsync'd before it is acknowledged; the log is the only thing the session
-// writes. Recovery replays it (after the snapshot a directory written by an
-// earlier version may hold) and truncates a torn final record — a crash
-// loses at most the Add it interrupted, never an acknowledged one — while a
-// corrupt record with acknowledged ones after it fails the open. The log
+// writes, and a directory holding anything else, as the layouts earlier
+// versions wrote do, fails the open untouched. Recovery replays the log and
+// truncates a torn final record — a crash loses at most the Add it
+// interrupted, never an acknowledged one — while a corrupt record with
+// acknowledged ones after it fails the open. The log
 // holds only the tables: the first Integrate after a reopen computes the
 // integration from the recovered tables, as a fresh session fed them
 // would, and later deltas extend it incrementally.
 func OpenSession(cfg Config, dir string, fsys wal.FS) (*Session, error) {
-	store, rec, err := wal.Open(dir, fsys)
+	store, tables, err := wal.Open(dir, fsys)
 	if err != nil {
 		return nil, err
 	}
 	s := NewSession(cfg)
 	s.store = store
-	s.tables = rec.Tables
+	s.tables = tables
 	return s, nil
 }
 

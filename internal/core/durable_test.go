@@ -303,28 +303,21 @@ func writeFileSync(fs *wal.MemFS, name string, data []byte) error {
 	return err
 }
 
-// A flipped bit in acknowledged state must fail the reopen with an error
-// naming the corrupt file — never silently drop state: in a committed
-// snapshot segment of a directory an earlier version wrote, and in a log
-// frame with acknowledged frames after it.
+// A store this version cannot read must fail the open with an error
+// naming what it cannot read — never silently drop state: a directory in
+// the snapshot layout earlier versions wrote fails naming its CURRENT, and
+// stays as it was rather than opening empty; a log frame with acknowledged
+// frames after it fails naming the log.
 func TestDurableSessionDetectsSnapshotCorruption(t *testing.T) {
 	cfg := Config{Method: MethodEquiFD}
 	t.Run("snapshot", func(t *testing.T) {
 		fs := wal.NewMemFS()
 		legacySnapshotLayout(t, fs, "sess")
-		s, err := OpenSession(cfg, "sess", fs)
-		if err != nil {
-			t.Fatalf("the intact legacy directory: %v", err)
+		if _, err := OpenSession(cfg, "sess", fs); err == nil || !strings.Contains(err.Error(), "CURRENT") {
+			t.Fatalf("open on the snapshot layout: err = %v, want one naming CURRENT", err)
 		}
-		if s.Tables() != 5 {
-			t.Fatalf("the legacy directory recovered %d tables, want 5", s.Tables())
-		}
-		s.Close()
-		if err := fs.FlipBit("sess/snap-1/tables.seg", 12, 5); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenSession(cfg, "sess", fs); err == nil || !strings.Contains(err.Error(), "snap-1") {
-			t.Fatalf("reopen on a corrupt committed snapshot: err = %v, want one naming snap-1", err)
+		if names, err := fs.ReadDir("sess"); err != nil || !slices.Equal(names, []string{"CURRENT", "snap-1", "wal-1.log"}) {
+			t.Fatalf("the refused directory holds %v (%v), want CURRENT, snap-1 and wal-1.log", names, err)
 		}
 	})
 	t.Run("interior-frame", func(t *testing.T) {

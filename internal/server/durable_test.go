@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -138,26 +139,6 @@ func TestServerPutReopensDurableSession(t *testing.T) {
 	}
 }
 
-// A session.json that still holds "budget" — the tuple ceiling sessions
-// could once set — reopens and integrates: the reopen ignores the field the
-// options no longer have.
-func TestServerReopensOptionsWithTupleBudget(t *testing.T) {
-	dir := t.TempDir()
-	srv1, ts1 := newTestServer(t, Config{DataDir: dir})
-	createSession(t, ts1, "old", `{"equi": true}`)
-	postTable(t, ts1, "old", "people", `{"name":"alice","city":"Berlin"}`)
-	if err := os.WriteFile(filepath.Join(dir, "old", optionsFile), []byte(`{"equi":true,"budget":1}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, ts2 := restartWith(t, srv1, ts1, Config{DataDir: dir})
-	postTable(t, ts2, "old", "jobs", `{"name":"alice","job":"eng"}
-{"name":"bob","job":"ops"}`)
-	if rows := resultJSON(t, ts2, "old")["rows"].([]any); len(rows) != 2 {
-		t.Fatalf("reopened session integrated %d rows, want 2: %v", len(rows), rows)
-	}
-}
-
 // A log whose options frame still holds "workers" — the FD worker count
 // sessions could set before the closure took it from GOMAXPROCS — reopens
 // and integrates: the reopen ignores the field the options no longer have.
@@ -175,73 +156,121 @@ func TestServerReopensOptionsWithWorkers(t *testing.T) {
 	}
 }
 
-// legacySession copies internal/wal/testdata/snapshot-layout — a store
-// directory an earlier version's snapshot writer left: tables t0–t4 of
-// columns k and v, t0–t2 in a committed snapshot and t3, t4 in its log —
-// into dataDir as the equi session name, beside the session.json a server
-// would have written.
-func legacySession(t *testing.T, dataDir, name string) string {
+// legacyLayouts returns, by session name, the files of two directories
+// earlier versions wrote, by path relative to the directory: a copy of
+// internal/wal/testdata/snapshot-layout (CURRENT, snap-1/ and wal-1.log)
+// with the session.json its server wrote beside it, and log, a log of adds
+// with no options frame, beside the session.json servers wrote before
+// options became the log's first frame.
+func legacyLayouts(t *testing.T, log []byte) map[string]map[string][]byte {
 	t.Helper()
-	dir := filepath.Join(dataDir, name)
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "wal", "testdata", "snapshot-layout"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, optionsFile), []byte(`{"equi":true}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-// legacyTables is what legacySession's directory holds, as JSONL bodies by
-// table name.
-func legacyTables() (names, bodies []string) {
-	for i := range 5 {
-		body := fmt.Sprintf(`{"k":"k%d","v":"v%d"}`, i, i%3)
-		if i%2 == 0 {
-			body += fmt.Sprintf("\n"+`{"k":"k%d","v":null}`, i)
+	options := []byte(`{"equi":true}` + "\n")
+	snapshot := map[string][]byte{"session.json": options}
+	src := filepath.Join("..", "wal", "testdata", "snapshot-layout")
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		names, bodies = append(names, fmt.Sprintf("t%d", i)), append(bodies, body)
+		rel, _ := filepath.Rel(src, path)
+		snapshot[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return names, bodies
+	return map[string]map[string][]byte{
+		"snapshot":     snapshot,
+		"options-file": {"wal-0.log": log, "session.json": options},
+	}
 }
 
-// A session directory an earlier version wrote — a committed snapshot plus
-// a log tail — is served as it stands: the daemon reopens it on the first
-// request and streams the result a session fed the same tables over HTTP
-// streams, and a table added afterwards lands in its log and survives the
-// next restart.
-func TestServerOpensSnapshotLayout(t *testing.T) {
-	dir := t.TempDir()
-	legacySession(t, dir, "old")
-	srv, ts := newTestServer(t, Config{DataDir: dir})
-	createSession(t, ts, "new", `{"equi": true}`)
-	names, bodies := legacyTables()
-	for i := range names {
-		postTable(t, ts, "new", names[i], bodies[i])
+// treeFS returns every file under name on fs by path, with its bytes, and
+// every directory with nil.
+func treeFS(t *testing.T, fs wal.FS, name string) map[string][]byte {
+	t.Helper()
+	names, err := fs.ReadDir(name)
+	if err != nil { // a file
+		return map[string][]byte{name: readFS(t, fs, name)}
 	}
-	want := resultJSON(t, ts, "new")
-	if got := resultJSON(t, ts, "old"); !reflect.DeepEqual(got["rows"], want["rows"]) || !reflect.DeepEqual(got["columns"], want["columns"]) {
-		t.Fatalf("the legacy session's result diverges:\ngot  %v\nwant %v", got, want)
+	out := map[string][]byte{name: nil}
+	for _, n := range names {
+		maps.Copy(out, treeFS(t, fs, filepath.Join(name, n)))
 	}
+	return out
+}
 
-	extra := `{"k":"k1","w":"x"}`
-	postTable(t, ts, "old", "extra", extra)
-	postTable(t, ts, "new", "extra", extra)
-	want = resultJSON(t, ts, "new")
-	_, ts2 := restartWith(t, srv, ts, Config{DataDir: dir})
-	if got := resultJSON(t, ts2, "old"); !reflect.DeepEqual(got["rows"], want["rows"]) {
-		t.Fatalf("the legacy session after an add and a restart diverges:\ngot  %v\nwant %v", got, want)
+// A session directory in a layout earlier versions wrote is refused, on
+// the operating system's filesystem as on a MemFS: GET and PUT answer 500
+// open_failed naming its first entry other than wal-0.log — CURRENT in the
+// snapshot layout, session.json beside a log with no options frame — and
+// leave every entry and byte as they were; the name never opens empty.
+// DELETE then removes the directory, and a PUT creates the name afresh
+// with no tables.
+func TestServerRefusesLegacyLayouts(t *testing.T) {
+	for _, fsName := range []string{"os", "mem"} {
+		t.Run(fsName, func(t *testing.T) {
+			dir := t.TempDir()
+			var fs wal.FS = wal.OSFS{}
+			plant := func(name string, data []byte) {
+				if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(name, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fsName == "mem" {
+				mem := wal.NewMemFS()
+				fs = mem
+				plant = func(name string, data []byte) { plantFS(t, mem, name, data) }
+			}
+			_, ts := newTestServer(t, Config{DataDir: dir, WALFS: fs})
+			createSession(t, ts, "seed", `{"equi": true}`)
+			postTable(t, ts, "seed", "people", `{"name":"alice","city":"Berlin"}`)
+			log := readFS(t, fs, filepath.Join(dir, "seed", "wal-0.log"))
+			first := 8 + int(binary.LittleEndian.Uint32(log))
+
+			for name, files := range legacyLayouts(t, log[first:]) {
+				for rel, data := range files {
+					plant(filepath.Join(dir, name, rel), data)
+				}
+				entry := "CURRENT"
+				if name == "options-file" {
+					entry = "session.json"
+				}
+				want := treeFS(t, fs, filepath.Join(dir, name))
+				for _, method := range []string{http.MethodGet, http.MethodPut} {
+					resp, body := doReq(t, method, ts.URL+"/v1/sessions/"+name, `{"equi": true}`, nil)
+					var eb errorBody
+					json.Unmarshal(body, &eb)
+					if resp.StatusCode != http.StatusInternalServerError || eb.Code != "open_failed" || !strings.Contains(eb.Error, entry) {
+						t.Fatalf("%s %s: status %d body %s, want 500 open_failed naming %s", method, name, resp.StatusCode, body, entry)
+					}
+					if got := treeFS(t, fs, filepath.Join(dir, name)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s changed the directory:\ngot  %q\nwant %q", method, name, got, want)
+					}
+				}
+				if resp, body := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/"+name, "", nil); resp.StatusCode != http.StatusNoContent {
+					t.Fatalf("DELETE %s: status %d: %s", name, resp.StatusCode, body)
+				}
+				if _, err := fs.Stat(filepath.Join(dir, name)); err == nil {
+					t.Fatalf("DELETE %s left its directory", name)
+				}
+				resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/sessions/"+name, `{"equi": true}`, nil)
+				if resp.StatusCode != http.StatusCreated || !strings.Contains(string(body), `"tables":0`) {
+					t.Fatalf("PUT %s after DELETE: status %d: %s, want 201 with no tables", name, resp.StatusCode, body)
+				}
+			}
+		})
 	}
 }
 
 // A session whose store exists but will not open is a 500 open_failed
 // naming the cause, on the lazy reopen behind GET as on PUT; it is neither
 // missing (404) nor a bad request, and the failed open truncates nothing.
-// Two stores fail so: one with a flipped byte in its log's first frame,
-// the options, with two acknowledged frames after it, and a directory an
-// earlier version wrote with a flipped byte in its committed snapshot.
-// Options out of range are still a 400, checked before any open, and
-// DELETE still removes the session.
+// The store here has a flipped byte in its log's first frame, the options,
+// with two acknowledged frames after it. Options out of range are still a
+// 400, checked before any open, and DELETE still removes the session.
 func TestServerCorruptStoreOpenFailed(t *testing.T) {
 	dir := t.TempDir()
 	srv1 := New(Config{DataDir: dir})
@@ -254,7 +283,6 @@ func TestServerCorruptStoreOpenFailed(t *testing.T) {
 	}
 	ts1.Close()
 	srv1.Close()
-	legacySession(t, dir, "legacy")
 
 	flip := func(name string, at int) []byte {
 		data, err := os.ReadFile(name)
@@ -269,13 +297,10 @@ func TestServerCorruptStoreOpenFailed(t *testing.T) {
 	}
 	log := filepath.Join(dir, "crash", "wal-0.log")
 	corruptLog := flip(log, 12) // inside the options frame's payload
-	seg := filepath.Join(dir, "legacy", "snap-1", "tables.seg")
-	flip(seg, 12)
 
 	_, ts := newTestServer(t, Config{DataDir: dir})
 	for _, c := range []struct{ session, names string }{
 		{"crash", "wal-0.log"},
-		{"legacy", "snap-1"},
 	} {
 		for _, req := range []struct{ method, body string }{
 			{http.MethodGet, ""},
@@ -585,51 +610,23 @@ func TestServerReopenWritesNothing(t *testing.T) {
 }
 
 // DELETE removes a session's directory from the WAL filesystem: a PUT of
-// the same name then starts with no tables. A directory an earlier version
-// wrote goes whole, its nested snapshot directory included.
+// the same name then starts with no tables. (TestServerRefusesLegacyLayouts
+// deletes directories earlier versions wrote, nested ones included.)
 func TestServerDeleteOnWALFS(t *testing.T) {
 	dir := t.TempDir()
 	mem := wal.NewMemFS()
 	_, ts := newTestServer(t, Config{DataDir: dir, WALFS: mem})
-	del := func(name string) {
-		t.Helper()
-		if resp, body := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/"+name, "", nil); resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("DELETE %s: status %d: %s", name, resp.StatusCode, body)
-		}
-		if _, err := mem.Stat(filepath.Join(dir, name)); err == nil {
-			t.Errorf("DELETE %s left its directory on the WAL filesystem", name)
-		}
-	}
-
 	createSession(t, ts, "orders", `{"equi": true}`)
 	postTable(t, ts, "orders", "people", `{"name":"alice","city":"Berlin"}`)
-	del("orders")
+	if resp, body := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/orders", "", nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE: status %d: %s", resp.StatusCode, body)
+	}
+	if _, err := mem.Stat(filepath.Join(dir, "orders")); err == nil {
+		t.Errorf("DELETE left its directory on the WAL filesystem")
+	}
 	resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/sessions/orders", `{"equi": true}`, nil)
 	if resp.StatusCode != http.StatusCreated || !strings.Contains(string(body), `"tables":0`) {
 		t.Fatalf("PUT after DELETE: status %d: %s, want 201 with no tables", resp.StatusCode, body)
-	}
-
-	src := filepath.Join("..", "wal", "testdata", "snapshot-layout")
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		data, err := os.ReadFile(path)
-		plantFS(t, mem, filepath.Join(dir, "legacy", rel), data)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "budget" is the tuple ceiling earlier versions' options could hold.
-	plantFS(t, mem, filepath.Join(dir, "legacy", optionsFile), []byte(`{"equi":true,"budget":1}`+"\n"))
-	if resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/legacy", "", nil); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"tables":5`) {
-		t.Fatalf("GET planted legacy session: status %d: %s", resp.StatusCode, body)
-	}
-	del("legacy")
-	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/v1/sessions/legacy", "", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET after DELETE: status %d, want 404", resp.StatusCode)
 	}
 	requireEmptyDir(t, dir)
 }
@@ -659,8 +656,9 @@ func TestServerDeleteIsDurable(t *testing.T) {
 
 // What a crash inside the options frame leaves, a log holding part of its
 // first frame, is no session: GET answers 404 and a PUT creates it. A log
-// of acknowledged adds with neither an options frame nor a session.json
-// beside it will not open: 500 open_failed, and the log is left as it is.
+// of acknowledged adds with no options frame, as core.OpenSession writes,
+// will not open: 500 open_failed naming the log, and the log is left as it
+// is.
 func TestServerSessionWithoutOptions(t *testing.T) {
 	dir := t.TempDir()
 	mem := wal.NewMemFS()
@@ -683,8 +681,8 @@ func TestServerSessionWithoutOptions(t *testing.T) {
 	plantFS(t, mem, headless, log[first:])
 	for _, method := range []string{http.MethodGet, http.MethodPut} {
 		resp, body := doReq(t, method, ts.URL+"/v1/sessions/headless", `{"equi": true}`, nil)
-		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `"code":"open_failed"`) {
-			t.Fatalf("%s headless: status %d: %s, want 500 open_failed", method, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `"code":"open_failed"`) || !strings.Contains(string(body), headless) {
+			t.Fatalf("%s headless: status %d: %s, want 500 open_failed naming %s", method, resp.StatusCode, body, headless)
 		}
 	}
 	if got := readFS(t, mem, headless); !slices.Equal(got, log[first:]) {

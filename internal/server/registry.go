@@ -3,9 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"io/fs"
 	"log"
 	"path/filepath"
 	"sync"
@@ -92,31 +89,20 @@ func (s *Server) resolve(name string, create *sessionOptions) (c *session, creat
 }
 
 // loadOptions reads, through the WAL filesystem and writing nothing, the
-// creation options a durable session recorded as its log's first frame, or,
-// in a directory an earlier version wrote, in optionsFile beside the log.
-// onDisk is false when the server is not durable or the name has neither.
+// creation options a durable session recorded as its log's first frame.
+// onDisk is false when the server is not durable or the name has none; a
+// directory the log cannot be read from, one in an earlier version's layout
+// included, is an error naming it.
 func (s *Server) loadOptions(name string) (opts sessionOptions, onDisk bool, err error) {
 	dir, err := s.sessionDir(name)
 	if dir == "" || err != nil {
 		return opts, false, nil
 	}
 	data, err := wal.ReadMeta(dir, s.cfg.WALFS)
-	if data == nil && (err == nil || errors.Is(err, wal.ErrNoMeta)) {
-		// No options frame: an earlier version's directory, or none.
-		f, ferr := s.cfg.WALFS.Open(filepath.Join(dir, optionsFile))
-		if ferr == nil {
-			data, err = io.ReadAll(f)
-			f.Close()
-		} else if err != nil || !errors.Is(ferr, fs.ErrNotExist) {
-			err = fmt.Errorf("the log has no options frame and %w", ferr)
-		}
+	if data == nil || err != nil {
+		return opts, false, err
 	}
-	if data == nil && err == nil {
-		return opts, false, nil
-	}
-	if err == nil {
-		err = json.Unmarshal(data, &opts)
-	}
+	err = json.Unmarshal(data, &opts)
 	return opts, err == nil, err
 }
 

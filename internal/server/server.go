@@ -360,12 +360,6 @@ func (s *Server) buildSession(o sessionOptions, h *hub, dir string) (*fuzzyfd.Se
 	return fuzzyfd.NewSession(opts...)
 }
 
-// optionsFile is where earlier versions recorded a durable session's
-// creation options, beside its log. A session directory whose log does not
-// begin with the options (wal.ReadMeta) reads them from here; nothing
-// writes it any more.
-const optionsFile = "session.json"
-
 // sessionDir maps a session name to its on-disk directory, or "" when the
 // server is not durable. Names are query-escaped — one flat directory per
 // session, no separators — and the two names escaping would pass through

@@ -5,16 +5,16 @@ import (
 	"errors"
 	"fmt"
 
+	"fuzzyfd/internal/intern"
 	"fuzzyfd/internal/table"
 )
 
-// Binary encoding helpers. Everything the log and the legacy snapshot
-// segments store is built from two primitives — unsigned varints and
-// length-prefixed strings — wrapped in checksummed frames (see log.go), so
-// the decoders below never trust a length without the frame checksum
-// having passed first; limits here are only a second line of defense
-// against reading a corrupt-but-checksum-colliding payload into a huge
-// allocation.
+// Binary encoding helpers. Everything the log stores is built from two
+// primitives — unsigned varints and length-prefixed strings — wrapped in
+// checksummed frames (see log.go), so the decoders below never trust a
+// length without the frame checksum having passed first; limits here are
+// only a second line of defense against reading a
+// corrupt-but-checksum-colliding payload into a huge allocation.
 
 var errCorrupt = errors.New("wal: corrupt record")
 
@@ -81,13 +81,6 @@ func (d *decoder) done() error {
 	return nil
 }
 
-// dictView is the symbol surface the table codec needs: the store's live
-// dictionary on encode, the replay dictionary on decode.
-type dictView interface {
-	Value(sym uint32) string
-	Len() int
-}
-
 // encodeTables appends a batch of tables, cells as symbols of the store
 // dictionary (0 = null). Table and column names are stored as raw strings:
 // they are few, and keeping them out of the dictionary means cell symbol
@@ -115,7 +108,7 @@ func encodeTables(e *encoder, tables []*table.Table, sym func(string) uint32) {
 
 // decodeTables is the inverse of encodeTables, resolving symbols through
 // the replayed dictionary.
-func decodeTables(d *decoder, dict dictView) []*table.Table {
+func decodeTables(d *decoder, dict *intern.Dict) []*table.Table {
 	n := d.count(2)
 	tables := make([]*table.Table, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {

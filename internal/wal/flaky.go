@@ -12,10 +12,9 @@ import (
 // store's retry and degraded-mode paths. Faults are ErrInjected (classified
 // transient by IsTransient); an injected file write is torn, landing half
 // its bytes, so repair paths are exercised too. Read-side operations (Open,
-// ReadDir, Stat) and the namespace ops orphan cleanup leans on (Remove,
-// MkdirAll) never fault: recovery correctness under those
-// is MemFS's crash model's job, while FlakyFS models a disk whose writes
-// intermittently fail.
+// ReadDir, Stat) and the namespace ops Remove and MkdirAll never fault:
+// recovery correctness under those is MemFS's crash model's job, while
+// FlakyFS models a disk whose writes intermittently fail.
 //
 // The fault stream is seeded, so a given (seed, rate, operation sequence)
 // misbehaves reproducibly. SetRate may be called concurrently with use —

@@ -5,9 +5,9 @@
 // references every cell by symbol, so the log holds the session's input
 // once and nothing is ever rewritten. Frame 0 may hold the caller's
 // metadata instead (WriteMeta, ReadMeta): the daemon records a session's
-// creation options there. Directories written by earlier versions may also
-// hold a committed snapshot (CURRENT → snap-S/), which is read on open and
-// never written.
+// creation options there. A store directory holds wal-0.log and nothing
+// else; Open refuses one that holds anything more, as the directories
+// earlier versions wrote do, and leaves it as it is.
 //
 // Every write is fsynced: each log frame before it counts, and every
 // directory entry the store creates (the log's, and each directory level
@@ -15,11 +15,10 @@
 // a fixed ladder (retryAttempts from retryBase, capped at maxBackoff)
 // before the store degrades.
 //
-// Recovery replays the log (after a legacy snapshot, if any), truncating a
-// torn final frame instead of failing to open: a crash mid-Add loses at
-// most the un-acknowledged frame being written, never an acknowledged one.
-// A bad frame with acknowledged bytes after it fails the open instead. All
-// I/O goes through the small FS interface so the recovery protocol is
+// Recovery replays the log, truncating a torn final frame instead of
+// failing to open: a crash mid-Add loses at most the un-acknowledged frame
+// being written, never an acknowledged one. A bad frame with acknowledged
+// bytes after it fails the open instead. All I/O goes through the small FS interface so the recovery protocol is
 // property-tested against injected faults — short writes, fsync errors,
 // crash-at-byte-N with unsynced-data rollback, bit flips — byte-identical
 // to an undisturbed in-memory session (see MemFS).

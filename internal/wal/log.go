@@ -8,8 +8,7 @@ import (
 	"io"
 )
 
-// Frame format, the unit of both the log and every legacy snapshot
-// segment:
+// Frame format, the unit of the log:
 //
 //	+----------------+----------------+=================+
 //	| length (4B LE) | CRC32C (4B LE) |     payload     |
@@ -19,8 +18,7 @@ import (
 // the payload. A frame is valid iff the header fits, the payload fits,
 // and the checksum matches. A bad frame that reaches the end of a log is a
 // torn tail and is truncated on open; one with bytes after it fails the
-// open (see Open). The first payload byte of log frames is a record-type
-// tag.
+// open (see Open). The first payload byte is a record-type tag.
 const frameHeader = 8
 
 // maxFramePayload bounds a single frame. A length field larger than this
@@ -125,29 +123,4 @@ func (fr *frameReader) nextInLog() (payload []byte, ok bool, err error) {
 		}
 	}
 	return nil, false, nil
-}
-
-// readSegment reads a single-frame segment file in full, verifying its
-// checksum; segments, unlike the log, must be intact to be usable.
-func readSegment(fs FS, name string) ([]byte, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return nil, pathErr("open", name, err)
-	}
-	defer f.Close()
-	fr := &frameReader{r: f}
-	payload, ok, err := fr.next()
-	if err != nil {
-		return nil, pathErr("read", name, err)
-	}
-	if !ok {
-		return nil, pathErr("read", name, fmt.Errorf("%w: bad segment frame", errCorrupt))
-	}
-	// Trailing bytes after the frame would mean the segment writer is
-	// broken; tolerate nothing.
-	var extra [1]byte
-	if n, _ := f.Read(extra[:]); n != 0 {
-		return nil, pathErr("read", name, fmt.Errorf("%w: trailing bytes", errCorrupt))
-	}
-	return payload, nil
 }

@@ -39,8 +39,8 @@ func TestStoreAppendRetriesTransientFault(t *testing.T) {
 			w2, rec := mustOpen(t, fs, "sess")
 			defer w2.Close()
 			want := append(append([]*table.Table{}, b0...), b1...)
-			if !tablesEqual(rec.Tables, want) {
-				t.Fatalf("recovered %d tables, want %d", len(rec.Tables), len(want))
+			if !tablesEqual(rec, want) {
+				t.Fatalf("recovered %d tables, want %d", len(rec), len(want))
 			}
 		})
 	}
@@ -101,8 +101,8 @@ func TestStoreDegradesThenProbeHeals(t *testing.T) {
 	}
 	defer w2.Close()
 	want := append(append([]*table.Table{}, b0...), b2...)
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("recovered %d tables, want exactly the acknowledged %d", len(rec.Tables), len(want))
+	if !tablesEqual(rec, want) {
+		t.Fatalf("recovered %d tables, want exactly the acknowledged %d", len(rec), len(want))
 	}
 }
 

@@ -1,15 +1,10 @@
 package wal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"fuzzyfd/internal/intern"
@@ -18,61 +13,27 @@ import (
 
 // On-disk layout of a store directory:
 //
-//	wal-S.log      → every acknowledged Add frame, in order
+//	wal-0.log      → every acknowledged Add frame, in order
 //
-// A new directory holds wal-0.log and nothing else: the log is the store.
-// Its frame 0 may be a meta frame, the caller's opaque metadata (the
-// daemon's session options), which WriteMeta writes into an empty log and
-// ReadMeta reads back; Open skips it, and a meta frame anywhere else is
-// corruption. Directories written by earlier versions may also hold a
-// committed snapshot, which the store still reads and never writes:
+// The log is the store, and a store directory holds nothing else. Frame 0
+// may be a meta frame, the caller's opaque metadata (the daemon's session
+// options), which WriteMeta writes into an empty log and ReadMeta reads
+// back; Open skips it, and a meta frame anywhere else is corruption. Open
+// and ReadMeta refuse a directory holding any other entry (checkLayout),
+// and leave it as it is.
 //
-//	CURRENT        → "S\n" — pointer to the committed snapshot
-//	snap-S/        → manifest.json + dict.seg + tables.seg: the dictionary
-//	                 and the tables of every frame before wal-S.log's first
-//
-// Appends on such a directory continue in wal-S.log. Other files in snap-S/
-// (the per-component segments older versions wrote) are ignored.
-//
-// Recovery resolution ladder:
-//
-//	1. CURRENT parses → its snapshot MUST load; a committed snapshot that
-//	   fails its checksum is a hard open error naming the bad file, because
-//	   acknowledged data is unrecoverable.
-//	2. CURRENT absent or unparseable → scan for the highest snap-* that
-//	   loads cleanly; a directory without one starts at sequence 0.
-//	3. Replay wal-S.log. A bad frame that runs to the end of the file is
-//	   the residue of an interrupted append and is truncated, never an open
-//	   failure; so is an all-zero frame with only zeros after it, the tail
-//	   a filesystem that extends a file before its data lands leaves. A bad
-//	   frame with bytes after it is corruption of acknowledged frames: the
-//	   open fails naming the log and the frame's offset, and the log is left
-//	   as it is. One case cannot be told apart from a torn tail: a flipped
-//	   length field that claims more bytes than the file holds. Its frame
-//	   and every later one are truncated.
+// Recovery replays wal-0.log. A bad frame that runs to the end of the file
+// is the residue of an interrupted append and is truncated, never an open
+// failure; so is an all-zero frame with only zeros after it, the tail a
+// filesystem that extends a file before its data lands leaves. A bad frame
+// with bytes after it is corruption of acknowledged frames: the open fails
+// naming the log and the frame's offset, and the log is left as it is. One
+// case cannot be told apart from a torn tail: a flipped length field that
+// claims more bytes than the file holds. Its frame and every later one are
+// truncated.
 
-// currentFile is the committed-snapshot pointer file.
-const currentFile = "CURRENT"
-
-func snapDirName(seq uint64) string { return fmt.Sprintf("snap-%d", seq) }
-func logFileName(seq uint64) string { return fmt.Sprintf("wal-%d.log", seq) }
-
-// manifest is the snapshot's table of contents. Segments are individually
-// framed and checksummed; the manifest only names them. Keys it does not
-// declare, such as the "comps" list of directories written when snapshots
-// also held per-component segments, are ignored.
-type manifest struct {
-	Seq    uint64 `json:"seq"`
-	Dict   string `json:"dict"`
-	Tables string `json:"tables"`
-}
-
-// Recovered is what Open reconstructed from disk: every acknowledged table
-// batch, snapshot content (in a directory that has one) plus replayed log,
-// in Add order.
-type Recovered struct {
-	Tables []*table.Table
-}
+// logFile is the name of the log in its store directory.
+const logFile = "wal-0.log"
 
 // Store is the durable backing of one session: an fsync-per-Add record log.
 // It has no lock of its own: the owning core.Session makes every call under
@@ -92,10 +53,9 @@ type Store struct {
 	// identical to ours.
 	durableVals int
 
-	seq       uint64 // the recovered snapshot's sequence; 0 without one
-	logName   string
-	log       File  // nil until the first append after open
-	committed int64 // log offset up to which frames are acknowledged
+	logName   string // the log's path: dir/wal-0.log
+	log       File   // nil until the first append after open
+	committed int64  // log offset up to which frames are acknowledged
 
 	// degraded, when non-nil, records the fault that exhausted the write
 	// retries: appends are refused (read state is untouched) until Probe
@@ -109,40 +69,55 @@ type Store struct {
 	buf []byte // payload scratch, reused across appends
 }
 
-// Open opens (or creates) a store directory, recovering every acknowledged
-// batch: a legacy committed snapshot if the directory has one, then the
-// log, with a torn tail truncated rather than rejected and a corrupt
-// interior frame reported. A nil fsys means the operating system's
-// filesystem.
-func Open(dir string, fsys FS) (*Store, *Recovered, error) {
+// Open opens (or creates) a store directory and returns the tables of every
+// acknowledged batch in its log, in Add order, with a torn tail truncated
+// rather than rejected and a corrupt interior frame reported. A nil fsys
+// means the operating system's filesystem.
+func Open(dir string, fsys FS) (*Store, []*table.Table, error) {
 	if fsys == nil {
 		fsys = OSFS{}
+	}
+	if err := checkLayout(fsys, dir); err != nil {
+		return nil, nil, err
 	}
 	if err := mkdirSynced(fsys, dir); err != nil {
 		return nil, nil, err
 	}
 	w := &Store{
-		fs: fsys, dir: dir, dict: intern.NewDict(),
+		fs: fsys, dir: dir, logName: filepath.Join(dir, logFile), dict: intern.NewDict(),
 		retryN: retryAttempts, retryBase: retryBase,
 	}
-	rec := &Recovered{}
-
-	seq, err := w.resolveSnapshot(rec)
+	tables, err := w.replayLog()
 	if err != nil {
 		return nil, nil, err
 	}
-	w.seq = seq
-	w.logName = filepath.Join(dir, logFileName(seq))
-	w.dropOrphans()
-	if err := w.replayLog(rec); err != nil {
-		return nil, nil, err
-	}
 	w.durableVals = w.dict.Len()
-	return w, rec, nil
+	return w, tables, nil
+}
+
+// checkLayout refuses a directory holding anything but wal-0.log, naming
+// the directory and its first other entry, and writes nothing. Earlier
+// versions left such entries — a snapshot's CURRENT, snap-S/ and wal-S.log,
+// a session.json beside the log — and no version since reads them; a
+// directory that does not exist yet passes.
+func checkLayout(fsys FS, dir string) error {
+	names, err := fsys.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return pathErr("readdir", dir, err)
+	}
+	for _, n := range names {
+		if n != logFile {
+			return pathErr("open", dir, fmt.Errorf("unexpected entry %s (a store directory holds only %s; earlier versions' layouts are not read)", n, logFile))
+		}
+	}
+	return nil
 }
 
 // ErrNoMeta reports a log whose first frame is an add, not a meta frame:
-// one an earlier version wrote, or one no WriteMeta started.
+// one no WriteMeta started, as core.OpenSession writes.
 var ErrNoMeta = errors.New("wal: log has no meta record")
 
 // WriteMeta starts the store in dir with meta as frame 0 of wal-0.log,
@@ -155,7 +130,7 @@ func WriteMeta(dir string, fsys FS, meta []byte) error {
 	if err != nil {
 		return err
 	}
-	if w.committed != 0 || w.seq != 0 {
+	if w.committed != 0 {
 		err = pathErr("write meta", w.logName, errors.New("the store already holds frames"))
 	} else {
 		err = w.append(appendFrame(nil, append([]byte{recMeta}, meta...)))
@@ -169,10 +144,14 @@ func WriteMeta(dir string, fsys FS, meta []byte) error {
 // ReadMeta returns the meta WriteMeta recorded in dir, and writes nothing.
 // It returns nil, nil when wal-0.log holds no whole frame — dir or the log
 // is missing, or the log holds only a torn tail, as a crash inside
-// WriteMeta leaves — and ErrNoMeta when its first frame is an add. A bad
-// first frame with bytes after it is corruption, as it is to Open.
+// WriteMeta leaves — and an error matching ErrNoMeta, naming the log, when
+// its first frame is an add. A directory Open refuses, or a bad first frame
+// with bytes after it, fails as it does in Open.
 func ReadMeta(dir string, fsys FS) ([]byte, error) {
-	name := filepath.Join(dir, logFileName(0))
+	if err := checkLayout(fsys, dir); err != nil {
+		return nil, err
+	}
+	name := filepath.Join(dir, logFile)
 	f, err := fsys.Open(name)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -188,7 +167,7 @@ func ReadMeta(dir string, fsys FS) ([]byte, error) {
 	case !ok:
 		return nil, nil
 	case payload[0] != recMeta:
-		return nil, ErrNoMeta
+		return nil, pathErr("read", name, ErrNoMeta)
 	}
 	return payload[1:], nil
 }
@@ -225,87 +204,29 @@ func mkdirSynced(fsys FS, dir string) error {
 	return nil
 }
 
-// resolveSnapshot picks the snapshot to recover from (0 = none) and loads
-// it into rec, following the resolution ladder documented above.
-func (w *Store) resolveSnapshot(rec *Recovered) (uint64, error) {
-	cur := filepath.Join(w.dir, currentFile)
-	if data, err := readAll(w.fs, cur); err == nil {
-		if seq, perr := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64); perr == nil && seq > 0 {
-			// Committed pointer: the snapshot it names must be intact.
-			dict, tables, lerr := loadSnapshot(w.fs, w.dir, seq)
-			if lerr != nil {
-				return 0, fmt.Errorf("wal: committed snapshot %s unreadable: %w", snapDirName(seq), lerr)
-			}
-			w.dict, rec.Tables = dict, tables
-			return seq, nil
-		}
-	}
-	// No usable CURRENT: adopt the highest snapshot that loads cleanly.
-	names, err := w.fs.ReadDir(w.dir)
-	if err != nil {
-		return 0, pathErr("readdir", w.dir, err)
-	}
-	var seqs []uint64
-	for _, n := range names {
-		if rest, ok := strings.CutPrefix(n, "snap-"); ok && !strings.HasSuffix(n, ".tmp") {
-			if seq, perr := strconv.ParseUint(rest, 10, 64); perr == nil && seq > 0 {
-				seqs = append(seqs, seq)
-			}
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, seq := range seqs {
-		dict, tables, lerr := loadSnapshot(w.fs, w.dir, seq)
-		if lerr != nil {
-			continue
-		}
-		w.dict, rec.Tables = dict, tables
-		return seq, nil
-	}
-	return 0, nil
-}
-
-// dropOrphans removes what snapshot writers of earlier versions left behind
-// when interrupted: tmp directories, and snapshots or logs at any sequence
-// other than the recovered one (an uncommitted snap-S+1 must go, or a later
-// scan-based recovery could adopt it and silently skip the committed log's
-// frames). Best effort.
-func (w *Store) dropOrphans() {
-	names, err := w.fs.ReadDir(w.dir)
-	if err != nil {
-		return
-	}
-	for _, n := range names {
-		if strings.HasSuffix(n, ".tmp") ||
-			strings.HasPrefix(n, "snap-") && n != snapDirName(w.seq) ||
-			strings.HasPrefix(n, "wal-") && n != logFileName(w.seq) {
-			RemoveAll(w.fs, filepath.Join(w.dir, n))
-		}
-	}
-}
-
-// replayLog replays the log's valid frames into rec and truncates a torn
-// tail. A bad frame with bytes after it is not a tail: the open fails and
-// the log is not touched.
-func (w *Store) replayLog(rec *Recovered) error {
+// replayLog returns the tables of the log's valid frames and truncates a
+// torn tail. A bad frame with bytes after it is not a tail: the open fails
+// and the log is not touched.
+func (w *Store) replayLog() ([]*table.Table, error) {
 	if !exists(w.fs, w.logName) {
-		return nil
+		return nil, nil
 	}
 	f, err := w.fs.Open(w.logName)
 	if err != nil {
-		return pathErr("open", w.logName, err)
+		return nil, pathErr("open", w.logName, err)
 	}
 	defer f.Close()
+	var tables []*table.Table
 	fr := &frameReader{r: f}
 	for {
 		start := fr.valid
 		payload, ok, err := fr.nextInLog()
-		// Frame 0 of wal-0.log may be WriteMeta's, which holds no tables.
-		if err == nil && ok && (payload[0] != recMeta || start != 0 || w.seq != 0) {
-			err = w.replayFrame(payload, rec)
+		// Frame 0 may be WriteMeta's, which holds no tables.
+		if err == nil && ok && (payload[0] != recMeta || start != 0) {
+			tables, err = w.replayFrame(payload, tables)
 		}
 		if err != nil {
-			return pathErr("replay", w.logName, err)
+			return nil, pathErr("replay", w.logName, err)
 		}
 		if !ok {
 			break
@@ -313,21 +234,22 @@ func (w *Store) replayLog(rec *Recovered) error {
 	}
 	size, err := w.fs.Stat(w.logName)
 	if err != nil {
-		return pathErr("stat", w.logName, err)
+		return nil, pathErr("stat", w.logName, err)
 	}
 	if size > fr.valid {
 		if err := w.fs.Truncate(w.logName, fr.valid); err != nil {
-			return pathErr("truncate", w.logName, err)
+			return nil, pathErr("truncate", w.logName, err)
 		}
 	}
 	w.committed = fr.valid
-	return nil
+	return tables, nil
 }
 
-// replayFrame applies one non-empty checksummed frame. The checksum already
-// passed, so a decode failure here means a format bug, not a torn write —
-// fail the open rather than silently drop acknowledged data.
-func (w *Store) replayFrame(payload []byte, rec *Recovered) error {
+// replayFrame appends the tables of one non-empty checksummed frame to
+// tables. The checksum already passed, so a decode failure here means a
+// format bug, not a torn write — fail the open rather than silently drop
+// acknowledged data.
+func (w *Store) replayFrame(payload []byte, tables []*table.Table) ([]*table.Table, error) {
 	switch payload[0] {
 	case recAdd:
 		d := &decoder{buf: payload[1:]}
@@ -335,19 +257,18 @@ func (w *Store) replayFrame(payload []byte, rec *Recovered) error {
 		for i := 0; i < nv && d.err == nil; i++ {
 			w.dict.Intern(d.str())
 		}
-		tables := decodeTables(d, w.dict)
+		batch := decodeTables(d, w.dict)
 		if err := d.done(); err != nil {
-			return err
+			return nil, err
 		}
-		if err := checkTables(tables); err != nil {
-			return err
+		if err := checkTables(batch); err != nil {
+			return nil, err
 		}
-		rec.Tables = append(rec.Tables, tables...)
-		return nil
+		return append(tables, batch...), nil
 	case recMeta:
-		return fmt.Errorf("%w: meta record outside frame 0 of wal-0.log", errCorrupt)
+		return nil, fmt.Errorf("%w: meta record outside frame 0 of wal-0.log", errCorrupt)
 	default:
-		return fmt.Errorf("%w: unknown record type %d", errCorrupt, payload[0])
+		return nil, fmt.Errorf("%w: unknown record type %d", errCorrupt, payload[0])
 	}
 }
 
@@ -531,61 +452,4 @@ func (w *Store) Close() error {
 		return err
 	}
 	return nil
-}
-
-// loadSnapshot reads one snapshot generation into fresh state, validating
-// every segment's checksum. Nothing is shared with the store until the
-// caller installs the result, so a failed load pollutes nothing.
-func loadSnapshot(fsys FS, dir string, seq uint64) (*intern.Dict, []*table.Table, error) {
-	sdir := filepath.Join(dir, snapDirName(seq))
-	manJSON, err := readAll(fsys, filepath.Join(sdir, "manifest.json"))
-	if err != nil {
-		return nil, nil, pathErr("read", filepath.Join(sdir, "manifest.json"), err)
-	}
-	var man manifest
-	if err := json.Unmarshal(manJSON, &man); err != nil {
-		return nil, nil, pathErr("parse", filepath.Join(sdir, "manifest.json"), err)
-	}
-	if man.Seq != seq {
-		return nil, nil, pathErr("parse", filepath.Join(sdir, "manifest.json"),
-			fmt.Errorf("%w: manifest seq %d in %s", errCorrupt, man.Seq, snapDirName(seq)))
-	}
-
-	dict := intern.NewDict()
-	payload, err := readSegment(fsys, filepath.Join(sdir, man.Dict))
-	if err != nil {
-		return nil, nil, err
-	}
-	d := &decoder{buf: payload}
-	nv := d.count(1)
-	for i := 0; i < nv && d.err == nil; i++ {
-		dict.Intern(d.str())
-	}
-	if err := d.done(); err != nil {
-		return nil, nil, pathErr("decode", filepath.Join(sdir, man.Dict), err)
-	}
-
-	payload, err = readSegment(fsys, filepath.Join(sdir, man.Tables))
-	if err != nil {
-		return nil, nil, err
-	}
-	d = &decoder{buf: payload}
-	tables := decodeTables(d, dict)
-	if err := d.done(); err != nil {
-		return nil, nil, pathErr("decode", filepath.Join(sdir, man.Tables), err)
-	}
-	if err := checkTables(tables); err != nil {
-		return nil, nil, err
-	}
-	return dict, tables, nil
-}
-
-// readAll reads a whole file through the FS.
-func readAll(fsys FS, name string) ([]byte, error) {
-	f, err := fsys.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }

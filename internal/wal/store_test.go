@@ -3,8 +3,11 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -52,20 +55,30 @@ func writeFileSync(fs *MemFS, name string, data []byte) error {
 	return err
 }
 
-func mustOpen(t *testing.T, fs FS, dir string) (*Store, *Recovered) {
+// readAll reads a whole file through the FS.
+func readAll(fsys FS, name string) ([]byte, error) {
+	f, err := fsys.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
+}
+
+func mustOpen(t *testing.T, fs FS, dir string) (*Store, []*table.Table) {
 	t.Helper()
-	w, rec, err := Open(dir, fs)
+	w, tables, err := Open(dir, fs)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	return w, rec
+	return w, tables
 }
 
 func TestStoreAppendReopenRoundtrip(t *testing.T) {
 	fs := NewMemFS()
 	w, rec := mustOpen(t, fs, "sess")
-	if len(rec.Tables) != 0 {
-		t.Fatalf("fresh store recovered %d tables", len(rec.Tables))
+	if len(rec) != 0 {
+		t.Fatalf("fresh store recovered %d tables", len(rec))
 	}
 	var want []*table.Table
 	for i := 0; i < 5; i++ {
@@ -79,8 +92,8 @@ func TestStoreAppendReopenRoundtrip(t *testing.T) {
 
 	w2, rec2 := mustOpen(t, fs, "sess")
 	defer w2.Close()
-	if !tablesEqual(rec2.Tables, want) {
-		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec2.Tables, want)
+	if !tablesEqual(rec2, want) {
+		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec2, want)
 	}
 	// The log is the store: a new directory holds nothing else.
 	if names, err := fs.ReadDir("sess"); err != nil || !slices.Equal(names, []string{"wal-0.log"}) {
@@ -118,8 +131,8 @@ func TestStoreTornTailTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		w2, rec := mustOpen(t, fs, "sess")
-		if !tablesEqual(rec.Tables, want) {
-			t.Fatalf("cut %d: recovered %d tables, want %d", cut, len(rec.Tables), len(want))
+		if !tablesEqual(rec, want) {
+			t.Fatalf("cut %d: recovered %d tables, want %d", cut, len(rec), len(want))
 		}
 		if size, _ := fs.Stat("sess/wal-0.log"); size != goodSize {
 			t.Fatalf("cut %d: log not truncated to last good frame: %d != %d", cut, size, goodSize)
@@ -157,8 +170,8 @@ func TestStoreChecksumMismatchDropsTail(t *testing.T) {
 	}
 	w2, rec := mustOpen(t, fs, "sess")
 	defer w2.Close()
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("recovered %d tables, want %d (corrupt tail dropped)", len(rec.Tables), len(want))
+	if !tablesEqual(rec, want) {
+		t.Fatalf("recovered %d tables, want %d (corrupt tail dropped)", len(rec), len(want))
 	}
 	if size, _ := fs.Stat("sess/wal-0.log"); size != goodSize {
 		t.Errorf("log not truncated past corruption: %d != %d", size, goodSize)
@@ -202,64 +215,18 @@ func TestStoreFailedAppendRepairs(t *testing.T) {
 
 			w2, rec := mustOpen(t, fs, "sess")
 			defer w2.Close()
-			if !tablesEqual(rec.Tables, want) {
-				t.Fatalf("recovered tables differ after %s fault:\ngot %v\nwant %v", mode, rec.Tables, want)
+			if !tablesEqual(rec, want) {
+				t.Fatalf("recovered tables differ after %s fault:\ngot %v\nwant %v", mode, rec, want)
 			}
 		})
-	}
-}
-
-// testdata/component-segment-layout was written when a snapshot also held
-// one comp-N.seg per Full Disjunction component: three such segments beside
-// the tables of the first batch, and the second batch in the log tail. It
-// opens with its tables intact, and a new append continues its log.
-func TestStoreOpensComponentSegmentLayout(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "sess")
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "component-segment-layout"))); err != nil {
-		t.Fatal(err)
-	}
-	people := table.New("people", "name", "city")
-	people.MustAppendRow(table.S("alice"), table.S("Berlin"))
-	people.MustAppendRow(table.S("bob"), table.S("Paris"))
-	jobs := table.New("jobs", "name", "job")
-	jobs.MustAppendRow(table.S("alice"), table.S("eng"))
-	jobs.MustAppendRow(table.S("carol"), table.Null())
-	ages := table.New("ages", "name", "age")
-	ages.MustAppendRow(table.S("bob"), table.S("41"))
-	want := []*table.Table{people, jobs, ages}
-
-	w, rec, err := Open(dir, nil)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
-	}
-	b := batch(0)
-	if err := w.AppendAdd(b); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	want = append(want, b...)
-	w, rec, err = Open(dir, nil)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer w.Close()
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("reopen recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
-	}
-	if exists(OSFS{}, filepath.Join(dir, logFileName(0))) {
-		t.Error("the append started a new log instead of continuing wal-1.log")
 	}
 }
 
 // testdata/snapshot-layout was written by the snapshot writer of earlier
 // versions: batches 0–2 in the committed snapshot snap-1, batches 3 and 4
 // in the two frames of wal-1.log. snapshotLayout copies it into dir on fs,
-// every byte synced and every entry committed, and returns the tables it
-// holds.
-func snapshotLayout(t testing.TB, fs *MemFS, dir string) []*table.Table {
+// every byte synced and every entry committed.
+func snapshotLayout(t testing.TB, fs *MemFS, dir string) {
 	t.Helper()
 	src := filepath.Join("testdata", "snapshot-layout")
 	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
@@ -286,81 +253,106 @@ func snapshotLayout(t testing.TB, fs *MemFS, dir string) []*table.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []*table.Table
-	for i := 0; i < 5; i++ {
-		want = append(want, batch(i)...)
-	}
-	return want
 }
 
-// A directory an earlier version wrote — a committed snapshot plus a log
-// tail — opens to its tables, byte for byte; appends continue in its
-// wal-1.log, and a reopen recovers every one. Nothing is written beside the
-// log: the snapshot and CURRENT stay as they were.
-func TestStoreOpensSnapshotLayout(t *testing.T) {
-	fs := NewMemFS()
-	want := snapshotLayout(t, fs, "sess")
-	before, err := readAll(fs, "sess/snap-1/tables.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, rec := mustOpen(t, fs, "sess")
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
-	}
-	for i := 5; i < 8; i++ {
-		b := batch(i)
-		if err := w.AppendAdd(b); err != nil {
+// tree returns every file under dir on fs by path, with its bytes, and
+// every directory with nil.
+func tree(t *testing.T, fs FS, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	names, err := fs.ReadDir(dir)
+	if err != nil { // a file
+		data, err := readAll(fs, dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, b...)
+		out[dir] = data
+		return out
 	}
-	w.Close()
-
-	w2, rec := mustOpen(t, fs, "sess")
-	defer w2.Close()
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("reopen recovered tables differ:\ngot %v\nwant %v", rec.Tables, want)
+	out[dir] = nil
+	for _, n := range names {
+		maps.Copy(out, tree(t, fs, filepath.Join(dir, n)))
 	}
-	names, err := fs.ReadDir("sess")
-	if err != nil || !slices.Equal(names, []string{"CURRENT", "snap-1", "wal-1.log"}) {
-		t.Errorf("store directory holds %v (%v), want CURRENT, snap-1 and wal-1.log", names, err)
-	}
-	if after, err := readAll(fs, "sess/snap-1/tables.seg"); err != nil || !slices.Equal(after, before) {
-		t.Errorf("the legacy snapshot changed (%v)", err)
-	}
+	return out
 }
 
-// Without CURRENT the store adopts the highest snapshot that loads cleanly.
-func TestStoreCurrentLostScanFallback(t *testing.T) {
-	fs := NewMemFS()
-	want := snapshotLayout(t, fs, "sess")
-	if err := fs.Remove("sess/CURRENT"); err != nil {
-		t.Fatal(err)
+// A directory in a layout earlier versions wrote is refused, not read and
+// not opened empty: Open and ReadMeta each fail naming the directory and
+// its first entry other than wal-0.log, and leave every entry and byte as
+// they were. The snapshot layout (CURRENT, snap-1/, wal-1.log) is refused by
+// its CURRENT, or by snap-1 when CURRENT is gone; a session.json beside a
+// whole log, an interrupted snapshot writer's tmp directory and a log at a
+// later sequence are refused too. Writing into such a directory is refused
+// the same way, and a new store beside it opens as usual.
+func TestStoreRefusesLegacyLayouts(t *testing.T) {
+	withLog := func(t *testing.T, fs *MemFS) {
+		w, _ := mustOpen(t, fs, "sess")
+		if err := w.AppendAdd(batch(0)); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
 	}
-
-	w, rec := mustOpen(t, fs, "sess")
-	defer w.Close()
-	if !tablesEqual(rec.Tables, want) {
-		t.Fatalf("scan fallback recovered %v, want %v", rec.Tables, want)
+	plant := func(t *testing.T, fs *MemFS, name string, data []byte) {
+		withLog(t, fs)
+		dir := filepath.Dir(name)
+		if err := fs.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFileSync(fs, name, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SyncDir(dir); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-// A committed snapshot that fails its checksum is a hard open error naming
-// the bad file — acknowledged data must never silently vanish.
-func TestStoreCommittedSnapshotCorruptFailsOpen(t *testing.T) {
-	fs := NewMemFS()
-	snapshotLayout(t, fs, "sess")
-	if err := fs.FlipBit("sess/snap-1/tables.seg", frameHeader+1, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	_, _, err := Open("sess", fs)
-	if err == nil {
-		t.Fatal("open succeeded on a corrupt committed snapshot")
-	}
-	if !strings.Contains(err.Error(), "snap-1") {
-		t.Errorf("error does not name the bad snapshot: %v", err)
+	for _, c := range []struct {
+		name, entry string
+		layout      func(t *testing.T, fs *MemFS)
+	}{
+		{"snapshot-layout", "CURRENT", func(t *testing.T, fs *MemFS) { snapshotLayout(t, fs, "sess") }},
+		{"snapshot-without-CURRENT", "snap-1", func(t *testing.T, fs *MemFS) {
+			snapshotLayout(t, fs, "sess")
+			if err := fs.Remove("sess/CURRENT"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"session.json", "session.json", func(t *testing.T, fs *MemFS) {
+			plant(t, fs, "sess/session.json", []byte(`{"equi":true}`+"\n"))
+		}},
+		{"tmp", "snap-2.tmp", func(t *testing.T, fs *MemFS) {
+			plant(t, fs, "sess/snap-2.tmp/manifest.json", []byte("{}"))
+		}},
+		{"later-log", "wal-1.log", func(t *testing.T, fs *MemFS) {
+			plant(t, fs, "sess/wal-1.log", appendFrame(nil, []byte{recAdd, 0, 0}))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := NewMemFS()
+			c.layout(t, fs)
+			want := tree(t, fs, "sess")
+			refused := func(op string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "sess") || !strings.Contains(err.Error(), c.entry) {
+					t.Fatalf("%s: err = %v, want one naming sess and %s", op, err, c.entry)
+				}
+				if got := tree(t, fs, "sess"); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s changed the directory:\ngot  %q\nwant %q", op, got, want)
+				}
+			}
+			_, _, err := Open("sess", fs)
+			refused("Open", err)
+			got, err := ReadMeta("sess", fs)
+			refused("ReadMeta", err)
+			if got != nil {
+				t.Fatalf("ReadMeta returned %q beside its error", got)
+			}
+			refused("WriteMeta", WriteMeta("sess", fs, []byte("opts")))
+			w, tables := mustOpen(t, fs, "other")
+			w.Close()
+			if len(tables) != 0 {
+				t.Fatalf("a new store beside the refused one recovered %d tables", len(tables))
+			}
+		})
 	}
 }
 
@@ -393,7 +385,7 @@ func TestStoreInteriorCorruptionFailsOpen(t *testing.T) {
 			}
 			_, rec, err := Open("sess", fs)
 			if err == nil {
-				t.Fatalf("frame %d, byte %d flipped: open recovered %d of 5 tables without an error", f, at, len(rec.Tables))
+				t.Fatalf("frame %d, byte %d flipped: open recovered %d of 5 tables without an error", f, at, len(rec))
 			}
 			if msg := err.Error(); !strings.Contains(msg, "wal-0.log") || !strings.Contains(msg, fmt.Sprintf("offset %d", start)) {
 				t.Fatalf("frame %d, byte %d flipped: error names neither the log nor offset %d: %v", f, at, start, err)
@@ -408,8 +400,8 @@ func TestStoreInteriorCorruptionFailsOpen(t *testing.T) {
 	}
 	w, rec := mustOpen(t, fs, "sess")
 	defer w.Close()
-	if len(rec.Tables) != 5 {
-		t.Fatalf("the restored log recovered %d tables, want 5", len(rec.Tables))
+	if len(rec) != 5 {
+		t.Fatalf("the restored log recovered %d tables, want 5", len(rec))
 	}
 }
 
@@ -442,8 +434,8 @@ func TestStoreZeroTailTruncated(t *testing.T) {
 
 			w, rec := mustOpen(t, fs, "sess")
 			defer w.Close()
-			if !tablesEqual(rec.Tables, want) {
-				t.Fatalf("recovered %d tables, want %d", len(rec.Tables), len(want))
+			if !tablesEqual(rec, want) {
+				t.Fatalf("recovered %d tables, want %d", len(rec), len(want))
 			}
 			if size, _ := fs.Stat("sess/wal-0.log"); size != goodSize {
 				t.Errorf("log not truncated to its batches: %d != %d", size, goodSize)
@@ -501,8 +493,8 @@ func TestStoreNewNestedDirSurvivesCrash(t *testing.T) {
 	fs.Crash()
 	w, rec := mustOpen(t, fs, dir)
 	defer w.Close()
-	if !tablesEqual(rec.Tables, batch(0)) {
-		t.Fatalf("recovered %d tables after the crash, want the acknowledged one", len(rec.Tables))
+	if !tablesEqual(rec, batch(0)) {
+		t.Fatalf("recovered %d tables after the crash, want the acknowledged one", len(rec))
 	}
 }
 
@@ -524,8 +516,8 @@ func TestStoreFailedDirSyncRetried(t *testing.T) {
 	mem.Crash()
 	w, rec := mustOpen(t, mem, dir)
 	defer w.Close()
-	if !tablesEqual(rec.Tables, batch(0)) {
-		t.Fatalf("recovered %d tables after the crash, want the acknowledged one", len(rec.Tables))
+	if !tablesEqual(rec, batch(0)) {
+		t.Fatalf("recovered %d tables after the crash, want the acknowledged one", len(rec))
 	}
 }
 
@@ -537,100 +529,79 @@ func flipped(data []byte, at int) []byte {
 }
 
 // Crash-at-byte-N property: for every byte budget N over a scripted run of
-// appends, the post-crash reopen recovers exactly the batches whose
-// AppendAdd was acknowledged before the crash — on an empty directory,
-// whose script starts by writing a meta frame, and on a copy of a directory
-// an earlier version wrote, whose snapshot and log tail are acknowledged
-// before the first append. The meta frame survives byte for byte once
-// WriteMeta returned; a crash inside it leaves a directory ReadMeta reports
-// empty (the daemon answers 404) and WriteMeta can write again (a PUT
-// re-creates the session).
+// appends on an empty directory, whose script starts by writing a meta
+// frame, the post-crash reopen recovers exactly the batches whose
+// AppendAdd was acknowledged before the crash. The meta frame survives byte
+// for byte once WriteMeta returned; a crash inside it leaves a directory
+// ReadMeta reports empty (the daemon answers 404) and WriteMeta can write
+// again (a PUT re-creates the session).
 func TestStoreCrashAtEveryByte(t *testing.T) {
 	meta := []byte(`{"equi":true}`)
-	for _, layout := range []string{"empty", "snapshot-layout"} {
-		t.Run(layout, func(t *testing.T) {
-			fresh := func() *MemFS {
-				fs := NewMemFS()
-				if layout != "empty" {
-					snapshotLayout(t, fs, "sess")
-				}
-				return fs
+	t.Run("empty", func(t *testing.T) {
+		script := func(fs *MemFS) (metaAcked bool, acked []*table.Table, _ error) {
+			if err := WriteMeta("sess", fs, meta); err != nil {
+				return false, nil, err
 			}
-			script := func(fs *MemFS) (metaAcked bool, acked []*table.Table, _ error) {
-				if layout == "empty" {
-					if err := WriteMeta("sess", fs, meta); err != nil {
-						return false, nil, err
-					}
-					metaAcked = true
-				}
-				w, rec, err := Open("sess", fs)
-				if err != nil {
-					return metaAcked, nil, err
-				}
-				defer w.Close()
-				acked = append(acked, rec.Tables...)
-				for i := 0; i < 6; i++ {
-					if err := w.AppendAdd(batch(10 + i)); err != nil {
-						return metaAcked, acked, err
-					}
-					acked = append(acked, batch(10+i)...)
-				}
-				return metaAcked, acked, nil
+			w, rec, err := Open("sess", fs)
+			if err != nil {
+				return true, nil, err
 			}
-			// Dry run to learn the total byte volume.
-			dry := fresh()
-			start := dry.BytesWritten()
-			if _, _, err := script(dry); err != nil {
-				t.Fatalf("dry run: %v", err)
+			defer w.Close()
+			acked = append(acked, rec...)
+			for i := 0; i < 6; i++ {
+				if err := w.AppendAdd(batch(10 + i)); err != nil {
+					return true, acked, err
+				}
+				acked = append(acked, batch(10+i)...)
 			}
-			total := dry.BytesWritten() - start
-			if total == 0 {
-				t.Fatal("dry run wrote nothing")
-			}
+			return true, acked, nil
+		}
+		// Dry run to learn the total byte volume.
+		dry := NewMemFS()
+		if _, _, err := script(dry); err != nil {
+			t.Fatalf("dry run: %v", err)
+		}
+		total := dry.BytesWritten()
+		if total == 0 {
+			t.Fatal("dry run wrote nothing")
+		}
 
-			for n := int64(0); n <= total; n++ {
-				fs := fresh()
-				fs.CrashAfterBytes(n)
-				metaAcked, acked, serr := script(fs)
-				fired := fs.Crash()
-				if serr == nil && fired {
-					t.Fatalf("budget %d: crash fired but script saw no error", n)
-				}
-				got, err := ReadMeta("sess", fs)
-				switch {
-				case layout != "empty":
-					// No wal-0.log: the daemon reads its session.json.
-					if got != nil || err != nil {
-						t.Fatalf("budget %d: legacy directory: ReadMeta = %q, %v; want nothing", n, got, err)
-					}
-				case metaAcked:
-					if err != nil || !slices.Equal(got, meta) {
-						t.Fatalf("budget %d: recovered meta %q (%v), want %q", n, got, err, meta)
-					}
-				default:
-					if got != nil || err != nil {
-						t.Fatalf("budget %d: crash inside the meta frame: ReadMeta = %q, %v; want nothing", n, got, err)
-					}
-					if err := WriteMeta("sess", fs, meta); err != nil {
-						t.Fatalf("budget %d: rewrite the meta frame: %v", n, err)
-					}
-				}
-				w, rec, err := Open("sess", fs)
-				if err != nil {
-					t.Fatalf("budget %d: reopen: %v", n, err)
-				}
-				if !tablesEqual(rec.Tables, acked) {
-					t.Fatalf("budget %d: recovered %d tables, want %d acknowledged",
-						n, len(rec.Tables), len(acked))
-				}
-				// The revived store must accept further appends.
-				if err := w.AppendAdd(batch(99)); err != nil {
-					t.Fatalf("budget %d: append after recovery: %v", n, err)
-				}
-				w.Close()
+		for n := int64(0); n <= total; n++ {
+			fs := NewMemFS()
+			fs.CrashAfterBytes(n)
+			metaAcked, acked, serr := script(fs)
+			fired := fs.Crash()
+			if serr == nil && fired {
+				t.Fatalf("budget %d: crash fired but script saw no error", n)
 			}
-		})
-	}
+			got, err := ReadMeta("sess", fs)
+			if metaAcked {
+				if err != nil || !slices.Equal(got, meta) {
+					t.Fatalf("budget %d: recovered meta %q (%v), want %q", n, got, err, meta)
+				}
+			} else {
+				if got != nil || err != nil {
+					t.Fatalf("budget %d: crash inside the meta frame: ReadMeta = %q, %v; want nothing", n, got, err)
+				}
+				if err := WriteMeta("sess", fs, meta); err != nil {
+					t.Fatalf("budget %d: rewrite the meta frame: %v", n, err)
+				}
+			}
+			w, rec, err := Open("sess", fs)
+			if err != nil {
+				t.Fatalf("budget %d: reopen: %v", n, err)
+			}
+			if !tablesEqual(rec, acked) {
+				t.Fatalf("budget %d: recovered %d tables, want %d acknowledged",
+					n, len(rec), len(acked))
+			}
+			// The revived store must accept further appends.
+			if err := w.AppendAdd(batch(99)); err != nil {
+				t.Fatalf("budget %d: append after recovery: %v", n, err)
+			}
+			w.Close()
+		}
+	})
 }
 
 // A meta frame is frame 0 of wal-0.log and nothing else: Open skips it and
@@ -647,8 +618,8 @@ func TestStoreMetaFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, rec := mustOpen(t, fs, "sess")
-	if len(rec.Tables) != 0 {
-		t.Fatalf("a meta-only log recovered %d tables", len(rec.Tables))
+	if len(rec) != 0 {
+		t.Fatalf("a meta-only log recovered %d tables", len(rec))
 	}
 	for i := 0; i < 2; i++ {
 		if err := w.AppendAdd(batch(i)); err != nil {
@@ -658,8 +629,8 @@ func TestStoreMetaFrame(t *testing.T) {
 	w.Close()
 	w, rec = mustOpen(t, fs, "sess")
 	w.Close()
-	if want := append(batch(0), batch(1)...); !tablesEqual(rec.Tables, want) {
-		t.Fatalf("recovered %v, want %v", rec.Tables, want)
+	if want := append(batch(0), batch(1)...); !tablesEqual(rec, want) {
+		t.Fatalf("recovered %v, want %v", rec, want)
 	}
 	if got, err := ReadMeta("sess", fs); err != nil || string(got) != "opts" {
 		t.Fatalf("ReadMeta = %q, %v; want opts", got, err)
