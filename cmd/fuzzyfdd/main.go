@@ -29,7 +29,7 @@
 //	PUT    /v1/sessions/{name}          create a session (JSON options body)
 //	GET    /v1/sessions                 list sessions with statistics
 //	GET    /v1/sessions/{name}          one session's statistics
-//	DELETE /v1/sessions/{name}          evict a session
+//	DELETE /v1/sessions/{name}          remove a session and its on-disk state for good
 //	POST   /v1/sessions/{name}/tables   add a JSONL table and integrate
 //	GET    /v1/sessions/{name}/result   result; Accept: application/jsonl streams
 //	GET    /v1/sessions/{name}/events   progress as Server-Sent Events
@@ -71,7 +71,6 @@ func main() {
 	rate := flag.Float64("rate", 0, "max table-add requests per second per session (0 unlimited)")
 	burst := flag.Int("burst", 0, "token-bucket burst for -rate (min 1)")
 	memoryBudget := flag.Int64("memory-budget", 0, "per-session FD memory budget ceiling in bytes (0 unbounded)")
-	probeInterval := flag.Duration("probe-interval", 0, "degraded-log recovery probe period (0: 5s default, negative disables)")
 	chaosRate := flag.Float64("chaos-fault-rate", 0, "inject transient WAL filesystem faults with this probability (testing only; requires -data-dir)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for -chaos-fault-rate fault injection")
 	flag.Parse()
@@ -103,7 +102,6 @@ func main() {
 		RatePerSec:     *rate,
 		Burst:          *burst,
 		MemoryBudget:   *memoryBudget,
-		ProbeInterval:  *probeInterval,
 		WALFS:          walFS,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv}

@@ -126,8 +126,9 @@ var (
 	ErrMemoryBudget = fd.ErrMemoryBudget
 	// ErrDegraded is returned by writes to a durable session whose log has
 	// exhausted its retries against a failing filesystem and entered
-	// degraded read-only mode; Session.Probe (or the next write, which
-	// probes first) restores write availability once the filesystem heals.
+	// degraded read-only mode. Reads keep working, and each later write
+	// first tries to re-arm the log: the first one after the filesystem
+	// heals lands.
 	ErrDegraded = wal.ErrDegraded
 	// ErrSessionClosed is returned by writes to a closed session.
 	ErrSessionClosed = core.ErrClosed
@@ -268,7 +269,7 @@ func WithMemoryBudget(n int64) Option {
 		if n < 1 {
 			return fmt.Errorf("fuzzyfd: memory budget %d < 1", n)
 		}
-		o.cfg.FD.MaxBytes = n
+		o.cfg.MemoryBudget = n
 		return nil
 	}
 }
@@ -443,12 +444,6 @@ func (s *Session) Durable() bool { return s.s.Durable() }
 // matching ErrDegraded while reads keep working. In-memory and closed
 // sessions are never degraded.
 func (s *Session) Degraded() error { return s.s.Degraded() }
-
-// Probe attempts to re-arm a degraded session's log, returning nil when the
-// session is healthy (or not durable) and an error while the filesystem is
-// still failing. Writes also self-probe; Probe just restores availability
-// ahead of the next write.
-func (s *Session) Probe() error { return s.s.Probe() }
 
 // Tables reports the number of tables added so far.
 func (s *Session) Tables() int { return s.s.Tables() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -231,8 +232,10 @@ func TestProgressEventSequence(t *testing.T) {
 // the Result it returns is the one it streamed.
 func TestStreamMatchesIntegrate(t *testing.T) {
 	tables := fig1()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
-		cfg := Config{FD: fd.Options{Workers: workers}}
+		runtime.GOMAXPROCS(workers)
+		cfg := Config{}
 		want, err := Integrate(tables, cfg)
 		if err != nil {
 			t.Fatal(err)

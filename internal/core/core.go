@@ -124,9 +124,10 @@ type Config struct {
 	// own knob because its parallelism is about embedder throughput, not
 	// about the FD closure.
 	MatchWorkers int
-	// FD tunes the Full Disjunction computation. FD.Workers 0 means
-	// runtime.GOMAXPROCS(0) (see fdOptions).
-	FD fd.Options
+	// MemoryBudget aborts the Full Disjunction with fd.ErrMemoryBudget once
+	// its estimated resident size exceeds this many bytes (fd.Options
+	// MaxBytes). 0 means unlimited.
+	MemoryBudget int64
 	// Progress, when non-nil, observes phase transitions and per-component
 	// closure completions (see ProgressEvent). Called from the integrating
 	// goroutine; it must be fast and must not call back into the session.
@@ -242,15 +243,13 @@ func IntegrateContext(ctx context.Context, tables []*table.Table, cfg Config) (*
 	return s.IntegrateContext(ctx)
 }
 
-// fdOptions resolves the FD options for one run: Workers 0 becomes
+// fdOptions builds the FD options for one run: Workers is
 // runtime.GOMAXPROCS(0), so the fd layer's hub rule counts the process's
-// CPUs (sequential at GOMAXPROCS 1), and Progress is adapted onto the fd
-// layer's per-component callback. Output is byte-identical either way.
+// CPUs (sequential at GOMAXPROCS 1), MaxBytes is the memory budget, and
+// Progress is adapted onto the fd layer's per-component callback. Output is
+// byte-identical at every GOMAXPROCS.
 func (c Config) fdOptions() fd.Options {
-	opts := c.FD
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
+	opts := fd.Options{Workers: runtime.GOMAXPROCS(0), MaxBytes: c.MemoryBudget}
 	if c.Progress != nil {
 		progress := c.Progress
 		opts.Progress = func(p fd.ComponentProgress) {

@@ -115,19 +115,21 @@ func TestIntegrateErrors(t *testing.T) {
 	if _, err := Integrate(nil, Config{}); err == nil {
 		t.Error("empty integration set accepted")
 	}
-	// FD options flow through: a tiny memory budget must abort.
+	// The memory budget flows through to the FD: a tiny one must abort.
 	tables := fig1()
-	if _, err := Integrate(tables, Config{Method: MethodEquiFD, FD: fd.Options{MaxBytes: 1}}); !errors.Is(err, fd.ErrMemoryBudget) {
+	if _, err := Integrate(tables, Config{Method: MethodEquiFD, MemoryBudget: 1}); !errors.Is(err, fd.ErrMemoryBudget) {
 		t.Errorf("memory budget not propagated: %v", err)
 	}
 }
 
 func TestIntegrateParallelFD(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	seq, err := Integrate(fig1(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Integrate(fig1(), Config{FD: fd.Options{Workers: 4}})
+	runtime.GOMAXPROCS(4)
+	par, err := Integrate(fig1(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +138,8 @@ func TestIntegrateParallelFD(t *testing.T) {
 	}
 }
 
-// TestFDWorkersFollowGOMAXPROCS: with FD.Workers unset, the closure counts
-// the process's CPUs. The IMDB tables at 2 000 tuples hold a 1 062-tuple
+// TestFDWorkersFollowGOMAXPROCS: the closure's workers count the process's
+// CPUs. The IMDB tables at 2 000 tuples hold a 1 062-tuple
 // hub, which GOMAXPROCS 2 closes by pivot-value groups and GOMAXPROCS 1
 // closes sequentially with pivot bucketing — into the same table,
 // provenance and merge attempts.
@@ -248,9 +250,8 @@ func TestCombineStatsMemberWeighted(t *testing.T) {
 	}
 }
 
-// Match-phase warming has its own worker knob: a single-threaded-FD config
-// must still integrate correctly with explicit match workers, and the
-// default (0 = GOMAXPROCS) must not depend on FD.Workers.
+// Match-phase warming has its own worker knob: explicit match workers
+// integrate as the default (0 = GOMAXPROCS) does.
 func TestMatchWorkersIndependentOfFD(t *testing.T) {
 	base, err := Integrate(fig1(), Config{})
 	if err != nil {
@@ -259,7 +260,6 @@ func TestMatchWorkersIndependentOfFD(t *testing.T) {
 	for _, cfg := range []Config{
 		{MatchWorkers: 1},
 		{MatchWorkers: 8},
-		{MatchWorkers: 8, FD: fd.Options{Workers: 1}},
 	} {
 		res, err := Integrate(fig1(), cfg)
 		if err != nil {

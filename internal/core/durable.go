@@ -73,8 +73,10 @@ func (s *Session) Close() error {
 
 // Degraded reports whether the session's log has given up on its
 // filesystem: non-nil means writes are being rejected (with an error
-// matching wal.ErrDegraded) while reads keep working. In-memory and closed
-// sessions are never degraded.
+// matching wal.ErrDegraded) while reads keep working. The next Append
+// re-arms the log before it writes, so the mark clears on the first write
+// after the filesystem heals. In-memory and closed sessions are never
+// degraded.
 func (s *Session) Degraded() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -82,18 +84,4 @@ func (s *Session) Degraded() error {
 		return nil
 	}
 	return s.store.Degraded()
-}
-
-// Probe attempts to re-arm a degraded session's log. It returns nil when
-// the session is healthy (or not durable) and an error while the
-// filesystem is still failing. Appends also self-probe, so calling this is
-// an optimization — it restores write availability before the next client
-// write has to pay for the attempt.
-func (s *Session) Probe() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.store == nil || s.closed {
-		return nil
-	}
-	return s.store.Probe()
 }

@@ -6,11 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
-	"fuzzyfd/internal/fd"
 	"fuzzyfd/internal/table"
 	"fuzzyfd/internal/wal"
 )
@@ -81,14 +81,18 @@ func durableScript(fs *wal.MemFS, cfg Config, batches [][]*table.Table) (acked [
 func TestDurableSessionCrashRecoveryProperty(t *testing.T) {
 	batches := durableBatches()
 	variants := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		procs int // GOMAXPROCS for the variant (0: as set)
 	}{
-		{"equi-nosnap", Config{Method: MethodEquiFD}},
-		{"fuzzy-workers4", Config{FD: fd.Options{Workers: 4}}},
+		{"equi-nosnap", Config{Method: MethodEquiFD}, 0},
+		{"fuzzy-workers4", Config{}, 4},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
+			if v.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(v.procs))
+			}
 			dry := wal.NewMemFS()
 			if got := durableScript(dry, v.cfg, batches); len(got) != len(batches) {
 				t.Fatalf("dry run acked %d/%d batches", len(got), len(batches))

@@ -223,7 +223,7 @@ func (s *Server) newSession(name string, opts sessionOptions, create bool) (*ses
 		waited:   func() { s.met.inflightWaits.With().Inc() },
 		hook:     s.hookFor(name),
 		done: func(res *fuzzyfd.Result, err error) {
-			s.met.onIntegrated(name, fs, res, err)
+			s.reg.whileLive(c, func() { s.met.onIntegrated(name, fs, res, err) })
 		},
 		panicked: func(v any) {
 			s.met.panics.With().Inc()
@@ -313,7 +313,7 @@ func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, r, http.StatusBadRequest, "bad_jsonl", "table body: %v", err)
 		return
 	}
-	s.met.addRequests.With(name).Inc()
+	s.reg.whileLive(c, func() { s.met.addRequests.With(name).Inc() })
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	res, err := c.bat.add(ctx, tbl)
@@ -423,7 +423,7 @@ func (s *Server) streamResult(w http.ResponseWriter, r *http.Request, c *session
 		return
 	}
 	w.Write(buf)
-	s.met.rowsStreamed.With(c.name).Add(float64(n))
+	s.reg.whileLive(c, func() { s.met.rowsStreamed.With(c.name).Add(float64(n)) })
 }
 
 // writeIntegrateError answers a failed add, result or stream of session
@@ -443,9 +443,9 @@ func (s *Server) writeIntegrateError(w http.ResponseWriter, r *http.Request, nam
 		writeErrorCode(w, r, http.StatusUnprocessableEntity, "memory_budget", "integrate: %v", err)
 	case errors.Is(err, fuzzyfd.ErrDegraded):
 		// Degraded mode: the session's log gave up on its filesystem.
-		// Reads and streams keep working; writes come back once a probe
-		// (periodic, or the next write's own) re-arms the log.
-		writeThrottled(w, r, http.StatusServiceUnavailable, "degraded", s.probeEvery(),
+		// Reads and streams keep working; the next write that finds the
+		// filesystem healed re-arms the log and lands.
+		writeThrottled(w, r, http.StatusServiceUnavailable, "degraded", time.Second,
 			"session %q is degraded (log unavailable, reads still served): %v", name, err)
 	case errors.Is(err, fuzzyfd.ErrSessionClosed):
 		writeThrottled(w, r, http.StatusServiceUnavailable, "session_closed", time.Second,

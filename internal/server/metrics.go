@@ -40,7 +40,6 @@ type serverMetrics struct {
 	sessionsDegraded *metrics.Family // gauge: degraded durable sessions (set at scrape)
 	throttled        *metrics.Family // counter {reason}: requests rejected by admission control
 	inflightWaits    *metrics.Family // counter: flights that queued on the in-flight limiter
-	probeRecoveries  *metrics.Family // counter: degraded logs re-armed by the prober
 }
 
 func newServerMetrics() *serverMetrics {
@@ -68,7 +67,6 @@ func newServerMetrics() *serverMetrics {
 		sessionsDegraded:  r.Gauge("fuzzyfdd_sessions_degraded", "Durable sessions whose log is degraded (writes rejected, reads served)."),
 		throttled:         r.Counter("fuzzyfdd_throttled_total", "Requests rejected by admission control.", "reason"),
 		inflightWaits:     r.Counter("fuzzyfdd_inflight_waits_total", "Coalesced flights that queued on the in-flight integration limiter."),
-		probeRecoveries:   r.Counter("fuzzyfdd_probe_recoveries_total", "Degraded session logs re-armed by the recovery prober."),
 	}
 }
 

@@ -36,8 +36,9 @@ type session struct {
 // registry is the named-session table with the tenant cap. Its mutex is the
 // one lock over a name's lifecycle: resolve opens, reopens and creates,
 // deleteSession closes and removes, and evictIdle closes, each entirely
-// under it. So a name is never opened while its previous incarnation is
-// still closing, and a DELETE is never undone by a concurrent lazy reopen.
+// under it, and the last two retire the session's metric series under it
+// too. So a name is never opened while its previous incarnation is still
+// closing, and a DELETE is never undone by a concurrent lazy reopen.
 type registry struct {
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -116,8 +117,7 @@ func (s *Server) deleteSession(name string) (found bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c := r.sessions[name]; c != nil {
-		r.drop(c)
-		s.met.sessionEvicted(name)
+		s.drop(c)
 		found = true
 	}
 	dir, _ := s.sessionDir(name)
@@ -133,13 +133,29 @@ func (s *Server) deleteSession(name string) (found bool, err error) {
 	return true, s.cfg.WALFS.SyncDir(filepath.Dir(dir))
 }
 
-// drop removes c from the table and closes it. A durable session's log
-// already holds every acknowledged add, so closing writes nothing. Caller
-// holds r.mu.
-func (r *registry) drop(c *session) {
-	delete(r.sessions, c.name)
+// drop removes c from the table, closes it, and retires its metric series,
+// all under the registry lock, so no reopen of the name can slip between
+// the close and the retirement and lose its own series. A durable
+// session's log already holds every acknowledged add, so closing writes
+// nothing. Caller holds s.reg.mu.
+func (s *Server) drop(c *session) {
+	delete(s.reg.sessions, c.name)
 	if err := c.sess.Close(); err != nil {
 		log.Printf("fuzzyfdd: close session %q: %v", c.name, err)
+	}
+	s.met.sessionEvicted(c.name)
+}
+
+// whileLive runs f under the registry lock if c is still the session
+// registered under its name. Work that can outlive a session's retirement
+// — a flight finishing after its DELETE, a request that resolved it just
+// before — records its metrics through here, so it never writes a retired
+// session's series back.
+func (r *registry) whileLive(c *session, f func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sessions[c.name] == c {
+		f()
 	}
 }
 
@@ -162,17 +178,15 @@ func (r *registry) count() int {
 }
 
 // evictIdle drops the sessions idle longer than ttl with no batcher work in
-// flight, returning the evicted set.
-func (r *registry) evictIdle(ttl time.Duration) []*session {
+// flight.
+func (s *Server) evictIdle(ttl time.Duration) {
 	cutoff := time.Now().Add(-ttl)
+	r := s.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var evicted []*session
 	for _, c := range r.sessions {
 		if c.lastUsed.Before(cutoff) && c.bat.idle() {
-			r.drop(c)
-			evicted = append(evicted, c)
+			s.drop(c)
 		}
 	}
-	return evicted
 }

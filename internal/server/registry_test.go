@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,5 +116,51 @@ func TestServerReopenAtSessionLimit(t *testing.T) {
 	}
 	if got := resultJSON(t, ts2, "a")["rows"].([]any); len(got) != 1 {
 		t.Fatalf("reopened session holds %d rows, want 1", len(got))
+	}
+}
+
+// A DELETE that lands while one of the session's flights is held open
+// retires the session's series for good: the flight's outcome, recorded
+// after the DELETE, must not write them back, and a session re-created
+// under the same name starts from no series at all.
+func TestServerDeleteDuringFlightRetiresSeries(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	createSession(t, ts, "gone", `{"equi": true}`)
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.setIntegrateHook(func(string) {
+		close(entered)
+		<-release
+	})
+	posted := make(chan *http.Response, 1)
+	go func() {
+		resp, _ := postRaw(t, ts, "gone", "t1", `{"k":"v"}`)
+		posted <- resp
+	}()
+	<-entered
+	if resp, body := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/gone", "", nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: status %d: %s", resp.StatusCode, body)
+	}
+	srv.setIntegrateHook(nil)
+	close(release)
+	if resp := <-posted; resp.StatusCode == http.StatusOK {
+		t.Fatal("an add to a session deleted under its flight was acknowledged")
+	}
+	if text := fetchMetrics(t, ts); strings.Contains(text, `session="gone"`) {
+		t.Fatalf("the deleted session's series are back:\n%s", text)
+	}
+
+	createSession(t, ts, "gone", `{"equi": true}`)
+	postTable(t, ts, "gone", "t2", `{"k":"w"}`)
+	text := fetchMetrics(t, ts)
+	for _, want := range []string{
+		`fuzzyfdd_add_requests_total{session="gone"} 1`,
+		`fuzzyfdd_integrations_total{session="gone"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "fuzzyfdd_integration_errors_total{") {
+		t.Errorf("the deleted incarnation's failed flight is counted:\n%s", text)
 	}
 }

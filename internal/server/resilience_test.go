@@ -226,11 +226,11 @@ func TestServerInflightLimit(t *testing.T) {
 
 // A durable session whose filesystem dies degrades to read-only — writes
 // get a typed 503 (degraded) while reads and streams keep working — and
-// recovers write availability when the filesystem heals, via the write
-// path's self-probe.
+// recovers write availability when the filesystem heals: the first write
+// after the heal re-arms the log and lands.
 func TestServerDegradedThenHeals(t *testing.T) {
 	flaky := wal.NewFlakyFS(wal.NewMemFS(), 0, 11)
-	_, ts := newTestServer(t, Config{DataDir: t.TempDir(), WALFS: flaky, ProbeInterval: -1})
+	_, ts := newTestServer(t, Config{DataDir: t.TempDir(), WALFS: flaky})
 	createSession(t, ts, "d", `{"equi": true}`)
 	if _, err := postTableErr(ts, "d", "t0", `{"k":"a"}`); err != nil {
 		t.Fatal(err)
@@ -239,6 +239,10 @@ func TestServerDegradedThenHeals(t *testing.T) {
 	flaky.SetRate(1)
 	resp, body := postRaw(t, ts, "d", "t1", `{"k":"b"}`)
 	requireThrottled(t, resp, body, http.StatusServiceUnavailable, "degraded")
+	// Nothing re-arms the log before the next write, so that may come at once.
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("degraded Retry-After %q, want 1", ra)
+	}
 	waitForMetricLine(t, ts, "fuzzyfdd_sessions_degraded 1")
 
 	// Reads still work while degraded.
@@ -252,31 +256,6 @@ func TestServerDegradedThenHeals(t *testing.T) {
 		t.Fatalf("write after heal: %v", err)
 	}
 	waitForMetricLine(t, ts, "fuzzyfdd_sessions_degraded 0")
-}
-
-// The recovery prober re-arms a degraded session's log on its own: after
-// the filesystem heals, the degraded gauge returns to zero without any
-// client write paying for the probe.
-func TestServerProberRecovers(t *testing.T) {
-	flaky := wal.NewFlakyFS(wal.NewMemFS(), 0, 12)
-	_, ts := newTestServer(t, Config{
-		DataDir: t.TempDir(), WALFS: flaky, ProbeInterval: 5 * time.Millisecond,
-	})
-	createSession(t, ts, "p", `{"equi": true}`)
-	if _, err := postTableErr(ts, "p", "t0", `{"k":"a"}`); err != nil {
-		t.Fatal(err)
-	}
-	flaky.SetRate(1)
-	resp, body := postRaw(t, ts, "p", "t1", `{"k":"b"}`)
-	requireThrottled(t, resp, body, http.StatusServiceUnavailable, "degraded")
-
-	flaky.SetRate(0)
-	// No writes issued: only the prober can clear the gauge.
-	waitForMetricLine(t, ts, "fuzzyfdd_sessions_degraded 0")
-	waitForMetricLine(t, ts, "fuzzyfdd_probe_recoveries_total 1")
-	if _, err := postTableErr(ts, "p", "t2", `{"k":"c"}`); err != nil {
-		t.Fatalf("write after prober recovery: %v", err)
-	}
 }
 
 // Janitor eviction racing lazy durable reopens of the same session name:
@@ -340,13 +319,11 @@ func TestServerEvictionReopenRace(t *testing.T) {
 // filesystem, every response is either a success or a typed overload 503;
 // every acknowledged batch is in the final result; and the final result is
 // byte-identical to a fault-free oracle fed exactly the acknowledged set.
-// After the filesystem heals, write availability returns (degraded gauge
-// drops to zero).
+// After the filesystem heals, the next write lands and re-arms the log
+// (degraded gauge drops to zero).
 func TestServerChaosAckedBatchesSurvive(t *testing.T) {
 	flaky := wal.NewFlakyFS(wal.NewMemFS(), 0, 7)
-	_, ts := newTestServer(t, Config{
-		DataDir: t.TempDir(), WALFS: flaky, ProbeInterval: 10 * time.Millisecond,
-	})
+	_, ts := newTestServer(t, Config{DataDir: t.TempDir(), WALFS: flaky})
 	createSession(t, ts, "chaos", `{"equi": true}`)
 	flaky.SetRate(0.25)
 
@@ -386,12 +363,12 @@ func TestServerChaosAckedBatchesSurvive(t *testing.T) {
 		t.Errorf("disallowed response under chaos: %s", s)
 	}
 
-	// Heal; the prober must restore write availability.
+	// Heal; the next write must land, and in landing re-arm the log.
 	flaky.SetRate(0)
-	waitForMetricLine(t, ts, "fuzzyfdd_sessions_degraded 0")
 	if _, err := postTableErr(ts, "chaos", "final", `{"k":"final"}`); err != nil {
 		t.Fatalf("write after heal: %v", err)
 	}
+	waitForMetricLine(t, ts, "fuzzyfdd_sessions_degraded 0")
 	acks = append(acks, acked{"final", `{"k":"final"}`})
 
 	// Stream the server's final result.

@@ -71,11 +71,6 @@ type Config struct {
 	// budget in bytes (fuzzyfd.WithMemoryBudget); zero runs unbounded. A
 	// session's creation request may lower it but not exceed it.
 	MemoryBudget int64
-	// ProbeInterval is how often the recovery prober retries degraded
-	// durable sessions' logs, re-arming writes once the filesystem heals.
-	// Zero defaults to 5s (when DataDir is set); negative disables the
-	// prober — writes still self-probe.
-	ProbeInterval time.Duration
 	// WALFS is the filesystem durable sessions live on: under DataDir on
 	// it, each session's directory holds the log that records its options
 	// and tables, and DELETE removes that directory from it. Nil means the
@@ -102,8 +97,6 @@ type Server struct {
 
 	stopJanitor chan struct{}
 	janitorDone chan struct{}
-	stopProber  chan struct{}
-	proberDone  chan struct{}
 
 	// testHookIntegrate, when set, runs on the batcher goroutine
 	// immediately before each coalesced integration — tests use it to
@@ -136,20 +129,7 @@ func New(cfg Config) *Server {
 		s.janitorDone = make(chan struct{})
 		go s.janitor()
 	}
-	if cfg.DataDir != "" && cfg.ProbeInterval >= 0 {
-		s.stopProber = make(chan struct{})
-		s.proberDone = make(chan struct{})
-		go s.prober()
-	}
 	return s
-}
-
-// probeEvery resolves the recovery prober's period.
-func (s *Server) probeEvery() time.Duration {
-	if s.cfg.ProbeInterval > 0 {
-		return s.cfg.ProbeInterval
-	}
-	return 5 * time.Second
 }
 
 // ServeHTTP makes the Server an http.Handler. Every request gets an id,
@@ -220,18 +200,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the janitor and the recovery prober. It does not wait for
-// requests; call Drain first.
+// Close stops the janitor. It does not wait for requests; call Drain
+// first.
 func (s *Server) Close() {
 	if s.stopJanitor != nil {
 		close(s.stopJanitor)
 		<-s.janitorDone
 		s.stopJanitor = nil
-	}
-	if s.stopProber != nil {
-		close(s.stopProber)
-		<-s.proberDone
-		s.stopProber = nil
 	}
 }
 
@@ -264,34 +239,7 @@ func (s *Server) janitor() {
 		case <-t.C:
 			// Eviction is a cache drop: the next request lazily reopens a
 			// durable session from its log.
-			for _, sess := range s.reg.evictIdle(s.cfg.IdleTTL) {
-				s.met.sessionEvicted(sess.name)
-			}
-		}
-	}
-}
-
-// prober periodically retries degraded durable sessions' logs so write
-// availability returns as soon as the filesystem heals, instead of the
-// first post-heal client write paying for the probe.
-func (s *Server) prober() {
-	defer close(s.proberDone)
-	t := time.NewTicker(s.probeEvery())
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopProber:
-			return
-		case <-t.C:
-			for _, c := range s.reg.list() {
-				if c.sess.Degraded() == nil {
-					continue
-				}
-				if err := c.sess.Probe(); err == nil {
-					s.met.probeRecoveries.With().Inc()
-					log.Printf("fuzzyfdd: session %q: log re-armed, writes restored", c.name)
-				}
-			}
+			s.evictIdle(s.cfg.IdleTTL)
 		}
 	}
 }

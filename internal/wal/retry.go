@@ -8,9 +8,9 @@ import (
 )
 
 // ErrDegraded marks a store whose log could not be written even after
-// retries: appends are refused until a Probe re-arms the log,
-// while the already-acknowledged state stays fully readable. Matched with
-// errors.Is through any wrapping.
+// retries. Each later append first tries to re-arm the log and is refused
+// with this error while that fails; the already-acknowledged state stays
+// fully readable. Matched with errors.Is through any wrapping.
 var ErrDegraded = errors.New("wal: store degraded, writes unavailable")
 
 // degradedError wraps the fault that degraded the store so callers can

@@ -8,8 +8,8 @@ import (
 )
 
 // A one-shot transient write fault is absorbed by the retry loop: the
-// append succeeds, the caller never sees the fault, and a reopen recovers
-// the batch.
+// append succeeds, the caller never sees the fault, the failed attempt's
+// bytes are cut back off the log, and a reopen recovers the batch.
 func TestStoreAppendRetriesTransientFault(t *testing.T) {
 	for _, mode := range []string{"write", "sync"} {
 		t.Run(mode, func(t *testing.T) {
@@ -19,6 +19,7 @@ func TestStoreAppendRetriesTransientFault(t *testing.T) {
 			if err := w.AppendAdd(b0); err != nil {
 				t.Fatal(err)
 			}
+			before, size := fs.BytesWritten(), mustSize(t, fs, "sess/"+logFile)
 			if mode == "write" {
 				fs.FailWrite(1, "wal-")
 			} else {
@@ -28,8 +29,9 @@ func TestStoreAppendRetriesTransientFault(t *testing.T) {
 			if err := w.AppendAdd(b1); err != nil {
 				t.Fatalf("append with transient %s fault: %v", mode, err)
 			}
-			if w.Retried() == 0 {
-				t.Error("Retried() = 0, want at least one absorbed fault")
+			// The failed attempt wrote bytes the log no longer holds.
+			if written, grown := fs.BytesWritten()-before, mustSize(t, fs, "sess/"+logFile)-size; written <= grown {
+				t.Errorf("wrote %d bytes for a %d-byte frame: the fault never fired", written, grown)
 			}
 			if w.Degraded() != nil {
 				t.Errorf("store degraded after absorbed fault: %v", w.Degraded())
@@ -47,9 +49,9 @@ func TestStoreAppendRetriesTransientFault(t *testing.T) {
 }
 
 // Exhausted retries degrade the store: writes fail fast with an
-// ErrDegraded-matching error while nothing acknowledged is lost, a probe
-// against the still-broken disk reports failure, and once the disk heals a
-// probe (or the next append's self-probe) restores write availability.
+// ErrDegraded-matching error, each burning only the cheap probe it runs
+// first, while nothing acknowledged is lost; once the disk heals the next
+// append's probe restores write availability.
 func TestStoreDegradesThenProbeHeals(t *testing.T) {
 	flaky := NewFlakyFS(NewMemFS(), 0, 1)
 	w, _, err := Open("sess", flaky)
@@ -78,20 +80,17 @@ func TestStoreDegradesThenProbeHeals(t *testing.T) {
 	if burned := flaky.Injected() - before; burned > 3 {
 		t.Errorf("degraded append burned %d faults, want a cheap probe", burned)
 	}
-	if err := w.Probe(); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("probe on dead disk: err = %v, want ErrDegraded", err)
+	if w.Degraded() == nil {
+		t.Fatal("Degraded() = nil after a refused append")
 	}
 
 	flaky.SetRate(0)
-	if err := w.Probe(); err != nil {
-		t.Fatalf("probe on healed disk: %v", err)
-	}
-	if w.Degraded() != nil {
-		t.Errorf("Degraded() = %v after successful probe", w.Degraded())
-	}
 	b2 := batch(2)
 	if err := w.AppendAdd(b2); err != nil {
 		t.Fatalf("append after heal: %v", err)
+	}
+	if w.Degraded() != nil {
+		t.Errorf("Degraded() = %v after an append landed", w.Degraded())
 	}
 	w.Close()
 
@@ -107,7 +106,7 @@ func TestStoreDegradesThenProbeHeals(t *testing.T) {
 }
 
 // A degraded store heals through the append path itself: the next write
-// probes first, so no explicit Probe call is required once the disk works.
+// probes first and lands once the disk works.
 func TestStoreAppendSelfProbes(t *testing.T) {
 	flaky := NewFlakyFS(NewMemFS(), 0, 2)
 	w, _, err := Open("sess", flaky)
@@ -122,9 +121,19 @@ func TestStoreAppendSelfProbes(t *testing.T) {
 	}
 	flaky.SetRate(0)
 	if err := w.AppendAdd(batch(1)); err != nil {
-		t.Fatalf("append after heal without explicit probe: %v", err)
+		t.Fatalf("append after heal: %v", err)
 	}
 	if w.Degraded() != nil {
 		t.Errorf("Degraded() = %v after self-probe", w.Degraded())
 	}
+}
+
+// mustSize returns the size of the file name on fs.
+func mustSize(t *testing.T, fs FS, name string) int64 {
+	t.Helper()
+	n, err := fs.Stat(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

@@ -58,13 +58,14 @@ type Store struct {
 	committed int64  // log offset up to which frames are acknowledged
 
 	// degraded, when non-nil, records the fault that exhausted the write
-	// retries: appends are refused (read state is untouched) until Probe
-	// verifies the log is appendable again and clears it.
+	// retries. The log's tail may then hold a partial frame, so the next
+	// append first runs probe, which cuts the tail back, verifies the log
+	// syncs and clears the mark, and is refused (read state untouched)
+	// while that fails.
 	degraded error
 
 	retryN    int           // transient-fault retries before degrading (retryAttempts)
 	retryBase time.Duration // first backoff step between retries (retryBase)
-	retried   int64         // transient faults retried away, for diagnostics
 
 	buf []byte // payload scratch, reused across appends
 }
@@ -278,11 +279,13 @@ func (w *Store) replayFrame(payload []byte, tables []*table.Table) ([]*table.Tab
 // file stays appendable, and transient faults are retried with bounded
 // exponential backoff — the frame is valid to rewrite verbatim, because
 // durableVals only advances on success. Once retries exhaust (or the fault
-// is permanent, or the log's tail cannot be repaired) the store degrades:
-// later writes fail fast with an ErrDegraded-matching error until Probe
-// re-arms the log.
+// is permanent, or the log's tail cannot be repaired) the store degrades.
+// A degraded store's next AppendAdd first probes the log: it repairs the
+// tail and checks that the log syncs, and only then writes. While the
+// probe fails, AppendAdd fails fast with an ErrDegraded-matching error; the
+// first one after the filesystem heals re-arms the log and appends.
 func (w *Store) AppendAdd(tables []*table.Table) error {
-	if w.degraded != nil && w.Probe() != nil {
+	if w.degraded != nil && w.probe() != nil {
 		return &degradedError{cause: w.degraded}
 	}
 	for _, t := range tables {
@@ -324,15 +327,14 @@ func (w *Store) append(frame []byte) error {
 		// Cut the partial frame back off before anything else: appending
 		// over a dirty tail would leave a bad frame inside the log, which
 		// the next open refuses as corruption. If even the repair fails,
-		// the log is not safely appendable — degrade now and let Probe fix
-		// the tail later.
+		// the log is not safely appendable — degrade now and let the next
+		// append's probe fix the tail.
 		if rerr := w.repair(); rerr != nil {
 			return w.degrade(fmt.Errorf("wal: log unrepairable after failed append (%v): %w", err, rerr))
 		}
 		if !IsTransient(err) || attempt >= w.retryN {
 			return w.degrade(err)
 		}
-		w.retried++
 		sleepBackoff(w.retryBase, attempt)
 	}
 }
@@ -394,29 +396,22 @@ func (w *Store) Degraded() error {
 	return &degradedError{cause: w.degraded}
 }
 
-// Retried reports how many transient faults the retry loop absorbed, for
-// diagnostics and tests.
-func (w *Store) Retried() int64 { return w.retried }
-
-// Probe attempts to leave degraded mode: it repairs the log tail back to
+// probe attempts to leave degraded mode: it repairs the log tail back to
 // the last acknowledged frame boundary, reopens the append handle, and
-// verifies it syncs. On success writes flow again; on failure the store
-// stays degraded and Probe reports the still-failing step. Healthy stores
-// return nil immediately, so callers can probe unconditionally.
-func (w *Store) Probe() error {
-	if w.degraded == nil {
-		return nil
-	}
+// verifies it syncs. On success it clears the degraded mark; on failure
+// the store stays degraded and probe returns the still-failing step's
+// error. AppendAdd is its only caller.
+func (w *Store) probe() error {
 	if err := w.repair(); err != nil {
-		return &degradedError{cause: err}
+		return err
 	}
 	if err := w.ensureLog(); err != nil {
-		return &degradedError{cause: err}
+		return err
 	}
 	if err := w.log.Sync(); err != nil {
 		w.log.Close()
 		w.log = nil
-		return &degradedError{cause: err}
+		return err
 	}
 	w.degraded = nil
 	return nil
