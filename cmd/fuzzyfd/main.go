@@ -174,7 +174,7 @@ func main() {
 			res.FDStats.Merges, res.FDStats.Subsumed)
 		fmt.Fprintf(os.Stderr, "timings: align=%v match=%v fd=%v total=%v\n",
 			res.Timings.Align, res.Timings.Match, res.Timings.FD, res.Timings.Total)
-		if res.MatchStats.Rewrites > 0 {
+		if res.MatchStats.Clusters > 0 {
 			fmt.Fprintf(os.Stderr, "value matching: %d clusters, %d merged, %d cells rewritten\n",
 				res.MatchStats.Clusters, res.MatchStats.Merged, res.MatchStats.Rewrites)
 		}

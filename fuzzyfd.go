@@ -246,7 +246,9 @@ func WithContentAlignment(useHeaders bool) Option {
 
 // WithMatchWorkers sets the concurrency of the value-matching phase's
 // embedding warm-up (default: runtime.GOMAXPROCS(0)). It does not change
-// the FD closure, which always uses runtime.GOMAXPROCS(0) CPUs.
+// the rest of that phase — column sets matched concurrently, each round's
+// candidate pairs scored in parallel — nor the FD closure: both always use
+// runtime.GOMAXPROCS(0) CPUs.
 func WithMatchWorkers(workers int) Option {
 	return func(o *options) error {
 		if workers < 1 {

@@ -109,8 +109,13 @@ func MatchSparse(nA, nB int, edges []Edge) ([]Pair, SparseShape) {
 }
 
 // canonicalEdges returns the edges sorted by (A, B) with the cheapest of
-// each duplicate kept, leaving the caller's slice untouched.
+// each duplicate kept, leaving the caller's slice untouched. Edges already
+// strictly ascending by (A, B), as the match rounds produce them, are
+// canonical and come back as they are.
 func canonicalEdges(edges []Edge) []Edge {
+	if strictlyAscending(edges) {
+		return edges
+	}
 	sorted := slices.Clone(edges)
 	slices.SortFunc(sorted, func(x, y Edge) int {
 		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B), cmp.Compare(x.Cost, y.Cost))
@@ -122,6 +127,17 @@ func canonicalEdges(edges []Edge) []Edge {
 		}
 	}
 	return out
+}
+
+// strictlyAscending reports whether every edge's (A, B) is greater than the
+// one before it: sorted, with no duplicate pair.
+func strictlyAscending(edges []Edge) bool {
+	for k := 1; k < len(edges); k++ {
+		if p, e := edges[k-1], edges[k]; e.A < p.A || e.A == p.A && e.B <= p.B {
+			return false
+		}
+	}
+	return true
 }
 
 // componentShape counts the components holding an edge and finds the one

@@ -261,3 +261,29 @@ func TestMatchSparseAllocatesPerEdge(t *testing.T) {
 		t.Errorf("%.0f bytes allocated per edge; a dense matrix would be %d", perEdge, n*n*8/len(edges))
 	}
 }
+
+// Edges strictly ascending by (A, B) are canonical: canonicalEdges hands
+// them back without a copy or a sort. A duplicate pair or an inversion
+// still takes the sorted copy, and the caller's slice is left as it was.
+func TestCanonicalEdgesKeepsSortedInput(t *testing.T) {
+	sorted := []Edge{{A: 0, B: 1, Cost: 0.5}, {A: 0, B: 3, Cost: 0.1}, {A: 2, B: 0, Cost: 0.2}}
+	if got := canonicalEdges(sorted); &got[0] != &sorted[0] || len(got) != len(sorted) {
+		t.Errorf("sorted input was copied: %v", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { canonicalEdges(sorted) }); allocs != 0 {
+		t.Errorf("sorted input: %.0f allocations, want 0", allocs)
+	}
+	for name, edges := range map[string][]Edge{
+		"duplicate": {{A: 0, B: 1, Cost: 0.5}, {A: 0, B: 1, Cost: 0.1}, {A: 2, B: 0, Cost: 0.2}},
+		"inverted":  {{A: 0, B: 3, Cost: 0.1}, {A: 0, B: 1, Cost: 0.5}, {A: 2, B: 0, Cost: 0.2}},
+	} {
+		in := slices.Clone(edges)
+		got := canonicalEdges(edges)
+		if &got[0] == &edges[0] || !reflect.DeepEqual(edges, in) {
+			t.Errorf("%s: canonicalEdges reused or changed the caller's slice: %v", name, edges)
+		}
+		if !strictlyAscending(got) {
+			t.Errorf("%s: %v is not strictly ascending", name, got)
+		}
+	}
+}

@@ -120,9 +120,11 @@ type Config struct {
 	// UseHeaders blends headers into content-based alignment.
 	UseHeaders bool
 	// MatchWorkers sets the concurrency of the match phase's value
-	// pre-embedding. 0 means runtime.GOMAXPROCS(0). The match phase has its
-	// own knob because its parallelism is about embedder throughput, not
-	// about the FD closure.
+	// pre-embedding (its warm-up) only. 0 means runtime.GOMAXPROCS(0). It
+	// has its own knob because it is about embedder throughput; the rest of
+	// the match phase — column sets matched concurrently, and each round's
+	// pairs scored over spans — follows runtime.GOMAXPROCS(0), as the FD
+	// closure does.
 	MatchWorkers int
 	// MemoryBudget aborts the Full Disjunction with fd.ErrMemoryBudget once
 	// its estimated resident size exceeds this many bytes (fd.Options

@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fuzzyfd/internal/align"
@@ -21,10 +23,10 @@ import (
 // Session is the resumable form of the pipeline: a long-lived object that
 // owns the state every one-shot Integrate call used to rebuild from
 // scratch — the embedding cache (values embed once per model tier for the
-// session's lifetime), the matcher's memo (each value's record, and the
-// assignment rounds of the latest integration, replayed while their inputs
-// are unchanged: a column set that gains a column re-runs only the rounds
-// the new column changes), and the incremental
+// session's lifetime), one matcher memo per aligned column set (each
+// value's record, and the assignment rounds of the latest integration,
+// replayed while their inputs are unchanged: a column set that gains a
+// column re-runs only the rounds the new column changes), and the incremental
 // Full Disjunction index with its append-only dictionary, posting and
 // signature indexes, and per-component closure results.
 //
@@ -54,7 +56,7 @@ type Session struct {
 	cache *embed.ValueCache
 
 	runMu    sync.Mutex                    // one integration at a time
-	memo     *match.Memo                   // the matcher's, used under runMu
+	memos    map[int]*match.Memo           // output column -> its set's memo, used under runMu
 	rewrites map[*table.Table]rewriteEntry // source table -> cached rewritten view, used under runMu
 	idx      *fd.Index
 
@@ -92,7 +94,7 @@ func NewSession(cfg Config) *Session {
 		cfg:      cfg,
 		cache:    cache,
 		emb:      embed.Cached(cfg.ResolvedEmbedder(), cache),
-		memo:     match.NewMemo(),
+		memos:    make(map[int]*match.Memo),
 		rewrites: make(map[*table.Table]rewriteEntry),
 		idx:      fd.NewIndex(),
 	}
@@ -142,9 +144,10 @@ func (s *Session) Last() *Result {
 
 // EmbeddingCache exposes the session's value-embedding cache, for
 // diagnostics (hit/miss counts across repeated integrations). It is the
-// session's only embedding memo: each miss embeds once, and the matcher's
-// memo looks each distinct value up once per session, so the lookups count
-// values, not value pairs. The cache is itself safe for concurrent use.
+// session's only embedding memo: each miss embeds once, and each column
+// set's matcher memo looks each of its distinct values up once per
+// session, so the lookups count values, not value pairs. The cache is
+// itself safe for concurrent use, which concurrently matched sets rely on.
 func (s *Session) EmbeddingCache() *embed.ValueCache { return s.cache }
 
 // emit delivers a progress event, if a callback is configured.
@@ -301,11 +304,14 @@ func (s *Session) prepare(ctx context.Context, tables []*table.Table) ([]*table.
 
 // matchAndRewrite runs the Match Values component over every aligned
 // column set with at least two source columns and returns rewritten copies
-// of the tables, with the number of them served from cached views. Every
-// set is matched on the session's memo: a round whose inputs an earlier
-// integration met replays its pairs, so a set untouched by newly added
-// tables runs no assignment, and one that gained a column re-runs only from
-// the first round whose inputs changed.
+// of the tables, with the number of them served from cached views. Each
+// set is matched on its own memo, kept across integrations under the set's
+// output column: a round whose inputs an earlier integration met replays
+// its pairs, so a set untouched by newly added tables runs no assignment,
+// and one that gained a column re-runs only from the first round whose
+// inputs changed. The sets are independent, so up to GOMAXPROCS of them
+// match at once; their results are applied in set order, so the outcome is
+// the sequential one.
 func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, schema fd.Schema, res *Result) ([]*table.Table, int, error) {
 	// Invert the schema: output column -> contributing (table, column)
 	// refs in table order (the order the paper's sequential matching
@@ -316,12 +322,6 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 		for ci, out := range schema.Mapping[ti] {
 			sources[out] = append(sources[out], ref{table: ti, col: ci})
 		}
-	}
-
-	matcher := &match.Matcher{
-		Emb:  s.emb,
-		Opts: match.Options{Theta: s.cfg.Theta},
-		Memo: s.memo,
 	}
 
 	// Build every matchable column set up front, then pre-embed all their
@@ -355,23 +355,48 @@ func (s *Session) matchAndRewrite(ctx context.Context, tables []*table.Table, sc
 		}
 	}
 
+	memos := make(map[int]*match.Memo, len(sets))
+	for _, cs := range sets {
+		memo := s.memos[cs.out]
+		if memo == nil {
+			memo = match.NewMemo()
+		}
+		memos[cs.out] = memo
+	}
+	type matched struct {
+		clusters []match.Cluster
+		stats    match.Stats
+		err      error
+	}
+	results := make([]matched, len(sets))
+	eachSet(len(sets), func(i int) {
+		cs := sets[i]
+		matcher := &match.Matcher{Emb: s.emb, Opts: match.Options{Theta: s.cfg.Theta}, Memo: memos[cs.out]}
+		r := &results[i]
+		r.clusters, r.stats, r.err = matcher.Match(ctx, cs.cols)
+	})
+
 	var allStats []match.Stats
 	plans := make([][]colRewrite, len(tables))
-	for _, cs := range sets {
-		clusters, stats, err := matcher.Match(ctx, cs.cols)
-		if err != nil {
-			return nil, 0, phaseErr(PhaseMatch, fmt.Errorf("output column %q: %w", schema.Columns[cs.out], err))
+	for i, cs := range sets {
+		r := results[i]
+		if r.err != nil {
+			return nil, 0, phaseErr(PhaseMatch, fmt.Errorf("output column %q: %w", schema.Columns[cs.out], r.err))
 		}
-		res.ColumnClusters[cs.out] = clusters
-		allStats = append(allStats, stats)
+		res.ColumnClusters[cs.out] = r.clusters
+		allStats = append(allStats, r.stats)
 
-		maps := match.RewriteMaps(clusters, len(cs.refs))
+		maps := match.RewriteMaps(r.clusters, len(cs.refs))
 		for k, rf := range cs.refs {
 			plans[rf.table] = append(plans[rf.table], colRewrite{col: rf.col, m: maps[k]})
 		}
 	}
-	// Rounds this integration did not meet are dropped.
-	s.memo.Sweep()
+	// Memos of sets this integration did not match, and rounds it did not
+	// meet, are dropped.
+	for _, memo := range memos {
+		memo.Sweep()
+	}
+	s.memos = memos
 	res.MatchStats = combineStats(allStats)
 
 	// Materialize each table's rewritten view, memoized per (table,
@@ -467,3 +492,26 @@ func rewritePlanKey(t *table.Table, plan []colRewrite) (planDigest, int) {
 // planDigest fingerprints a table's rewrite plan in constant space (the
 // cache must not retain a copy of every map).
 type planDigest [sha256.Size]byte
+
+// eachSet calls f(i) for every i in [0, n) on a pool of up to GOMAXPROCS
+// workers, which take the indexes in order, and returns once every call
+// has. The calling goroutine is one of the workers, so with one worker the
+// calls run in order and no goroutine is started.
+func eachSet(n int, f func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}

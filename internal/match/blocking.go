@@ -93,38 +93,57 @@ func minTrigrams(s string, k int) []string {
 	return out
 }
 
-// blockKeys returns rec's interned blocking keys, computing them the first
-// time the value is blocked. Keys are interned to dense ids by their full
-// text, so two values share an id exactly when they share a key.
-func (r *run) blockKeys(rec *value, lex *lexicon.Lexicon) []int32 {
-	if rec.keys != nil {
-		return rec.keys
-	}
-	keys := blockingKeys(rec.text, lex)
-	rec.keys = make([]int32, len(keys))
-	for i, k := range keys {
-		id, ok := r.keyIDs[k]
-		if !ok {
-			id = int32(len(r.keyIDs))
-			r.keyIDs[k] = id
+// internKeys gives every record without blocking keys its interned keys,
+// in the order given (a record listed twice is keyed once). The keys are
+// computed concurrently over spans, then interned in order, so each key's
+// id is the one keying the records one at a time would give it. Keys are
+// interned to dense ids by their full text, so two values share an id
+// exactly when they share a key.
+func (r *run) internKeys(recs []*value, lex *lexicon.Lexicon) {
+	var todo []*value
+	for _, rec := range recs {
+		if rec.keys == nil {
+			rec.keys = []int32{} // listed: a repeat is skipped
+			todo = append(todo, rec)
 		}
-		rec.keys[i] = id
 	}
-	return rec.keys
+	keys := make([][]string, len(todo))
+	split(len(todo), minSpanValues, func(lo, hi int) struct{} {
+		for i := lo; i < hi; i++ {
+			keys[i] = blockingKeys(todo[i].text, lex)
+		}
+		return struct{}{}
+	})
+	for i, rec := range todo {
+		rec.keys = make([]int32, len(keys[i]))
+		for k, key := range keys[i] {
+			id, ok := r.keyIDs[key]
+			if !ok {
+				id = int32(len(r.keyIDs))
+				r.keyIDs[key] = id
+			}
+			rec.keys[k] = id
+		}
+	}
 }
 
+// minSpanValues is about the fewest values worth a goroutine of a blocked
+// round: values to key, or representatives whose candidates to score.
+const minSpanValues = 128
+
 // blockedEdges generates candidate (cluster, value) pairs via the blocking
-// index and scores them, keeping edges under θ.
+// index and scores them, keeping edges under θ. Side A is scored over
+// concurrent spans (see scoreSpans), each with its own scratch; each
+// representative's edges are sorted by B, so they come ascending by (A, B).
 func (r *run) blockedEdges(reps, values []string, theta float64) []assign.Edge {
 	lex := lexicon.Full()
+	side, a := r.records(values), r.records(reps)
+	r.internKeys(side, lex)
+	r.internKeys(a, lex)
 
 	// Index side B by blocking key: key k's bucket is
-	// items[start[k]:start[k+1]], ascending. Keys first interned by side A
-	// below lie beyond start and have no bucket.
-	side := r.records(values)
-	for _, rec := range side {
-		r.blockKeys(rec, lex)
-	}
+	// items[start[k]:start[k+1]], ascending. Keys only side A holds have an
+	// empty bucket.
 	start := make([]int32, len(r.keyIDs)+1)
 	for _, rec := range side {
 		for _, k := range rec.keys {
@@ -143,30 +162,32 @@ func (r *run) blockedEdges(reps, values []string, theta float64) []assign.Edge {
 		}
 	}
 
-	var edges []assign.Edge
-	seenBy := make([]int32, len(values)) // 1 + the last cluster that scored the value
-	for i, v := range reps {
-		rep := r.record(v)
-		for _, k := range r.blockKeys(rep, lex) {
-			if int(k)+1 >= len(start) {
-				continue
-			}
-			bucket := items[start[k]:start[k+1]]
-			if len(bucket) > maxBucket {
-				continue
-			}
-			for _, j := range bucket {
-				if seenBy[j] == int32(i)+1 {
+	out := scoreSpans(len(a), minSpanValues, func(lo, hi int) scored {
+		var s scored
+		seenBy := make([]int32, len(values)) // 1 + the last cluster that scored the value
+		for i := lo; i < hi; i++ {
+			rep, from := a[i], len(s.edges)
+			for _, k := range rep.keys {
+				bucket := items[start[k]:start[k+1]]
+				if len(bucket) > maxBucket {
 					continue
 				}
-				seenBy[j] = int32(i) + 1
-				r.stats.CandidatePairs++
-				if d := r.distance(rep, side[j]); d < theta {
-					edges = append(edges, assign.Edge{A: i, B: int(j), Cost: d})
+				for _, j := range bucket {
+					if seenBy[j] == int32(i)+1 {
+						continue
+					}
+					seenBy[j] = int32(i) + 1
+					s.pairs++
+					if d := r.distance(rep, side[j]); d < theta {
+						s.edges = append(s.edges, assign.Edge{A: i, B: int(j), Cost: d})
+					}
 				}
 			}
+			slices.SortFunc(s.edges[from:], func(x, y assign.Edge) int { return cmp.Compare(x.B, y.B) })
 		}
-	}
-	r.stats.Edges += len(edges)
-	return edges
+		return s
+	})
+	r.stats.CandidatePairs += out.pairs
+	r.stats.Edges += len(out.edges)
+	return out.edges
 }

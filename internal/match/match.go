@@ -25,8 +25,17 @@
 //
 // A Matcher's Memo lets consecutive calls share each value's record and
 // replay every round whose exact inputs they met before (see Memo). One
-// Memo serves one call at a time, which core.Session's runMu ensures; a
-// Matcher without one gives each call a fresh Memo, so all take one path.
+// Memo serves one call at a time: core.Session gives each aligned column
+// set its own, so sets can match concurrently, and its runMu keeps two
+// integrations from sharing one. A Matcher without a Memo gives each call
+// a fresh one, so all take one path.
+//
+// Within a call, a round's pairs are scored concurrently over contiguous
+// spans of its representatives, up to runtime.GOMAXPROCS(0) of them (see
+// split). The round's records are resolved, and their blocking keys
+// interned, before any span starts, in the order one goroutine would, and
+// the spans' edges are joined in span order, so the edges, the counters
+// and the pairs are the same at every GOMAXPROCS.
 package match
 
 import (
@@ -34,6 +43,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"fuzzyfd/internal/assign"
 	"fuzzyfd/internal/embed"
@@ -136,7 +148,7 @@ type Scorer interface {
 	// Name identifies the scorer for diagnostics.
 	Name() string
 	// Distance returns the dissimilarity of a and b in [0, 1]; equal
-	// strings are 0.
+	// strings are 0. A round calls it from several goroutines at once.
 	Distance(a, b string) float64
 }
 
@@ -416,17 +428,76 @@ func (r *run) assignRound(reps, values []string, theta float64) []assign.Pair {
 }
 
 // denseEdges scores every (cluster, value) pair, keeping edges under θ.
+// Side A is scored over concurrent spans (see scoreSpans).
 func (r *run) denseEdges(reps, values []string, theta float64) []assign.Edge {
-	var edges []assign.Edge
 	a, b := r.records(reps), r.records(values)
-	for i, ra := range a {
-		for j, rb := range b {
-			if d := r.distance(ra, rb); d < theta {
-				edges = append(edges, assign.Edge{A: i, B: j, Cost: d})
+	if len(b) == 0 {
+		return nil
+	}
+	out := scoreSpans(len(a), minSpanPairs/len(b)+1, func(lo, hi int) scored {
+		var s scored
+		for i := lo; i < hi; i++ {
+			for j, rb := range b {
+				if d := r.distance(a[i], rb); d < theta {
+					s.edges = append(s.edges, assign.Edge{A: i, B: j, Cost: d})
+				}
 			}
 		}
+		s.pairs = (hi - lo) * len(b)
+		return s
+	})
+	r.stats.CandidatePairs += out.pairs
+	r.stats.Edges += len(out.edges)
+	return out.edges
+}
+
+// minSpanPairs is about the fewest candidate pairs worth a goroutine: a
+// span's scoring should outweigh starting and joining it.
+const minSpanPairs = 4096
+
+// split runs f over contiguous spans [lo, hi) that cover [0, n), at most
+// one per CPU (runtime.GOMAXPROCS) and each at least minSpan long, and
+// returns their results in span order. The first span runs on the calling
+// goroutine, so at GOMAXPROCS 1, or for work too small to split, no
+// goroutine is started. f runs concurrently with itself: it may write only
+// what its own span owns.
+func split[T any](n, minSpan int, f func(lo, hi int) T) []T {
+	parts := max(1, min(runtime.GOMAXPROCS(0), n/max(minSpan, 1)))
+	out := make([]T, parts)
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[p] = f(p*n/parts, (p+1)*n/parts)
+		}()
 	}
-	r.stats.CandidatePairs += len(a) * len(b)
-	r.stats.Edges += len(edges)
-	return edges
+	out[0] = f(0, n/parts)
+	wg.Wait()
+	return out
+}
+
+// scored is what scoring a span of side A yields: its edges under θ,
+// ascending by (A, B), and the candidate pairs it scored.
+type scored struct {
+	edges []assign.Edge
+	pairs int
+}
+
+// scoreSpans scores side A's n items over split's spans and joins them in
+// span order, so the result is what scoring [0, n) as one span gives.
+// score only reads the memo: every record it needs is resolved before.
+func scoreSpans(n, minSpan int, score func(lo, hi int) scored) scored {
+	parts := split(n, minSpan, score)
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	var out scored
+	edges := make([][]assign.Edge, len(parts))
+	for p, part := range parts {
+		edges[p] = part.edges
+		out.pairs += part.pairs
+	}
+	out.edges = slices.Concat(edges...)
+	return out
 }

@@ -21,7 +21,9 @@ import (
 // call's.
 //
 // A Memo serves one scorer, whose vectors its records hold, and one call
-// at a time. Its records live as long as it does.
+// at a time; calls that run at once need a Memo each. A call only reads it
+// while it scores a round's pairs concurrently. Its records live as long as
+// it does.
 type Memo struct {
 	values map[string]*value
 	keyIDs map[string]int32 // blocking keys interned to dense ids

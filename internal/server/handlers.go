@@ -205,7 +205,13 @@ func (s *Server) newSession(name string, opts sessionOptions, create bool) (*ses
 		}
 	}
 	c := &session{name: name}
-	c.hub = newHub(func() { s.met.sseDropped.With(name).Inc() })
+	// A drop can come after the session's DELETE or eviction, so it is
+	// recorded only while the session is live. Lock order: publish calls
+	// this under hub.mu, and whileLive then takes registry.mu; nothing
+	// takes hub.mu under registry.mu.
+	c.hub = newHub(func() {
+		s.reg.whileLive(c, func() { s.met.sseDropped.With(name).Inc() })
+	})
 	c.tb = newTokenBucket(s.cfg.RatePerSec, s.cfg.Burst)
 	fs, err := s.buildSession(opts, c.hub, dir)
 	if err != nil {

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fuzzyfd"
 )
 
 // get returns the live named session, or nil.
@@ -116,6 +118,31 @@ func TestServerReopenAtSessionLimit(t *testing.T) {
 	}
 	if got := resultJSON(t, ts2, "a")["rows"].([]any); len(got) != 1 {
 		t.Fatalf("reopened session holds %d rows, want 1", len(got))
+	}
+}
+
+// A progress event that reaches a full SSE subscriber after the session's
+// DELETE is lost like any other, but must not write the retired session's
+// drop counter back: drops are recorded only while the session is live.
+func TestServerSSEDropAfterDeleteRetiresSeries(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	createSession(t, ts, "gone", `{"equi": true}`)
+	c := srv.reg.get("gone")
+	_, unsubscribe := c.hub.subscribe() // never read
+	defer unsubscribe()
+	ev := fuzzyfd.ProgressEvent{Phase: "fd"}
+	for range subBuffer + 1 {
+		c.hub.publish(ev)
+	}
+	if text := fetchMetrics(t, ts); !strings.Contains(text, `fuzzyfdd_sse_dropped_total{session="gone"} 1`) {
+		t.Fatalf("the live session's drop is not counted:\n%s", text)
+	}
+	if resp, body := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/gone", "", nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: status %d: %s", resp.StatusCode, body)
+	}
+	c.hub.publish(ev)
+	if text := fetchMetrics(t, ts); strings.Contains(text, `session="gone"`) {
+		t.Fatalf("a drop after the DELETE wrote the session's series back:\n%s", text)
 	}
 }
 
